@@ -61,84 +61,204 @@ type Prediction struct {
 	Latency float64
 }
 
-// Predict estimates the collective duration under order sigma.
+// Predict estimates the collective duration under order sigma. It is the
+// one-shot form; the searches build one predictor and reuse it per order.
 func Predict(sc Scenario, sigma []int) (Prediction, error) {
-	h := sc.Hierarchy
-	n := h.Size()
-	p := sc.CommSize
-	if p <= 0 || n%p != 0 {
-		return Prediction{}, fmt.Errorf("advisor: communicator size %d does not divide %d", p, n)
-	}
-	if sc.Bytes <= 0 {
-		return Prediction{}, fmt.Errorf("advisor: non-positive size")
-	}
-	ro, err := mixedradix.NewReorderer(h.Arities(), sigma)
+	pd, err := newPredictor(sc)
 	if err != nil {
 		return Prediction{}, err
 	}
-	// The inverse table is pure scratch here: pool it so a k!-order search
-	// does not allocate k! n-entry tables.
-	inv := invPool.Get(n)
-	defer invPool.Put(inv)
-	ro.InverseTableInto(inv)
-	nComms := n / p
-	if !sc.Simultaneous {
-		nComms = 1
+	pr, err := pd.predict(sigma)
+	if err != nil {
+		return Prediction{}, err
 	}
+	pr.Order = append([]int(nil), sigma...)
+	return pr, nil
+}
+
+// predictor evaluates the model for many orders of one scenario without
+// allocating per order. A rank's place in the hierarchy is a point
+// computation (Algorithms 1–2), so a prediction touches only the cores of
+// the communicators it models — Reorderer.InverseRangeInto — and finds
+// each level's domains, occupancies and ring out-edges in one pass over
+// them, accumulating into dense per-level tables that are reset through
+// the list of entries touched. Not safe for concurrent use: every search
+// worker owns one.
+type predictor struct {
+	sc     Scenario
+	ro     *mixedradix.Reorderer
+	k, p   int
+	levels []levelLoad // levels [0, k-1): the innermost level has no uplink
+	bus    levelLoad   // memory buses of the innermost domains (level k-2)
+
+	perEdge float64 // bytes one ring edge carries during an operation
+	perRank float64 // bytes one rank moves through its memory domain
+	rounds  float64 // latency-bound steps of the schedule
+
+	cores []int // old ranks of the modelled communicators' reordered ranks
+	// occ and out count, by domain of the level in hand, the communicator's
+	// ranks inside and its ring edges leaving; seen lists the domains met.
+	// All three are clean between levels.
+	occ, out []int
+	seen     []int
+}
+
+// levelLoad accumulates the bytes crossing each link of one kind at one
+// level during one prediction.
+type levelLoad struct {
+	size     int       // cores per domain (unset for the buses, which share the innermost level's domains)
+	capacity float64   // link bandwidth; 0 when the spec does not model the link
+	bytes    []float64 // by domain
+	touched  []int     // domains with bytes on them, for the reset
+	peak     float64   // the most loaded link
+}
+
+func (ll *levelLoad) add(dom int, bytes float64) {
+	if ll.bytes[dom] == 0 {
+		ll.touched = append(ll.touched, dom)
+	}
+	ll.bytes[dom] += bytes
+	if ll.bytes[dom] > ll.peak {
+		ll.peak = ll.bytes[dom]
+	}
+}
+
+func (ll *levelLoad) reset() {
+	for _, d := range ll.touched {
+		ll.bytes[d] = 0
+	}
+	ll.touched, ll.peak = ll.touched[:0], 0
+}
+
+func newPredictor(sc Scenario) (*predictor, error) {
+	h := sc.Hierarchy
 	ar := h.Arities()
-	k := h.Depth()
-	// suffix[l] = cores per level-l domain.
-	suffix := make([]int, k+1)
-	suffix[k] = 1
-	for l := k - 1; l >= 0; l-- {
-		suffix[l] = suffix[l+1] * ar[l]
+	n := h.Size()
+	p := sc.CommSize
+	if p <= 0 || n%p != 0 {
+		return nil, fmt.Errorf("advisor: communicator size %d does not divide %d", p, n)
 	}
-
-	// traffic[l][d] accumulates bytes crossing the egress uplink of domain
-	// d at level l; busTraffic[d] the innermost-domain (memory) traffic.
-	traffic := make([]map[int]float64, k)
-	for l := range traffic {
-		traffic[l] = make(map[int]float64)
+	if sc.Bytes <= 0 {
+		return nil, fmt.Errorf("advisor: non-positive size")
 	}
-	busTraffic := make(map[int]float64)
-	inner := k - 2
-
+	k := len(ar)
+	ro, err := mixedradix.NewReorderer(ar, mixedradix.IdentityOrder(k))
+	if err != nil {
+		return nil, err
+	}
+	modelled := p // only the first communicator, unless all run at once
+	if sc.Simultaneous {
+		modelled = n
+	}
 	B := float64(sc.Bytes)
-	maxCrossLevel := k // outermost level any comm pair crosses (lower = farther)
-	for comm := 0; comm < nComms; comm++ {
-		cores := inv[comm*p : (comm+1)*p]
-		// Per-level occupancy of the communicator.
-		for l := 0; l < k-1; l++ {
-			if len(sc.Spec.Levels) <= l || sc.Spec.Levels[l].UpBandwidth <= 0 {
+	pd := &predictor{
+		sc: sc, ro: ro, k: k, p: p,
+		levels:  make([]levelLoad, max(k-1, 0)),
+		perRank: perRankBytes(sc.Coll, p, B),
+		rounds:  float64(p - 1),
+		cores:   make([]int, modelled),
+		seen:    make([]int, 0, p),
+	}
+	switch sc.Coll {
+	case Allgather:
+		// Ring edges (i, i+1 mod p) carry p-1 blocks of B/p each.
+		pd.perEdge = B * float64(p-1) / float64(p)
+	case Allreduce:
+		// Reduce-scatter + allgather: 2(p-1) chunks of B/p per edge.
+		pd.perEdge = 2 * B * float64(p-1) / float64(p) / float64(p) * float64(p-1)
+		pd.rounds = 2 * float64(p-1)
+	}
+	// Domains of level l hold the cores of all levels below it.
+	size := 1
+	for l := k - 2; l >= 0; l-- {
+		size *= ar[l+1]
+		ll := levelLoad{size: size}
+		if l < len(sc.Spec.Levels) {
+			ll.capacity = sc.Spec.Levels[l].UpBandwidth
+			if l == 0 && sc.Spec.NICsPerNode > 0 {
+				ll.capacity *= float64(sc.Spec.NICsPerNode)
+			}
+		}
+		if ll.capacity > 0 {
+			ll.bytes = make([]float64, n/size)
+		}
+		pd.levels[l] = ll
+	}
+	if inner := k - 2; inner >= 0 {
+		domains := n / pd.levels[inner].size // no level has more
+		if inner < len(sc.Spec.Levels) {
+			pd.bus.capacity = sc.Spec.Levels[inner].BusBandwidth
+		}
+		if pd.bus.capacity > 0 {
+			pd.bus.bytes = make([]float64, domains)
+		}
+		pd.occ, pd.out = make([]int, domains), make([]int, domains)
+	}
+	return pd, nil
+}
+
+// predict estimates the collective duration under order sigma. The
+// returned Order is nil: the caller knows which order it asked about.
+func (pd *predictor) predict(sigma []int) (Prediction, error) {
+	if err := pd.ro.Reset(sigma); err != nil {
+		return Prediction{}, err
+	}
+	pd.ro.InverseRangeInto(pd.cores, 0)
+	k, p := pd.k, pd.p
+	inner := k - 2
+	crossLevel := k // outermost level any comm pair crosses (lower = farther)
+	for first := 0; first < len(pd.cores); first += p {
+		cores := pd.cores[first : first+p]
+		// A domain is a contiguous range of cores, so the communicator sits
+		// inside one exactly when its lowest and highest core do: the first
+		// level that separates the two is the outermost one it crosses.
+		lo, hi := cores[0], cores[0]
+		for _, c := range cores[1:] {
+			lo, hi = min(lo, c), max(hi, c)
+		}
+		spans := k
+		if lo != hi {
+			spans = k - 1
+			for l := range pd.levels {
+				if lo/pd.levels[l].size != hi/pd.levels[l].size {
+					spans = l
+					break
+				}
+			}
+		}
+		crossLevel = min(crossLevel, spans)
+		for l := range pd.levels {
+			ll := &pd.levels[l]
+			// Above the level it spans, the communicator sits inside one
+			// domain and nothing crosses; the memory buses carry every byte
+			// a rank sends or receives wherever it sits.
+			uplinks := ll.capacity > 0 && l >= spans
+			buses := l == inner && pd.bus.capacity > 0
+			if !uplinks && !buses {
 				continue
 			}
-			occ := map[int]int{}
+			seen := pd.seen[:0]
+			prev := cores[p-1] / ll.size // the ring closes p-1 → 0
 			for _, c := range cores {
-				occ[c/suffix[l+1]]++
-			}
-			for d, a := range occ {
-				if a == p {
-					continue // communicator fully inside: no crossing
+				d := c / ll.size
+				if pd.occ[d] == 0 {
+					seen = append(seen, d)
 				}
-				traffic[l][d] += crossingBytes(sc.Coll, cores, suffix[l+1], d, a, p, B)
+				pd.occ[d]++
+				if d != prev {
+					pd.out[prev]++
+				}
+				prev = d
 			}
-		}
-		// Innermost memory buses: every byte a rank sends or receives.
-		if inner >= 0 && len(sc.Spec.Levels) > inner && sc.Spec.Levels[inner].BusBandwidth > 0 {
-			occ := map[int]int{}
-			for _, c := range cores {
-				occ[c/suffix[inner+1]]++
-			}
-			perRankVolume := perRankBytes(sc.Coll, p, B)
-			for d, a := range occ {
-				busTraffic[d] += float64(a) * perRankVolume
-			}
-		}
-		// Latency class: the outermost level any pair of this comm crosses.
-		for i := 0; i+1 < len(cores); i++ {
-			d := h.FirstDiffLevel(cores[i], cores[i+1])
-			if d < maxCrossLevel {
-				maxCrossLevel = d
+			for _, d := range seen {
+				a := pd.occ[d]
+				if uplinks && a != p {
+					ll.add(d, pd.crossingBytes(a, pd.out[d]))
+				}
+				if buses {
+					pd.bus.add(d, float64(a)*pd.perRank)
+				}
+				pd.occ[d], pd.out[d] = 0, 0
 			}
 		}
 	}
@@ -146,49 +266,30 @@ func Predict(sc Scenario, sigma []int) (Prediction, error) {
 	// Bottleneck: the most loaded link.
 	worst := 0.0
 	level := -1
-	nics := sc.Spec.NICsPerNode
-	if nics <= 0 {
-		nics = 1
-	}
-	for l := 0; l < k-1; l++ {
-		if len(sc.Spec.Levels) <= l {
+	for l := range pd.levels {
+		ll := &pd.levels[l]
+		if ll.capacity <= 0 {
 			continue
 		}
-		cap := sc.Spec.Levels[l].UpBandwidth
-		if cap <= 0 {
-			continue
+		if t := ll.peak / ll.capacity; t > worst {
+			worst = t
+			level = l
 		}
-		if l == 0 {
-			cap *= float64(nics)
-		}
-		for _, bytes := range traffic[l] {
-			if t := bytes / cap; t > worst {
-				worst = t
-				level = l
-			}
-		}
+		ll.reset()
 	}
-	if inner >= 0 && len(sc.Spec.Levels) > inner {
-		cap := sc.Spec.Levels[inner].BusBandwidth
-		if cap > 0 {
-			for _, bytes := range busTraffic {
-				if t := bytes / cap; t > worst {
-					worst = t
-					level = inner
-				}
-			}
+	if pd.bus.capacity > 0 {
+		if t := pd.bus.peak / pd.bus.capacity; t > worst {
+			worst = t
+			level = inner
 		}
+		pd.bus.reset()
 	}
 	// Latency term: rounds × latency of the widest crossing.
 	lat := 0.0
-	if maxCrossLevel < len(sc.Spec.Levels) {
-		lat = sc.Spec.Levels[maxCrossLevel].Latency
+	if crossLevel < len(pd.sc.Spec.Levels) {
+		lat = pd.sc.Spec.Levels[crossLevel].Latency
 	}
-	rounds := float64(p - 1)
-	if sc.Coll == Allreduce {
-		rounds = 2 * float64(p-1)
-	}
-	latTime := rounds * lat
+	latTime := pd.rounds * lat
 	total := worst + latTime
 	if latTime > worst {
 		level = -1
@@ -197,17 +298,12 @@ func Predict(sc Scenario, sigma []int) (Prediction, error) {
 		return Prediction{}, fmt.Errorf("advisor: degenerate prediction")
 	}
 	return Prediction{
-		Order:           append([]int(nil), sigma...),
 		Time:            total,
-		Bandwidth:       B / total,
+		Bandwidth:       float64(pd.sc.Bytes) / total,
 		BottleneckLevel: level,
 		Latency:         latTime,
 	}, nil
 }
-
-// invPool recycles inverse-table scratch across Predict calls (shared by
-// all advisor workers; TablePool is safe for concurrent use).
-var invPool mixedradix.TablePool
 
 // perRankBytes is the volume one rank pushes through its memory domain.
 func perRankBytes(coll Collective, p int, B float64) float64 {
@@ -227,27 +323,16 @@ func perRankBytes(coll Collective, p int, B float64) float64 {
 }
 
 // crossingBytes is the egress traffic of a domain holding a of the comm's
-// p ranks during one operation.
-func crossingBytes(coll Collective, cores []int, domSize, dom, a, p int, B float64) float64 {
-	switch coll {
+// p ranks, with edges of its ring edges leaving the domain, during one
+// operation.
+func (pd *predictor) crossingBytes(a, edges int) float64 {
+	switch pd.sc.Coll {
 	case Alltoall:
 		// Every ordered pair exchanges B/p².
-		return float64(a) * float64(p-a) * B / float64(p) / float64(p)
+		p := float64(pd.p)
+		return float64(a) * float64(pd.p-a) * float64(pd.sc.Bytes) / p / p
 	case Allgather, Allreduce:
-		// Ring edges (i, i+1 mod p): each edge carries (p-1) blocks of B/p
-		// (allgather) or 2(p-1) chunks of B/p (allreduce phases).
-		perEdge := B * float64(p-1) / float64(p)
-		if coll == Allreduce {
-			perEdge = 2 * B * float64(p-1) / float64(p) / float64(p) * float64(p-1)
-		}
-		edges := 0
-		for i := 0; i < p; i++ {
-			next := (i + 1) % p
-			if cores[i]/domSize == dom && cores[next]/domSize != dom {
-				edges++
-			}
-		}
-		return float64(edges) * perEdge
+		return float64(edges) * pd.perEdge
 	}
 	return 0
 }

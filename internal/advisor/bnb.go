@@ -25,14 +25,25 @@
 // budget is exhausted the engine degrades to a level-synchronous beam of
 // bounded width and reports an optimality gap derived from the smallest
 // lower bound it discarded (ModeBeam).
+//
+// A node costs O(k) and no allocation. Fact 1 is also what makes the
+// search incremental: whatever the covering prefix settles — the first
+// communicator's signature and, under Simultaneous, its bound — is
+// computed once at the covering ancestor and carried down (firstComm), so
+// an interior node below it only compares that bound with the threshold
+// and a full-order leaf adds only its world tiling to the carried key.
+// Prefix, signature and key live in engine-owned scratch; the memo is
+// looked up by m[string(key)], which allocates only on a miss.
 
 package advisor
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -54,9 +65,15 @@ const (
 	ModeBeam = "beam"
 )
 
-// Bounded-search defaults. The node budget is sized so a depth-10
-// single-communicator search (≈190k prefix nodes) completes exactly,
-// while depth 12 (≈2.9M nodes) degrades to the beam.
+// Bounded-search defaults. How many nodes a search visits depends on how
+// soon a prefix covers the communicator, hence on its size, not only on
+// the depth. Measured on the cloud machine (alltoall): a 16-rank
+// communicator is covered after three or four levels and depth 12
+// completes exactly in 10 375 nodes; 64 ranks take 49 912 nodes at depth
+// 10 and 161 290 at depth 12, still exact. A communicator no proper prefix
+// covers (all the cores), or every communicator running at once, makes
+// every full order a leaf: depth 10 is already a tree of 9.9 M prefixes,
+// spends the budget and is answered by the beam.
 const (
 	DefaultNodeBudget = 400_000
 	DefaultBeamWidth  = 32
@@ -172,16 +189,16 @@ func SearchOrders(ctx context.Context, sc Scenario, opts SearchOptions) (*Search
 		top = 1
 	}
 	k := sc.Hierarchy.Depth()
-	p := sc.CommSize
-	if p <= 0 || sc.Hierarchy.Size()%p != 0 {
-		return nil, fmt.Errorf("advisor: communicator size %d does not divide %d", p, sc.Hierarchy.Size())
-	}
 
 	ctx, span := rt.StartSpan(ctx, "advisor.search")
 	span.SetAttr("depth", int64(k))
 	defer span.End()
 
-	e := newBnbEngine(ctx, sc, top, budget)
+	e, err := newBnbEngine(ctx, sc, top, budget)
+	if err != nil {
+		span.SetError()
+		return nil, err
+	}
 	e.start = start
 	if opts.ProgressEvery > 0 {
 		e.every = opts.ProgressEvery
@@ -191,7 +208,7 @@ func SearchOrders(ctx context.Context, sc Scenario, opts SearchOptions) (*Search
 	}
 	mode := ModeBnB
 	gap := 0.0
-	err := e.dfs(e.prefix, 0, 1)
+	err = e.dfs(0, 0, 1, firstComm{})
 	if errors.Is(err, errNodeBudget) {
 		// Budget spent: discard the partial branch-and-bound incumbents
 		// (their pruning accounting is no longer meaningful) and answer
@@ -200,7 +217,7 @@ func SearchOrders(ctx context.Context, sc Scenario, opts SearchOptions) (*Search
 		// with the phase: each mode's event sequence is monotone on its
 		// own.
 		mode = ModeBeam
-		e.inc.leaves = e.inc.leaves[:0]
+		e.inc.reset()
 		e.covered, e.pruned = 0, 0
 		e.mode, e.best = ModeBeam, math.Inf(1)
 		gap, err = e.beam(width)
@@ -302,8 +319,18 @@ type classLeaf struct {
 type incumbents struct {
 	top    int
 	leaves []classLeaf
+	// thr is the pruning cutoff, valid when full: the worst Time among the
+	// retained leaves once they account for at least top orders. Subtrees
+	// whose lower bound strictly exceeds it cannot affect the answer (ties
+	// are kept for the lexicographic merge). Recomputed by insert, so the
+	// per-node test reads two fields.
+	thr  float64
+	full bool
 }
 
+// insert files a leaf whose order is the engine's scratch buffer; the
+// order is copied only if the leaf survives the trim, so a leaf that
+// cannot reach the answer costs no allocation.
 func (in *incumbents) insert(l classLeaf) {
 	i := sort.Search(len(in.leaves), func(i int) bool {
 		if in.leaves[i].pr.Bandwidth != l.pr.Bandwidth {
@@ -315,6 +342,21 @@ func (in *incumbents) insert(l classLeaf) {
 	copy(in.leaves[i+1:], in.leaves[i:])
 	in.leaves[i] = l
 	in.trim()
+	if i < len(in.leaves) {
+		in.leaves[i].order = append([]int(nil), l.order...)
+	}
+	var cum int64
+	in.thr = 0
+	for i := range in.leaves {
+		cum += in.leaves[i].size
+		in.thr = max(in.thr, in.leaves[i].pr.Time)
+	}
+	in.full = cum >= int64(in.top)
+}
+
+// reset empties the set for the next search phase.
+func (in *incumbents) reset() {
+	in.leaves, in.thr, in.full = in.leaves[:0], 0, false
 }
 
 // trim drops leaves that can no longer reach the top-T answer: everything
@@ -343,37 +385,17 @@ func (in *incumbents) trim() {
 	}
 }
 
-// threshold returns the pruning cutoff: the worst Time among retained
-// leaves once they account for at least top orders. Subtrees whose lower
-// bound strictly exceeds it cannot affect the answer (ties are kept for
-// the lexicographic merge).
-func (in *incumbents) threshold() (float64, bool) {
-	var cum int64
-	for i := range in.leaves {
-		cum += in.leaves[i].size
-	}
-	if cum < int64(in.top) {
-		return 0, false
-	}
-	thr := 0.0
-	for i := range in.leaves {
-		if in.leaves[i].pr.Time > thr {
-			thr = in.leaves[i].pr.Time
-		}
-	}
-	return thr, true
-}
-
 type bnbEngine struct {
-	ctx context.Context
-	sc  Scenario
-	ar  []int
-	k   int
-	p   int
+	ctx  context.Context
+	sc   Scenario
+	ar   []int
+	k    int
+	p    int
+	n    int  // hierarchy size: the "communicator" of the world tiling
+	ring bool // the schedule walks the communicator as a ring
 
-	sigOpts metrics.SignatureOpts
-	fcSc    Scenario // first-communicator scenario (Simultaneous off)
-	fcOpts  metrics.SignatureOpts
+	pd   *predictor // the scenario's model
+	fcPd *predictor // its first communicator alone (Simultaneous only)
 
 	// latFloor[v] = rounds × the cheapest latency at any level in [0, v]
 	// (levels past the spec cost 0, mirroring Predict). Admissible
@@ -388,7 +410,13 @@ type bnbEngine struct {
 	worst     Prediction
 	haveWorst bool
 
-	prefix []int // shared DFS scratch, cap k
+	// Per-node scratch, so that a node allocates nothing: sigma[:t] is the
+	// prefix of the node in hand (the DFS path; the beam copies its
+	// candidate in) and leaves complete it in place; pairs and cross take
+	// the signature kernels' output; key takes its rendering.
+	sigma        []int
+	pairs, cross []int64
+	key          []byte
 
 	nodes, evals, covered, pruned int64
 	budget                        int64
@@ -405,13 +433,29 @@ type bnbEngine struct {
 	rootLB   float64
 }
 
-func newBnbEngine(ctx context.Context, sc Scenario, top int, budget int64) *bnbEngine {
-	h := sc.Hierarchy
-	k := h.Depth()
-	rounds := float64(sc.CommSize - 1)
-	if sc.Coll == Allreduce {
-		rounds = 2 * float64(sc.CommSize-1)
+// firstComm is what the shortest covering prefix of a path settles for
+// every order below it (§3.3: the first communicator is fixed by the
+// prefix whose radix product covers it). The search computes it once, at
+// the covering ancestor, and carries it down.
+type firstComm struct {
+	// key renders the first communicator's placement signature; empty
+	// while no prefix of the path covers the communicator.
+	key []byte
+	// lb is the admissible bound shared by every completion when all world
+	// communicators run at once: the first communicator's exact traffic
+	// term, which only grows as the others tile in, plus the latency floor
+	// of its (settled) crossing level.
+	lb float64
+}
+
+func newBnbEngine(ctx context.Context, sc Scenario, top int, budget int64) (*bnbEngine, error) {
+	pd, err := newPredictor(sc)
+	if err != nil {
+		return nil, err
 	}
+	h := sc.Hierarchy
+	ar := h.Arities()
+	k := len(ar)
 	latFloor := make([]float64, k+1)
 	minLat := math.Inf(1)
 	for v := 0; v <= k; v++ {
@@ -422,31 +466,42 @@ func newBnbEngine(ctx context.Context, sc Scenario, top int, budget int64) *bnbE
 		} else {
 			minLat = 0 // Predict charges no latency past the spec'd levels
 		}
-		latFloor[v] = rounds * minLat
+		latFloor[v] = pd.rounds * minLat
 	}
-	fcSc := sc
-	fcSc.Simultaneous = false
-	return &bnbEngine{
+	e := &bnbEngine{
 		ctx:      ctx,
 		sc:       sc,
-		ar:       h.Arities(),
+		ar:       ar,
 		k:        k,
 		p:        sc.CommSize,
-		sigOpts:  metrics.SignatureOpts{Ring: sc.Coll != Alltoall, World: sc.Simultaneous},
-		fcSc:     fcSc,
-		fcOpts:   metrics.SignatureOpts{Ring: sc.Coll != Alltoall, World: false},
+		n:        h.Size(),
+		ring:     sc.Coll != Alltoall,
+		pd:       pd,
 		latFloor: latFloor,
 		memo:     make(map[string]Prediction),
-		fcMemo:   make(map[string]Prediction),
 		inc:      incumbents{top: top},
-		prefix:   make([]int, 0, k),
-		budget:   budget,
-		every:    DefaultProgressEvery,
-		start:    time.Now(),
-		mode:     ModeBnB,
-		best:     math.Inf(1),
-		rootLB:   latFloor[metrics.BestCompletionCrossLevel(h.Arities(), nil, sc.CommSize)],
+		sigma:    make([]int, k),
+		pairs:    make([]int64, k),
+		cross:    make([]int64, k),
+		// Two partial signatures of up to three k-entry components: room
+		// for every key, so appending to a carried key stays in place.
+		key:    make([]byte, 0, 2*(3+3*k*binary.MaxVarintLen64)),
+		budget: budget,
+		every:  DefaultProgressEvery,
+		start:  time.Now(),
+		mode:   ModeBnB,
+		best:   math.Inf(1),
+		rootLB: latFloor[metrics.BestCompletionCrossLevel(ar, nil, sc.CommSize)],
 	}
+	if sc.Simultaneous {
+		fcSc := sc
+		fcSc.Simultaneous = false
+		if e.fcPd, err = newPredictor(fcSc); err != nil {
+			return nil, err
+		}
+		e.fcMemo = make(map[string]Prediction)
+	}
+	return e, nil
 }
 
 // emit delivers one progress event to the configured sink.
@@ -472,9 +527,9 @@ func (e *bnbEngine) emit(kind string) {
 	e.progress(p)
 }
 
-// dfs walks the prefix tree depth-first, children in ascending level
-// order so leaves arrive in canonical (lexicographic) order.
-func (e *bnbEngine) dfs(prefix []int, used uint32, prod int) error {
+// visit counts one prefix-tree node against the context, the heartbeat
+// and (in the branch-and-bound phase) the node budget.
+func (e *bnbEngine) visit() error {
 	e.nodes++
 	if e.nodes&1023 == 0 {
 		if err := e.ctx.Err(); err != nil {
@@ -484,109 +539,136 @@ func (e *bnbEngine) dfs(prefix []int, used uint32, prod int) error {
 	if e.nodes%e.every == 0 {
 		e.emit(ProgressCoverage)
 	}
-	if e.nodes > e.budget {
+	if e.mode == ModeBnB && e.nodes > e.budget {
 		return errNodeBudget
 	}
-	t := len(prefix)
-	covered := prod >= e.p
-	// A covering prefix is a leaf unless every world communicator runs at
-	// once — the world tiling needs the full order.
-	if (covered && !e.sc.Simultaneous) || t == e.k {
-		return e.evalLeaf(prefix)
+	return nil
+}
+
+// dfs walks the prefix tree depth-first from the node e.sigma[:t],
+// children in ascending level order so leaves arrive in canonical
+// (lexicographic) order.
+func (e *bnbEngine) dfs(t int, used uint32, prod int, fc firstComm) error {
+	if err := e.visit(); err != nil {
+		return err
 	}
-	if t > 0 {
-		lb, err := e.bound(prefix, covered)
-		if err != nil {
-			return err
-		}
-		if thr, ok := e.inc.threshold(); ok && lb > thr {
-			e.pruned += perm.Factorial(e.k - t)
-			return nil
-		}
+	fc, err := e.cover(t, used, prod, fc)
+	if err != nil {
+		return err
+	}
+	if e.isLeaf(t, prod) {
+		return e.evalLeaf(t, used, fc)
+	}
+	if t > 0 && e.inc.full && e.bound(t, fc) > e.inc.thr {
+		e.pruned += perm.Factorial(e.k - t)
+		return nil
 	}
 	for l := 0; l < e.k; l++ {
 		if used&(1<<uint(l)) != 0 {
 			continue
 		}
-		if err := e.dfs(append(prefix, l), used|1<<uint(l), prod*e.ar[l]); err != nil {
+		e.sigma[t] = l
+		if err := e.dfs(t+1, used|1<<uint(l), prod*e.ar[l], fc); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// bound returns an admissible lower bound on the predicted time of every
-// completion of the prefix.
-func (e *bnbEngine) bound(prefix []int, covered bool) (float64, error) {
-	cross := metrics.BestCompletionCrossLevel(e.ar, prefix, e.p)
-	lb := e.latFloor[cross]
-	if covered && e.sc.Simultaneous {
-		// The first communicator is fully determined; its traffic term is
-		// exact and can only grow as the remaining communicators tile in.
-		pr, err := e.firstCommPredict(prefix)
-		if err != nil {
-			return 0, err
-		}
-		lb = pr.Time - pr.Latency + e.latFloor[cross]
-	}
-	return lb, nil
+// isLeaf: a covering prefix is a leaf unless every world communicator
+// runs at once — the world tiling needs the full order.
+func (e *bnbEngine) isLeaf(t, prod int) bool {
+	return (prod >= e.p && !e.sc.Simultaneous) || t == e.k
 }
 
-// firstCommPredict evaluates the (completion-invariant) single-communicator
-// prediction for a covering prefix, memoized by placement signature.
-func (e *bnbEngine) firstCommPredict(prefix []int) (Prediction, error) {
-	sigma := canonicalCompletion(e.k, prefix)
-	sig, err := metrics.OrderSignature(e.sc.Hierarchy, sigma, e.p, e.fcOpts)
-	if err != nil {
-		return Prediction{}, err
+// cover returns what the path to the node e.sigma[:t] settles about the
+// first communicator: fc itself below a covering ancestor (or above any),
+// and at the covering node the signature key — written into e.key, which
+// stays untouched for as long as the node's subtree is walked — and, for
+// an interior node, the bound of its subtree.
+func (e *bnbEngine) cover(t int, used uint32, prod int, fc firstComm) (firstComm, error) {
+	if len(fc.key) > 0 || prod < e.p {
+		return fc, nil
 	}
-	key := sig.Key()
-	if pr, ok := e.fcMemo[key]; ok {
-		return pr, nil
+	// The kernels read only the covering prefix of e.sigma.
+	sig := metrics.SearchSignature{CommPairs: e.pairs}
+	metrics.PairCountsPerLevelInto(e.pairs, e.ar, e.sigma, e.p)
+	if e.ring {
+		sig.CommCross = e.cross
+		metrics.CrossingsPerLevelInto(e.cross, e.ar, e.sigma, e.p)
 	}
-	pr, err := Predict(e.fcSc, sigma)
-	if err != nil {
-		return Prediction{}, err
+	fc.key = sig.AppendKey(e.key[:0])
+	if e.isLeaf(t, prod) {
+		return fc, nil
 	}
-	pr.Order = nil
-	e.fcMemo[key] = pr
-	return pr, nil
-}
-
-// evalLeaf predicts the (shared) cost of all completions of a leaf
-// prefix, memoized by placement signature, and feeds the incumbents and
-// the worst-evaluated tracker.
-func (e *bnbEngine) evalLeaf(prefix []int) error {
-	sigma := canonicalCompletion(e.k, prefix)
-	sig, err := metrics.OrderSignature(e.sc.Hierarchy, sigma, e.p, e.sigOpts)
-	if err != nil {
-		return err
-	}
-	key := sig.Key()
-	pr, ok := e.memo[key]
+	pr, ok := e.fcMemo[string(fc.key)]
 	if !ok {
-		pr, err = Predict(e.sc, sigma)
-		if err != nil {
+		var err error
+		if pr, err = e.fcPd.predict(e.complete(t, used)); err != nil {
+			return fc, err
+		}
+		e.fcMemo[string(fc.key)] = pr
+	}
+	fc.lb = pr.Time - pr.Latency + e.latFloor[metrics.BestCompletionCrossLevel(e.ar, e.sigma[:t], e.p)]
+	return fc, nil
+}
+
+// bound returns an admissible lower bound on the predicted time of every
+// completion of the interior node e.sigma[:t].
+func (e *bnbEngine) bound(t int, fc firstComm) float64 {
+	if len(fc.key) > 0 {
+		return fc.lb
+	}
+	return e.latFloor[metrics.BestCompletionCrossLevel(e.ar, e.sigma[:t], e.p)]
+}
+
+// complete fills e.sigma[t:] with the levels the prefix leaves unused,
+// ascending — the canonical completion, lexicographically smallest of the
+// orders below the node — and returns the full order.
+func (e *bnbEngine) complete(t int, used uint32) []int {
+	for l := 0; t < e.k; l++ {
+		if used&(1<<uint(l)) == 0 {
+			e.sigma[t] = l
+			t++
+		}
+	}
+	return e.sigma
+}
+
+// evalLeaf predicts the (shared) cost of all completions of the leaf
+// e.sigma[:t], memoized by placement signature, and feeds the incumbents
+// and the worst-evaluated tracker.
+func (e *bnbEngine) evalLeaf(t int, used uint32, fc firstComm) error {
+	sigma := e.complete(t, used)
+	key := fc.key
+	if e.sc.Simultaneous {
+		// A full order: the first communicator's part of the signature
+		// came down the path; only the world tiling is the leaf's own.
+		metrics.CrossingsPerLevelInto(e.cross, e.ar, sigma, e.n)
+		key = metrics.SearchSignature{WorldCross: e.cross}.AppendKey(key)
+	}
+	pr, ok := e.memo[string(key)]
+	if !ok {
+		var err error
+		if pr, err = e.pd.predict(sigma); err != nil {
 			return err
 		}
 		e.evals++
-		pr.Order = nil
-		e.memo[key] = pr
+		e.memo[string(key)] = pr
 	}
-	split := len(prefix)
-	size := perm.Factorial(e.k - split)
+	size := perm.Factorial(e.k - t)
 	e.covered += size
-	e.inc.insert(classLeaf{order: sigma, split: split, pr: pr, size: size})
+	e.inc.insert(classLeaf{order: sigma, split: t, pr: pr, size: size})
 	if best := e.inc.leaves[0].pr.Time; best < e.best {
 		e.best = best
 		e.emit(ProgressIncumbent)
 	}
 	if !e.haveWorst || pr.Time > e.worst.Time {
-		w := pr
+		e.worst = pr
 		// The lexicographically greatest member (prefix + descending
 		// rest) mirrors Rank's worst-entry tie-break.
-		w.Order = append(append([]int(nil), sigma[:split]...), reverseInts(sigma[split:])...)
-		e.worst = w
+		e.worst.Order = append([]int(nil), sigma...)
+		slices.Reverse(e.worst.Order[t:])
 		e.haveWorst = true
 	}
 	return nil
@@ -602,39 +684,39 @@ func (e *bnbEngine) beam(width int) (float64, error) {
 		used   uint32
 		prod   int
 		lb     float64
+		fc     firstComm
 	}
 	frontier := []cand{{prefix: []int{}, prod: 1}}
 	globalLB := math.Inf(1)
 	for len(frontier) > 0 {
 		var next []cand
 		for _, c := range frontier {
+			t := len(c.prefix) + 1
+			copy(e.sigma, c.prefix)
 			for l := 0; l < e.k; l++ {
 				if c.used&(1<<uint(l)) != 0 {
 					continue
 				}
-				e.nodes++
-				if e.nodes&1023 == 0 {
-					if err := e.ctx.Err(); err != nil {
-						return 0, err
-					}
+				if err := e.visit(); err != nil {
+					return 0, err
 				}
-				if e.nodes%e.every == 0 {
-					e.emit(ProgressCoverage)
+				e.sigma[t-1] = l
+				used, prod := c.used|1<<uint(l), c.prod*e.ar[l]
+				fc, err := e.cover(t, used, prod, c.fc)
+				if err != nil {
+					return 0, err
 				}
-				child := append(append(make([]int, 0, e.k), c.prefix...), l)
-				prod := c.prod * e.ar[l]
-				covered := prod >= e.p
-				if (covered && !e.sc.Simultaneous) || len(child) == e.k {
-					if err := e.evalLeaf(child); err != nil {
+				if e.isLeaf(t, prod) {
+					if err := e.evalLeaf(t, used, fc); err != nil {
 						return 0, err
 					}
 					continue
 				}
-				lb, err := e.bound(child, covered)
-				if err != nil {
-					return 0, err
+				if len(c.fc.key) == 0 {
+					// Candidates outlive e.key, which the next sibling reuses.
+					fc.key = slices.Clone(fc.key)
 				}
-				next = append(next, cand{prefix: child, used: c.used | 1<<uint(l), prod: prod, lb: lb})
+				next = append(next, cand{prefix: slices.Clone(e.sigma[:t]), used: used, prod: prod, lb: e.bound(t, fc), fc: fc})
 			}
 		}
 		sort.Slice(next, func(i, j int) bool {
@@ -713,23 +795,6 @@ func (e *bnbEngine) results(topN int) []Prediction {
 	return out
 }
 
-// canonicalCompletion returns the lexicographically smallest order with
-// the given prefix: the prefix followed by the remaining levels ascending.
-func canonicalCompletion(k int, prefix []int) []int {
-	sigma := make([]int, 0, k)
-	sigma = append(sigma, prefix...)
-	var used uint32
-	for _, l := range prefix {
-		used |= 1 << uint(l)
-	}
-	for l := 0; l < k; l++ {
-		if used&(1<<uint(l)) == 0 {
-			sigma = append(sigma, l)
-		}
-	}
-	return sigma
-}
-
 // nextPermutation advances s to its next lexicographic permutation in
 // place, returning false when s was already the last one.
 func nextPermutation(s []int) bool {
@@ -749,12 +814,4 @@ func nextPermutation(s []int) bool {
 		s[a], s[b] = s[b], s[a]
 	}
 	return true
-}
-
-func reverseInts(s []int) []int {
-	out := make([]int, len(s))
-	for i, v := range s {
-		out[len(s)-1-i] = v
-	}
-	return out
 }

@@ -190,15 +190,16 @@ func classGroups(sc Scenario, orders [][]int) [][]int {
 	}
 	byKey := make(map[string]int, len(orders))
 	var groups [][]int
+	var key []byte // reused: only a new class pays for its key string
 	for i, sigma := range orders {
 		sig, err := metrics.OrderSignature(sc.Hierarchy, sigma, sc.CommSize, sigOpts)
 		if err != nil {
 			return nil
 		}
-		key := sig.Key()
-		g, ok := byKey[key]
+		key = sig.AppendKey(key[:0])
+		g, ok := byKey[string(key)]
 		if !ok {
-			byKey[key] = len(groups)
+			byKey[string(key)] = len(groups)
 			groups = append(groups, []int{i})
 			continue
 		}
@@ -207,8 +208,9 @@ func classGroups(sc Scenario, orders [][]int) [][]int {
 	return groups
 }
 
-// evalRepresentatives runs Predict for each class representative on the
-// bounded worker pool, writing into reps.
+// evalRepresentatives predicts each class representative on the bounded
+// worker pool, one predictor per worker, writing into reps (Order unset:
+// Rank fills in each member's own).
 func evalRepresentatives(ctx context.Context, sc Scenario, orders [][]int, groups [][]int, reps []Prediction, opts RankOptions) error {
 	n := len(groups)
 	workers := opts.workers(n)
@@ -232,6 +234,11 @@ func evalRepresentatives(ctx context.Context, sc Scenario, orders [][]int, group
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			pd, err := newPredictor(sc)
+			if err != nil {
+				fail(err)
+				return
+			}
 			for u := range units {
 				// One span per chunk keeps trace volume proportional to the
 				// work units, not the k! candidate orders.
@@ -243,7 +250,7 @@ func evalRepresentatives(ctx context.Context, sc Scenario, orders [][]int, group
 						span.End()
 						return
 					}
-					pr, err := Predict(sc, orders[groups[g][0]])
+					pr, err := pd.predict(orders[groups[g][0]])
 					if err != nil {
 						span.SetError()
 						span.End()

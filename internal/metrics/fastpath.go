@@ -31,22 +31,34 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"fmt"
-	"strconv"
 
 	"repro/internal/mixedradix"
 	"repro/internal/topology"
 )
 
-// crossingsPerLevel returns, for each hierarchy level l (outermost = 0),
-// how many consecutive reordered-rank pairs (r, r+1) with r ∈ [0, m-1)
-// first differ at level l. The ring cost follows as
-// Σ_l counts[l] · (k - l).
-func crossingsPerLevel(ar, sigma []int, m int) []int64 {
+// scratch returns a zeroed k-entry slice, backed by the caller's buf when
+// it fits — orders are a handful of levels long — so the kernels below
+// stay off the heap.
+func scratch(buf *[16]int64, k int) []int64 {
+	if k <= len(buf) {
+		return buf[:k]
+	}
+	return make([]int64, k)
+}
+
+// CrossingsPerLevelInto writes into out (length k, overwritten), for each
+// hierarchy level l (outermost = 0), how many consecutive reordered-rank
+// pairs (r, r+1) with r ∈ [0, m-1) first differ at level l. The ring cost
+// follows as Σ_l out[l] · (k - l). Only the prefix of sigma that covers m
+// is read (PrefixCoverLen), so a covering prefix may stand in for the
+// order. The inputs are not validated: OrderSignature and Characterize do.
+func CrossingsPerLevelInto(out []int64, ar, sigma []int, m int) {
 	k := len(ar)
-	out := make([]int64, k)
+	clear(out[:k])
 	if m <= 1 {
-		return out
+		return
 	}
 	minLevel := k
 	pref := 1               // P_t: product of the first t permuted radices
@@ -60,47 +72,57 @@ func crossingsPerLevel(ar, sigma []int, m int) []int64 {
 		out[minLevel] += carries - next
 		carries = next
 	}
-	return out
 }
 
 // ringCostClosed is the closed-form §3.3 ring cost of the first
 // subcommunicator of size m.
 func ringCostClosed(ar, sigma []int, m int) int {
 	k := len(ar)
+	var buf [16]int64
+	crossings := scratch(&buf, k)
+	CrossingsPerLevelInto(crossings, ar, sigma, m)
 	cost := int64(0)
-	for l, c := range crossingsPerLevel(ar, sigma, m) {
+	for l, c := range crossings {
 		cost += c * int64(k-l)
 	}
 	return int(cost)
 }
 
-// pairCountsPerLevel returns, indexed like PairsPerLevel (element 0 the
-// innermost level), the number of unordered process pairs of the first
-// subcommunicator of size m whose first differing coordinate is at each
-// level. The counts sum to m·(m-1)/2.
-func pairCountsPerLevel(ar, sigma []int, m int) []int64 {
+// PairCountsPerLevelInto writes into out (length k, overwritten), indexed
+// like PairsPerLevel (element 0 the innermost level), the number of
+// unordered process pairs of the first subcommunicator of size m ≤ n whose
+// first differing coordinate is at each level. The counts sum to
+// m·(m-1)/2. Like CrossingsPerLevelInto it reads only the covering prefix
+// of sigma and validates nothing.
+func PairCountsPerLevelInto(out []int64, ar, sigma []int, m int) {
 	k := len(ar)
-	// Permuted radices and the digits of the inclusive bound m-1.
-	b := make([]int64, k)
-	g := make([]int64, k)
-	rem := m - 1
-	for j := 0; j < k; j++ {
-		b[j] = int64(ar[sigma[j]])
-		g[j] = int64(rem) % b[j]
-		rem /= int(b[j])
+	// Permuted radices and the digits of the inclusive bound m-1, up to its
+	// leading digit: the positions past the covering prefix hold zeros and
+	// leave every state of the digit DP as it is. Each covering position
+	// marks its level in out.
+	var bufB, bufG [16]int64
+	b, g := scratch(&bufB, k), scratch(&bufG, k)
+	clear(out[:k])
+	t := 0
+	for rem := m - 1; rem > 0 && t < k; t++ {
+		b[t] = int64(ar[sigma[t]])
+		g[t] = int64(rem) % b[t]
+		rem /= int(b[t])
+		out[k-1-sigma[t]] = 1
 	}
-	// E[l] = unordered pairs of distinct ranks in [0, m) agreeing on every
-	// permuted position j with σ(j) < l. E[0] = C(m, 2); E[k] = 0.
-	E := make([]int64, k+1)
-	for l := 0; l <= k; l++ {
-		E[l] = (agreeingOrderedPairs(b, g, sigma, l) - int64(m)) / 2
+	// E(l) = unordered pairs of distinct ranks in [0, m) agreeing on every
+	// covering position j with σ(j) < l. E(0) = C(m, 2); E(k) = 0; and
+	// E(l) = E(l+1) unless l is the level of a covering position, so only
+	// the marked levels hold pairs and cost a run of the DP.
+	next := int64(0)
+	for l := k - 1; l >= 0; l-- {
+		if out[k-1-l] == 0 {
+			continue
+		}
+		e := (agreeingOrderedPairs(b[:t], g[:t], sigma, l) - int64(m)) / 2
+		out[k-1-l] = e - next // first-diff level l
+		next = e
 	}
-	out := make([]int64, k)
-	for j := 0; j < k; j++ {
-		l := k - 1 - j // first-diff level for output index j
-		out[j] = E[l] - E[l+1]
-	}
-	return out
 }
 
 // agreeingOrderedPairs counts the ordered pairs (r, s) ∈ [0, m)² whose
@@ -163,16 +185,20 @@ type SignatureOpts struct {
 }
 
 // Key renders the signature as a compact map key.
-func (s SearchSignature) Key() string {
-	buf := make([]byte, 0, 16*(len(s.CommCross)+len(s.CommPairs)+len(s.WorldCross)))
-	for _, part := range [][]int64{s.CommPairs, s.CommCross, s.WorldCross} {
+func (s SearchSignature) Key() string { return string(s.AppendKey(nil)) }
+
+// AppendKey appends the Key bytes to dst, for callers that look a
+// signature up without building a string (m[string(buf)] does not
+// allocate). Each component is length-prefixed, so the concatenation of
+// the keys of two partial signatures is as injective as one key.
+func (s SearchSignature) AppendKey(dst []byte) []byte {
+	for _, part := range [...][]int64{s.CommPairs, s.CommCross, s.WorldCross} {
+		dst = binary.AppendUvarint(dst, uint64(len(part)))
 		for _, v := range part {
-			buf = strconv.AppendInt(buf, v, 36)
-			buf = append(buf, ',')
+			dst = binary.AppendVarint(dst, v)
 		}
-		buf = append(buf, '|')
 	}
-	return string(buf)
+	return dst
 }
 
 // OrderSignature computes the SearchSignature of an order for the first
@@ -187,14 +213,18 @@ func OrderSignature(h topology.Hierarchy, sigma []int, commSize int, opts Signat
 	if commSize <= 0 || commSize > n {
 		return SearchSignature{}, fmt.Errorf("metrics: communicator size %d out of range (0, %d]", commSize, n)
 	}
-	sig := SearchSignature{
-		CommPairs: pairCountsPerLevel(ar, sigma, commSize),
-	}
+	// One backing array for the selected components.
+	k := len(ar)
+	buf := make([]int64, 3*k)
+	sig := SearchSignature{CommPairs: buf[:k:k]}
+	PairCountsPerLevelInto(sig.CommPairs, ar, sigma, commSize)
 	if opts.Ring {
-		sig.CommCross = crossingsPerLevel(ar, sigma, commSize)
+		sig.CommCross = buf[k : 2*k : 2*k]
+		CrossingsPerLevelInto(sig.CommCross, ar, sigma, commSize)
 	}
 	if opts.World {
-		sig.WorldCross = crossingsPerLevel(ar, sigma, n)
+		sig.WorldCross = buf[2*k:]
+		CrossingsPerLevelInto(sig.WorldCross, ar, sigma, n)
 	}
 	return sig, nil
 }

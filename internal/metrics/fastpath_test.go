@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/perm"
@@ -167,5 +168,93 @@ func BenchmarkCharacterizeTable(b *testing.B) {
 		if _, err := CharacterizeTable(h, sigma, 256); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSignatureKernelsReadOnlyTheCoveringPrefix is what lets the order
+// search evaluate a covering prefix once for its whole subtree: the Into
+// kernels give the same counts whatever follows the prefix that covers m,
+// they overwrite a dirty destination, and they allocate nothing.
+func TestSignatureKernelsReadOnlyTheCoveringPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 400; trial++ {
+		k := 2 + rng.Intn(7)
+		ar := make([]int, k)
+		n := 1
+		for i := range ar {
+			ar[i] = 2 + rng.Intn(3)
+			n *= ar[i]
+		}
+		sigma := rng.Perm(k)
+		m := 1 + rng.Intn(n)
+		sig, err := OrderSignature(topology.MustNew(ar...), sigma, m, SignatureOpts{Ring: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Same prefix, the rest rearranged and then plain garbage.
+		cover := PrefixCoverLen(ar, sigma, m)
+		other := append([]int(nil), sigma...)
+		rng.Shuffle(k-cover, func(i, j int) { other[cover+i], other[cover+j] = other[cover+j], other[cover+i] })
+		for range 2 {
+			pairs, cross := make([]int64, k), make([]int64, k)
+			for i := range pairs {
+				pairs[i], cross[i] = -7, -7
+			}
+			PairCountsPerLevelInto(pairs, ar, other, m)
+			CrossingsPerLevelInto(cross, ar, other, m)
+			if !slices.Equal(pairs, sig.CommPairs) || !slices.Equal(cross, sig.CommCross) {
+				t.Fatalf("ar=%v σ=%v m=%d tail %v: pairs %v cross %v, want %v %v",
+					ar, sigma, m, other[cover:], pairs, cross, sig.CommPairs, sig.CommCross)
+			}
+			for i := cover; i < k; i++ {
+				other[i] = 0
+			}
+		}
+	}
+
+	ar, sigma := []int{2, 2, 2, 2, 2, 4}, []int{5, 3, 1, 0, 2, 4}
+	pairs, cross := make([]int64, 6), make([]int64, 6)
+	key := make([]byte, 0, 64)
+	seen := map[string]bool{}
+	allocs := testing.AllocsPerRun(100, func() {
+		PairCountsPerLevelInto(pairs, ar, sigma, 16)
+		CrossingsPerLevelInto(cross, ar, sigma, 16)
+		key = SearchSignature{CommPairs: pairs, CommCross: cross}.AppendKey(key[:0])
+		_ = seen[string(key)]
+	})
+	if allocs != 0 {
+		t.Fatalf("signature kernels + key lookup allocate %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestAppendKey: Key is AppendKey, and the keys of two partial signatures
+// concatenate to a key that separates what the whole signature separates —
+// the search keys a full order by its carried first-communicator key plus
+// its own world tiling.
+func TestAppendKey(t *testing.T) {
+	h := topology.MustNew(2, 3, 2, 2)
+	whole, split := map[string][]int{}, map[string][]int{}
+	for _, sigma := range perm.All(4) {
+		sig, err := OrderSignature(h, sigma, 6, SignatureOpts{Ring: true, World: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(sig.AppendKey([]byte("x"))); got != "x"+sig.Key() {
+			t.Fatalf("AppendKey %q does not extend Key %q", got, sig.Key())
+		}
+		first := SearchSignature{CommPairs: sig.CommPairs, CommCross: sig.CommCross}.AppendKey(nil)
+		both := string(SearchSignature{WorldCross: sig.WorldCross}.AppendKey(first))
+		// Each map keeps the first order of a class: the two keys agree
+		// when every order joins the same one under both.
+		w, s := whole[sig.Key()], split[both]
+		if !perm.Equal(w, s) {
+			t.Fatalf("σ=%v: split key groups it with %v, whole key with %v", sigma, s, w)
+		}
+		if w == nil {
+			whole[sig.Key()], split[both] = sigma, sigma
+		}
+	}
+	if len(whole) != len(split) || len(whole) < 2 {
+		t.Fatalf("%d classes by whole key, %d by split key", len(whole), len(split))
 	}
 }

@@ -35,8 +35,9 @@ func FirstComm(h topology.Hierarchy, sigma []int, commSize int) (Placement, erro
 	if commSize <= 0 || commSize > h.Size() {
 		return Placement{}, fmt.Errorf("metrics: communicator size %d out of range (0, %d]", commSize, h.Size())
 	}
-	inv := ro.InverseTable()
-	return Placement{H: h, Cores: inv[:commSize]}, nil
+	cores := make([]int, commSize)
+	ro.InverseRangeInto(cores, 0)
+	return Placement{H: h, Cores: cores}, nil
 }
 
 // Comm returns the placement of the idx-th subcommunicator (block
@@ -53,8 +54,9 @@ func Comm(h topology.Hierarchy, sigma []int, commSize, idx int) (Placement, erro
 	if idx < 0 || idx >= n/commSize {
 		return Placement{}, fmt.Errorf("metrics: communicator index %d out of range [0, %d)", idx, n/commSize)
 	}
-	inv := ro.InverseTable()
-	return Placement{H: h, Cores: inv[idx*commSize : (idx+1)*commSize]}, nil
+	cores := make([]int, commSize)
+	ro.InverseRangeInto(cores, idx*commSize)
+	return Placement{H: h, Cores: cores}, nil
 }
 
 // RingCost computes the §3.3 ring cost of the placement: the sum over
@@ -125,7 +127,9 @@ func Characterize(h topology.Hierarchy, sigma []int, commSize int) (Characteriza
 	}
 	k := len(ar)
 	ring := ringCostClosed(ar, sigma, commSize)
-	counts := pairCountsPerLevel(ar, sigma, commSize)
+	var buf [16]int64
+	counts := scratch(&buf, k)
+	PairCountsPerLevelInto(counts, ar, sigma, commSize)
 	pairs := make([]float64, k)
 	if total := int64(commSize) * int64(commSize-1) / 2; total > 0 {
 		for j := range pairs {

@@ -2,8 +2,10 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/mixedradix"
 	"repro/internal/perm"
 	"repro/internal/topology"
 )
@@ -278,6 +280,38 @@ func BenchmarkCharacterize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Characterize(h, sigma, 256); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestCommPlacementsOwnTheirCores: a placement holds the communicator's
+// cores and nothing else — it used to be a window onto the whole inverse
+// table, pinning n entries for the p it shows.
+func TestCommPlacementsOwnTheirCores(t *testing.T) {
+	h := topology.MustNew(4, 2, 4, 2)
+	sigma := []int{2, 0, 3, 1}
+	ro, err := mixedradix.NewReorderer(h.Arities(), sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv := ro.InverseTable()
+	for _, commSize := range []int{1, 4, 16, 64} {
+		first, err := FirstComm(h, sigma, commSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(first.Cores) != commSize || !reflect.DeepEqual(first.Cores, inv[:commSize]) {
+			t.Errorf("FirstComm(%d): cap %d, cores %v, want %v", commSize, cap(first.Cores), first.Cores, inv[:commSize])
+		}
+		for idx := 0; idx < h.Size()/commSize; idx++ {
+			p, err := Comm(h, sigma, commSize, idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := inv[idx*commSize : (idx+1)*commSize]
+			if cap(p.Cores) != commSize || !reflect.DeepEqual(p.Cores, want) {
+				t.Errorf("Comm(%d, %d): cap %d, cores %v, want %v", commSize, idx, cap(p.Cores), p.Cores, want)
+			}
 		}
 	}
 }

@@ -6,7 +6,7 @@
 // fully determined by the shortest prefix of σ whose radix product
 // reaches m (the "covering prefix"): reordered ranks [0, m) decompose
 // entirely inside those positions, so every completion of a covering
-// prefix places the communicator on the same cores. crossingsPerLevel
+// prefix places the communicator on the same cores. CrossingsPerLevelInto
 // already exploits this — its loop stops once the prefix product covers
 // m — and the functions here expose the prefix structure directly so a
 // search over prefixes can bound the cost of all completions without

@@ -2,6 +2,7 @@ package mixedradix
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
@@ -203,39 +204,99 @@ func TestReordererConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTablePool checks the scratch pool recycles capacity and tolerates
-// mixed sizes and empty buffers.
-func TestTablePool(t *testing.T) {
-	var tp TablePool
-	s := tp.Get(16)
-	if len(s) != 16 {
-		t.Fatalf("Get(16) returned len %d", len(s))
+// forwardInverse builds inv[new] = old from the point query alone, so the
+// range tests below share no code with the odometer they check.
+func forwardInverse(ro *Reorderer) []int {
+	inv := make([]int, ro.Size())
+	for r := range inv {
+		inv[ro.NewRank(r)] = r
 	}
-	for i := range s {
-		s[i] = i
-	}
-	tp.Put(s)
-	r := tp.Get(8)
-	if len(r) != 8 {
-		t.Fatalf("Get(8) returned len %d", len(r))
-	}
-	tp.Put(r)
-	big := tp.Get(1024)
-	if len(big) != 1024 {
-		t.Fatalf("Get(1024) returned len %d", len(big))
-	}
-	tp.Put(nil) // must not panic
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				b := tp.Get(64)
-				b[0] = i
-				tp.Put(b)
+	return inv
+}
+
+// TestInverseRangeInto checks the point-query form of the rankfile view
+// against the full table for random (h, σ, first, m), including the empty
+// range at either end, and that it stays off the heap.
+func TestInverseRangeInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		k := 1 + rng.Intn(7)
+		h := make([]int, k)
+		for i := range h {
+			h[i] = 2 + rng.Intn(4)
+		}
+		ro, err := NewReorderer(h, rng.Perm(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv := forwardInverse(ro)
+		if got := ro.InverseTable(); !reflect.DeepEqual(got, inv) {
+			t.Fatalf("h=%v σ=%v: InverseTable %v, want %v", h, ro.Order(), got, inv)
+		}
+		n := ro.Size()
+		for _, r := range [][2]int{{0, 0}, {n, 0}, {0, n}, {n - 1, 1}, {rng.Intn(n), 0}} {
+			first, m := r[0], r[1]
+			if m == 0 && first < n {
+				m = rng.Intn(n - first + 1)
 			}
-		}()
+			dst := make([]int, m)
+			ro.InverseRangeInto(dst, first)
+			if !reflect.DeepEqual(dst, inv[first:first+m]) {
+				t.Fatalf("h=%v σ=%v first=%d m=%d: %v, want %v", h, ro.Order(), first, m, dst, inv[first:first+m])
+			}
+		}
 	}
-	wg.Wait()
+
+	ro, err := NewReorderer([]int{2, 2, 4}, []int{2, 0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPanic(t, "out of range", func() { ro.InverseRangeInto(make([]int, 4), -1) })
+	wantPanic(t, "out of range", func() { ro.InverseRangeInto(make([]int, 4), 13) })
+	wantPanic(t, "out of range", func() { ro.InverseRangeInto(make([]int, 17), 0) })
+	wantPanic(t, "out of range", func() { ro.InverseRangeInto(nil, 17) })
+	wantPanic(t, "destination has 4 entries", func() { ro.InverseTableInto(make([]int, 4)) })
+
+	dst := make([]int, 4)
+	if allocs := testing.AllocsPerRun(100, func() { ro.InverseRangeInto(dst, 8) }); allocs != 0 {
+		t.Fatalf("InverseRangeInto allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestReordererReset: a reorderer re-targeted at another order answers
+// like a fresh one, allocates nothing doing so, and keeps its order when
+// the new one is rejected.
+func TestReordererReset(t *testing.T) {
+	h := []int{3, 2, 4, 2}
+	ro, err := NewReorderer(h, []int{0, 1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perm.Visit(len(h), func(sigma []int) bool {
+		if err := ro.Reset(sigma); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewReorderer(h, sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ro.Table(), fresh.Table()) || !reflect.DeepEqual(ro.InverseTable(), forwardInverse(fresh)) ||
+			!reflect.DeepEqual(ro.Order(), sigma) {
+			t.Fatalf("σ=%v: reset reorderer differs from a fresh one", sigma)
+		}
+		return true
+	})
+	last := ro.Table()
+	for _, bad := range [][]int{{0, 1, 2}, {0, 1, 2, 2}, {0, 1, 2, 4}} {
+		if err := ro.Reset(bad); err == nil {
+			t.Fatalf("Reset(%v) accepted", bad)
+		}
+		if !reflect.DeepEqual(ro.Table(), last) {
+			t.Fatalf("Reset(%v) failed but changed the reorderer", bad)
+		}
+	}
+	sigma := []int{2, 0, 3, 1}
+	if allocs := testing.AllocsPerRun(100, func() { _ = ro.Reset(sigma) }); allocs != 0 {
+		t.Fatalf("Reset allocates %.1f times per run, want 0", allocs)
+	}
 }

@@ -20,7 +20,6 @@ package mixedradix
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/perm"
 )
@@ -166,15 +165,18 @@ func NewRank(h []int, r int, sigma []int) int {
 	return Compose(h, c, sigma)
 }
 
-// Reorderer precomputes state for repeated NewRank calls on one
-// (hierarchy, order) pair: the hierarchy size and, per original level, the
-// weight its digit carries in the reordered enumeration, so NewRank runs a
-// single divide loop with no scratch slice. A Reorderer is immutable after
-// construction and safe for concurrent use.
+// Reorderer precomputes state for repeated queries on one (hierarchy,
+// order) pair: the hierarchy size and, per original level, the weight its
+// digit carries in the reordered enumeration, so NewRank runs a single
+// divide loop with no scratch slice. Apart from Reset, a Reorderer is
+// read-only after construction and safe for concurrent use.
 type Reorderer struct {
 	h       []int
 	sigma   []int
 	weights []int // weights[l] = Π_{j < σ⁻¹(l)} h[σ(j)], the new weight of level l's digit
+	suffix  []int // suffix[l] = Π_{i > l} h[i], the old weight of level l's digit
+	radix   []int // radix[j] = h[σ(j)]: the permuted hierarchy, fastest-varying first
+	stride  []int // stride[j] = suffix[σ(j)]: what one step of permuted digit j adds to the old rank
 	n       int   // Size(h), hoisted
 }
 
@@ -183,21 +185,42 @@ func NewReorderer(h, sigma []int) (*Reorderer, error) {
 	if err := CheckHierarchy(h); err != nil {
 		return nil, err
 	}
-	if err := CheckOrder(h, sigma); err != nil {
-		return nil, err
-	}
+	k := len(h)
+	buf := make([]int, 6*k) // one backing array for the six k-entry tables
+	part := func(i int) []int { return buf[i*k : (i+1)*k : (i+1)*k] }
 	ro := &Reorderer{
-		h:       append([]int(nil), h...),
-		sigma:   append([]int(nil), sigma...),
-		weights: make([]int, len(h)),
-		n:       Size(h),
+		h: part(0), sigma: part(1), weights: part(2),
+		suffix: part(3), radix: part(4), stride: part(5),
+		n: Size(h),
 	}
-	f := 1
-	for _, l := range sigma {
-		ro.weights[l] = f
+	copy(ro.h, h)
+	for l, f := k-1, 1; l >= 0; l-- {
+		ro.suffix[l] = f
 		f *= h[l]
 	}
+	if err := ro.Reset(sigma); err != nil {
+		return nil, err
+	}
 	return ro, nil
+}
+
+// Reset re-targets the reorderer at another order of the same hierarchy,
+// reusing its storage: the allocation-free way to walk many orders (an
+// order search evaluates thousands). It must not run concurrently with any
+// other method; on error the reorderer keeps its previous order.
+func (ro *Reorderer) Reset(sigma []int) error {
+	if err := CheckOrder(ro.h, sigma); err != nil {
+		return err
+	}
+	copy(ro.sigma, sigma)
+	f := 1
+	for j, l := range sigma {
+		ro.weights[l] = f
+		ro.radix[j] = ro.h[l]
+		ro.stride[j] = ro.suffix[l]
+		f *= ro.h[l]
+	}
+	return nil
 }
 
 // Hierarchy returns a copy of the reorderer's hierarchy.
@@ -270,47 +293,45 @@ func (ro *Reorderer) InverseTableInto(inv []int) {
 	if len(inv) != ro.n {
 		panic(fmt.Sprintf("mixedradix: InverseTableInto destination has %d entries, hierarchy enumerates %d", len(inv), ro.n))
 	}
+	ro.InverseRangeInto(inv, 0)
+}
+
+// InverseRangeInto writes the original ranks of the reordered ranks
+// [first, first+len(dst)) into dst: dst[i] = InverseTable()[first+i]. It is
+// the point-query form of the rankfile view — a communicator's cores cost
+// O(k + len(dst)) whatever the hierarchy size — and walks the *permuted*
+// radices as an odometer, so the writes are sequential. It allocates
+// nothing for hierarchies of up to 16 levels.
+func (ro *Reorderer) InverseRangeInto(dst []int, first int) {
+	if first < 0 || len(dst) > ro.n || first > ro.n-len(dst) {
+		panic(fmt.Sprintf("mixedradix: reordered ranks [%d, %d+%d) out of range [0, %d)", first, first, len(dst), ro.n))
+	}
 	k := len(ro.h)
-	c := make([]int, k)
-	nr := 0
-	for r := 0; r < ro.n; r++ {
-		inv[nr] = r
-		for i := k - 1; i >= 0; i-- {
-			if c[i]+1 < ro.h[i] {
-				c[i]++
-				nr += ro.weights[i]
+	var buf [16]int
+	c := buf[:]
+	if k > len(buf) {
+		c = make([]int, k)
+	}
+	// Algorithm 1 against the permuted hierarchy, then Algorithm 2 with the
+	// original weights: the old rank of reordered rank first.
+	old := 0
+	for j, r := 0, first; j < k; j++ {
+		c[j] = r % ro.radix[j]
+		r /= ro.radix[j]
+		old += c[j] * ro.stride[j]
+	}
+	for i := range dst {
+		dst[i] = old
+		for j := 0; j < k; j++ {
+			if c[j]+1 < ro.radix[j] {
+				c[j]++
+				old += ro.stride[j]
 				break
 			}
-			nr -= c[i] * ro.weights[i]
-			c[i] = 0
+			old -= c[j] * ro.stride[j]
+			c[j] = 0
 		}
 	}
-}
-
-// TablePool recycles rank-table scratch for hot search loops (the advisor
-// evaluates thousands of orders per request; without pooling every
-// evaluation allocates an n-entry table). The zero value is ready to use
-// and safe for concurrent use.
-type TablePool struct {
-	p sync.Pool
-}
-
-// Get returns a slice of length n, reusing a pooled buffer when one with
-// enough capacity is available. The contents are unspecified.
-func (tp *TablePool) Get(n int) []int {
-	if v, _ := tp.p.Get().(*[]int); v != nil && cap(*v) >= n {
-		return (*v)[:n]
-	}
-	return make([]int, n)
-}
-
-// Put hands a buffer back to the pool. The caller must not use s again.
-func (tp *TablePool) Put(s []int) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:0]
-	tp.p.Put(&s)
 }
 
 // ReorderAll is a convenience wrapper returning Table for (h, sigma).

@@ -54,7 +54,13 @@ func IsPermutation(p []int) bool {
 // Check returns ErrNotPermutation (wrapped with the offending value) if p is
 // not a permutation of [0, len(p)).
 func Check(p []int) error {
-	seen := make([]bool, len(p))
+	// Orders are a handful of levels long; the fixed buffer keeps the check
+	// off the heap for every caller that validates per order in a search loop.
+	var buf [64]bool
+	seen := buf[:]
+	if len(p) > len(buf) {
+		seen = make([]bool, len(p))
+	}
 	for i, v := range p {
 		if v < 0 || v >= len(p) {
 			return fmt.Errorf("%w: element %d is %d, want value in [0, %d)", ErrNotPermutation, i, v, len(p))

@@ -149,8 +149,19 @@ func MustParse(s string) Hierarchy {
 // Depth returns the number of levels.
 func (h Hierarchy) Depth() int { return len(h.levels) }
 
-// Size returns the total number of cores (leaf components) enumerated.
-func (h Hierarchy) Size() int { return mixedradix.Size(h.Arities()) }
+// Size returns the total number of cores (leaf components) enumerated. Like
+// mixedradix.Size it panics when the product overflows int; it walks the
+// levels in place, so it allocates nothing.
+func (h Hierarchy) Size() int {
+	n := 1
+	for _, l := range h.levels {
+		if n > int(^uint(0)>>1)/l.Arity {
+			panic("topology: hierarchy size overflows int")
+		}
+		n *= l.Arity
+	}
+	return n
+}
 
 // Arities returns a copy of the level arities, outermost first. This is the
 // mixed-radix base of the paper.
@@ -210,12 +221,11 @@ func (h Hierarchy) FirstDiffLevel(a, b int) int {
 	if a == b {
 		return h.Depth()
 	}
-	ar := h.Arities()
 	// Walk from the outermost level: the leading mixed-radix digits of a and
 	// b are their quotients by the size of the suffix.
 	suffix := h.Size()
-	for i := 0; i < len(ar); i++ {
-		suffix /= ar[i]
+	for i, l := range h.levels {
+		suffix /= l.Arity
 		if a/suffix != b/suffix {
 			return i
 		}

@@ -306,3 +306,19 @@ func BenchmarkFirstDiffLevel(b *testing.B) {
 		h.FirstDiffLevel(i%n, (i*7+13)%n)
 	}
 }
+
+// TestSizeAndFirstDiffLevelAllocationFree: both run once per ring edge
+// under the §3.3 metrics and must walk the levels in place.
+func TestSizeAndFirstDiffLevelAllocationFree(t *testing.T) {
+	h := MustNew(16, 2, 4, 2, 8)
+	sink := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		sink += h.Size() + h.FirstDiffLevel(5, 1300) + h.CrossCost(7, 8)
+	})
+	if allocs != 0 {
+		t.Fatalf("Size/FirstDiffLevel/CrossCost allocate %.1f times per run, want 0", allocs)
+	}
+	if sink == 0 {
+		t.Fatal("unexpected zero")
+	}
+}
