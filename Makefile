@@ -6,7 +6,7 @@ SMOKE_TRACE ?= /tmp/mrserved-smoke-trace.json
 SMOKE_ADDR  ?= 127.0.0.1:18077
 SMOKE_DEBUG ?= 127.0.0.1:18078
 
-.PHONY: all build test check race smoke smoke-fleet bench bench-gate clean
+.PHONY: all build test check race smoke smoke-fleet bench bench-gate loc clean
 
 all: build
 
@@ -24,7 +24,8 @@ race:
 
 # check is the tier-1 gate: formatting, vet, staticcheck (when installed),
 # build (including the serving commands), the full test suite under the
-# race detector, and a fault injection smoke run of the benchmark driver.
+# race detector, a fault injection smoke run of the benchmark driver, and
+# the line counts of `make loc`, so every CI log carries them.
 check:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -44,6 +45,7 @@ check:
 	$(GO) run ./cmd/mrperf smoke
 	$(MAKE) smoke
 	$(MAKE) smoke-fleet
+	@$(MAKE) --no-print-directory loc
 
 # smoke boots a real mrserved with the pprof debug listener and trace
 # export, probes every telemetry surface (/metrics incl. runtime-sampler
@@ -225,6 +227,20 @@ bench-gate:
 	@mkdir -p /tmp/bench-gate
 	$(GO) run ./cmd/mrperf gate -suites "$$(echo $(BENCH_SUITES) | tr ' ' ',')" \
 		-keep /tmp/bench-gate -git "$(BENCH_GIT)" -ts "$(BENCH_TS)"
+
+# loc prints the net line count ROADMAP tracks: non-test and test Go lines
+# per package of the tracked files, benchmark/ excluded (the totals equal
+# `git ls-files '*.go' | grep -v '^benchmark/' | grep -v _test.go | xargs cat | wc -l`
+# and its _test.go counterpart).
+loc:
+	@git ls-files '*.go' | grep -v '^benchmark/' | xargs wc -l | awk ' \
+		$$2 == "total" { next } \
+		{ d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; \
+		  if ($$2 ~ /_test\.go$$/) t[d] += $$1; else c[d] += $$1; seen[d] = 1 } \
+		END { fmt = "%-22s %7d non-test %7d test\n"; \
+		  for (d in seen) { printf fmt, d, c[d], t[d] | "sort"; C += c[d]; T += t[d]; \
+		    if (d ~ /^(cmd|internal)\//) { CI += c[d]; TI += t[d] } } \
+		  close("sort"); printf fmt, "cmd/ + internal/", CI, TI; printf fmt, "total", C, T }'
 
 clean:
 	rm -f BENCH_1.json

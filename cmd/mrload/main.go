@@ -136,20 +136,10 @@ type retryPolicy struct {
 	sleep      func(time.Duration)
 }
 
-// delay computes the capped exponential backoff with full jitter for the
-// given zero-based attempt, raised to at least the server's Retry-After
-// hint when one was sent.
+// delay is the router's own backoff curve for the given zero-based
+// attempt, drawn from the worker's seeded rng.
 func (p retryPolicy) delay(attempt int, retryAfter time.Duration, rng *rand.Rand) time.Duration {
-	d := p.backoff << uint(attempt)
-	if d > p.maxBackoff || d <= 0 {
-		d = p.maxBackoff
-	}
-	// Full jitter in [d/2, d): staggers synchronized retry herds.
-	d = d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
-	if retryAfter > d {
-		d = retryAfter
-	}
-	return d
+	return fleet.BackoffDelay(p.backoff, p.maxBackoff, attempt, retryAfter, rng.Int63n)
 }
 
 // targetStats is the per-target slice of a run: which replica (by its

@@ -49,13 +49,7 @@ func cmdAdvise(args []string) error {
 		} else {
 			req.Nodes = *nodes
 		}
-		resp, err := mapd.EvalAdviseOpts(context.Background(), req, mapd.AdviseOptions{
-			SearchDepthThreshold: *threshold,
-		})
-		if err != nil {
-			return err
-		}
-		return emitJSON(resp)
+		return emitEval(&req, mapd.AdviseOptions{SearchDepthThreshold: *threshold})
 	}
 	var spec netmodel.Spec
 	var h topology.Hierarchy

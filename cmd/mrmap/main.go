@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -99,6 +100,16 @@ func emitJSON(v any) error {
 	return enc.Encode(v)
 }
 
+// emitEval answers req in process with the service's own evaluation and
+// prints the canonical response.
+func emitEval(req mapd.Request, opts mapd.AdviseOptions) error {
+	resp, err := mapd.Eval(context.Background(), req, opts)
+	if err != nil {
+		return err
+	}
+	return emitJSON(resp)
+}
+
 func parseInts(s string) ([]int, error) {
 	fields := strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == '-' || r == 'x' || r == ' ' })
 	out := make([]int, 0, len(fields))
@@ -122,11 +133,7 @@ func cmdDecompose(args []string) error {
 		return err
 	}
 	if *asJSON {
-		resp, err := mapd.EvalMap(mapd.MapRequest{Hierarchy: *hier, Order: *order, Rank: rank})
-		if err != nil {
-			return err
-		}
-		return emitJSON(resp)
+		return emitEval(&mapd.MapRequest{Hierarchy: *hier, Order: *order, Rank: rank}, mapd.AdviseOptions{})
 	}
 	h, err := topology.Parse(*hier)
 	if err != nil {
@@ -155,11 +162,7 @@ func cmdCompose(args []string) error {
 		if err != nil {
 			return err
 		}
-		resp, err := mapd.EvalMap(mapd.MapRequest{Hierarchy: *hier, Order: *order, Coords: c})
-		if err != nil {
-			return err
-		}
-		return emitJSON(resp)
+		return emitEval(&mapd.MapRequest{Hierarchy: *hier, Order: *order, Coords: c}, mapd.AdviseOptions{})
 	}
 	h, err := topology.Parse(*hier)
 	if err != nil {
@@ -191,11 +194,7 @@ func cmdReorder(args []string) error {
 		return err
 	}
 	if *asJSON {
-		resp, err := mapd.EvalMap(mapd.MapRequest{Hierarchy: *hier, Order: *order, Table: true})
-		if err != nil {
-			return err
-		}
-		return emitJSON(resp)
+		return emitEval(&mapd.MapRequest{Hierarchy: *hier, Order: *order, Table: true}, mapd.AdviseOptions{})
 	}
 	h, err := topology.Parse(*hier)
 	if err != nil {
@@ -236,11 +235,11 @@ func cmdOrders(args []string) error {
 		commSize = h.Level(h.Depth() - 1).Arity
 	}
 	if *asJSON {
-		out := make([]*mapd.OrderMetricsResponse, 0, int(perm.Factorial(h.Depth())))
+		out := make([]any, 0, int(perm.Factorial(h.Depth())))
 		for _, sigma := range perm.All(h.Depth()) {
-			resp, err := mapd.EvalOrderMetrics(mapd.OrderMetricsRequest{
+			resp, err := mapd.Eval(context.Background(), &mapd.OrderMetricsRequest{
 				Hierarchy: *hier, Order: perm.Format(sigma), CommSize: commSize,
-			})
+			}, mapd.AdviseOptions{})
 			if err != nil {
 				return err
 			}
@@ -288,11 +287,7 @@ func cmdMapCPU(args []string) error {
 		return err
 	}
 	if *asJSON {
-		resp, err := mapd.EvalSelect(mapd.SelectRequest{Hierarchy: *hier, Order: *order, N: *n})
-		if err != nil {
-			return err
-		}
-		return emitJSON(resp)
+		return emitEval(&mapd.SelectRequest{Hierarchy: *hier, Order: *order, N: *n}, mapd.AdviseOptions{})
 	}
 	h, err := topology.Parse(*hier)
 	if err != nil {

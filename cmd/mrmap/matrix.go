@@ -59,7 +59,10 @@ func cmdMatrix(args []string) error {
 	if *server != "" {
 		resp, err = postMatrix(*server, req)
 	} else {
-		resp, err = mapd.EvalMatrixMap(context.Background(), req)
+		var ans any
+		if ans, err = mapd.Eval(context.Background(), &req, mapd.AdviseOptions{}); err == nil {
+			resp = ans.(*mapd.MatrixMapResponse)
+		}
 	}
 	if err != nil {
 		return err

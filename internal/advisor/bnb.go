@@ -281,7 +281,7 @@ func progressSink(span *rt.Span, opts SearchOptions) func(SearchProgress) {
 			}
 		}
 		span.Event("search_progress",
-			obs.Arg{Key: "improvement", Val: b2i64(p.Kind == ProgressIncumbent)},
+			obs.Arg{Key: "improvement", Val: obs.Bool(p.Kind == ProgressIncumbent)},
 			obs.Arg{Key: "nodes", Val: p.Nodes},
 			obs.Arg{Key: "covered", Val: p.Covered},
 			obs.Arg{Key: "pruned", Val: p.Pruned},
@@ -292,13 +292,6 @@ func progressSink(span *rt.Span, opts SearchOptions) func(SearchProgress) {
 			opts.Progress(p)
 		}
 	}
-}
-
-func b2i64(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // classLeaf is one evaluated equivalence node of the prefix tree: a

@@ -1,131 +1,48 @@
 // The last-resort serving tier: when every replica is down (or the retry
-// budget ran dry before an answer arrived), the router evaluates the
-// request locally with the same σ-order heuristics mapd replicas use
-// under an open breaker, and marks the answer degraded:true. The fallback
-// never searches — it is bounded, allocation-light ring-cost arithmetic —
-// so a router box can absorb fleet-wide outages without itself melting.
+// budget ran dry before an answer arrived), the router answers the
+// already-parsed query itself with mapd's degraded local answer — the
+// same function a replica serves under an open breaker. It never searches
+// — it is bounded, allocation-light ring-cost arithmetic — so a router
+// box can absorb fleet-wide outages without itself melting.
 
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"strings"
 
 	"repro/internal/mapd"
 	"repro/internal/obs"
 	"repro/internal/obs/rt"
 )
 
-func badRequestf(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", mapd.ErrBadRequest, fmt.Sprintf(format, args...))
-}
-
-// clientMessage strips the ErrBadRequest prefix for response bodies,
-// matching the replicas' error envelopes.
-func clientMessage(err error) string {
-	return strings.TrimPrefix(err.Error(), mapd.ErrBadRequest.Error()+": ")
-}
-
-// serveFallback answers path locally, flagged degraded, after the fleet
-// failed to. Parse errors still surface as proper 400 envelopes so a bad
-// request is distinguishable from a bad fleet.
-func (g *Router) serveFallback(ctx context.Context, w http.ResponseWriter, path, ep string, body []byte) {
+// serveFallback answers q locally, flagged degraded, after the fleet
+// failed to. A body the parser rejected (perr) still surfaces as a proper
+// 400 envelope so a bad request is distinguishable from a bad fleet.
+func (g *Router) serveFallback(ctx context.Context, w http.ResponseWriter, ep string, q mapd.Query, perr error) {
 	_, sp := rt.StartSpan(ctx, "gate.fallback")
 	defer sp.End()
-	resp, err := localAnswer(path, body)
+	var b []byte
+	err := perr
+	if err == nil {
+		var resp any
+		if resp, err = q.Degraded(); err == nil {
+			b, err = json.Marshal(resp)
+		}
+	}
 	if err != nil {
 		sp.SetError()
 		if errors.Is(err, mapd.ErrBadRequest) {
-			writeError(w, http.StatusBadRequest, "bad_request", clientMessage(err))
+			mapd.WriteError(ctx, w, http.StatusBadRequest, err.Error())
 			return
 		}
-		writeError(w, http.StatusBadGateway, "unavailable", "no replica reachable and local fallback failed: "+err.Error())
+		mapd.WriteError(ctx, w, http.StatusBadGateway, "no replica reachable and local fallback failed: "+err.Error())
 		return
 	}
 	g.reg.Counter("fleet_fallback_total", obs.L("endpoint", ep)).Add(1)
-	b, err := json.Marshal(resp)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("x-mrgate-fallback", "local")
 	_, _ = w.Write(append(b, '\n'))
-}
-
-// localAnswer evaluates one request body against the in-process σ-order
-// fallbacks. Exact endpoints (map, select, metrics/order) run their full
-// evaluation — they are cheap and deterministic; the search endpoints
-// (advise, map/matrix) run their heuristic fallbacks. Every answer is
-// marked Degraded.
-func localAnswer(path string, body []byte) (any, error) {
-	switch path {
-	case "/v1/map":
-		var req mapd.MapRequest
-		if err := decodeFallback(body, &req); err != nil {
-			return nil, err
-		}
-		resp, err := mapd.EvalMap(req)
-		if err != nil {
-			return nil, err
-		}
-		resp.Degraded = true
-		return resp, nil
-	case "/v1/map/matrix":
-		var req mapd.MatrixMapRequest
-		if err := decodeFallback(body, &req); err != nil {
-			return nil, err
-		}
-		return mapd.EvalMatrixMapFallback(req)
-	case "/v1/advise":
-		var req mapd.AdviseRequest
-		if err := decodeFallback(body, &req); err != nil {
-			return nil, err
-		}
-		return mapd.EvalAdviseFallback(req)
-	case "/v1/select":
-		var req mapd.SelectRequest
-		if err := decodeFallback(body, &req); err != nil {
-			return nil, err
-		}
-		resp, err := mapd.EvalSelect(req)
-		if err != nil {
-			return nil, err
-		}
-		resp.Degraded = true
-		return resp, nil
-	case "/v1/metrics/order":
-		var req mapd.OrderMetricsRequest
-		if err := decodeFallback(body, &req); err != nil {
-			return nil, err
-		}
-		resp, err := mapd.EvalOrderMetrics(req)
-		if err != nil {
-			return nil, err
-		}
-		resp.Degraded = true
-		return resp, nil
-	default:
-		return nil, errors.New("no local fallback for " + path)
-	}
-}
-
-// decodeFallback mirrors the replicas' strict JSON decoding so the
-// degraded tier rejects exactly what a healthy fleet would.
-func decodeFallback(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badRequestf("invalid JSON: %s", err)
-	}
-	var extra json.RawMessage
-	if err := dec.Decode(&extra); err == nil || len(extra) > 0 {
-		return badRequestf("trailing data after JSON body")
-	}
-	return nil
 }

@@ -1,8 +1,8 @@
-// Retry-After parsing shared by the router and load clients. RFC 9110
-// §10.2.3 allows two forms — delay-seconds ("120") and an HTTP-date
-// ("Fri, 08 Aug 2026 10:00:00 GMT") — and real proxies emit both, so
-// accepting only the integer form silently drops the hint and falls
-// back to the default backoff curve.
+// Retry-After parsing and the retry backoff curve, shared by the router
+// and load clients. RFC 9110 §10.2.3 allows two forms — delay-seconds
+// ("120") and an HTTP-date ("Fri, 08 Aug 2026 10:00:00 GMT") — and real
+// proxies emit both, so accepting only the integer form silently drops
+// the hint and falls back to the default backoff curve.
 
 package fleet
 
@@ -37,4 +37,20 @@ func ParseRetryAfter(v string, now time.Time) (time.Duration, bool) {
 		d = 0
 	}
 	return d, true
+}
+
+// BackoffDelay is the one retry policy: base doubled per zero-based retry
+// and capped at max, jittered into [d/2, d] to stagger synchronized retry
+// herds, then raised to the server's Retry-After hint when that is longer.
+// int63n draws the jitter (rand.Int63n, or a seeded *rand.Rand's method).
+func BackoffDelay(base, max time.Duration, retry int, retryAfter time.Duration, int63n func(int64) int64) time.Duration {
+	d := base << uint(retry)
+	if d > max || d <= 0 {
+		d = max
+	}
+	d = d/2 + time.Duration(int63n(int64(d/2)+1))
+	if retryAfter > d {
+		d = retryAfter
+	}
+	return d
 }

@@ -212,7 +212,7 @@ func (g *Router) serveFleetStats(ctx context.Context, w http.ResponseWriter) {
 		g.noteShape(i, rs.ShapeDivergence, rs.Outlier)
 		out.PerReplica = append(out.PerReplica, rs)
 	}
-	writeFleetJSON(w, out)
+	writeFleetJSON(ctx, w, out)
 }
 
 // serveFleetSLO scrapes, merges, scores, and answers GET /v1/fleet/slo.
@@ -247,7 +247,7 @@ func (g *Router) serveFleetSLO(ctx context.Context, w http.ResponseWriter) {
 		g.noteBurn(i, rs.BurnRate, rs.BurnOutlier)
 		out.PerReplica = append(out.PerReplica, rs)
 	}
-	writeFleetJSON(w, out)
+	writeFleetJSON(ctx, w, out)
 }
 
 // rollupNote is the retained per-replica score of the last rollups.
@@ -283,7 +283,7 @@ func (g *Router) publishNote(i int, n rollupNote) {
 	l := obs.L("replica", g.cfg.Names[i])
 	g.reg.Gauge("fleet_replica_shape_divergence", l).Set(n.shapeDivergence)
 	g.reg.Gauge("fleet_replica_burn_rate", l).Set(n.burnRate)
-	g.reg.Gauge("fleet_replica_outlier", l).Set(float64(b2i64(n.shapeOutlier || n.burnOutlier)))
+	g.reg.Gauge("fleet_replica_outlier", l).Set(float64(obs.Bool(n.shapeOutlier || n.burnOutlier)))
 }
 
 // mergeSLO sums the replicas' raw window counts per endpoint×window and
@@ -388,10 +388,10 @@ func worstShortBurn(eps []rt.EndpointSLO) float64 {
 	return worst
 }
 
-func writeFleetJSON(w http.ResponseWriter, v any) {
+func writeFleetJSON(ctx context.Context, w http.ResponseWriter, v any) {
 	b, err := json.Marshal(v)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+		mapd.WriteError(ctx, w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

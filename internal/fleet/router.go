@@ -10,7 +10,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -229,36 +228,16 @@ func (g *Router) StartDraining() { g.draining.Store(true) }
 // Registry returns the router's metric registry.
 func (g *Router) Registry() *obs.Registry { return g.reg }
 
-// endpointName maps an API path to its metrics label.
-func endpointName(path string) (string, bool) {
-	switch path {
-	case "/v1/map":
-		return "map", true
-	case "/v1/map/matrix":
-		return "map_matrix", true
-	case "/v1/advise":
-		return "advise", true
-	case "/v1/select":
-		return "select", true
-	case "/v1/metrics/order":
-		return "metrics_order", true
-	default:
-		return "", false
-	}
-}
-
-// Handler returns the router's HTTP handler: the five mapd query
-// endpoints proxied by canonical key, plus the router's own /healthz,
+// Handler returns the router's HTTP handler: every query endpoint of
+// mapd's table proxied by canonical key, plus the router's own /healthz,
 // /metrics, and /v1/fleet.
 func (g *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	for _, path := range []string{"/v1/map", "/v1/map/matrix", "/v1/advise", "/v1/select", "/v1/metrics/order"} {
-		path := path
-		ep, _ := endpointName(path)
-		latency := g.reg.Histogram("fleet_request_seconds", obs.WallBuckets(), obs.L("endpoint", ep))
-		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+	for _, ep := range mapd.Endpoints() {
+		latency := g.reg.Histogram("fleet_request_seconds", obs.WallBuckets(), obs.L("endpoint", ep.Name))
+		mux.HandleFunc(ep.Path, func(w http.ResponseWriter, r *http.Request) {
 			start := time.Now()
-			g.route(w, r, path, ep)
+			g.route(w, r, ep)
 			latency.Observe(time.Since(start).Seconds())
 		})
 	}
@@ -277,18 +256,18 @@ func (g *Router) Handler() http.Handler {
 		_ = obs.WritePrometheus(w, g.reg)
 	})
 	mux.HandleFunc("/v1/fleet", func(w http.ResponseWriter, r *http.Request) {
-		g.serveFleetStatus(w)
+		g.serveFleetStatus(r.Context(), w)
 	})
 	mux.HandleFunc("/v1/fleet/stats", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
+			mapd.WriteError(r.Context(), w, http.StatusMethodNotAllowed, "use GET")
 			return
 		}
 		g.serveFleetStats(r.Context(), w)
 	})
 	mux.HandleFunc("/v1/fleet/slo", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
+			mapd.WriteError(r.Context(), w, http.StatusMethodNotAllowed, "use GET")
 			return
 		}
 		g.serveFleetSLO(r.Context(), w)
@@ -342,7 +321,7 @@ type replicaStatus struct {
 	Outlier         bool    `json:"outlier,omitempty"`
 }
 
-func (g *Router) serveFleetStatus(w http.ResponseWriter) {
+func (g *Router) serveFleetStatus(ctx context.Context, w http.ResponseWriter) {
 	st := fleetStatus{
 		RetryBudgetTokens: g.budget.Tokens(),
 		Fallback:          !g.cfg.DisableFallback,
@@ -363,13 +342,7 @@ func (g *Router) serveFleetStatus(w http.ResponseWriter) {
 			Outlier:         notes[i].shapeOutlier || notes[i].burnOutlier,
 		})
 	}
-	b, err := json.Marshal(st)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(append(b, '\n'))
+	writeFleetJSON(ctx, w, st)
 }
 
 // candidates orders the key's ring sequence by health class: healthy
@@ -412,7 +385,8 @@ func (u upstream) retryable() bool { return u.err != nil || u.status >= 500 }
 // request's root span on the same trace id it forwards (continuing an
 // incoming traceparent when present), so a stitched export shows the
 // gate's routing decisions and the replica's evaluation side by side.
-func (g *Router) route(w http.ResponseWriter, r *http.Request, path, ep string) {
+func (g *Router) route(w http.ResponseWriter, r *http.Request, ep mapd.Endpoint) {
+	path := ep.Path
 	ctx, span := g.cfg.Tracer.StartRequest(r.Context(), "gate "+path, r.Header.Get("traceparent"))
 	defer span.End()
 	if tp := span.Traceparent(); tp != "" {
@@ -420,25 +394,29 @@ func (g *Router) route(w http.ResponseWriter, r *http.Request, path, ep string) 
 	}
 	if g.draining.Load() {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "unavailable", "router is draining")
+		mapd.WriteError(ctx, w, http.StatusServiceUnavailable, "router is draining")
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBody))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"body_too_large", fmt.Sprintf("request body exceeds %d bytes", g.cfg.MaxBody))
+			mapd.WriteError(ctx, w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("request body exceeds %d bytes", g.cfg.MaxBody))
 		} else {
-			writeError(w, http.StatusBadRequest, "bad_request", "reading request body: "+err.Error())
+			mapd.WriteError(ctx, w, http.StatusBadRequest, "reading request body: "+err.Error())
 		}
 		return
 	}
-	// The canonical key gives warm-cache locality; a body the key parser
-	// rejects is still routed (deterministically, by raw bytes) so the
-	// replica's stricter pipeline can produce the authoritative error.
-	key, kerr := mapd.RoutingKey(path, body)
-	if kerr != nil {
+	// One parse serves both the routing key and the local fallback. The
+	// canonical key gives warm-cache locality; a body the parser rejects is
+	// still routed (deterministically, by raw bytes) so a replica produces
+	// the authoritative error.
+	q, perr := ep.Parse(body)
+	var key string
+	if perr == nil {
+		key = q.Key()
+	} else {
 		key = "raw|" + path + "|" + strconv.FormatUint(hashKey(string(body)), 16)
 	}
 	seq := g.ring.Sequence(key)
@@ -460,7 +438,7 @@ func (g *Router) route(w http.ResponseWriter, r *http.Request, path, ep string) 
 			span.Event("failover_attempt", obs.Arg{Key: "attempt", Val: int64(attempt)})
 			_, bsp := rt.StartSpan(ctx, "gate.backoff")
 			bsp.SetAttr("attempt", int64(attempt))
-			g.sleep(g.backoffDelay(attempt-1, retryAfter))
+			g.sleep(BackoffDelay(g.cfg.Backoff, g.cfg.MaxBackoff, attempt-1, retryAfter, rand.Int63n))
 			bsp.End()
 			// Health states may have settled since the failure.
 			cands = g.candidates(seq)
@@ -477,7 +455,7 @@ func (g *Router) route(w http.ResponseWriter, r *http.Request, path, ep string) 
 		last, haveLast = u, true
 		if !u.retryable() {
 			span.SetAttr("attempts", int64(attempt+1))
-			span.SetAttr("failover", b2i64(u.idx != seq[0]))
+			span.SetAttr("failover", obs.Bool(u.idx != seq[0]))
 			g.writeUpstream(w, u, seq[0])
 			return
 		}
@@ -485,7 +463,7 @@ func (g *Router) route(w http.ResponseWriter, r *http.Request, path, ep string) 
 	}
 
 	if !g.cfg.DisableFallback {
-		g.serveFallback(ctx, w, path, ep, body)
+		g.serveFallback(ctx, w, ep.Name, q, perr)
 		return
 	}
 	if haveLast && last.err == nil {
@@ -494,7 +472,7 @@ func (g *Router) route(w http.ResponseWriter, r *http.Request, path, ep string) 
 		return
 	}
 	span.SetError()
-	writeError(w, http.StatusBadGateway, "unavailable", "no replica reachable")
+	mapd.WriteError(ctx, w, http.StatusBadGateway, "no replica reachable")
 }
 
 // send proxies one attempt to replica idx and reads the full response.
@@ -505,7 +483,7 @@ func (g *Router) send(ctx context.Context, idx int, path string, body []byte, in
 	u := upstream{idx: idx, hedge: hedge}
 	sctx, sp := rt.StartSpan(ctx, "proxy "+g.cfg.Names[idx])
 	defer sp.End()
-	sp.SetAttr("hedge", b2i64(hedge))
+	sp.SetAttr("hedge", obs.Bool(hedge))
 	req, err := http.NewRequestWithContext(sctx, http.MethodPost, g.cfg.Replicas[idx]+path, strings.NewReader(string(body)))
 	if err != nil {
 		u.err = err
@@ -614,37 +592,4 @@ func (g *Router) writeUpstream(w http.ResponseWriter, u upstream, home int) {
 		w.WriteHeader(u.status)
 	}
 	_, _ = w.Write(u.body)
-}
-
-// backoffDelay is the capped exponential backoff with full jitter for the
-// given zero-based retry, raised to the replicas' Retry-After hint when
-// one was sent.
-func (g *Router) backoffDelay(retry int, retryAfter time.Duration) time.Duration {
-	d := g.cfg.Backoff << uint(retry)
-	if d > g.cfg.MaxBackoff || d <= 0 {
-		d = g.cfg.MaxBackoff
-	}
-	d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-	if retryAfter > d {
-		d = retryAfter
-	}
-	return d
-}
-
-func b2i64(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// writeError emits the structured error envelope mapd clients already
-// parse.
-func writeError(w http.ResponseWriter, code int, status, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	b, _ := json.Marshal(map[string]any{"error": map[string]any{
-		"code": code, "status": status, "message": msg,
-	}})
-	_, _ = w.Write(append(b, '\n'))
 }

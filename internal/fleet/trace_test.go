@@ -6,6 +6,7 @@
 package fleet
 
 import (
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -116,5 +117,29 @@ func TestGateTraceFailoverSpans(t *testing.T) {
 	}
 	if proxies < 2 || backoffs < 1 {
 		t.Fatalf("failover trace spans = %v (want ≥2 proxy, ≥1 backoff)", names)
+	}
+}
+
+// TestGateErrorQuotesTraceID: the gate's own error envelopes carry the
+// forwarded trace id, like a replica's, so a client can quote the failing
+// trace whichever tier refused it.
+func TestGateErrorQuotesTraceID(t *testing.T) {
+	tracer := rt.NewTracer(rt.Options{Service: "mrgate", SampleRatio: -1})
+	g, gate, _ := newFleet(t, 1, Config{Tracer: tracer})
+	g.StartDraining()
+	req, err := http.NewRequest(http.MethodPost, gate.URL+"/v1/map", strings.NewReader(`{"hierarchy":"2,2","rank":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("traceparent", testTraceparent)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	const want = `{"error":{"code":503,"status":"unavailable","message":"router is draining","trace_id":"1af7651916cd43dd8448eb211c80319d"}}`
+	if got := strings.TrimSpace(string(b)); resp.StatusCode != http.StatusServiceUnavailable || got != want {
+		t.Errorf("draining gate answered %d %s\nwant 503 %s", resp.StatusCode, got, want)
 	}
 }

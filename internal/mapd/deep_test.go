@@ -85,12 +85,17 @@ func TestAdviseCloudValidation(t *testing.T) {
 // The degraded σ-order fallback must stay bounded at depth: a handful of
 // heuristic orders, never a k! sweep.
 func TestAdviseDeepFallbackBounded(t *testing.T) {
-	resp, err := EvalAdviseFallback(AdviseRequest{
+	q, err := (&AdviseRequest{
 		Machine: "cloud", Depth: 10, Collective: "alltoall", CommSize: 64,
-	})
+	}).parse()
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	ans, err := q.Degraded()
 	if err != nil {
 		t.Fatalf("fallback: %v", err)
 	}
+	resp := ans.(*AdviseResponse)
 	if !resp.Degraded {
 		t.Fatalf("fallback answer not flagged degraded")
 	}
@@ -109,14 +114,15 @@ func TestAdviseThresholdDifferential(t *testing.T) {
 		Machine: "hydra", Nodes: 16, Collective: "allreduce", CommSize: 16,
 		Simultaneous: true, Top: 3,
 	}
-	exact, err := EvalAdviseOpts(context.Background(), req, AdviseOptions{})
+	exactAns, err := Eval(context.Background(), &req, AdviseOptions{})
 	if err != nil {
 		t.Fatalf("exact advise: %v", err)
 	}
-	deep, err := EvalAdviseOpts(context.Background(), req, AdviseOptions{SearchDepthThreshold: 1})
+	deepAns, err := Eval(context.Background(), &req, AdviseOptions{SearchDepthThreshold: 1})
 	if err != nil {
 		t.Fatalf("bounded advise: %v", err)
 	}
+	exact, deep := exactAns.(*AdviseResponse), deepAns.(*AdviseResponse)
 	if deep.SearchMode != advisor.ModeBnB {
 		t.Fatalf("forced bounded search ran %q, want %q", deep.SearchMode, advisor.ModeBnB)
 	}

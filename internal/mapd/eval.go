@@ -1,6 +1,7 @@
-// Pure evaluation of the canonical requests: no HTTP, no caching. The
-// service handlers and the mrmap -json mode both call these, so CLI and
-// API outputs are byte-for-byte diffable.
+// Pure evaluation of the parsed queries: no HTTP, no caching. Each query
+// type carries its full evaluation (eval) and its degraded local answer
+// (Degraded); the endpoint table in endpoint.go is how every caller
+// reaches them.
 
 package mapd
 
@@ -23,20 +24,16 @@ import (
 // advisor's exact/pruned/fallback modes.
 const ModeMatrix = "matrix"
 
-// EvalMap answers a MapRequest. Errors wrap ErrBadRequest.
-func EvalMap(req MapRequest) (*MapResponse, error) {
-	q, err := req.parse()
-	if err != nil {
-		return nil, err
-	}
-	return evalMap(q)
-}
+func (q *parsedMap) stat() statInfo                                   { return statInfo{shape: q.arities} }
+func (q *parsedMap) eval(context.Context, AdviseOptions) (any, error) { return q.answer(false) }
+func (q *parsedMap) Degraded() (any, error)                           { return q.answer(true) }
 
-func evalMap(q *parsedMap) (*MapResponse, error) {
+func (q *parsedMap) answer(degraded bool) (*MapResponse, error) {
 	resp := &MapResponse{
 		Hierarchy: q.arities,
 		Levels:    q.h.Names(),
 		Order:     q.sigma,
+		Degraded:  degraded,
 	}
 	switch {
 	case q.rank != nil:
@@ -96,25 +93,16 @@ func (o AdviseOptions) threshold() int {
 	return t
 }
 
-// EvalAdvise answers an AdviseRequest, ranking all k! orders with the
-// advisor's worker pool (deep hierarchies fall back to the bounded search
-// at the default threshold). Errors wrap ErrBadRequest except when the
-// context is cancelled.
-func EvalAdvise(ctx context.Context, req AdviseRequest, opts advisor.RankOptions) (*AdviseResponse, error) {
-	return EvalAdviseOpts(ctx, req, AdviseOptions{Rank: opts})
+func (q *parsedAdvise) stat() statInfo {
+	return statInfo{shape: q.spec.Hierarchy().Arities(), coll: string(q.coll)}
 }
-
-// EvalAdviseOpts answers an AdviseRequest with full control over the
-// exact/bounded split. Errors wrap ErrBadRequest except when the context
-// is cancelled.
-func EvalAdviseOpts(ctx context.Context, req AdviseRequest, opts AdviseOptions) (*AdviseResponse, error) {
-	q, err := req.parse()
-	if err != nil {
-		return nil, err
-	}
+func (q *parsedAdvise) eval(ctx context.Context, opts AdviseOptions) (any, error) {
 	return evalAdvise(ctx, q, opts)
 }
+func (q *parsedAdvise) Degraded() (any, error) { return evalAdviseFallback(q) }
 
+// evalAdvise ranks all k! orders with the advisor's worker pool; depths
+// above the threshold run the bounded search instead.
 func evalAdvise(ctx context.Context, q *parsedAdvise, opts AdviseOptions) (*AdviseResponse, error) {
 	sc := q.scenario()
 	if sc.Hierarchy.Depth() > opts.threshold() {
@@ -196,28 +184,15 @@ func clampToInt(v int64) int {
 	return int(v)
 }
 
-// EvalAdviseFallback answers an AdviseRequest from the σ-order ring-cost
-// heuristic — the same degraded path the breaker-open service serves. It
-// is cheap, deterministic, and cannot time out, which makes it the
-// last-resort local answer for routing tiers with every replica down.
-// Errors wrap ErrBadRequest.
-func EvalAdviseFallback(req AdviseRequest) (*AdviseResponse, error) {
-	q, err := req.parse()
-	if err != nil {
-		return nil, err
-	}
-	return evalAdviseFallback(q)
-}
-
 // evalAdviseFallback is the degraded-mode answer served while the advisor
-// circuit breaker is open: instead of the k! bottleneck-model search it
-// ranks orders by the §3.3 ring cost of their enumeration — a pure
-// integer computation that cannot time out. The closed-form kernel makes
-// each order O(k), so the whole fallback costs O(k·k!) instead of the
-// O(n·k!) table walk it used to do. Above the exact depth limit even k!
-// ring costs are too many (12! ≈ 479M), so a small deterministic
-// candidate set is ranked instead. The response is flagged Degraded and
-// never cached.
+// circuit breaker is open, and by routing tiers with every replica down:
+// instead of the k! bottleneck-model search it ranks orders by the §3.3
+// ring cost of their enumeration — a pure integer computation that cannot
+// time out. The closed-form kernel makes each order O(k), so the whole
+// fallback costs O(k·k!) instead of the O(n·k!) table walk it used to do.
+// Above the exact depth limit even k! ring costs are too many (12! ≈
+// 479M), so a small deterministic candidate set is ranked instead. The
+// response is flagged Degraded and never cached.
 func evalAdviseFallback(q *parsedAdvise) (*AdviseResponse, error) {
 	sc := q.scenario()
 	h := sc.Hierarchy
@@ -311,19 +286,16 @@ func advisePrediction(sc advisor.Scenario, pr advisor.Prediction) AdvisePredicti
 	}
 }
 
-// EvalMatrixMap answers a MatrixMapRequest: the σ-order baseline search
-// followed by the procmap greedy construction and refinement, seeded from
-// the better of the two starting points — the answer never costs more than
-// the best mixed-radix order. Errors wrap ErrBadRequest except when the
-// context is cancelled.
-func EvalMatrixMap(ctx context.Context, req MatrixMapRequest) (*MatrixMapResponse, error) {
-	q, err := req.parse()
-	if err != nil {
-		return nil, err
-	}
+func (q *parsedMatrixMap) stat() statInfo { return statInfo{shape: q.arities} }
+func (q *parsedMatrixMap) eval(ctx context.Context, _ AdviseOptions) (any, error) {
 	return evalMatrixMap(ctx, q)
 }
+func (q *parsedMatrixMap) Degraded() (any, error) { return evalMatrixMapFallback(q) }
 
+// evalMatrixMap is the σ-order baseline search followed by the procmap
+// greedy construction and refinement, seeded from the better of the two
+// starting points — the answer never costs more than the best mixed-radix
+// order.
 func evalMatrixMap(ctx context.Context, q *parsedMatrixMap) (*MatrixMapResponse, error) {
 	_, osp := rt.StartSpan(ctx, "procmap.bestorder")
 	sigma, orderPlacement, orderCost, evaluated, err := procmap.BestOrder(q.m, q.h, nil)
@@ -372,17 +344,6 @@ func evalMatrixMap(ctx context.Context, q *parsedMatrixMap) (*MatrixMapResponse,
 	return resp, nil
 }
 
-// EvalMatrixMapFallback answers a MatrixMapRequest from the σ-order
-// baseline only — EvalAdviseFallback's matrix-map counterpart for
-// last-resort local serving. Errors wrap ErrBadRequest.
-func EvalMatrixMapFallback(req MatrixMapRequest) (*MatrixMapResponse, error) {
-	q, err := req.parse()
-	if err != nil {
-		return nil, err
-	}
-	return evalMatrixMapFallback(q)
-}
-
 // evalMatrixMapFallback is the degraded matrix-map answer (breaker open or
 // over budget): just the best mixed-radix order's placement — a bounded
 // k!·edges scan with no refinement. Flagged Degraded and never cached.
@@ -406,16 +367,11 @@ func evalMatrixMapFallback(q *parsedMatrixMap) (*MatrixMapResponse, error) {
 	}, nil
 }
 
-// EvalSelect answers a SelectRequest. Errors wrap ErrBadRequest.
-func EvalSelect(req SelectRequest) (*SelectResponse, error) {
-	q, err := req.parse()
-	if err != nil {
-		return nil, err
-	}
-	return evalSelect(q)
-}
+func (q *parsedSelect) stat() statInfo                                   { return statInfo{shape: q.arities} }
+func (q *parsedSelect) eval(context.Context, AdviseOptions) (any, error) { return q.answer(false) }
+func (q *parsedSelect) Degraded() (any, error)                           { return q.answer(true) }
 
-func evalSelect(q *parsedSelect) (*SelectResponse, error) {
+func (q *parsedSelect) answer(degraded bool) (*SelectResponse, error) {
 	list, err := slurm.MapCPU(q.h, q.sigma, q.n)
 	if err != nil {
 		return nil, badf("%v", err)
@@ -426,6 +382,7 @@ func evalSelect(q *parsedSelect) (*SelectResponse, error) {
 		N:         q.n,
 		MapCPU:    list,
 		CPUBind:   slurm.FormatMapCPU(list),
+		Degraded:  degraded,
 	}
 	if induced, err := slurm.InducedHierarchy(q.h, list); err == nil {
 		resp.Induced = induced
@@ -436,17 +393,13 @@ func evalSelect(q *parsedSelect) (*SelectResponse, error) {
 	return resp, nil
 }
 
-// EvalOrderMetrics answers an OrderMetricsRequest. Errors wrap
-// ErrBadRequest.
-func EvalOrderMetrics(req OrderMetricsRequest) (*OrderMetricsResponse, error) {
-	q, err := req.parse()
-	if err != nil {
-		return nil, err
-	}
-	return evalOrderMetrics(q)
+func (q *parsedOrderMetrics) stat() statInfo { return statInfo{shape: q.arities} }
+func (q *parsedOrderMetrics) eval(context.Context, AdviseOptions) (any, error) {
+	return q.answer(false)
 }
+func (q *parsedOrderMetrics) Degraded() (any, error) { return q.answer(true) }
 
-func evalOrderMetrics(q *parsedOrderMetrics) (*OrderMetricsResponse, error) {
+func (q *parsedOrderMetrics) answer(degraded bool) (*OrderMetricsResponse, error) {
 	ch, err := metrics.Characterize(q.h, q.sigma, q.comm)
 	if err != nil {
 		return nil, badf("%v", err)
@@ -459,6 +412,7 @@ func evalOrderMetrics(q *parsedOrderMetrics) (*OrderMetricsResponse, error) {
 		PairsPerLevel: ch.Pairs,
 		SpreadScore:   ch.SpreadScore(),
 		Legend:        ch.String(),
+		Degraded:      degraded,
 	}
 	if d, ok := slurm.DistributionForOrder(q.h, q.sigma); ok {
 		resp.Distribution = d.String()

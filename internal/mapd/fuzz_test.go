@@ -1,6 +1,7 @@
 package mapd
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -28,13 +29,14 @@ func FuzzParseHierOrder(f *testing.F) {
 	f.Add("x", "-", -1)
 
 	f.Fuzz(func(t *testing.T, hier, order string, rank int) {
-		req := MapRequest{Hierarchy: hier, Order: order, Rank: &rank}
-		resp, err := EvalMap(req)
+		ctx := context.Background()
+		ans, err := Eval(ctx, &MapRequest{Hierarchy: hier, Order: order, Rank: &rank}, AdviseOptions{})
 		if err != nil {
 			if !errors.Is(err, ErrBadRequest) {
-				t.Fatalf("EvalMap error does not wrap ErrBadRequest: %v", err)
+				t.Fatalf("map error does not wrap ErrBadRequest: %v", err)
 			}
 		} else {
+			resp := ans.(*MapResponse)
 			size := 1
 			for _, a := range resp.Hierarchy {
 				if a <= 1 {
@@ -58,13 +60,13 @@ func FuzzParseHierOrder(f *testing.F) {
 
 		// The same parser guards the selection and metrics endpoints;
 		// neither may panic on whatever the inputs are.
-		if _, err := EvalSelect(SelectRequest{Hierarchy: hier, Order: order, N: rank}); err != nil &&
-			!errors.Is(err, ErrBadRequest) {
-			t.Fatalf("EvalSelect error does not wrap ErrBadRequest: %v", err)
-		}
-		if _, err := EvalOrderMetrics(OrderMetricsRequest{Hierarchy: hier, Order: order, CommSize: rank}); err != nil &&
-			!errors.Is(err, ErrBadRequest) {
-			t.Fatalf("EvalOrderMetrics error does not wrap ErrBadRequest: %v", err)
+		for _, req := range []Request{
+			&SelectRequest{Hierarchy: hier, Order: order, N: rank},
+			&OrderMetricsRequest{Hierarchy: hier, Order: order, CommSize: rank},
+		} {
+			if _, err := Eval(ctx, req, AdviseOptions{}); err != nil && !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("%T error does not wrap ErrBadRequest: %v", req, err)
+			}
 		}
 	})
 }

@@ -252,11 +252,11 @@ func TestFallbackRankingIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := evalAdviseFallback(q)
+	a, err := evalAdviseFallback(q.(*parsedAdvise))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := evalAdviseFallback(q)
+	b, err := evalAdviseFallback(q.(*parsedAdvise))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,7 @@ type parsedMap struct {
 	table   bool
 }
 
-func (r *MapRequest) parse() (*parsedMap, error) {
+func (r *MapRequest) parse() (Query, error) {
 	h, err := parseHierarchy(r.Hierarchy)
 	if err != nil {
 		return nil, err
@@ -174,7 +174,7 @@ type parsedAdvise struct {
 	spec         netmodel.Spec
 }
 
-func (r *AdviseRequest) parse() (*parsedAdvise, error) {
+func (r *AdviseRequest) parse() (Query, error) {
 	q := &parsedAdvise{
 		machine:      r.Machine,
 		nodes:        r.Nodes,
@@ -280,7 +280,7 @@ type parsedSelect struct {
 	n       int
 }
 
-func (r *SelectRequest) parse() (*parsedSelect, error) {
+func (r *SelectRequest) parse() (Query, error) {
 	h, err := parseHierarchy(r.Hierarchy)
 	if err != nil {
 		return nil, err
@@ -309,7 +309,7 @@ type parsedMatrixMap struct {
 	refine  bool
 }
 
-func (r *MatrixMapRequest) parse() (*parsedMatrixMap, error) {
+func (r *MatrixMapRequest) parse() (Query, error) {
 	h, err := parseHierarchy(r.Hierarchy)
 	if err != nil {
 		return nil, err
@@ -359,7 +359,7 @@ type parsedOrderMetrics struct {
 	comm    int
 }
 
-func (r *OrderMetricsRequest) parse() (*parsedOrderMetrics, error) {
+func (r *OrderMetricsRequest) parse() (Query, error) {
 	h, err := parseHierarchy(r.Hierarchy)
 	if err != nil {
 		return nil, err

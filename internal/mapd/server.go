@@ -1,4 +1,4 @@
-// The HTTP/JSON service: four query endpoints behind a shared
+// The HTTP/JSON service: the query endpoints behind a shared
 // cache → singleflight → evaluate pipeline, a Prometheus /metrics
 // endpoint, and structured error responses. Every request is bounded — a
 // body-size cap before parsing, validation limits in parse.go, and a
@@ -15,7 +15,6 @@
 package mapd
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -24,6 +23,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -233,12 +233,9 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // Registry returns the server's metric registry.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Handler returns the service's HTTP handler:
+// Handler returns the service's HTTP handler: the query endpoints of the
+// table in endpoint.go, each served with POST, plus
 //
-//	POST /v1/map            rank ⇄ coordinates (Algorithms 1–2)
-//	POST /v1/advise         rank the k! orders analytically (§5)
-//	POST /v1/select         --cpu-bind=map_cpu core list (Algorithm 3)
-//	POST /v1/metrics/order  ring cost & pairs per level (§3.3)
 //	GET  /metrics           Prometheus exposition of the registry
 //	GET  /v1/stats          cardinality-bounded workload analytics
 //	GET  /v1/advise/progress  live progress of in-flight deep searches
@@ -250,177 +247,36 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // SLO recording.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/map", s.serve("map", func(body []byte) (string, computeFunc, *statInfo, error) {
-		var req MapRequest
-		if err := decodeStrict(body, &req); err != nil {
-			return "", nil, nil, err
-		}
-		q, err := req.parse()
-		if err != nil {
-			return "", nil, nil, err
-		}
-		info := &statInfo{shape: q.arities}
-		return q.Key(), func(context.Context) (any, error) { return evalMap(q) }, info, nil
-	}))
-	mux.HandleFunc("/v1/advise", s.serveGuarded("advise", func(body []byte) (string, computeFunc, computeFunc, *statInfo, error) {
-		var req AdviseRequest
-		if err := decodeStrict(body, &req); err != nil {
-			return "", nil, nil, nil, err
-		}
-		q, err := req.parse()
-		if err != nil {
-			return "", nil, nil, nil, err
-		}
-		compute := func(ctx context.Context) (any, error) {
-			if s.AdviseHook != nil {
-				s.AdviseHook()
+	for _, e := range endpoints {
+		mux.HandleFunc(e.Path, s.serve(e))
+	}
+	// getJSON serves a GET-only JSON report.
+	getJSON := func(report func() any) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodGet {
+				WriteError(r.Context(), w, http.StatusMethodNotAllowed, "use GET")
+				return
 			}
-			s.evals.Add(1)
-			opts := AdviseOptions{
-				Rank: advisor.RankOptions{
-					Workers:  s.cfg.AdviseWorkers,
-					Registry: s.reg,
-					OnStats:  func(rs advisor.RankStats) { s.stats.observeSearch(rs.Mode) },
-				},
-				SearchDepthThreshold: s.cfg.SearchDepthThreshold,
+			b, err := json.Marshal(report())
+			if err != nil {
+				WriteError(r.Context(), w, http.StatusInternalServerError, err.Error())
+				return
 			}
-			if q.spec.Hierarchy().Depth() > opts.threshold() {
-				// Deep advise: the bounded search can run for seconds, so
-				// register it with the live-progress table surfaced on
-				// GET /v1/advise/progress.
-				h := s.search.start(q.Key())
-				defer h.finish()
-				opts.Search.Progress = h.update
-			}
-			resp, err := evalAdvise(ctx, q, opts)
-			if s.breaker != nil {
-				// Client errors say nothing about the service's health.
-				s.breaker.Record(err == nil || errors.Is(err, ErrBadRequest))
-			}
-			return resp, err
+			writeJSON(w, append(b, '\n'))
 		}
-		fallback := func(context.Context) (any, error) { return evalAdviseFallback(q) }
-		info := &statInfo{shape: q.spec.Hierarchy().Arities(), coll: string(q.coll)}
-		return q.Key(), compute, fallback, info, nil
-	}))
-	mux.HandleFunc("/v1/map/matrix", s.serveGuarded("map_matrix", func(body []byte) (string, computeFunc, computeFunc, *statInfo, error) {
-		var req MatrixMapRequest
-		if err := decodeStrict(body, &req); err != nil {
-			return "", nil, nil, nil, err
-		}
-		q, err := req.parse()
-		if err != nil {
-			return "", nil, nil, nil, err
-		}
-		compute := func(ctx context.Context) (any, error) {
-			start := time.Now()
-			mctx, cancel := context.WithTimeout(ctx, s.cfg.MatrixBudget)
-			defer cancel()
-			if s.MatrixHook != nil {
-				s.MatrixHook()
-			}
-			resp, err := evalMatrixMap(mctx, q)
-			if err != nil && mctx.Err() != nil && ctx.Err() == nil {
-				// Over budget: degrade to the σ-order baseline instead of
-				// failing. Counted as a breaker failure — a stream of
-				// over-budget searches should open the breaker and route
-				// straight to the cheap path.
-				if s.breaker != nil {
-					s.breaker.Record(false)
-				}
-				fresp, ferr := evalMatrixMapFallback(q)
-				if ferr != nil {
-					return nil, err
-				}
-				s.matrixFallbacks.Add(1)
-				s.recordMatrixSearch(advisor.ModeFallback, fresp, time.Since(start))
-				return fresp, nil
-			}
-			if s.breaker != nil {
-				s.breaker.Record(err == nil || errors.Is(err, ErrBadRequest))
-			}
-			if err == nil {
-				s.reg.Histogram("procmap_map_seconds", obs.SearchBuckets()).
-					Observe(time.Since(start).Seconds())
-				s.reg.Counter("procmap_refine_swaps_total").AddInt(int64(resp.Swaps))
-				s.reg.Gauge("procmap_improvement_pct").Set(resp.ImprovementPct)
-				s.recordMatrixSearch(ModeMatrix, resp, time.Since(start))
-			}
-			return resp, err
-		}
-		fallback := func(context.Context) (any, error) { return evalMatrixMapFallback(q) }
-		info := &statInfo{shape: q.arities}
-		return q.Key(), compute, fallback, info, nil
-	}))
-	mux.HandleFunc("/v1/select", s.serve("select", func(body []byte) (string, computeFunc, *statInfo, error) {
-		var req SelectRequest
-		if err := decodeStrict(body, &req); err != nil {
-			return "", nil, nil, err
-		}
-		q, err := req.parse()
-		if err != nil {
-			return "", nil, nil, err
-		}
-		info := &statInfo{shape: q.arities}
-		return q.Key(), func(context.Context) (any, error) { return evalSelect(q) }, info, nil
-	}))
-	mux.HandleFunc("/v1/metrics/order", s.serve("metrics_order", func(body []byte) (string, computeFunc, *statInfo, error) {
-		var req OrderMetricsRequest
-		if err := decodeStrict(body, &req); err != nil {
-			return "", nil, nil, err
-		}
-		q, err := req.parse()
-		if err != nil {
-			return "", nil, nil, err
-		}
-		info := &statInfo{shape: q.arities}
-		return q.Key(), func(context.Context) (any, error) { return evalOrderMetrics(q) }, info, nil
-	}))
+	}
+	mux.HandleFunc("/v1/stats", getJSON(func() any { return s.stats.report() }))
+	mux.HandleFunc("/v1/advise/progress", getJSON(func() any { return s.search.report() }))
+	mux.HandleFunc("/v1/slo", getJSON(func() any { return s.slo.Report() }))
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(r.Context(), w, http.StatusMethodNotAllowed, "use GET")
+			WriteError(r.Context(), w, http.StatusMethodNotAllowed, "use GET")
 			return
 		}
 		s.slo.Publish(s.reg)
 		s.stats.publish(s.reg)
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		_ = obs.WritePrometheus(w, s.reg)
-	})
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(r.Context(), w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		b, err := json.Marshal(s.stats.report())
-		if err != nil {
-			writeError(r.Context(), w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		writeJSON(w, append(b, '\n'))
-	})
-	mux.HandleFunc("/v1/advise/progress", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(r.Context(), w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		b, err := json.Marshal(s.search.report())
-		if err != nil {
-			writeError(r.Context(), w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		writeJSON(w, append(b, '\n'))
-	})
-	mux.HandleFunc("/v1/slo", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(r.Context(), w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		b, err := json.Marshal(s.slo.Report())
-		if err != nil {
-			writeError(r.Context(), w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		writeJSON(w, append(b, '\n'))
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		status, code := s.health()
@@ -434,12 +290,102 @@ func (s *Server) Handler() http.Handler {
 	return s.withTelemetry(mux)
 }
 
-// recordMatrixSearch labels one matrix-map placement search in the
-// advisor_search_* series and the workload analytics, so dashboards see
-// matrix searches alongside the advisor's exact/pruned/fallback modes.
-func (s *Server) recordMatrixSearch(mode string, resp *MatrixMapResponse, elapsed time.Duration) {
+// search is the served advise evaluation: the order search with the
+// server's worker bound, metrics and live progress, recorded into the
+// breaker.
+func (q *parsedAdvise) search(ctx context.Context, s *Server) (any, error) {
+	if s.AdviseHook != nil {
+		s.AdviseHook()
+	}
+	s.evals.Add(1)
+	opts := AdviseOptions{
+		Rank: advisor.RankOptions{
+			Workers:  s.cfg.AdviseWorkers,
+			Registry: s.reg,
+			OnStats:  func(rs advisor.RankStats) { s.stats.observeSearch(rs.Mode) },
+		},
+		SearchDepthThreshold: s.cfg.SearchDepthThreshold,
+	}
+	if q.spec.Hierarchy().Depth() > opts.threshold() {
+		// Deep advise: the bounded search can run for seconds, so
+		// register it with the live-progress table surfaced on
+		// GET /v1/advise/progress.
+		h := s.search.start(q.Key())
+		defer h.finish()
+		opts.Search.Progress = h.update
+	}
+	resp, err := evalAdvise(ctx, q, opts)
+	s.recordOutcome(err)
+	return resp, err
+}
+
+func (q *parsedAdvise) fallback(s *Server, start time.Time) (any, error) {
+	resp, err := evalAdviseFallback(q)
+	if err != nil {
+		return nil, err
+	}
+	s.recordSearch(advisor.ModeFallback, resp.OrdersEvaluated, time.Since(start))
+	return resp, nil
+}
+
+// search is the served matrix-map evaluation, bounded by MatrixBudget.
+func (q *parsedMatrixMap) search(ctx context.Context, s *Server) (any, error) {
+	start := time.Now()
+	mctx, cancel := context.WithTimeout(ctx, s.cfg.MatrixBudget)
+	defer cancel()
+	if s.MatrixHook != nil {
+		s.MatrixHook()
+	}
+	resp, err := evalMatrixMap(mctx, q)
+	if err != nil && mctx.Err() != nil && ctx.Err() == nil {
+		// Over budget: degrade to the σ-order baseline instead of
+		// failing. Counted as a breaker failure — a stream of
+		// over-budget searches should open the breaker and route
+		// straight to the cheap path.
+		if s.breaker != nil {
+			s.breaker.Record(false)
+		}
+		if fresp, ferr := q.fallback(s, start); ferr == nil {
+			return fresp, nil
+		}
+		return nil, err
+	}
+	s.recordOutcome(err)
+	if err != nil {
+		return nil, err
+	}
+	s.reg.Histogram("procmap_map_seconds", obs.SearchBuckets()).Observe(time.Since(start).Seconds())
+	s.reg.Counter("procmap_refine_swaps_total").AddInt(int64(resp.Swaps))
+	s.reg.Gauge("procmap_improvement_pct").Set(resp.ImprovementPct)
+	s.recordSearch(ModeMatrix, resp.OrdersEvaluated, time.Since(start))
+	return resp, nil
+}
+
+func (q *parsedMatrixMap) fallback(s *Server, start time.Time) (any, error) {
+	resp, err := evalMatrixMapFallback(q)
+	if err != nil {
+		return nil, err
+	}
+	s.matrixFallbacks.Add(1)
+	s.recordSearch(advisor.ModeFallback, resp.OrdersEvaluated, time.Since(start))
+	return resp, nil
+}
+
+// recordOutcome feeds one search result to the breaker. Client errors say
+// nothing about the service's health.
+func (s *Server) recordOutcome(err error) {
+	if s.breaker != nil {
+		s.breaker.Record(err == nil || errors.Is(err, ErrBadRequest))
+	}
+}
+
+// recordSearch labels one order search the advisor did not run itself — a
+// matrix-map placement, or a σ-order fallback of either search endpoint —
+// in the advisor_search_* series and the workload analytics, so dashboards
+// see the full mode split alongside the advisor's own exact/pruned series.
+func (s *Server) recordSearch(mode string, orders int64, elapsed time.Duration) {
 	ml := obs.L("mode", mode)
-	s.reg.Counter("advisor_class_misses_total", ml).AddInt(resp.OrdersEvaluated)
+	s.reg.Counter("advisor_class_misses_total", ml).AddInt(orders)
 	s.reg.Histogram("advisor_search_seconds", obs.SearchBuckets(), ml).Observe(elapsed.Seconds())
 	s.stats.observeSearch(mode)
 }
@@ -482,25 +428,6 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// apiEndpoint maps a request path to its SLO endpoint name; only the
-// query endpoints are tracked, keeping label cardinality bounded.
-func apiEndpoint(path string) (string, bool) {
-	switch path {
-	case "/v1/map":
-		return "map", true
-	case "/v1/map/matrix":
-		return "map_matrix", true
-	case "/v1/advise":
-		return "advise", true
-	case "/v1/select":
-		return "select", true
-	case "/v1/metrics/order":
-		return "metrics_order", true
-	default:
-		return "", false
-	}
-}
-
 // withTelemetry is the outermost middleware: it opens the request's root
 // span (continuing an upstream traceparent when present), injects the
 // traceparent response header so clients can quote the trace, records the
@@ -518,8 +445,10 @@ func (s *Server) withTelemetry(next http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		next.ServeHTTP(sw, r.WithContext(ctx))
 		elapsed := time.Since(start)
-		if ep, ok := apiEndpoint(r.URL.Path); ok {
-			s.slo.Record(ep, sw.code, elapsed)
+		// Only the query endpoints are tracked, keeping label cardinality
+		// bounded.
+		if e, ok := lookupEndpoint(r.URL.Path); ok {
+			s.slo.Record(e.Name, sw.code, elapsed)
 		}
 		span.SetAttr("http_status", int64(sw.code))
 		if sw.code >= http.StatusInternalServerError {
@@ -544,43 +473,11 @@ func (s *Server) withTelemetry(next http.Handler) http.Handler {
 	})
 }
 
-// computeFunc evaluates one parsed request.
-type computeFunc func(ctx context.Context) (any, error)
-
-// parseFunc turns a request body into a canonical cache key, a compute
-// closure, and the workload-analytics attribution of the request.
-// Returned errors are client errors.
-type parseFunc func(body []byte) (string, computeFunc, *statInfo, error)
-
-// guardedParseFunc additionally yields a cheap fallback evaluation served
-// (uncached) while the endpoint's circuit breaker is open.
-type guardedParseFunc func(body []byte) (string, computeFunc, computeFunc, *statInfo, error)
-
-// decodeStrict unmarshals JSON rejecting unknown fields and trailing data,
-// so typos fail loudly instead of silently evaluating defaults.
-func decodeStrict(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badf("invalid JSON: %v", err)
-	}
-	if dec.More() {
-		return badf("invalid JSON: trailing data after request object")
-	}
-	return nil
-}
-
 // serve wraps an endpoint with the shared pipeline: overload shedding,
 // method check, body limit, parse, cache lookup, singleflight evaluation,
 // metrics.
-func (s *Server) serve(name string, parse parseFunc) http.HandlerFunc {
-	return s.serveGuarded(name, func(body []byte) (string, computeFunc, computeFunc, *statInfo, error) {
-		key, compute, info, err := parse(body)
-		return key, compute, nil, info, err
-	})
-}
-
-func (s *Server) serveGuarded(name string, parse guardedParseFunc) http.HandlerFunc {
+func (s *Server) serve(e Endpoint) http.HandlerFunc {
+	name := e.Name
 	hits := s.reg.Counter("mapd_cache_hits_total", obs.L("endpoint", name))
 	misses := s.reg.Counter("mapd_cache_misses_total", obs.L("endpoint", name))
 	latency := s.reg.Histogram("mapd_request_seconds", obs.WallBuckets(), obs.L("endpoint", name))
@@ -591,7 +488,7 @@ func (s *Server) serveGuarded(name string, parse guardedParseFunc) http.HandlerF
 		n := s.inflightN.Add(1)
 		code := http.StatusOK
 		var (
-			info     *statInfo
+			q        Query
 			cacheHit bool
 		)
 		defer func() {
@@ -600,48 +497,48 @@ func (s *Server) serveGuarded(name string, parse guardedParseFunc) http.HandlerF
 			latency.Observe(time.Since(start).Seconds())
 			s.reg.Counter("mapd_requests_total",
 				obs.L("endpoint", name), obs.L("code", strconv.Itoa(code))).Add(1)
-			if code == http.StatusOK {
+			if code == http.StatusOK && q != nil {
 				// Only parsed, successfully served requests reach the
 				// workload analytics; rejects carry no shape to attribute.
-				s.stats.observe(name, info, cacheHit, time.Since(start))
+				info := q.stat()
+				s.stats.observe(name, &info, cacheHit, time.Since(start))
 			}
 		}()
 		if s.draining.Load() {
 			w.Header().Set("Retry-After", "1")
-			code = writeError(ctx, w, http.StatusServiceUnavailable, "server is draining")
+			code = WriteError(ctx, w, http.StatusServiceUnavailable, "server is draining")
 			return
 		}
 		if s.cfg.MaxInflight > 0 && n > int64(s.cfg.MaxInflight) {
 			s.shed.Add(1)
 			w.Header().Set("Retry-After", strconv.Itoa(shedRetryAfter(n, int64(s.cfg.MaxInflight))))
-			code = writeError(ctx, w, http.StatusServiceUnavailable,
+			code = WriteError(ctx, w, http.StatusServiceUnavailable,
 				fmt.Sprintf("over %d requests in flight, try again shortly", s.cfg.MaxInflight))
 			return
 		}
 		if r.Method != http.MethodPost {
-			code = writeError(ctx, w, http.StatusMethodNotAllowed, "use POST with a JSON body")
+			code = WriteError(ctx, w, http.StatusMethodNotAllowed, "use POST with a JSON body")
 			return
 		}
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
 		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
-				code = writeError(ctx, w, http.StatusRequestEntityTooLarge,
+				code = WriteError(ctx, w, http.StatusRequestEntityTooLarge,
 					fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBody))
 			} else {
-				code = writeError(ctx, w, http.StatusBadRequest, "reading request body: "+err.Error())
+				code = WriteError(ctx, w, http.StatusBadRequest, "reading request body: "+err.Error())
 			}
 			return
 		}
-		key, compute, fallback, pinfo, err := parse(body)
-		if err != nil {
-			code = writeError(ctx, w, http.StatusBadRequest, clientMessage(err))
+		if q, err = e.Parse(body); err != nil {
+			code = WriteError(ctx, w, http.StatusBadRequest, err.Error())
 			return
 		}
-		info = pinfo
+		key := q.Key()
 		_, lookup := rt.StartSpan(ctx, "cache.lookup")
 		cached, ok := s.cache.Get(key)
-		lookup.SetAttr("hit", b2i(ok))
+		lookup.SetAttr("hit", obs.Bool(ok))
 		lookup.End()
 		if ok {
 			cacheHit = true
@@ -650,38 +547,24 @@ func (s *Server) serveGuarded(name string, parse guardedParseFunc) http.HandlerF
 			return
 		}
 		misses.Add(1)
-		if fallback != nil && s.breaker != nil && !s.breaker.Allow() {
+		sq, guarded := q.(searchQuery)
+		if guarded && s.breaker != nil && !s.breaker.Allow() {
 			// Breaker open: answer from the cheap heuristic, uncached so a
 			// recovered breaker re-evaluates the real search.
 			s.fallbacks.Add(1)
-			fstart := time.Now()
-			fctx, fsp := rt.StartSpan(ctx, "advise.fallback")
-			resp, ferr := fallback(fctx)
+			_, fsp := rt.StartSpan(ctx, "advise.fallback")
+			resp, ferr := sq.fallback(s, time.Now())
+			var b []byte
+			if ferr == nil {
+				b, ferr = json.Marshal(resp)
+			}
 			if ferr != nil {
 				fsp.SetError()
-				fsp.End()
-				code = writeError(ctx, w, http.StatusInternalServerError, ferr.Error())
-				return
 			}
-			b, ferr := json.Marshal(resp)
 			fsp.End()
 			if ferr != nil {
-				code = writeError(ctx, w, http.StatusInternalServerError, ferr.Error())
+				code = WriteError(ctx, w, http.StatusInternalServerError, ferr.Error())
 				return
-			}
-			// The heuristic is an order search too: label its latency and
-			// per-order cost mode="fallback", alongside the advisor's own
-			// exact/pruned series, so dashboards see the full mode split.
-			switch fr := resp.(type) {
-			case *AdviseResponse:
-				ml := obs.L("mode", advisor.ModeFallback)
-				s.reg.Counter("advisor_class_misses_total", ml).AddInt(int64(fr.Evaluated))
-				s.reg.Histogram("advisor_search_seconds", obs.SearchBuckets(), ml).
-					Observe(time.Since(fstart).Seconds())
-				s.stats.observeSearch(advisor.ModeFallback)
-			case *MatrixMapResponse:
-				s.matrixFallbacks.Add(1)
-				s.recordMatrixSearch(advisor.ModeFallback, fr, time.Since(fstart))
 			}
 			writeJSON(w, append(b, '\n'))
 			return
@@ -696,7 +579,13 @@ func (s *Server) serveGuarded(name string, parse guardedParseFunc) http.HandlerF
 			defer cancel()
 			ctx, eval := rt.StartSpan(rt.ContextWithSpan(ctx, rt.SpanFromContext(flightCtx)), "evaluate")
 			defer eval.End()
-			resp, err := compute(ctx)
+			var resp any
+			var err error
+			if guarded {
+				resp, err = sq.search(ctx, s)
+			} else {
+				resp, err = q.eval(ctx, AdviseOptions{})
+			}
 			if err != nil {
 				eval.SetError()
 				return nil, err
@@ -715,17 +604,17 @@ func (s *Server) serveGuarded(name string, parse guardedParseFunc) http.HandlerF
 			}
 			return b, nil
 		})
-		flightSpan.SetAttr("shared", b2i(shared))
+		flightSpan.SetAttr("shared", obs.Bool(shared))
 		flightSpan.End()
 		if err != nil {
 			switch {
 			case errors.Is(err, ErrBadRequest):
-				code = writeError(ctx, w, http.StatusBadRequest, clientMessage(err))
+				code = WriteError(ctx, w, http.StatusBadRequest, err.Error())
 			case errors.Is(err, context.DeadlineExceeded):
-				code = writeError(ctx, w, http.StatusGatewayTimeout,
+				code = WriteError(ctx, w, http.StatusGatewayTimeout,
 					fmt.Sprintf("evaluation exceeded the %s budget", s.cfg.Timeout))
 			default:
-				code = writeError(ctx, w, http.StatusInternalServerError, err.Error())
+				code = WriteError(ctx, w, http.StatusInternalServerError, err.Error())
 			}
 			s.logger.LogAttrs(ctx, slog.LevelError, "evaluation failed",
 				slog.String("endpoint", name), slog.String("error", err.Error()))
@@ -755,28 +644,23 @@ func shedRetryAfter(inflight, limit int64) int {
 	return s
 }
 
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 func writeJSON(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(body)
 }
 
-// writeError emits the structured error envelope and returns the code so
-// callers can record it. The context's trace id (when tracing is on) is
-// embedded in the body so clients can quote it back verbatim.
-func writeError(ctx context.Context, w http.ResponseWriter, code int, msg string) int {
+// WriteError emits the structured error envelope every tier answers
+// failures with, and returns the code so callers can record it. The
+// context's trace id (when tracing is on) is embedded in the body so
+// clients can quote it back verbatim; an ErrBadRequest wrapping is
+// stripped from msg.
+func WriteError(ctx context.Context, w http.ResponseWriter, code int, msg string) int {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	body, _ := json.Marshal(errorBody{Error: errorDetail{
 		Code:    code,
 		Status:  statusSlug(code),
-		Message: msg,
+		Message: strings.TrimPrefix(msg, ErrBadRequest.Error()+": "),
 		TraceID: rt.SpanFromContext(ctx).TraceID(),
 	}})
 	_, _ = w.Write(append(body, '\n'))
@@ -793,19 +677,9 @@ func statusSlug(code int) string {
 		return "body_too_large"
 	case http.StatusGatewayTimeout:
 		return "timeout"
-	case http.StatusServiceUnavailable:
+	case http.StatusServiceUnavailable, http.StatusBadGateway:
 		return "unavailable"
 	default:
 		return "internal"
 	}
-}
-
-// clientMessage strips the ErrBadRequest prefix for response bodies.
-func clientMessage(err error) string {
-	msg := err.Error()
-	const prefix = "mapd: bad request: "
-	if len(msg) > len(prefix) && msg[:len(prefix)] == prefix {
-		return msg[len(prefix):]
-	}
-	return msg
 }

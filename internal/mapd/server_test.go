@@ -134,34 +134,41 @@ func TestAdviseEndpoint(t *testing.T) {
 	}
 }
 
+// MalformedRequests is the bad-request table. It is exported from the test
+// package so gate_test.go runs the same rows through the routing tier's
+// all-dead fallback: every tier must reject exactly what a replica does.
+var MalformedRequests = []struct {
+	Name, Path, Req string
+	WantStatus      string
+}{
+	{"bad json", "/v1/map", `{bad`, "bad_request"},
+	{"trailing data", "/v1/map", `{"hierarchy":"2,2,4","rank":1} extra`, "bad_request"},
+	{"trailing bracket", "/v1/map", `{"hierarchy":"2,2,4","rank":1}]`, "bad_request"},
+	{"trailing brace", "/v1/map", `{"hierarchy":"2,2,4","rank":1}}`, "bad_request"},
+	{"trailing token", "/v1/map", `{"hierarchy":"2,2,4","rank":1} x`, "bad_request"},
+	{"unknown field", "/v1/map", `{"hierarchy":"2,2,4","rank":1,"bogus":true}`, "bad_request"},
+	{"missing mode", "/v1/map", `{"hierarchy":"2,2,4"}`, "bad_request"},
+	{"rank and coords", "/v1/map", `{"hierarchy":"2,2,4","rank":1,"coords":[0,0,0]}`, "bad_request"},
+	{"empty hierarchy", "/v1/map", `{"hierarchy":"","rank":0}`, "bad_request"},
+	{"arity one", "/v1/map", `{"hierarchy":"2,1,4","rank":0}`, "bad_request"},
+	{"overflow hierarchy", "/v1/map", `{"hierarchy":"99999,99999,99999","rank":0}`, "bad_request"},
+	{"rank out of range", "/v1/map", `{"hierarchy":"2,2,4","rank":16}`, "bad_request"},
+	{"non-permutation order", "/v1/map", `{"hierarchy":"2,2,4","order":"0-0-2","rank":1}`, "bad_request"},
+	{"order depth mismatch", "/v1/map", `{"hierarchy":"2,2,4","order":"0-1","rank":1}`, "bad_request"},
+	{"oversized table", "/v1/map", `{"hierarchy":"64,64,32","table":true}`, "bad_request"},
+	{"unknown machine", "/v1/advise", `{"machine":"summit","collective":"alltoall","comm_size":16}`, "bad_request"},
+	{"unknown collective", "/v1/advise", `{"machine":"hydra","collective":"bcast","comm_size":16}`, "bad_request"},
+	{"comm does not divide", "/v1/advise", `{"machine":"hydra","collective":"alltoall","comm_size":7}`, "bad_request"},
+	{"select too many", "/v1/select", `{"hierarchy":"2,2,4","order":"0-1-2","n":17}`, "bad_request"},
+	{"select zero", "/v1/select", `{"hierarchy":"2,2,4","order":"0-1-2","n":0}`, "bad_request"},
+	{"metrics comm too large", "/v1/metrics/order", `{"hierarchy":"2,2,4","order":"0-1-2","comm_size":64}`, "bad_request"},
+}
+
 func TestMalformedRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	cases := []struct {
-		name, path, req string
-		wantStatus      string
-	}{
-		{"bad json", "/v1/map", `{bad`, "bad_request"},
-		{"trailing data", "/v1/map", `{"hierarchy":"2,2,4","rank":1} extra`, "bad_request"},
-		{"unknown field", "/v1/map", `{"hierarchy":"2,2,4","rank":1,"bogus":true}`, "bad_request"},
-		{"missing mode", "/v1/map", `{"hierarchy":"2,2,4"}`, "bad_request"},
-		{"rank and coords", "/v1/map", `{"hierarchy":"2,2,4","rank":1,"coords":[0,0,0]}`, "bad_request"},
-		{"empty hierarchy", "/v1/map", `{"hierarchy":"","rank":0}`, "bad_request"},
-		{"arity one", "/v1/map", `{"hierarchy":"2,1,4","rank":0}`, "bad_request"},
-		{"overflow hierarchy", "/v1/map", `{"hierarchy":"99999,99999,99999","rank":0}`, "bad_request"},
-		{"rank out of range", "/v1/map", `{"hierarchy":"2,2,4","rank":16}`, "bad_request"},
-		{"non-permutation order", "/v1/map", `{"hierarchy":"2,2,4","order":"0-0-2","rank":1}`, "bad_request"},
-		{"order depth mismatch", "/v1/map", `{"hierarchy":"2,2,4","order":"0-1","rank":1}`, "bad_request"},
-		{"oversized table", "/v1/map", `{"hierarchy":"64,64,32","table":true}`, "bad_request"},
-		{"unknown machine", "/v1/advise", `{"machine":"summit","collective":"alltoall","comm_size":16}`, "bad_request"},
-		{"unknown collective", "/v1/advise", `{"machine":"hydra","collective":"bcast","comm_size":16}`, "bad_request"},
-		{"comm does not divide", "/v1/advise", `{"machine":"hydra","collective":"alltoall","comm_size":7}`, "bad_request"},
-		{"select too many", "/v1/select", `{"hierarchy":"2,2,4","order":"0-1-2","n":17}`, "bad_request"},
-		{"select zero", "/v1/select", `{"hierarchy":"2,2,4","order":"0-1-2","n":0}`, "bad_request"},
-		{"metrics comm too large", "/v1/metrics/order", `{"hierarchy":"2,2,4","order":"0-1-2","comm_size":64}`, "bad_request"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			code, body := post(t, ts, tc.path, tc.req)
+	for _, tc := range MalformedRequests {
+		t.Run(tc.Name, func(t *testing.T) {
+			code, body := post(t, ts, tc.Path, tc.Req)
 			if code != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400; body %s", code, body)
 			}
@@ -169,8 +176,8 @@ func TestMalformedRequests(t *testing.T) {
 			if err := json.Unmarshal([]byte(body), &eb); err != nil {
 				t.Fatalf("error body is not the structured envelope: %s", body)
 			}
-			if eb.Error.Status != tc.wantStatus || eb.Error.Code != 400 || eb.Error.Message == "" {
-				t.Errorf("error envelope %+v, want status %q with a message", eb.Error, tc.wantStatus)
+			if eb.Error.Status != tc.WantStatus || eb.Error.Code != 400 || eb.Error.Message == "" {
+				t.Errorf("error envelope %+v, want status %q with a message", eb.Error, tc.WantStatus)
 			}
 		})
 	}

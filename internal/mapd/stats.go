@@ -34,7 +34,7 @@ import (
 // maximum number of shape classes tracked individually.
 const DefaultStatsClasses = 32
 
-// statInfo is the per-request attribution the parse closures hand to the
+// statInfo is the per-request attribution a parsed Query hands to the
 // aggregator: the canonical hierarchy shape and, for advise requests,
 // the collective.
 type statInfo struct {

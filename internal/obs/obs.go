@@ -34,6 +34,14 @@ type Arg struct {
 	Val int64
 }
 
+// Bool is a flag's 0/1 encoding for integer-valued args and gauges.
+func Bool(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // Span is one completed operation on one track: a Perfetto "complete"
 // event. Times are virtual seconds.
 type Span struct {
