@@ -17,10 +17,12 @@ test:
 	$(GO) test ./...
 
 # race runs the concurrency-heavy packages under the race detector: the
-# service, its telemetry layer, the simulator core, the fault-injection
-# layer, and the advisor search engine the service dispatches to.
+# service, its telemetry layer, the simulator stack (whose only
+# synchronisation is the engine's baton hand-off, so the detector is the
+# proof that nothing else is needed), the fault-injection layer, and the
+# advisor search engine the service dispatches to.
 race:
-	$(GO) test -race ./internal/mapd/... ./internal/obs/... ./internal/sim/... ./internal/fault/... ./internal/mpi/... ./internal/procmap/... ./internal/fleet/... ./internal/advisor/... ./internal/metrics/...
+	$(GO) test -race ./internal/mapd/... ./internal/obs/... ./internal/sim/... ./internal/netmodel/... ./internal/fault/... ./internal/mpi/... ./internal/bench/... ./internal/procmap/... ./internal/fleet/... ./internal/advisor/... ./internal/metrics/...
 
 # check is the tier-1 gate: formatting, vet, staticcheck (when installed),
 # build (including the serving commands), the full test suite under the
@@ -207,7 +209,7 @@ smoke-fleet:
 # BENCH_SUITES are the committed trajectory baselines the regression gate
 # compares against; BENCH_GIT/BENCH_TS stamp fresh records so trajectory
 # points are attributable (CI passes the workflow's SHA explicitly).
-BENCH_SUITES ?= kernels order_search procmap fleet
+BENCH_SUITES ?= kernels order_search procmap fleet sim
 BENCH_GIT    ?= $(shell git rev-parse --short HEAD 2>/dev/null)
 BENCH_TS     ?= $(shell date -u +%Y-%m-%dT%H:%M:%SZ)
 

@@ -73,30 +73,110 @@ func Concat(bufs ...Buf) Buf {
 	return Buf{Bytes: total, Data: out}
 }
 
-// SplitEven cuts the buffer into parts nearly equal chunks: the first
-// Bytes%parts·… — precisely, chunk sizes follow the MPI block distribution
-// of len(Data) (or Bytes/8 synthetic elements) over parts. It panics if the
-// element count is not divisible when exactness is required by callers;
-// uneven tails go to the last chunk only when allowUneven.
+// SplitEven cuts the buffer into parts nearly equal chunks following the
+// MPI block distribution: chunk i covers elements [n·i/parts, n·(i+1)/parts)
+// of the payload, or the same fractions of Bytes when there is none.
 func (b Buf) SplitEven(parts int) []Buf {
 	b.check()
 	if parts <= 0 {
 		panic("mpi: SplitEven with no parts")
 	}
 	out := make([]Buf, parts)
+	for i := range out {
+		out[i] = b.chunk(i, parts)
+	}
+	return out
+}
+
+// chunk returns chunk i of SplitEven(parts) without building the others.
+func (b Buf) chunk(i, parts int) Buf {
 	if b.Data != nil {
 		n := len(b.Data)
-		for i := 0; i < parts; i++ {
-			lo, hi := n*i/parts, n*(i+1)/parts
-			out[i] = F64Buf(b.Data[lo:hi])
-		}
-		return out
+		return F64Buf(b.Data[n*i/parts : n*(i+1)/parts])
 	}
-	// Synthetic: distribute bytes in the same block pattern.
-	for i := 0; i < parts; i++ {
-		lo := b.Bytes * int64(i) / int64(parts)
-		hi := b.Bytes * int64(i+1) / int64(parts)
-		out[i] = BytesBuf(hi - lo)
+	n := int64(parts)
+	return Buf{Bytes: b.Bytes*int64(i+1)/n - b.Bytes*int64(i)/n}
+}
+
+// slots is the set of per-peer blocks a rank holds inside a collective, as
+// parallel arrays: a byte count per block always, payloads only once some
+// block carries data. The micro-benchmarks and the CPD move payload-less
+// blocks, so their collectives shuffle 8 bytes per block instead of a Buf.
+// The counts must stay per block: blocks that are equal within each rank
+// still differ between ranks (Alltoallv), and Bruck and recursive doubling
+// re-split what they receive.
+type slots struct {
+	bytes []int64
+	data  [][]float64 // nil while every block is payload-less
+}
+
+func newSlots(n int) slots { return slots{bytes: make([]int64, n)} }
+
+// slotsOf checks and unpacks a caller's buffers.
+func slotsOf(bufs []Buf) slots {
+	s := newSlots(len(bufs))
+	for i, b := range bufs {
+		b.check()
+		s.set(i, b)
+	}
+	return s
+}
+
+func (s slots) get(i int) Buf {
+	if s.data == nil {
+		return Buf{Bytes: s.bytes[i]}
+	}
+	return Buf{Bytes: s.bytes[i], Data: s.data[i]}
+}
+
+func (s *slots) set(i int, b Buf) {
+	s.bytes[i] = b.Bytes
+	if b.Data != nil && s.data == nil {
+		s.data = make([][]float64, len(s.bytes))
+	}
+	if s.data != nil {
+		s.data[i] = b.Data
+	}
+}
+
+// concat returns, as one message like Concat, the blocks i of [lo, hi)
+// with i&mask == mask, and how many they are.
+func (s slots) concat(lo, hi, mask int) (Buf, int) {
+	var out Buf
+	var parts []Buf // payload-carrying sets only
+	n := 0
+	for i := lo; i < hi; i++ {
+		if i&mask != mask {
+			continue
+		}
+		n++
+		out.Bytes += s.bytes[i]
+		if s.data != nil {
+			parts = append(parts, s.get(i))
+		}
+	}
+	if s.data != nil {
+		out = Concat(parts...)
+	}
+	return out, n
+}
+
+// spread replaces the n blocks concat selects with the even split of in.
+func (s *slots) spread(in Buf, lo, hi, mask, n int) {
+	j := 0
+	for i := lo; i < hi; i++ {
+		if i&mask == mask {
+			s.set(i, in.chunk(j, n).Clone())
+			j++
+		}
+	}
+}
+
+// bufs repacks the blocks for a caller.
+func (s slots) bufs() []Buf {
+	out := make([]Buf, len(s.bytes))
+	for i := range out {
+		out[i] = s.get(i)
 	}
 	return out
 }

@@ -19,6 +19,10 @@ const allgatherRDThreshold = 128 * 1024
 // Allgather distributes every rank's buffer to all ranks; recv[i] is the
 // contribution of comm rank i.
 func (c *Comm) Allgather(r *Rank, mine Buf) []Buf {
+	return c.allgather(r, mine).bufs()
+}
+
+func (c *Comm) allgather(r *Rank, mine Buf) slots {
 	mine.check()
 	p := len(c.group)
 	seq := c.nextSeq()
@@ -31,7 +35,7 @@ func (c *Comm) Allgather(r *Rank, mine Buf) []Buf {
 			alg = "ring"
 		}
 	}
-	var recv []Buf
+	var recv slots
 	switch alg {
 	case "ring":
 		recv = c.allgatherRing(r, seq, mine)
@@ -49,11 +53,11 @@ func (c *Comm) Allgather(r *Rank, mine Buf) []Buf {
 // allgatherRing passes blocks around the ring for p-1 rounds: in round t
 // the caller sends block (rank-t)%p to rank+1 and receives block
 // (rank-t-1)%p from rank-1.
-func (c *Comm) allgatherRing(r *Rank, seq int64, mine Buf) []Buf {
+func (c *Comm) allgatherRing(r *Rank, seq int64, mine Buf) slots {
 	p := len(c.group)
 	me := c.rank
-	recv := make([]Buf, p)
-	recv[me] = mine.Clone()
+	recv := newSlots(p)
+	recv.set(me, mine.Clone())
 	next := (me + 1) % p
 	prev := (me - 1 + p) % p
 	for t := 0; t < p-1; t++ {
@@ -61,66 +65,50 @@ func (c *Comm) allgatherRing(r *Rank, seq int64, mine Buf) []Buf {
 		recvIdx := (me - t - 1 + p*p) % p
 		tg := c.tag(seq, int64(t))
 		rr := c.irecvTag(prev, tg)
-		sr := c.isendTag(next, tg, recv[sendIdx])
-		recv[recvIdx] = rr.Wait(r)
+		sr := c.isendTag(next, tg, recv.get(sendIdx))
+		recv.set(recvIdx, rr.Wait(r))
 		sr.Wait(r)
 	}
 	return recv
 }
 
 // allgatherRecDoubling exchanges doubling block sets with rank^2^j; p must
-// be a power of two.
-func (c *Comm) allgatherRecDoubling(r *Rank, seq int64, mine Buf) []Buf {
+// be a power of two. Before round k the caller holds the k blocks of its
+// aligned group [lo, lo+k) and the peer those of the sibling group.
+func (c *Comm) allgatherRecDoubling(r *Rank, seq int64, mine Buf) slots {
 	p := len(c.group)
 	if p&(p-1) != 0 {
 		panic("mpi: recursive-doubling allgather requires a power-of-two communicator")
 	}
 	me := c.rank
-	recv := make([]Buf, p)
-	recv[me] = mine.Clone()
-	owned := []int{me}
+	recv := newSlots(p)
+	recv.set(me, mine.Clone())
 	round := int64(0)
 	for k := 1; k < p; k <<= 1 {
 		peer := me ^ k
+		lo := me &^ (k - 1)
 		// Send every block currently held, ascending block index.
-		parts := make([]Buf, len(owned))
-		sortInts(owned)
-		for j, i := range owned {
-			parts[j] = recv[i]
-		}
+		out, _ := recv.concat(lo, lo+k, 0)
 		tg := c.tag(seq, round)
 		rr := c.irecvTag(peer, tg)
-		sr := c.isendTag(peer, tg, Concat(parts...))
+		sr := c.isendTag(peer, tg, out)
 		in := rr.Wait(r)
 		sr.Wait(r)
-		// The peer held exactly our indices XOR k.
-		peerIdx := make([]int, len(owned))
-		for j, i := range owned {
-			peerIdx[j] = i ^ k
-		}
-		sortInts(peerIdx)
-		inParts := in.SplitEven(len(peerIdx))
-		for j, i := range peerIdx {
-			recv[i] = inParts[j].Clone()
-		}
-		owned = append(owned, peerIdx...)
+		recv.spread(in, lo^k, (lo^k)+k, 0, k)
 		round++
 	}
 	return recv
 }
 
 // allgatherLinear has every rank send its block directly to every other.
-func (c *Comm) allgatherLinear(r *Rank, seq int64, mine Buf) []Buf {
+func (c *Comm) allgatherLinear(r *Rank, seq int64, mine Buf) slots {
 	p := len(c.group)
 	me := c.rank
-	recv := make([]Buf, p)
-	recv[me] = mine.Clone()
+	recv := newSlots(p)
+	recv.set(me, mine.Clone())
 	rreqs := make([]*Request, 0, p-1)
-	srcs := make([]int, 0, p-1)
 	for k := 1; k < p; k++ {
-		src := (me - k + p) % p
-		rreqs = append(rreqs, c.irecvTag(src, c.tag(seq, 0)))
-		srcs = append(srcs, src)
+		rreqs = append(rreqs, c.irecvTag((me-k+p)%p, c.tag(seq, 0)))
 	}
 	sreqs := make([]*Request, 0, p-1)
 	for k := 1; k < p; k++ {
@@ -128,17 +116,8 @@ func (c *Comm) allgatherLinear(r *Rank, seq int64, mine Buf) []Buf {
 		sreqs = append(sreqs, c.isendTag(dst, c.tag(seq, 0), mine))
 	}
 	for i, rq := range rreqs {
-		recv[srcs[i]] = rq.Wait(r)
+		recv.set((me-1-i+p)%p, rq.Wait(r))
 	}
 	WaitAll(r, sreqs...)
 	return recv
-}
-
-// sortInts is a tiny insertion sort (block index lists are short).
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

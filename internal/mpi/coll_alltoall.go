@@ -17,31 +17,33 @@ const alltoallBruckThreshold = 2048
 // Every rank must pass a slice of length Size(). Uneven block sizes are
 // allowed (this is MPI_Alltoallv); evenly sized small blocks use Bruck.
 func (c *Comm) Alltoall(r *Rank, send []Buf) []Buf {
-	p := len(c.group)
-	if len(send) != p {
-		panic(fmt.Sprintf("mpi: Alltoall with %d buffers on a size-%d communicator", len(send), p))
+	if len(send) != len(c.group) {
+		panic(fmt.Sprintf("mpi: Alltoall with %d buffers on a size-%d communicator", len(send), len(c.group)))
 	}
+	return c.alltoall(r, slotsOf(send)).bufs()
+}
+
+func (c *Comm) alltoall(r *Rank, send slots) slots {
+	p := len(c.group)
 	var total int64
 	even := true
-	for i, b := range send {
-		b.check()
-		total += b.Bytes
-		if b.Bytes != send[0].Bytes {
+	for _, n := range send.bytes {
+		total += n
+		if n != send.bytes[0] {
 			even = false
 		}
-		_ = i
 	}
 	seq := c.nextSeq()
 	start := r.Now()
 	alg := c.w.cfg.ForceAlltoall
 	if alg == "" {
-		if even && p > 2 && send[0].Bytes <= alltoallBruckThreshold {
+		if even && p > 2 && send.bytes[0] <= alltoallBruckThreshold {
 			alg = "bruck"
 		} else {
 			alg = "pairwise"
 		}
 	}
-	var recv []Buf
+	var recv slots
 	switch alg {
 	case "pairwise":
 		recv = c.alltoallPairwise(r, seq, send)
@@ -62,11 +64,11 @@ func (c *Comm) Alltoall(r *Rank, send []Buf) []Buf {
 // alltoallPairwise runs p-1 rounds; in round k the caller exchanges with
 // ranks at distance k (XOR pattern when p is a power of two, shift pattern
 // otherwise), one blocking sendrecv per round.
-func (c *Comm) alltoallPairwise(r *Rank, seq int64, send []Buf) []Buf {
+func (c *Comm) alltoallPairwise(r *Rank, seq int64, send slots) slots {
 	p := len(c.group)
 	me := c.rank
-	recv := make([]Buf, p)
-	recv[me] = send[me].Clone()
+	recv := newSlots(p)
+	recv.set(me, send.get(me).Clone())
 	pow2 := p&(p-1) == 0
 	for k := 1; k < p; k++ {
 		var dst, src int
@@ -79,8 +81,8 @@ func (c *Comm) alltoallPairwise(r *Rank, seq int64, send []Buf) []Buf {
 		}
 		t := c.tag(seq, int64(k))
 		rr := c.irecvTag(src, t)
-		sr := c.isendTag(dst, t, send[dst])
-		recv[src] = rr.Wait(r)
+		sr := c.isendTag(dst, t, send.get(dst))
+		recv.set(src, rr.Wait(r))
 		sr.Wait(r)
 	}
 	return recv
@@ -88,25 +90,22 @@ func (c *Comm) alltoallPairwise(r *Rank, seq int64, send []Buf) []Buf {
 
 // alltoallLinear posts every receive and send at once and waits for all —
 // maximum overlap, maximum instantaneous contention.
-func (c *Comm) alltoallLinear(r *Rank, seq int64, send []Buf) []Buf {
+func (c *Comm) alltoallLinear(r *Rank, seq int64, send slots) slots {
 	p := len(c.group)
 	me := c.rank
-	recv := make([]Buf, p)
-	recv[me] = send[me].Clone()
+	recv := newSlots(p)
+	recv.set(me, send.get(me).Clone())
 	rreqs := make([]*Request, 0, p-1)
 	sreqs := make([]*Request, 0, p-1)
-	srcs := make([]int, 0, p-1)
 	for k := 1; k < p; k++ {
-		src := (me - k + p) % p
-		rreqs = append(rreqs, c.irecvTag(src, c.tag(seq, 0)))
-		srcs = append(srcs, src)
+		rreqs = append(rreqs, c.irecvTag((me-k+p)%p, c.tag(seq, 0)))
 	}
 	for k := 1; k < p; k++ {
 		dst := (me + k) % p
-		sreqs = append(sreqs, c.isendTag(dst, c.tag(seq, 0), send[dst]))
+		sreqs = append(sreqs, c.isendTag(dst, c.tag(seq, 0), send.get(dst)))
 	}
 	for i, rq := range rreqs {
-		recv[srcs[i]] = rq.Wait(r)
+		recv.set((me-1-i+p)%p, rq.Wait(r))
 	}
 	WaitAll(r, sreqs...)
 	return recv
@@ -115,44 +114,33 @@ func (c *Comm) alltoallLinear(r *Rank, seq int64, send []Buf) []Buf {
 // alltoallBruck implements Bruck's log-round algorithm for equal blocks.
 // Invariant: after the rounds, local block i holds the data sent by rank
 // (me-i+p)%p to the caller.
-func (c *Comm) alltoallBruck(r *Rank, seq int64, send []Buf) []Buf {
+func (c *Comm) alltoallBruck(r *Rank, seq int64, send slots) slots {
 	p := len(c.group)
 	me := c.rank
 	// Step 1: local rotation. tmp[i] = block destined to (me+i)%p.
-	tmp := make([]Buf, p)
+	tmp := newSlots(p)
 	for i := 0; i < p; i++ {
-		tmp[i] = send[(me+i)%p].Clone()
+		tmp.set(i, send.get((me+i)%p).Clone())
 	}
-	// Step 2: log2(p) rounds.
+	// Step 2: log2(p) rounds; round k ships the blocks whose index has bit
+	// k set and replaces them with the even split of what arrives.
 	round := int64(0)
 	for k := 1; k < p; k <<= 1 {
 		dst := (me + k) % p
 		src := (me - k + p) % p
-		idx := make([]int, 0, p/2+1)
-		for i := 0; i < p; i++ {
-			if i&k != 0 {
-				idx = append(idx, i)
-			}
-		}
-		parts := make([]Buf, len(idx))
-		for j, i := range idx {
-			parts[j] = tmp[i]
-		}
+		out, n := tmp.concat(k, p, k)
 		t := c.tag(seq, round)
 		rr := c.irecvTag(src, t)
-		sr := c.isendTag(dst, t, Concat(parts...))
+		sr := c.isendTag(dst, t, out)
 		in := rr.Wait(r)
 		sr.Wait(r)
-		inParts := in.SplitEven(len(idx))
-		for j, i := range idx {
-			tmp[i] = inParts[j].Clone()
-		}
+		tmp.spread(in, k, p, k, n)
 		round++
 	}
 	// Step 3: inverse rotation — tmp[i] came from rank (me-i+p)%p.
-	recv := make([]Buf, p)
+	recv := newSlots(p)
 	for i := 0; i < p; i++ {
-		recv[(me-i+p)%p] = tmp[i]
+		recv.set((me-i+p)%p, tmp.get(i))
 	}
 	return recv
 }

@@ -41,16 +41,19 @@ func (c *Comm) Scan(r *Rank, mine Buf, op ReduceOp) Buf {
 // AlltoallBytes runs a synthetic MPI_Alltoall where each rank sends
 // blockBytes to every other rank.
 func (c *Comm) AlltoallBytes(r *Rank, blockBytes int64) {
-	send := make([]Buf, len(c.group))
-	for i := range send {
-		send[i] = BytesBuf(blockBytes)
+	if blockBytes < 0 {
+		panic("mpi: negative buffer size")
 	}
-	c.Alltoall(r, send)
+	send := newSlots(len(c.group))
+	for i := range send.bytes {
+		send.bytes[i] = blockBytes
+	}
+	c.alltoall(r, send)
 }
 
 // AllgatherBytes runs a synthetic MPI_Allgather contributing bytes per rank.
 func (c *Comm) AllgatherBytes(r *Rank, bytes int64) {
-	c.Allgather(r, BytesBuf(bytes))
+	c.allgather(r, BytesBuf(bytes))
 }
 
 // AllreduceBytes runs a synthetic MPI_Allreduce over a bytes-sized buffer.

@@ -75,7 +75,7 @@ func (c *Comm) Allgatherv(r *Rank, mine Buf) []Buf {
 	start := r.Now()
 	recv := c.allgatherRing(r, seq, mine)
 	c.trace(r, "Allgatherv", mine.Bytes, start)
-	return recv
+	return recv.bufs()
 }
 
 // Exscan returns the exclusive prefix reduction: rank r receives

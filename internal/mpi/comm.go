@@ -123,8 +123,10 @@ func (c *Comm) irecvTag(src int, t int64) *Request {
 	return c.w.irecv(c.group[c.rank], c.group[src], t)
 }
 
-// splitKey identifies one collective Split call site.
-type splitKey struct {
+// callSite identifies one call of a collective that matches its members
+// up in a table (Split, Shrink): every member executes the same collective
+// sequence, so (comm, seq) names the call.
+type callSite struct {
 	commID int
 	seq    int64
 }
@@ -158,8 +160,7 @@ func (c *Comm) Split(r *Rank, color, key int) *Comm {
 	w := c.w
 	me := c.group[c.rank]
 
-	w.mu.Lock()
-	sk := splitKey{commID: c.id, seq: seq}
+	sk := callSite{commID: c.id, seq: seq}
 	st := w.splits[sk]
 	if st == nil {
 		st = &splitState{done: w.engine.NewCondition()}
@@ -211,10 +212,8 @@ func (c *Comm) Split(r *Rank, color, key int) *Comm {
 			}
 		}
 		delete(w.splits, sk)
-		w.mu.Unlock()
 		st.done.Fire()
 	} else {
-		w.mu.Unlock()
 		st.done.AwaitOp(r.proc, "Split", -1, 0)
 		if err := st.done.Err(); err != nil {
 			// A member crashed while the split was collecting entries.

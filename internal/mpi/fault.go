@@ -20,11 +20,9 @@
 //     revoked communicator to obtain a fresh communicator of the living
 //     members and continue.
 //
-// Lock order note: event callbacks run with the engine lock held and take
-// w.mu here, while process-context code takes w.mu first and then the
-// engine lock. This cannot deadlock because the engine fires callbacks
-// only when no process goroutine is executing (running == 0), so no
-// process can be inside a w.mu critical section at callback time.
+// Everything here — the fault actions, which run as event callbacks, and
+// the recovery calls ranks make — runs on whichever goroutine holds the
+// engine's baton, one at a time, so the world's state needs no lock.
 
 package mpi
 
@@ -58,36 +56,27 @@ func (w *World) ApplyFaults(plan *fault.Plan) error {
 		ev := ev
 		switch ev.Kind {
 		case fault.KindRank:
-			w.engine.At(ev.At, func() { w.killRankLocked(ev.Target) })
+			w.engine.At(ev.At, func() { w.killRank(ev.Target) })
 		case fault.KindNode:
-			w.engine.At(ev.At, func() { w.killNodeLocked(ev.Target) })
+			w.engine.At(ev.At, func() { w.killNode(ev.Target) })
 		case fault.KindStraggle:
 			if ev.At == 0 {
 				// Processes are released at t=0 before any event fires, so
 				// a t=0 straggler must be slow from its very first step.
-				w.mu.Lock()
 				w.straggle[ev.Target] = ev.Factor
-				w.mu.Unlock()
 				continue
 			}
-			w.engine.At(ev.At, func() { w.straggleRankLocked(ev.Target, ev.Factor) })
+			w.engine.At(ev.At, func() { w.straggleRank(ev.Target, ev.Factor) })
 		case fault.KindLink:
-			w.engine.At(ev.At, func() { w.degradeLevelLocked(ev.Level, ev.Factor) })
+			w.engine.At(ev.At, func() { w.degradeLevel(ev.Level, ev.Factor) })
 		}
 	}
 	return nil
 }
 
-// straggleOf returns the rank's current slowdown factor (>= 1).
-func (w *World) straggleOf(rank int) float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.straggle[rank]
-}
-
-// stretchLocked returns the latency stretch for a message between two
-// ranks: the slower endpoint's straggle factor. Callers hold w.mu.
-func (w *World) stretchLocked(src, dst int) float64 {
+// stretch returns the latency stretch for a message between two ranks: the
+// slower endpoint's straggle factor.
+func (w *World) stretch(src, dst int) float64 {
 	if !w.faulty {
 		return 1
 	}
@@ -99,20 +88,10 @@ func (w *World) stretchLocked(src, dst int) float64 {
 }
 
 // Lost reports whether a world rank has crashed.
-func (w *World) Lost(rank int) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.lost[rank]
-}
+func (w *World) Lost(rank int) bool { return w.lost[rank] }
 
 // LostRanks returns the crashed world ranks, ascending.
 func (w *World) LostRanks() []int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.sortedLostLocked()
-}
-
-func (w *World) sortedLostLocked() []int {
 	out := append([]int(nil), w.lostList...)
 	sort.Ints(out)
 	return out
@@ -120,8 +99,6 @@ func (w *World) sortedLostLocked() []int {
 
 // AliveRanks returns the surviving world ranks, ascending.
 func (w *World) AliveRanks() []int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	out := make([]int, 0, len(w.lost))
 	for r, dead := range w.lost {
 		if !dead {
@@ -134,8 +111,6 @@ func (w *World) AliveRanks() []int {
 // FailedCores returns the cores of crashed ranks, ascending — the input
 // for topology.Hierarchy.Degrade.
 func (w *World) FailedCores() []int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	out := make([]int, 0, len(w.lostList))
 	for _, r := range w.lostList {
 		out = append(out, w.binding[r])
@@ -147,50 +122,43 @@ func (w *World) FailedCores() []int {
 // Epoch returns the world's failure epoch: 0 on a perfect machine, bumped
 // on every crash. Communicators remember the epoch they were created in
 // and are revoked when it changes.
-func (w *World) Epoch() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.epoch
-}
+func (w *World) Epoch() int { return w.epoch }
 
-// rankLostErrLocked builds the typed error for an operation failed by the
-// loss of the given rank. Callers hold w.mu.
-func (w *World) rankLostErrLocked(op string, rank int, at float64) error {
+// rankLostErr builds the typed error for an operation failed by the
+// loss of the given rank.
+func (w *World) rankLostErr(op string, rank int, at float64) error {
 	return &fault.RankLostError{
 		Rank:  rank,
 		Node:  w.nodeOf(w.binding[rank]),
 		At:    at,
 		Op:    op,
-		Ranks: w.sortedLostLocked(),
+		Ranks: w.LostRanks(),
 	}
 }
 
-// revokedErrLocked builds the typed error for an operation on a revoked
-// communicator; it names the most recent crash. Callers hold w.mu.
-func (w *World) revokedErrLocked(op string) error {
+// revokedErr builds the typed error for an operation on a revoked
+// communicator; it names the most recent crash.
+func (w *World) revokedErr(op string) error {
 	e := w.lastLoss // copy
 	e.Op = op
-	e.Ranks = w.sortedLostLocked()
+	e.Ranks = w.LostRanks()
 	return fmt.Errorf("mpi: communicator revoked: %w", &e)
 }
 
-// killNodeLocked crashes every rank bound to a core of the node. Runs in
-// event-callback context (engine lock held).
-func (w *World) killNodeLocked(node int) {
+// killNode crashes every rank bound to a core of the node. Runs in
+// event-callback context.
+func (w *World) killNode(node int) {
 	for r, core := range w.binding {
 		if w.nodeOf(core) == node {
-			w.killRankLocked(r)
+			w.killRank(r)
 		}
 	}
 }
 
-// killRankLocked crashes one world rank. Runs in event-callback context
-// (engine lock held).
-func (w *World) killRankLocked(rank int) {
-	now := w.engine.NowLocked()
-	w.mu.Lock()
+// killRank crashes one world rank. Runs in event-callback context.
+func (w *World) killRank(rank int) {
+	now := w.engine.Now()
 	if w.lost[rank] {
-		w.mu.Unlock()
 		return
 	}
 	w.lost[rank] = true
@@ -200,7 +168,7 @@ func (w *World) killRankLocked(rank int) {
 
 	// Kill the process first: if it was parked, it wakes exactly once (to
 	// die), and the condition failures below cannot double-wake it.
-	w.procs[rank].KillLocked()
+	w.procs[rank].Kill()
 
 	// Poison every unmatched point-to-point operation, world-wide. All of
 	// them belong to communicators created before this crash — which are
@@ -211,35 +179,44 @@ func (w *World) killRankLocked(rank int) {
 	// aborted out of the same collective) wakes with the typed error
 	// instead of hanging. Matched transfers already in flight complete —
 	// the bytes were on the wire. Conditions collect first and fail after
-	// the queues are consistent.
+	// the queues are consistent, in a fixed order (destination, source,
+	// tag; then call site) so that survivors wake in the same order on
+	// every replay.
 	var failed []*sim.Condition
-	for dst := range w.mail {
-		for key, q := range w.mail[dst] {
-			for _, rv := range q.recvs {
-				failed = append(failed, rv.fin)
+	for dst, box := range w.mail {
+		keys := make([]matchKey, 0, len(box))
+		for k := range box {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool {
+			if keys[i].src != keys[j].src {
+				return keys[i].src < keys[j].src
 			}
-			for _, snd := range q.sends {
-				if !snd.started {
-					failed = append(failed, snd.senderFin)
+			return keys[i].tag < keys[j].tag
+		})
+		for _, k := range keys {
+			for req := box[k].head; req != nil; req = req.next {
+				if req.recv || !req.started {
+					failed = append(failed, &req.cond)
 				}
 			}
-			delete(w.mail[dst], key)
 		}
+		clear(w.mail[dst])
 	}
 	// Pending splits can never complete: a member is gone and the
 	// communicator is revoked either way.
-	for sk, st := range w.splits {
-		failed = append(failed, st.done)
-		delete(w.splits, sk)
+	for _, sk := range sortedCallSites(w.splits) {
+		failed = append(failed, w.splits[sk].done)
 	}
-	err := w.rankLostErrLocked("", rank, now)
-	w.engine.SetDeadlockNoteLocked(fault.LostRanks(w.sortedLostLocked()))
+	clear(w.splits)
+	err := w.rankLostErr("", rank, now)
+	w.engine.SetDeadlockNote(fault.LostRanks(w.LostRanks()))
 
 	// A pending shrink may become complete now that this rank no longer
 	// counts as a required participant.
 	var shrinksDone []*sim.Condition
-	for _, st := range w.shrinks {
-		if w.tryFinishShrinkLocked(st) {
+	for _, sk := range sortedCallSites(w.shrinks) {
+		if st := w.shrinks[sk]; w.tryFinishShrink(st) {
 			shrinksDone = append(shrinksDone, st.done)
 		}
 	}
@@ -252,37 +229,34 @@ func (w *World) killRankLocked(rank int) {
 		sc.Registry().Counter("mpi_faults_total", obs.L("kind", "crash")).AddInt(1)
 		sc.Registry().Gauge("mpi_ranks_lost").Add(1)
 	}
-	w.mu.Unlock()
 
 	for _, c := range failed {
-		c.FailLocked(err)
+		c.Fail(err)
 	}
 	for _, c := range shrinksDone {
-		c.FireLocked()
+		c.Fire()
 	}
 }
 
-// straggleRankLocked applies a slowdown factor to one rank. Runs in
-// event-callback context (engine lock held).
-func (w *World) straggleRankLocked(rank int, factor float64) {
-	w.mu.Lock()
+// straggleRank applies a slowdown factor to one rank. Runs in
+// event-callback context.
+func (w *World) straggleRank(rank int, factor float64) {
 	w.straggle[rank] = factor
-	w.mu.Unlock()
 	if sc := w.cfg.Obs; sc != nil {
 		core := w.binding[rank]
-		sc.Instant(w.nodeOf(core), rank, "fault:straggle", "fault", w.engine.NowLocked(),
+		sc.Instant(w.nodeOf(core), rank, "fault:straggle", "fault", w.engine.Now(),
 			obs.Arg{Key: "rank", Val: int64(rank)},
 			obs.Arg{Key: "factor_x1000", Val: int64(factor * 1000)})
 		sc.Registry().Counter("mpi_faults_total", obs.L("kind", "straggle")).AddInt(1)
 	}
 }
 
-// degradeLevelLocked degrades every link at one hierarchy level. Runs in
-// event-callback context (engine lock held).
-func (w *World) degradeLevelLocked(level int, factor float64) {
+// degradeLevel degrades every link at one hierarchy level. Runs in
+// event-callback context.
+func (w *World) degradeLevel(level int, factor float64) {
 	w.platform.DegradeLevel(level, factor)
 	if sc := w.cfg.Obs; sc != nil {
-		sc.Instant(0, 0, "fault:link", "fault", w.engine.NowLocked(),
+		sc.Instant(0, 0, "fault:link", "fault", w.engine.Now(),
 			obs.Arg{Key: "level", Val: int64(level)},
 			obs.Arg{Key: "factor_x1000", Val: int64(factor * 1000)})
 		sc.Registry().Counter("mpi_faults_total", obs.L("kind", "link")).AddInt(1)
@@ -298,30 +272,37 @@ func (c *Comm) guard(op string, peerWorld int) {
 	if !w.faulty {
 		return
 	}
-	w.mu.Lock()
 	var err error
 	switch {
 	case c.epoch != w.epoch:
-		err = w.revokedErrLocked(op)
+		err = w.revokedErr(op)
 	case peerWorld >= 0 && w.lost[peerWorld]:
-		err = fmt.Errorf("mpi: %w", w.rankLostErrLocked(op, peerWorld, w.lastLoss.At))
+		err = fmt.Errorf("mpi: %w", w.rankLostErr(op, peerWorld, w.lastLoss.At))
 	}
-	w.mu.Unlock()
 	if err != nil {
 		panic(sim.Abort{Err: err})
 	}
 }
 
-// shrinkKey identifies one collective Shrink call site: survivors execute
-// the same collective sequence, so (comm, seq) matches their calls up.
-type shrinkKey struct {
-	commID int
-	seq    int64
+// sortedCallSites returns the keys of a pending-collective table in
+// (communicator, sequence) order.
+func sortedCallSites[V any](m map[callSite]V) []callSite {
+	keys := make([]callSite, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].commID != keys[j].commID {
+			return keys[i].commID < keys[j].commID
+		}
+		return keys[i].seq < keys[j].seq
+	})
+	return keys
 }
 
 type shrinkState struct {
 	comm    *Comm // any member's handle; group/id shared
-	key     shrinkKey
+	key     callSite
 	arrived map[int]bool // world ranks that entered Shrink
 	done    *sim.Condition
 	result  map[int]*commSpec
@@ -339,13 +320,11 @@ func (c *Comm) Shrink(r *Rank) *Comm {
 	w := c.w
 	me := c.group[c.rank]
 
-	w.mu.Lock()
 	if w.lost[me] {
 		// Cannot happen: a dead rank's goroutine never runs.
-		w.mu.Unlock()
 		panic("mpi: dead rank called Shrink")
 	}
-	sk := shrinkKey{commID: c.id, seq: seq}
+	sk := callSite{commID: c.id, seq: seq}
 	st := w.shrinks[sk]
 	if st == nil {
 		st = &shrinkState{
@@ -357,8 +336,7 @@ func (c *Comm) Shrink(r *Rank) *Comm {
 		w.shrinks[sk] = st
 	}
 	st.arrived[me] = true
-	finished := w.tryFinishShrinkLocked(st)
-	w.mu.Unlock()
+	finished := w.tryFinishShrink(st)
 
 	if finished {
 		st.done.Fire()
@@ -374,11 +352,11 @@ func (c *Comm) Shrink(r *Rank) *Comm {
 	return &Comm{w: w, id: spec.id, group: spec.group, rank: spec.rank, epoch: spec.epoch}
 }
 
-// tryFinishShrinkLocked completes the shrink if every surviving member of
+// tryFinishShrink completes the shrink if every surviving member of
 // the communicator has arrived, computing the new communicator layout.
 // Returns true when it completed in this call; the caller then fires
-// st.done (after releasing w.mu). Callers hold w.mu.
-func (w *World) tryFinishShrinkLocked(st *shrinkState) bool {
+// st.done.
+func (w *World) tryFinishShrink(st *shrinkState) bool {
 	if st.result != nil {
 		return false
 	}

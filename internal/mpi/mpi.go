@@ -15,7 +15,6 @@ package mpi
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/netmodel"
@@ -29,8 +28,9 @@ import (
 const defaultEagerThreshold = 16 * 1024
 
 // Tracer observes completed operations for profiling (the mpisee-style
-// per-communicator accounting of §4.2). Implementations must be safe for
-// concurrent use — ranks call it from their own goroutines.
+// per-communicator accounting of §4.2). Ranks call it from their own
+// goroutines, but one at a time (the simulation engine runs exactly one
+// rank at any moment), so implementations need no locking.
 type Tracer interface {
 	// Collective records one collective call: the communicator id and size,
 	// the operation name, the per-rank payload bytes, the world rank, and
@@ -40,8 +40,8 @@ type Tracer interface {
 
 // P2PTracer observes every point-to-point message (including the ones
 // collective algorithms issue), e.g. to build a communication matrix at
-// runtime (§2 of the paper). Implementations must be safe for concurrent
-// use.
+// runtime (§2 of the paper). Like Tracer, it is called by one rank at a
+// time.
 type P2PTracer interface {
 	P2P(srcWorldRank, dstWorldRank int, bytes int64)
 }
@@ -76,10 +76,11 @@ type World struct {
 	binding  []int
 	cfg      Config
 
-	mu      sync.Mutex
-	mail    []map[matchKey]*matchQueue // per destination rank
+	// All state below is touched only by the rank or event callback that
+	// holds the engine's baton, so none of it is locked.
+	mail    []map[matchKey]matchQueue // per destination rank
 	commSeq int
-	splits  map[splitKey]*splitState
+	splits  map[callSite]*splitState
 
 	// Fault-injection state (see fault.go). faulty is set once by
 	// ApplyFaults before the engine runs, so the hot paths skip every
@@ -91,7 +92,7 @@ type World struct {
 	lastLoss fault.RankLostError
 	epoch    int // bumped on every crash; revokes pre-crash communicators
 	straggle []float64
-	shrinks  map[shrinkKey]*shrinkState
+	shrinks  map[callSite]*shrinkState
 
 	// Observability state, pre-resolved at NewWorld so the hot paths pay
 	// one nil check when disabled and no registry lookups when enabled.
@@ -109,25 +110,12 @@ type matchKey struct {
 	tag int64
 }
 
-// matchQueue holds unmatched sends and unmatched recvs for one (src, tag)
-// channel at one destination; at most one of the two lists is non-empty.
+// matchQueue is the FIFO of unmatched operations for one (src, tag) channel
+// at one destination: all sends or all receives, never both, linked through
+// Request.next. A channel has an entry in the mailbox only while its queue
+// is non-empty.
 type matchQueue struct {
-	sends []*sendRec
-	recvs []*recvRec
-}
-
-type sendRec struct {
-	buf       Buf
-	srcCore   int
-	dstCore   int
-	started   bool           // transfer already launched (eager)
-	transfer  *sim.Condition // completion of the data movement (set when started)
-	senderFin *sim.Condition // fired when the sender may complete
-}
-
-type recvRec struct {
-	fin *sim.Condition // fired when data has arrived
-	buf *Buf           // destination for the received payload
+	head, tail *Request
 }
 
 // Rank is the per-process handle passed to the rank body.
@@ -159,11 +147,11 @@ func NewWorld(engine *sim.Engine, platform *netmodel.Platform, binding []int, cf
 		platform: platform,
 		binding:  append([]int(nil), binding...),
 		cfg:      cfg,
-		mail:     make([]map[matchKey]*matchQueue, n),
-		splits:   make(map[splitKey]*splitState),
+		mail:     make([]map[matchKey]matchQueue, n),
+		splits:   make(map[callSite]*splitState),
 	}
 	for i := range w.mail {
-		w.mail[i] = make(map[matchKey]*matchQueue)
+		w.mail[i] = make(map[matchKey]matchQueue)
 	}
 	w.commSeq = 1 // id 0 is the world communicator
 	w.procs = make([]*sim.Process, n)
@@ -172,7 +160,7 @@ func NewWorld(engine *sim.Engine, platform *netmodel.Platform, binding []int, cf
 	for i := range w.straggle {
 		w.straggle[i] = 1
 	}
-	w.shrinks = make(map[shrinkKey]*shrinkState)
+	w.shrinks = make(map[callSite]*shrinkState)
 	hier := platform.Hierarchy()
 	w.coresPerNode = platform.NumCores() / hier.Level(0).Arity
 	if sc := cfg.Obs; sc != nil {
@@ -263,7 +251,7 @@ func (r *Rank) Core() int { return r.w.binding[r.id] }
 // A straggling rank's local work is stretched by its slowdown factor.
 func (r *Rank) Wait(d float64) {
 	if r.w.faulty {
-		d *= r.w.straggleOf(r.id)
+		d *= r.w.straggle[r.id]
 	}
 	r.proc.Wait(d)
 }
@@ -273,23 +261,33 @@ func (r *Rank) Wait(d float64) {
 // A straggling rank's kernel does the same work at 1/factor speed.
 func (r *Rank) Compute(flops, bytes float64) {
 	if r.w.faulty {
-		f := r.w.straggleOf(r.id)
+		f := r.w.straggle[r.id]
 		flops *= f
 		bytes *= f
 	}
 	r.w.platform.Compute(r.proc, r.w.binding[r.id], flops, bytes)
 }
 
-// Request is a pending non-blocking operation. The op/peer/tag fields
-// describe it for deadlock diagnostics (static strings and ints only, so
-// labelling costs no allocation on the hot path).
+// Request is one side of a message — a posted send or a posted receive —
+// and everything that side needs until it completes: its place in the
+// mailbox while unmatched, the payload, and the completion condition. The
+// peer and tag describe it for deadlock diagnostics.
 type Request struct {
+	// fin is what Wait awaits: nil when the operation completed at once
+	// (eager send), &cond for an operation completed by its own transfer or
+	// by a failure, or the matched peer's cond when one transfer completes
+	// both sides.
 	fin  *sim.Condition
-	buf  *Buf // receive destination (nil for sends)
-	op   string
-	peer int // world rank of the remote side
-	tag  int64
-	chk  bool // fault injection active: Wait must check for a failed condition
+	cond sim.Condition
+	next *Request // mailbox queue link while unmatched
+	// buf is the payload: a queued send's private copy, or what a receive
+	// returns (set when it is matched, read after fin fires).
+	buf     Buf
+	peer    int // world rank of the remote side
+	tag     int64
+	recv    bool // a receive, not a send
+	started bool // queued send: transfer already launched (eager)
+	chk     bool // fault injection active: Wait must check for a failed condition
 }
 
 // Wait blocks the rank until the operation completes; for receives it
@@ -297,17 +295,27 @@ type Request struct {
 // crashed, Wait aborts the rank with an error wrapping fault.ErrRankLost
 // (recoverable on survivors via fault.Catch).
 func (req *Request) Wait(r *Rank) Buf {
-	req.fin.AwaitOp(r.proc, req.op, req.peer, req.tag)
-	if req.chk {
-		if err := req.fin.Err(); err != nil {
-			panic(sim.Abort{Err: err})
+	if req.fin != nil {
+		op := "Send"
+		if req.recv {
+			op = "Recv"
+		}
+		req.fin.AwaitOp(r.proc, op, req.peer, req.tag)
+		if req.chk {
+			if err := req.fin.Err(); err != nil {
+				panic(sim.Abort{Err: err})
+			}
 		}
 	}
-	if req.buf != nil {
-		return *req.buf
+	if req.recv {
+		return req.buf
 	}
 	return Buf{}
 }
+
+// completedSend is the request of every send that was over when isend
+// returned and left nothing behind; nothing ever writes to it.
+var completedSend = &Request{}
 
 // WaitAll completes all requests.
 func WaitAll(r *Rank, reqs ...*Request) {
@@ -316,16 +324,36 @@ func WaitAll(r *Rank, reqs ...*Request) {
 	}
 }
 
-// queueFor returns (creating if needed) the match queue at destination dst
-// for messages from src with the tag. Callers hold w.mu.
-func (w *World) queueFor(dst, src int, tag int64) *matchQueue {
-	k := matchKey{src: src, tag: tag}
-	q := w.mail[dst][k]
-	if q == nil {
-		q = &matchQueue{}
-		w.mail[dst][k] = q
+// takeQueued removes and returns the oldest unmatched operation of the
+// wanted kind on the (src, tag) channel at dst, or nil when there is none.
+// The channel's mailbox entry goes with its last operation.
+func (w *World) takeQueued(dst int, k matchKey, recv bool) *Request {
+	box := w.mail[dst]
+	q, ok := box[k]
+	if !ok || q.head.recv != recv {
+		return nil
 	}
-	return q
+	req := q.head
+	if q.head = req.next; q.head == nil {
+		delete(box, k)
+	} else {
+		box[k] = q
+	}
+	req.next = nil
+	return req
+}
+
+// enqueue appends an unmatched operation to its channel's queue.
+func (w *World) enqueue(dst int, k matchKey, req *Request) {
+	box := w.mail[dst]
+	q := box[k]
+	if q.head == nil {
+		q.head = req
+	} else {
+		q.tail.next = req
+	}
+	q.tail = req
+	box[k] = q
 }
 
 // isend posts a message from world rank src to world rank dst.
@@ -345,80 +373,51 @@ func (w *World) isend(src, dst int, tag int64, buf Buf) *Request {
 		}
 	}
 	eager := buf.Bytes <= w.cfg.EagerThreshold
-
-	w.mu.Lock()
-	stretch := w.stretchLocked(src, dst)
-	q := w.queueFor(dst, src, tag)
-	if len(q.recvs) > 0 {
-		// A receive is already posted: start the transfer now. Rendezvous
-		// pays no extra handshake because the receiver was ready.
-		rv := q.recvs[0]
-		q.recvs = q.recvs[1:]
-		w.mu.Unlock()
-		payload := buf.Clone()
-		c := w.platform.StartTransferStretched(srcCore, dstCore, float64(buf.Bytes), 0, stretch)
-		c.OnFire(func() {
-			*rv.buf = payload
-			rv.fin.FireLocked()
-		})
+	k := matchKey{src: src, tag: tag}
+	if rv := w.takeQueued(dst, k, true); rv != nil {
+		// A receive is already posted: start the transfer now, completing
+		// the receive. Eager sends complete locally right away; rendezvous
+		// pays no extra handshake because the receiver was ready, and
+		// completes with the same transfer.
+		rv.buf = buf.Clone()
+		w.platform.StartTransferStretched(&rv.cond, srcCore, dstCore, float64(buf.Bytes), 0, w.stretch(src, dst))
 		if eager {
-			// Eager sends complete locally right away.
-			fin := w.engine.NewCondition()
-			fin.Fire()
-			return &Request{fin: fin, op: "Send", peer: dst, tag: tag, chk: w.faulty}
+			return completedSend
 		}
-		return &Request{fin: c, op: "Send", peer: dst, tag: tag, chk: w.faulty}
+		return &Request{fin: &rv.cond, peer: dst, tag: tag, chk: w.faulty}
 	}
-	// No receive yet: enqueue.
-	rec := &sendRec{buf: buf.Clone(), srcCore: srcCore, dstCore: dstCore}
-	fin := w.engine.NewCondition()
-	rec.senderFin = fin
+	// No receive yet: enqueue a private copy.
+	snd := &Request{buf: buf.Clone(), peer: dst, tag: tag, chk: w.faulty}
 	if eager {
-		// Launch the transfer immediately; the sender is done already.
-		// The transfer must be attached before the record becomes visible.
-		rec.started = true
-		rec.transfer = w.platform.StartTransferStretched(srcCore, dstCore, float64(buf.Bytes), 0, stretch)
+		// Launch the transfer immediately; the sender is done already, and
+		// cond tells the eventual receiver when the data has arrived.
+		snd.started = true
+		w.platform.StartTransferStretched(&snd.cond, srcCore, dstCore, float64(buf.Bytes), 0, w.stretch(src, dst))
+	} else {
+		snd.fin = &snd.cond
 	}
-	q.sends = append(q.sends, rec)
-	w.mu.Unlock()
-	if eager {
-		fin.Fire()
-	}
-	return &Request{fin: fin, op: "Send", peer: dst, tag: tag, chk: w.faulty}
+	w.enqueue(dst, k, snd)
+	return snd
 }
 
 // irecv posts a receive at world rank dst for a message from src.
 func (w *World) irecv(dst, src int, tag int64) *Request {
-	fin := w.engine.NewCondition()
-	out := new(Buf)
-	dstCore := w.binding[dst]
-
-	w.mu.Lock()
-	stretch := w.stretchLocked(src, dst)
-	q := w.queueFor(dst, src, tag)
-	if len(q.sends) > 0 {
-		rec := q.sends[0]
-		q.sends = q.sends[1:]
-		w.mu.Unlock()
-		if rec.started {
-			// Eager message already in flight (or arrived).
-			rec.transfer.OnFire(func() {
-				*out = rec.buf
-				fin.FireLocked()
-			})
-		} else {
-			// Rendezvous: the receiver triggers the transfer and pays the
-			// handshake round trip on top of the path latency.
-			c := w.platform.StartTransferStretched(rec.srcCore, dstCore, float64(rec.buf.Bytes), 1, stretch)
-			c.OnFire(func() {
-				*out = rec.buf
-				fin.FireLocked()
-				rec.senderFin.FireLocked()
-			})
+	rv := &Request{recv: true, peer: src, tag: tag, chk: w.faulty}
+	k := matchKey{src: src, tag: tag}
+	if snd := w.takeQueued(dst, k, false); snd != nil {
+		// Either the eager message is already in flight (or arrived), or —
+		// rendezvous — the receiver triggers the transfer and pays the
+		// handshake round trip on top of the path latency. Both ways the
+		// send's condition completes the receive (and the rendezvous
+		// sender, which awaits it too).
+		rv.buf = snd.buf
+		rv.fin = &snd.cond
+		if !snd.started {
+			w.platform.StartTransferStretched(&snd.cond, w.binding[src], w.binding[dst], float64(snd.buf.Bytes), 1, w.stretch(src, dst))
 		}
-		return &Request{fin: fin, buf: out, op: "Recv", peer: src, tag: tag, chk: w.faulty}
+		return rv
 	}
-	q.recvs = append(q.recvs, &recvRec{fin: fin, buf: out})
-	w.mu.Unlock()
-	return &Request{fin: fin, buf: out, op: "Recv", peer: src, tag: tag, chk: w.faulty}
+	rv.fin = &rv.cond
+	w.enqueue(dst, k, rv)
+	return rv
 }

@@ -131,14 +131,18 @@ const recomputeQuantum = 250e-9
 // Call from process context or before Run. Zero-byte transfers complete
 // after the latency alone.
 func (f *Fluid) StartTransfer(path []*Link, bytes, latency float64) *sim.Condition {
+	done := new(sim.Condition)
+	f.StartTransferTo(done, path, bytes, latency)
+	return done
+}
+
+// StartTransferTo is StartTransfer completing a condition the caller
+// already has — the one inside a message record — instead of a new one.
+func (f *Fluid) StartTransferTo(done *sim.Condition, path []*Link, bytes, latency float64) {
 	if bytes < 0 || latency < 0 {
 		panic("netmodel: negative transfer")
 	}
-	done := f.engine.NewCondition()
-	f.engine.At(f.engine.Now()+latency, func() {
-		f.addFlowLocked(path, bytes, done)
-	})
-	return done
+	f.engine.At(f.engine.Now()+latency, func() { f.addFlow(path, bytes, done) })
 }
 
 // Transfer performs a blocking transfer from the calling process.
@@ -146,10 +150,10 @@ func (f *Fluid) Transfer(p *sim.Process, path []*Link, bytes, latency float64) {
 	f.StartTransfer(path, bytes, latency).Await(p)
 }
 
-// addFlowLocked runs inside an event callback (engine lock held).
-func (f *Fluid) addFlowLocked(path []*Link, bytes float64, done *sim.Condition) {
+// addFlow runs inside an event callback.
+func (f *Fluid) addFlow(path []*Link, bytes float64, done *sim.Condition) {
 	if bytes <= completionEps {
-		done.FireLocked()
+		done.Fire()
 		return
 	}
 	constrained := false
@@ -161,7 +165,7 @@ func (f *Fluid) addFlowLocked(path []*Link, bytes float64, done *sim.Condition) 
 	}
 	if !constrained {
 		// No finite link on the path: the transfer is latency-only.
-		done.FireLocked()
+		done.Fire()
 		return
 	}
 	fl := &Flow{links: path, remaining: bytes, done: done, idx: len(f.flows)}
@@ -170,48 +174,48 @@ func (f *Fluid) addFlowLocked(path []*Link, bytes float64, done *sim.Condition) 
 		l.flows = append(l.flows, fl)
 		l.live++
 	}
-	f.markDirtyLocked()
+	f.markDirty()
 }
 
-// markDirtyLocked coalesces rate recomputation: many flow arrivals or
+// markDirty coalesces rate recomputation: many flow arrivals or
 // departures at one instant trigger a single recompute request.
-func (f *Fluid) markDirtyLocked() {
+func (f *Fluid) markDirty() {
 	if f.dirty {
 		return
 	}
 	f.dirty = true
-	f.engine.AtLocked(f.engine.NowLocked(), func() {
+	f.engine.At(f.engine.Now(), func() {
 		f.dirty = false
-		f.settleLocked()
-		f.completeFinishedLocked()
-		f.requestRecomputeLocked()
+		f.settle()
+		f.completeFinished()
+		f.requestRecompute()
 	})
 }
 
-// requestRecomputeLocked recomputes immediately when the quantum since the
+// requestRecompute recomputes immediately when the quantum since the
 // last recompute has passed, and otherwise defers one recompute to the end
 // of the quantum.
-func (f *Fluid) requestRecomputeLocked() {
-	now := f.engine.NowLocked()
+func (f *Fluid) requestRecompute() {
+	now := f.engine.Now()
 	if now >= f.lastRecompute+recomputeQuantum {
-		f.recomputeLocked()
+		f.recompute()
 		return
 	}
 	if f.deferredPending {
 		return
 	}
 	f.deferredPending = true
-	f.engine.AtLocked(f.lastRecompute+recomputeQuantum, func() {
+	f.engine.At(f.lastRecompute+recomputeQuantum, func() {
 		f.deferredPending = false
-		f.settleLocked()
-		f.completeFinishedLocked()
-		f.recomputeLocked()
+		f.settle()
+		f.completeFinished()
+		f.recompute()
 	})
 }
 
-// settleLocked charges every flow for progress since the last settlement.
-func (f *Fluid) settleLocked() {
-	now := f.engine.NowLocked()
+// settle charges every flow for progress since the last settlement.
+func (f *Fluid) settle() {
+	now := f.engine.Now()
 	dt := now - f.lastSettle
 	f.lastSettle = now
 	if dt <= 0 {
@@ -239,9 +243,9 @@ func (f *Fluid) retire(fl *Flow) {
 	}
 }
 
-// completeFinishedLocked retires every flow whose bytes are done (or will
+// completeFinished retires every flow whose bytes are done (or will
 // be within the completion slack) and fires its condition.
-func (f *Fluid) completeFinishedLocked() {
+func (f *Fluid) completeFinished() {
 	done := f.scratchDone[:0]
 	for i := 0; i < len(f.flows); {
 		fl := f.flows[i]
@@ -254,21 +258,21 @@ func (f *Fluid) completeFinishedLocked() {
 	}
 	f.scratchDone = done[:0]
 	for _, fl := range done {
-		fl.done.FireLocked()
+		fl.done.Fire()
 	}
 }
 
-// recomputeLocked assigns max-min fair rates to all active flows
+// recompute assigns max-min fair rates to all active flows
 // (progressive filling) and schedules the next completion event.
-func (f *Fluid) recomputeLocked() {
+func (f *Fluid) recompute() {
 	f.Recomputes++
-	f.lastRecompute = f.engine.NowLocked()
+	f.lastRecompute = f.engine.Now()
 	if len(f.flows) == 0 {
 		f.gen++
 		return
 	}
 	if f.NoContention {
-		f.recomputeNoContentionLocked()
+		f.recomputeNoContention()
 		return
 	}
 	// Collect the finite links touched by active flows and reset scratch.
@@ -357,12 +361,12 @@ func (f *Fluid) recomputeLocked() {
 		l.listed = false
 	}
 	f.scratchLinks = links[:0]
-	f.scheduleNextLocked()
+	f.scheduleNext()
 }
 
-// recomputeNoContentionLocked gives every flow its narrowest link's full
+// recomputeNoContention gives every flow its narrowest link's full
 // capacity (the no-sharing ablation).
-func (f *Fluid) recomputeNoContentionLocked() {
+func (f *Fluid) recomputeNoContention() {
 	for _, fl := range f.flows {
 		rate := math.Inf(1)
 		for _, l := range fl.links {
@@ -372,12 +376,12 @@ func (f *Fluid) recomputeNoContentionLocked() {
 		}
 		fl.rate = rate
 	}
-	f.scheduleNextLocked()
+	f.scheduleNext()
 }
 
-// scheduleNextLocked arms the completion event for the earliest-finishing
+// scheduleNext arms the completion event for the earliest-finishing
 // flow under the current rates.
-func (f *Fluid) scheduleNextLocked() {
+func (f *Fluid) scheduleNext() {
 	next := math.Inf(1)
 	for _, fl := range f.flows {
 		if fl.rate <= 0 {
@@ -393,23 +397,22 @@ func (f *Fluid) scheduleNextLocked() {
 		return // all rates zero: flows stall until the set changes
 	}
 	gen := f.gen
-	now := f.engine.NowLocked()
-	f.engine.AtLocked(now+next, func() {
+	now := f.engine.Now()
+	f.engine.At(now+next, func() {
 		if gen != f.gen {
 			return // superseded by a later recompute
 		}
-		f.settleLocked()
-		f.completeFinishedLocked()
-		f.requestRecomputeLocked()
+		f.settle()
+		f.completeFinished()
+		f.requestRecompute()
 	})
 }
 
 // ActiveFlows returns the number of in-flight flows (diagnostic).
 func (f *Fluid) ActiveFlows() int { return len(f.flows) }
 
-// RebalanceLocked requests a fair-share recomputation after link capacities
+// Rebalance requests a fair-share recomputation after link capacities
 // changed out-of-band (fault injection degrading a level). In-flight flows
 // are settled at their old rates up to the current instant first, so the
-// degradation takes effect exactly now. Must be called from an event
-// callback (engine lock held).
-func (f *Fluid) RebalanceLocked() { f.markDirtyLocked() }
+// degradation takes effect exactly now. Call from an event callback.
+func (f *Fluid) Rebalance() { f.markDirty() }

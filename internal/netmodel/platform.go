@@ -100,6 +100,12 @@ type Platform struct {
 
 	// suffix[l] = number of cores per domain at level l.
 	suffix []int
+
+	// paths[da][db] is the link list between two different cores of
+	// innermost domains da and db — the only inputs it depends on — built
+	// on first use; a row is allocated when its source domain first sends.
+	// Flows share the cached slices and never write to them.
+	paths [][][]*Link
 }
 
 // NewPlatform builds the link graph for the spec on the engine.
@@ -158,6 +164,7 @@ func NewPlatform(engine *sim.Engine, spec Spec) *Platform {
 	if spec.FabricBandwidth > 0 {
 		p.fabric = NewLink("fabric", spec.FabricBandwidth)
 	}
+	p.paths = make([][][]*Link, total/p.suffix[k-1])
 	return p
 }
 
@@ -181,14 +188,34 @@ func (p *Platform) domain(core, l int) int { return core / p.suffix[l+1] }
 func (p *Platform) innermostDomainLevel() int { return p.hier.Depth() - 2 }
 
 // CommPath returns the links a message from core a to core b traverses and
-// its latency. Same-core transfers have an empty path (pure latency).
+// its latency. Same-core transfers have an empty path (pure latency). The
+// returned slice is shared with every other message between the same two
+// innermost domains: callers must not modify it.
 func (p *Platform) CommPath(a, b int) ([]*Link, float64) {
 	k := p.hier.Depth()
 	d := p.hier.FirstDiffLevel(a, b)
 	if d == k {
 		return nil, p.spec.Levels[k-1].Latency
 	}
-	lat := p.spec.Levels[d].Latency
+	da, db := a/p.suffix[k-1], b/p.suffix[k-1]
+	row := p.paths[da]
+	if row == nil {
+		row = make([][]*Link, len(p.paths))
+		p.paths[da] = row
+	}
+	path := row[db]
+	if path == nil {
+		path = p.buildPath(a, b, d)
+		row[db] = path
+	}
+	return path, p.spec.Levels[d].Latency
+}
+
+// buildPath lists the links between two different cores whose outermost
+// differing level is d. The result is never nil, so that a cached empty
+// path is told from a missing one.
+func (p *Platform) buildPath(a, b, d int) []*Link {
+	k := p.hier.Depth()
 	inner := p.innermostDomainLevel()
 	path := make([]*Link, 0, 2*(k-d)+3)
 	// Source memory: the bus of a's innermost domain.
@@ -224,40 +251,28 @@ func (p *Platform) CommPath(a, b int) ([]*Link, float64) {
 			path = append(path, dst)
 		}
 	}
-	return path, lat
+	return path
 }
 
-// StartTransfer begins an a→b message of the given size and returns its
-// completion condition. Call from process context.
-func (p *Platform) StartTransfer(a, b int, bytes float64) *sim.Condition {
-	path, lat := p.CommPath(a, b)
-	return p.fluid.StartTransfer(path, bytes, lat)
-}
-
-// StartTransferExtra is StartTransfer with additional fixed latency, used
-// by the MPI layer to charge rendezvous handshakes (the path latency is
-// multiplied by 1+extraRTT round trips).
-func (p *Platform) StartTransferExtra(a, b int, bytes float64, extraRTT int) *sim.Condition {
-	return p.StartTransferStretched(a, b, bytes, extraRTT, 1)
-}
-
-// StartTransferStretched is StartTransferExtra with the path latency
-// additionally multiplied by stretch (>= 1). Fault injection uses it to
-// model a straggling endpoint: the wire stays at full bandwidth, but every
-// message touching the straggler pays its slowdown in latency.
-func (p *Platform) StartTransferStretched(a, b int, bytes float64, extraRTT int, stretch float64) *sim.Condition {
+// StartTransferStretched begins an a→b message that fires done on arrival.
+// The path latency is multiplied by 1+2·extraRTT — the MPI layer charges a
+// rendezvous handshake as one extra round trip — and by stretch (>= 1):
+// fault injection models a straggling endpoint by leaving the wire at full
+// bandwidth while every message touching the straggler pays its slowdown
+// in latency.
+func (p *Platform) StartTransferStretched(done *sim.Condition, a, b int, bytes float64, extraRTT int, stretch float64) {
 	path, lat := p.CommPath(a, b)
 	if stretch < 1 {
 		stretch = 1
 	}
-	return p.fluid.StartTransfer(path, bytes, lat*float64(1+2*extraRTT)*stretch)
+	p.fluid.StartTransferTo(done, path, bytes, lat*float64(1+2*extraRTT)*stretch)
 }
 
 // DegradeLevel multiplies the capacity of every finite link at the given
 // hierarchy level — uplinks, buses, memory, and (for level 0) the fabric —
 // by factor in (0, 1], then rebalances in-flight flows so the degradation
-// takes effect at the current virtual instant. Must be called from an
-// event callback (engine lock held).
+// takes effect at the current virtual instant. Call from an event
+// callback.
 func (p *Platform) DegradeLevel(level int, factor float64) {
 	if level < 0 || level >= p.hier.Depth() || factor <= 0 || factor > 1 {
 		return
@@ -276,12 +291,13 @@ func (p *Platform) DegradeLevel(level int, factor float64) {
 	if level == 0 && p.fabric != nil {
 		p.fabric.Capacity *= factor
 	}
-	p.fluid.RebalanceLocked()
+	p.fluid.Rebalance()
 }
 
 // Transfer performs a blocking a→b message from the calling process.
 func (p *Platform) Transfer(proc *sim.Process, a, b int, bytes float64) {
-	p.StartTransfer(a, b, bytes).Await(proc)
+	path, lat := p.CommPath(a, b)
+	p.fluid.Transfer(proc, path, bytes, lat)
 }
 
 // MemPath returns the memory resources charged by compute on the core.

@@ -266,7 +266,8 @@ func factorial(k int) int {
 }
 
 // Suites returns every registered suite, sorted by name. The serving
-// suite lives in loadgen.go; everything else above.
+// suite lives in loadgen.go, the simulator suite in sim.go; everything
+// else above.
 func Suites() []Suite {
 	all := []Suite{
 		FleetSuite(),
@@ -275,6 +276,7 @@ func Suites() []Suite {
 		OrderSearchSuite(),
 		ProcmapSuite(),
 		ServingSuite(),
+		SimSuite(),
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
 	return all

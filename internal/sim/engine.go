@@ -1,22 +1,26 @@
 // Package sim provides the discrete-event simulation engine underneath the
 // simulated cluster: a virtual clock, a time-ordered event queue, and
-// process goroutines that block on simulated operations and are resumed by
-// the scheduler when their operation completes.
+// process goroutines that block on simulated operations and are resumed
+// when their operation completes.
 //
-// The engine is conservative and deterministic in its results: events fire
-// in (time, sequence) order, and although processes woken at the same
-// virtual instant execute concurrently as goroutines, all simulation state
-// is mutated under the engine lock and operation completion times are pure
-// functions of the set of outstanding operations.
+// Exactly one goroutine — a process, or Run — owns the engine at any time;
+// ownership is the baton. A process that blocks is itself the scheduler:
+// it resumes the next runnable process, or fires the next batch of events
+// when none is runnable, and parks until the baton comes back to it.
+// Processes woken at the same virtual instant therefore run one at a time,
+// first in first out by wake order, every one of them before the next
+// event batch, and event callbacks run on the goroutine that blocked last.
+// The hand-off through a process's wake channel is the only
+// synchronisation: nothing in the engine, or in the model state that
+// callbacks and processes mutate, needs a lock, and a run is bit-for-bit
+// reproducible whatever GOMAXPROCS is.
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -33,8 +37,8 @@ var ErrDeadlock = errors.New("sim: deadlock — processes blocked with no pendin
 type Abort struct{ Err error }
 
 // killedPanic terminates the goroutine of a process killed by fault
-// injection. It is never visible to user code: Spawn's recover treats it
-// as a clean process exit.
+// injection. It is never visible to user code: the process wrapper treats
+// it as a clean process exit.
 type killedPanic struct{}
 
 type event struct {
@@ -43,31 +47,66 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (ev *event) before(o *event) bool {
+	if ev.at != o.at {
+		return ev.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return ev.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// eventQueue is a binary min-heap of events by (time, sequence), held by
+// value so that scheduling an event allocates nothing but its closure.
+type eventQueue []event
+
+func (q *eventQueue) push(ev event) {
+	h := append(*q, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	*q = h
 }
-func (h eventHeap) peek() *event { return h[0] }
+
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the closure reference
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && h[c+1].before(&h[c]) {
+				c++
+			}
+			if !h[c].before(&last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
+}
 
 // Observer receives engine lifecycle callbacks for observability. Every
-// method is invoked with the engine lock held: implementations must be
-// fast, must not block, and must not call back into the engine. All hooks
-// are nil-checked so a nil observer costs one predictable branch.
+// method is invoked by the goroutine that owns the engine at that moment:
+// implementations must be fast, must not block, and must not call back
+// into the engine. All hooks are nil-checked so a nil observer costs one
+// predictable branch.
 type Observer interface {
 	// OnAdvance is called after every batch of events fired at one virtual
 	// instant: the new virtual time, how many events fired at it, and the
@@ -76,97 +115,80 @@ type Observer interface {
 	// OnBlock is called when a process parks (Wait, WaitUntil, Await).
 	OnBlock(proc string, now float64)
 	// OnWake is called when a parked process resumes. wallLatency is the
-	// wall-clock delay between the waking event and the goroutine actually
+	// wall-clock delay between the waking event and the process actually
 	// resuming (0 when unknown, e.g. the initial release at time 0).
 	OnWake(proc string, now float64, wallLatency float64)
 }
 
 // Engine is a discrete-event simulation. Create with NewEngine, add
-// processes with Spawn, then call Run.
+// processes with Spawn, then call Run. None of its methods lock: before
+// Run they belong to the caller, during Run to process bodies and event
+// callbacks (whichever holds the baton), afterwards to the caller again.
 type Engine struct {
-	mu      sync.Mutex
-	cond    *sync.Cond // signalled when running drops to zero
-	now     float64
-	seq     uint64
-	events  eventHeap
-	running int // process goroutines currently executing user code
-	procs   []*Process
-	stopped bool
-	failure error
-	obs     Observer
+	now    float64
+	seq    uint64
+	events eventQueue
+	// ready holds the runnable processes in wake order; ready[readyHead:]
+	// are still to run.
+	ready     []*Process
+	readyHead int
+	procs     []*Process
+	stopped   bool
+	failure   error
+	obs       Observer
+	// idle returns the baton to Run when nothing can run any more.
+	idle chan struct{}
 
 	// deadlockNote is extra context (e.g. which ranks were lost to fault
 	// injection) appended to a deadlock report.
 	deadlockNote string
 }
 
-// SetDeadlockNoteLocked records a note appended to any subsequent deadlock
+// SetDeadlockNote records a note appended to any subsequent deadlock
 // report, so that e.g. a hang after fault injection names the lost ranks.
-// Must be called with the engine lock held (event-callback context).
-func (e *Engine) SetDeadlockNoteLocked(note string) { e.deadlockNote = note }
+func (e *Engine) SetDeadlockNote(note string) { e.deadlockNote = note }
 
 // SetObserver installs the engine observer. Call before Run; a nil
 // observer (the default) disables all callbacks.
-func (e *Engine) SetObserver(o Observer) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.obs = o
-}
+func (e *Engine) SetObserver(o Observer) { e.obs = o }
 
 // NewEngine returns an empty engine at virtual time 0.
 func NewEngine() *Engine {
-	e := &Engine{}
-	e.cond = sync.NewCond(&e.mu)
-	return e
+	return &Engine{idle: make(chan struct{}, 1)}
 }
 
-// Now returns the current virtual time in seconds. Safe to call from
-// process goroutines and event callbacks.
-func (e *Engine) Now() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.now
-}
+// Now returns the current virtual time in seconds.
+func (e *Engine) Now() float64 { return e.now }
 
-// At schedules fn to run at virtual time t (clamped to now). fn runs with
-// the engine lock held; it must not block and must not call At-locking
-// methods — use at() conventions: schedule further events with atLocked.
-// External callers use At before Run or from process context.
+// At schedules fn to run at virtual time t (clamped to now). fn runs on
+// whichever goroutine is scheduling at that time; it must not block.
+// Events at one time fire in the order they were scheduled.
 func (e *Engine) At(t float64, fn func()) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.atLocked(t, fn)
-}
-
-func (e *Engine) atLocked(t float64, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.events, &event{at: t, seq: e.seq, fn: fn})
+	e.events.push(event{at: t, seq: e.seq, fn: fn})
 }
-
-// AtLocked schedules fn at time t without acquiring the engine lock. It
-// must only be called from an event callback (which already runs with the
-// lock held); calling it from any other context is a data race.
-func (e *Engine) AtLocked(t float64, fn func()) { e.atLocked(t, fn) }
-
-// NowLocked returns the virtual time without locking; like AtLocked it is
-// only for use inside event callbacks.
-func (e *Engine) NowLocked() float64 { return e.now }
 
 // Process is a simulated thread of execution. Its methods must only be
 // called from the goroutine running the process body.
 type Process struct {
 	engine *Engine
 	name   string
-	wake   chan float64
+	body   func(p *Process) // nil once the goroutine has been started
+	wake   chan struct{}
+	wakeFn func() // p.unblock, bound once so that Wait allocates nothing
 	done   bool
 	parked bool // true while blocked in block(); guards double-unblock
-	killed bool // set by KillLocked; the process dies at its next wake
+	killed bool // set by Kill; the process dies at its next wake
+	// nextWaiter links the processes awaiting one Condition. A killed
+	// process stays linked until the condition fires; waking it again is a
+	// no-op.
+	nextWaiter *Process
 
-	// blocked-on description for deadlock diagnostics; written under the
-	// engine lock by AwaitOp and cleared on wake.
+	// blocked-on description for deadlock diagnostics; written by AwaitOp
+	// and cleared on wake.
 	blockOp   string
 	blockPeer int
 	blockTag  int64
@@ -191,69 +213,135 @@ func (p *Process) Name() string { return p.name }
 func (p *Process) Engine() *Engine { return p.engine }
 
 // Now returns the current virtual time.
-func (p *Process) Now() float64 { return p.engine.Now() }
+func (p *Process) Now() float64 { return p.engine.now }
 
 // Spawn registers a process whose body starts executing at time 0 when Run
-// is called. The body runs in its own goroutine; when it returns, the
-// process is finished.
+// is called, in spawn order. The body runs in its own goroutine, started
+// when the process first gets the baton; when it returns, the process is
+// finished.
 func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	p := &Process{engine: e, name: name, wake: make(chan float64, 1)}
+	// The buffer lets the waker park itself without waiting for the woken
+	// goroutine to reach its receive.
+	p := &Process{engine: e, name: name, body: body, wake: make(chan struct{}, 1)}
+	p.wakeFn = p.unblock
 	e.procs = append(e.procs, p)
-	e.running++
-	go func() {
-		<-p.wake // wait for Run to release the process
-		defer func() {
-			r := recover()
-			e.mu.Lock()
-			switch v := r.(type) {
-			case nil:
-				// normal return
-			case killedPanic:
-				// fault-injected crash: a clean exit, not a failure
-			case Abort:
-				if e.failure == nil {
-					e.failure = fmt.Errorf("sim: process %q aborted: %w", name, v.Err)
-				}
-			default:
-				if e.failure == nil {
-					e.failure = fmt.Errorf("sim: process %q panicked: %v\n%s", name, r, debug.Stack())
-				}
-			}
-			p.done = true
-			e.running--
-			e.cond.Signal()
-			e.mu.Unlock()
-		}()
-		body(p)
-	}()
 	return p
 }
 
-// KillLocked marks the process as crashed. If it is parked on a simulated
-// operation it is woken immediately and its goroutine terminates (via an
-// internal panic that Spawn treats as a clean exit); otherwise it dies the
-// next time it blocks. Must be called with the engine lock held — i.e.
-// from an event callback, which only runs when no process is executing.
-func (p *Process) KillLocked() {
+// run is the goroutine of a process: the body, then the conversion of
+// whatever ended it into the engine's state, then the baton goes on.
+func (p *Process) run(body func(p *Process)) {
+	e := p.engine
+	defer func() {
+		switch v := recover().(type) {
+		case nil:
+			// normal return
+		case killedPanic:
+			// fault-injected crash: a clean exit, not a failure
+		case Abort:
+			if e.failure == nil {
+				e.failure = fmt.Errorf("sim: process %q aborted: %w", p.name, v.Err)
+			}
+		default:
+			if e.failure == nil {
+				e.failure = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, v, debug.Stack())
+			}
+		}
+		p.done = true
+		e.yield(p)
+	}()
+	body(p)
+}
+
+// resume hands the baton to the process.
+func (p *Process) resume() {
+	if body := p.body; body != nil {
+		p.body = nil
+		go p.run(body)
+		return
+	}
+	p.wake <- struct{}{}
+}
+
+// nextRunnable returns the process that runs next: the head of the ready
+// queue, after firing event batches until there is one. nil means nothing
+// can run any more — the run failed, or no process is ready and no event
+// is pending.
+func (e *Engine) nextRunnable() *Process {
+	for e.failure == nil {
+		if e.readyHead < len(e.ready) {
+			p := e.ready[e.readyHead]
+			e.ready[e.readyHead] = nil
+			e.readyHead++
+			if e.readyHead == len(e.ready) {
+				e.ready, e.readyHead = e.ready[:0], 0
+			}
+			return p
+		}
+		if len(e.events) == 0 {
+			return nil
+		}
+		e.fireBatch()
+	}
+	return nil
+}
+
+// fireBatch advances the clock to the next event time and fires every
+// event at it, including those the batch itself schedules for that time.
+// A panicking callback fails the run as the engine's own error: the
+// process whose goroutine happens to be scheduling did not cause it.
+func (e *Engine) fireBatch() {
+	defer func() {
+		if r := recover(); r != nil && e.failure == nil {
+			e.failure = fmt.Errorf("sim: event callback panicked at t=%g: %v\n%s", e.now, r, debug.Stack())
+		}
+	}()
+	next := e.events[0].at
+	e.now = next
+	fired := 0
+	for len(e.events) > 0 && e.events[0].at == next {
+		ev := e.events.pop()
+		ev.fn()
+		fired++
+	}
+	if e.obs != nil {
+		e.obs.OnAdvance(e.now, fired, len(e.events))
+	}
+}
+
+// yield passes the baton on from p, which is parked or finished, and
+// returns when p holds it again (at once, without a goroutine switch, when
+// p's own wake-up is the next thing to happen). A finished process does
+// not wait.
+func (e *Engine) yield(p *Process) {
+	switch next := e.nextRunnable(); next {
+	case p:
+		return
+	case nil:
+		e.idle <- struct{}{}
+	default:
+		next.resume()
+	}
+	if !p.done {
+		<-p.wake
+	}
+}
+
+// Kill marks the process as crashed. If it is parked on a simulated
+// operation it is made runnable and its goroutine terminates when it gets
+// the baton (via an internal panic that counts as a clean exit);
+// otherwise it dies the next time it blocks. Call from an event callback.
+func (p *Process) Kill() {
 	if p.done || p.killed {
 		return
 	}
 	p.killed = true
-	if p.parked {
-		p.unblock()
-	}
+	p.unblock()
 }
 
-// KilledLocked reports whether the process has been killed by fault
-// injection. Must be called with the engine lock held.
-func (p *Process) KilledLocked() bool { return p.killed }
-
-// block parks the calling process until an event wakes it via unblock.
-// The engine lock must be held on entry; it is released while parked and
-// re-acquired before returning. Returns the wake time.
-func (p *Process) block() float64 {
+// block parks the calling process until unblock makes it runnable and the
+// baton reaches it.
+func (p *Process) block() {
 	e := p.engine
 	if p.killed {
 		panic(killedPanic{})
@@ -262,11 +350,7 @@ func (p *Process) block() float64 {
 		e.obs.OnBlock(p.name, e.now)
 	}
 	p.parked = true
-	e.running--
-	e.cond.Signal()
-	e.mu.Unlock()
-	t := <-p.wake
-	e.mu.Lock()
+	e.yield(p)
 	if p.killed {
 		panic(killedPanic{})
 	}
@@ -278,13 +362,11 @@ func (p *Process) block() float64 {
 		}
 		e.obs.OnWake(p.name, e.now, lat)
 	}
-	return t
 }
 
-// unblock marks the process runnable at the current virtual time. Must be
-// called with the engine lock held (typically from an event callback).
-// Idempotent: a process already woken (e.g. by KillLocked racing a
-// condition failure) is not woken twice.
+// unblock makes a parked process runnable at the current virtual time,
+// behind every process woken before it. Idempotent: a process already
+// woken (e.g. by Kill racing a condition failure) is not woken twice.
 func (p *Process) unblock() {
 	if !p.parked {
 		return
@@ -294,8 +376,7 @@ func (p *Process) unblock() {
 	if e.obs != nil {
 		p.wakeWall = time.Now()
 	}
-	e.running++
-	p.wake <- e.now
+	e.ready = append(e.ready, p)
 }
 
 // Wait advances the process's local time by d seconds of pure delay.
@@ -303,115 +384,72 @@ func (p *Process) Wait(d float64) {
 	if d < 0 {
 		panic("sim: negative wait")
 	}
-	e := p.engine
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.atLocked(e.now+d, p.unblock)
+	p.engine.At(p.engine.now+d, p.wakeFn)
 	p.block()
 }
 
 // WaitUntil blocks the process until the given virtual time (no-op if in
 // the past).
 func (p *Process) WaitUntil(t float64) {
-	e := p.engine
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if t <= e.now {
+	if t <= p.engine.now {
 		return
 	}
-	e.atLocked(t, p.unblock)
+	p.engine.At(t, p.wakeFn)
 	p.block()
 }
 
-// Condition is a simulated one-shot condition: processes can block on it
-// with Await, callbacks can be chained with OnFire, and it is fired exactly
-// once by an event callback or another process. Fire may precede Await;
-// Await then returns immediately. Multiple processes may Await the same
-// condition.
+// Condition is a simulated one-shot condition: processes block on it with
+// Await, and it is fired exactly once by an event callback or another
+// process. Fire may precede Await; Await then returns immediately.
+// Multiple processes may Await the same condition. The zero value is ready
+// to use, so a condition can be a field of the record it completes.
 type Condition struct {
-	engine    *Engine
-	fired     bool
-	err       error // non-nil when the condition was failed, not fired
-	waiters   []*Process
-	callbacks []func()
+	fired bool
+	err   error // non-nil when the condition was failed, not fired
+	// The awaiting processes in arrival order, linked through
+	// Process.nextWaiter: a process awaits one condition at a time, so
+	// waiting allocates nothing.
+	waitHead, waitTail *Process
 }
 
-// NewCondition returns a one-shot condition on the engine.
-func (e *Engine) NewCondition() *Condition { return &Condition{engine: e} }
+// NewCondition returns a one-shot condition.
+func (e *Engine) NewCondition() *Condition { return new(Condition) }
 
-// FireLocked fires the condition; the engine lock must be held. Chained
-// callbacks run immediately (still under the lock), then all waiting
-// processes are released at the current virtual time.
-func (c *Condition) FireLocked() {
+// Fire fires the condition: all waiting processes become runnable at the
+// current virtual time, in the order they started waiting. No-op if it
+// already fired.
+func (c *Condition) Fire() {
 	if c.fired {
 		return
 	}
 	c.fired = true
-	for _, fn := range c.callbacks {
-		fn()
-	}
-	c.callbacks = nil
-	for _, w := range c.waiters {
+	for w := c.waitHead; w != nil; {
+		next := w.nextWaiter
+		w.nextWaiter = nil
 		w.unblock()
+		w = next
 	}
-	c.waiters = nil
+	c.waitHead, c.waitTail = nil, nil
 }
 
-// FailLocked fires the condition with an error: waiters wake as usual but
-// Err reports err afterwards, letting the operation that was awaiting the
+// Fail fires the condition with an error: waiters wake as usual but Err
+// reports err afterwards, letting the operation that was awaiting the
 // condition surface a typed failure (e.g. a lost rank) instead of hanging.
 // No-op if the condition already fired or failed.
-func (c *Condition) FailLocked(err error) {
+func (c *Condition) Fail(err error) {
 	if c.fired {
 		return
 	}
 	c.err = err
-	c.FireLocked()
+	c.Fire()
 }
 
 // Err returns the error the condition was failed with, or nil if it fired
-// normally (or has not fired yet). Safe from process context.
-func (c *Condition) Err() error {
-	c.engine.mu.Lock()
-	defer c.engine.mu.Unlock()
-	return c.err
-}
-
-// ErrLocked is Err for use with the engine lock already held.
-func (c *Condition) ErrLocked() error { return c.err }
-
-// OnFire registers fn to run (under the engine lock) when the condition
-// fires; if it has already fired, fn runs immediately. Safe from process
-// context.
-func (c *Condition) OnFire(fn func()) {
-	c.engine.mu.Lock()
-	defer c.engine.mu.Unlock()
-	c.OnFireLocked(fn)
-}
-
-// OnFireLocked is OnFire for use inside event callbacks (lock held).
-func (c *Condition) OnFireLocked(fn func()) {
-	if c.fired {
-		fn()
-		return
-	}
-	c.callbacks = append(c.callbacks, fn)
-}
-
-// Fire fires the condition, waking the awaiting process at the current
-// virtual time.
-func (c *Condition) Fire() {
-	c.engine.mu.Lock()
-	defer c.engine.mu.Unlock()
-	c.FireLocked()
-}
+// normally (or has not fired yet).
+func (c *Condition) Err() error { return c.err }
 
 // Fired reports whether the condition has fired.
-func (c *Condition) Fired() bool {
-	c.engine.mu.Lock()
-	defer c.engine.mu.Unlock()
-	return c.fired
-}
+func (c *Condition) Fired() bool { return c.fired }
 
 // Await blocks the process until the condition fires.
 func (c *Condition) Await(p *Process) {
@@ -422,16 +460,18 @@ func (c *Condition) Await(p *Process) {
 // block on — an operation name plus an optional peer rank and tag (pass
 // peer < 0 to omit them) — so that a deadlock report can say which
 // operation each stuck process was waiting for. The label costs only
-// three field writes under the lock Await already takes.
+// three field writes.
 func (c *Condition) AwaitOp(p *Process, op string, peer int, tag int64) {
-	e := c.engine
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if c.fired {
 		return
 	}
 	p.blockOp, p.blockPeer, p.blockTag = op, peer, tag
-	c.waiters = append(c.waiters, p)
+	if c.waitTail == nil {
+		c.waitHead = p
+	} else {
+		c.waitTail.nextWaiter = p
+	}
+	c.waitTail = p
 	p.block()
 	p.blockOp = ""
 }
@@ -444,61 +484,36 @@ func AwaitAll(p *Process, conds ...*Condition) {
 }
 
 // Run executes the simulation until every spawned process has finished and
-// the event queue is empty. It returns ErrDeadlock if processes remain
-// blocked with no pending events, or the first process panic converted to
-// an error by a recover in the caller (panics propagate).
+// the event queue is empty. It returns ErrDeadlock (naming the blocked
+// operations) if processes remain blocked with no pending events. A panic
+// in a process body or in an event callback does not propagate: the first
+// one is converted to the error Run returns — an Abort wrapped with %w —
+// and Run returns without waiting for the remaining processes, which stay
+// parked.
 func (e *Engine) Run() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.stopped {
 		return errors.New("sim: engine already run")
 	}
-	// Release all processes at time 0.
+	// Release all processes at time 0, before any event fires.
+	e.ready = append(e.ready, e.procs...)
+	if next := e.nextRunnable(); next != nil {
+		next.resume()
+		<-e.idle
+	}
+	e.stopped = true
+	if e.failure != nil {
+		return e.failure
+	}
 	for _, p := range e.procs {
-		p.wake <- 0
-	}
-	for {
-		// Wait until every runnable process has blocked or finished.
-		for e.running > 0 {
-			e.cond.Wait()
-		}
-		if e.failure != nil {
-			err := e.failure
-			e.stopped = true
-			return err
-		}
-		if len(e.events) == 0 {
-			allDone := true
-			for _, p := range e.procs {
-				if !p.done {
-					allDone = false
-					break
-				}
-			}
-			e.stopped = true
-			if !allDone {
-				return e.deadlockError()
-			}
-			return nil
-		}
-		// Advance to the next event time and fire every event at it.
-		next := e.events.peek().at
-		e.now = next
-		fired := 0
-		for len(e.events) > 0 && e.events.peek().at == next {
-			ev := heap.Pop(&e.events).(*event)
-			ev.fn()
-			fired++
-		}
-		if e.obs != nil {
-			e.obs.OnAdvance(e.now, fired, len(e.events))
+		if !p.done {
+			return e.deadlockError()
 		}
 	}
+	return nil
 }
 
 // deadlockError builds the ErrDeadlock report: every stuck process with
 // the operation it is blocked on (capped at 8, the rest summarized).
-// Called with the engine lock held.
 func (e *Engine) deadlockError() error {
 	var blocked []string
 	total := 0

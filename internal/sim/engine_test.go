@@ -78,7 +78,7 @@ func TestEventsFireInOrder(t *testing.T) {
 func TestConditionFireBeforeAwait(t *testing.T) {
 	e := NewEngine()
 	c := e.NewCondition()
-	e.At(1, func() { c.FireLocked() })
+	e.At(1, func() { c.Fire() })
 	var at float64
 	e.Spawn("p", func(p *Process) {
 		p.Wait(5)
@@ -99,7 +99,7 @@ func TestConditionFireBeforeAwait(t *testing.T) {
 func TestConditionAwaitThenFire(t *testing.T) {
 	e := NewEngine()
 	c := e.NewCondition()
-	e.At(7, func() { c.FireLocked() })
+	e.At(7, func() { c.Fire() })
 	var at float64
 	e.Spawn("p", func(p *Process) {
 		c.Await(p)
@@ -116,9 +116,9 @@ func TestConditionAwaitThenFire(t *testing.T) {
 func TestAwaitAll(t *testing.T) {
 	e := NewEngine()
 	c1, c2, c3 := e.NewCondition(), e.NewCondition(), e.NewCondition()
-	e.At(1, func() { c2.FireLocked() })
-	e.At(4, func() { c1.FireLocked() })
-	e.At(2, func() { c3.FireLocked() })
+	e.At(1, func() { c2.Fire() })
+	e.At(4, func() { c1.Fire() })
+	e.At(2, func() { c3.Fire() })
 	var at float64
 	e.Spawn("p", func(p *Process) {
 		AwaitAll(p, c1, c2, c3)
@@ -359,5 +359,83 @@ func TestNilObserverCostsNothing(t *testing.T) {
 	e.Spawn("b", func(p *Process) { p.Wait(1); c.Fire() })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A panic inside an event callback fires on whichever process blocked
+// last; the run must fail with the engine's own error, not blame that
+// process.
+func TestCallbackPanicNotAttributedToProcess(t *testing.T) {
+	e := NewEngine()
+	e.At(1, func() { panic("model bug") })
+	e.Spawn("rank17", func(p *Process) { p.Wait(5) })
+	e.Spawn("bystander", func(p *Process) { p.Wait(5) })
+	err := e.Run()
+	if err == nil {
+		t.Fatal("Run should report the callback panic")
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, "event callback panicked at t=1") || !strings.Contains(msg, "model bug") {
+		t.Errorf("error should name the callback and its time: %s", firstLine(msg))
+	}
+	if strings.Contains(firstLine(msg), "rank17") || strings.Contains(firstLine(msg), "bystander") {
+		t.Errorf("error blames the process that held the baton: %s", firstLine(msg))
+	}
+}
+
+func firstLine(s string) string {
+	line, _, _ := strings.Cut(s, "\n")
+	return line
+}
+
+// Processes woken at one instant run one at a time in wake order, all of
+// them before the next event batch, and identically on every run.
+func TestSameInstantWakesRunInWakeOrder(t *testing.T) {
+	run := func() []string {
+		e := NewEngine()
+		var trace []string
+		for _, name := range []string{"a", "b", "c"} {
+			e.Spawn(name, func(p *Process) {
+				p.Wait(1)
+				trace = append(trace, p.Name()+"@1")
+				p.Wait(0) // a second batch at the same instant
+				trace = append(trace, p.Name()+"@1'")
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return trace
+	}
+	want := "a@1 b@1 c@1 a@1' b@1' c@1'"
+	for i := 0; i < 3; i++ {
+		if got := strings.Join(run(), " "); got != want {
+			t.Fatalf("run %d: trace %q, want %q", i, got, want)
+		}
+	}
+}
+
+// A process killed while it awaits a condition stays on that condition's
+// waiter list; firing it later must wake the others and only them.
+func TestKillWhileAwaitingLeavesOtherWaiters(t *testing.T) {
+	e := NewEngine()
+	c := e.NewCondition()
+	var victim *Process
+	woke := 0
+	victim = e.Spawn("victim", func(p *Process) {
+		c.Await(p)
+		t.Error("killed process resumed")
+	})
+	e.Spawn("survivor", func(p *Process) {
+		c.Await(p)
+		woke++
+	})
+	e.At(1, victim.Kill)
+	e.At(2, c.Fire)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if woke != 1 {
+		t.Errorf("%d survivors woke, want 1", woke)
 	}
 }
