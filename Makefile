@@ -17,9 +17,9 @@ test:
 	$(GO) test ./...
 
 # race runs the concurrency-heavy packages under the race detector: the
-# service, its telemetry layer, the simulator stack (whose only
-# synchronisation is the engine's baton hand-off, so the detector is the
-# proof that nothing else is needed), the fault-injection layer, and the
+# service, its telemetry layer, the simulator stack (which has no
+# synchronisation beyond iter.Pull's own coroutine switch, so the detector
+# is the proof that none is needed), the fault-injection layer, and the
 # advisor search engine the service dispatches to.
 race:
 	$(GO) test -race ./internal/mapd/... ./internal/obs/... ./internal/sim/... ./internal/netmodel/... ./internal/fault/... ./internal/mpi/... ./internal/bench/... ./internal/procmap/... ./internal/fleet/... ./internal/advisor/... ./internal/metrics/...

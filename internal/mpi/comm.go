@@ -14,7 +14,7 @@ import (
 )
 
 // Comm is a communicator: an ordered group of world ranks. Methods must be
-// called from the goroutine of the rank passed as the first argument, and
+// called from the body of the rank passed as the first argument, and
 // every member must call each collective in the same order.
 type Comm struct {
 	w     *World

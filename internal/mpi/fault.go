@@ -6,7 +6,7 @@
 // Semantics on a crash of world rank f at virtual time t:
 //
 //   - f's process is killed: if parked on an operation it never resumes,
-//     and its goroutine exits cleanly.
+//     and its coroutine exits cleanly.
 //   - Every communicator created before the crash is revoked (the world
 //     epoch is bumped). Any subsequent operation on a revoked communicator
 //     aborts with an error wrapping fault.ErrRankLost naming f, so no rank
@@ -21,8 +21,8 @@
 //     members and continue.
 //
 // Everything here — the fault actions, which run as event callbacks, and
-// the recovery calls ranks make — runs on whichever goroutine holds the
-// engine's baton, one at a time, so the world's state needs no lock.
+// the recovery calls ranks make — runs inside whichever rank the engine
+// resumed last, one at a time, so the world's state needs no lock.
 
 package mpi
 
@@ -321,7 +321,7 @@ func (c *Comm) Shrink(r *Rank) *Comm {
 	me := c.group[c.rank]
 
 	if w.lost[me] {
-		// Cannot happen: a dead rank's goroutine never runs.
+		// Cannot happen: a dead rank's coroutine never runs.
 		panic("mpi: dead rank called Shrink")
 	}
 	sk := callSite{commID: c.id, seq: seq}

@@ -1,4 +1,4 @@
-// Package mpi is a simulated MPI runtime: ranks are goroutines executing
+// Package mpi is a simulated MPI runtime: ranks are coroutines executing
 // against the virtual clock of a discrete-event engine, point-to-point
 // messages are fluid flows over the machine's link graph, and collective
 // operations are the real message schedules of the textbook algorithms
@@ -29,8 +29,8 @@ const defaultEagerThreshold = 16 * 1024
 
 // Tracer observes completed operations for profiling (the mpisee-style
 // per-communicator accounting of §4.2). Ranks call it from their own
-// goroutines, but one at a time (the simulation engine runs exactly one
-// rank at any moment), so implementations need no locking.
+// coroutines, one at a time (the simulation engine runs exactly one rank
+// at any moment), so implementations need no locking.
 type Tracer interface {
 	// Collective records one collective call: the communicator id and size,
 	// the operation name, the per-rank payload bytes, the world rank, and
@@ -76,8 +76,8 @@ type World struct {
 	binding  []int
 	cfg      Config
 
-	// All state below is touched only by the rank or event callback that
-	// holds the engine's baton, so none of it is locked.
+	// All state below is touched only by the one rank or event callback the
+	// engine is running, so none of it is locked.
 	mail    []map[matchKey]matchQueue // per destination rank
 	commSeq int
 	splits  map[callSite]*splitState

@@ -1,6 +1,6 @@
 // EngineObserver bridges the sim engine's Observer hook into the metric
 // registry: virtual-time event accounting plus the wall-clock engine
-// health metrics (events per wall second, goroutine wake latency). Wall
+// health metrics (events per wall second, process wake latency). Wall
 // metrics carry "wall" in their names so deterministic consumers (golden
 // tests, diffable artifacts) can filter them.
 

@@ -7,7 +7,7 @@
 // The dual-clock design: spans and most metrics are measured against the
 // discrete-event engine's virtual clock (collective latency, bytes moved
 // per hierarchy level, phase durations), while a small set of engine
-// health metrics (events per wall second, goroutine wake latency) use the
+// health metrics (events per wall second, process wake latency) use the
 // wall clock — their names carry a "wall" component so deterministic
 // consumers can filter them out.
 //

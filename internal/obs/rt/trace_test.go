@@ -5,22 +5,26 @@ import (
 	"context"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// fakeClock yields strictly increasing timestamps one millisecond apart.
-type fakeClock struct{ t time.Time }
+// fakeClock yields strictly increasing timestamps one millisecond apart,
+// to any number of goroutines at once.
+type fakeClock struct {
+	start time.Time
+	ticks atomic.Int64
+}
 
 func (c *fakeClock) now() time.Time {
-	c.t = c.t.Add(time.Millisecond)
-	return c.t
+	return c.start.Add(time.Duration(c.ticks.Add(1)) * time.Millisecond)
 }
 
 func testTracer(ratio float64) *Tracer {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := &fakeClock{start: time.Unix(1000, 0)}
 	rng := rand.New(rand.NewSource(42))
 	return NewTracer(Options{
 		Service:     "test",

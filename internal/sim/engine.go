@@ -1,24 +1,32 @@
+//go:build go1.23
+
+// The constraint above is there for iter.Pull only: both go.mod files name
+// Go 1.22, and without it vet's stdversion check rejects the call. It goes
+// away when a benchmark PR raises the two modules' versions together.
+
 // Package sim provides the discrete-event simulation engine underneath the
 // simulated cluster: a virtual clock, a time-ordered event queue, and
-// process goroutines that block on simulated operations and are resumed
-// when their operation completes.
+// processes that block on simulated operations and are resumed when their
+// operation completes.
 //
-// Exactly one goroutine — a process, or Run — owns the engine at any time;
-// ownership is the baton. A process that blocks is itself the scheduler:
-// it resumes the next runnable process, or fires the next batch of events
-// when none is runnable, and parks until the baton comes back to it.
-// Processes woken at the same virtual instant therefore run one at a time,
-// first in first out by wake order, every one of them before the next
-// event batch, and event callbacks run on the goroutine that blocked last.
-// The hand-off through a process's wake channel is the only
-// synchronisation: nothing in the engine, or in the model state that
-// callbacks and processes mutate, needs a lock, and a run is bit-for-bit
-// reproducible whatever GOMAXPROCS is.
+// A process body is an iter.Pull coroutine that only Run resumes, so one
+// thread of control — Run, or the one process it is inside — owns the
+// engine at any time, with no scheduler in between. A process that blocks
+// picks its successor itself: the next runnable process, after firing the
+// next batch of events when none is runnable. If that is the process
+// itself it simply carries on; otherwise it leaves the successor for Run
+// and yields. Processes woken at the same virtual instant therefore run one
+// at a time, first in first out by wake order, every one of them before the
+// next event batch, and event callbacks run inside the process that blocked
+// last. Nothing ever runs concurrently: neither the engine nor the model
+// state that callbacks and processes mutate needs a lock, and a run is
+// bit-for-bit reproducible whatever GOMAXPROCS is.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"strings"
 	"time"
@@ -36,9 +44,9 @@ var ErrDeadlock = errors.New("sim: deadlock — processes blocked with no pendin
 // engine and let the process continue.
 type Abort struct{ Err error }
 
-// killedPanic terminates the goroutine of a process killed by fault
-// injection. It is never visible to user code: the process wrapper treats
-// it as a clean process exit.
+// killedPanic unwinds the body of a process killed by fault injection, or
+// still unfinished when Run returns. It is never visible to user code: the
+// process wrapper treats it as a clean process exit.
 type killedPanic struct{}
 
 type event struct {
@@ -103,7 +111,7 @@ func (q *eventQueue) pop() event {
 }
 
 // Observer receives engine lifecycle callbacks for observability. Every
-// method is invoked by the goroutine that owns the engine at that moment:
+// method is invoked by whoever owns the engine at that moment:
 // implementations must be fast, must not block, and must not call back
 // into the engine. All hooks are nil-checked so a nil observer costs one
 // predictable branch.
@@ -123,7 +131,7 @@ type Observer interface {
 // Engine is a discrete-event simulation. Create with NewEngine, add
 // processes with Spawn, then call Run. None of its methods lock: before
 // Run they belong to the caller, during Run to process bodies and event
-// callbacks (whichever holds the baton), afterwards to the caller again.
+// callbacks (one at a time), afterwards to the caller again.
 type Engine struct {
 	now    float64
 	seq    uint64
@@ -133,11 +141,12 @@ type Engine struct {
 	ready     []*Process
 	readyHead int
 	procs     []*Process
-	stopped   bool
-	failure   error
-	obs       Observer
-	// idle returns the baton to Run when nothing can run any more.
-	idle chan struct{}
+	// handoff is the process Run resumes next, left by the one that just
+	// blocked or finished; nil when nothing can run any more.
+	handoff *Process
+	stopped bool
+	failure error
+	obs     Observer
 
 	// deadlockNote is extra context (e.g. which ranks were lost to fault
 	// injection) appended to a deadlock report.
@@ -154,14 +163,14 @@ func (e *Engine) SetObserver(o Observer) { e.obs = o }
 
 // NewEngine returns an empty engine at virtual time 0.
 func NewEngine() *Engine {
-	return &Engine{idle: make(chan struct{}, 1)}
+	return new(Engine)
 }
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// At schedules fn to run at virtual time t (clamped to now). fn runs on
-// whichever goroutine is scheduling at that time; it must not block.
+// At schedules fn to run at virtual time t (clamped to now). fn runs inside
+// whichever process blocked last (or Run); it must not block.
 // Events at one time fire in the order they were scheduled.
 func (e *Engine) At(t float64, fn func()) {
 	if t < e.now {
@@ -172,12 +181,16 @@ func (e *Engine) At(t float64, fn func()) {
 }
 
 // Process is a simulated thread of execution. Its methods must only be
-// called from the goroutine running the process body.
+// called from the process body.
 type Process struct {
 	engine *Engine
 	name   string
-	body   func(p *Process) // nil once the goroutine has been started
-	wake   chan struct{}
+	body   func(p *Process)
+	// The coroutine of the body, created when the process is first
+	// resumed: Run calls next and stop, block calls yield.
+	next   func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
 	wakeFn func() // p.unblock, bound once so that Wait allocates nothing
 	done   bool
 	parked bool // true while blocked in block(); guards double-unblock
@@ -216,28 +229,26 @@ func (p *Process) Engine() *Engine { return p.engine }
 func (p *Process) Now() float64 { return p.engine.now }
 
 // Spawn registers a process whose body starts executing at time 0 when Run
-// is called, in spawn order. The body runs in its own goroutine, started
-// when the process first gets the baton; when it returns, the process is
-// finished.
+// is called, in spawn order. The body runs as a coroutine, created when the
+// process is first resumed; when it returns, the process is finished.
 func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
-	// The buffer lets the waker park itself without waiting for the woken
-	// goroutine to reach its receive.
-	p := &Process{engine: e, name: name, body: body, wake: make(chan struct{}, 1)}
+	p := &Process{engine: e, name: name, body: body}
 	p.wakeFn = p.unblock
 	e.procs = append(e.procs, p)
 	return p
 }
 
-// run is the goroutine of a process: the body, then the conversion of
-// whatever ended it into the engine's state, then the baton goes on.
-func (p *Process) run(body func(p *Process)) {
+// run is the coroutine of a process: the body, then the conversion of
+// whatever ended it into the engine's state, then the choice of successor.
+func (p *Process) run(yield func(struct{}) bool) {
 	e := p.engine
+	p.yield = yield
 	defer func() {
 		switch v := recover().(type) {
 		case nil:
 			// normal return
 		case killedPanic:
-			// fault-injected crash: a clean exit, not a failure
+			// fault-injected crash, or Run is over: a clean exit, not a failure
 		case Abort:
 			if e.failure == nil {
 				e.failure = fmt.Errorf("sim: process %q aborted: %w", p.name, v.Err)
@@ -248,27 +259,17 @@ func (p *Process) run(body func(p *Process)) {
 			}
 		}
 		p.done = true
-		e.yield(p)
+		e.handoff = e.nextRunnable()
 	}()
-	body(p)
-}
-
-// resume hands the baton to the process.
-func (p *Process) resume() {
-	if body := p.body; body != nil {
-		p.body = nil
-		go p.run(body)
-		return
-	}
-	p.wake <- struct{}{}
+	p.body(p)
 }
 
 // nextRunnable returns the process that runs next: the head of the ready
 // queue, after firing event batches until there is one. nil means nothing
-// can run any more — the run failed, or no process is ready and no event
-// is pending.
+// can run any more — the run failed or is over, or no process is ready and
+// no event is pending.
 func (e *Engine) nextRunnable() *Process {
-	for e.failure == nil {
+	for e.failure == nil && !e.stopped {
 		if e.readyHead < len(e.ready) {
 			p := e.ready[e.readyHead]
 			e.ready[e.readyHead] = nil
@@ -289,7 +290,7 @@ func (e *Engine) nextRunnable() *Process {
 // fireBatch advances the clock to the next event time and fires every
 // event at it, including those the batch itself schedules for that time.
 // A panicking callback fails the run as the engine's own error: the
-// process whose goroutine happens to be scheduling did not cause it.
+// process that happens to be scheduling did not cause it.
 func (e *Engine) fireBatch() {
 	defer func() {
 		if r := recover(); r != nil && e.failure == nil {
@@ -309,27 +310,9 @@ func (e *Engine) fireBatch() {
 	}
 }
 
-// yield passes the baton on from p, which is parked or finished, and
-// returns when p holds it again (at once, without a goroutine switch, when
-// p's own wake-up is the next thing to happen). A finished process does
-// not wait.
-func (e *Engine) yield(p *Process) {
-	switch next := e.nextRunnable(); next {
-	case p:
-		return
-	case nil:
-		e.idle <- struct{}{}
-	default:
-		next.resume()
-	}
-	if !p.done {
-		<-p.wake
-	}
-}
-
 // Kill marks the process as crashed. If it is parked on a simulated
-// operation it is made runnable and its goroutine terminates when it gets
-// the baton (via an internal panic that counts as a clean exit);
+// operation it is made runnable and its body unwinds when it is resumed
+// (via an internal panic that counts as a clean exit);
 // otherwise it dies the next time it blocks. Call from an event callback.
 func (p *Process) Kill() {
 	if p.done || p.killed {
@@ -339,8 +322,10 @@ func (p *Process) Kill() {
 	p.unblock()
 }
 
-// block parks the calling process until unblock makes it runnable and the
-// baton reaches it.
+// block parks the calling process until unblock makes it runnable and its
+// turn comes. It picks the successor: when that is p itself — its own
+// wake-up was the next thing to happen — it returns without a switch,
+// otherwise it leaves the successor to Run and yields.
 func (p *Process) block() {
 	e := p.engine
 	if p.killed {
@@ -350,7 +335,10 @@ func (p *Process) block() {
 		e.obs.OnBlock(p.name, e.now)
 	}
 	p.parked = true
-	e.yield(p)
+	if next := e.nextRunnable(); next != p {
+		e.handoff = next
+		p.yield(struct{}{}) // false only when Run is over, which sets killed
+	}
 	if p.killed {
 		panic(killedPanic{})
 	}
@@ -487,29 +475,36 @@ func AwaitAll(p *Process, conds ...*Condition) {
 // the event queue is empty. It returns ErrDeadlock (naming the blocked
 // operations) if processes remain blocked with no pending events. A panic
 // in a process body or in an event callback does not propagate: the first
-// one is converted to the error Run returns — an Abort wrapped with %w —
-// and Run returns without waiting for the remaining processes, which stay
-// parked.
+// one is converted to the error Run returns — an Abort wrapped with %w.
+// Before Run returns early it unwinds every unfinished process body, which
+// executes no further simulated operation, so no coroutine outlives it.
 func (e *Engine) Run() error {
 	if e.stopped {
 		return errors.New("sim: engine already run")
 	}
 	// Release all processes at time 0, before any event fires.
 	e.ready = append(e.ready, e.procs...)
-	if next := e.nextRunnable(); next != nil {
-		next.resume()
-		<-e.idle
+	for p := e.nextRunnable(); p != nil; p = e.handoff {
+		if p.next == nil {
+			p.next, p.stop = iter.Pull(p.run)
+		}
+		p.next()
 	}
 	e.stopped = true
-	if e.failure != nil {
-		return e.failure
-	}
+	err := e.failure
 	for _, p := range e.procs {
-		if !p.done {
-			return e.deadlockError()
+		if p.done {
+			continue
+		}
+		if err == nil {
+			err = e.deadlockError()
+		}
+		if p.stop != nil {
+			p.killed = true
+			p.stop()
 		}
 	}
-	return nil
+	return err
 }
 
 // deadlockError builds the ErrDeadlock report: every stuck process with

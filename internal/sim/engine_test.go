@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -437,5 +438,121 @@ func TestKillWhileAwaitingLeavesOtherWaiters(t *testing.T) {
 	}
 	if woke != 1 {
 		t.Errorf("%d survivors woke, want 1", woke)
+	}
+}
+
+// checkNoLeak fails the test when more goroutines exist than at the
+// baseline. No waiting is needed: a coroutine's goroutine is gone by the
+// time the stop or the last next that ended it returns.
+func checkNoLeak(t *testing.T, baseline int) {
+	t.Helper()
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("%d goroutines after Run, %d before: process coroutines leaked", n, baseline)
+	}
+}
+
+// Run leaves no coroutine behind, however it ends: every unfinished body
+// is unwound, and what it defers executes no simulated operation.
+func TestRunLeaksNoGoroutine(t *testing.T) {
+	t.Run("deadlock", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		e := NewEngine()
+		c := e.NewCondition() // never fired
+		resumed, unwound := 0, 0
+		for i := 0; i < 8; i++ {
+			e.Spawn(fmt.Sprintf("stuck%d", i), func(p *Process) {
+				defer func() {
+					unwound++
+					p.Wait(1) // must not run: the process is being torn down
+					resumed++
+				}()
+				p.Wait(1)
+				c.Await(p)
+				resumed++
+			})
+		}
+		e.Spawn("finishes", func(p *Process) { p.Wait(2) })
+		err := e.Run()
+		if !errors.Is(err, ErrDeadlock) || !strings.Contains(err.Error(), "8 blocked") {
+			t.Errorf("Run = %v, want ErrDeadlock naming 8 blocked processes", err)
+		}
+		if unwound != 8 || resumed != 0 {
+			t.Errorf("%d bodies unwound and %d resumed, want 8 and 0", unwound, resumed)
+		}
+		if e.Now() != 2 {
+			t.Errorf("clock at %v after Run, want 2: teardown advanced it", e.Now())
+		}
+		checkNoLeak(t, baseline)
+	})
+	t.Run("process panic", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		e := NewEngine()
+		c := e.NewCondition()
+		for i := 0; i < 4; i++ {
+			e.Spawn("awaiting", func(p *Process) { c.Await(p) })
+			e.Spawn("waiting", func(p *Process) { p.Wait(10) })
+		}
+		e.Spawn("boom", func(p *Process) {
+			p.Wait(1)
+			panic("kaboom")
+		})
+		if err := e.Run(); err == nil || !strings.Contains(err.Error(), "kaboom") {
+			t.Errorf("Run = %v, want the process panic", err)
+		}
+		checkNoLeak(t, baseline)
+	})
+	t.Run("callback panic", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		e := NewEngine()
+		e.At(1, func() { panic("model bug") })
+		for i := 0; i < 4; i++ {
+			e.Spawn("waiting", func(p *Process) { p.Wait(5) })
+		}
+		if err := e.Run(); err == nil || !strings.Contains(err.Error(), "model bug") {
+			t.Errorf("Run = %v, want the callback panic", err)
+		}
+		checkNoLeak(t, baseline)
+	})
+	t.Run("killed process", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		e := NewEngine()
+		c := e.NewCondition() // only the victim awaits it
+		victim := e.Spawn("victim", func(p *Process) {
+			c.Await(p)
+			t.Error("killed process resumed")
+		})
+		e.Spawn("survivor", func(p *Process) { p.Wait(3) })
+		e.At(1, victim.Kill)
+		if err := e.Run(); err != nil {
+			t.Errorf("Run = %v, want nil: a killed process is a clean exit", err)
+		}
+		checkNoLeak(t, baseline)
+	})
+}
+
+// A process whose own wake-up is the next thing to happen carries on inside
+// block: no hand-off to Run, and nothing allocated per event.
+func TestSelfWakeBlocksWithoutSwitch(t *testing.T) {
+	chain := func(events int) func() {
+		return func() {
+			e := NewEngine()
+			marker := &Process{}
+			e.Spawn("p", func(p *Process) {
+				e.handoff = marker // block overwrites it only when it switches
+				for i := 0; i < events; i++ {
+					p.Wait(1e-6)
+				}
+				if e.handoff != marker {
+					t.Error("a self-wake went through Run")
+				}
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	few, many := testing.AllocsPerRun(5, chain(1)), testing.AllocsPerRun(5, chain(2001))
+	if perEvent := (many - few) / 2000; perEvent != 0 {
+		t.Errorf("%v allocs per event (%v for 1 event, %v for 2001), want 0", perEvent, few, many)
 	}
 }

@@ -77,7 +77,8 @@ func PartitionTensor(t *Tensor, g Grid) (*Partition, error) {
 	if err := t.Check(); err != nil {
 		return nil, err
 	}
-	p := &Partition{Grid: g, NNZ: make([]int, g.Size())}
+	size := g.Size()
+	p := &Partition{Grid: g, NNZ: make([]int, size)}
 	blockOf := func(idx int32, dim, parts int) int {
 		// Even block split: boundaries at dim·i/parts.
 		b := int(int64(idx) * int64(parts) / int64(dim))
@@ -86,33 +87,47 @@ func PartitionTensor(t *Tensor, g Grid) (*Partition, error) {
 		}
 		return b
 	}
-	distinct := [Order][]map[int32]struct{}{}
-	for m := 0; m < Order; m++ {
-		distinct[m] = make([]map[int32]struct{}, g.Size())
-	}
-	for _, c := range t.Inds {
+	// Counting sort of the nonzeros by owning rank: count, then scatter.
+	owner := make([]int32, len(t.Inds))
+	for i, c := range t.Inds {
 		var gc [Order]int
 		for m := 0; m < Order; m++ {
 			gc[m] = blockOf(c[m], t.Dims[m], g[m])
 		}
 		rank := g.RankOf(gc)
+		owner[i] = int32(rank)
 		p.NNZ[rank]++
-		for m := 0; m < Order; m++ {
-			if distinct[m][rank] == nil {
-				distinct[m][rank] = make(map[int32]struct{})
+	}
+	end := make([]int, size) // where the rank's next nonzero goes
+	for rank, sum := 0, 0; rank < size; rank++ {
+		end[rank] = sum
+		sum += p.NNZ[rank]
+	}
+	byRank := make([]Coord, len(t.Inds))
+	for i, c := range t.Inds {
+		byRank[end[owner[i]]] = c
+		end[owner[i]]++
+	}
+	// A rank's nonzeros are now byRank[end[rank-1]:end[rank]], so one stamp
+	// per row of the mode — the last rank seen to hold it — counts the
+	// distinct rows of every block in a single pass.
+	for m := 0; m < Order; m++ {
+		p.DistinctRows[m] = make([]int, size)
+		stamp := make([]int32, t.Dims[m])
+		lo := 0
+		for rank := 0; rank < size; rank++ {
+			for _, c := range byRank[lo:end[rank]] {
+				if stamp[c[m]] != int32(rank)+1 {
+					stamp[c[m]] = int32(rank) + 1
+					p.DistinctRows[m][rank]++
+				}
 			}
-			distinct[m][rank][c[m]] = struct{}{}
+			lo = end[rank]
 		}
 	}
 	for m := 0; m < Order; m++ {
-		p.DistinctRows[m] = make([]int, g.Size())
-		for rank := range p.DistinctRows[m] {
-			p.DistinctRows[m][rank] = len(distinct[m][rank])
-		}
-	}
-	for m := 0; m < Order; m++ {
-		p.RowsOwned[m] = make([]int, g.Size())
-		for rank := 0; rank < g.Size(); rank++ {
+		p.RowsOwned[m] = make([]int, size)
+		for rank := 0; rank < size; rank++ {
 			gc := g.CoordOf(rank)
 			lo := t.Dims[m] * gc[m] / g[m]
 			hi := t.Dims[m] * (gc[m] + 1) / g[m]
