@@ -22,7 +22,7 @@ test:
 # is the proof that none is needed), the fault-injection layer, and the
 # advisor search engine the service dispatches to.
 race:
-	$(GO) test -race ./internal/mapd/... ./internal/obs/... ./internal/sim/... ./internal/netmodel/... ./internal/fault/... ./internal/mpi/... ./internal/bench/... ./internal/procmap/... ./internal/fleet/... ./internal/advisor/... ./internal/metrics/...
+	$(GO) test -race ./internal/mapd/... ./internal/obs/... ./internal/sim/... ./internal/netmodel/... ./internal/fault/... ./internal/mpi/... ./internal/bench/... ./internal/procmap/... ./internal/topology/... ./internal/fleet/... ./internal/advisor/... ./internal/metrics/...
 
 # check is the tier-1 gate: formatting, vet, staticcheck (when installed),
 # build (including the serving commands), the full test suite under the

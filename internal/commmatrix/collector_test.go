@@ -45,7 +45,7 @@ func TestCollectorRecordsP2P(t *testing.T) {
 }
 
 // Run a block-subcommunicator workload under the collector, then ask
-// BestOrder which mixed-radix order the observed matrix recommends: the
+// bestOrder which mixed-radix order the observed matrix recommends: the
 // end-to-end introspect-then-reorder loop of §2.
 func TestCollectorDrivesBestOrder(t *testing.T) {
 	h := topology.MustNew(2, 2, 4)
@@ -66,10 +66,7 @@ func TestCollectorDrivesBestOrder(t *testing.T) {
 	if m.Total() <= 0 {
 		t.Fatal("collector saw no traffic")
 	}
-	sigma, _, err := BestOrder(m, h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sigma, _ := bestOrder(t, m, h)
 	// Consecutive 4-rank blocks → packed orders are optimal.
 	name := perm.Format(sigma)
 	if name != "2-1-0" && name != "2-0-1" {

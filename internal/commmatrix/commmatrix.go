@@ -8,22 +8,18 @@
 // The package provides:
 //   - Matrix: a symmetric communication-volume matrix with recording
 //     helpers and an mpi.Tracer-style collector;
-//   - Map: a TreeMatch-style greedy hierarchical mapper producing a
-//     rank→core placement from a matrix and a machine hierarchy;
+//   - Sparse: its canonical, content-addressable JSON wire format;
 //   - Cost: the volume-weighted crossing cost of a placement, the
-//     objective both the mapper and the mixed-radix orders can be compared
-//     under;
-//   - BestOrder: the mixed-radix order whose mapping minimizes Cost — the
-//     bridge between the two approaches (use the matrix to pick the order,
-//     use the order to set up the mapping).
+//     objective both a mapper and the mixed-radix orders can be compared
+//     under.
+//
+// The mapping tool itself — the best mixed-radix order for a matrix, the
+// greedy construction and its refinement — is internal/procmap.
 package commmatrix
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/mixedradix"
-	"repro/internal/perm"
 	"repro/internal/topology"
 )
 
@@ -105,138 +101,4 @@ func Cost(m *Matrix, h topology.Hierarchy, placement []int) (float64, error) {
 		}
 	}
 	return total, nil
-}
-
-// Map computes a rank→core placement greedily, TreeMatch-style: it
-// recursively partitions the ranks over the hierarchy's domains, at each
-// level grouping the heaviest-communicating ranks into the same domain.
-// The matrix size must equal the hierarchy's core count.
-func Map(m *Matrix, h topology.Hierarchy) ([]int, error) {
-	if m.n != h.Size() {
-		return nil, fmt.Errorf("commmatrix: %d ranks for a machine with %d cores", m.n, h.Size())
-	}
-	ranks := make([]int, m.n)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	placement := make([]int, m.n)
-	mapLevel(m, h.Arities(), ranks, 0, placement)
-	return placement, nil
-}
-
-// mapLevel assigns the given ranks to the core range starting at base,
-// recursively splitting them over the domains of the current level.
-func mapLevel(m *Matrix, arities []int, ranks []int, base int, placement []int) {
-	if len(arities) == 0 || len(ranks) == 1 {
-		for i, r := range ranks {
-			placement[r] = base + i
-		}
-		return
-	}
-	parts := arities[0]
-	per := len(ranks) / parts
-	remaining := append([]int(nil), ranks...)
-	// Cores per domain at this level = product of the inner arities.
-	coresPerDomain := 1
-	for _, a := range arities[1:] {
-		coresPerDomain *= a
-	}
-	for d := 0; d < parts; d++ {
-		group := takeHeaviestGroup(m, remaining, per)
-		remaining = subtract(remaining, group)
-		mapLevel(m, arities[1:], group, base+d*coresPerDomain, placement)
-	}
-}
-
-// takeHeaviestGroup greedily grows a group of the requested size around
-// the heaviest-communicating seed pair among the candidates.
-func takeHeaviestGroup(m *Matrix, candidates []int, size int) []int {
-	if size >= len(candidates) {
-		return append([]int(nil), candidates...)
-	}
-	in := make(map[int]bool, len(candidates))
-	for _, r := range candidates {
-		in[r] = true
-	}
-	// Seed: the candidate with the largest total volume to other candidates.
-	seed := candidates[0]
-	bestVol := -1.0
-	for _, r := range candidates {
-		var v float64
-		for _, o := range candidates {
-			if o != r {
-				v += m.At(r, o)
-			}
-		}
-		if v > bestVol {
-			bestVol = v
-			seed = r
-		}
-	}
-	group := []int{seed}
-	inGroup := map[int]bool{seed: true}
-	for len(group) < size {
-		bestRank, bestGain := -1, -1.0
-		for _, r := range candidates {
-			if inGroup[r] {
-				continue
-			}
-			var gain float64
-			for _, g := range group {
-				gain += m.At(r, g)
-			}
-			if gain > bestGain || (gain == bestGain && (bestRank < 0 || r < bestRank)) {
-				bestGain = gain
-				bestRank = r
-			}
-		}
-		group = append(group, bestRank)
-		inGroup[bestRank] = true
-	}
-	sort.Ints(group)
-	return group
-}
-
-func subtract(all, remove []int) []int {
-	rm := make(map[int]bool, len(remove))
-	for _, r := range remove {
-		rm[r] = true
-	}
-	out := all[:0]
-	for _, r := range all {
-		if !rm[r] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// BestOrder evaluates every mixed-radix order of the hierarchy against the
-// matrix and returns the order with the lowest Cost together with that
-// cost — the paper's "communication matrices help determine the mapping,
-// our technique sets it up".
-func BestOrder(m *Matrix, h topology.Hierarchy) ([]int, float64, error) {
-	if m.n != h.Size() {
-		return nil, 0, fmt.Errorf("commmatrix: %d ranks for a machine with %d cores", m.n, h.Size())
-	}
-	var best []int
-	bestCost := -1.0
-	for _, sigma := range perm.All(h.Depth()) {
-		ro, err := mixedradix.NewReorderer(h.Arities(), sigma)
-		if err != nil {
-			return nil, 0, err
-		}
-		// Under the order, application rank i runs on the core holding
-		// reordered rank i — InverseTable[i].
-		inv := ro.InverseTable()
-		cost, err := Cost(m, h, inv)
-		if err != nil {
-			return nil, 0, err
-		}
-		if bestCost < 0 || cost < bestCost {
-			bestCost = cost
-			best = append([]int(nil), sigma...)
-		}
-	}
-	return best, bestCost, nil
 }

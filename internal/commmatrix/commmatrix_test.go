@@ -1,9 +1,9 @@
 package commmatrix
 
 import (
-	"math/rand"
 	"testing"
 
+	"repro/internal/mixedradix"
 	"repro/internal/perm"
 	"repro/internal/topology"
 )
@@ -69,60 +69,40 @@ func TestCost(t *testing.T) {
 	}
 }
 
-// Map must put heavily-communicating blocks of ranks into shared domains.
-func TestMapGroupsHeavyPairs(t *testing.T) {
-	h := topology.MustNew(2, 2, 4)
-	// Ranks communicate in 4 blocks of 4 — but the blocks are interleaved:
-	// block k = ranks {k, k+4, k+8, k+12}.
-	m := New(16)
-	for k := 0; k < 4; k++ {
-		for a := 0; a < 4; a++ {
-			for b := a + 1; b < 4; b++ {
-				m.Add(k+4*a, k+4*b, 100)
-			}
+// bestOrder is the brute-force reading of the paper's "communication
+// matrices help determine the mapping, our technique sets it up": Cost of
+// every mixed-radix order's placement (application rank i runs on the core
+// holding reordered rank i — InverseTable[i]), lowest first. The served
+// implementation is procmap.BestOrder; this loop checks Cost and the
+// collector against the orders the paper names.
+func bestOrder(t *testing.T, m *Matrix, h topology.Hierarchy) ([]int, float64) {
+	t.Helper()
+	var best []int
+	bestCost := -1.0
+	for _, sigma := range perm.All(h.Depth()) {
+		ro, err := mixedradix.NewReorderer(h.Arities(), sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost, err := Cost(m, h, ro.InverseTable())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bestCost < 0 || cost < bestCost {
+			bestCost, best = cost, sigma
 		}
 	}
-	placement, err := Map(m, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !perm.IsPermutation(placement) {
-		t.Fatalf("placement is not a bijection: %v", placement)
-	}
-	mapped, err := Cost(m, h, placement)
-	if err != nil {
-		t.Fatal(err)
-	}
-	identity := make([]int, 16)
-	for i := range identity {
-		identity[i] = i
-	}
-	naive, err := Cost(m, h, identity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mapped >= naive {
-		t.Errorf("greedy mapping (%v) no better than identity (%v)", mapped, naive)
-	}
-	// Optimal here: every block inside one socket → all pairs cost 1.
-	optimal := 4 * 6 * 100.0
-	if mapped != optimal {
-		t.Errorf("greedy mapping cost %v, want optimal %v", mapped, optimal)
-	}
+	return best, bestCost
 }
 
-// BestOrder must pick a packed order for block-communicating workloads and
-// its cost must equal the cost of its own placement.
+// The best order must be a packed one for block-communicating workloads.
 func TestBestOrderBlockWorkload(t *testing.T) {
 	h := topology.MustNew(2, 2, 4)
 	m, err := FromSubcommunicators(16, 4, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigma, cost, err := BestOrder(m, h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sigma, cost := bestOrder(t, m, h)
 	// Blocks of 4 consecutive ranks fit one socket under the identity
 	// ([2,1,0]) or plane ([2,0,1]) orders: all pairs cost 1.
 	want := 4 * 6 * 100.0
@@ -146,10 +126,7 @@ func TestBestOrderCyclicWorkload(t *testing.T) {
 			}
 		}
 	}
-	sigma, cost, err := BestOrder(m, h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sigma, cost := bestOrder(t, m, h)
 	// Stride-4 blocks are exactly what a fully cyclic enumeration packs:
 	// under [0,1,2]-style orders, ranks {k, k+4, k+8, k+12} share a socket.
 	if cost != 4*6*100.0 {
@@ -157,47 +134,13 @@ func TestBestOrderCyclicWorkload(t *testing.T) {
 	}
 }
 
-// The greedy mapper must never lose to the best mixed-radix order by more
-// than 2× on random matrices (it optimizes the same objective with more
-// freedom, but greedily).
-func TestMapVersusBestOrderRandom(t *testing.T) {
-	h := topology.MustNew(2, 2, 4)
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 10; trial++ {
-		m := New(16)
-		for i := 0; i < 16; i++ {
-			for j := i + 1; j < 16; j++ {
-				if rng.Float64() < 0.3 {
-					m.Add(i, j, rng.Float64()*100)
-				}
-			}
-		}
-		placement, err := Map(m, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mapped, err := Cost(m, h, placement)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, orderCost, err := BestOrder(m, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mapped > 2*orderCost {
-			t.Errorf("trial %d: greedy mapping %v vs best order %v", trial, mapped, orderCost)
-		}
-	}
-}
-
 func TestSizeMismatches(t *testing.T) {
 	h := topology.MustNew(2, 2, 4)
 	m := New(8)
-	if _, err := Map(m, h); err == nil {
-		t.Error("size mismatch accepted by Map")
-	}
-	if _, _, err := BestOrder(m, h); err == nil {
-		t.Error("size mismatch accepted by BestOrder")
+	for _, n := range []int{0, 7, 9, 16} {
+		if _, err := Cost(m, h, make([]int, n)); err == nil {
+			t.Errorf("Cost accepted a %d-rank placement for 8 ranks", n)
+		}
 	}
 }
 

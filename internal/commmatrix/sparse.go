@@ -8,13 +8,14 @@ package commmatrix
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Edge is one undirected traffic entry of the sparse wire format.
@@ -38,10 +39,21 @@ type Sparse struct {
 // nonzero unordered pair, endpoints ordered a < b, edges sorted by (a, b).
 func (m *Matrix) Sparse() Sparse {
 	s := Sparse{Ranks: m.n}
+	nnz := 0
 	for i := 0; i < m.n; i++ {
-		for j := i + 1; j < m.n; j++ {
-			if v := m.vol[i*m.n+j]; v != 0 {
-				s.Edges = append(s.Edges, Edge{A: i, B: j, Bytes: v})
+		for _, v := range m.vol[i*m.n+i+1 : (i+1)*m.n] {
+			if v != 0 {
+				nnz++
+			}
+		}
+	}
+	if nnz > 0 {
+		s.Edges = make([]Edge, 0, nnz)
+	}
+	for i := 0; i < m.n; i++ {
+		for j, v := range m.vol[i*m.n+i+1 : (i+1)*m.n] {
+			if v != 0 {
+				s.Edges = append(s.Edges, Edge{A: i, B: i + 1 + j, Bytes: v})
 			}
 		}
 	}
@@ -52,53 +64,74 @@ func (m *Matrix) Sparse() Sparse {
 // in range, no self-edges, no duplicate pairs (in either orientation), and
 // finite positive volumes. It does not require canonical ordering.
 func (s Sparse) Validate() error {
+	_, err := s.Canonical()
+	return err
+}
+
+// Canonical validates the sparse form and returns it in canonical order
+// (a < b within each edge, edges sorted by (a, b)) — the one pass a
+// request pays before its digest, its Matrix and its mapping are all
+// derived from the result. Input already in canonical order is returned
+// as is, sharing s.Edges.
+func (s Sparse) Canonical() (Sparse, error) {
 	if s.Ranks <= 0 {
-		return fmt.Errorf("commmatrix: non-positive rank count %d", s.Ranks)
+		return Sparse{}, fmt.Errorf("commmatrix: non-positive rank count %d", s.Ranks)
 	}
-	seen := make(map[[2]int]bool, len(s.Edges))
 	for i, e := range s.Edges {
 		if e.A < 0 || e.A >= s.Ranks || e.B < 0 || e.B >= s.Ranks {
-			return fmt.Errorf("commmatrix: edge %d (%d,%d) out of range for %d ranks", i, e.A, e.B, s.Ranks)
+			return Sparse{}, fmt.Errorf("commmatrix: edge %d (%d,%d) out of range for %d ranks", i, e.A, e.B, s.Ranks)
 		}
 		if e.A == e.B {
-			return fmt.Errorf("commmatrix: edge %d is a self-edge on rank %d", i, e.A)
+			return Sparse{}, fmt.Errorf("commmatrix: edge %d is a self-edge on rank %d", i, e.A)
 		}
 		if math.IsNaN(e.Bytes) || math.IsInf(e.Bytes, 0) {
-			return fmt.Errorf("commmatrix: edge %d (%d,%d) has non-finite volume", i, e.A, e.B)
+			return Sparse{}, fmt.Errorf("commmatrix: edge %d (%d,%d) has non-finite volume", i, e.A, e.B)
 		}
 		if e.Bytes <= 0 {
-			return fmt.Errorf("commmatrix: edge %d (%d,%d) has non-positive volume %g", i, e.A, e.B, e.Bytes)
+			return Sparse{}, fmt.Errorf("commmatrix: edge %d (%d,%d) has non-positive volume %g", i, e.A, e.B, e.Bytes)
 		}
-		k := [2]int{e.A, e.B}
-		if e.B < e.A {
-			k = [2]int{e.B, e.A}
-		}
-		// A pair listed twice — even once per orientation — would make the
-		// symmetric reconstruction ambiguous, so it is rejected rather than
-		// summed.
-		if seen[k] {
-			return fmt.Errorf("commmatrix: duplicate edge (%d,%d)", e.A, e.B)
-		}
-		seen[k] = true
 	}
-	return nil
+	edges := s.canonical()
+	// A pair listed twice — even once per orientation — would make the
+	// symmetric reconstruction ambiguous, so it is rejected rather than
+	// summed. Sorted, the two listings are adjacent.
+	for i := 1; i < len(edges); i++ {
+		if edges[i].A == edges[i-1].A && edges[i].B == edges[i-1].B {
+			return Sparse{}, fmt.Errorf("commmatrix: duplicate edge (%d,%d)", edges[i].A, edges[i].B)
+		}
+	}
+	return Sparse{Ranks: s.Ranks, Edges: edges}, nil
 }
 
 // FromSparse validates the sparse form and expands it into a Matrix.
 func FromSparse(s Sparse) (*Matrix, error) {
-	if err := s.Validate(); err != nil {
+	c, err := s.Canonical()
+	if err != nil {
 		return nil, err
 	}
-	m := New(s.Ranks)
-	for _, e := range s.Edges {
+	m := New(c.Ranks)
+	for _, e := range c.Edges {
 		m.Add(e.A, e.B, e.Bytes)
 	}
 	return m, nil
 }
 
-// canonical returns the edges sorted into canonical order (a < b within
-// each edge, edges ordered by (a, b)) without mutating the receiver.
+// compareEdges orders edges by (a, b).
+func compareEdges(x, y Edge) int {
+	if c := cmp.Compare(x.A, y.A); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.B, y.B)
+}
+
+// canonical returns the edges in canonical order (a < b within each edge,
+// edges ordered by (a, b)) without mutating the receiver: s.Edges itself
+// when it already is in that order, a sorted copy otherwise.
 func (s Sparse) canonical() []Edge {
+	flipped := func(e Edge) bool { return e.B < e.A }
+	if !slices.ContainsFunc(s.Edges, flipped) && slices.IsSortedFunc(s.Edges, compareEdges) {
+		return s.Edges
+	}
 	edges := make([]Edge, len(s.Edges))
 	for i, e := range s.Edges {
 		if e.B < e.A {
@@ -106,12 +139,7 @@ func (s Sparse) canonical() []Edge {
 		}
 		edges[i] = e
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].A != edges[j].A {
-			return edges[i].A < edges[j].A
-		}
-		return edges[i].B < edges[j].B
-	})
+	slices.SortFunc(edges, compareEdges)
 	return edges
 }
 
@@ -155,22 +183,4 @@ func (m *Matrix) UnmarshalJSON(data []byte) error {
 	}
 	*m = *dm
 	return nil
-}
-
-// Edges calls fn for every nonzero unordered pair (a < b) with its volume.
-func (m *Matrix) Edges(fn func(a, b int, bytes float64)) {
-	for i := 0; i < m.n; i++ {
-		for j := i + 1; j < m.n; j++ {
-			if v := m.vol[i*m.n+j]; v != 0 {
-				fn(i, j, v)
-			}
-		}
-	}
-}
-
-// NumEdges returns the number of nonzero unordered pairs.
-func (m *Matrix) NumEdges() int {
-	n := 0
-	m.Edges(func(int, int, float64) { n++ })
-	return n
 }

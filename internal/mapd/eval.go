@@ -298,13 +298,13 @@ func (q *parsedMatrixMap) Degraded() (any, error) { return evalMatrixMapFallback
 // order.
 func evalMatrixMap(ctx context.Context, q *parsedMatrixMap) (*MatrixMapResponse, error) {
 	_, osp := rt.StartSpan(ctx, "procmap.bestorder")
-	sigma, orderPlacement, orderCost, evaluated, err := procmap.BestOrder(q.m, q.h, nil)
+	sigma, orderPlacement, orderCost, evaluated, err := q.g.BestOrder(q.h, nil)
 	osp.End()
 	if err != nil {
 		return nil, badf("%v", err)
 	}
 	mctx, msp := rt.StartSpan(ctx, "procmap.map")
-	res, err := procmap.Map(mctx, q.m, q.h, procmap.Options{
+	res, err := q.g.Map(mctx, q.h, procmap.Options{
 		Seed:          q.seed,
 		MaxRounds:     q.rounds,
 		NoRefine:      !q.refine,
@@ -319,7 +319,7 @@ func evalMatrixMap(ctx context.Context, q *parsedMatrixMap) (*MatrixMapResponse,
 	}
 	resp := &MatrixMapResponse{
 		Hierarchy:       q.arities,
-		Ranks:           q.m.Size(),
+		Ranks:           q.g.Ranks(),
 		MatrixDigest:    q.digest,
 		Placement:       res.Placement,
 		Cost:            res.Cost,
@@ -348,13 +348,13 @@ func evalMatrixMap(ctx context.Context, q *parsedMatrixMap) (*MatrixMapResponse,
 // over budget): just the best mixed-radix order's placement — a bounded
 // k!·edges scan with no refinement. Flagged Degraded and never cached.
 func evalMatrixMapFallback(q *parsedMatrixMap) (*MatrixMapResponse, error) {
-	sigma, placement, cost, evaluated, err := procmap.BestOrder(q.m, q.h, nil)
+	sigma, placement, cost, evaluated, err := q.g.BestOrder(q.h, nil)
 	if err != nil {
 		return nil, badf("%v", err)
 	}
 	return &MatrixMapResponse{
 		Hierarchy:       q.arities,
-		Ranks:           q.m.Size(),
+		Ranks:           q.g.Ranks(),
 		MatrixDigest:    q.digest,
 		Placement:       placement,
 		Cost:            cost,

@@ -3,6 +3,7 @@ package mapd
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/perm"
@@ -66,6 +67,53 @@ func FuzzParseHierOrder(f *testing.F) {
 		} {
 			if _, err := Eval(ctx, req, AdviseOptions{}); err != nil && !errors.Is(err, ErrBadRequest) {
 				t.Fatalf("%T error does not wrap ErrBadRequest: %v", req, err)
+			}
+		}
+	})
+}
+
+// FuzzMatrixMapBody drives /v1/map/matrix's decoder and parser with
+// arbitrary bodies. Whatever parses must be answerable by the full search
+// and by the degraded path alike — a finite cost on a bijective placement
+// (so the answer encodes as JSON), the search never losing to the σ
+// baseline — and everything else must be a bad request, never a panic.
+func FuzzMatrixMapBody(f *testing.F) {
+	f.Add(matrixOverflowBody)
+	f.Add(`{"hierarchy":"2,2,2","matrix":{"ranks":8,"edges":[{"a":0,"b":7,"bytes":8.9e307},{"a":1,"b":6,"bytes":1e-300}]}}`)
+	f.Add(`{"hierarchy":"2x2x2","matrix":{"ranks":8,"edges":[{"a":0,"b":7,"bytes":1000},{"a":7,"b":1,"bytes":900.5},{"a":4,"b":5,"bytes":10}]},"seed":1}`)
+	f.Add(`{"hierarchy":"3,2","matrix":{"ranks":6,"edges":[{"a":5,"b":0,"bytes":3},{"a":0,"b":5,"bytes":3}]}}`)
+	f.Add(`{"hierarchy":"2,2","matrix":{"ranks":4,"edges":[]},"refine":false,"max_rounds":64}`)
+	f.Add(`{"hierarchy":"2,2","matrix":{"ranks":4,"edges":[{"a":0,"b":1,"bytes":1e999}]}}`)
+
+	ep, _ := lookupEndpoint("/v1/map/matrix")
+	f.Fuzz(func(t *testing.T, body string) {
+		q, err := ep.Parse([]byte(body))
+		if err != nil {
+			if !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("parse error does not wrap ErrBadRequest: %v", err)
+			}
+			return
+		}
+		full, err := q.eval(context.Background(), AdviseOptions{})
+		if err != nil {
+			t.Fatalf("accepted body failed to evaluate: %v", err)
+		}
+		degraded, err := q.Degraded()
+		if err != nil {
+			t.Fatalf("accepted body failed to degrade: %v", err)
+		}
+		for _, ans := range []any{full, degraded} {
+			resp := ans.(*MatrixMapResponse)
+			if !perm.IsPermutation(resp.Placement) || len(resp.Placement) != resp.Ranks {
+				t.Fatalf("placement %v is not a bijection on %d ranks", resp.Placement, resp.Ranks)
+			}
+			for _, v := range []float64{resp.Cost, resp.GreedyCost, resp.BestOrderCost, resp.ImprovementPct} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("non-finite figure in %+v", resp)
+				}
+			}
+			if resp.Cost > resp.BestOrderCost {
+				t.Fatalf("cost %g loses to the best order's %g", resp.Cost, resp.BestOrderCost)
 			}
 		}
 	})

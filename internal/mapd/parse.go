@@ -10,12 +10,13 @@ package mapd
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/advisor"
 	"repro/internal/cluster"
-	"repro/internal/commmatrix"
 	"repro/internal/netmodel"
 	"repro/internal/perm"
+	"repro/internal/procmap"
 	"repro/internal/topology"
 )
 
@@ -302,7 +303,7 @@ func (r *SelectRequest) parse() (Query, error) {
 type parsedMatrixMap struct {
 	h       topology.Hierarchy
 	arities []int
-	m       *commmatrix.Matrix
+	g       *procmap.Graph // the canonical edges, indexed once for BestOrder and Map
 	digest  string
 	seed    int64
 	rounds  int
@@ -323,24 +324,34 @@ func (r *MatrixMapRequest) parse() (Query, error) {
 	if len(r.Matrix.Edges) > MaxMatrixEdges {
 		return nil, badf("matrix has %d edges, limit %d", len(r.Matrix.Edges), MaxMatrixEdges)
 	}
-	if err := r.Matrix.Validate(); err != nil {
+	// One validation and one sort; the digest and the search both read
+	// the canonical edges.
+	matrix, err := r.Matrix.Canonical()
+	if err != nil {
 		return nil, badf("%v", err)
 	}
-	if r.Matrix.Ranks != h.Size() {
-		return nil, badf("matrix covers %d ranks, hierarchy enumerates %d", r.Matrix.Ranks, h.Size())
+	if matrix.Ranks != h.Size() {
+		return nil, badf("matrix covers %d ranks, hierarchy enumerates %d", matrix.Ranks, h.Size())
 	}
 	if r.MaxRounds < 0 || r.MaxRounds > MaxMatrixRounds {
 		return nil, badf("max_rounds %d outside [0, %d]", r.MaxRounds, MaxMatrixRounds)
 	}
-	m, err := commmatrix.FromSparse(r.Matrix)
-	if err != nil {
-		return nil, badf("%v", err)
+	// Finite volumes can still sum past the float range, and a cost of
+	// +Inf turns swap gains into Inf−Inf. No placement costs more than
+	// every byte crossing the outermost level, weight Depth; half the
+	// range leaves room for the rounding of sums taken in another order.
+	var volume float64
+	for _, e := range matrix.Edges {
+		volume += e.Bytes
+	}
+	if worst := volume * float64(h.Depth()); worst > math.MaxFloat64/2 {
+		return nil, badf("matrix volume %g overflows the cost of a depth-%d placement", volume, h.Depth())
 	}
 	q := &parsedMatrixMap{
 		h:       h,
 		arities: h.Arities(),
-		m:       m,
-		digest:  r.Matrix.Digest(),
+		g:       procmap.NewGraph(matrix),
+		digest:  matrix.Digest(),
 		seed:    r.Seed,
 		rounds:  r.MaxRounds,
 		refine:  true,

@@ -162,7 +162,12 @@ var MalformedRequests = []struct {
 	{"select too many", "/v1/select", `{"hierarchy":"2,2,4","order":"0-1-2","n":17}`, "bad_request"},
 	{"select zero", "/v1/select", `{"hierarchy":"2,2,4","order":"0-1-2","n":0}`, "bad_request"},
 	{"metrics comm too large", "/v1/metrics/order", `{"hierarchy":"2,2,4","order":"0-1-2","comm_size":64}`, "bad_request"},
+	// Each volume is finite, their cost is not: answered 500 "json:
+	// unsupported value: +Inf" before the parser summed them.
+	{"matrix volume overflow", "/v1/map/matrix", matrixOverflowBody, "bad_request"},
 }
+
+const matrixOverflowBody = `{"hierarchy":"2,2,2","matrix":{"ranks":8,"edges":[{"a":0,"b":7,"bytes":1e308},{"a":1,"b":6,"bytes":1e308},{"a":2,"b":5,"bytes":1e308}]}}`
 
 func TestMalformedRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

@@ -24,40 +24,42 @@ import (
 // 64/32-bit). Nil weights select DefaultWeights. Ties resolve to the
 // lexicographically smallest order.
 func BestOrder(m *commmatrix.Matrix, h topology.Hierarchy, weights []float64) (sigma []int, placement []int, cost float64, evaluated int64, err error) {
-	n := m.Size()
-	if n != h.Size() {
-		return nil, nil, 0, 0, fmt.Errorf("procmap: %d ranks for a machine with %d cores", n, h.Size())
-	}
-	if weights == nil {
-		weights = DefaultWeights(h)
+	return bestOrder(m.Size(), m.Sparse().Edges, h, weights)
+}
+
+// BestOrder is the package-level BestOrder on traffic already indexed.
+func (g *Graph) BestOrder(h topology.Hierarchy, weights []float64) (sigma []int, placement []int, cost float64, evaluated int64, err error) {
+	return bestOrder(g.Ranks(), g.edges, h, weights)
+}
+
+func bestOrder(ranks int, edges []commmatrix.Edge, h topology.Hierarchy, weights []float64) (sigma []int, placement []int, cost float64, evaluated int64, err error) {
+	if ranks != h.Size() {
+		return nil, nil, 0, 0, fmt.Errorf("procmap: %d ranks for a machine with %d cores", ranks, h.Size())
 	}
 	cm, err := newCostModel(h, weights)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
-	edges := m.Sparse().Edges
-	ar := h.Arities()
-	inv := make([]int, n)
-	best := -1.0
-	var bestSigma, bestInv []int
+	// One Reorderer and one table walk all the orders.
+	ro, err := mixedradix.NewReorderer(h.Arities(), mixedradix.IdentityOrder(h.Depth()))
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
+	inv := make([]int, ranks)
+	cost = -1
 	for _, s := range perm.All(h.Depth()) {
-		ro, rerr := mixedradix.NewReorderer(ar, s)
-		if rerr != nil {
-			return nil, nil, 0, 0, rerr
+		if err := ro.Reset(s); err != nil {
+			return nil, nil, 0, 0, err
 		}
 		ro.InverseTableInto(inv)
 		evaluated++
-		var c float64
-		for _, e := range edges {
-			c += e.Bytes * cm.pairCost(inv[e.A], inv[e.B])
-		}
 		// perm.All enumerates lexicographically, so strict < keeps the
 		// lexicographically smallest order among ties.
-		if best < 0 || c < best {
-			best = c
-			bestSigma = append(bestSigma[:0], s...)
-			bestInv = append(bestInv[:0], inv...)
+		if c := cm.cost(edges, inv); cost < 0 || c < cost {
+			cost = c
+			sigma = append(sigma[:0], s...)
+			placement = append(placement[:0], inv...)
 		}
 	}
-	return bestSigma, bestInv, best, evaluated, nil
+	return sigma, placement, cost, evaluated, nil
 }

@@ -18,46 +18,47 @@ import (
 // Build computes the greedy bottom-up placement (rank → core). The matrix
 // size must equal the hierarchy's core count.
 func Build(m *commmatrix.Matrix, h topology.Hierarchy) ([]int, error) {
-	n := m.Size()
+	return NewGraph(m.Sparse()).build(h)
+}
+
+// build walks adjacency rows only: a pair with no traffic would add an
+// exact zero to the sums below, which changes no bit of them, so skipping
+// it keeps every sum's operand order and the result of the dense scan.
+func (gr *Graph) build(h topology.Hierarchy) ([]int, error) {
+	n := gr.Ranks()
 	if n != h.Size() {
 		return nil, fmt.Errorf("procmap: %d ranks for a machine with %d cores", n, h.Size())
 	}
 	ar := h.Arities()
-	// groups[i] is the ordered member-rank list of group i; coarse is the
-	// dense group×group volume matrix of the current level.
+	// groups[i] is the ordered member-rank list of group i; rows[i] is its
+	// volume to every other group of the current level it talks to, in
+	// ascending group order.
 	groups := make([][]int, n)
+	ranks := make([]int, n)
 	for i := range groups {
-		groups[i] = []int{i}
+		ranks[i] = i
+		groups[i] = ranks[i : i+1]
 	}
-	coarse := make([]float64, n*n)
-	m.Edges(func(a, b int, v float64) {
-		coarse[a*n+b] = v
-		coarse[b*n+a] = v
-	})
+	rows := gr.adj
 	g := n
 	for l := len(ar) - 1; l >= 0; l-- {
 		k := ar[l]
-		if k == 1 {
-			continue
-		}
 		ng := g / k
 		used := make([]bool, g)
 		superOf := make([]int, g)
 		// tot[i] is group i's remaining volume to other unused groups — the
 		// seed-selection score, maintained incrementally as groups are taken.
 		tot := make([]float64, g)
-		for i := 0; i < g; i++ {
-			for j := 0; j < g; j++ {
-				if j != i {
-					tot[i] += coarse[i*g+j]
-				}
+		for i, row := range rows {
+			for _, nb := range row {
+				tot[i] += nb.vol
 			}
 		}
 		take := func(i int) {
 			used[i] = true
-			for j := 0; j < g; j++ {
-				if !used[j] {
-					tot[j] -= coarse[j*g+i]
+			for _, nb := range rows[i] {
+				if !used[nb.to] {
+					tot[nb.to] -= nb.vol
 				}
 			}
 		}
@@ -76,8 +77,9 @@ func Build(m *commmatrix.Matrix, h topology.Hierarchy) ([]int, error) {
 			}
 			take(seed)
 			members := append(make([]int, 0, k), seed)
-			for i := 0; i < g; i++ {
-				gain[i] = coarse[i*g+seed]
+			clear(gain)
+			for _, nb := range rows[seed] {
+				gain[nb.to] = nb.vol
 			}
 			for len(members) < k {
 				pick := -1
@@ -91,38 +93,50 @@ func Build(m *commmatrix.Matrix, h topology.Hierarchy) ([]int, error) {
 				}
 				take(pick)
 				members = append(members, pick)
-				for i := 0; i < g; i++ {
-					if !used[i] {
-						gain[i] += coarse[i*g+pick]
+				for _, nb := range rows[pick] {
+					if !used[nb.to] {
+						gain[nb.to] += nb.vol
 					}
 				}
 			}
+			merged := make([]int, 0, k*len(groups[seed]))
 			for _, i := range members {
 				superOf[i] = s
-			}
-			var merged []int
-			for _, i := range members {
 				merged = append(merged, groups[i]...)
 			}
 			newGroups = append(newGroups, merged)
 		}
-		// Coarsen the volume matrix onto the supers.
+		// Coarsen the volumes onto the supers: accumulate densely, each pair
+		// once in (i, j) order, then read the nonzero cells back as rows.
 		nc := make([]float64, ng*ng)
-		for i := 0; i < g; i++ {
-			for j := i + 1; j < g; j++ {
-				v := coarse[i*g+j]
-				if v == 0 {
+		for i, row := range rows {
+			for _, nb := range row {
+				si, sj := superOf[i], superOf[nb.to]
+				if nb.to < i || si == sj {
 					continue
 				}
-				si, sj := superOf[i], superOf[j]
-				if si == sj {
-					continue
-				}
-				nc[si*ng+sj] += v
-				nc[sj*ng+si] += v
+				nc[si*ng+sj] += nb.vol
+				nc[sj*ng+si] += nb.vol
 			}
 		}
-		coarse, groups, g = nc, newGroups, ng
+		nnz := 0
+		for _, v := range nc {
+			if v != 0 {
+				nnz++
+			}
+		}
+		flat := make([]neighbor, 0, nnz)
+		rows = make([][]neighbor, ng)
+		for si := range rows {
+			start := len(flat)
+			for sj, v := range nc[si*ng : (si+1)*ng] {
+				if v != 0 {
+					flat = append(flat, neighbor{sj, v})
+				}
+			}
+			rows[si] = flat[start:len(flat):len(flat)]
+		}
+		groups, g = newGroups, ng
 	}
 	// One group remains; its member order enumerates the cores. Because
 	// each merge keeps deeper groups contiguous, positions nest correctly

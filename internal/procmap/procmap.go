@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/commmatrix"
 	"repro/internal/netmodel"
@@ -59,16 +60,6 @@ type Options struct {
 }
 
 const defaultMaxRounds = 16
-
-func (o Options) withDefaults(h topology.Hierarchy) Options {
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = defaultMaxRounds
-	}
-	if o.Weights == nil {
-		o.Weights = DefaultWeights(h)
-	}
-	return o
-}
 
 // Result is a computed mapping.
 type Result struct {
@@ -131,17 +122,65 @@ func SpecWeights(spec netmodel.Spec, msgBytes float64) []float64 {
 	return w
 }
 
-// costModel evaluates pair costs without per-call allocation: suffix[l] is
-// the core count of one level-l domain (suffix[k] = 1), so the first
-// differing level of two cores falls out of repeated division.
-type costModel struct {
-	suffix []int
-	w      []float64
+// Graph is one request's traffic in the two forms the search reads: the
+// canonical edge list, which every cost sum walks in (a, b) order, and each
+// rank's neighbours in ascending rank order, which the greedy construction
+// and the swap gains walk. Build it once per request and hand it to
+// BestOrder and Map; it is read-only from then on.
+type Graph struct {
+	edges []commmatrix.Edge
+	adj   [][]neighbor
 }
 
+// neighbor is one adjacency entry of a rank (or, during the greedy
+// construction, of a group of ranks).
+type neighbor struct {
+	to  int
+	vol float64
+}
+
+// NewGraph indexes a sparse matrix that is valid and in canonical order,
+// as Matrix.Sparse and Sparse.Canonical return it. It keeps s.Edges.
+func NewGraph(s commmatrix.Sparse) *Graph {
+	g := &Graph{edges: s.Edges, adj: make([][]neighbor, s.Ranks)}
+	deg := make([]int, s.Ranks)
+	for _, e := range s.Edges {
+		deg[e.A]++
+		deg[e.B]++
+	}
+	flat := make([]neighbor, 2*len(s.Edges))
+	for r, d := range deg {
+		g.adj[r], flat = flat[:0:d], flat[d:]
+	}
+	// Edges sorted by (a, b) reach every rank's smaller neighbours before
+	// its larger ones, each run ascending.
+	for _, e := range s.Edges {
+		g.adj[e.A] = append(g.adj[e.A], neighbor{e.B, e.Bytes})
+		g.adj[e.B] = append(g.adj[e.B], neighbor{e.A, e.Bytes})
+	}
+	return g
+}
+
+// Ranks returns the number of ranks.
+func (g *Graph) Ranks() int { return len(g.adj) }
+
+// costModel prices a pair of cores in O(1): the topology level oracle's
+// label XOR names the outermost level the cores differ in, and byLen holds
+// that level's weight under the XOR's bit length (0 for equal cores).
+// suffix[l] is the core count of one level-l domain (suffix[k] = 1).
+type costModel struct {
+	suffix []int
+	label  []uint64
+	byLen  [65]float64
+}
+
+// newCostModel validates the weights; nil selects DefaultWeights.
 func newCostModel(h topology.Hierarchy, weights []float64) (*costModel, error) {
 	ar := h.Arities()
 	k := len(ar)
+	if weights == nil {
+		weights = DefaultWeights(h)
+	}
 	if len(weights) != k {
 		return nil, fmt.Errorf("procmap: %d weights for a depth-%d hierarchy", len(weights), k)
 	}
@@ -155,23 +194,28 @@ func newCostModel(h topology.Hierarchy, weights []float64) (*costModel, error) {
 	for l := k - 1; l >= 0; l-- {
 		suffix[l] = suffix[l+1] * ar[l]
 	}
-	return &costModel{suffix: suffix, w: append([]float64(nil), weights...)}, nil
+	o := h.LevelOracle()
+	cm := &costModel{suffix: suffix, label: o.Label}
+	for n := 1; n < len(cm.byLen); n++ {
+		// Lengths past the label width keep level 0's entry and are never read.
+		cm.byLen[n] = weights[o.LevelOfLen[n]]
+	}
+	return cm, nil
 }
 
 // pairCost returns the weight of the outermost level cores a and b differ
 // in, or 0 when they are the same core.
 func (c *costModel) pairCost(a, b int) float64 {
-	if a == b {
-		return 0
+	return c.byLen[bits.Len64(c.label[a]^c.label[b])]
+}
+
+// cost sums volume × pair cost over the edges, in edge order.
+func (c *costModel) cost(edges []commmatrix.Edge, placement []int) float64 {
+	var total float64
+	for _, e := range edges {
+		total += e.Bytes * c.pairCost(placement[e.A], placement[e.B])
 	}
-	for l := 0; l < len(c.w); l++ {
-		s := c.suffix[l+1]
-		if a/s != b/s {
-			return c.w[l]
-		}
-		a, b = a%s, b%s
-	}
-	return 0
+	return total
 }
 
 // Cost evaluates a rank→core placement under the weighted crossing-cost
@@ -181,18 +225,11 @@ func Cost(m *commmatrix.Matrix, h topology.Hierarchy, placement []int, weights [
 	if len(placement) != m.Size() {
 		return 0, fmt.Errorf("procmap: placement has %d ranks, matrix %d", len(placement), m.Size())
 	}
-	if weights == nil {
-		weights = DefaultWeights(h)
-	}
 	cm, err := newCostModel(h, weights)
 	if err != nil {
 		return 0, err
 	}
-	var total float64
-	m.Edges(func(a, b int, v float64) {
-		total += v * cm.pairCost(placement[a], placement[b])
-	})
-	return total, nil
+	return cm.cost(m.Sparse().Edges, placement), nil
 }
 
 // orderInitMaxDepth bounds the automatic BestOrder initialization: beyond
@@ -206,46 +243,38 @@ const orderInitMaxDepth = 7
 // must equal the hierarchy's core count. The context cancels the
 // refinement; the greedy phase is fast enough to always run to completion.
 func Map(ctx context.Context, m *commmatrix.Matrix, h topology.Hierarchy, opts Options) (*Result, error) {
-	opts = opts.withDefaults(h)
+	return NewGraph(m.Sparse()).Map(ctx, h, opts)
+}
+
+// Map is the package-level Map on traffic already indexed.
+func (g *Graph) Map(ctx context.Context, h topology.Hierarchy, opts Options) (*Result, error) {
+	if opts.MaxRounds <= 0 {
+		opts.MaxRounds = defaultMaxRounds
+	}
 	cm, err := newCostModel(h, opts.Weights)
 	if err != nil {
 		return nil, err
 	}
-	placement, err := Build(m, h)
+	placement, err := g.build(h)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Placement: placement}
-	res.GreedyCost = costOf(m, cm, placement)
-	res.Cost = res.GreedyCost
+	greedy := cm.cost(g.edges, placement)
+	res := &Result{Placement: placement, Cost: greedy, GreedyCost: greedy}
 	if opts.NoRefine {
 		return res, nil
 	}
 	init := opts.InitPlacement
 	if init == nil && !opts.NoOrderInit && h.Depth() <= orderInitMaxDepth {
-		if _, inv, _, _, oerr := BestOrder(m, h, opts.Weights); oerr == nil {
-			init = inv
-		}
+		_, init, _, _, _ = g.BestOrder(h, opts.Weights) // nil on error
 	}
-	if init != nil && len(init) == m.Size() {
-		if ic := costOf(m, cm, init); ic < res.GreedyCost {
-			copy(res.Placement, init)
-			res.Cost = ic
-		}
+	if len(init) == len(placement) && cm.cost(g.edges, init) < greedy {
+		copy(placement, init)
 	}
-	rounds, swaps, err := refine(ctx, m, cm, placement, opts)
+	res.Rounds, res.Swaps, err = refine(ctx, g.adj, cm, placement, opts)
 	if err != nil {
 		return nil, err
 	}
-	res.Rounds, res.Swaps = rounds, swaps
-	res.Cost = costOf(m, cm, placement)
+	res.Cost = cm.cost(g.edges, placement)
 	return res, nil
-}
-
-func costOf(m *commmatrix.Matrix, cm *costModel, placement []int) float64 {
-	var total float64
-	m.Edges(func(a, b int, v float64) {
-		total += v * cm.pairCost(placement[a], placement[b])
-	})
-	return total
 }

@@ -9,7 +9,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/commmatrix"
+	"repro/internal/mixedradix"
 	"repro/internal/netmodel"
+	"repro/internal/perm"
 	"repro/internal/topology"
 )
 
@@ -176,27 +178,38 @@ func TestWeightsValidation(t *testing.T) {
 func TestBestOrderMatchesCommmatrix(t *testing.T) {
 	h := topology.MustNew(2, 2, 4)
 	m := interleaved(100)
-	sigma, placement, cost, _, err := BestOrder(m, h, nil)
+	sigma, placement, cost, evaluated, err := BestOrder(m, h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSigma, wantCost, err := commmatrix.BestOrder(m, h)
-	if err != nil {
-		t.Fatal(err)
+	// The brute-force reading: commmatrix.Cost of every order's placement.
+	// perm.All is lexicographic, so strict < also pins the tie-break.
+	orders := perm.All(h.Depth())
+	var wantSigma []int
+	wantCost := -1.0
+	for _, s := range orders {
+		ro, err := mixedradix.NewReorderer(h.Arities(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := commmatrix.Cost(m, h, ro.InverseTable())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantCost < 0 || c < wantCost {
+			wantCost, wantSigma = c, s
+		}
 	}
-	if cost != wantCost {
-		t.Fatalf("cost = %g, commmatrix says %g", cost, wantCost)
+	if cost != wantCost || !reflect.DeepEqual(sigma, wantSigma) || evaluated != int64(len(orders)) {
+		t.Fatalf("BestOrder = %v at %g after %d orders, brute force says %v at %g after %d",
+			sigma, cost, evaluated, wantSigma, wantCost, len(orders))
 	}
-	_ = wantSigma // ties may resolve differently; costs must agree
 	actual, err := Cost(m, h, placement, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if actual != cost {
 		t.Fatalf("returned placement costs %g, reported %g", actual, cost)
-	}
-	if len(sigma) != h.Depth() {
-		t.Fatalf("sigma = %v", sigma)
 	}
 }
 

@@ -13,6 +13,7 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -244,6 +245,57 @@ func (h Hierarchy) CrossCost(a, b int) int {
 		return 0
 	}
 	return h.Depth() - d
+}
+
+// LevelOracle answers FirstDiffLevel in O(1). Label[c] is core c's
+// mixed-radix digit string packed outermost digit first, bits.Len(arity−1)
+// bits per level (Predari et al.'s bit labels, on the paper's own digits),
+// so the highest set bit of Label[a]^Label[b] lies in the field of the
+// outermost digit the two cores differ in; LevelOfLen maps bits.Len64 of
+// that XOR to the level, and 0 — equal cores — to Depth(). A caller with a
+// per-level table of its own composes it with LevelOfLen once.
+type LevelOracle struct {
+	Label      []uint64
+	LevelOfLen [65]uint8
+}
+
+// LevelOracle builds the label table in O(Size) time without a division.
+// Every arity is ≥ 2, so the digit fields total fewer than 2·log₂(Size)
+// bits: any hierarchy whose Size labels fit in memory fits 64-bit labels,
+// and one that does not is a caller's bug.
+func (h Hierarchy) LevelOracle() *LevelOracle {
+	width := 0
+	for _, l := range h.levels {
+		width += bits.Len(uint(l.Arity - 1))
+	}
+	if width > 64 {
+		panic(fmt.Sprintf("topology: %s needs %d label bits", h, width))
+	}
+	o := &LevelOracle{Label: make([]uint64, h.Size())}
+	o.LevelOfLen[0] = uint8(len(h.levels))
+	n := 1 // labels of the levels above i, in Label[:n]
+	for i, l := range h.levels {
+		w := bits.Len(uint(l.Arity - 1))
+		for b := 0; b < w; b++ {
+			o.LevelOfLen[width-b] = uint8(i)
+		}
+		width -= w
+		// Append digit d to every prefix p, back to front so that no
+		// prefix is overwritten before it is read.
+		for p := n - 1; p >= 0; p-- {
+			prefix := o.Label[p] << w
+			for d := l.Arity - 1; d >= 0; d-- {
+				o.Label[p*l.Arity+d] = prefix | uint64(d)
+			}
+		}
+		n *= l.Arity
+	}
+	return o
+}
+
+// FirstDiffLevel is Hierarchy.FirstDiffLevel read off the labels.
+func (o *LevelOracle) FirstDiffLevel(a, b int) int {
+	return int(o.LevelOfLen[bits.Len64(o.Label[a]^o.Label[b])])
 }
 
 // SplitLevel returns a new hierarchy where level i of arity n is replaced by

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -172,6 +173,56 @@ func TestFirstDiffLevelProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLevelOracleMatchesFirstDiffLevel checks the O(1) label oracle
+// against the division loop on every pair of cores of 20 random
+// hierarchies up to depth 12 (the serving limit) that mix power-of-two and
+// odd arities, and on a sample of the pairs of larger fixed ones.
+func TestLevelOracleMatchesFirstDiffLevel(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	check := func(h Hierarchy, o *LevelOracle, a, b int) {
+		want := h.FirstDiffLevel(a, b)
+		if got := o.FirstDiffLevel(a, b); got != want || o.FirstDiffLevel(b, a) != want {
+			t.Fatalf("%s: oracle level of (%d, %d) = %d, FirstDiffLevel = %d", h, a, b, got, want)
+		}
+	}
+	for trial := 0; trial < 20; trial++ {
+		// All twos at a random depth, then random levels widened while
+		// the machine stays small enough to try every pair.
+		ar := make([]int, 1+trial%12)
+		size := 1
+		for i := range ar {
+			ar[i], size = 2, size*2
+		}
+		for tries := 0; tries < 2*len(ar); tries++ {
+			i, a := rng.Intn(len(ar)), 2+rng.Intn(8)
+			if grown := size / ar[i] * a; grown <= 1536 {
+				ar[i], size = a, grown
+			}
+		}
+		h := MustNew(ar...)
+		o := h.LevelOracle()
+		if len(o.Label) != size {
+			t.Fatalf("%s: %d labels for %d cores", h, len(o.Label), size)
+		}
+		for a := 0; a < size; a++ {
+			for b := a; b < size; b++ {
+				check(h, o, a, b)
+			}
+		}
+	}
+	for _, ar := range [][]int{{3, 2, 5, 2, 2, 7, 2, 2, 3, 2, 2, 2}, {1 << 16}, {255, 257}} {
+		h := MustNew(ar...)
+		o := h.LevelOracle()
+		for a := 0; a < h.Size(); a += 1 + rng.Intn(16) {
+			check(h, o, a, a)
+			check(h, o, a, (a+1)%h.Size())
+			for s := 0; s < 16; s++ {
+				check(h, o, a, rng.Intn(h.Size()))
+			}
+		}
 	}
 }
 
