@@ -6,7 +6,12 @@ SMOKE_TRACE ?= /tmp/mrserved-smoke-trace.json
 SMOKE_ADDR  ?= 127.0.0.1:18077
 SMOKE_DEBUG ?= 127.0.0.1:18078
 
-.PHONY: all build test check race smoke smoke-fleet bench bench-gate loc clean
+# LOC_BUDGET is the ceiling on non-test Go lines under cmd/ + internal/,
+# as `make loc` counts them; `make check` fails above it. It is a ratchet:
+# lower it when a PR removes code.
+LOC_BUDGET = 25607
+
+.PHONY: all build test check race smoke smoke-fleet bench bench-gate loc loc-budget clean
 
 all: build
 
@@ -27,7 +32,8 @@ race:
 # check is the tier-1 gate: formatting, vet, staticcheck (when installed),
 # build (including the serving commands), the full test suite under the
 # race detector, a fault injection smoke run of the benchmark driver, and
-# the line counts of `make loc`, so every CI log carries them.
+# the line counts of `make loc`, so every CI log carries them, held to
+# LOC_BUDGET.
 check:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -47,7 +53,7 @@ check:
 	$(GO) run ./cmd/mrperf smoke
 	$(MAKE) smoke
 	$(MAKE) smoke-fleet
-	@$(MAKE) --no-print-directory loc
+	@$(MAKE) --no-print-directory loc-budget
 
 # smoke boots a real mrserved with the pprof debug listener and trace
 # export, probes every telemetry surface (/metrics incl. runtime-sampler
@@ -243,6 +249,15 @@ loc:
 		  for (d in seen) { printf fmt, d, c[d], t[d] | "sort"; C += c[d]; T += t[d]; \
 		    if (d ~ /^(cmd|internal)\//) { CI += c[d]; TI += t[d] } } \
 		  close("sort"); printf fmt, "cmd/ + internal/", CI, TI; printf fmt, "total", C, T }'
+
+# loc-budget prints `make loc` and fails when the cmd/ + internal/
+# non-test total exceeds LOC_BUDGET.
+loc-budget:
+	@$(MAKE) --no-print-directory loc | awk -v budget=$(LOC_BUDGET) ' \
+		{ print } $$1 == "cmd/" && $$3 == "internal/" { n = $$4 } \
+		END { if (n > budget) { \
+			printf "loc: cmd/ + internal/ is %d non-test lines, LOC_BUDGET is %d: lower the count, or raise the budget in this same diff and say why in CHANGES.md\n", n, budget; \
+			exit 1 } }'
 
 clean:
 	rm -f BENCH_1.json

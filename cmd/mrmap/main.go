@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -53,7 +54,7 @@ func main() {
 	case "slurm":
 		err = cmdSlurm(args)
 	case "advise":
-		err = cmdAdvise(args)
+		err = cmdAdvise(os.Stdout, args)
 	case "matrix":
 		err = cmdMatrix(args)
 	case "procsets":
@@ -94,20 +95,20 @@ hierarchies are written 2,2,4 or 2x2x4; orders 0-1-2 or 0,1,2.
 
 // emitJSON prints v in the service's canonical wire format, so mrmap
 // output diffs cleanly against an mrserved response for the same query.
-func emitJSON(v any) error {
-	enc := json.NewEncoder(os.Stdout)
+func emitJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
 }
 
 // emitEval answers req in process with the service's own evaluation and
 // prints the canonical response.
-func emitEval(req mapd.Request, opts mapd.AdviseOptions) error {
-	resp, err := mapd.Eval(context.Background(), req, opts)
+func emitEval(req mapd.Request) error {
+	resp, err := mapd.Eval(context.Background(), req)
 	if err != nil {
 		return err
 	}
-	return emitJSON(resp)
+	return emitJSON(os.Stdout, resp)
 }
 
 func parseInts(s string) ([]int, error) {
@@ -133,7 +134,7 @@ func cmdDecompose(args []string) error {
 		return err
 	}
 	if *asJSON {
-		return emitEval(&mapd.MapRequest{Hierarchy: *hier, Order: *order, Rank: rank}, mapd.AdviseOptions{})
+		return emitEval(&mapd.MapRequest{Hierarchy: *hier, Order: *order, Rank: rank})
 	}
 	h, err := topology.Parse(*hier)
 	if err != nil {
@@ -162,7 +163,7 @@ func cmdCompose(args []string) error {
 		if err != nil {
 			return err
 		}
-		return emitEval(&mapd.MapRequest{Hierarchy: *hier, Order: *order, Coords: c}, mapd.AdviseOptions{})
+		return emitEval(&mapd.MapRequest{Hierarchy: *hier, Order: *order, Coords: c})
 	}
 	h, err := topology.Parse(*hier)
 	if err != nil {
@@ -194,7 +195,7 @@ func cmdReorder(args []string) error {
 		return err
 	}
 	if *asJSON {
-		return emitEval(&mapd.MapRequest{Hierarchy: *hier, Order: *order, Table: true}, mapd.AdviseOptions{})
+		return emitEval(&mapd.MapRequest{Hierarchy: *hier, Order: *order, Table: true})
 	}
 	h, err := topology.Parse(*hier)
 	if err != nil {
@@ -239,13 +240,13 @@ func cmdOrders(args []string) error {
 		for _, sigma := range perm.All(h.Depth()) {
 			resp, err := mapd.Eval(context.Background(), &mapd.OrderMetricsRequest{
 				Hierarchy: *hier, Order: perm.Format(sigma), CommSize: commSize,
-			}, mapd.AdviseOptions{})
+			})
 			if err != nil {
 				return err
 			}
 			out = append(out, resp)
 		}
-		return emitJSON(out)
+		return emitJSON(os.Stdout, out)
 	}
 	orders := perm.All(h.Depth())
 	fmt.Printf("hierarchy %s: %d orders, metrics for the first communicator of %d ranks\n",
@@ -287,7 +288,7 @@ func cmdMapCPU(args []string) error {
 		return err
 	}
 	if *asJSON {
-		return emitEval(&mapd.SelectRequest{Hierarchy: *hier, Order: *order, N: *n}, mapd.AdviseOptions{})
+		return emitEval(&mapd.SelectRequest{Hierarchy: *hier, Order: *order, N: *n})
 	}
 	h, err := topology.Parse(*hier)
 	if err != nil {

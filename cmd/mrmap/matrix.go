@@ -43,7 +43,7 @@ func cmdMatrix(args []string) error {
 		return err
 	}
 	if *emit {
-		return emitJSON(sparse)
+		return emitJSON(os.Stdout, sparse)
 	}
 	req := mapd.MatrixMapRequest{
 		Hierarchy: *hier,
@@ -60,7 +60,7 @@ func cmdMatrix(args []string) error {
 		resp, err = postMatrix(*server, req)
 	} else {
 		var ans any
-		if ans, err = mapd.Eval(context.Background(), &req, mapd.AdviseOptions{}); err == nil {
+		if ans, err = mapd.Eval(context.Background(), &req); err == nil {
 			resp = ans.(*mapd.MatrixMapResponse)
 		}
 	}
@@ -68,7 +68,7 @@ func cmdMatrix(args []string) error {
 		return err
 	}
 	if *asJSON {
-		return emitJSON(resp)
+		return emitJSON(os.Stdout, resp)
 	}
 	fmt.Printf("hierarchy %v, %d ranks, matrix %s\n", resp.Hierarchy, resp.Ranks, resp.MatrixDigest)
 	fmt.Printf("best order %s: cost %g\n", perm.Format(resp.BestOrder), resp.BestOrderCost)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,16 +24,15 @@ func main() {
 		Simultaneous: true,
 		Bytes:        16 << 20,
 	}
-	ranked, err := advisor.Recommend(sc, nil)
+	res, err := advisor.SearchOrders(context.Background(), sc, advisor.SearchOptions{Top: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("analytic ranking of all 24 orders (top 3 and bottom 1):")
-	for i := 0; i < 3; i++ {
-		fmt.Printf("  %d. %s\n", i+1, advisor.Explain(sc, ranked[i]))
+	fmt.Printf("analytic ranking of all %d orders (top 3 and bottom 1):\n", res.Covered)
+	for i, pr := range res.Best {
+		fmt.Printf("  %d. %s\n", i+1, advisor.Explain(sc, pr))
 	}
-	worst := ranked[len(ranked)-1]
-	fmt.Printf("  ⋮\n  24. %s\n\n", advisor.Explain(sc, worst))
+	fmt.Printf("  ⋮\n  %d. %s\n\n", res.Covered, advisor.Explain(sc, res.Worst))
 
 	// Verify against the simulator.
 	cfg := bench.Config{
@@ -42,7 +42,7 @@ func main() {
 		Coll:      bench.Alltoall,
 		Iters:     1,
 	}
-	for _, pr := range []advisor.Prediction{ranked[0], worst} {
+	for _, pr := range []advisor.Prediction{res.Best[0], res.Worst} {
 		pt, err := bench.Measure(cfg, pr.Order, sc.Bytes, true)
 		if err != nil {
 			log.Fatal(err)

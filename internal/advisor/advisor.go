@@ -12,7 +12,6 @@
 package advisor
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/metrics"
@@ -160,6 +159,8 @@ func newPredictor(sc Scenario) (*predictor, error) {
 		seen:    make([]int, 0, p),
 	}
 	switch sc.Coll {
+	case Alltoall:
+		// Pairwise exchange: crossingBytes counts pairs, not ring edges.
 	case Allgather:
 		// Ring edges (i, i+1 mod p) carry p-1 blocks of B/p each.
 		pd.perEdge = B * float64(p-1) / float64(p)
@@ -167,6 +168,8 @@ func newPredictor(sc Scenario) (*predictor, error) {
 		// Reduce-scatter + allgather: 2(p-1) chunks of B/p per edge.
 		pd.perEdge = 2 * B * float64(p-1) / float64(p) / float64(p) * float64(p-1)
 		pd.rounds = 2 * float64(p-1)
+	default:
+		return nil, fmt.Errorf("advisor: unknown collective %q", sc.Coll)
 	}
 	// Domains of level l hold the cores of all levels below it.
 	size := 1
@@ -335,24 +338,6 @@ func (pd *predictor) crossingBytes(a, edges int) float64 {
 		return float64(edges) * pd.perEdge
 	}
 	return 0
-}
-
-// Recommend ranks the given orders by predicted bandwidth (best first).
-// With a nil order list it enumerates all k! orders of the hierarchy.
-// Equal-bandwidth orders sort by lexicographic order permutation so the
-// ranking is deterministic. Recommend is the sequential convenience form of
-// Rank.
-func Recommend(sc Scenario, orders [][]int) ([]Prediction, error) {
-	return Rank(context.Background(), sc, orders, RankOptions{Workers: 1})
-}
-
-// Best returns the top recommendation.
-func Best(sc Scenario) (Prediction, error) {
-	ranked, err := Recommend(sc, nil)
-	if err != nil {
-		return Prediction{}, err
-	}
-	return ranked[0], nil
 }
 
 // Explain renders a short human-readable justification.

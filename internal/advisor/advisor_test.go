@@ -1,7 +1,9 @@
 package advisor
 
 import (
+	"context"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -81,7 +83,7 @@ func TestPredictFigure3Shape(t *testing.T) {
 
 func TestRecommendOrdersAll(t *testing.T) {
 	sc := hydraScenario(true)
-	ranked, err := Recommend(sc, nil)
+	ranked, err := Rank(context.Background(), sc, nil, RankOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,17 +95,31 @@ func TestRecommendOrdersAll(t *testing.T) {
 			t.Fatal("recommendations not sorted")
 		}
 	}
-	best, err := Best(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !perm.Equal(best.Order, ranked[0].Order) {
-		t.Error("Best disagrees with Recommend head")
-	}
 	// Under full contention the packed family must rank on top.
-	ch := perm.Format(best.Order)
+	ch := perm.Format(ranked[0].Order)
 	if ch != "3-2-1-0" && ch != "2-3-1-0" && ch != "3-2-0-1" && ch != "2-3-0-1" {
 		t.Errorf("best order under contention = %s, want a packed-family order", ch)
+	}
+}
+
+// A collective the model does not know is an error at every entry point,
+// whichever engine would have run — never a prediction.
+func TestUnknownCollectiveRejected(t *testing.T) {
+	ctx := context.Background()
+	for name, sc := range map[string]Scenario{
+		"hydra":  hydraScenario(true),
+		"cloud8": cloudScenario(8, Alltoall, false),
+	} {
+		sc.Coll = "bogus"
+		sigma := perm.Reversed(sc.Hierarchy.Depth())
+		_, perr := Predict(sc, sigma)
+		_, rerr := Rank(ctx, sc, [][]int{sigma}, RankOptions{})
+		_, serr := SearchOrders(ctx, sc, SearchOptions{})
+		for entry, err := range map[string]error{"Predict": perr, "Rank": rerr, "SearchOrders": serr} {
+			if err == nil || !strings.Contains(err.Error(), `unknown collective "bogus"`) {
+				t.Errorf("%s: %s with Coll bogus: err = %v, want unknown collective", name, entry, err)
+			}
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
-// Branch-and-bound search over digit-order prefixes, with a bounded-width
-// beam fallback. The exact search (Rank) enumerates all k! orders; this
-// engine walks the prefix tree instead and uses two structural facts from
-// §3.3 (internal/metrics/prefix.go):
+// SearchOrders, the one front door of the order search, and its engine for
+// deep hierarchies: branch-and-bound over digit-order prefixes, with a
+// bounded-width beam fallback. The exact search (Rank) enumerates all k!
+// orders; this engine walks the prefix tree instead and uses two
+// structural facts from §3.3 (internal/metrics/prefix.go):
 //
 //  1. A prefix whose radix product covers the communicator size fully
 //     determines the first subcommunicator — placement and internal
@@ -115,7 +116,8 @@ type SearchProgress struct {
 	BoundGap float64
 }
 
-// SearchOptions bounds SearchOrders.
+// SearchOptions bounds SearchOrders. NodeBudget, BeamWidth and the
+// progress stream apply to the bounded engine only.
 type SearchOptions struct {
 	// NodeBudget caps the prefix-tree nodes the branch-and-bound may
 	// visit before degrading to the beam; 0 means DefaultNodeBudget.
@@ -126,7 +128,7 @@ type SearchOptions struct {
 	// Top is how many best orders the result carries; 0 means 1.
 	Top int
 	// Registry and OnStats are the same observability hooks as
-	// RankOptions, labeled/reported with ModeBnB or ModeBeam.
+	// RankOptions, labeled/reported with the mode of the engine that ran.
 	Registry *obs.Registry
 	OnStats  func(RankStats)
 	// Progress, when set, receives live search progress: one event per
@@ -140,41 +142,64 @@ type SearchOptions struct {
 	ProgressEvery int64
 }
 
-// SearchResult is the outcome of one bounded search.
+// SearchResult is the outcome of one search.
 type SearchResult struct {
 	// Best holds the top orders, ranked exactly as Rank ranks (bandwidth
-	// descending, lexicographic tie-break). In ModeBnB it is provably
-	// identical to the head of the exhaustive ranking.
+	// descending, lexicographic tie-break). In every mode but ModeBeam it
+	// is the head of the exhaustive ranking, in ModeBnB provably so.
 	Best []Prediction
-	// Worst is the worst *evaluated* class (the true global worst in a
-	// completed run can live in a pruned subtree).
+	// Worst is the worst *evaluated* class: the last entry of the ranking
+	// in the exhaustive modes; under ModeBnB the true global worst can
+	// live in a pruned subtree.
 	Worst Prediction
-	// Mode is ModeBnB or ModeBeam.
+	// Mode is ModeExact or ModePruned up to ExactDepth, ModeBnB or
+	// ModeBeam beyond.
 	Mode string
 	// Evaluated counts model evaluations actually performed (distinct
 	// placement signatures predicted) — the honest "orders evaluated".
 	Evaluated int64
 	// Covered counts full orders represented by evaluated leaves; Pruned
 	// counts orders discarded with a bound proof. Covered+Pruned equals
-	// k! exactly when Mode is ModeBnB.
+	// k! in every mode but ModeBeam.
 	Covered, Pruned int64
-	// Nodes is the number of prefix-tree nodes visited (both phases).
+	// Nodes is the number of prefix-tree nodes visited (both phases of
+	// the bounded engine; 0 in the exhaustive modes).
 	Nodes int64
 	// OptimalityGap g guarantees the true optimum time is at least
-	// Best[0].Time × (1−g). Zero in ModeBnB; in [0, 1) in ModeBeam.
+	// Best[0].Time × (1−g). In [0, 1) in ModeBeam, zero otherwise.
 	OptimalityGap float64
 }
 
 // errNodeBudget aborts the branch-and-bound descent when the node budget
-// is exhausted; SearchOrders catches it and runs the beam.
+// is exhausted; searchBounded catches it and runs the beam.
 var errNodeBudget = errors.New("advisor: search node budget exhausted")
 
-// SearchOrders runs the bounded deep-hierarchy search for the scenario
-// and returns the top opts.Top orders. It is intentionally sequential:
-// the incumbent set makes pruning inherently stateful, and even the
-// depth-12 beam path is cheap enough that determinism (and triviality
-// under the race detector) wins over parallel speedup.
+// ExactDepth is the deepest hierarchy SearchOrders ranks exhaustively:
+// 7! = 5040 orders is the largest space the pruned exact search answers
+// comfortably within a request budget.
+const ExactDepth = 7
+
+// SearchOrders returns the top opts.Top orders for the scenario. The
+// engine is a property of the search, not of the caller: up to ExactDepth
+// it ranks all k! orders (Rank; Mode exact or pruned, Worst the true last
+// entry), deeper it runs the branch-and-bound and, past the node budget,
+// the beam.
 func SearchOrders(ctx context.Context, sc Scenario, opts SearchOptions) (*SearchResult, error) {
+	if opts.Top <= 0 {
+		opts.Top = 1
+	}
+	if sc.Hierarchy.Depth() > ExactDepth {
+		return searchBounded(ctx, sc, opts)
+	}
+	return searchExact(ctx, sc, opts)
+}
+
+// searchBounded is the branch-and-bound / beam engine; opts.Top is at
+// least 1. It is intentionally sequential: the incumbent set makes
+// pruning inherently stateful, and even the depth-12 beam path is cheap
+// enough that determinism (and triviality under the race detector) wins
+// over parallel speedup.
+func searchBounded(ctx context.Context, sc Scenario, opts SearchOptions) (*SearchResult, error) {
 	start := time.Now()
 	budget := opts.NodeBudget
 	if budget <= 0 {
@@ -185,9 +210,6 @@ func SearchOrders(ctx context.Context, sc Scenario, opts SearchOptions) (*Search
 		width = DefaultBeamWidth
 	}
 	top := opts.Top
-	if top <= 0 {
-		top = 1
-	}
 	k := sc.Hierarchy.Depth()
 
 	ctx, span := rt.StartSpan(ctx, "advisor.search")

@@ -23,8 +23,9 @@ func collectProgress(t *testing.T, depth int, opts SearchOptions) (*SearchResult
 		Bytes:     1 << 20,
 	}
 	var events []SearchProgress
+	opts.Top = 1
 	opts.Progress = func(p SearchProgress) { events = append(events, p) }
-	res, err := SearchOrders(context.Background(), sc, opts)
+	res, err := searchBounded(context.Background(), sc, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestSearchProgressPublishes(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := rt.NewTracer(rt.Options{Service: "test"})
 	ctx, root := tracer.StartRequest(context.Background(), "test advise", "")
-	res, err := SearchOrders(ctx, sc, SearchOptions{Registry: reg, ProgressEvery: 1000})
+	res, err := searchBounded(ctx, sc, SearchOptions{Top: 1, Registry: reg, ProgressEvery: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestBnBEqualsFull(t *testing.T) {
 					if err != nil {
 						t.Fatalf("rank (%v, %s, p=%d, sim=%v): %v", ar, coll, p, sim, err)
 					}
-					res, err := SearchOrders(context.Background(), sc, SearchOptions{Top: top})
+					res, err := searchBounded(context.Background(), sc, SearchOptions{Top: top})
 					if err != nil {
 						t.Fatalf("search (%v, %s, p=%d, sim=%v): %v", ar, coll, p, sim, err)
 					}
@@ -114,6 +114,107 @@ func TestBnBEqualsFull(t *testing.T) {
 	}
 }
 
+// TestBoundedMatchesExactOnMachines forces the bounded engine onto the
+// shallow paper machines, which SearchOrders ranks exhaustively: the two
+// engines must agree on the best orders and their times, with every order
+// accounted.
+func TestBoundedMatchesExactOnMachines(t *testing.T) {
+	ctx := context.Background()
+	for _, spec := range []netmodel.Spec{cluster.Hydra(16, 1), cluster.LUMI(16)} {
+		for _, coll := range []Collective{Alltoall, Allgather, Allreduce} {
+			for _, sim := range []bool{false, true} {
+				sc := Scenario{Spec: spec, Hierarchy: spec.Hierarchy(), Coll: coll,
+					CommSize: 16, Simultaneous: sim, Bytes: 16 << 20}
+				exact, err := SearchOrders(ctx, sc, SearchOptions{Top: 3})
+				if err != nil {
+					t.Fatalf("%s %s sim=%v: exact: %v", spec.Name, coll, sim, err)
+				}
+				bounded, err := searchBounded(ctx, sc, SearchOptions{Top: 3})
+				if err != nil {
+					t.Fatalf("%s %s sim=%v: bounded: %v", spec.Name, coll, sim, err)
+				}
+				if bounded.Mode != ModeBnB || exact.Mode == bounded.Mode {
+					t.Fatalf("%s %s sim=%v: modes exact %q, bounded %q", spec.Name, coll, sim, exact.Mode, bounded.Mode)
+				}
+				if kf := perm.Factorial(sc.Hierarchy.Depth()); bounded.Covered+bounded.Pruned != kf || exact.Covered != kf {
+					t.Fatalf("%s %s sim=%v: accounted exact %d, bounded %d+%d, want %d", spec.Name, coll, sim,
+						exact.Covered, bounded.Covered, bounded.Pruned, kf)
+				}
+				for i := range exact.Best {
+					e, b := exact.Best[i], bounded.Best[i]
+					if !perm.Equal(e.Order, b.Order) || e.Time != b.Time {
+						t.Fatalf("%s %s sim=%v: rank %d diverges: exact %v (%v s) vs bounded %v (%v s)",
+							spec.Name, coll, sim, i+1, e.Order, e.Time, b.Order, b.Time)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSearchOrdersFrontDoor pins the engine choice to the depth alone: up
+// to ExactDepth the answer is the exhaustive ranking's head and true last
+// entry, field for field; deeper, the bounded engine answers. Either way
+// OnStats fires once.
+func TestSearchOrdersFrontDoor(t *testing.T) {
+	ctx := context.Background()
+	const top = 4
+	var calls int
+	opts := SearchOptions{Top: top, OnStats: func(RankStats) { calls++ }}
+	hydra := cluster.Hydra(16, 1)
+	scenario := func(spec netmodel.Spec, h topology.Hierarchy) Scenario {
+		return Scenario{Spec: spec, Hierarchy: h, Coll: Allgather, CommSize: 16, Bytes: 8 << 20}
+	}
+	shallow := []Scenario{
+		scenario(hydra, topology.MustNew(4, 8)),
+		scenario(hydra, topology.MustNew(2, 2, 8)),
+		scenario(hydra, hydra.Hierarchy()),
+		scenario(cluster.LUMI(16), cluster.LUMIHierarchy(16)),
+		scenario(cluster.Cloud(6), cluster.CloudHierarchy(6)),
+		scenario(cluster.Cloud(7), cluster.CloudHierarchy(7)),
+	}
+	for _, sc := range shallow {
+		k := sc.Hierarchy.Depth()
+		ranked, err := Rank(ctx, sc, nil, RankOptions{})
+		if err != nil {
+			t.Fatalf("depth %d: rank: %v", k, err)
+		}
+		calls = 0
+		res, err := SearchOrders(ctx, sc, opts)
+		if err != nil {
+			t.Fatalf("depth %d: search: %v", k, err)
+		}
+		if calls != 1 {
+			t.Errorf("depth %d: OnStats fired %d times, want 1", k, calls)
+		}
+		if res.Mode != ModeExact && res.Mode != ModePruned {
+			t.Errorf("depth %d: mode %q, want exact or pruned", k, res.Mode)
+		}
+		n := min(top, len(ranked))
+		if !reflect.DeepEqual(res.Best, ranked[:n]) || !reflect.DeepEqual(res.Worst, ranked[len(ranked)-1]) {
+			t.Errorf("depth %d: best/worst %+v / %+v differ from the ranking's %+v / %+v",
+				k, res.Best, res.Worst, ranked[:n], ranked[len(ranked)-1])
+		}
+		if res.Covered != perm.Factorial(k) || res.Evaluated <= 0 || res.Evaluated > res.Covered ||
+			res.Pruned != 0 || res.Nodes != 0 || res.OptimalityGap != 0 {
+			t.Errorf("depth %d: accounting %+v", k, res)
+		}
+	}
+	for depth := ExactDepth + 1; depth <= 12; depth++ {
+		calls = 0
+		res, err := SearchOrders(ctx, scenario(cluster.Cloud(depth), cluster.CloudHierarchy(depth)), opts)
+		if err != nil {
+			t.Fatalf("depth %d: search: %v", depth, err)
+		}
+		if calls != 1 {
+			t.Errorf("depth %d: OnStats fired %d times, want 1", depth, calls)
+		}
+		if res.Mode != ModeBnB && res.Mode != ModeBeam {
+			t.Errorf("depth %d: mode %q, want bnb or beam", depth, res.Mode)
+		}
+	}
+}
+
 // TestBeamGapUpperBound forces the beam fallback with a tiny node budget
 // and checks the gap contract at depths where the exhaustive ranking is
 // still computable: the reported gap must upper-bound the true gap, i.e.
@@ -136,7 +237,7 @@ func TestBeamGapUpperBound(t *testing.T) {
 				if err != nil {
 					t.Fatalf("rank (%s, p=%d, sim=%v): %v", coll, p, sim, err)
 				}
-				res, err := SearchOrders(context.Background(), sc, SearchOptions{
+				res, err := searchBounded(context.Background(), sc, SearchOptions{
 					Top:        3,
 					NodeBudget: 1, // exhausted immediately: beam must answer
 					BeamWidth:  2,
@@ -178,11 +279,11 @@ func TestSearchOrdersDeterministic(t *testing.T) {
 		Bytes:     4 << 20,
 	}
 	for _, budget := range []int64{0, 5} {
-		a, err := SearchOrders(context.Background(), sc, SearchOptions{Top: 5, NodeBudget: budget, BeamWidth: 4})
+		a, err := searchBounded(context.Background(), sc, SearchOptions{Top: 5, NodeBudget: budget, BeamWidth: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := SearchOrders(context.Background(), sc, SearchOptions{Top: 5, NodeBudget: budget, BeamWidth: 4})
+		b, err := searchBounded(context.Background(), sc, SearchOptions{Top: 5, NodeBudget: budget, BeamWidth: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +306,7 @@ func TestSearchOrdersMetrics(t *testing.T) {
 		Bytes:     1 << 20,
 	}
 	var stats RankStats
-	res, err := SearchOrders(context.Background(), sc, SearchOptions{
+	res, err := searchBounded(context.Background(), sc, SearchOptions{
 		Top:      3,
 		Registry: reg,
 		OnStats:  func(s RankStats) { stats = s },
@@ -237,7 +338,7 @@ func TestSearchOrdersCancel(t *testing.T) {
 		CommSize:  128,
 		Bytes:     1 << 20,
 	}
-	if _, err := SearchOrders(ctx, sc, SearchOptions{Top: 1}); err == nil {
+	if _, err := searchBounded(ctx, sc, SearchOptions{Top: 1}); err == nil {
 		t.Fatal("expected context error from cancelled search")
 	}
 }

@@ -26,10 +26,6 @@ import (
 type RankOptions struct {
 	// Workers is the number of evaluation goroutines; 0 means GOMAXPROCS.
 	Workers int
-	// Chunk is the number of orders one work unit evaluates; 0 picks a size
-	// that gives each worker several chunks (for cancellation latency and
-	// load balance).
-	Chunk int
 	// NoPrune disables the equivalence-class fast path and evaluates every
 	// order. The ranking is identical either way; the flag exists for
 	// benchmarks and differential tests.
@@ -41,9 +37,7 @@ type RankOptions struct {
 	// mode label ("exact" or "pruned"; the service adds "fallback" for
 	// breaker-open heuristic answers it serves itself).
 	Registry *obs.Registry
-	// OnStats, when non-nil, receives one RankStats per completed search —
-	// the hook the service's workload analytics use to attribute a request
-	// to its search mode without re-deriving it.
+	// OnStats, when non-nil, receives one RankStats per completed search.
 	OnStats func(RankStats)
 }
 
@@ -61,7 +55,8 @@ const (
 
 // RankStats summarizes one completed search.
 type RankStats struct {
-	// Mode is ModeExact or ModePruned.
+	// Mode is ModeExact or ModePruned from Rank; SearchOrders reports
+	// ModeBnB or ModeBeam too.
 	Mode string
 	// Orders is the candidate count, Classes the evaluations performed.
 	Orders, Classes int
@@ -83,19 +78,6 @@ func (o RankOptions) workers(n int) int {
 	return w
 }
 
-func (o RankOptions) chunk(n, workers int) int {
-	c := o.Chunk
-	if c <= 0 {
-		// Aim for ~4 chunks per worker so stragglers rebalance and
-		// cancellation is noticed between chunks.
-		c = n / (4 * workers)
-		if c < 1 {
-			c = 1
-		}
-	}
-	return c
-}
-
 // Rank evaluates the given orders (all k! of the hierarchy when nil) with a
 // bounded worker pool and returns them ranked by predicted bandwidth, best
 // first. Equal-bandwidth orders sort by lexicographic order permutation, so
@@ -107,13 +89,36 @@ func (o RankOptions) chunk(n, workers int) int {
 // share one Predict evaluation. On symmetric hierarchies this collapses
 // the k! candidates to a handful of classes.
 func Rank(ctx context.Context, sc Scenario, orders [][]int, opts RankOptions) ([]Prediction, error) {
+	out, _, err := rank(ctx, sc, orders, opts)
+	return out, err
+}
+
+// searchExact is SearchOrders up to ExactDepth: the head and the true
+// last entry of the exhaustive ranking, accounted as all k! orders
+// covered by one evaluation per class.
+func searchExact(ctx context.Context, sc Scenario, opts SearchOptions) (*SearchResult, error) {
+	ranked, st, err := rank(ctx, sc, nil, RankOptions{Registry: opts.Registry, OnStats: opts.OnStats})
+	if err != nil {
+		return nil, err
+	}
+	return &SearchResult{
+		Best:      ranked[:min(opts.Top, len(ranked))],
+		Worst:     ranked[len(ranked)-1],
+		Mode:      st.Mode,
+		Evaluated: int64(st.Classes),
+		Covered:   int64(st.Orders),
+	}, nil
+}
+
+// rank is Rank, also returning the stats it reports through OnStats.
+func rank(ctx context.Context, sc Scenario, orders [][]int, opts RankOptions) ([]Prediction, RankStats, error) {
 	start := time.Now()
 	if orders == nil {
 		orders = perm.All(sc.Hierarchy.Depth())
 	}
 	n := len(orders)
 	if n == 0 {
-		return nil, nil
+		return nil, RankStats{}, nil
 	}
 	ctx, span := rt.StartSpan(ctx, "advisor.rank")
 	span.SetAttr("orders", int64(n))
@@ -138,7 +143,7 @@ func Rank(ctx context.Context, sc Scenario, orders [][]int, opts RankOptions) ([
 	reps := make([]Prediction, len(groups))
 	if err := evalRepresentatives(ctx, sc, orders, groups, reps, opts); err != nil {
 		span.SetError()
-		return nil, err
+		return nil, RankStats{}, err
 	}
 
 	out := make([]Prediction, n)
@@ -165,11 +170,12 @@ func Rank(ctx context.Context, sc Scenario, orders [][]int, opts RankOptions) ([
 		opts.Registry.Histogram("advisor_search_seconds", obs.SearchBuckets(), ml).
 			Observe(time.Since(start).Seconds())
 	}
+	st := RankStats{Mode: mode, Orders: n, Classes: len(groups), Elapsed: time.Since(start)}
 	if opts.OnStats != nil {
-		opts.OnStats(RankStats{Mode: mode, Orders: n, Classes: len(groups), Elapsed: time.Since(start)})
+		opts.OnStats(st)
 	}
 	sortPredictions(out)
-	return out, nil
+	return out, st, nil
 }
 
 // classGroups partitions the order indices into §3.3 equivalence classes
@@ -214,7 +220,9 @@ func classGroups(sc Scenario, orders [][]int) [][]int {
 func evalRepresentatives(ctx context.Context, sc Scenario, orders [][]int, groups [][]int, reps []Prediction, opts RankOptions) error {
 	n := len(groups)
 	workers := opts.workers(n)
-	chunk := opts.chunk(n, workers)
+	// ~4 chunks per worker, so stragglers rebalance and cancellation is
+	// noticed between chunks.
+	chunk := max(n/(4*workers), 1)
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()

@@ -22,15 +22,15 @@ func rankScenario() Scenario {
 	}
 }
 
-// Rank with a worker pool must agree exactly with the sequential Recommend.
+// Rank with a worker pool must agree exactly with the one-worker ranking.
 func TestRankMatchesSequential(t *testing.T) {
 	sc := rankScenario()
-	seq, err := Recommend(sc, nil)
+	seq, err := Rank(context.Background(), sc, nil, RankOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 7} {
-		par, err := Rank(context.Background(), sc, nil, RankOptions{Workers: workers, Chunk: 3})
+		par, err := Rank(context.Background(), sc, nil, RankOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

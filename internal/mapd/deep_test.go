@@ -1,12 +1,10 @@
-// Deep-hierarchy advise: the cloud machine, the exact/bounded search
-// dispatch around the depth threshold, and the bounded fallback.
+// Deep-hierarchy advise: the cloud machine on both sides of
+// advisor.ExactDepth, and the bounded fallback.
 
 package mapd
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -104,43 +102,6 @@ func TestAdviseDeepFallbackBounded(t *testing.T) {
 	}
 	if resp.Evaluated <= 0 || resp.Evaluated > 64 {
 		t.Fatalf("fallback evaluated %d orders, want a small heuristic set", resp.Evaluated)
-	}
-}
-
-// Forcing the bounded search onto a shallow machine must reproduce the
-// exact ranking's winner: same order, same predicted time.
-func TestAdviseThresholdDifferential(t *testing.T) {
-	req := AdviseRequest{
-		Machine: "hydra", Nodes: 16, Collective: "allreduce", CommSize: 16,
-		Simultaneous: true, Top: 3,
-	}
-	exactAns, err := Eval(context.Background(), &req, AdviseOptions{})
-	if err != nil {
-		t.Fatalf("exact advise: %v", err)
-	}
-	deepAns, err := Eval(context.Background(), &req, AdviseOptions{SearchDepthThreshold: 1})
-	if err != nil {
-		t.Fatalf("bounded advise: %v", err)
-	}
-	exact, deep := exactAns.(*AdviseResponse), deepAns.(*AdviseResponse)
-	if deep.SearchMode != advisor.ModeBnB {
-		t.Fatalf("forced bounded search ran %q, want %q", deep.SearchMode, advisor.ModeBnB)
-	}
-	if exact.SearchMode == deep.SearchMode {
-		t.Fatalf("exact path unexpectedly reported mode %q too", exact.SearchMode)
-	}
-	if len(exact.Best) == 0 || len(deep.Best) == 0 {
-		t.Fatalf("empty recommendations: exact %d, deep %d", len(exact.Best), len(deep.Best))
-	}
-	for i := range exact.Best {
-		e, d := exact.Best[i], deep.Best[i]
-		if fmt.Sprint(e.Order) != fmt.Sprint(d.Order) || e.Seconds != d.Seconds {
-			t.Fatalf("rank %d diverges: exact %v (%v s) vs bounded %v (%v s)",
-				i+1, e.Order, e.Seconds, d.Order, d.Seconds)
-		}
-	}
-	if exact.Evaluated != deep.Evaluated {
-		t.Fatalf("order accounting diverges: exact %d vs bounded %d", exact.Evaluated, deep.Evaluated)
 	}
 }
 

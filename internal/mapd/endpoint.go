@@ -35,10 +35,9 @@ type Query interface {
 	Degraded() (any, error)
 	// stat is the request's workload-analytics attribution.
 	stat() statInfo
-	// eval is the full evaluation; opts bounds an advise order search and
-	// is ignored elsewhere. Errors wrap ErrBadRequest except when the
-	// context is cancelled.
-	eval(ctx context.Context, opts AdviseOptions) (any, error)
+	// eval is the full evaluation. Errors wrap ErrBadRequest except when
+	// the context is cancelled.
+	eval(ctx context.Context) (any, error)
 }
 
 // searchQuery is a Query answered by an order search (advise, map/matrix).
@@ -119,10 +118,10 @@ func RoutingKey(path string, body []byte) (string, error) {
 // answer is the request's response struct (*MapResponse for a
 // *MapRequest, …). Errors wrap ErrBadRequest except when the context is
 // cancelled.
-func Eval(ctx context.Context, req Request, opts AdviseOptions) (any, error) {
+func Eval(ctx context.Context, req Request) (any, error) {
 	q, err := req.parse()
 	if err != nil {
 		return nil, err
 	}
-	return q.eval(ctx, opts)
+	return q.eval(ctx)
 }

@@ -24,9 +24,9 @@ import (
 // advisor's exact/pruned/fallback modes.
 const ModeMatrix = "matrix"
 
-func (q *parsedMap) stat() statInfo                                   { return statInfo{shape: q.arities} }
-func (q *parsedMap) eval(context.Context, AdviseOptions) (any, error) { return q.answer(false) }
-func (q *parsedMap) Degraded() (any, error)                           { return q.answer(true) }
+func (q *parsedMap) stat() statInfo                    { return statInfo{shape: q.arities} }
+func (q *parsedMap) eval(context.Context) (any, error) { return q.answer(false) }
+func (q *parsedMap) Degraded() (any, error)            { return q.answer(true) }
 
 func (q *parsedMap) answer(degraded bool) (*MapResponse, error) {
 	resp := &MapResponse{
@@ -59,100 +59,22 @@ func (q *parsedMap) answer(degraded bool) (*MapResponse, error) {
 	return resp, nil
 }
 
-// DefaultSearchDepthThreshold is the hierarchy depth above which advise
-// requests run the bounded branch-and-bound / beam search instead of the
-// exhaustive ranking. Depth 7 (5040 orders) is the largest space the
-// pruned exact search answers comfortably within a request budget.
-const DefaultSearchDepthThreshold = 7
-
-// AdviseOptions bounds an advise evaluation.
-type AdviseOptions struct {
-	// Rank configures the exhaustive path (depth ≤ SearchDepthThreshold).
-	Rank advisor.RankOptions
-	// SearchDepthThreshold is the largest depth served exactly; deeper
-	// hierarchies run the bounded search. 0 means
-	// DefaultSearchDepthThreshold; values clamp to
-	// [1, MaxExactAdviseDepth].
-	SearchDepthThreshold int
-	// Search configures the bounded path. Top and the observability hooks
-	// are filled in from the request and Rank options.
-	Search advisor.SearchOptions
-}
-
-func (o AdviseOptions) threshold() int {
-	t := o.SearchDepthThreshold
-	if t == 0 {
-		t = DefaultSearchDepthThreshold
-	}
-	if t < 1 {
-		t = 1
-	}
-	if t > MaxExactAdviseDepth {
-		t = MaxExactAdviseDepth
-	}
-	return t
-}
-
 func (q *parsedAdvise) stat() statInfo {
 	return statInfo{shape: q.spec.Hierarchy().Arities(), coll: string(q.coll)}
 }
-func (q *parsedAdvise) eval(ctx context.Context, opts AdviseOptions) (any, error) {
-	return evalAdvise(ctx, q, opts)
+func (q *parsedAdvise) eval(ctx context.Context) (any, error) {
+	return evalAdvise(ctx, q, advisor.SearchOptions{})
 }
 func (q *parsedAdvise) Degraded() (any, error) { return evalAdviseFallback(q) }
 
-// evalAdvise ranks all k! orders with the advisor's worker pool; depths
-// above the threshold run the bounded search instead.
-func evalAdvise(ctx context.Context, q *parsedAdvise, opts AdviseOptions) (*AdviseResponse, error) {
+// evalAdvise answers from the advisor's order search, which picks its own
+// engine by depth: all k! orders ranked, or branch-and-bound / beam —
+// provably optimal when the node budget suffices, bounded-gap otherwise.
+// opts carries the caller's observability hooks; Top is the request's.
+func evalAdvise(ctx context.Context, q *parsedAdvise, opts advisor.SearchOptions) (*AdviseResponse, error) {
 	sc := q.scenario()
-	if sc.Hierarchy.Depth() > opts.threshold() {
-		return evalAdviseDeep(ctx, q, opts)
-	}
-	var rs advisor.RankStats
-	ropts := opts.Rank
-	inner := ropts.OnStats
-	ropts.OnStats = func(s advisor.RankStats) {
-		rs = s
-		if inner != nil {
-			inner(s)
-		}
-	}
-	ranked, err := advisor.Rank(ctx, sc, nil, ropts)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, badf("%v", err)
-	}
-	top := q.top
-	if top > len(ranked) {
-		top = len(ranked)
-	}
-	resp := &AdviseResponse{
-		Machine:         q.machine,
-		Hierarchy:       sc.Hierarchy.Arities(),
-		Evaluated:       len(ranked),
-		SearchMode:      rs.Mode,
-		OrdersEvaluated: int64(rs.Classes),
-		Best:            make([]AdvisePrediction, top),
-		Worst:           advisePrediction(sc, ranked[len(ranked)-1]),
-	}
-	for i := 0; i < top; i++ {
-		resp.Best[i] = advisePrediction(sc, ranked[i])
-	}
-	return resp, nil
-}
-
-// evalAdviseDeep serves depths above the exact threshold from the
-// branch-and-bound / beam engine: provably optimal when the node budget
-// suffices, bounded-gap otherwise — never factorial work.
-func evalAdviseDeep(ctx context.Context, q *parsedAdvise, opts AdviseOptions) (*AdviseResponse, error) {
-	sc := q.scenario()
-	sopts := opts.Search
-	sopts.Top = q.top
-	sopts.Registry = opts.Rank.Registry
-	sopts.OnStats = opts.Rank.OnStats
-	res, err := advisor.SearchOrders(ctx, sc, sopts)
+	opts.Top = q.top
+	res, err := advisor.SearchOrders(ctx, sc, opts)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -287,7 +209,7 @@ func advisePrediction(sc advisor.Scenario, pr advisor.Prediction) AdvisePredicti
 }
 
 func (q *parsedMatrixMap) stat() statInfo { return statInfo{shape: q.arities} }
-func (q *parsedMatrixMap) eval(ctx context.Context, _ AdviseOptions) (any, error) {
+func (q *parsedMatrixMap) eval(ctx context.Context) (any, error) {
 	return evalMatrixMap(ctx, q)
 }
 func (q *parsedMatrixMap) Degraded() (any, error) { return evalMatrixMapFallback(q) }
@@ -367,9 +289,9 @@ func evalMatrixMapFallback(q *parsedMatrixMap) (*MatrixMapResponse, error) {
 	}, nil
 }
 
-func (q *parsedSelect) stat() statInfo                                   { return statInfo{shape: q.arities} }
-func (q *parsedSelect) eval(context.Context, AdviseOptions) (any, error) { return q.answer(false) }
-func (q *parsedSelect) Degraded() (any, error)                           { return q.answer(true) }
+func (q *parsedSelect) stat() statInfo                    { return statInfo{shape: q.arities} }
+func (q *parsedSelect) eval(context.Context) (any, error) { return q.answer(false) }
+func (q *parsedSelect) Degraded() (any, error)            { return q.answer(true) }
 
 func (q *parsedSelect) answer(degraded bool) (*SelectResponse, error) {
 	list, err := slurm.MapCPU(q.h, q.sigma, q.n)
@@ -393,11 +315,9 @@ func (q *parsedSelect) answer(degraded bool) (*SelectResponse, error) {
 	return resp, nil
 }
 
-func (q *parsedOrderMetrics) stat() statInfo { return statInfo{shape: q.arities} }
-func (q *parsedOrderMetrics) eval(context.Context, AdviseOptions) (any, error) {
-	return q.answer(false)
-}
-func (q *parsedOrderMetrics) Degraded() (any, error) { return q.answer(true) }
+func (q *parsedOrderMetrics) stat() statInfo                    { return statInfo{shape: q.arities} }
+func (q *parsedOrderMetrics) eval(context.Context) (any, error) { return q.answer(false) }
+func (q *parsedOrderMetrics) Degraded() (any, error)            { return q.answer(true) }
 
 func (q *parsedOrderMetrics) answer(degraded bool) (*OrderMetricsResponse, error) {
 	ch, err := metrics.Characterize(q.h, q.sigma, q.comm)

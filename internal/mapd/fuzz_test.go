@@ -31,7 +31,7 @@ func FuzzParseHierOrder(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, hier, order string, rank int) {
 		ctx := context.Background()
-		ans, err := Eval(ctx, &MapRequest{Hierarchy: hier, Order: order, Rank: &rank}, AdviseOptions{})
+		ans, err := Eval(ctx, &MapRequest{Hierarchy: hier, Order: order, Rank: &rank})
 		if err != nil {
 			if !errors.Is(err, ErrBadRequest) {
 				t.Fatalf("map error does not wrap ErrBadRequest: %v", err)
@@ -65,7 +65,7 @@ func FuzzParseHierOrder(f *testing.F) {
 			&SelectRequest{Hierarchy: hier, Order: order, N: rank},
 			&OrderMetricsRequest{Hierarchy: hier, Order: order, CommSize: rank},
 		} {
-			if _, err := Eval(ctx, req, AdviseOptions{}); err != nil && !errors.Is(err, ErrBadRequest) {
+			if _, err := Eval(ctx, req); err != nil && !errors.Is(err, ErrBadRequest) {
 				t.Fatalf("%T error does not wrap ErrBadRequest: %v", req, err)
 			}
 		}
@@ -94,7 +94,7 @@ func FuzzMatrixMapBody(f *testing.F) {
 			}
 			return
 		}
-		full, err := q.eval(context.Background(), AdviseOptions{})
+		full, err := q.eval(context.Background())
 		if err != nil {
 			t.Fatalf("accepted body failed to evaluate: %v", err)
 		}

@@ -31,13 +31,12 @@ const (
 	// MaxTable bounds the size of a full mapping table response.
 	MaxTable = 1 << 16
 	// MaxAdviseDepth bounds the hierarchy depth of an advise request. Up
-	// to MaxExactAdviseDepth the k! search runs; deeper hierarchies are
+	// to advisor.ExactDepth the k! search runs; deeper hierarchies are
 	// served by the bounded branch-and-bound / beam search, which is
 	// polynomial-ish in practice (node-budgeted) rather than factorial.
 	MaxAdviseDepth = 12
-	// MaxExactAdviseDepth bounds the exhaustive order search (8! = 40320
-	// evaluations) and therefore the configurable exact/bounded depth
-	// threshold.
+	// MaxExactAdviseDepth bounds the exhaustive ring-cost ranking of the
+	// degraded advise fallback (8! = 40320 orders).
 	MaxExactAdviseDepth = 8
 	// MaxAdviseNodes bounds the machine size of an advise request.
 	MaxAdviseNodes = 4096

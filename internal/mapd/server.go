@@ -40,15 +40,6 @@ type Config struct {
 	// CacheShards is the shard count of the cache (default 16, rounded up
 	// to a power of two).
 	CacheShards int
-	// AdviseWorkers bounds the worker pool of one order-ranking evaluation
-	// (default GOMAXPROCS).
-	AdviseWorkers int
-	// SearchDepthThreshold is the largest hierarchy depth /v1/advise
-	// serves with the exhaustive (exact/pruned) ranking; deeper
-	// hierarchies run the bounded branch-and-bound / beam search.
-	// 0 means DefaultSearchDepthThreshold; values clamp to
-	// [1, MaxExactAdviseDepth].
-	SearchDepthThreshold int
 	// MaxBody caps the request body in bytes (default 1 MiB).
 	MaxBody int64
 	// Timeout bounds one evaluation (default 10 s). Evaluations run on a
@@ -291,30 +282,25 @@ func (s *Server) Handler() http.Handler {
 }
 
 // search is the served advise evaluation: the order search with the
-// server's worker bound, metrics and live progress, recorded into the
-// breaker.
+// server's metrics and live progress, recorded into the breaker.
 func (q *parsedAdvise) search(ctx context.Context, s *Server) (any, error) {
 	if s.AdviseHook != nil {
 		s.AdviseHook()
 	}
 	s.evals.Add(1)
-	opts := AdviseOptions{
-		Rank: advisor.RankOptions{
-			Workers:  s.cfg.AdviseWorkers,
-			Registry: s.reg,
-			OnStats:  func(rs advisor.RankStats) { s.stats.observeSearch(rs.Mode) },
-		},
-		SearchDepthThreshold: s.cfg.SearchDepthThreshold,
-	}
-	if q.spec.Hierarchy().Depth() > opts.threshold() {
+	opts := advisor.SearchOptions{Registry: s.reg}
+	if q.spec.Hierarchy().Depth() > advisor.ExactDepth {
 		// Deep advise: the bounded search can run for seconds, so
 		// register it with the live-progress table surfaced on
 		// GET /v1/advise/progress.
 		h := s.search.start(q.Key())
 		defer h.finish()
-		opts.Search.Progress = h.update
+		opts.Progress = h.update
 	}
 	resp, err := evalAdvise(ctx, q, opts)
+	if err == nil {
+		s.stats.observeSearch(resp.SearchMode)
+	}
 	s.recordOutcome(err)
 	return resp, err
 }
@@ -584,7 +570,7 @@ func (s *Server) serve(e Endpoint) http.HandlerFunc {
 			if guarded {
 				resp, err = sq.search(ctx, s)
 			} else {
-				resp, err = q.eval(ctx, AdviseOptions{})
+				resp, err = q.eval(ctx)
 			}
 			if err != nil {
 				eval.SetError()

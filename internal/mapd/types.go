@@ -63,7 +63,7 @@ type AdviseRequest struct {
 	// NICs per node (hydra models only; default 1).
 	NICs int `json:"nics,omitempty"`
 	// Depth is the cloud machine's hierarchy depth (6–12, default 10).
-	// Depths above the exact-search threshold are served by the bounded
+	// Depths above advisor.ExactDepth are served by the bounded
 	// branch-and-bound / beam search.
 	Depth int `json:"depth,omitempty"`
 	// Collective: "alltoall", "allgather", or "allreduce".
@@ -98,7 +98,7 @@ type AdviseResponse struct {
 	// and the candidate-set size for degraded fallbacks.
 	Evaluated int `json:"evaluated"`
 	// SearchMode is how the ranking was computed: "exact" or "pruned"
-	// below the depth threshold, "bnb" (provably optimal) or "beam"
+	// up to advisor.ExactDepth, "bnb" (provably optimal) or "beam"
 	// (bounded gap) above it, "fallback" for degraded answers.
 	SearchMode string `json:"search_mode,omitempty"`
 	// OrdersEvaluated counts the model evaluations the search actually
