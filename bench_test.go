@@ -18,11 +18,9 @@ import (
 	"repro/internal/cg"
 	"repro/internal/cluster"
 	"repro/internal/figures"
-	"repro/internal/heat"
 	"repro/internal/mixedradix"
 	"repro/internal/mpi"
 	"repro/internal/perm"
-	"repro/internal/slurm"
 	"repro/internal/splatt"
 	"repro/internal/tensor"
 	"repro/internal/topology"
@@ -382,31 +380,4 @@ func BenchmarkLegendMetrics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = figures.LegendCharacterizations()
 	}
-}
-
-// BenchmarkHeatReorder measures the extension application (2D Jacobi heat
-// solver on a Cartesian communicator): a cyclic launch with and without
-// the mixed-radix reorder of CartCreate.
-func BenchmarkHeatReorder(b *testing.B) {
-	h := cluster.HydraHierarchy(4)
-	dist := slurm.Distribution{Node: slurm.Cyclic, Socket: slurm.Cyclic}
-	binding, err := dist.Binding(h)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prob := heat.Problem{NX: 128, NY: 128, Iters: 20, Top: 1}
-	var plain, reordered float64
-	for i := 0; i < b.N; i++ {
-		p, err := heat.Run(cluster.Hydra(4, 1), binding, 16, 8, prob, false, mpi.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := heat.Run(cluster.Hydra(4, 1), binding, 16, 8, prob, true, mpi.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		plain, reordered = p.Duration, r.Duration
-	}
-	b.ReportMetric(plain*1e6, "cyclic-launch-us")
-	b.ReportMetric(reordered*1e6, "reordered-us")
 }

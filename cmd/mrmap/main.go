@@ -231,6 +231,9 @@ func cmdOrders(args []string) error {
 	if err != nil {
 		return err
 	}
+	if h.Depth() > mapd.MaxDepth {
+		return fmt.Errorf("orders: refusing to enumerate %d! orders", h.Depth())
+	}
 	commSize := *comm
 	if commSize == 0 {
 		commSize = h.Level(h.Depth() - 1).Arity

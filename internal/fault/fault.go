@@ -5,8 +5,7 @@
 // a degraded world.
 //
 // The plan is pure data — the MPI runtime (internal/mpi) interprets it
-// against a concrete world via World.ApplyFaults, and topology/advisor
-// consume the resulting degraded hierarchy to re-enumerate survivors.
+// against a concrete world via World.ApplyFaults.
 package fault
 
 import (
@@ -59,9 +58,9 @@ func (e *RankLostError) Unwrap() error { return ErrRankLost }
 
 // Catch runs body and intercepts the abort the MPI runtime raises when an
 // operation fails with ErrRankLost, returning it as an ordinary error so a
-// surviving rank can recover (shrink its communicator, re-enumerate, and
-// continue). Any other panic — including the engine-internal value used to
-// terminate crashed processes — propagates unchanged.
+// surviving rank can observe the loss and stop. Any other panic —
+// including the engine-internal value used to terminate crashed processes
+// — propagates unchanged.
 func Catch(body func()) (err error) {
 	defer func() {
 		r := recover()

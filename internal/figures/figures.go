@@ -14,7 +14,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/mixedradix"
-	"repro/internal/mpi"
 	"repro/internal/perm"
 	"repro/internal/plot"
 	"repro/internal/reorder"
@@ -328,11 +327,6 @@ func RenderFigure8(cfg Figure8Config, results []Figure8Result) string {
 	return b.String()
 }
 
-// Figure9Config parameterizes the CG strong-scaling experiment.
-type Figure9Config struct {
-	Procs []int // paper: 2,4,8,16,32,64,128
-}
-
 // Figure9Selection is one bar of Figure 9: an order, the core list it
 // selects, and the measured duration.
 type Figure9Selection struct {
@@ -470,6 +464,3 @@ func LegendCharacterizations() string {
 	}
 	return b.String()
 }
-
-// MPIBase returns the default runtime configuration used by all figures.
-func MPIBase() mpi.Config { return mpi.Config{} }

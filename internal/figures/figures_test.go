@@ -7,7 +7,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cg"
 	"repro/internal/cluster"
-	"repro/internal/mpi"
 	"repro/internal/perm"
 	"repro/internal/tensor"
 )
@@ -178,11 +177,5 @@ func TestLegendCharacterizations(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("legend output missing %q", want)
 		}
-	}
-}
-
-func TestMPIBase(t *testing.T) {
-	if MPIBase() != (mpi.Config{}) {
-		t.Error("MPIBase should be the zero config")
 	}
 }

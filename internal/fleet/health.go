@@ -60,8 +60,6 @@ type HealthConfig struct {
 	// FailThreshold is how many consecutive probe/transport failures eject
 	// a replica (default 2).
 	FailThreshold int
-	// Client issues the probes (default: a dedicated client).
-	Client *http.Client
 }
 
 func (c HealthConfig) withDefaults() HealthConfig {
@@ -73,9 +71,6 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	}
 	if c.FailThreshold <= 0 {
 		c.FailThreshold = 2
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
 	}
 	return c
 }
@@ -174,7 +169,7 @@ func (c *Checker) probe(ctx context.Context, i int) {
 		span.SetError()
 		return
 	}
-	resp, err := c.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		c.fail(i)
 		span.SetError()

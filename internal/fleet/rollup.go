@@ -94,13 +94,13 @@ type FleetSLO struct {
 // scrapeJSON fetches one replica-local JSON endpoint under the scrape
 // timeout.
 func (g *Router) scrapeJSON(ctx context.Context, idx int, path string, v any) error {
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.ScrapeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, scrapeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, g.cfg.Replicas[idx]+path, nil)
 	if err != nil {
 		return err
 	}
-	resp, err := g.cfg.Client.Do(req)
+	resp, err := g.client.Do(req)
 	if err != nil {
 		return err
 	}

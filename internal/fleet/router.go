@@ -53,29 +53,28 @@ type Config struct {
 	// draw from the retry budget). 0 disables hedging.
 	Hedge time.Duration
 	// MaxBody caps an incoming request body (default 1 MiB, matching
-	// mapd); MaxRespBody caps a proxied response (default 64 MiB).
-	MaxBody     int64
-	MaxRespBody int64
+	// mapd).
+	MaxBody int64
 	// DisableFallback turns off the last-resort local σ-order answers.
 	DisableFallback bool
 	// Health tunes the active checker.
 	Health HealthConfig
-	// Client proxies requests (default: a dedicated client with sane
-	// connection pooling).
-	Client *http.Client
-	// Registry receives the fleet_* metrics (default: fresh).
-	Registry *obs.Registry
 	// Tracer records gate-side spans — the route root, one proxy span per
 	// failover/hedge attempt, backoff waits, health probes, and the local
 	// fallback — on the same trace id the gate forwards to the replica
 	// (nil disables tracing; every instrumentation point is nil-safe).
 	Tracer *rt.Tracer
-	// ScrapeTimeout bounds one replica /v1/stats or /v1/slo scrape when
-	// serving the fleet rollup endpoints (default 2s).
-	ScrapeTimeout time.Duration
 	// Logger receives failover/fallback diagnostics (default: discard).
 	Logger *slog.Logger
 }
+
+const (
+	// maxRespBody caps a proxied response.
+	maxRespBody = 64 << 20
+	// scrapeTimeout bounds one replica /v1/stats or /v1/slo scrape when
+	// serving the fleet rollup endpoints.
+	scrapeTimeout = 2 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.Names == nil {
@@ -98,21 +97,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBody <= 0 {
 		c.MaxBody = 1 << 20
 	}
-	if c.MaxRespBody <= 0 {
-		c.MaxRespBody = 64 << 20
-	}
-	if c.ScrapeTimeout <= 0 {
-		c.ScrapeTimeout = 2 * time.Second
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 64,
-		}}
-	}
-	if c.Registry == nil {
-		c.Registry = obs.NewRegistry()
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -125,7 +109,8 @@ type Router struct {
 	ring    *Ring
 	checker *Checker
 	budget  *Budget
-	reg     *obs.Registry
+	client  *http.Client  // proxies and scrapes; pooled per replica
+	reg     *obs.Registry // receives the fleet_* metrics
 	logger  *slog.Logger
 
 	draining atomic.Bool
@@ -158,19 +143,24 @@ func New(cfg Config) (*Router, error) {
 	for i, u := range cfg.Replicas {
 		cfg.Replicas[i] = strings.TrimSuffix(u, "/")
 	}
+	reg := obs.NewRegistry()
 	g := &Router{
-		cfg:          cfg,
-		notes:        make([]rollupNote, len(cfg.Replicas)),
-		ring:         NewRing(len(cfg.Replicas), cfg.VNodes),
-		budget:       NewBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst),
-		reg:          cfg.Registry,
+		cfg:    cfg,
+		notes:  make([]rollupNote, len(cfg.Replicas)),
+		ring:   NewRing(len(cfg.Replicas), cfg.VNodes),
+		budget: NewBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst),
+		client: &http.Client{Transport: &http.Transport{
+			MaxIdleConns:        256,
+			MaxIdleConnsPerHost: 64,
+		}},
+		reg:          reg,
 		logger:       cfg.Logger,
-		retries:      cfg.Registry.Counter("fleet_retries_total"),
-		failovers:    cfg.Registry.Counter("fleet_failovers_total"),
-		hedges:       cfg.Registry.Counter("fleet_hedges_total"),
-		hedgeWins:    cfg.Registry.Counter("fleet_hedge_wins_total"),
-		budgetDenied: cfg.Registry.Counter("fleet_retry_budget_exhausted_total"),
-		budgetGauge:  cfg.Registry.Gauge("fleet_retry_budget_tokens"),
+		retries:      reg.Counter("fleet_retries_total"),
+		failovers:    reg.Counter("fleet_failovers_total"),
+		hedges:       reg.Counter("fleet_hedges_total"),
+		hedgeWins:    reg.Counter("fleet_hedge_wins_total"),
+		budgetDenied: reg.Counter("fleet_retry_budget_exhausted_total"),
+		budgetGauge:  reg.Gauge("fleet_retry_budget_tokens"),
 		sleep:        time.Sleep,
 	}
 	for name, help := range map[string]string{
@@ -190,15 +180,15 @@ func New(cfg Config) (*Router, error) {
 		"fleet_replica_burn_rate":            "Worst availability/latency burn rate across the replica's endpoints, shortest window (last rollup).",
 		"fleet_scrape_errors_total":          "Replica stats/SLO scrapes that failed during a fleet rollup.",
 	} {
-		cfg.Registry.SetHelp(name, help)
+		reg.SetHelp(name, help)
 	}
-	g.checker = NewChecker(cfg.Replicas, cfg.Names, cfg.Health, cfg.Registry)
+	g.checker = NewChecker(cfg.Replicas, cfg.Names, cfg.Health, reg)
 	g.checker.tracer = cfg.Tracer
 	for _, n := range cfg.Names {
-		cfg.Registry.Gauge("fleet_replica_state", obs.L("replica", n)).Set(float64(StateHealthy))
+		reg.Gauge("fleet_replica_state", obs.L("replica", n)).Set(float64(StateHealthy))
 	}
 	g.checker.onState = func(i int, s ReplicaState) {
-		cfg.Registry.Gauge("fleet_replica_state", obs.L("replica", cfg.Names[i])).Set(float64(s))
+		reg.Gauge("fleet_replica_state", obs.L("replica", cfg.Names[i])).Set(float64(s))
 		g.logger.Info("replica state", "replica", cfg.Names[i], "url", cfg.Replicas[i], "state", s.String())
 	}
 	return g, nil
@@ -498,7 +488,7 @@ func (g *Router) send(ctx context.Context, idx int, path string, body []byte, in
 	if tp != "" {
 		req.Header.Set("traceparent", tp)
 	}
-	resp, err := g.cfg.Client.Do(req)
+	resp, err := g.client.Do(req)
 	if err != nil {
 		u.err = err
 		sp.SetError()
@@ -513,7 +503,7 @@ func (g *Router) send(ctx context.Context, idx int, path string, body []byte, in
 	}
 	u.status = resp.StatusCode
 	u.header = resp.Header
-	u.body, err = io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxRespBody))
+	u.body, err = io.ReadAll(io.LimitReader(resp.Body, maxRespBody))
 	_, _ = io.Copy(io.Discard, resp.Body)
 	_ = resp.Body.Close()
 	if err != nil {

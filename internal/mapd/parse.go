@@ -1,7 +1,7 @@
 // Request validation. Every limit here exists so that a hostile or
 // malformed request cannot make the service panic or allocate without
-// bound: hierarchy sizes are recomputed with explicit overflow checks
-// before any package that panics on overflow (mixedradix.Size) sees them,
+// bound: hierarchy sizes are bounded (topology.Parse already refuses a
+// product that overflows int, so nothing downstream can panic on one),
 // orders must be permutations of the hierarchy depth, and table-sized
 // responses are capped.
 
@@ -69,20 +69,17 @@ func parseHierarchy(s string) (topology.Hierarchy, error) {
 		return topology.Hierarchy{}, badf("hierarchy description longer than 256 bytes")
 	}
 	h, err := topology.Parse(s)
+	if errors.Is(err, topology.ErrTooLarge) {
+		return topology.Hierarchy{}, badf("hierarchy enumerates more than %d cores", MaxCores)
+	}
 	if err != nil {
 		return topology.Hierarchy{}, badf("%v", err)
 	}
 	if h.Depth() > MaxDepth {
 		return topology.Hierarchy{}, badf("hierarchy depth %d exceeds %d", h.Depth(), MaxDepth)
 	}
-	// Recompute the size with an explicit overflow check: mixedradix.Size
-	// panics on overflow and must never see an unvalidated hierarchy.
-	size := 1
-	for _, a := range h.Arities() {
-		if a > MaxCores || size > MaxCores/a {
-			return topology.Hierarchy{}, badf("hierarchy enumerates more than %d cores", MaxCores)
-		}
-		size *= a
+	if h.Size() > MaxCores {
+		return topology.Hierarchy{}, badf("hierarchy enumerates more than %d cores", MaxCores)
 	}
 	return h, nil
 }

@@ -152,6 +152,7 @@ var MalformedRequests = []struct {
 	{"empty hierarchy", "/v1/map", `{"hierarchy":"","rank":0}`, "bad_request"},
 	{"arity one", "/v1/map", `{"hierarchy":"2,1,4","rank":0}`, "bad_request"},
 	{"overflow hierarchy", "/v1/map", `{"hierarchy":"99999,99999,99999","rank":0}`, "bad_request"},
+	{"int overflow hierarchy", "/v1/map", `{"hierarchy":"4294967296,4294967296,4","rank":0}`, "bad_request"},
 	{"rank out of range", "/v1/map", `{"hierarchy":"2,2,4","rank":16}`, "bad_request"},
 	{"non-permutation order", "/v1/map", `{"hierarchy":"2,2,4","order":"0-0-2","rank":1}`, "bad_request"},
 	{"order depth mismatch", "/v1/map", `{"hierarchy":"2,2,4","order":"0-1","rank":1}`, "bad_request"},

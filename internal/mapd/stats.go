@@ -101,6 +101,11 @@ func (c *classStat) percentile(q float64) float64 {
 // ±~13% standard error, plenty for "hundreds vs. tens" answers.
 const sketchRegisters = 64
 
+// sketchMaxRank is the largest value a register can hold: the six
+// register-selecting bits leave 58 hash bits, whose leading zeros plus one
+// is the rank.
+const sketchMaxRank = 59
+
 // workloadStats is the request-stream aggregator. All methods are
 // safe for concurrent use.
 type workloadStats struct {
@@ -247,7 +252,9 @@ func estimateDistinct(sketch []uint8) int {
 	if e <= 2.5*m && zeros > 0 {
 		e = m * math.Log(m/float64(zeros))
 	}
-	return int(math.Round(e))
+	// Registers all near sketchMaxRank — a scraped report can say so, a
+	// request stream cannot — put e past the int range.
+	return int(math.Min(math.Round(e), 1<<62))
 }
 
 // ClassReport is one tracked shape class of a StatsReport.

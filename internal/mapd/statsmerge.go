@@ -52,8 +52,10 @@ func MergeStats(reports []StatsReport) StatsReport {
 		}
 		if len(r.DistinctSketch) == sketchRegisters {
 			sketched = true
+			// The registers come from a scraped replica's JSON: one
+			// outside what a sketch can hold is ignored, not truncated.
 			for i, v := range r.DistinctSketch {
-				if v > 0 && uint8(v) > sketch[i] {
+				if v > int(sketch[i]) && v <= sketchMaxRank {
 					sketch[i] = uint8(v)
 				}
 			}

@@ -2,6 +2,7 @@ package mapd
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -178,5 +179,31 @@ func TestMergeStatsAggregates(t *testing.T) {
 	}
 	if c44 == nil || c44.Requests != 90 || c44.CountErr != 50 {
 		t.Fatalf("floored 4,4 = %+v", c44)
+	}
+
+	// Hostile registers from a scraped replica: 300 would truncate to 44
+	// and 255 drive the estimate past the int range. Both are outside
+	// what a sketch can hold, so the merge is the honest replica's.
+	honest := MergeStats([]StatsReport{a})
+	for _, reg := range []int{300, 255, sketchMaxRank + 1, -1} {
+		hostile := StatsReport{DistinctSketch: make([]int, sketchRegisters)}
+		for i := range hostile.DistinctSketch {
+			hostile.DistinctSketch[i] = reg
+		}
+		m = MergeStats([]StatsReport{a, hostile})
+		if !reflect.DeepEqual(m.DistinctSketch, honest.DistinctSketch) ||
+			m.DistinctClassesEstimate != honest.DistinctClassesEstimate {
+			t.Errorf("registers of %d leaked into the merge: sketch %v, estimate %d (honest %d)",
+				reg, m.DistinctSketch, m.DistinctClassesEstimate, honest.DistinctClassesEstimate)
+		}
+	}
+	// The largest legal register everywhere is accepted and still yields
+	// a positive estimate.
+	full := StatsReport{DistinctSketch: make([]int, sketchRegisters)}
+	for i := range full.DistinctSketch {
+		full.DistinctSketch[i] = sketchMaxRank
+	}
+	if m = MergeStats([]StatsReport{a, full}); m.DistinctSketch[0] != sketchMaxRank || m.DistinctClassesEstimate <= 0 {
+		t.Errorf("all-max sketch: register %d, estimate %d", m.DistinctSketch[0], m.DistinctClassesEstimate)
 	}
 }

@@ -1,4 +1,4 @@
-// Allreduce and ReduceScatter: recursive doubling for small buffers, the
+// Allreduce: recursive doubling for small buffers, the
 // ring (reduce-scatter + allgather) algorithm for large ones — the
 // neighbour-structured ring is what makes Allreduce sensitive to the rank
 // order inside a communicator (Figure 6 of the paper).
@@ -101,47 +101,4 @@ func (c *Comm) allreduceRing(r *Rank, seq int64, mine Buf, op ReduceOp) Buf {
 		chunks[recvIdx] = in
 	}
 	return Concat(chunks...)
-}
-
-// ReduceScatterBlock reduces every rank's buffer with op and scatters the
-// result: the caller receives the (comm-rank)-th even chunk of the reduced
-// buffer, using the ring reduce-scatter schedule.
-func (c *Comm) ReduceScatterBlock(r *Rank, mine Buf, op ReduceOp) Buf {
-	mine.check()
-	p := len(c.group)
-	if p == 1 {
-		return mine.Clone()
-	}
-	seq := c.nextSeq()
-	start := r.Now()
-	me := c.rank
-	chunks := mine.SplitEven(p)
-	for i := range chunks {
-		chunks[i] = chunks[i].Clone()
-	}
-	next := (me + 1) % p
-	prev := (me - 1 + p) % p
-	for t := 0; t < p-1; t++ {
-		sendIdx := (me - t + p*p) % p
-		recvIdx := (me - t - 1 + p*p) % p
-		tg := c.tag(seq, int64(t))
-		rr := c.irecvTag(prev, tg)
-		sr := c.isendTag(next, tg, chunks[sendIdx])
-		in := rr.Wait(r)
-		sr.Wait(r)
-		chunks[recvIdx] = Combine(op, chunks[recvIdx], in)
-	}
-	// The fully reduced chunk held here is (me+1)%p, which belongs to the
-	// next rank; rotate one step backwards so everyone gets its own chunk.
-	ownIdx := (me + 1) % p
-	out := chunks[ownIdx]
-	if ownIdx != me {
-		tg := c.tag(seq, int64(2*p))
-		rr := c.irecvTag(prev, tg)
-		sr := c.isendTag(next, tg, out)
-		out = rr.Wait(r)
-		sr.Wait(r)
-	}
-	c.trace(r, "ReduceScatter", mine.Bytes, start)
-	return out
 }

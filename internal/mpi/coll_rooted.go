@@ -1,5 +1,5 @@
 // Rooted collectives: broadcast (binomial tree and pipelined chain),
-// reduce, gather and scatter (binomial trees). Splatt's communicator mix
+// reduce and gather (binomial trees). Splatt's communicator mix
 // uses MPI_Bcast, MPI_Reduce and MPI_Gather alongside the non-rooted
 // operations (§4.2).
 
@@ -189,63 +189,7 @@ func (c *Comm) Gather(r *Rank, root int, mine Buf) []Buf {
 }
 
 // splitAsCounts splits an aggregated subtree payload back into n equal
-// blocks (all Gather/Scatter payloads are uniform in this codebase).
+// blocks (all Gather payloads are uniform in this codebase).
 func splitAsCounts(b Buf, n int) []Buf {
 	return b.SplitEven(n)
-}
-
-// Scatter distributes root's per-rank buffers down a binomial tree; every
-// rank returns its own block. Blocks must be uniform in size. Non-root
-// callers pass nil.
-func (c *Comm) Scatter(r *Rank, root int, send []Buf) Buf {
-	p := len(c.group)
-	seq := c.nextSeq()
-	start := r.Now()
-	vr := (c.rank - root + p) % p
-	var blocks []Buf // blocks for relative ranks [vr, vr+len)
-	var total int64
-	if c.rank == root {
-		if len(send) != p {
-			panic(fmt.Sprintf("mpi: Scatter with %d buffers on a size-%d communicator", len(send), p))
-		}
-		blocks = make([]Buf, p)
-		for i := 0; i < p; i++ {
-			blocks[i] = send[(i+root)%p].Clone()
-			total += blocks[i].Bytes
-		}
-	} else {
-		// Receive the subtree rooted at vr from the parent.
-		mask := 1
-		for mask < p {
-			if vr&mask != 0 {
-				src := (vr - mask + root) % p
-				in := c.irecvTag(src, c.tag(seq, int64(mask))).Wait(r)
-				span := min(mask, p-vr)
-				blocks = splitAsCounts(in, span)
-				break
-			}
-			mask <<= 1
-		}
-	}
-	// Send phase: forward sub-subtrees to children.
-	highestMask := 1
-	for highestMask < p {
-		if vr&highestMask != 0 {
-			break
-		}
-		highestMask <<= 1
-	}
-	for mask := highestMask >> 1; mask > 0; mask >>= 1 {
-		if vr+mask < p {
-			span := min(mask, p-(vr+mask))
-			parts := make([]Buf, span)
-			for j := 0; j < span; j++ {
-				parts[j] = blocks[mask+j]
-			}
-			dst := (vr + mask + root) % p
-			c.isendTag(dst, c.tag(seq, int64(mask)), Concat(parts...)).Wait(r)
-		}
-	}
-	c.trace(r, "Scatter", total, start)
-	return blocks[0]
 }

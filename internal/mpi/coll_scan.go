@@ -60,8 +60,3 @@ func (c *Comm) AllgatherBytes(r *Rank, bytes int64) {
 func (c *Comm) AllreduceBytes(r *Rank, bytes int64) {
 	c.Allreduce(r, BytesBuf(bytes), OpSum)
 }
-
-// BcastBytes runs a synthetic MPI_Bcast of a bytes-sized buffer.
-func (c *Comm) BcastBytes(r *Rank, root int, bytes int64) {
-	c.Bcast(r, root, BytesBuf(bytes))
-}

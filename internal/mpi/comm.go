@@ -34,9 +34,6 @@ func (c *Comm) Rank() int { return c.rank }
 // ID returns the communicator's id (0 for the world communicator).
 func (c *Comm) ID() int { return c.id }
 
-// WorldRank translates a communicator rank to a world rank.
-func (c *Comm) WorldRank(rank int) int { return c.group[rank] }
-
 // Group returns a copy of the comm-rank → world-rank mapping.
 func (c *Comm) Group() []int { return append([]int(nil), c.group...) }
 
@@ -124,7 +121,7 @@ func (c *Comm) irecvTag(src int, t int64) *Request {
 }
 
 // callSite identifies one call of a collective that matches its members
-// up in a table (Split, Shrink): every member executes the same collective
+// up in a table (Split): every member executes the same collective
 // sequence, so (comm, seq) names the call.
 type callSite struct {
 	commID int

@@ -1,7 +1,7 @@
 // Fault injection against a live world: crashing ranks and nodes, slowing
 // stragglers, degrading link levels — all at exact virtual times from a
-// deterministic fault.Plan — plus the ULFM-style recovery surface
-// (communicator revocation and Shrink) that lets surviving ranks continue.
+// deterministic fault.Plan — and the communicator revocation that turns a
+// crash into a typed abort instead of a hang.
 //
 // Semantics on a crash of world rank f at virtual time t:
 //
@@ -16,13 +16,11 @@
 //     rendezvous send addressed to f, is failed: blocked survivors wake
 //     and abort with the same typed error. Transfers already matched and
 //     in flight complete — the bytes were on the wire.
-//   - Survivors that catch the abort (fault.Catch) call Shrink on the
-//     revoked communicator to obtain a fresh communicator of the living
-//     members and continue.
 //
 // Everything here — the fault actions, which run as event callbacks, and
-// the recovery calls ranks make — runs inside whichever rank the engine
-// resumed last, one at a time, so the world's state needs no lock.
+// the guard every communicator operation enters through — runs inside
+// whichever rank the engine resumed last, one at a time, so the world's
+// state needs no lock.
 
 package mpi
 
@@ -87,42 +85,12 @@ func (w *World) stretch(src, dst int) float64 {
 	return s
 }
 
-// Lost reports whether a world rank has crashed.
-func (w *World) Lost(rank int) bool { return w.lost[rank] }
-
 // LostRanks returns the crashed world ranks, ascending.
 func (w *World) LostRanks() []int {
 	out := append([]int(nil), w.lostList...)
 	sort.Ints(out)
 	return out
 }
-
-// AliveRanks returns the surviving world ranks, ascending.
-func (w *World) AliveRanks() []int {
-	out := make([]int, 0, len(w.lost))
-	for r, dead := range w.lost {
-		if !dead {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// FailedCores returns the cores of crashed ranks, ascending — the input
-// for topology.Hierarchy.Degrade.
-func (w *World) FailedCores() []int {
-	out := make([]int, 0, len(w.lostList))
-	for _, r := range w.lostList {
-		out = append(out, w.binding[r])
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Epoch returns the world's failure epoch: 0 on a perfect machine, bumped
-// on every crash. Communicators remember the epoch they were created in
-// and are revoked when it changes.
-func (w *World) Epoch() int { return w.epoch }
 
 // rankLostErr builds the typed error for an operation failed by the
 // loss of the given rank.
@@ -174,14 +142,13 @@ func (w *World) killRank(rank int) {
 	// them belong to communicators created before this crash — which are
 	// all revoked now — so none can legally match again: a pre-crash
 	// receive can only be matched by a peer's later send, and that send is
-	// stopped by the revocation guard. Failing them here is what makes
-	// recovery composable: a survivor blocked on another survivor (which
-	// aborted out of the same collective) wakes with the typed error
-	// instead of hanging. Matched transfers already in flight complete —
-	// the bytes were on the wire. Conditions collect first and fail after
-	// the queues are consistent, in a fixed order (destination, source,
-	// tag; then call site) so that survivors wake in the same order on
-	// every replay.
+	// stopped by the revocation guard. Failing them here is what keeps a
+	// survivor blocked on another survivor (which aborted out of the same
+	// collective) from hanging: it wakes with the typed error. Matched
+	// transfers already in flight complete — the bytes were on the wire.
+	// Conditions collect first and fail after the queues are consistent,
+	// in a fixed order (destination, source, tag; then call site) so that
+	// survivors wake in the same order on every replay.
 	var failed []*sim.Condition
 	for dst, box := range w.mail {
 		keys := make([]matchKey, 0, len(box))
@@ -212,15 +179,6 @@ func (w *World) killRank(rank int) {
 	err := w.rankLostErr("", rank, now)
 	w.engine.SetDeadlockNote(fault.LostRanks(w.LostRanks()))
 
-	// A pending shrink may become complete now that this rank no longer
-	// counts as a required participant.
-	var shrinksDone []*sim.Condition
-	for _, sk := range sortedCallSites(w.shrinks) {
-		if st := w.shrinks[sk]; w.tryFinishShrink(st) {
-			shrinksDone = append(shrinksDone, st.done)
-		}
-	}
-
 	if sc := w.cfg.Obs; sc != nil {
 		core := w.binding[rank]
 		sc.Instant(w.nodeOf(core), rank, "fault:crash", "fault", now,
@@ -232,9 +190,6 @@ func (w *World) killRank(rank int) {
 
 	for _, c := range failed {
 		c.Fail(err)
-	}
-	for _, c := range shrinksDone {
-		c.Fire()
 	}
 }
 
@@ -284,9 +239,9 @@ func (c *Comm) guard(op string, peerWorld int) {
 	}
 }
 
-// sortedCallSites returns the keys of a pending-collective table in
+// sortedCallSites returns the keys of the pending-split table in
 // (communicator, sequence) order.
-func sortedCallSites[V any](m map[callSite]V) []callSite {
+func sortedCallSites(m map[callSite]*splitState) []callSite {
 	keys := make([]callSite, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -298,88 +253,4 @@ func sortedCallSites[V any](m map[callSite]V) []callSite {
 		return keys[i].seq < keys[j].seq
 	})
 	return keys
-}
-
-type shrinkState struct {
-	comm    *Comm // any member's handle; group/id shared
-	key     callSite
-	arrived map[int]bool // world ranks that entered Shrink
-	done    *sim.Condition
-	result  map[int]*commSpec
-}
-
-// Shrink derives a new communicator containing the surviving members of c,
-// preserving their relative rank order — the ULFM recovery primitive. All
-// living members must call it (like a collective); it completes when they
-// have, even if further members crash while the shrink is in progress.
-// Unlike every other operation, Shrink works on a revoked communicator:
-// that is its purpose. Ranks whose color/key games are done should then
-// re-split the shrunk communicator as usual.
-func (c *Comm) Shrink(r *Rank) *Comm {
-	seq := c.nextSeq()
-	w := c.w
-	me := c.group[c.rank]
-
-	if w.lost[me] {
-		// Cannot happen: a dead rank's coroutine never runs.
-		panic("mpi: dead rank called Shrink")
-	}
-	sk := callSite{commID: c.id, seq: seq}
-	st := w.shrinks[sk]
-	if st == nil {
-		st = &shrinkState{
-			comm:    c,
-			key:     sk,
-			arrived: make(map[int]bool),
-			done:    w.engine.NewCondition(),
-		}
-		w.shrinks[sk] = st
-	}
-	st.arrived[me] = true
-	finished := w.tryFinishShrink(st)
-
-	if finished {
-		st.done.Fire()
-	} else {
-		st.done.AwaitOp(r.proc, "Shrink", -1, 0)
-	}
-	spec := st.result[me]
-	if spec == nil {
-		// Only possible if this rank was killed between arriving and the
-		// shrink completing — in which case it never gets here.
-		panic(sim.Abort{Err: fmt.Errorf("mpi: shrink lost caller: %w", fault.ErrRankLost)})
-	}
-	return &Comm{w: w, id: spec.id, group: spec.group, rank: spec.rank, epoch: spec.epoch}
-}
-
-// tryFinishShrink completes the shrink if every surviving member of
-// the communicator has arrived, computing the new communicator layout.
-// Returns true when it completed in this call; the caller then fires
-// st.done.
-func (w *World) tryFinishShrink(st *shrinkState) bool {
-	if st.result != nil {
-		return false
-	}
-	group := make([]int, 0, len(st.comm.group))
-	for _, wr := range st.comm.group {
-		if w.lost[wr] {
-			continue
-		}
-		if !st.arrived[wr] {
-			return false // a survivor has not arrived yet
-		}
-		group = append(group, wr)
-	}
-	id := w.commSeq
-	w.commSeq++
-	st.result = make(map[int]*commSpec, len(group))
-	for i, wr := range group {
-		st.result[wr] = &commSpec{id: id, group: group, rank: i, epoch: w.epoch}
-	}
-	delete(w.shrinks, st.key)
-	if sc := w.cfg.Obs; sc != nil {
-		sc.Registry().Counter("mpi_shrinks_total").AddInt(1)
-		sc.Registry().Counter("mpi_comms_created_total", obs.L("size", fmt.Sprintf("%d", len(group)))).AddInt(1)
-	}
-	return true
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/fault"
@@ -71,88 +70,6 @@ func TestCrashedNodeCollectiveNeverDeadlocks(t *testing.T) {
 	}
 	if rle.Rank < 0 || rle.Rank > 7 {
 		t.Fatalf("named rank %d is not on node 0: %v", rle.Rank, err)
-	}
-}
-
-func TestSurvivorsShrinkAndContinue(t *testing.T) {
-	var mu sync.Mutex
-	shrunkSizes := map[int]int{}
-	results := map[int]float64{}
-
-	_, err := Run(testSpec16(), identityBinding(4), Config{Faults: plan(t, "rank:2@t=1ms")}, func(r *Rank) {
-		w := r.World()
-		caught := fault.Catch(func() {
-			for i := 0; i < 200; i++ {
-				w.Barrier(r)
-				r.Wait(50e-6)
-			}
-		})
-		if caught == nil {
-			t.Errorf("rank %d finished the loop without observing the crash", r.ID())
-			return
-		}
-		if !errors.Is(caught, fault.ErrRankLost) {
-			t.Errorf("rank %d caught %v, not ErrRankLost", r.ID(), caught)
-			return
-		}
-		// Recovery: shrink to the survivors and keep computing.
-		nc := w.Shrink(r)
-		sum := nc.Allreduce(r, F64Buf([]float64{float64(r.ID())}), OpSum)
-		nc.Barrier(r)
-		mu.Lock()
-		shrunkSizes[r.ID()] = nc.Size()
-		results[r.ID()] = sum.Data[0]
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatalf("recovered run failed: %v", err)
-	}
-	if len(shrunkSizes) != 3 {
-		t.Fatalf("%d survivors recovered, want 3 (%v)", len(shrunkSizes), shrunkSizes)
-	}
-	for id, sz := range shrunkSizes {
-		if sz != 3 {
-			t.Errorf("rank %d shrunk to size %d, want 3", id, sz)
-		}
-		if results[id] != 0+1+3 {
-			t.Errorf("rank %d post-shrink allreduce = %v, want 4", id, results[id])
-		}
-	}
-}
-
-func TestDoubleCrashShrinkTwice(t *testing.T) {
-	var mu sync.Mutex
-	finalSizes := map[int]int{}
-
-	_, err := Run(testSpec16(), identityBinding(4), Config{Faults: plan(t, "rank:1@t=1ms;rank:3@t=5ms")}, func(r *Rank) {
-		w := r.World()
-		comm := w
-		for {
-			caught := fault.Catch(func() {
-				for i := 0; i < 1000; i++ {
-					comm.Barrier(r)
-					r.Wait(50e-6)
-				}
-			})
-			if caught == nil {
-				break
-			}
-			comm = comm.Shrink(r)
-		}
-		mu.Lock()
-		finalSizes[r.ID()] = comm.Size()
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatalf("double-crash recovery failed: %v", err)
-	}
-	if len(finalSizes) != 2 {
-		t.Fatalf("%d survivors finished, want 2 (%v)", len(finalSizes), finalSizes)
-	}
-	for id, sz := range finalSizes {
-		if sz != 2 {
-			t.Errorf("rank %d final comm size %d, want 2", id, sz)
-		}
 	}
 }
 
@@ -228,27 +145,24 @@ func TestLinkDegradeSlowsTransfer(t *testing.T) {
 }
 
 // TestFaultReplayIdenticalTraces is the golden determinism test: the same
-// seeded plan (including randomized chaos kills) replayed twice produces
-// byte-identical virtual-time traces and the same final time.
+// seeded plan (randomized chaos kills, a straggler, a degraded link level)
+// replayed twice produces byte-identical virtual-time traces and the same
+// final time. Survivors catch the abort and stop.
 func TestFaultReplayIdenticalTraces(t *testing.T) {
 	run := func() (float64, []byte) {
 		sc := obs.New(obs.Options{})
 		end, err := Run(testSpec16(), identityBinding(16),
-			Config{Obs: sc, Faults: plan(t, "seed=7;chaos:ranks=3,by=3ms;link:level=1,degrade=0.5@t=1ms")},
+			Config{Obs: sc, Faults: plan(t, "seed=7;chaos:ranks=3,by=3ms;straggle:rank=5,factor=2;link:level=1,degrade=0.5@t=1ms")},
 			func(r *Rank) {
 				w := r.World()
-				comm := w
-				for {
-					caught := fault.Catch(func() {
-						for i := 0; i < 100; i++ {
-							comm.Allreduce(r, F64Buf([]float64{1}), OpSum)
-							r.Wait(20e-6)
-						}
-					})
-					if caught == nil {
-						return
+				caught := fault.Catch(func() {
+					for i := 0; i < 100; i++ {
+						w.Allreduce(r, F64Buf([]float64{1}), OpSum)
+						r.Wait(20e-6)
 					}
-					comm = comm.Shrink(r)
+				})
+				if !errors.Is(caught, fault.ErrRankLost) {
+					t.Errorf("rank %d caught %v, not ErrRankLost", r.ID(), caught)
 				}
 			})
 		if err != nil {
@@ -270,7 +184,7 @@ func TestFaultReplayIdenticalTraces(t *testing.T) {
 	}
 	// The trace must carry the plan identity and the crash markers.
 	s := string(trace1)
-	for _, want := range []string{"fault_seed", "fault_plan_hash", "fault:crash"} {
+	for _, want := range []string{"fault_seed", "fault_plan_hash", "fault:crash", "fault:link"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("trace missing %q", want)
 		}
@@ -286,7 +200,7 @@ func TestDeadlockReportNamesLostRanks(t *testing.T) {
 			return
 		}
 		_ = fault.Catch(func() { r.World().Recv(r, 1, 0) })
-		// Buggy recovery: blocks forever instead of shrinking.
+		// Buggy survivor: blocks forever instead of stopping.
 		r.w.engine.NewCondition().Await(r.proc)
 	})
 	if !errors.Is(err, sim.ErrDeadlock) {

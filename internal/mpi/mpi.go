@@ -10,7 +10,7 @@
 // Each rank's body receives a *Rank handle giving MPI-style operations:
 // Send/Recv/Isend/Irecv/Sendrecv, communicator Split, and the collectives
 // used in the paper's evaluation (§4): Alltoall(v), Allreduce, Allgather,
-// Bcast, Reduce, Gather, Scatter, Scan, Barrier.
+// Bcast, Reduce, Gather, Scan, Barrier.
 package mpi
 
 import (
@@ -92,7 +92,6 @@ type World struct {
 	lastLoss fault.RankLostError
 	epoch    int // bumped on every crash; revokes pre-crash communicators
 	straggle []float64
-	shrinks  map[callSite]*shrinkState
 
 	// Observability state, pre-resolved at NewWorld so the hot paths pay
 	// one nil check when disabled and no registry lookups when enabled.
@@ -160,7 +159,6 @@ func NewWorld(engine *sim.Engine, platform *netmodel.Platform, binding []int, cf
 	for i := range w.straggle {
 		w.straggle[i] = 1
 	}
-	w.shrinks = make(map[callSite]*shrinkState)
 	hier := platform.Hierarchy()
 	w.coresPerNode = platform.NumCores() / hier.Level(0).Arity
 	if sc := cfg.Obs; sc != nil {

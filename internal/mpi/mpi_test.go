@@ -363,27 +363,6 @@ func TestGather(t *testing.T) {
 	}
 }
 
-func TestScatter(t *testing.T) {
-	for _, n := range []int{8, 5} {
-		for _, root := range []int{0, 2} {
-			runWorld(t, n, Config{}, func(r *Rank) {
-				w := r.World()
-				var send []Buf
-				if r.ID() == root {
-					send = make([]Buf, n)
-					for i := 0; i < n; i++ {
-						send[i] = F64Buf([]float64{float64(i * 7), float64(i)})
-					}
-				}
-				got := w.Scatter(r, root, send)
-				if len(got.Data) != 2 || got.Data[0] != float64(r.ID()*7) || got.Data[1] != float64(r.ID()) {
-					t.Errorf("n=%d root=%d rank %d got %v", n, root, r.ID(), got.Data)
-				}
-			})
-		}
-	}
-}
-
 func TestScan(t *testing.T) {
 	for _, n := range []int{8, 5} {
 		runWorld(t, n, Config{}, func(r *Rank) {
@@ -397,33 +376,12 @@ func TestScan(t *testing.T) {
 	}
 }
 
-func TestReduceScatterBlock(t *testing.T) {
-	n := 4
-	runWorld(t, n, Config{}, func(r *Rank) {
-		w := r.World()
-		data := make([]float64, 8) // 2 elems per rank chunk
-		for j := range data {
-			data[j] = float64(r.ID() + j)
-		}
-		out := w.ReduceScatterBlock(r, F64Buf(data), OpSum)
-		// Reduced vector elem j = sum over ranks (rank + j) = 6 + 4j.
-		base := r.ID() * 2
-		for j := 0; j < 2; j++ {
-			want := float64(6 + 4*(base+j))
-			if out.Data[j] != want {
-				t.Errorf("rank %d chunk elem %d = %v, want %v", r.ID(), j, out.Data[j], want)
-			}
-		}
-	})
-}
-
 func TestSyntheticCollectivesRun(t *testing.T) {
 	end := runWorld(t, 16, Config{}, func(r *Rank) {
 		w := r.World()
 		w.AlltoallBytes(r, 1024)
 		w.AllgatherBytes(r, 1024)
 		w.AllreduceBytes(r, 1024)
-		w.BcastBytes(r, 0, 1024)
 		w.Barrier(r)
 	})
 	if end <= 0 {

@@ -41,13 +41,14 @@ type SLOOptions struct {
 	// Windows are the rolling windows, ascending (default 1m, 5m, 30m).
 	// The first two drive the fast-burn condition.
 	Windows []time.Duration
-	// FastBurnFactor is the burn rate that, sustained in both of the two
-	// shortest windows, flags the tracker as fast-burning (default 14,
-	// the SRE-workbook page threshold).
-	FastBurnFactor float64
 	// Now is the clock (default time.Now). Tests inject a fake.
 	Now func() time.Time
 }
+
+// fastBurnFactor is the burn rate that, sustained in both of the two
+// shortest windows, flags the tracker as fast-burning: 14, the
+// SRE-workbook page threshold.
+const fastBurnFactor = 14
 
 func (o SLOOptions) withDefaults() SLOOptions {
 	if o.Availability == 0 {
@@ -61,9 +62,6 @@ func (o SLOOptions) withDefaults() SLOOptions {
 	}
 	if len(o.Windows) == 0 {
 		o.Windows = []time.Duration{time.Minute, 5 * time.Minute, 30 * time.Minute}
-	}
-	if o.FastBurnFactor == 0 {
-		o.FastBurnFactor = 14
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -208,7 +206,7 @@ func (t *SLOTracker) Report() SLOReport {
 		AvailabilityTarget: t.opts.Availability,
 		LatencyThreshold:   t.opts.LatencyThreshold.String(),
 		LatencyObjective:   t.opts.LatencyObjective,
-		FastBurnFactor:     t.opts.FastBurnFactor,
+		FastBurnFactor:     fastBurnFactor,
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -264,10 +262,10 @@ func (t *SLOTracker) fastBurningLocked(nowSec int64) bool {
 	for _, ring := range t.series {
 		st, se, ss := t.windowStatsLocked(*ring, nowSec, short)
 		mt, me, ms := t.windowStatsLocked(*ring, nowSec, mid)
-		availFast := burnRate(se, st, t.opts.Availability) >= t.opts.FastBurnFactor &&
-			burnRate(me, mt, t.opts.Availability) >= t.opts.FastBurnFactor
-		latFast := burnRate(ss, st, t.opts.LatencyObjective) >= t.opts.FastBurnFactor &&
-			burnRate(ms, mt, t.opts.LatencyObjective) >= t.opts.FastBurnFactor
+		availFast := burnRate(se, st, t.opts.Availability) >= fastBurnFactor &&
+			burnRate(me, mt, t.opts.Availability) >= fastBurnFactor
+		latFast := burnRate(ss, st, t.opts.LatencyObjective) >= fastBurnFactor &&
+			burnRate(ms, mt, t.opts.LatencyObjective) >= fastBurnFactor
 		if availFast || latFast {
 			return true
 		}

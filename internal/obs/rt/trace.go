@@ -61,8 +61,6 @@ type Options struct {
 	// upstream sampling decision: 0 defaults to 1 (sample everything),
 	// negative disables sampling (error traces are still committed).
 	SampleRatio float64
-	// Scope receives committed spans (default: a fresh obs.Scope).
-	Scope *obs.Scope
 	// Now is the clock (default time.Now). Tests inject a fake.
 	Now func() time.Time
 	// Rand yields randomness for ids and sampling decisions (default: a
@@ -91,16 +89,13 @@ func NewTracer(opts Options) *Tracer {
 	if opts.SampleRatio == 0 {
 		opts.SampleRatio = 1
 	}
-	if opts.Scope == nil {
-		opts.Scope = obs.New(obs.Options{})
-	}
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
 	t := &Tracer{
 		service: opts.Service,
 		ratio:   opts.SampleRatio,
-		scope:   opts.Scope,
+		scope:   obs.New(obs.Options{}),
 		now:     opts.Now,
 		epoch:   opts.Now(),
 		rand:    opts.Rand,

@@ -13,6 +13,7 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"strconv"
 	"strings"
@@ -22,6 +23,9 @@ import (
 
 // ErrBadLevel reports an invalid level description.
 var ErrBadLevel = errors.New("topology: invalid level")
+
+// ErrTooLarge reports a hierarchy whose core count does not fit an int.
+var ErrTooLarge = errors.New("topology: hierarchy size overflows int")
 
 // Common level names, outermost to innermost, used when a hierarchy is
 // built without explicit names.
@@ -45,7 +49,7 @@ type Hierarchy struct {
 // names from node, socket, numa, l3 as depth allows, falling back to
 // "level<i>" for very deep hierarchies).
 func New(arities ...int) (Hierarchy, error) {
-	if err := mixedradix.CheckHierarchy(arities); err != nil {
+	if err := checkArities(arities); err != nil {
 		return Hierarchy{}, err
 	}
 	levels := make([]Level, len(arities))
@@ -73,10 +77,27 @@ func NewNamed(levels ...Level) (Hierarchy, error) {
 			return Hierarchy{}, fmt.Errorf("%w: level %d has empty name", ErrBadLevel, i)
 		}
 	}
-	if err := mixedradix.CheckHierarchy(arities); err != nil {
+	if err := checkArities(arities); err != nil {
 		return Hierarchy{}, err
 	}
 	return Hierarchy{levels: append([]Level(nil), levels...)}, nil
+}
+
+// checkArities is the one gate every constructor passes: valid radices
+// whose product fits an int, so Size and everything that multiplies the
+// levels out (mixedradix.Size, the reorder tables) cannot overflow later.
+func checkArities(arities []int) error {
+	if err := mixedradix.CheckHierarchy(arities); err != nil {
+		return err
+	}
+	n := 1
+	for _, a := range arities {
+		if n > math.MaxInt/a {
+			return fmt.Errorf("%w: %v", ErrTooLarge, arities)
+		}
+		n *= a
+	}
+	return nil
 }
 
 func defaultName(i, depth int) string {

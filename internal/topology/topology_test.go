@@ -1,6 +1,9 @@
 package topology
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -51,6 +54,23 @@ func TestNewErrors(t *testing.T) {
 	}
 	if _, err := NewNamed(Level{Name: "", Arity: 2}); err == nil {
 		t.Error("empty name accepted")
+	}
+	// A product past the int range is an error at every constructor, not a
+	// panic in the first Size call downstream.
+	half := math.MaxInt / 2
+	if _, err := New(half, 3); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("New on an overflowing product: %v, want ErrTooLarge", err)
+	}
+	if _, err := NewNamed(Level{"node", half}, Level{"core", 3}); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("NewNamed on an overflowing product: %v, want ErrTooLarge", err)
+	}
+	for _, s := range []string{fmt.Sprintf("%d,3", half), fmt.Sprintf("node:%d,core:3", half)} {
+		if _, err := Parse(s); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("Parse(%q): %v, want ErrTooLarge", s, err)
+		}
+	}
+	if h, err := New(half, 2); err != nil || h.Size() != 2*half {
+		t.Errorf("New(%d, 2) = %v, %v; the product fits", half, h, err)
 	}
 }
 
