@@ -8,20 +8,13 @@
 // The package provides:
 //   - Matrix: a symmetric communication-volume matrix with recording
 //     helpers and an mpi.Tracer-style collector;
-//   - Sparse: its canonical, content-addressable JSON wire format;
-//   - Cost: the volume-weighted crossing cost of a placement, the
-//     objective both a mapper and the mixed-radix orders can be compared
-//     under.
+//   - Sparse: its canonical, content-addressable JSON wire format.
 //
 // The mapping tool itself — the best mixed-radix order for a matrix, the
 // greedy construction and its refinement — is internal/procmap.
 package commmatrix
 
-import (
-	"fmt"
-
-	"repro/internal/topology"
-)
+import "fmt"
 
 // Matrix is a symmetric process-communication matrix: entry (i, j) is the
 // traffic volume in bytes between ranks i and j.
@@ -81,24 +74,4 @@ func FromSubcommunicators(n, commSize int, bytes float64) (*Matrix, error) {
 		}
 	}
 	return m, nil
-}
-
-// Cost evaluates a placement (rank → core) against the hierarchy: the sum
-// over pairs of volume × crossing cost (§3.3's cost), the objective
-// process-mapping tools minimize.
-func Cost(m *Matrix, h topology.Hierarchy, placement []int) (float64, error) {
-	if len(placement) != m.n {
-		return 0, fmt.Errorf("commmatrix: placement has %d ranks, matrix %d", len(placement), m.n)
-	}
-	var total float64
-	for i := 0; i < m.n; i++ {
-		for j := i + 1; j < m.n; j++ {
-			v := m.vol[i*m.n+j]
-			if v == 0 {
-				continue
-			}
-			total += v * float64(h.CrossCost(placement[i], placement[j]))
-		}
-	}
-	return total, nil
 }

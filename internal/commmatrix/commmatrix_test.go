@@ -1,6 +1,7 @@
 package commmatrix
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/mixedradix"
@@ -151,4 +152,24 @@ func TestNewPanicsOnZero(t *testing.T) {
 		}
 	}()
 	New(0)
+}
+
+// Cost evaluates a placement (rank → core) against the hierarchy the
+// brute-force way: the sum over pairs of volume × crossing cost (§3.3's
+// cost), the objective procmap.Cost computes from the sparse edges.
+func Cost(m *Matrix, h topology.Hierarchy, placement []int) (float64, error) {
+	if len(placement) != m.n {
+		return 0, fmt.Errorf("commmatrix: placement has %d ranks, matrix %d", len(placement), m.n)
+	}
+	var total float64
+	for i := 0; i < m.n; i++ {
+		for j := i + 1; j < m.n; j++ {
+			v := m.vol[i*m.n+j]
+			if v == 0 {
+				continue
+			}
+			total += v * float64(h.CrossCost(placement[i], placement[j]))
+		}
+	}
+	return total, nil
 }

@@ -60,17 +60,11 @@ func (m *Matrix) Sparse() Sparse {
 	return s
 }
 
-// Validate checks the sparse form: a positive rank count, endpoint ranks
-// in range, no self-edges, no duplicate pairs (in either orientation), and
-// finite positive volumes. It does not require canonical ordering.
-func (s Sparse) Validate() error {
-	_, err := s.Canonical()
-	return err
-}
-
 // Canonical validates the sparse form and returns it in canonical order
-// (a < b within each edge, edges sorted by (a, b)) — the one pass a
-// request pays before its digest, its Matrix and its mapping are all
+// (a < b within each edge, edges sorted by (a, b)). Valid means a positive
+// rank count, endpoint ranks in range, no self-edges, no pair listed twice
+// (in either orientation) and finite positive volumes. It is the one pass
+// a request pays before its digest, its Matrix and its mapping are all
 // derived from the result. Input already in canonical order is returned
 // as is, sharing s.Edges.
 func (s Sparse) Canonical() (Sparse, error) {
@@ -149,17 +143,18 @@ func (s Sparse) canonical() []Edge {
 // edge order or endpoint orientation — share a digest.
 func (s Sparse) Digest() string {
 	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(s.Ranks))
-	h.Write(buf[:])
+	// The encoding reaches the hash 64 edges (24 bytes each) at a time.
+	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, 24*64), uint64(s.Ranks))
 	for _, e := range s.canonical() {
-		binary.LittleEndian.PutUint64(buf[:], uint64(e.A))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], uint64(e.B))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(e.Bytes))
-		h.Write(buf[:])
+		if len(buf)+24 > cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.A))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.B))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Bytes))
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -169,7 +164,7 @@ func (m *Matrix) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes the sparse wire format, rejecting unknown fields
-// and anything Validate rejects, and expands it into the receiver.
+// and anything Canonical rejects, and expands it into the receiver.
 func (m *Matrix) UnmarshalJSON(data []byte) error {
 	var s Sparse
 	dec := json.NewDecoder(bytes.NewReader(data))

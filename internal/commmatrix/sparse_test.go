@@ -68,9 +68,9 @@ func TestSparseValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.s.Validate()
+			_, err := tc.s.Canonical()
 			if err == nil {
-				t.Fatalf("Validate accepted %+v", tc.s)
+				t.Fatalf("Canonical accepted %+v", tc.s)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
@@ -121,7 +121,7 @@ func TestSparseDigestStable(t *testing.T) {
 }
 
 // FuzzSparseRoundTrip drives random edge lists through the wire format:
-// anything Validate accepts must survive Marshal → Unmarshal bit-exactly
+// anything Canonical accepts must survive Marshal → Unmarshal bit-exactly
 // and keep its digest; anything it rejects must also be rejected by
 // FromSparse.
 func FuzzSparseRoundTrip(f *testing.F) {
@@ -143,8 +143,8 @@ func FuzzSparseRoundTrip(f *testing.F) {
 		}
 		m, err := FromSparse(s)
 		if err != nil {
-			if s.Validate() == nil {
-				t.Fatalf("FromSparse rejected what Validate accepted: %v", err)
+			if _, cerr := s.Canonical(); cerr == nil {
+				t.Fatalf("FromSparse rejected what Canonical accepted: %v", err)
 			}
 			return
 		}

@@ -88,16 +88,6 @@ func (r *Ring) Sequence(key string) []int {
 	return out
 }
 
-// Home returns the key's first-choice replica.
-func (r *Ring) Home(key string) int {
-	if r.n <= 0 {
-		return -1
-	}
-	h := hashKey(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	return r.points[start%len(r.points)].replica
-}
-
 // hashKey maps a string onto the ring's 64-bit circle: FNV-1a for the
 // byte mixing, then a splitmix64 finalizer. The finalizer matters — raw
 // FNV avalanches poorly on the short, nearly-identical vnode labels, and

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"sort"
 	"strconv"
 	"testing"
 )
@@ -94,4 +95,14 @@ func TestEmptyRing(t *testing.T) {
 	if home := r.Home("x"); home != -1 {
 		t.Errorf("empty ring Home = %d, want -1", home)
 	}
+}
+
+// Home returns the key's first-choice replica.
+func (r *Ring) Home(key string) int {
+	if r.n <= 0 {
+		return -1
+	}
+	h := hashKey(key)
+	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	return r.points[start%len(r.points)].replica
 }

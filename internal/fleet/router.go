@@ -9,6 +9,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -474,7 +475,7 @@ func (g *Router) send(ctx context.Context, idx int, path string, body []byte, in
 	sctx, sp := rt.StartSpan(ctx, "proxy "+g.cfg.Names[idx])
 	defer sp.End()
 	sp.SetAttr("hedge", obs.Bool(hedge))
-	req, err := http.NewRequestWithContext(sctx, http.MethodPost, g.cfg.Replicas[idx]+path, strings.NewReader(string(body)))
+	req, err := http.NewRequestWithContext(sctx, http.MethodPost, g.cfg.Replicas[idx]+path, bytes.NewReader(body))
 	if err != nil {
 		u.err = err
 		sp.SetError()

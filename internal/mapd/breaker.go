@@ -111,18 +111,3 @@ func (b *breaker) State() breakerState {
 	defer b.mu.Unlock()
 	return b.state
 }
-
-// RetryAfter returns the seconds a client should wait before retrying,
-// derived from the remaining cooldown (at least 1).
-func (b *breaker) RetryAfter() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state != breakerOpen {
-		return 1
-	}
-	left := b.cooldown - b.now().Sub(b.openedAt)
-	if left <= 0 {
-		return 1
-	}
-	return int(left/time.Second) + 1
-}

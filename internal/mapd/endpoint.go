@@ -79,12 +79,16 @@ func lookupEndpoint(path string) (Endpoint, bool) {
 	return Endpoint{}, false
 }
 
-// Parse decodes a request body strictly — unknown fields and anything
-// after the request object are errors, so typos fail loudly instead of
-// silently evaluating defaults — and validates it. Errors wrap
-// ErrBadRequest.
+// Parse decodes a request body strictly — unknown fields and anything after
+// the request object are errors, so typos fail loudly instead of silently
+// evaluating defaults — and validates it. Errors wrap ErrBadRequest.
 func (e Endpoint) Parse(body []byte) (Query, error) {
 	req := e.newRequest()
+	if m, ok := req.(*MatrixMapRequest); ok && m.decodeStrict(body) {
+		return req.parse() // see parse.go: the strict subset goes first
+	} else if ok {
+		req = e.newRequest() // a declined decode may have filled part of req
+	}
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {

@@ -219,14 +219,15 @@ func (q *parsedMatrixMap) Degraded() (any, error) { return evalMatrixMapFallback
 // starting points — the answer never costs more than the best mixed-radix
 // order.
 func evalMatrixMap(ctx context.Context, q *parsedMatrixMap) (*MatrixMapResponse, error) {
+	g := procmap.NewGraph(q.matrix)
 	_, osp := rt.StartSpan(ctx, "procmap.bestorder")
-	sigma, orderPlacement, orderCost, evaluated, err := q.g.BestOrder(q.h, nil)
+	sigma, orderPlacement, orderCost, evaluated, err := g.BestOrder(q.h, nil)
 	osp.End()
 	if err != nil {
 		return nil, badf("%v", err)
 	}
 	mctx, msp := rt.StartSpan(ctx, "procmap.map")
-	res, err := q.g.Map(mctx, q.h, procmap.Options{
+	res, err := g.Map(mctx, q.h, procmap.Options{
 		Seed:          q.seed,
 		MaxRounds:     q.rounds,
 		NoRefine:      !q.refine,
@@ -241,7 +242,7 @@ func evalMatrixMap(ctx context.Context, q *parsedMatrixMap) (*MatrixMapResponse,
 	}
 	resp := &MatrixMapResponse{
 		Hierarchy:       q.arities,
-		Ranks:           q.g.Ranks(),
+		Ranks:           q.matrix.Ranks,
 		MatrixDigest:    q.digest,
 		Placement:       res.Placement,
 		Cost:            res.Cost,
@@ -270,13 +271,13 @@ func evalMatrixMap(ctx context.Context, q *parsedMatrixMap) (*MatrixMapResponse,
 // over budget): just the best mixed-radix order's placement — a bounded
 // k!·edges scan with no refinement. Flagged Degraded and never cached.
 func evalMatrixMapFallback(q *parsedMatrixMap) (*MatrixMapResponse, error) {
-	sigma, placement, cost, evaluated, err := q.g.BestOrder(q.h, nil)
+	sigma, placement, cost, evaluated, err := procmap.NewGraph(q.matrix).BestOrder(q.h, nil)
 	if err != nil {
 		return nil, badf("%v", err)
 	}
 	return &MatrixMapResponse{
 		Hierarchy:       q.arities,
-		Ranks:           q.g.Ranks(),
+		Ranks:           q.matrix.Ranks,
 		MatrixDigest:    q.digest,
 		Placement:       placement,
 		Cost:            cost,

@@ -72,18 +72,25 @@ func FuzzParseHierOrder(f *testing.F) {
 	})
 }
 
+// matrixBodySeeds seed both matrix-body fuzzers.
+var matrixBodySeeds = []string{
+	matrixOverflowBody,
+	`{"hierarchy":"2,2,2","matrix":{"ranks":8,"edges":[{"a":0,"b":7,"bytes":8.9e307},{"a":1,"b":6,"bytes":1e-300}]}}`,
+	`{"hierarchy":"2x2x2","matrix":{"ranks":8,"edges":[{"a":0,"b":7,"bytes":1000},{"a":7,"b":1,"bytes":900.5},{"a":4,"b":5,"bytes":10}]},"seed":1}`,
+	`{"hierarchy":"3,2","matrix":{"ranks":6,"edges":[{"a":5,"b":0,"bytes":3},{"a":0,"b":5,"bytes":3}]}}`,
+	`{"hierarchy":"2,2","matrix":{"ranks":4,"edges":[]},"refine":false,"max_rounds":64}`,
+	`{"hierarchy":"2,2","matrix":{"ranks":4,"edges":[{"a":0,"b":1,"bytes":1e999}]}}`,
+}
+
 // FuzzMatrixMapBody drives /v1/map/matrix's decoder and parser with
 // arbitrary bodies. Whatever parses must be answerable by the full search
 // and by the degraded path alike — a finite cost on a bijective placement
 // (so the answer encodes as JSON), the search never losing to the σ
 // baseline — and everything else must be a bad request, never a panic.
 func FuzzMatrixMapBody(f *testing.F) {
-	f.Add(matrixOverflowBody)
-	f.Add(`{"hierarchy":"2,2,2","matrix":{"ranks":8,"edges":[{"a":0,"b":7,"bytes":8.9e307},{"a":1,"b":6,"bytes":1e-300}]}}`)
-	f.Add(`{"hierarchy":"2x2x2","matrix":{"ranks":8,"edges":[{"a":0,"b":7,"bytes":1000},{"a":7,"b":1,"bytes":900.5},{"a":4,"b":5,"bytes":10}]},"seed":1}`)
-	f.Add(`{"hierarchy":"3,2","matrix":{"ranks":6,"edges":[{"a":5,"b":0,"bytes":3},{"a":0,"b":5,"bytes":3}]}}`)
-	f.Add(`{"hierarchy":"2,2","matrix":{"ranks":4,"edges":[]},"refine":false,"max_rounds":64}`)
-	f.Add(`{"hierarchy":"2,2","matrix":{"ranks":4,"edges":[{"a":0,"b":1,"bytes":1e999}]}}`)
+	for _, body := range matrixBodySeeds {
+		f.Add(body)
+	}
 
 	ep, _ := lookupEndpoint("/v1/map/matrix")
 	f.Fuzz(func(t *testing.T, body string) {

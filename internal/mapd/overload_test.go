@@ -272,3 +272,21 @@ func TestFallbackRankingIsDeterministic(t *testing.T) {
 		t.Fatal("unexpected client error")
 	}
 }
+
+// RetryAfter returns the seconds a client should wait before retrying,
+// derived from the remaining cooldown (at least 1).
+func (b *breaker) RetryAfter() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state != breakerOpen {
+		return 1
+	}
+	left := b.cooldown - b.now().Sub(b.openedAt)
+	if left <= 0 {
+		return 1
+	}
+	return int(left/time.Second) + 1
+}
+
+// Draining reports whether StartDraining was called.
+func (s *Server) Draining() bool { return s.draining.Load() }

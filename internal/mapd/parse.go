@@ -4,6 +4,16 @@
 // product that overflows int, so nothing downstream can panic on one),
 // orders must be permutations of the hierarchy depth, and table-sized
 // responses are capped.
+//
+// Decoding precedes it in Endpoint.Parse, and encoding/json (unknown fields
+// and trailing data refused) is the authority on the wire format. Both
+// tiers decode every /v1/map/matrix body, cache hits included, so those go
+// to decode.go's one-pass decoder first. It takes a strict subset — exact
+// lower-case keys, each once; printable-ASCII strings without escapes;
+// integers of at most 18 digits, no "-0"; true/false, never null; only
+// whitespace after the object — fills the request as encoding/json would,
+// and declines everything else to it: acceptance, results and errors stay
+// encoding/json's (FuzzMatrixDecodeAgrees holds the two paths equal).
 
 package mapd
 
@@ -14,9 +24,9 @@ import (
 
 	"repro/internal/advisor"
 	"repro/internal/cluster"
+	"repro/internal/commmatrix"
 	"repro/internal/netmodel"
 	"repro/internal/perm"
-	"repro/internal/procmap"
 	"repro/internal/topology"
 )
 
@@ -299,7 +309,7 @@ func (r *SelectRequest) parse() (Query, error) {
 type parsedMatrixMap struct {
 	h       topology.Hierarchy
 	arities []int
-	g       *procmap.Graph // the canonical edges, indexed once for BestOrder and Map
+	matrix  commmatrix.Sparse // canonical; indexed into a procmap.Graph only on a miss
 	digest  string
 	seed    int64
 	rounds  int
@@ -346,7 +356,7 @@ func (r *MatrixMapRequest) parse() (Query, error) {
 	q := &parsedMatrixMap{
 		h:       h,
 		arities: h.Arities(),
-		g:       procmap.NewGraph(matrix),
+		matrix:  matrix,
 		digest:  matrix.Digest(),
 		seed:    r.Seed,
 		rounds:  r.MaxRounds,

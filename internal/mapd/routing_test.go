@@ -55,6 +55,26 @@ func TestRoutingKeyMatchesServerKey(t *testing.T) {
 	}
 }
 
+// TestRoutingKeyLiterals pins keys byte for byte: a key is a cache and
+// ring address, so a change in how one is rendered moves every entry.
+func TestRoutingKeyLiterals(t *testing.T) {
+	for _, c := range []struct{ path, body, want string }{
+		{"/v1/advise", `{"machine":"hydra","nodes":4,"collective":"alltoall","comm_size":16}`,
+			"advise|hydra|4|1|0|alltoall|16|16777216|false|5"},
+		{"/v1/advise", `{"machine":"cloud","depth":9,"collective":"allreduce","comm_size":64,"bytes":65536,"simultaneous":true,"top":3}`,
+			"advise|cloud|0|0|9|allreduce|64|65536|true|3"},
+		{"/v1/map/matrix", `{"hierarchy":"2x2","matrix":{"ranks":4,"edges":[{"a":1,"b":0,"bytes":2.5}]},"seed":-7,"max_rounds":3,"refine":false}`,
+			"mapmatrix|2,2|61359238242e0e568b26b05d77cdec6df4a59773da19aaccc8553cee91c5c717|s-7|r3|ffalse"},
+		{"/v1/map/matrix", `{"hierarchy":"2,2,4","matrix":{"ranks":16,"edges":[]}}`,
+			"mapmatrix|2,2,4|5eb6da0e0e522104c6d50b0748e6893762f7f2c00a7163a46ccbb535bfd61a0d|s0|r0|ftrue"},
+		{"/v1/map", `{"hierarchy":"2,2,4","order":"2-0-1","coords":[1,0,3]}`, "map|2,2,4|2,0,1|c1,0,3"},
+	} {
+		if k, err := RoutingKey(c.path, []byte(c.body)); err != nil || k != c.want {
+			t.Errorf("RoutingKey(%s, %s) = %q, %v; want %q", c.path, c.body, k, err, c.want)
+		}
+	}
+}
+
 func TestRoutingKeyErrors(t *testing.T) {
 	if _, err := RoutingKey("/v1/map", []byte(`{"hierarchy":`)); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("malformed body: err = %v, want ErrBadRequest", err)

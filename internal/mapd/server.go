@@ -218,9 +218,6 @@ func New(cfg Config) *Server {
 // requests are refused while in-flight ones complete.
 func (s *Server) StartDraining() { s.draining.Store(true) }
 
-// Draining reports whether StartDraining was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Registry returns the server's metric registry.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 

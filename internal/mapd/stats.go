@@ -24,6 +24,7 @@ package mapd
 import (
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -401,7 +402,7 @@ func (st *workloadStats) publish(reg *obs.Registry) {
 	}
 	for d, n := range st.depth {
 		if n > 0 {
-			reg.Gauge("mapd_stats_depth_requests", obs.L("depth", itoa(d))).Set(float64(n))
+			reg.Gauge("mapd_stats_depth_requests", obs.L("depth", strconv.Itoa(d))).Set(float64(n))
 		}
 	}
 	for coll, n := range st.colls {
@@ -413,18 +414,4 @@ func (st *workloadStats) publish(reg *obs.Registry) {
 	for ep, n := range st.endpoints {
 		reg.Gauge("mapd_stats_endpoint_requests", obs.L("endpoint", ep)).Set(float64(n))
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

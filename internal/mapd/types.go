@@ -12,9 +12,7 @@
 package mapd
 
 import (
-	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/commmatrix"
 )
@@ -234,15 +232,16 @@ type errorDetail struct {
 }
 
 // intsKey renders ints compactly for cache keys.
-func intsKey(v []int) string {
-	var b strings.Builder
+func intsKey(v []int) string { return string(appendInts(make([]byte, 0, 64), v)) }
+
+func appendInts(b []byte, v []int) []byte {
 	for i, x := range v {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(strconv.Itoa(x))
+		b = strconv.AppendInt(b, int64(x), 10)
 	}
-	return b.String()
+	return b
 }
 
 // Key returns the canonical cache key of the parsed request. Requests that
@@ -264,8 +263,15 @@ func (q *parsedMap) Key() string {
 
 // Key returns the canonical cache key of the parsed request.
 func (q *parsedAdvise) Key() string {
-	return fmt.Sprintf("advise|%s|%d|%d|%d|%s|%d|%d|%v|%d",
-		q.machine, q.nodes, q.nics, q.depth, q.coll, q.comm, q.bytes, q.simultaneous, q.top)
+	b := append(append(make([]byte, 0, 64), "advise|"...), q.machine...)
+	for _, v := range [...]int64{int64(q.nodes), int64(q.nics), int64(q.depth)} {
+		b = strconv.AppendInt(append(b, '|'), v, 10)
+	}
+	b = append(append(b, '|'), q.coll...)
+	b = strconv.AppendInt(append(b, '|'), int64(q.comm), 10)
+	b = strconv.AppendInt(append(b, '|'), q.bytes, 10)
+	b = strconv.AppendBool(append(b, '|'), q.simultaneous)
+	return string(strconv.AppendInt(append(b, '|'), int64(q.top), 10))
 }
 
 // Key returns the canonical cache key of the parsed request.
@@ -282,6 +288,8 @@ func (q *parsedOrderMetrics) Key() string {
 // participates via its content digest, so identical traffic submitted with
 // edges in any order or orientation shares a key.
 func (q *parsedMatrixMap) Key() string {
-	return fmt.Sprintf("mapmatrix|%s|%s|s%d|r%d|f%v",
-		intsKey(q.arities), q.digest, q.seed, q.rounds, q.refine)
+	b := append(appendInts(append(make([]byte, 0, 128), "mapmatrix|"...), q.arities), '|')
+	b = strconv.AppendInt(append(append(b, q.digest...), "|s"...), q.seed, 10)
+	b = strconv.AppendInt(append(b, "|r"...), int64(q.rounds), 10)
+	return string(strconv.AppendBool(append(b, "|f"...), q.refine))
 }

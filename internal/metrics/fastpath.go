@@ -22,11 +22,11 @@
 // still clamped to the digits of m-1, giving O(k) per level and O(k²)
 // overall — independent of the hierarchy size.
 //
-// The table-based path (CharacterizeTable, FirstComm + RingCost +
-// PairsPerLevel) remains the reference implementation: differential
-// tests prove the two agree on randomized hierarchies, and degraded or
-// masked placements — which are not a clean mixed-radix space — must
-// still use the tables.
+// The table-based path (FirstComm + RingCost + PairsPerLevel, which the
+// tests' CharacterizeTable combines) remains the reference implementation:
+// differential tests prove the two agree on randomized hierarchies, and
+// degraded or masked placements — which are not a clean mixed-radix space —
+// must still use the tables.
 
 package metrics
 
@@ -227,22 +227,4 @@ func OrderSignature(h topology.Hierarchy, sigma []int, commSize int, opts Signat
 		CrossingsPerLevelInto(sig.WorldCross, ar, sigma, n)
 	}
 	return sig, nil
-}
-
-// CharacterizeTable computes Characterize through the reference path: it
-// materializes the placement with the reorder table and runs the O(n²)
-// pair loop. It exists as the differential-test oracle and for callers
-// whose placements are not a clean mixed-radix space (degraded or masked
-// hierarchies must take this route); everything else should call
-// Characterize, which uses the closed-form kernels.
-func CharacterizeTable(h topology.Hierarchy, sigma []int, commSize int) (Characterization, error) {
-	p, err := FirstComm(h, sigma, commSize)
-	if err != nil {
-		return Characterization{}, err
-	}
-	return Characterization{
-		Order:    append([]int(nil), sigma...),
-		RingCost: RingCost(p),
-		Pairs:    PairsPerLevel(p),
-	}, nil
 }

@@ -258,3 +258,18 @@ func TestAppendKey(t *testing.T) {
 		t.Fatalf("%d classes by whole key, %d by split key", len(whole), len(split))
 	}
 }
+
+// CharacterizeTable computes Characterize through the reference path: it
+// materializes the placement with the reorder table and runs the O(n²)
+// pair loop, the differential oracle of the closed-form kernels.
+func CharacterizeTable(h topology.Hierarchy, sigma []int, commSize int) (Characterization, error) {
+	p, err := FirstComm(h, sigma, commSize)
+	if err != nil {
+		return Characterization{}, err
+	}
+	return Characterization{
+		Order:    append([]int(nil), sigma...),
+		RingCost: RingCost(p),
+		Pairs:    PairsPerLevel(p),
+	}, nil
+}

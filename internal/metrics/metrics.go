@@ -114,8 +114,8 @@ type Characterization struct {
 // Characterize computes the legend entry of an order for the first
 // subcommunicator of the given size. It uses the closed-form kernels of
 // fastpath.go — O(k²) in the hierarchy depth, no reorder table — and is
-// proven equal to the table-based reference (CharacterizeTable) by
-// differential test.
+// proven equal to the table-based reference (the tests' CharacterizeTable)
+// by differential test.
 func Characterize(h topology.Hierarchy, sigma []int, commSize int) (Characterization, error) {
 	ar := h.Arities()
 	if err := mixedradix.CheckOrder(ar, sigma); err != nil {

@@ -92,20 +92,6 @@ func KernelSuite() Suite {
 			},
 		})
 	}
-	// One table-path point keeps the oracle's cost on the trajectory, so
-	// a differential-test slowdown is visible too.
-	hd4 := topology.MustNew(2, 4, 2, 8)
-	sigmaD4 := perm.Reversed(4)
-	s.Benches = append(s.Benches, Bench{
-		Name: "CharacterizeTable/h=2,4,2,8/c=16",
-		F: func(b *B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := metrics.CharacterizeTable(hd4, sigmaD4, 16); err != nil {
-					b.Fatalf("%v", err)
-				}
-			}
-		},
-	})
 	// The signature kernel is the pruning fast path's inner loop.
 	hd6 := topology.MustNew(4, 2, 4, 2, 4, 2)
 	sigmaD6 := perm.Reversed(6)

@@ -11,9 +11,9 @@
 // The objective is the closed-form crossing-cost model of §3.3: each
 // traffic edge pays its volume times a per-level weight selected by the
 // outermost hierarchy level the pair's cores differ in. With the default
-// weights this is exactly topology.CrossCost (and therefore
-// commmatrix.Cost); SpecWeights derives calibrated weights from a
-// netmodel machine description instead.
+// weights this is exactly topology.CrossCost summed over the edges;
+// SpecWeights derives calibrated weights from a netmodel machine
+// description instead.
 //
 // Everything is deterministic for a fixed Options.Seed: the parallel
 // refinement seeds one RNG per (round, level, domain), so results are
@@ -219,8 +219,8 @@ func (c *costModel) cost(edges []commmatrix.Edge, placement []int) float64 {
 }
 
 // Cost evaluates a rank→core placement under the weighted crossing-cost
-// objective. Nil weights select DefaultWeights, making the result equal to
-// commmatrix.Cost.
+// objective. Nil weights select DefaultWeights, making the result the sum
+// of volume × topology.CrossCost over the edges.
 func Cost(m *commmatrix.Matrix, h topology.Hierarchy, placement []int, weights []float64) (float64, error) {
 	if len(placement) != m.Size() {
 		return 0, fmt.Errorf("procmap: placement has %d ranks, matrix %d", len(placement), m.Size())
