@@ -151,6 +151,22 @@ func TestOrderSignatureErrors(t *testing.T) {
 	}
 }
 
+// TestCharacterizeAllocatesItsResultOnly: the arities are read into a
+// stack buffer, so Characterize allocates only the order and pair slices
+// it returns.
+func TestCharacterizeAllocatesItsResultOnly(t *testing.T) {
+	h := topology.MustNew(4, 2, 4, 2, 4, 2)
+	sigma := []int{5, 4, 3, 2, 1, 0}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Characterize(h, sigma, 64); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2 {
+		t.Fatalf("Characterize allocates %.1f times per run, want 2", allocs)
+	}
+}
+
 func BenchmarkCharacterizeFast(b *testing.B) {
 	h := topology.MustNew(16, 2, 4, 2, 8)
 	sigma := []int{3, 2, 1, 4, 0}

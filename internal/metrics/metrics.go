@@ -117,7 +117,11 @@ type Characterization struct {
 // proven equal to the table-based reference (the tests' CharacterizeTable)
 // by differential test.
 func Characterize(h topology.Hierarchy, sigma []int, commSize int) (Characterization, error) {
-	ar := h.Arities()
+	var arBuf [16]int
+	ar := arBuf[:0]
+	for i := range h.Depth() {
+		ar = append(ar, h.Level(i).Arity)
+	}
 	if err := mixedradix.CheckOrder(ar, sigma); err != nil {
 		return Characterization{}, err
 	}

@@ -138,6 +138,33 @@ func TestTableInto(t *testing.T) {
 	wantPanic(t, "InverseTableInto destination", func() { ro.InverseTableInto(make([]int, 5)) })
 }
 
+// TestFillsAllocationFree: the block odometer keeps its digits on the
+// stack and steps the slower ones without storage, so none of the three
+// fills allocates, at depth 16 or past it.
+func TestFillsAllocationFree(t *testing.T) {
+	for _, k := range []int{1, 4, 16, 17} {
+		h := make([]int, k)
+		for i := range h {
+			h[i] = 2
+		}
+		h[0] = 3
+		ro, err := NewReorderer(h, perm.Reversed(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]int, ro.Size())
+		for name, fill := range map[string]func(){
+			"TableInto":        func() { ro.TableInto(dst) },
+			"InverseTableInto": func() { ro.InverseTableInto(dst) },
+			"InverseRangeInto": func() { ro.InverseRangeInto(dst[:len(dst)/2], 1) },
+		} {
+			if allocs := testing.AllocsPerRun(20, fill); allocs != 0 {
+				t.Errorf("depth %d: %s allocates %.1f times per run, want 0", k, name, allocs)
+			}
+		}
+	}
+}
+
 // TestNewRankAllocationFree pins down the point of the precomputed
 // weights: repeated NewRank calls must not allocate.
 func TestNewRankAllocationFree(t *testing.T) {

@@ -166,18 +166,19 @@ func NewRank(h []int, r int, sigma []int) int {
 }
 
 // Reorderer precomputes state for repeated queries on one (hierarchy,
-// order) pair: the hierarchy size and, per original level, the weight its
-// digit carries in the reordered enumeration, so NewRank runs a single
-// divide loop with no scratch slice. Apart from Reset, a Reorderer is
+// order) pair: its size and both enumerations as radices and digit
+// weights, fastest digit first, so NewRank is one divide loop with no
+// scratch and every table one fill call. Apart from Reset, a Reorderer is
 // read-only after construction and safe for concurrent use.
 type Reorderer struct {
-	h       []int
-	sigma   []int
-	weights []int // weights[l] = Π_{j < σ⁻¹(l)} h[σ(j)], the new weight of level l's digit
-	suffix  []int // suffix[l] = Π_{i > l} h[i], the old weight of level l's digit
-	radix   []int // radix[j] = h[σ(j)]: the permuted hierarchy, fastest-varying first
-	stride  []int // stride[j] = suffix[σ(j)]: what one step of permuted digit j adds to the old rank
-	n       int   // Size(h), hoisted
+	h      []int
+	sigma  []int
+	suffix []int // suffix[l] = Π_{i > l} h[i], the old weight of level l's digit
+	inner  []int // inner[j] = h[k-1-j]: the hierarchy, fastest-varying first
+	weight []int // weight[j]: what one step of inner digit j adds to the new rank
+	radix  []int // radix[j] = h[σ(j)]: the permuted hierarchy, fastest-varying first
+	stride []int // stride[j] = suffix[σ(j)]: what one step of permuted digit j adds to the old rank
+	n      int   // Size(h), hoisted
 }
 
 // NewReorderer validates its inputs and returns a Reorderer.
@@ -186,16 +187,17 @@ func NewReorderer(h, sigma []int) (*Reorderer, error) {
 		return nil, err
 	}
 	k := len(h)
-	buf := make([]int, 6*k) // one backing array for the six k-entry tables
+	buf := make([]int, 7*k) // one backing array for the seven k-entry tables
 	part := func(i int) []int { return buf[i*k : (i+1)*k : (i+1)*k] }
 	ro := &Reorderer{
-		h: part(0), sigma: part(1), weights: part(2),
-		suffix: part(3), radix: part(4), stride: part(5),
+		h: part(0), sigma: part(1), suffix: part(2), inner: part(3),
+		weight: part(4), radix: part(5), stride: part(6),
 		n: Size(h),
 	}
 	copy(ro.h, h)
 	for l, f := k-1, 1; l >= 0; l-- {
 		ro.suffix[l] = f
+		ro.inner[k-1-l] = h[l]
 		f *= h[l]
 	}
 	if err := ro.Reset(sigma); err != nil {
@@ -213,9 +215,9 @@ func (ro *Reorderer) Reset(sigma []int) error {
 		return err
 	}
 	copy(ro.sigma, sigma)
-	f := 1
+	k, f := len(sigma), 1
 	for j, l := range sigma {
-		ro.weights[l] = f
+		ro.weight[k-1-l] = f
 		ro.radix[j] = ro.h[l]
 		ro.stride[j] = ro.suffix[l]
 		f *= ro.h[l]
@@ -238,9 +240,9 @@ func (ro *Reorderer) NewRank(r int) int {
 		panic(fmt.Sprintf("mixedradix: rank %d out of range [0, %d)", r, ro.n))
 	}
 	nr := 0
-	for i := len(ro.h) - 1; i >= 0; i-- {
-		nr += (r % ro.h[i]) * ro.weights[i]
-		r /= ro.h[i]
+	for j, v := range ro.inner {
+		nr += (r % v) * ro.weight[j]
+		r /= v
 	}
 	return nr
 }
@@ -254,28 +256,13 @@ func (ro *Reorderer) Table() []int {
 }
 
 // TableInto is Table writing into a caller-provided slice of length
-// Size(h). It walks the ranks as an odometer, so the whole table costs
-// O(n) rather than n divide loops, and allocates nothing beyond one
-// k-element odometer.
+// Size(h): the block odometer over the original enumeration, so the whole
+// table costs O(n) rather than n divide loops. It allocates nothing.
 func (ro *Reorderer) TableInto(t []int) {
 	if len(t) != ro.n {
 		panic(fmt.Sprintf("mixedradix: TableInto destination has %d entries, hierarchy enumerates %d", len(t), ro.n))
 	}
-	k := len(ro.h)
-	c := make([]int, k)
-	nr := 0
-	for r := 0; r < ro.n; r++ {
-		t[r] = nr
-		for i := k - 1; i >= 0; i-- {
-			if c[i]+1 < ro.h[i] {
-				c[i]++
-				nr += ro.weights[i]
-				break
-			}
-			nr -= c[i] * ro.weights[i]
-			c[i] = 0
-		}
-	}
+	fill(t, 0, ro.inner, ro.weight)
 }
 
 // InverseTable returns inv with inv[new] = old: for each reordered rank,
@@ -299,39 +286,87 @@ func (ro *Reorderer) InverseTableInto(inv []int) {
 // InverseRangeInto writes the original ranks of the reordered ranks
 // [first, first+len(dst)) into dst: dst[i] = InverseTable()[first+i]. It is
 // the point-query form of the rankfile view — a communicator's cores cost
-// O(k + len(dst)) whatever the hierarchy size — and walks the *permuted*
-// radices as an odometer, so the writes are sequential. It allocates
-// nothing for hierarchies of up to 16 levels.
+// O(k + len(dst)) whatever the hierarchy size — and allocates nothing.
 func (ro *Reorderer) InverseRangeInto(dst []int, first int) {
 	if first < 0 || len(dst) > ro.n || first > ro.n-len(dst) {
 		panic(fmt.Sprintf("mixedradix: reordered ranks [%d, %d+%d) out of range [0, %d)", first, first, len(dst), ro.n))
 	}
-	k := len(ro.h)
-	var buf [16]int
-	c := buf[:]
-	if k > len(buf) {
-		c = make([]int, k)
+	fill(dst, first, ro.radix, ro.stride)
+}
+
+// fill is the block odometer behind every table: dst[i] = Σ_j d_j·step[j]
+// for the digits d_j of rank first+i in radix, fastest first. The fastest
+// b ≤ 6 digits span a block of ≥ 64 ranks (or all ranks, if fewer). A
+// carry loop writes up to the first block boundary, doubling builds the
+// next block, and every later block is a copy of it plus its base, the
+// slower digits' share: O(k + len(dst)), allocation-free at any depth.
+func fill(dst []int, first int, radix, step []int) {
+	b, size := 0, 1
+	for b < len(radix) && size < 64 {
+		size *= radix[b]
+		b++
 	}
-	// Algorithm 1 against the permuted hierarchy, then Algorithm 2 with the
-	// original weights: the old rank of reordered rank first.
-	old := 0
-	for j, r := 0, first; j < k; j++ {
-		c[j] = r % ro.radix[j]
-		r /= ro.radix[j]
-		old += c[j] * ro.stride[j]
-	}
-	for i := range dst {
-		dst[i] = old
-		for j := 0; j < k; j++ {
-			if c[j]+1 < ro.radix[j] {
-				c[j]++
-				old += ro.stride[j]
-				break
-			}
-			old -= c[j] * ro.stride[j]
-			c[j] = 0
+	// Algorithm 1 on first: block digits c, their share off, q's base.
+	var c [6]int
+	off, base, q := 0, 0, first/size
+	for j, r := 0, first; j < len(radix); j, r = j+1, r/radix[j] {
+		if d := r % radix[j]; j < b {
+			c[j], off = d, off+d*step[j]
+		} else {
+			base += d * step[j]
 		}
 	}
+	head := min(len(dst), (size-first%size)%size)
+	for i := 0; i < head; i++ {
+		dst[i] = base + off
+		j := 0
+		for ; j < b && c[j]+1 == radix[j]; j++ {
+			off -= c[j] * step[j]
+			c[j] = 0
+		}
+		if j < b {
+			c[j]++
+			off += step[j]
+		}
+	}
+	if head == len(dst) {
+		return
+	} else if head > 0 {
+		q, base = q+1, nextBase(base, q+1, b, radix, step)
+	}
+	block := dst[head:min(len(dst), head+size)]
+	// Doubling: block level j repeats the m values below it radix[j] times.
+	block[0] = base
+	for j, m := 0, 1; m < len(block); m, j = m*radix[j], j+1 {
+		for d := 1; d < radix[j] && d*m < len(block); d++ {
+			seg := block[d*m : min((d+1)*m, len(block))]
+			src, v := block[:len(seg)], d*step[j]
+			for x := range seg {
+				seg[x] = src[x] + v
+			}
+		}
+	}
+	for i := head + size; i < len(dst); i += size {
+		q, base = q+1, nextBase(base, q+1, b, radix, step)
+		blk := dst[i:min(i+size, len(dst))]
+		src, d := block[:len(blk)], base-block[0]
+		for x := range blk {
+			blk[x] = src[x] + d
+		}
+	}
+}
+
+// nextBase steps fill's block base from block q-1 to block q without digit
+// storage: digit j ≥ b wraps iff q is a multiple of Π radix[b..j].
+func nextBase(base, q, b int, radix, step []int) int {
+	for j, p := b, 1; j < len(radix); j++ {
+		p *= radix[j]
+		if q%p != 0 {
+			return base + step[j]
+		}
+		base -= (radix[j] - 1) * step[j]
+	}
+	return base
 }
 
 // ReorderAll is a convenience wrapper returning Table for (h, sigma).

@@ -9,6 +9,7 @@
 package perf
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mixedradix"
 	"repro/internal/perm"
+	"repro/internal/reorder"
 	"repro/internal/topology"
 )
 
@@ -203,43 +205,46 @@ func OrderSearchSuite() Suite {
 	return s
 }
 
-// MixedRadixSuite benchmarks the enumeration core: decompose/compose and
-// the allocation-free Reorderer table fill.
+// MixedRadixSuite benchmarks the enumeration core: decompose/compose, the
+// allocation-free Reorderer table fills and the §3.2 rankfile.
 func MixedRadixSuite() Suite {
 	s := Suite{
 		Name:        "mixedradix",
-		Description: "decompose/compose and Reorderer table kernels",
+		Description: "decompose/compose, Reorderer table kernels and the rankfile writer",
 		Threshold:   0.25,
 	}
-	shape := []int{16, 2, 2, 8}
-	sigma := []int{3, 2, 1, 0}
+	shape, sigma := []int{16, 2, 2, 8}, []int{3, 2, 1, 0}
 	n := mixedradix.Size(shape)
-	s.Benches = append(s.Benches, Bench{
-		Name: "DecomposeCompose/h=16,2,2,8",
-		F: func(b *B) {
-			c := make([]int, len(shape))
+	ro, err := mixedradix.NewReorderer(shape, sigma)
+	rf, rerr := reorder.New(cluster.LUMIHierarchy(16), []int{3, 2, 1, 4, 0})
+	if err != nil || rerr != nil {
+		panic(fmt.Sprint(err, rerr))
+	}
+	c, t := make([]int, len(shape)), make([]int, n)
+	var buf bytes.Buffer
+	for _, row := range []struct {
+		name string
+		op   func(i int) error
+	}{
+		{"DecomposeCompose/h=16,2,2,8", func(i int) error {
+			mixedradix.DecomposeInto(shape, i%n, c)
+			if mixedradix.Compose(shape, c, sigma) < 0 {
+				return fmt.Errorf("negative rank")
+			}
+			return nil
+		}},
+		{"ReordererTable/h=16,2,2,8", func(int) error { ro.TableInto(t); return nil }},
+		{"InverseTable/h=16,2,2,8", func(int) error { ro.InverseTableInto(t); return nil }},
+		{"Rankfile/lumi16", func(int) error { buf.Reset(); return rf.Rankfile(&buf) }},
+	} {
+		s.Benches = append(s.Benches, Bench{Name: row.name, F: func(b *B) {
 			for i := 0; i < b.N; i++ {
-				mixedradix.DecomposeInto(shape, i%n, c)
-				if got := mixedradix.Compose(shape, c, sigma); got < 0 {
-					b.Fatalf("negative rank")
+				if err := row.op(i); err != nil {
+					b.Fatalf("%v", err)
 				}
 			}
-		},
-	})
-	s.Benches = append(s.Benches, Bench{
-		Name: "ReordererTable/h=16,2,2,8",
-		F: func(b *B) {
-			ro, err := mixedradix.NewReorderer(shape, sigma)
-			if err != nil {
-				b.Fatalf("%v", err)
-			}
-			t := make([]int, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ro.TableInto(t)
-			}
-		},
-	})
+		}})
+	}
 	return s
 }
 

@@ -77,11 +77,9 @@ func NewComposite(h topology.Hierarchy, segments []Segment) (*Composite, error) 
 		size := seg.Nodes * coresPerNode
 		for local := 0; local < size; local++ {
 			c.table[start+local] = start + ro.NewRank(local)
+			c.inverse[start+local] = start + ro.OldRank(local)
 		}
 		start += size
-	}
-	for old, nw := range c.table {
-		c.inverse[nw] = old
 	}
 	return c, nil
 }

@@ -1,7 +1,9 @@
-// Fuzz harness for the Decompose∘Compose bijection (satellite of the
-// order-search fast path): random hierarchies × random orders, checking
-// that the reorder table is always a permutation and that UndoOrder really
-// inverts the reordering. Under plain `go test` only the seed corpus runs;
+// Fuzz harness for the reorder tables: random hierarchies × random orders
+// × a random range of reordered ranks, checking that the block odometer
+// behind TableInto, InverseTableInto and InverseRangeInto agrees with the
+// stateless mixedradix.NewRank rank by rank, that the table is a
+// permutation, and that UndoOrder really inverts the reordering. Under
+// plain `go test` only the seed corpus runs;
 // `go test -fuzz=FuzzReorderBijection ./internal/reorder` explores further.
 
 package reorder
@@ -14,24 +16,47 @@ import (
 	"repro/internal/topology"
 )
 
-// caseFromSeed derives a random-but-reproducible hierarchy and order from
-// one fuzz input.
-func caseFromSeed(seed uint64) (ar []int, sigma []int) {
+// maxFuzzSize caps the ranks of a fuzzed hierarchy.
+const maxFuzzSize = 1 << 18
+
+// caseFromSeed derives a hierarchy of 1 + depth%17 levels with radices in
+// [2, 2 + spread%8], and an order, from one fuzz input. A radix is cut
+// down when the levels after it could not otherwise stay within
+// maxFuzzSize at radix 2, so spread 0 gives radices all 2 at every depth.
+func caseFromSeed(depth, spread uint8, seed uint64) (ar []int, sigma []int) {
 	rng := rand.New(rand.NewSource(int64(seed)))
-	depth := 1 + rng.Intn(6)
-	ar = make([]int, depth)
+	k := 1 + int(depth%17)
+	ar = make([]int, k)
+	n := 1
 	for i := range ar {
-		ar[i] = 2 + rng.Intn(3)
+		room := maxFuzzSize / n >> (k - 1 - i)
+		ar[i] = min(2+rng.Intn(1+int(spread%8)), room)
+		n *= ar[i]
 	}
-	return ar, rng.Perm(depth)
+	return ar, rng.Perm(k)
 }
 
 func FuzzReorderBijection(f *testing.F) {
-	for _, seed := range []uint64{0, 1, 7, 42, 1234, 99999, 1 << 40, 0xdeadbeef} {
-		f.Add(seed)
+	for _, c := range []struct {
+		depth, spread uint8
+		seed          uint64
+		first, length uint32
+	}{
+		{3, 2, 0, 5, 40},
+		{4, 3, 1, 100, 1000},
+		{5, 2, 7, 0, 1 << 20},
+		{0, 7, 42, 3, 4},             // depth 1
+		{9, 0, 1234, 0, 1 << 20},     // radices all 2: the block needs six levels
+		{2, 1, 99999, 2, 9},          // under 64 ranks: one block is the whole hierarchy
+		{15, 7, 1 << 40, 777, 5000},  // depth 16
+		{16, 7, 0xdeadbeef, 65, 129}, // depth 17
+		{9, 0, 5, 37, 300},           // 1 024 ranks in blocks of 64: [37, 337) starts and ends mid-block
+		{9, 0, 6, 63, 200},           // [63, 263): a one-rank head before the first block boundary
+	} {
+		f.Add(c.depth, c.spread, c.seed, c.first, c.length)
 	}
-	f.Fuzz(func(t *testing.T, seed uint64) {
-		ar, sigma := caseFromSeed(seed)
+	f.Fuzz(func(t *testing.T, depth, spread uint8, seed uint64, first32, length32 uint32) {
+		ar, sigma := caseFromSeed(depth, spread, seed)
 		h, err := topology.New(ar...)
 		if err != nil {
 			t.Fatalf("topology.New(%v): %v", ar, err)
@@ -40,22 +65,47 @@ func FuzzReorderBijection(f *testing.F) {
 		if err != nil {
 			t.Fatalf("New(%v, %v): %v", ar, sigma, err)
 		}
+		mr, err := mixedradix.NewReorderer(ar, sigma)
+		if err != nil {
+			t.Fatalf("NewReorderer(%v, %v): %v", ar, sigma, err)
+		}
 		n := ro.Size()
 
-		// The table must be a permutation of [0, n): every new rank hit
-		// exactly once.
+		// The forward table against the oracle, which must be a
+		// permutation of [0, n): every new rank hit exactly once.
+		table := make([]int, n)
+		mr.TableInto(table)
+		inv := make([]int, n)
 		seen := make([]bool, n)
 		for old := 0; old < n; old++ {
-			nw := ro.NewRank(old)
-			if nw < 0 || nw >= n {
-				t.Fatalf("h=%v σ=%v: NewRank(%d) = %d outside [0, %d)", ar, sigma, old, nw, n)
+			nw := mixedradix.NewRank(ar, old, sigma)
+			if table[old] != nw || ro.NewRank(old) != nw {
+				t.Fatalf("h=%v σ=%v: new rank of %d is %d (TableInto), %d (Reordering), want %d",
+					ar, sigma, old, table[old], ro.NewRank(old), nw)
 			}
-			if seen[nw] {
-				t.Fatalf("h=%v σ=%v: new rank %d assigned twice", ar, sigma, nw)
+			if nw < 0 || nw >= n || seen[nw] {
+				t.Fatalf("h=%v σ=%v: new rank %d out of range or assigned twice", ar, sigma, nw)
 			}
 			seen[nw] = true
-			if ro.OldRank(nw) != old {
-				t.Fatalf("h=%v σ=%v: inverse[%d] = %d, want %d", ar, sigma, nw, ro.OldRank(nw), old)
+			inv[nw] = old
+		}
+
+		// The inverse table, whole and as a range.
+		got := make([]int, n)
+		mr.InverseTableInto(got)
+		for nw, old := range inv {
+			if got[nw] != old || ro.OldRank(nw) != old {
+				t.Fatalf("h=%v σ=%v: old rank of %d is %d (InverseTableInto), %d (Reordering), want %d",
+					ar, sigma, nw, got[nw], ro.OldRank(nw), old)
+			}
+		}
+		first := int(first32 % uint32(n+1))
+		dst := make([]int, int(length32%uint32(n-first+1)))
+		mr.InverseRangeInto(dst, first)
+		for i, old := range dst {
+			if old != inv[first+i] {
+				t.Fatalf("h=%v σ=%v: InverseRangeInto(%d ranks, %d)[%d] = %d, want %d",
+					ar, sigma, len(dst), first, i, old, inv[first+i])
 			}
 		}
 
@@ -65,7 +115,7 @@ func FuzzReorderBijection(f *testing.F) {
 		rh := mixedradix.ReorderedHierarchy(ar, sigma)
 		tau := mixedradix.UndoOrder(sigma)
 		for old := 0; old < n; old++ {
-			back := mixedradix.NewRank(rh, ro.NewRank(old), tau)
+			back := mixedradix.NewRank(rh, table[old], tau)
 			if back != old {
 				t.Fatalf("h=%v σ=%v τ=%v: rank %d round-trips to %d", ar, sigma, tau, old, back)
 			}

@@ -40,11 +40,9 @@ func New(h topology.Hierarchy, sigma []int) (*Reordering, error) {
 	if err != nil {
 		return nil, err
 	}
-	tab := ro.Table()
-	inv := make([]int, len(tab))
-	for old, nw := range tab {
-		inv[nw] = old
-	}
+	tab, inv := make([]int, ro.Size()), make([]int, ro.Size())
+	ro.TableInto(tab)
+	ro.InverseTableInto(inv)
 	return &Reordering{
 		h:       h,
 		sigma:   append([]int(nil), sigma...),
@@ -117,23 +115,27 @@ func (ro *Reordering) NumSubcomms(commSize int) (int, error) {
 //	rank 1=node0 slot=1
 //
 // Node and slot are derived from the hierarchy: the node is the outermost
-// coordinate, the slot the core index within the node.
+// coordinate, the slot the core index within the node. The lines, each
+// under 80 bytes, go out in writes of at most rankfileChunk bytes.
 func (ro *Reordering) Rankfile(w io.Writer) error {
-	ar := ro.h.Arities()
-	coresPerNode := 1
-	for _, a := range ar[1:] {
-		coresPerNode *= a
-	}
-	for newRank := 0; newRank < ro.Size(); newRank++ {
-		core := ro.inverse[newRank]
-		node := core / coresPerNode
-		slot := core % coresPerNode
-		if _, err := fmt.Fprintf(w, "rank %d=node%d slot=%d\n", newRank, node, slot); err != nil {
-			return err
+	coresPerNode := ro.Size() / ro.h.Level(0).Arity
+	buf := make([]byte, 0, rankfileChunk)
+	for newRank, core := range ro.inverse {
+		buf = strconv.AppendInt(append(buf, "rank "...), int64(newRank), 10)
+		buf = strconv.AppendInt(append(buf, "=node"...), int64(core/coresPerNode), 10)
+		buf = strconv.AppendInt(append(buf, " slot="...), int64(core%coresPerNode), 10)
+		buf = append(buf, '\n')
+		if len(buf) > rankfileChunk-80 || newRank == len(ro.inverse)-1 {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
 	}
 	return nil
 }
+
+const rankfileChunk = 32 << 10
 
 // ParseRankfile reads a rankfile in the format emitted by Rankfile and
 // returns the rank→core binding for a machine with coresPerNode cores per

@@ -2,9 +2,14 @@ package reorder
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/perm"
 	"repro/internal/topology"
 )
@@ -118,6 +123,84 @@ func TestRankfileFormat(t *testing.T) {
 	}
 	if lines[9] != "rank 9=node1 slot=1" {
 		t.Errorf("line 9 = %q", lines[9])
+	}
+}
+
+// rankfileFprintf is the reference rankfile writer, one fmt.Fprintf per
+// line: Rankfile must produce the same bytes.
+func rankfileFprintf(ro *Reordering, w io.Writer) error {
+	coresPerNode := 1
+	for _, a := range ro.h.Arities()[1:] {
+		coresPerNode *= a
+	}
+	for newRank := 0; newRank < ro.Size(); newRank++ {
+		core := ro.inverse[newRank]
+		if _, err := fmt.Fprintf(w, "rank %d=node%d slot=%d\n", newRank, core/coresPerNode, core%coresPerNode); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestRankfileMatchesFprintf: on every order of ⟦2,2,4⟧, Hydra-16 and
+// LUMI-16 — whose rankfiles pass the 32 KB chunk boundary — Rankfile
+// writes the reference bytes; those of the two smaller machines, where
+// parsing every order stays cheap under the race detector, parse back to
+// Binding.
+func TestRankfileMatchesFprintf(t *testing.T) {
+	for _, h := range []topology.Hierarchy{topology.MustNew(2, 2, 4), cluster.HydraHierarchy(16), cluster.LUMIHierarchy(16)} {
+		longest := 0
+		perm.Visit(h.Depth(), func(sigma []int) bool {
+			ro, err := New(h, sigma)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got, want bytes.Buffer
+			if err := ro.Rankfile(&got); err != nil {
+				t.Fatal(err)
+			}
+			if err := rankfileFprintf(ro, &want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%s σ=%v: Rankfile differs from the Fprintf reference", h, sigma)
+			}
+			longest = max(longest, got.Len())
+			if h.Size() > 512 {
+				return true
+			}
+			binding, err := ParseRankfile(&got, h.Size()/h.Level(0).Arity)
+			if err != nil || !slices.Equal(binding, ro.Binding()) {
+				t.Fatalf("%s σ=%v: rankfile parses to %v, %v; want Binding", h, sigma, binding, err)
+			}
+			return true
+		})
+		if h.Size() == 2048 && longest <= rankfileChunk {
+			t.Fatalf("%s: rankfile of %d bytes fits one chunk", h, longest)
+		}
+	}
+}
+
+// failSecond accepts its first write and refuses every later one.
+type failSecond struct{ writes int }
+
+var errRefused = errors.New("write refused")
+
+func (w *failSecond) Write(p []byte) (int, error) {
+	if w.writes++; w.writes > 1 {
+		return 0, errRefused
+	}
+	return len(p), nil
+}
+
+func TestRankfileReturnsWriteError(t *testing.T) {
+	ro, err := New(cluster.LUMIHierarchy(16), []int{3, 2, 1, 4, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &failSecond{}
+	if err := ro.Rankfile(w); !errors.Is(err, errRefused) || w.writes != 2 {
+		t.Fatalf("Rankfile = %v after %d writes, want the second write's error", err, w.writes)
 	}
 }
 

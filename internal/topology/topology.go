@@ -42,6 +42,7 @@ type Level struct {
 // is invalid; use New or Parse.
 type Hierarchy struct {
 	levels []Level
+	size   int // Π arities, set by the constructors
 }
 
 // New builds a hierarchy from arities, outermost first, assigning default
@@ -49,14 +50,15 @@ type Hierarchy struct {
 // names from node, socket, numa, l3 as depth allows, falling back to
 // "level<i>" for very deep hierarchies).
 func New(arities ...int) (Hierarchy, error) {
-	if err := checkArities(arities); err != nil {
+	n, err := checkArities(arities)
+	if err != nil {
 		return Hierarchy{}, err
 	}
 	levels := make([]Level, len(arities))
 	for i, a := range arities {
 		levels[i] = Level{Name: defaultName(i, len(arities)), Arity: a}
 	}
-	return Hierarchy{levels: levels}, nil
+	return Hierarchy{levels: levels, size: n}, nil
 }
 
 // MustNew is New panicking on error, for tests and literals.
@@ -77,27 +79,29 @@ func NewNamed(levels ...Level) (Hierarchy, error) {
 			return Hierarchy{}, fmt.Errorf("%w: level %d has empty name", ErrBadLevel, i)
 		}
 	}
-	if err := checkArities(arities); err != nil {
+	n, err := checkArities(arities)
+	if err != nil {
 		return Hierarchy{}, err
 	}
-	return Hierarchy{levels: append([]Level(nil), levels...)}, nil
+	return Hierarchy{levels: append([]Level(nil), levels...), size: n}, nil
 }
 
 // checkArities is the one gate every constructor passes: valid radices
 // whose product fits an int, so Size and everything that multiplies the
 // levels out (mixedradix.Size, the reorder tables) cannot overflow later.
-func checkArities(arities []int) error {
+// It returns that product.
+func checkArities(arities []int) (int, error) {
 	if err := mixedradix.CheckHierarchy(arities); err != nil {
-		return err
+		return 0, err
 	}
 	n := 1
 	for _, a := range arities {
 		if n > math.MaxInt/a {
-			return fmt.Errorf("%w: %v", ErrTooLarge, arities)
+			return 0, fmt.Errorf("%w: %v", ErrTooLarge, arities)
 		}
 		n *= a
 	}
-	return nil
+	return n, nil
 }
 
 func defaultName(i, depth int) string {
@@ -171,19 +175,10 @@ func MustParse(s string) Hierarchy {
 // Depth returns the number of levels.
 func (h Hierarchy) Depth() int { return len(h.levels) }
 
-// Size returns the total number of cores (leaf components) enumerated. Like
-// mixedradix.Size it panics when the product overflows int; it walks the
-// levels in place, so it allocates nothing.
-func (h Hierarchy) Size() int {
-	n := 1
-	for _, l := range h.levels {
-		if n > int(^uint(0)>>1)/l.Arity {
-			panic("topology: hierarchy size overflows int")
-		}
-		n *= l.Arity
-	}
-	return n
-}
+// Size returns the total number of cores (leaf components) enumerated,
+// computed once by the constructor that rejected its overflow; the zero
+// Hierarchy (size 0), an empty product, enumerates 1.
+func (h Hierarchy) Size() int { return max(h.size, 1) }
 
 // Arities returns a copy of the level arities, outermost first. This is the
 // mixed-radix base of the paper.

@@ -378,6 +378,39 @@ func BenchmarkFirstDiffLevel(b *testing.B) {
 	}
 }
 
+// TestSizeCachedByEveryConstructor: Size is computed once, at
+// construction, so every path that builds a hierarchy must leave it equal
+// to the product of the arities; the zero value is the empty product.
+func TestSizeCachedByEveryConstructor(t *testing.T) {
+	lumi := MustNew(16, 2, 4, 2, 8)
+	build := map[string]func() (Hierarchy, error){
+		"New":         func() (Hierarchy, error) { return New(3, 5, 7, 2) },
+		"NewNamed":    func() (Hierarchy, error) { return NewNamed(Level{"node", 6}, Level{"core", 9}) },
+		"Parse":       func() (Hierarchy, error) { return Parse("2x2x4") },
+		"ParseNamed":  func() (Hierarchy, error) { return Parse("node:4,socket:2,core:8") },
+		"SplitLevel":  func() (Hierarchy, error) { return lumi.SplitLevel(0, 4) },
+		"MergeLevels": func() (Hierarchy, error) { return lumi.MergeLevels(2) },
+		"Prepend":     func() (Hierarchy, error) { return lumi.Prepend(Level{"group", 3}) },
+		"Sub":         func() (Hierarchy, error) { return lumi.Sub(1, 4) },
+	}
+	for name, f := range build {
+		h, err := f()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := 1
+		for _, a := range h.Arities() {
+			want *= a
+		}
+		if h.Size() != want {
+			t.Errorf("%s: %s has Size %d, want %d", name, h, h.Size(), want)
+		}
+	}
+	if got := (Hierarchy{}).Size(); got != 1 {
+		t.Errorf("zero Hierarchy has Size %d, want 1", got)
+	}
+}
+
 // TestSizeAndFirstDiffLevelAllocationFree: both run once per ring edge
 // under the §3.3 metrics and must walk the levels in place.
 func TestSizeAndFirstDiffLevelAllocationFree(t *testing.T) {
