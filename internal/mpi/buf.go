@@ -162,11 +162,20 @@ func (s slots) concat(lo, hi, mask int) (Buf, int) {
 }
 
 // spread replaces the n blocks concat selects with the even split of in.
+// Payload-less chunks take a running remainder: with Bytes = q·n + r,
+// chunk j is q, plus one when r·(j+1) passes a multiple of n.
 func (s *slots) spread(in Buf, lo, hi, mask, n int) {
-	j := 0
-	for i := lo; i < hi; i++ {
+	q, r, rem := in.Bytes/int64(n), in.Bytes%int64(n), int64(0)
+	for i, j := lo, 0; i < hi; i++ {
 		if i&mask == mask {
-			s.set(i, in.chunk(j, n).Clone())
+			b := Buf{Bytes: q}
+			if rem += r; rem >= int64(n) {
+				b.Bytes, rem = q+1, rem-int64(n)
+			}
+			if in.Data != nil {
+				b = in.chunk(j, n).Clone()
+			}
+			s.set(i, b)
 			j++
 		}
 	}

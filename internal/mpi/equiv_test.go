@@ -118,8 +118,8 @@ func TestMailboxHoldsOnlyOutstandingMessages(t *testing.T) {
 	w.Spawn(func(r *Rank) {
 		for i := 0; i < barriers; i++ {
 			r.World().Barrier(r)
-			for dst := range w.mail {
-				peak = max(peak, len(w.mail[dst]))
+			for dst := 0; dst < ranks; dst++ {
+				peak = max(peak, w.mail.channels(dst))
 			}
 		}
 		if r.ID() == 0 {
@@ -135,12 +135,12 @@ func TestMailboxHoldsOnlyOutstandingMessages(t *testing.T) {
 	if limit := 2 * 4; peak > limit {
 		t.Errorf("a mailbox held %d channels during %d barriers, want at most %d", peak, barriers, limit)
 	}
-	for dst := range w.mail {
+	for dst := 0; dst < ranks; dst++ {
 		want := 0
 		if dst == 1 {
 			want = 1
 		}
-		if got := len(w.mail[dst]); got != want {
+		if got := w.mail.channels(dst); got != want {
 			t.Errorf("mailbox of rank %d holds %d channels after the run, want %d", dst, got, want)
 		}
 	}

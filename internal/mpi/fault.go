@@ -25,8 +25,9 @@
 package mpi
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -87,8 +88,8 @@ func (w *World) stretch(src, dst int) float64 {
 
 // LostRanks returns the crashed world ranks, ascending.
 func (w *World) LostRanks() []int {
-	out := append([]int(nil), w.lostList...)
-	sort.Ints(out)
+	out := slices.Clone(w.lostList)
+	slices.Sort(out)
 	return out
 }
 
@@ -150,25 +151,12 @@ func (w *World) killRank(rank int) {
 	// in a fixed order (destination, source, tag; then call site) so that
 	// survivors wake in the same order on every replay.
 	var failed []*sim.Condition
-	for dst, box := range w.mail {
-		keys := make([]matchKey, 0, len(box))
-		for k := range box {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].src != keys[j].src {
-				return keys[i].src < keys[j].src
-			}
-			return keys[i].tag < keys[j].tag
-		})
-		for _, k := range keys {
-			for req := box[k].head; req != nil; req = req.next {
-				if req.recv || !req.started {
-					failed = append(failed, &req.cond)
-				}
+	for _, c := range w.mail.drain() {
+		for req := c.head; req != nil; req = req.next {
+			if req.recv || !req.started {
+				failed = append(failed, &req.cond)
 			}
 		}
-		clear(w.mail[dst])
 	}
 	// Pending splits can never complete: a member is gone and the
 	// communicator is revoked either way.
@@ -246,11 +234,6 @@ func sortedCallSites(m map[callSite]*splitState) []callSite {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].commID != keys[j].commID {
-			return keys[i].commID < keys[j].commID
-		}
-		return keys[i].seq < keys[j].seq
-	})
+	slices.SortFunc(keys, func(a, b callSite) int { return cmp.Or(a.commID-b.commID, cmp.Compare(a.seq, b.seq)) })
 	return keys
 }

@@ -78,7 +78,8 @@ type World struct {
 
 	// All state below is touched only by the one rank or event callback the
 	// engine is running, so none of it is locked.
-	mail    []map[matchKey]matchQueue // per destination rank
+	mail    mailbox
+	reqs    []Request // request records not yet handed out
 	commSeq int
 	splits  map[callSite]*splitState
 
@@ -103,19 +104,6 @@ type World struct {
 
 // nodeOf returns the Perfetto pid for a core: its outermost-level domain.
 func (w *World) nodeOf(core int) int { return core / w.coresPerNode }
-
-type matchKey struct {
-	src int
-	tag int64
-}
-
-// matchQueue is the FIFO of unmatched operations for one (src, tag) channel
-// at one destination: all sends or all receives, never both, linked through
-// Request.next. A channel has an entry in the mailbox only while its queue
-// is non-empty.
-type matchQueue struct {
-	head, tail *Request
-}
 
 // Rank is the per-process handle passed to the rank body.
 type Rank struct {
@@ -146,11 +134,7 @@ func NewWorld(engine *sim.Engine, platform *netmodel.Platform, binding []int, cf
 		platform: platform,
 		binding:  append([]int(nil), binding...),
 		cfg:      cfg,
-		mail:     make([]map[matchKey]matchQueue, n),
 		splits:   make(map[callSite]*splitState),
-	}
-	for i := range w.mail {
-		w.mail[i] = make(map[matchKey]matchQueue)
 	}
 	w.commSeq = 1 // id 0 is the world communicator
 	w.procs = make([]*sim.Process, n)
@@ -268,8 +252,9 @@ func (r *Rank) Compute(flops, bytes float64) {
 
 // Request is one side of a message — a posted send or a posted receive —
 // and everything that side needs until it completes: its place in the
-// mailbox while unmatched, the payload, and the completion condition. The
-// peer and tag describe it for deadlock diagnostics.
+// mailbox while unmatched, the payload, and the completion condition; a
+// queued eager send's record becomes the receive that matches it. The peer
+// and tag describe it for deadlock diagnostics. Records come from a slab.
 type Request struct {
 	// fin is what Wait awaits: nil when the operation completed at once
 	// (eager send), &cond for an operation completed by its own transfer or
@@ -311,8 +296,8 @@ func (req *Request) Wait(r *Rank) Buf {
 	return Buf{}
 }
 
-// completedSend is the request of every send that was over when isend
-// returned and left nothing behind; nothing ever writes to it.
+// completedSend is the request of every eager send, which is over when
+// isend returns; nothing ever writes to it.
 var completedSend = &Request{}
 
 // WaitAll completes all requests.
@@ -322,36 +307,15 @@ func WaitAll(r *Rank, reqs ...*Request) {
 	}
 }
 
-// takeQueued removes and returns the oldest unmatched operation of the
-// wanted kind on the (src, tag) channel at dst, or nil when there is none.
-// The channel's mailbox entry goes with its last operation.
-func (w *World) takeQueued(dst int, k matchKey, recv bool) *Request {
-	box := w.mail[dst]
-	q, ok := box[k]
-	if !ok || q.head.recv != recv {
-		return nil
+// newRequest cuts a zeroed request record from the world's slab.
+func (w *World) newRequest(peer int, tag int64, recv bool) *Request {
+	if len(w.reqs) == 0 {
+		w.reqs = make([]Request, 256)
 	}
-	req := q.head
-	if q.head = req.next; q.head == nil {
-		delete(box, k)
-	} else {
-		box[k] = q
-	}
-	req.next = nil
+	req := &w.reqs[0]
+	w.reqs = w.reqs[1:]
+	req.peer, req.tag, req.recv, req.chk = peer, tag, recv, w.faulty
 	return req
-}
-
-// enqueue appends an unmatched operation to its channel's queue.
-func (w *World) enqueue(dst int, k matchKey, req *Request) {
-	box := w.mail[dst]
-	q := box[k]
-	if q.head == nil {
-		q.head = req
-	} else {
-		q.tail.next = req
-	}
-	q.tail = req
-	box[k] = q
 }
 
 // isend posts a message from world rank src to world rank dst.
@@ -371,8 +335,8 @@ func (w *World) isend(src, dst int, tag int64, buf Buf) *Request {
 		}
 	}
 	eager := buf.Bytes <= w.cfg.EagerThreshold
-	k := matchKey{src: src, tag: tag}
-	if rv := w.takeQueued(dst, k, true); rv != nil {
+	k := chanKey{dst: dst, src: src, tag: tag}
+	if rv := w.mail.take(k, true); rv != nil {
 		// A receive is already posted: start the transfer now, completing
 		// the receive. Eager sends complete locally right away; rendezvous
 		// pays no extra handshake because the receiver was ready, and
@@ -382,40 +346,46 @@ func (w *World) isend(src, dst int, tag int64, buf Buf) *Request {
 		if eager {
 			return completedSend
 		}
-		return &Request{fin: &rv.cond, peer: dst, tag: tag, chk: w.faulty}
+		snd := w.newRequest(dst, tag, false)
+		snd.fin = &rv.cond
+		return snd
 	}
 	// No receive yet: enqueue a private copy.
-	snd := &Request{buf: buf.Clone(), peer: dst, tag: tag, chk: w.faulty}
-	if eager {
-		// Launch the transfer immediately; the sender is done already, and
-		// cond tells the eventual receiver when the data has arrived.
-		snd.started = true
-		w.platform.StartTransferStretched(&snd.cond, srcCore, dstCore, float64(buf.Bytes), 0, w.stretch(src, dst))
-	} else {
+	snd := w.newRequest(dst, tag, false)
+	snd.buf = buf.Clone()
+	w.mail.put(k, snd)
+	if !eager {
 		snd.fin = &snd.cond
+		return snd
 	}
-	w.enqueue(dst, k, snd)
-	return snd
+	// Launch the transfer immediately; the sender is done already, and cond
+	// tells the eventual receiver when the data has arrived. The record is
+	// the receiver's from now on: irecv turns it into the receive.
+	snd.started = true
+	w.platform.StartTransferStretched(&snd.cond, srcCore, dstCore, float64(buf.Bytes), 0, w.stretch(src, dst))
+	return completedSend
 }
 
 // irecv posts a receive at world rank dst for a message from src.
 func (w *World) irecv(dst, src int, tag int64) *Request {
-	rv := &Request{recv: true, peer: src, tag: tag, chk: w.faulty}
-	k := matchKey{src: src, tag: tag}
-	if snd := w.takeQueued(dst, k, false); snd != nil {
-		// Either the eager message is already in flight (or arrived), or —
-		// rendezvous — the receiver triggers the transfer and pays the
-		// handshake round trip on top of the path latency. Both ways the
-		// send's condition completes the receive (and the rendezvous
-		// sender, which awaits it too).
-		rv.buf = snd.buf
-		rv.fin = &snd.cond
-		if !snd.started {
-			w.platform.StartTransferStretched(&snd.cond, w.binding[src], w.binding[dst], float64(snd.buf.Bytes), 1, w.stretch(src, dst))
-		}
+	k := chanKey{dst: dst, src: src, tag: tag}
+	snd := w.mail.take(k, false)
+	if snd != nil && snd.started {
+		// The eager message is in flight or arrived, and no sender holds its
+		// record: it becomes the receive, completed by its own transfer.
+		snd.recv, snd.peer, snd.fin = true, src, &snd.cond
+		return snd
+	}
+	rv := w.newRequest(src, tag, true)
+	if snd == nil {
+		rv.fin = &rv.cond
+		w.mail.put(k, rv)
 		return rv
 	}
-	rv.fin = &rv.cond
-	w.enqueue(dst, k, rv)
+	// Rendezvous: the receiver triggers the transfer and pays the handshake
+	// round trip on top of the path latency; the send's condition completes
+	// the receive and the sender, which awaits it too.
+	rv.buf, rv.fin = snd.buf, &snd.cond
+	w.platform.StartTransferStretched(&snd.cond, w.binding[src], w.binding[dst], float64(snd.buf.Bytes), 1, w.stretch(src, dst))
 	return rv
 }

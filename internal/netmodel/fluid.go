@@ -16,6 +16,7 @@ package netmodel
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -28,8 +29,7 @@ type Link struct {
 
 	// Water-filling scratch state, valid only during a rate computation.
 	remCap  float64
-	nActive int
-	fixed   bool
+	nActive int // unfixed flows crossing; 0 once the link is a fixed bottleneck
 	listed  bool
 
 	flows []*Flow // active flows, compacted lazily
@@ -42,10 +42,6 @@ func NewLink(name string, capacity float64) *Link {
 }
 
 func (l *Link) String() string { return fmt.Sprintf("%s(%.3g B/s)", l.Name, l.Capacity) }
-
-// NFlows returns the number of flows currently crossing the link
-// (diagnostic; meaningful only between events).
-func (l *Link) NFlows() int { return l.live }
 
 // compact removes completed flows from the link's slice when they dominate.
 func (l *Link) compact() {
@@ -61,8 +57,10 @@ func (l *Link) compact() {
 	l.flows = kept
 }
 
-// Flow is one in-flight transfer over a path of links.
+// Flow is one in-flight transfer over a path of links. Until it arrives it
+// is the engine handler that adds it to the fluid.
 type Flow struct {
+	fluid     *Fluid
 	links     []*Link
 	remaining float64
 	rate      float64
@@ -71,9 +69,6 @@ type Flow struct {
 	rateFixed bool // water-filling scratch
 	completed bool
 }
-
-// Done returns the condition fired when the flow completes.
-func (f *Flow) Done() *sim.Condition { return f.done }
 
 // Fluid is the set of active flows over a shared engine, with max-min fair
 // rate allocation recomputed whenever the flow set changes.
@@ -87,23 +82,36 @@ type Fluid struct {
 	lastRecompute   float64
 	deferredPending bool
 
-	scratchLinks []*Link
-	scratchDone  []*Flow
+	// onDirty and onDeferred are the recompute handlers, bound once.
+	onDirty, onDeferred sim.Handler
+	slab                []Flow // flow records not yet handed out
+	scratchLinks        []*Link
+	scratchDone         []*Flow
 
 	// NoContention disables bandwidth sharing: every flow runs at the full
 	// capacity of its narrowest link regardless of other traffic. This is
 	// the ablation of DESIGN.md §5 — it collapses the paper's one-vs-many
 	// communicator gap and demonstrates why the substrate models sharing.
 	NoContention bool
-
-	// Recomputes counts rate recomputations (diagnostic).
-	Recomputes int
 }
 
 // NewFluid returns an empty fluid simulation on the engine.
 func NewFluid(engine *sim.Engine) *Fluid {
 	// lastRecompute starts at -∞ so the first recompute is never deferred.
-	return &Fluid{engine: engine, lastRecompute: math.Inf(-1)}
+	f := &Fluid{engine: engine, lastRecompute: math.Inf(-1)}
+	f.onDirty = sim.HandlerFunc(func() {
+		f.dirty = false
+		f.settle()
+		f.completeFinished()
+		f.requestRecompute()
+	})
+	f.onDeferred = sim.HandlerFunc(func() {
+		f.deferredPending = false
+		f.settle()
+		f.completeFinished()
+		f.recompute()
+	})
+	return f
 }
 
 // completionEps is the residual byte count below which a flow counts as
@@ -137,12 +145,25 @@ func (f *Fluid) StartTransfer(path []*Link, bytes, latency float64) *sim.Conditi
 }
 
 // StartTransferTo is StartTransfer completing a condition the caller
-// already has — the one inside a message record — instead of a new one.
+// already has — the one inside a message record — instead of a new one. A
+// transfer no finite link constrains (DegradeLevel only scales finite
+// ones) fires done on arrival; any other arrives as a flow record.
 func (f *Fluid) StartTransferTo(done *sim.Condition, path []*Link, bytes, latency float64) {
 	if bytes < 0 || latency < 0 {
 		panic("netmodel: negative transfer")
 	}
-	f.engine.At(f.engine.Now()+latency, func() { f.addFlow(path, bytes, done) })
+	at := f.engine.Now() + latency
+	if bytes <= completionEps || !slices.ContainsFunc(path, func(l *Link) bool { return l.Capacity > 0 }) {
+		f.engine.Schedule(at, done)
+		return
+	}
+	if len(f.slab) == 0 {
+		f.slab = make([]Flow, 64)
+	}
+	fl := &f.slab[0]
+	f.slab = f.slab[1:]
+	fl.fluid, fl.links, fl.remaining, fl.done = f, path, bytes, done
+	f.engine.Schedule(at, fl)
 }
 
 // Transfer performs a blocking transfer from the calling process.
@@ -150,27 +171,12 @@ func (f *Fluid) Transfer(p *sim.Process, path []*Link, bytes, latency float64) {
 	f.StartTransfer(path, bytes, latency).Await(p)
 }
 
-// addFlow runs inside an event callback.
-func (f *Fluid) addFlow(path []*Link, bytes float64, done *sim.Condition) {
-	if bytes <= completionEps {
-		done.Fire()
-		return
-	}
-	constrained := false
-	for _, l := range path {
-		if l.Capacity > 0 {
-			constrained = true
-			break
-		}
-	}
-	if !constrained {
-		// No finite link on the path: the transfer is latency-only.
-		done.Fire()
-		return
-	}
-	fl := &Flow{links: path, remaining: bytes, done: done, idx: len(f.flows)}
+// Handle adds the arriving flow to the fluid.
+func (fl *Flow) Handle() {
+	f := fl.fluid
+	fl.idx = len(f.flows)
 	f.flows = append(f.flows, fl)
-	for _, l := range path {
+	for _, l := range fl.links {
 		l.flows = append(l.flows, fl)
 		l.live++
 	}
@@ -184,12 +190,7 @@ func (f *Fluid) markDirty() {
 		return
 	}
 	f.dirty = true
-	f.engine.At(f.engine.Now(), func() {
-		f.dirty = false
-		f.settle()
-		f.completeFinished()
-		f.requestRecompute()
-	})
+	f.engine.Schedule(f.engine.Now(), f.onDirty)
 }
 
 // requestRecompute recomputes immediately when the quantum since the
@@ -205,12 +206,7 @@ func (f *Fluid) requestRecompute() {
 		return
 	}
 	f.deferredPending = true
-	f.engine.At(f.lastRecompute+recomputeQuantum, func() {
-		f.deferredPending = false
-		f.settle()
-		f.completeFinished()
-		f.recompute()
-	})
+	f.engine.Schedule(f.lastRecompute+recomputeQuantum, f.onDeferred)
 }
 
 // settle charges every flow for progress since the last settlement.
@@ -265,7 +261,6 @@ func (f *Fluid) completeFinished() {
 // recompute assigns max-min fair rates to all active flows
 // (progressive filling) and schedules the next completion event.
 func (f *Fluid) recompute() {
-	f.Recomputes++
 	f.lastRecompute = f.engine.Now()
 	if len(f.flows) == 0 {
 		f.gen++
@@ -286,7 +281,6 @@ func (f *Fluid) recompute() {
 			}
 			if !l.listed {
 				l.remCap = l.Capacity
-				l.fixed = false
 				l.listed = true
 				l.nActive = 0
 				links = append(links, l)
@@ -299,13 +293,17 @@ func (f *Fluid) recompute() {
 	for unfixedFlows > 0 {
 		// Find the bottleneck links: minimal fair share. All links tied at
 		// the minimum are bottlenecks simultaneously and are fixed in one
-		// pass — symmetric traffic then needs a single iteration.
+		// pass — symmetric traffic then needs a single iteration. A link
+		// left without unfixed flows leaves the scan list, in order.
 		best := math.Inf(1)
 		bottlenecks = bottlenecks[:0]
+		live := links[:0]
 		for _, l := range links {
-			if l.fixed || l.nActive == 0 {
+			if l.nActive == 0 {
+				l.listed = false
 				continue
 			}
+			live = append(live, l)
 			share := l.remCap / float64(l.nActive)
 			switch {
 			case share < best*(1-1e-9):
@@ -315,6 +313,7 @@ func (f *Fluid) recompute() {
 				bottlenecks = append(bottlenecks, l)
 			}
 		}
+		links = live
 		if len(bottlenecks) == 0 {
 			// Remaining flows see only unlimited residual capacity (every
 			// finite link on their path was fixed with spare room):
@@ -352,13 +351,10 @@ func (f *Fluid) recompute() {
 					l.nActive--
 				}
 			}
-			bottleneck.fixed = true
 		}
 	}
-	// Reset link scratch flags for the next recompute.
 	for _, l := range links {
-		l.nActive = 0
-		l.listed = false
+		l.nActive, l.listed = 0, false
 	}
 	f.scratchLinks = links[:0]
 	f.scheduleNext()
@@ -397,8 +393,7 @@ func (f *Fluid) scheduleNext() {
 		return // all rates zero: flows stall until the set changes
 	}
 	gen := f.gen
-	now := f.engine.Now()
-	f.engine.At(now+next, func() {
+	f.engine.At(f.engine.Now()+next, func() {
 		if gen != f.gen {
 			return // superseded by a later recompute
 		}
@@ -407,9 +402,6 @@ func (f *Fluid) scheduleNext() {
 		f.requestRecompute()
 	})
 }
-
-// ActiveFlows returns the number of in-flight flows (diagnostic).
-func (f *Fluid) ActiveFlows() int { return len(f.flows) }
 
 // Rebalance requests a fair-share recomputation after link capacities
 // changed out-of-band (fault injection degrading a level). In-flight flows

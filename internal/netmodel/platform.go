@@ -174,9 +174,6 @@ func (p *Platform) Spec() Spec { return p.spec }
 // Hierarchy returns the machine topology.
 func (p *Platform) Hierarchy() topology.Hierarchy { return p.hier }
 
-// Fluid returns the underlying fluid simulation (diagnostics).
-func (p *Platform) Fluid() *Fluid { return p.fluid }
-
 // NumCores returns the number of cores of the machine.
 func (p *Platform) NumCores() int { return p.hier.Size() }
 

@@ -22,7 +22,7 @@ import (
 // orders actually evaluated — callers report the engine's own count
 // instead of recomputing k! (which overflows int at depth ≥ 21/13 on
 // 64/32-bit). Nil weights select DefaultWeights. Ties resolve to the
-// lexicographically smallest order.
+// first order perm.All yields — Heap's order, which is not lexicographic.
 func BestOrder(m *commmatrix.Matrix, h topology.Hierarchy, weights []float64) (sigma []int, placement []int, cost float64, evaluated int64, err error) {
 	return bestOrder(m.Size(), m.Sparse().Edges, h, weights)
 }
@@ -53,8 +53,7 @@ func bestOrder(ranks int, edges []commmatrix.Edge, h topology.Hierarchy, weights
 		}
 		ro.InverseTableInto(inv)
 		evaluated++
-		// perm.All enumerates lexicographically, so strict < keeps the
-		// lexicographically smallest order among ties.
+		// Strict < keeps the first of tied orders in perm.All's Heap order.
 		if c := cm.cost(edges, inv); cost < 0 || c < cost {
 			cost = c
 			sigma = append(sigma[:0], s...)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -190,8 +191,8 @@ func TestBestOrderMatchesCommmatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The brute-force reading: pairCost of every order's placement.
-	// perm.All is lexicographic, so strict < also pins the tie-break.
+	// The brute-force reading: pairCost of every order's placement, ties
+	// to the first order in perm.All's (Heap) order.
 	orders := perm.All(h.Depth())
 	var wantSigma []int
 	wantCost := -1.0
@@ -215,6 +216,44 @@ func TestBestOrderMatchesCommmatrix(t *testing.T) {
 	}
 	if actual != cost {
 		t.Fatalf("returned placement costs %g, reported %g", actual, cost)
+	}
+}
+
+// perm.All enumerates in Heap's order, which is not lexicographic: on
+// ⟦2,2,2⟧ these two edges tie the orders 1-0-2, 2-0-1, 0-2-1 and 1-2-0 in
+// that order, so BestOrder and its oracle answer 1-0-2, the first of them,
+// and not the lexicographically smallest, 0-2-1. The served σ-baseline
+// depends on it: benchmark/golden/serve.json pins best_order 4-0-3-2-1 of
+// matrix-halo16x32, the Heap-first of a tie with the lex-first 3-2-0-4-1.
+func TestBestOrderTieIsHeapFirst(t *testing.T) {
+	h := topology.MustNew(2, 2, 2)
+	m := commmatrix.New(8)
+	m.Add(3, 1, 1)
+	m.Add(0, 5, 2)
+	want := []int{1, 0, 2}
+	sigma, _, cost, _, err := BestOrder(m, h, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, _, oracleCost, _, err := oracleBestOrder(m, h, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sigma, want) || !reflect.DeepEqual(oracle, want) || cost != oracleCost {
+		t.Errorf("BestOrder = %v at %g, oracle %v at %g, want %v", sigma, cost, oracle, oracleCost, want)
+	}
+	var tied []string
+	for _, s := range perm.All(3) {
+		ro, err := mixedradix.NewReorderer(h.Arities(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, err := Cost(m, h, ro.InverseTable(), nil); err == nil && c == cost {
+			tied = append(tied, perm.Format(s))
+		}
+	}
+	if got := strings.Join(tied, " "); got != "1-0-2 2-0-1 0-2-1 1-2-0" {
+		t.Errorf("orders tied at the optimum, in Heap's order: %s", got)
 	}
 }
 

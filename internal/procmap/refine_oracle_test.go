@@ -256,7 +256,7 @@ func oracleBuild(m *commmatrix.Matrix, h topology.Hierarchy) ([]int, error) {
 // orders actually evaluated — callers report the engine's own count
 // instead of recomputing k! (which overflows int at depth ≥ 21/13 on
 // 64/32-bit). Nil weights select DefaultWeights. Ties resolve to the
-// lexicographically smallest order.
+// first order perm.All yields — Heap's order, which is not lexicographic.
 func oracleBestOrder(m *commmatrix.Matrix, h topology.Hierarchy, weights []float64) (sigma []int, placement []int, cost float64, evaluated int64, err error) {
 	n := m.Size()
 	if n != h.Size() {
@@ -285,8 +285,7 @@ func oracleBestOrder(m *commmatrix.Matrix, h topology.Hierarchy, weights []float
 		for _, e := range edges {
 			c += e.Bytes * cm.pairCost(inv[e.A], inv[e.B])
 		}
-		// perm.All enumerates lexicographically, so strict < keeps the
-		// lexicographically smallest order among ties.
+		// Strict < keeps the first of tied orders in perm.All's Heap order.
 		if best < 0 || c < best {
 			best = c
 			bestSigma = append(bestSigma[:0], s...)

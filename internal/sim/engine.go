@@ -49,65 +49,92 @@ type Abort struct{ Err error }
 // process wrapper treats it as a clean process exit.
 type killedPanic struct{}
 
-type event struct {
-	at  float64
-	seq uint64
-	fn  func()
+// Handler is what the engine runs when a scheduled instant comes. It runs
+// inside whichever process blocked last (or Run) and must not block.
+type Handler interface{ Handle() }
+
+// HandlerFunc adapts a plain function to Handler: Handle calls it.
+type HandlerFunc func()
+
+func (f HandlerFunc) Handle() { f() }
+
+// instant is one distinct pending virtual time and its handlers, in the
+// order they were scheduled.
+type instant struct {
+	at       float64
+	handlers []Handler
+	indexed  bool     // in eventQueue.byAt
+	next     *instant // free list link once fired
 }
 
-func (ev *event) before(o *event) bool {
-	if ev.at != o.at {
-		return ev.at < o.at
+// eventQueue is a binary min-heap of instants, one per distinct pending
+// time. last is the instant scheduled to most recently; byAt finds every
+// other one by its exact time (an instant enters it when scheduling moves
+// on, so a lone waiting process never touches the map). Fired ones are reused.
+type eventQueue struct {
+	heap    []*instant
+	byAt    map[float64]*instant
+	last    *instant
+	free    *instant
+	pending int // handlers scheduled and not yet fired
+}
+
+// push appends h to the handlers of the instant at t, which it creates,
+// or takes from the recycled ones, when no handler waits for t yet.
+func (q *eventQueue) push(t float64, h Handler) {
+	in := q.last
+	if in == nil || in.at != t {
+		if in != nil && !in.indexed {
+			q.byAt[in.at], in.indexed = in, true
+		}
+		if in = nil; len(q.byAt) > 0 {
+			in = q.byAt[t]
+		}
+		if in == nil {
+			if in = q.free; in != nil {
+				q.free = in.next
+			} else {
+				in = new(instant)
+			}
+			in.at = t
+			i := len(q.heap)
+			q.heap = append(q.heap, in)
+			for ; i > 0 && q.heap[(i-1)/2].at > t; i = (i - 1) / 2 {
+				q.heap[i] = q.heap[(i-1)/2]
+			}
+			q.heap[i] = in
+		}
+		q.last = in
 	}
-	return ev.seq < o.seq
+	in.handlers = append(in.handlers, h)
+	q.pending++
 }
 
-// eventQueue is a binary min-heap of events by (time, sequence), held by
-// value so that scheduling an event allocates nothing but its closure.
-type eventQueue []event
-
-func (q *eventQueue) push(ev event) {
-	h := append(*q, ev)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !ev.before(&h[parent]) {
+// popMin removes the earliest instant, whose handlers have all fired, and
+// keeps it for reuse.
+func (q *eventQueue) popMin() {
+	h, n := q.heap, len(q.heap)-1
+	top := h[0]
+	h[0], h[n] = h[n], nil
+	h = h[:n]
+	for i, c := 0, 1; c < n; i, c = c, 2*c+1 {
+		if c+1 < n && h[c+1].at < h[c].at {
+			c++
+		}
+		if h[c].at >= h[i].at {
 			break
 		}
-		h[i] = h[parent]
-		i = parent
+		h[i], h[c] = h[c], h[i]
 	}
-	h[i] = ev
-	*q = h
-}
-
-func (q *eventQueue) pop() event {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{} // drop the closure reference
-	h = h[:n]
-	if n > 0 {
-		i := 0
-		for {
-			c := 2*i + 1
-			if c >= n {
-				break
-			}
-			if c+1 < n && h[c+1].before(&h[c]) {
-				c++
-			}
-			if !h[c].before(&last) {
-				break
-			}
-			h[i] = h[c]
-			i = c
-		}
-		h[i] = last
+	q.heap = h
+	if top.indexed {
+		delete(q.byAt, top.at)
 	}
-	*q = h
-	return top
+	if q.last == top {
+		q.last = nil
+	}
+	top.handlers, top.indexed = top.handlers[:0], false
+	top.next, q.free = q.free, top
 }
 
 // Observer receives engine lifecycle callbacks for observability. Every
@@ -134,7 +161,6 @@ type Observer interface {
 // callbacks (one at a time), afterwards to the caller again.
 type Engine struct {
 	now    float64
-	seq    uint64
 	events eventQueue
 	// ready holds the runnable processes in wake order; ready[readyHead:]
 	// are still to run.
@@ -163,22 +189,24 @@ func (e *Engine) SetObserver(o Observer) { e.obs = o }
 
 // NewEngine returns an empty engine at virtual time 0.
 func NewEngine() *Engine {
-	return new(Engine)
+	return &Engine{events: eventQueue{byAt: make(map[float64]*instant)}}
 }
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// At schedules fn to run at virtual time t (clamped to now). fn runs inside
-// whichever process blocked last (or Run); it must not block.
-// Events at one time fire in the order they were scheduled.
-func (e *Engine) At(t float64, fn func()) {
+// Schedule runs h at virtual time t (clamped to now). Handlers at one time
+// run in the order they were scheduled, including those scheduled for the
+// current time by a handler of the current time.
+func (e *Engine) Schedule(t float64, h Handler) {
 	if t < e.now {
 		t = e.now
 	}
-	e.seq++
-	e.events.push(event{at: t, seq: e.seq, fn: fn})
+	e.events.push(t, h)
 }
+
+// At schedules fn to run at virtual time t, like Schedule.
+func (e *Engine) At(t float64, fn func()) { e.Schedule(t, HandlerFunc(fn)) }
 
 // Process is a simulated thread of execution. Its methods must only be
 // called from the process body.
@@ -191,7 +219,7 @@ type Process struct {
 	next   func() (struct{}, bool)
 	stop   func()
 	yield  func(struct{}) bool
-	wakeFn func() // p.unblock, bound once so that Wait allocates nothing
+	wake   Handler // p.unblock, bound once so that Wait allocates nothing
 	done   bool
 	parked bool // true while blocked in block(); guards double-unblock
 	killed bool // set by Kill; the process dies at its next wake
@@ -233,7 +261,7 @@ func (p *Process) Now() float64 { return p.engine.now }
 // process is first resumed; when it returns, the process is finished.
 func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
 	p := &Process{engine: e, name: name, body: body}
-	p.wakeFn = p.unblock
+	p.wake = HandlerFunc(p.unblock)
 	e.procs = append(e.procs, p)
 	return p
 }
@@ -279,7 +307,7 @@ func (e *Engine) nextRunnable() *Process {
 			}
 			return p
 		}
-		if len(e.events) == 0 {
+		if len(e.events.heap) == 0 {
 			return nil
 		}
 		e.fireBatch()
@@ -297,16 +325,21 @@ func (e *Engine) fireBatch() {
 			e.failure = fmt.Errorf("sim: event callback panicked at t=%g: %v\n%s", e.now, r, debug.Stack())
 		}
 	}()
-	next := e.events[0].at
-	e.now = next
+	// The instant stays the heap's minimum while it fires: handlers it
+	// schedules for now join its own list, later times sift below it.
+	in := e.events.heap[0]
+	e.now = in.at
 	fired := 0
-	for len(e.events) > 0 && e.events[0].at == next {
-		ev := e.events.pop()
-		ev.fn()
+	for fired < len(in.handlers) {
+		h := in.handlers[fired]
+		in.handlers[fired] = nil
 		fired++
+		h.Handle()
 	}
+	e.events.popMin()
+	e.events.pending -= fired
 	if e.obs != nil {
-		e.obs.OnAdvance(e.now, fired, len(e.events))
+		e.obs.OnAdvance(e.now, fired, e.events.pending)
 	}
 }
 
@@ -372,7 +405,7 @@ func (p *Process) Wait(d float64) {
 	if d < 0 {
 		panic("sim: negative wait")
 	}
-	p.engine.At(p.engine.now+d, p.wakeFn)
+	p.engine.Schedule(p.engine.now+d, p.wake)
 	p.block()
 }
 
@@ -382,7 +415,7 @@ func (p *Process) WaitUntil(t float64) {
 	if t <= p.engine.now {
 		return
 	}
-	p.engine.At(t, p.wakeFn)
+	p.engine.Schedule(t, p.wake)
 	p.block()
 }
 
@@ -431,6 +464,9 @@ func (c *Condition) Fail(err error) {
 	c.err = err
 	c.Fire()
 }
+
+// Handle fires the condition, which is thus its own completion handler.
+func (c *Condition) Handle() { c.Fire() }
 
 // Err returns the error the condition was failed with, or nil if it fired
 // normally (or has not fired yet).

@@ -64,7 +64,7 @@ func TestEventsFireInOrder(t *testing.T) {
 	e.At(3, func() { order = append(order, 3) })
 	e.At(1, func() { order = append(order, 1) })
 	e.At(2, func() { order = append(order, 2) })
-	e.At(1, func() { order = append(order, 11) }) // same time: FIFO by seq
+	e.At(1, func() { order = append(order, 11) }) // same time: scheduling order
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
