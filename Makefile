@@ -9,7 +9,7 @@ SMOKE_DEBUG ?= 127.0.0.1:18078
 # LOC_BUDGET is the ceiling on non-test Go lines under cmd/ + internal/,
 # as `make loc` counts them; `make check` fails above it. It is a ratchet:
 # lower it when a PR removes code.
-LOC_BUDGET = 24927
+LOC_BUDGET = 24760
 
 .PHONY: all build test check race smoke smoke-fleet bench bench-gate loc loc-budget clean
 
@@ -24,12 +24,13 @@ test:
 # race runs the concurrency-heavy packages under the race detector: the
 # service, its telemetry layer, the simulator stack (which has no
 # synchronisation beyond iter.Pull's own coroutine switch, so the detector
-# is the proof that none is needed), the fault-injection layer, and the
-# advisor search engine the service dispatches to. The simulator's
+# is the proof that none is needed), the fault-injection layer, the
+# advisor search engine the service dispatches to, and the closed-loop
+# client, whose workers share only their merge under one lock. The simulator's
 # determinism tests, its event-order and mailbox oracles and the bit pin
 # then run three times more, as in CI.
 race:
-	$(GO) test -race ./internal/mapd/... ./internal/obs/... ./internal/sim/... ./internal/netmodel/... ./internal/fault/... ./internal/mpi/... ./internal/bench/... ./internal/procmap/... ./internal/topology/... ./internal/fleet/... ./internal/advisor/... ./internal/metrics/...
+	$(GO) test -race ./internal/mapd/... ./internal/obs/... ./internal/sim/... ./internal/netmodel/... ./internal/fault/... ./internal/mpi/... ./internal/bench/... ./internal/procmap/... ./internal/topology/... ./internal/fleet/... ./internal/advisor/... ./internal/metrics/... ./internal/loadgen/...
 	$(GO) test -race -count=3 -run 'TestSimulatedResultsAreBitReproducible|TestSimulatedBitsPinned|TestSyntheticMatchesPayloadCollectives|TestMailboxHoldsOnlyOutstandingMessages|TestMailboxMatchesMapOracle|TestInstantQueueMatchesSequenceHeap|TestRunLeaksNoGoroutine' ./internal/sim/... ./internal/bench/... ./internal/mpi/...
 
 # check is the tier-1 gate: formatting, vet (the benchmark module too: it

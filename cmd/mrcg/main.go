@@ -56,7 +56,7 @@ func main() {
 		prob.N, prob.OuterIters, prob.InnerIters)
 	var base float64
 	for _, p := range procs {
-		results, err := figures.RunFigure9MPI([]int{p}, prob, mpi.Config{Obs: sc})
+		results, err := figures.RunFigure9([]int{p}, prob, mpi.Config{Obs: sc})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mrcg:", err)
 			os.Exit(1)

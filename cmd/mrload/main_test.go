@@ -1,275 +1,28 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/loadgen"
 )
 
-func testPolicy(retries int) retryPolicy {
-	return retryPolicy{
-		retries:    retries,
-		backoff:    time.Millisecond,
-		maxBackoff: 8 * time.Millisecond,
-		sleep:      func(time.Duration) {},
-	}
-}
-
-func TestBackoffDelayCappedAndJittered(t *testing.T) {
-	p := retryPolicy{retries: 5, backoff: 10 * time.Millisecond, maxBackoff: 80 * time.Millisecond}
-	rng := rand.New(rand.NewSource(1))
-	for attempt := 0; attempt < 10; attempt++ {
-		base := p.backoff << uint(attempt)
-		if base > p.maxBackoff || base <= 0 {
-			base = p.maxBackoff
-		}
-		for i := 0; i < 100; i++ {
-			d := p.delay(attempt, 0, rng)
-			if d < base/2 || d > base {
-				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, base/2, base)
-			}
-		}
-	}
-	// Retry-After dominates a shorter computed backoff.
-	if d := p.delay(0, time.Second, rng); d != time.Second {
-		t.Fatalf("Retry-After not honoured: %v", d)
-	}
-}
-
-func TestDoShotRetriesShedThenSucceeds(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "0")
-			http.Error(w, `{"error":{}}`, http.StatusServiceUnavailable)
-			return
-		}
-		w.Write([]byte(`{}`))
-	}))
-	defer ts.Close()
-
-	out := doShot(ts.Client(), []string{ts.URL}, 0, shot{endpoint: "/v1/map"}, testPolicy(3), rand.New(rand.NewSource(1)), "", nil)
-	if !out.ok || out.gaveUp {
-		t.Fatalf("outcome not ok: %+v", out)
-	}
-	if out.attempts != 3 || out.shed != 2 {
-		t.Fatalf("attempts %d shed %d, want 3 and 2", out.attempts, out.shed)
-	}
-	if out.serverErr != 0 || out.transport != 0 || out.clientErr != 0 {
-		t.Fatalf("misclassified: %+v", out)
-	}
-}
-
-func TestDoShotClassifiesOther5xxSeparately(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "boom", http.StatusInternalServerError)
-	}))
-	defer ts.Close()
-
-	out := doShot(ts.Client(), []string{ts.URL}, 0, shot{endpoint: "/v1/map"}, testPolicy(2), rand.New(rand.NewSource(1)), "", nil)
-	if out.ok || !out.gaveUp {
-		t.Fatalf("500s must exhaust retries: %+v", out)
-	}
-	if out.attempts != 3 || out.serverErr != 3 || out.shed != 0 {
-		t.Fatalf("attempts %d serverErr %d shed %d, want 3/3/0", out.attempts, out.serverErr, out.shed)
-	}
-}
-
-func TestDoShotDoesNotRetry4xx(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		http.Error(w, "bad", http.StatusBadRequest)
-	}))
-	defer ts.Close()
-
-	out := doShot(ts.Client(), []string{ts.URL}, 0, shot{endpoint: "/v1/map"}, testPolicy(5), rand.New(rand.NewSource(1)), "", nil)
-	if out.ok || out.gaveUp {
-		t.Fatalf("4xx is a terminal client error: %+v", out)
-	}
-	if calls.Load() != 1 || out.attempts != 1 || out.clientErr != 1 {
-		t.Fatalf("4xx was retried: calls %d, %+v", calls.Load(), out)
-	}
-}
-
-func TestDoShotClassifiesTransportErrors(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	ts.Close() // nothing is listening: every attempt is a transport error
-
-	out := doShot(&http.Client{Timeout: time.Second}, []string{ts.URL}, 0, shot{endpoint: "/v1/map"},
-		testPolicy(2), rand.New(rand.NewSource(1)), "", nil)
-	if out.ok || !out.gaveUp {
-		t.Fatalf("dead server must exhaust retries: %+v", out)
-	}
-	if out.transport != 3 || out.serverErr != 0 || out.shed != 0 {
-		t.Fatalf("misclassified transport failure: %+v", out)
-	}
-}
-
-func TestTotalsSeparateRetriesFromGoodput(t *testing.T) {
-	var tt totals
-	tt.add(outcome{ok: true, attempts: 3, shed: 2, latency: time.Millisecond}, true)
-	tt.add(outcome{attempts: 2, transport: 2, gaveUp: true}, true)
-	if tt.ok != 1 || tt.attempts != 5 || tt.retries != 3 {
-		t.Fatalf("totals wrong: %+v", tt)
-	}
-	if tt.shed != 2 || tt.transport != 2 || tt.gaveUp != 1 {
-		t.Fatalf("classification wrong: %+v", tt)
-	}
-	if len(tt.latencies) != 1 {
-		t.Fatalf("latency recorded for failed request: %+v", tt)
-	}
-}
-
-// TestDoShotInjectsTraceparentAndCapturesTraceID: the injected header
-// reaches the server on every attempt, and the outcome records the trace
-// id the server's traceparent response header announces.
-func TestDoShotInjectsTraceparentAndCapturesTraceID(t *testing.T) {
-	const inject = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if got := r.Header.Get("traceparent"); got != inject {
-			t.Errorf("attempt %d: traceparent %q, want %q", calls.Load(), got, inject)
-		}
-		if calls.Add(1) == 1 {
-			w.Header().Set("Retry-After", "0")
-			http.Error(w, `{}`, http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("traceparent", "00-0af7651916cd43dd8448eb211c80319c-00f067aa0ba902b7-01")
-		w.Write([]byte(`{}`))
-	}))
-	defer ts.Close()
-
-	out := doShot(ts.Client(), []string{ts.URL}, 0, shot{endpoint: "/v1/map"}, testPolicy(2), rand.New(rand.NewSource(1)), inject, nil)
-	if !out.ok || out.attempts != 2 {
-		t.Fatalf("outcome %+v", out)
-	}
-	if out.traceID != "0af7651916cd43dd8448eb211c80319c" {
-		t.Fatalf("traceID %q not captured from response header", out.traceID)
-	}
-}
-
-func TestExemplarBucketsKeepSlowestTrace(t *testing.T) {
-	bs := newExemplarBuckets()
-	observe(bs, 800*time.Microsecond, "aa") // bucket ≤1ms
-	observe(bs, 900*time.Microsecond, "bb") // same bucket, slower: replaces
-	observe(bs, 850*time.Microsecond, "cc") // same bucket, faster: kept out
-	observe(bs, 3*time.Millisecond, "dd")   // bucket ≤5ms
-	observe(bs, 2*time.Second, "ee")        // +Inf bucket
-	observe(bs, 4*time.Millisecond, "")     // counted, no exemplar offered
-
-	if bs[0].count != 3 || bs[0].exemplarID != "bb" {
-		t.Fatalf("≤1ms bucket %+v, want count 3 exemplar bb", bs[0])
-	}
-	if bs[2].count != 2 || bs[2].exemplarID != "dd" {
-		t.Fatalf("≤5ms bucket %+v, want count 2 exemplar dd", bs[2])
-	}
-	last := bs[len(bs)-1]
-	if last.le != 0 || last.count != 1 || last.exemplarID != "ee" {
-		t.Fatalf("+Inf bucket %+v", last)
-	}
-
-	// A boundary value lands in the bucket it bounds (le is inclusive).
-	bs2 := newExemplarBuckets()
-	observe(bs2, time.Millisecond, "edge")
-	if bs2[0].count != 1 {
-		t.Fatalf("1ms sample missed the ≤1ms bucket: %+v", bs2[0])
-	}
-
-	// Merging prefers the slower exemplar and sums counts.
-	mergeBuckets(bs, bs2)
-	if bs[0].count != 4 || bs[0].exemplarID != "edge" {
-		t.Fatalf("merged ≤1ms bucket %+v, want count 4 exemplar edge (1ms > 900µs)", bs[0])
-	}
-
-	var buf strings.Builder
-	printBuckets(&buf, bs)
-	for _, want := range []string{"≤ 1ms", "edge", "+Inf", "ee"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("report missing %q:\n%s", want, buf.String())
-		}
-	}
-}
-
-// TestTotalsCollectExemplarBuckets: add feeds the histogram only for
-// measured successes, and merge combines worker histograms.
-func TestTotalsCollectExemplarBuckets(t *testing.T) {
-	var a, b, all totals
-	a.add(outcome{ok: true, attempts: 1, latency: 2 * time.Millisecond, traceID: "t1"}, true)
-	a.add(outcome{ok: true, attempts: 1, latency: 2 * time.Millisecond, traceID: "warm"}, false)
-	b.add(outcome{ok: true, attempts: 1, latency: 30 * time.Millisecond, traceID: "t2"}, true)
-	all.merge(a)
-	all.merge(b)
-	var n int64
-	for _, bk := range all.buckets {
-		n += bk.count
-	}
-	if n != 2 {
-		t.Fatalf("histogram holds %d samples, want 2 (warm-up excluded)", n)
-	}
-	var buf strings.Builder
-	printBuckets(&buf, all.buckets)
-	if !strings.Contains(buf.String(), "t1") || !strings.Contains(buf.String(), "t2") {
-		t.Fatalf("merged exemplars missing:\n%s", buf.String())
-	}
-}
-
-func TestSamplerUniformWhenNoSkew(t *testing.T) {
-	s := newSampler(10, 0)
-	rng := rand.New(rand.NewSource(1))
-	counts := make([]int, 10)
-	for i := 0; i < 10_000; i++ {
-		counts[s.pick(rng)]++
-	}
-	for i, c := range counts {
-		if c < 700 || c > 1300 {
-			t.Fatalf("uniform sampler index %d got %d of 10000, want ~1000", i, c)
-		}
-	}
-}
-
-func TestSamplerSkewConcentrates(t *testing.T) {
-	s := newSampler(100, 1.2)
-	rng := rand.New(rand.NewSource(1))
-	counts := make([]int, 100)
-	n := 20_000
-	for i := 0; i < n; i++ {
-		idx := s.pick(rng)
-		if idx < 0 || idx >= 100 {
-			t.Fatalf("sampler returned out-of-range index %d", idx)
-		}
-		counts[idx]++
-	}
-	// Zipf(1.2) over 100 items puts >35% of mass on the top 3 indices; a
-	// uniform draw would give them 3%.
-	top3 := counts[0] + counts[1] + counts[2]
-	if got := float64(top3) / float64(n); got < 0.30 {
-		t.Fatalf("skewed sampler top-3 share = %.2f, want > 0.30", got)
-	}
-	// And the distribution must be monotone-ish: the first index beats the
-	// fiftieth by a wide margin.
-	if counts[0] < 4*counts[49] {
-		t.Fatalf("counts[0]=%d not ≫ counts[49]=%d", counts[0], counts[49])
-	}
-}
-
 func TestBuildReportJSON(t *testing.T) {
-	var tt totals
-	tt.ok, tt.attempts, tt.retries, tt.shed = 90, 100, 10, 7
-	tt.latencies = []time.Duration{
-		time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond, 100 * time.Millisecond,
-	}
-	tt.buckets = newExemplarBuckets()
-	observe(tt.buckets, 2*time.Millisecond, "abc")
-	rep := buildReport(tt, 2*time.Second, 8, 42, 1.2)
-	if rep.GoodputReqS != 45 {
-		t.Fatalf("goodput = %v, want 45", rep.GoodputReqS)
+	res := &loadgen.Result{Counts: loadgen.Counts{
+		OK: 90, Attempts: 100, Shed: 7,
+		Latencies: []time.Duration{
+			time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond, 100 * time.Millisecond,
+		},
+	}}
+	res.Buckets = []loadgen.Bucket{{Le: 2500 * time.Microsecond, Count: 1, ExemplarID: "abc", ExemplarLat: 2 * time.Millisecond}, {}}
+	rep := buildReport(res, 2*time.Second, 8, 42, 1.2)
+	if rep.GoodputReqS != 45 || rep.Retries != 10 {
+		t.Fatalf("goodput = %v, retries = %d, want 45 and 10", rep.GoodputReqS, rep.Retries)
 	}
 	if rep.P50Ms != 2 || rep.MaxMs != 100 {
 		t.Fatalf("p50 = %v, max = %v", rep.P50Ms, rep.MaxMs)
@@ -285,70 +38,22 @@ func TestBuildReportJSON(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Shed != 7 || len(back.Buckets) != 1 || back.Buckets[0].ExemplarTrace != "abc" {
+	if back.Shed != 7 || len(back.Buckets) != 1 || back.Buckets[0].ExemplarTrace != "abc" || back.Buckets[0].LeMs != 2.5 {
 		t.Fatalf("round-trip lost fields: %+v", back)
 	}
 }
 
-// Fleet mode: a dead target costs one attempt — the retry rotates to the
-// next target — and per-target stats attribute the success to the replica
-// the x-mr-replica header names.
-func TestDoShotRotatesTargetsOnRetry(t *testing.T) {
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	dead.Close() // nothing listening
-	alive := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("x-mr-replica", "r1")
-		w.Write([]byte(`{}`))
-	}))
-	defer alive.Close()
-
-	var tt totals
-	out := doShot(&http.Client{Timeout: time.Second}, []string{dead.URL, alive.URL}, 0,
-		shot{endpoint: "/v1/map"}, testPolicy(2), rand.New(rand.NewSource(1)), "", tt.tally)
-	if !out.ok || out.gaveUp {
-		t.Fatalf("retry did not rotate to the live target: %+v", out)
-	}
-	if out.attempts != 2 || out.transport != 1 {
-		t.Fatalf("attempts %d transport %d, want 2 and 1", out.attempts, out.transport)
-	}
-	if ts := tt.perTarget[dead.URL]; ts == nil || ts.transport != 1 {
-		t.Fatalf("dead target not attributed: %+v", tt.perTarget)
-	}
-	if ts := tt.perTarget["r1"]; ts == nil || ts.ok != 1 || len(ts.latencies) != 1 {
-		t.Fatalf("success not attributed to replica r1: %+v", tt.perTarget)
-	}
-}
-
-func TestTotalsMergePerTarget(t *testing.T) {
-	var a, b, all totals
-	sa := a.tally("r0")
-	sa.ok, sa.attempts, sa.latencies = 2, 3, []time.Duration{time.Millisecond, 2 * time.Millisecond}
-	sb := b.tally("r0")
-	sb.ok, sb.attempts, sb.shed = 1, 2, 1
-	sb2 := b.tally("r1")
-	sb2.ok, sb2.attempts = 4, 4
-	all.merge(a)
-	all.merge(b)
-	r0 := all.perTarget["r0"]
-	if r0 == nil || r0.ok != 3 || r0.attempts != 5 || r0.shed != 1 || len(r0.latencies) != 2 {
-		t.Fatalf("merged r0 wrong: %+v", r0)
-	}
-	if r1 := all.perTarget["r1"]; r1 == nil || r1.ok != 4 {
-		t.Fatalf("merged r1 wrong: %+v", r1)
-	}
-}
-
 func TestTargetReportsSortedWithPercentiles(t *testing.T) {
-	var tt totals
-	s0 := tt.tally("r1")
-	s0.ok, s0.attempts = 10, 12
+	r1 := &loadgen.Counts{OK: 10, Attempts: 12}
 	for i := 1; i <= 10; i++ {
-		s0.latencies = append(s0.latencies, time.Duration(i)*time.Millisecond)
+		r1.Latencies = append(r1.Latencies, time.Duration(i)*time.Millisecond)
 	}
-	s1 := tt.tally("r0")
-	s1.ok, s1.attempts, s1.transport = 5, 6, 1
+	res := &loadgen.Result{Targets: map[string]*loadgen.Counts{
+		"r1": r1,
+		"r0": {OK: 5, Attempts: 6, Transport: 1},
+	}}
 
-	rows := targetReports(tt.perTarget, 2*time.Second)
+	rows := targetReports(res.Targets, 2*time.Second)
 	if len(rows) != 2 || rows[0].Target != "r0" || rows[1].Target != "r1" {
 		t.Fatalf("rows not sorted by target: %+v", rows)
 	}
@@ -360,8 +65,7 @@ func TestTargetReportsSortedWithPercentiles(t *testing.T) {
 	}
 
 	// And they survive the JSON round trip inside the report.
-	rep := buildReport(tt, 2*time.Second, 4, 10, 0)
-	b, err := json.Marshal(rep)
+	b, err := json.Marshal(buildReport(res, 2*time.Second, 4, 10, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,5 +75,178 @@ func TestTargetReportsSortedWithPercentiles(t *testing.T) {
 	}
 	if len(back.Targets) != 2 || back.Targets[1].OK != 10 {
 		t.Fatalf("targets lost in round trip: %+v", back.Targets)
+	}
+}
+
+// traceServer answers POST <path> after sleeps[path] with a traceparent
+// header announcing trace id ids[path] (hex digits, zero-padded to 32).
+func traceServer(t *testing.T, ids map[string]string, sleeps map[string]time.Duration) *httptest.Server {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(sleeps[r.URL.Path])
+		w.Header().Set("traceparent", "00-"+traceID(ids[r.URL.Path])+"-00f067aa0ba902b7-01")
+		w.Write([]byte(`{}`))
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+func traceID(id string) string { return strings.Repeat("0", 32-len(id)) + id }
+
+// runShots issues one logical request per shot, in order, with the given
+// number of workers, and folds the run into mrload's report.
+func runShots(ts *httptest.Server, workers int, paths ...string) report {
+	cfg := loadgen.Config{Client: ts.Client(), Targets: []string{ts.URL}, Workers: workers, Requests: len(paths)}
+	for _, p := range paths {
+		cfg.Shots = append(cfg.Shots, loadgen.Shot{Endpoint: p})
+	}
+	return buildReport(loadgen.Run(context.Background(), cfg), time.Second, workers, len(paths), 0)
+}
+
+// TestExemplarBucketsKeepSlowestTrace: the report's histogram names, per
+// bucket, the slowest traced success in it, and prints it.
+func TestExemplarBucketsKeepSlowestTrace(t *testing.T) {
+	ts := traceServer(t,
+		map[string]string{"/v1/fast": "a1", "/v1/slow": "b2", "/v1/slower": "c3"},
+		map[string]time.Duration{"/v1/slow": 300 * time.Millisecond, "/v1/slower": 600 * time.Millisecond})
+	rep := runShots(ts, 1, "/v1/fast", "/v1/slow", "/v1/slower")
+	if rep.OK != 3 {
+		t.Fatalf("ok %d, want 3", rep.OK)
+	}
+	var n int64
+	for _, b := range rep.Buckets {
+		n += b.Count
+		if b.ExemplarTrace == "" || (b.LeMs > 0 && b.ExemplarMs > b.LeMs) {
+			t.Fatalf("bucket %+v lacks an exemplar inside its bound", b)
+		}
+	}
+	if n != 3 {
+		t.Fatalf("histogram holds %d samples, want 3: %+v", n, rep.Buckets)
+	}
+	// Both slow requests land in (250ms, 1s]; the slower one is its exemplar.
+	top := rep.Buckets[len(rep.Buckets)-1]
+	if top.LeMs != 1000 || top.Count != 2 || top.ExemplarTrace != traceID("c3") || top.ExemplarMs != rep.MaxMs {
+		t.Fatalf("≤1s bucket %+v, want count 2 exemplar c3 at max %vms", top, rep.MaxMs)
+	}
+	if first := rep.Buckets[0]; first.ExemplarTrace != traceID("a1") {
+		t.Fatalf("fastest bucket %+v, want exemplar a1", first)
+	}
+
+	var buf strings.Builder
+	writeText(&buf, rep)
+	for _, want := range []string{"≤ 1s", traceID("c3"), traceID("a1")} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("report missing %q:\n%s", want, buf.String())
+		}
+	}
+	if strings.Contains(buf.String(), traceID("b2")) {
+		t.Fatalf("report names the faster b2 as an exemplar:\n%s", buf.String())
+	}
+}
+
+// TestTotalsCollectExemplarBuckets: the report's histogram holds every
+// worker's successes, with each worker's exemplars.
+func TestTotalsCollectExemplarBuckets(t *testing.T) {
+	ts := traceServer(t,
+		map[string]string{"/v1/fast": "e1", "/v1/slow": "e2"},
+		map[string]time.Duration{"/v1/slow": 300 * time.Millisecond})
+	rep := runShots(ts, 2, "/v1/fast", "/v1/slow")
+	var n int64
+	for _, b := range rep.Buckets {
+		n += b.Count
+	}
+	if n != 2 || len(rep.Buckets) != 2 {
+		t.Fatalf("histogram %+v, want 2 samples in 2 buckets", rep.Buckets)
+	}
+	var buf strings.Builder
+	writeText(&buf, rep)
+	if !strings.Contains(buf.String(), traceID("e1")) || !strings.Contains(buf.String(), traceID("e2")) {
+		t.Fatalf("merged exemplars missing:\n%s", buf.String())
+	}
+}
+
+// reportGolden pins the -json key names and order: `make smoke-fleet`
+// greps `"gave_up": 0`, `"other_5xx": 0`, and `"ok"` on the line after
+// `"target"`.
+const reportGolden = `{
+  "ok": 1200,
+  "attempts": 1210,
+  "retries": 8,
+  "shed_503": 6,
+  "other_5xx": 0,
+  "client_4xx": 2,
+  "transport_errors": 4,
+  "gave_up": 0,
+  "duration_seconds": 3,
+  "workers": 16,
+  "shapes": 79,
+  "skew": 0,
+  "goodput_req_s": 400,
+  "p50_ms": 1.5,
+  "p90_ms": 4,
+  "p99_ms": 9.25,
+  "max_ms": 30,
+  "latency_buckets": [
+    {
+      "le_ms": 2.5,
+      "count": 1100,
+      "exemplar_trace": "0af7651916cd43dd8448eb211c80319c",
+      "exemplar_ms": 2.4,
+      "gate_ms": 2.1,
+      "server_ms": 1.7
+    },
+    {
+      "le_ms": 0,
+      "count": 100
+    }
+  ],
+  "targets": [
+    {
+      "target": "r0",
+      "ok": 700,
+      "attempts": 702,
+      "shed_503": 2,
+      "other_5xx": 0,
+      "transport_errors": 0,
+      "goodput_req_s": 233.33333333333334,
+      "p50_ms": 1.4,
+      "p90_ms": 3.9,
+      "p99_ms": 9
+    },
+    {
+      "target": "r1",
+      "ok": 500,
+      "attempts": 508,
+      "shed_503": 4,
+      "other_5xx": 0,
+      "transport_errors": 4,
+      "goodput_req_s": 166.66666666666666,
+      "p50_ms": 1.6,
+      "p90_ms": 4.1,
+      "p99_ms": 9.5
+    }
+  ]
+}
+`
+
+func TestReportJSONGolden(t *testing.T) {
+	r := report{
+		OK: 1200, Attempts: 1210, Retries: 8, Shed: 6, ClientErr: 2, Transport: 4,
+		DurationSeconds: 3, Workers: 16, Shapes: 79,
+		GoodputReqS: 400, P50Ms: 1.5, P90Ms: 4, P99Ms: 9.25, MaxMs: 30,
+		Buckets: []bucketReport{
+			{LeMs: 2.5, Count: 1100, ExemplarTrace: "0af7651916cd43dd8448eb211c80319c", ExemplarMs: 2.4, GateMs: 2.1, ServerMs: 1.7},
+			{Count: 100},
+		},
+		Targets: []targetReport{
+			{Target: "r0", OK: 700, Attempts: 702, Shed: 2, GoodputReqS: 700.0 / 3, P50Ms: 1.4, P90Ms: 3.9, P99Ms: 9},
+			{Target: "r1", OK: 500, Attempts: 508, Shed: 4, Transport: 4, GoodputReqS: 500.0 / 3, P50Ms: 1.6, P90Ms: 4.1, P99Ms: 9.5},
+		},
+	}
+	var got strings.Builder
+	if err := writeJSON(&got, r); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != reportGolden {
+		t.Fatalf("-json bytes changed:\n%s\nwant:\n%s", got.String(), reportGolden)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cg"
 	"repro/internal/cluster"
+	"repro/internal/mpi"
 	"repro/internal/perm"
 	"repro/internal/tensor"
 )
@@ -131,7 +132,7 @@ func TestRunFigure9Small(t *testing.T) {
 		t.Skip("application run")
 	}
 	prob := cg.Problem{N: 4096, NNZPerRow: 6, OuterIters: 1, InnerIters: 8, Lambda: 12, Seed: 3}
-	res, err := RunFigure9([]int{2, 8}, prob)
+	res, err := RunFigure9([]int{2, 8}, prob, mpi.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,14 +35,9 @@ func RunFigure8(cfg Figure8Config) ([]Figure8Result, error) {
 }
 
 // RunFigure9 measures the CG duration for every distinct core selection of
-// every process count.
-func RunFigure9(procs []int, prob cg.Problem) (map[int][]Figure9Selection, error) {
-	return RunFigure9MPI(procs, prob, mpi.Config{})
-}
-
-// RunFigure9MPI is RunFigure9 with an explicit MPI runtime configuration,
-// so callers can attach tracers or an observability scope to every run.
-func RunFigure9MPI(procs []int, prob cg.Problem, mcfg mpi.Config) (map[int][]Figure9Selection, error) {
+// every process count; mcfg is the MPI runtime configuration of every run,
+// so callers can attach tracers or an observability scope.
+func RunFigure9(procs []int, prob cg.Problem, mcfg mpi.Config) (map[int][]Figure9Selection, error) {
 	spec := cluster.LUMINode()
 	out := map[int][]Figure9Selection{}
 	for _, p := range procs {

@@ -7,6 +7,7 @@
 package fleet
 
 import (
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -17,13 +18,14 @@ import (
 // integer) and the HTTP-date forms understood by http.ParseTime; a date
 // already in the past clamps to zero rather than producing a negative
 // delay. The second return is false when the value is absent or
-// unparseable, in which case callers keep their own backoff.
+// unparseable, or when its delay-seconds do not fit a time.Duration, in
+// which case callers keep their own backoff.
 func ParseRetryAfter(v string, now time.Time) (time.Duration, bool) {
 	if v == "" {
 		return 0, false
 	}
 	if secs, err := strconv.Atoi(v); err == nil {
-		if secs < 0 {
+		if secs < 0 || int64(secs) > math.MaxInt64/int64(time.Second) {
 			return 0, false
 		}
 		return time.Duration(secs) * time.Second, true

@@ -8,12 +8,11 @@ package perf
 
 import (
 	"context"
-	"net/http"
 	"net/http/httptest"
-	"sort"
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/loadgen"
 	"repro/internal/mapd"
 )
 
@@ -70,40 +69,19 @@ func FleetSuite() Suite {
 		// Like serving: network-path latency is the noisiest family.
 		Threshold: 0.50,
 	}
-	const conc = 8
-	mk := func(kill int, shots []loadShot) func(*B) {
+	mk := func(kill int, shots []loadgen.Shot) func(*B) {
 		return func(b *B) {
 			f, err := newFleetFixture(3)
 			if err != nil {
 				b.Fatalf("%v", err)
 			}
 			defer f.close()
-			client := &http.Client{Transport: &http.Transport{
-				MaxIdleConns:        conc * 2,
-				MaxIdleConnsPerHost: conc * 2,
-			}}
 			for i := 0; i < kill; i++ {
 				f.replicas[i].Close()
 			}
 			f.settle()
-			if kill < len(f.replicas) {
-				// Warm the surviving replicas' caches.
-				if _, err := runLoad(f.gate.URL, client, shots, len(shots), conc); err != nil {
-					b.Fatalf("warmup: %v", err)
-				}
-			}
-			b.ResetTimer()
-			start := time.Now()
-			lats, err := runLoad(f.gate.URL, client, shots, b.N, conc)
-			elapsed := time.Since(start)
-			b.StopTimer()
-			if err != nil {
-				b.Fatalf("%v", err)
-			}
-			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-			b.ReportMetric(float64(b.N)/elapsed.Seconds(), "req/s")
-			b.ReportMetric(float64(durPercentile(lats, 0.50).Microseconds()), "p50_us")
-			b.ReportMetric(float64(durPercentile(lats, 0.99).Microseconds()), "p99_us")
+			// Warm the surviving replicas' caches, if any.
+			driveLoad(b, f.gate.URL, shots, kill < len(f.replicas))
 		}
 	}
 	s.Benches = append(s.Benches,

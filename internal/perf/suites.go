@@ -257,7 +257,7 @@ func factorial(k int) int {
 }
 
 // Suites returns every registered suite, sorted by name. The serving
-// suite lives in loadgen.go, the simulator suite in sim.go; everything
+// suite lives in serving.go, the simulator suite in sim.go; everything
 // else above.
 func Suites() []Suite {
 	all := []Suite{

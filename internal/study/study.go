@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/metrics"
 	"repro/internal/perm"
 	"repro/internal/trace"
 )
@@ -48,27 +47,20 @@ func Run(cfg bench.Config, size int64) (*Result, error) {
 	if cfg.Iters <= 0 {
 		cfg.Iters = 1
 	}
-	orders := perm.All(cfg.Hierarchy.Depth())
+	cfg.Orders = perm.All(cfg.Hierarchy.Depth())
+	cfg.Sizes = []int64{size}
+	series, err := bench.Run(cfg)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{Config: cfg, Size: size}
-	for _, sigma := range orders {
-		ch, err := metrics.Characterize(cfg.Hierarchy, sigma, cfg.CommSize)
-		if err != nil {
-			return nil, err
-		}
-		one, err := bench.Measure(cfg, sigma, size, false)
-		if err != nil {
-			return nil, err
-		}
-		all, err := bench.Measure(cfg, sigma, size, true)
-		if err != nil {
-			return nil, err
-		}
+	for _, s := range series {
 		res.Rows = append(res.Rows, Row{
-			Order:       append([]int(nil), sigma...),
-			RingCost:    ch.RingCost,
-			SpreadScore: ch.SpreadScore(),
-			OneComm:     one.Bandwidth,
-			AllComms:    all.Bandwidth,
+			Order:       s.Order,
+			RingCost:    s.Char.RingCost,
+			SpreadScore: s.Char.SpreadScore(),
+			OneComm:     s.OneComm[0].Bandwidth,
+			AllComms:    s.AllComms[0].Bandwidth,
 		})
 	}
 	spread := make([]float64, len(res.Rows))
