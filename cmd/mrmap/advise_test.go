@@ -29,6 +29,7 @@ func TestAdviseTextAndJSONAgree(t *testing.T) {
 		{"-size 0", ""},
 		{"-size -5", "bytes -5 outside"},
 		{"-comm 7", "comm_size 7 does not divide"},
+		{"-comm 1", "comm_size 1 outside [2, 512]"},
 		{"-machine hydra-real -nodes 4", ""},
 		{"-machine cloud -depth 9", ""},
 		{"-machine lumi -nodes 3 -comm 48", ""},

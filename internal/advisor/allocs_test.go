@@ -2,9 +2,12 @@ package advisor
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/perm"
 )
 
 func cloudScenario(depth int, coll Collective, sim bool) Scenario {
@@ -41,44 +44,65 @@ func TestPredictorAllocationFree(t *testing.T) {
 // search where the node budget is burnt: with every communicator running
 // at once, a subtree below a covering prefix — interior nodes that only
 // compare the carried-down bound, full-order leaves that hit the memo and
-// cannot reach the answer — is walked without a single allocation.
+// tie the incumbents without reaching the answer — and a subtree pruned
+// at its root are walked without a single allocation, and walking them
+// again changes neither the evaluations nor the incumbents.
 func TestSearchNodesAllocationFree(t *testing.T) {
 	e, err := newBnbEngine(context.Background(), cloudScenario(10, Alltoall, true), 5, DefaultNodeBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// subtree walks the search below the given path, reached by hand:
-	// the first communicator is picked up where the path covers it.
+	// subtree walks the search below the given path, reached by hand
+	// through the search's own step: the first communicator is picked up
+	// where the path covers it, and the way back up undoes the world
+	// profile, so the next walk starts from the root again.
 	subtree := func(path []int) {
-		var fc firstComm
-		var used uint32
-		prod := 1
 		for depth, l := range path {
-			if fc, err = e.cover(depth, used, prod, fc); err != nil {
+			if err := e.cover(depth); err != nil {
 				t.Fatal(err)
 			}
-			e.sigma[depth], used, prod = l, used|1<<uint(l), prod*e.ar[l]
+			e.descend(depth, l)
 		}
-		if err := e.dfs(len(path), used, prod, fc); err != nil {
+		if e.path[len(path)].id < 0 {
+			t.Fatal("no proper prefix of the path covers the communicator: nothing was carried down")
+		}
+		if err := e.dfs(len(path)); err != nil {
 			t.Fatal(err)
 		}
-		if len(fc.key) == 0 && prod >= e.p {
-			t.Fatal("the path's own node covers the communicator: nothing was carried down")
+		for depth := len(path) - 1; depth >= 0; depth-- {
+			e.ascend(depth)
 		}
 	}
 	// The best orders of this scenario start 6-7-8-9-0-1-2 and the worst
-	// 0-1-2-3-4-5-6: once the incumbents hold the former, no leaf below
-	// the latter can reach the answer.
+	// 0-1-2-3-4-5-6: once the incumbents hold the former, the latter's
+	// subtree is pruned at its root, and each leaf below the sibling
+	// 6-7-8-9-0-1-3 ties the last incumbent's bandwidth but sorts after it.
 	subtree([]int{6, 7, 8, 9, 0, 1, 2})
-	worst := []int{0, 1, 2, 3, 4, 5, 6}
-	subtree(worst) // its memo misses
-	nodes, evals, held := e.nodes, e.evals, len(e.inc.leaves)
-	allocs := testing.AllocsPerRun(10, func() { subtree(worst) })
-	if allocs != 0 {
-		t.Errorf("a warmed subtree of %d nodes allocates %.1f times, want 0", (e.nodes-nodes)/11, allocs)
+	tie, worst := []int{6, 7, 8, 9, 0, 1, 3}, []int{0, 1, 2, 3, 4, 5, 6}
+	subtree(tie) // its memo misses
+	subtree(worst)
+	last := e.inc.leaves[len(e.inc.leaves)-1]
+	leaf := append(slices.Clone(tie), 2, 4, 5)
+	for more := true; more; more = nextPermutation(leaf[len(tie):]) {
+		pr, err := e.pd.predict(leaf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pr.Bandwidth != last.pr.Bandwidth || !perm.Less(last.order, leaf) {
+			t.Fatalf("leaf %v does not tie behind the last incumbent %v", leaf, last.order)
+		}
 	}
-	if e.evals != evals || len(e.inc.leaves) != held || !e.inc.full {
-		t.Errorf("re-walking the subtree changed the search: %d more orders evaluated, %d → %d incumbents",
-			e.evals-evals, held, len(e.inc.leaves))
+	nodes, evals, covered := e.nodes, e.evals, e.covered
+	held := slices.Clone(e.inc.leaves)
+	allocs := testing.AllocsPerRun(10, func() { subtree(tie); subtree(worst) })
+	if allocs != 0 {
+		t.Errorf("warmed subtrees of %d nodes allocate %.1f times, want 0", (e.nodes-nodes)/11, allocs)
+	}
+	if e.covered == covered {
+		t.Error("re-walking reached no leaf")
+	}
+	if e.evals != evals || !reflect.DeepEqual(e.inc.leaves, held) || !e.inc.full {
+		t.Errorf("re-walking the subtrees changed the search: %d more orders evaluated, incumbents %v → %v",
+			e.evals-evals, held, e.inc.leaves)
 	}
 }

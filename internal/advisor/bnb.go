@@ -27,14 +27,17 @@
 // bounded width and reports an optimality gap derived from the smallest
 // lower bound it discarded (ModeBeam).
 //
-// A node costs O(k) and no allocation. Fact 1 is also what makes the
-// search incremental: whatever the covering prefix settles — the first
-// communicator's signature and, under Simultaneous, its bound — is
-// computed once at the covering ancestor and carried down (firstComm), so
-// an interior node below it only compares that bound with the threshold
-// and a full-order leaf adds only its world tiling to the carried key.
-// Prefix, signature and key live in engine-owned scratch; the memo is
-// looked up by m[string(key)], which allocates only on a miss.
+// A node costs O(1) amortized and no allocation: what a node needs from
+// its path is carried down it (pathState). Fact 1 settles the first
+// communicator — its signature, interned to a small id, and under
+// Simultaneous its bound — once, at the covering ancestor. The world
+// tiling a Simultaneous leaf adds depends at permuted position t only on
+// the prefix product P_t (the carry chain of metrics/fastpath.go), so a
+// step down adds one division's worth of crossings to a shared profile
+// and a multiply-add to its fingerprint, and a step up undoes them; the
+// DFS and the beam share that step. A leaf finds its class by the
+// fingerprint and verifies it; one that cannot enter the incumbents is
+// rejected before their sort.
 
 package advisor
 
@@ -44,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"time"
@@ -223,14 +227,14 @@ func searchBounded(ctx context.Context, sc Scenario, opts SearchOptions) (*Searc
 	}
 	e.start = start
 	if opts.ProgressEvery > 0 {
-		e.every = opts.ProgressEvery
+		e.every, e.tick = opts.ProgressEvery, opts.ProgressEvery
 	}
 	if opts.Progress != nil || opts.Registry != nil || span != nil {
 		e.progress = progressSink(span, opts)
 	}
 	mode := ModeBnB
 	gap := 0.0
-	err = e.dfs(0, 0, 1, firstComm{})
+	err = e.dfs(0)
 	if errors.Is(err, errNodeBudget) {
 		// Budget spent: discard the partial branch-and-bound incumbents
 		// (their pruning accounting is no longer meaningful) and answer
@@ -345,8 +349,17 @@ type incumbents struct {
 
 // insert files a leaf whose order is the engine's scratch buffer; the
 // order is copied only if the leaf survives the trim, so a leaf that
-// cannot reach the answer costs no allocation.
+// cannot reach the answer costs no allocation. Once the set is full, a
+// leaf trim would drop at the end — below the last leaf's bandwidth, or
+// tying it behind a tail tie group of top classes — returns at once.
 func (in *incumbents) insert(l classLeaf) {
+	if n := len(in.leaves); in.full {
+		last := &in.leaves[n-1]
+		if bw := last.pr.Bandwidth; l.pr.Bandwidth < bw || l.pr.Bandwidth == bw && n >= in.top &&
+			in.leaves[n-in.top].pr.Bandwidth == bw && perm.Less(last.order, l.order) {
+			return
+		}
+	}
 	i := sort.Search(len(in.leaves), func(i int) bool {
 		if in.leaves[i].pr.Bandwidth != l.pr.Bandwidth {
 			return in.leaves[i].pr.Bandwidth < l.pr.Bandwidth
@@ -400,14 +413,55 @@ func (in *incumbents) trim() {
 	}
 }
 
+// fpMul are the fingerprint's multipliers, one per level (a hierarchy
+// has at most 32) and one for the first communicator's id: odd splitmix64
+// outputs, so that distinct keys rarely collide.
+var fpMul = func() (m [33]uint64) {
+	for i := range m {
+		x := uint64(i+1) * 0x9e3779b97f4a7c15
+		x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+		m[i] = (x^x>>27)*0x94d049bb133111eb | 1
+	}
+	return m
+}()
+
+// leafMemo holds the leaf evaluations — the placement-signature
+// classes — by key: the world profile (under Simultaneous only) followed
+// by the first communicator's id, found through the key's fingerprint
+// Σ key[l]·fpMul[l] and verified, so colliding keys only share a chain.
+type leafMemo struct {
+	byFP  map[uint64]int32 // 1 + the last entry added with the fingerprint
+	next  []int32          // 1 + the entry added before it with the same one
+	keys  []int            // entry j's key at [j·len(key), (j+1)·len(key))
+	preds []Prediction
+}
+
+// find returns the index of the entry stored under the key, or −1.
+func (m *leafMemo) find(fp uint64, key []int) int {
+	for j := int(m.byFP[fp]) - 1; j >= 0; j = int(m.next[j]) - 1 {
+		if slices.Equal(m.keys[j*len(key):(j+1)*len(key)], key) {
+			return j
+		}
+	}
+	return -1
+}
+
+func (m *leafMemo) add(fp uint64, key []int, pr Prediction) {
+	m.next = append(m.next, m.byFP[fp])
+	m.byFP[fp] = int32(len(m.preds) + 1)
+	m.keys = append(m.keys, key...)
+	m.preds = append(m.preds, pr)
+}
+
 type bnbEngine struct {
 	ctx  context.Context
 	sc   Scenario
 	ar   []int
 	k    int
 	p    int
-	n    int  // hierarchy size: the "communicator" of the world tiling
-	ring bool // the schedule walks the communicator as a ring
+	n    int    // hierarchy size: the "communicator" of the world tiling
+	ring bool   // the schedule walks the communicator as a ring
+	all  uint32 // every level's bit
 
 	pd   *predictor // the scenario's model
 	fcPd *predictor // its first communicator alone (Simultaneous only)
@@ -418,8 +472,12 @@ type bnbEngine struct {
 	// v = BestCompletionCrossLevel.
 	latFloor []float64
 
-	memo   map[string]Prediction // leaf evaluations by placement signature
-	fcMemo map[string]Prediction // first-comm bound evaluations (Simultaneous only)
+	// ids interns the first communicator's signature at covering nodes;
+	// under Simultaneous fcPred[id] is its prediction alone (Time 0 until
+	// an interior node needs it for the bound).
+	ids    map[string]int32
+	fcPred []Prediction
+	memo   leafMemo
 
 	inc       incumbents
 	worst     Prediction
@@ -427,9 +485,13 @@ type bnbEngine struct {
 
 	// Per-node scratch, so that a node allocates nothing: sigma[:t] is the
 	// prefix of the node in hand (the DFS path; the beam copies its
-	// candidate in) and leaves complete it in place; pairs and cross take
-	// the signature kernels' output; key takes its rendering.
+	// candidate in) and leaves complete it in place; path[t] is what the
+	// path carries to it and prof[:k] the world profile of sigma[:t], with
+	// prof[k] free for a leaf's key; pairs and cross take the signature
+	// kernels' output; key takes its rendering.
 	sigma        []int
+	path         []pathState
+	prof         []int
 	pairs, cross []int64
 	key          []byte
 
@@ -437,30 +499,33 @@ type bnbEngine struct {
 	budget                        int64
 
 	// Progress stream state: the sink (nil when nobody listens), the
-	// coverage heartbeat interval, the wall start, the phase label, the
-	// best incumbent time seen this phase, and the root admissible lower
-	// bound the gap is measured against.
-	progress func(SearchProgress)
-	every    int64
-	start    time.Time
-	mode     string
-	best     float64
-	rootLB   float64
+	// coverage heartbeat interval and the nodes left to the next beat, the
+	// wall start, the phase label, the best incumbent time seen this
+	// phase, and the root admissible lower bound the gap is measured
+	// against.
+	progress    func(SearchProgress)
+	every, tick int64
+	start       time.Time
+	mode        string
+	best        float64
+	rootLB      float64
 }
 
-// firstComm is what the shortest covering prefix of a path settles for
-// every order below it (§3.3: the first communicator is fixed by the
-// prefix whose radix product covers it). The search computes it once, at
-// the covering ancestor, and carries it down.
-type firstComm struct {
-	// key renders the first communicator's placement signature; empty
-	// while no prefix of the path covers the communicator.
-	key []byte
-	// lb is the admissible bound shared by every completion when all world
-	// communicators run at once: the first communicator's exact traffic
-	// term, which only grows as the others tile in, plus the latency floor
-	// of its (settled) crossing level.
-	lb float64
+// pathState is what the path carries to a node: the levels used, their
+// radix product P and the outermost of them; the (n−1)/P world ranks whose
+// carry passes them all, and the fingerprint of the world crossings they
+// take; and what the shortest covering prefix settles for every order
+// below it (§3.3) — the first communicator's interned signature id (−1
+// until a prefix covers it) and, when all world communicators run at
+// once, the bound lb every completion shares: the communicator's exact
+// traffic term, which only grows as the others tile in, plus the latency
+// floor of its settled crossing level.
+type pathState struct {
+	used                    uint32
+	prod, minLevel, carries int
+	fp                      uint64
+	id                      int32
+	lb                      float64
 }
 
 func newBnbEngine(ctx context.Context, sc Scenario, top int, budget int64) (*bnbEngine, error) {
@@ -491,30 +556,33 @@ func newBnbEngine(ctx context.Context, sc Scenario, top int, budget int64) (*bnb
 		p:        sc.CommSize,
 		n:        h.Size(),
 		ring:     sc.Coll != Alltoall,
+		all:      1<<uint(k) - 1,
 		pd:       pd,
 		latFloor: latFloor,
-		memo:     make(map[string]Prediction),
+		ids:      make(map[string]int32),
+		memo:     leafMemo{byFP: make(map[uint64]int32)},
 		inc:      incumbents{top: top},
 		sigma:    make([]int, k),
+		path:     make([]pathState, k+1),
+		prof:     make([]int, k+1),
 		pairs:    make([]int64, k),
 		cross:    make([]int64, k),
-		// Two partial signatures of up to three k-entry components: room
-		// for every key, so appending to a carried key stays in place.
-		key:    make([]byte, 0, 2*(3+3*k*binary.MaxVarintLen64)),
-		budget: budget,
-		every:  DefaultProgressEvery,
-		start:  time.Now(),
-		mode:   ModeBnB,
-		best:   math.Inf(1),
-		rootLB: latFloor[metrics.BestCompletionCrossLevel(ar, nil, sc.CommSize)],
+		key:      make([]byte, 0, 3+2*k*binary.MaxVarintLen64),
+		budget:   budget,
+		every:    DefaultProgressEvery,
+		tick:     DefaultProgressEvery,
+		start:    time.Now(),
+		mode:     ModeBnB,
+		best:     math.Inf(1),
+		rootLB:   latFloor[metrics.BestCompletionCrossLevel(ar, nil, sc.CommSize)],
 	}
+	e.path[0] = pathState{prod: 1, minLevel: k, carries: e.n - 1, id: -1}
 	if sc.Simultaneous {
 		fcSc := sc
 		fcSc.Simultaneous = false
 		if e.fcPd, err = newPredictor(fcSc); err != nil {
 			return nil, err
 		}
-		e.fcMemo = make(map[string]Prediction)
 	}
 	return e, nil
 }
@@ -551,7 +619,8 @@ func (e *bnbEngine) visit() error {
 			return err
 		}
 	}
-	if e.nodes%e.every == 0 {
+	if e.tick--; e.tick == 0 {
+		e.tick = e.every
 		e.emit(ProgressCoverage)
 	}
 	if e.mode == ModeBnB && e.nodes > e.budget {
@@ -560,30 +629,48 @@ func (e *bnbEngine) visit() error {
 	return nil
 }
 
+// descend steps from the node e.sigma[:t] to its child through level l,
+// in the DFS and the beam alike: the world ranks whose carry reaches the
+// new position but not past it cross at the outermost level used so far.
+func (e *bnbEngine) descend(t, l int) {
+	s, c := &e.path[t], &e.path[t+1]
+	*c = *s
+	e.sigma[t] = l
+	c.used, c.prod, c.minLevel = s.used|1<<uint(l), s.prod*e.ar[l], min(s.minLevel, l)
+	c.carries = (e.n - 1) / c.prod
+	d := s.carries - c.carries
+	e.prof[c.minLevel] += d
+	c.fp += uint64(d) * fpMul[c.minLevel]
+}
+
+// ascend undoes descend(t, ·).
+func (e *bnbEngine) ascend(t int) {
+	c := &e.path[t+1]
+	e.prof[c.minLevel] -= e.path[t].carries - c.carries
+}
+
 // dfs walks the prefix tree depth-first from the node e.sigma[:t],
 // children in ascending level order so leaves arrive in canonical
 // (lexicographic) order.
-func (e *bnbEngine) dfs(t int, used uint32, prod int, fc firstComm) error {
+func (e *bnbEngine) dfs(t int) error {
 	if err := e.visit(); err != nil {
 		return err
 	}
-	fc, err := e.cover(t, used, prod, fc)
-	if err != nil {
+	if err := e.cover(t); err != nil {
 		return err
 	}
-	if e.isLeaf(t, prod) {
-		return e.evalLeaf(t, used, fc)
+	if e.isLeaf(t) {
+		return e.evalLeaf(t)
 	}
-	if t > 0 && e.inc.full && e.bound(t, fc) > e.inc.thr {
+	if t > 0 && e.inc.full && e.bound(t) > e.inc.thr {
 		e.pruned += perm.Factorial(e.k - t)
 		return nil
 	}
-	for l := 0; l < e.k; l++ {
-		if used&(1<<uint(l)) != 0 {
-			continue
-		}
-		e.sigma[t] = l
-		if err := e.dfs(t+1, used|1<<uint(l), prod*e.ar[l], fc); err != nil {
+	for free := e.all &^ e.path[t].used; free != 0; free &= free - 1 {
+		e.descend(t, bits.TrailingZeros32(free))
+		err := e.dfs(t + 1)
+		e.ascend(t)
+		if err != nil {
 			return err
 		}
 	}
@@ -592,18 +679,17 @@ func (e *bnbEngine) dfs(t int, used uint32, prod int, fc firstComm) error {
 
 // isLeaf: a covering prefix is a leaf unless every world communicator
 // runs at once — the world tiling needs the full order.
-func (e *bnbEngine) isLeaf(t, prod int) bool {
-	return (prod >= e.p && !e.sc.Simultaneous) || t == e.k
+func (e *bnbEngine) isLeaf(t int) bool {
+	return (e.path[t].prod >= e.p && !e.sc.Simultaneous) || t == e.k
 }
 
-// cover returns what the path to the node e.sigma[:t] settles about the
-// first communicator: fc itself below a covering ancestor (or above any),
-// and at the covering node the signature key — written into e.key, which
-// stays untouched for as long as the node's subtree is walked — and, for
-// an interior node, the bound of its subtree.
-func (e *bnbEngine) cover(t int, used uint32, prod int, fc firstComm) (firstComm, error) {
-	if len(fc.key) > 0 || prod < e.p {
-		return fc, nil
+// cover settles the first communicator at the first node e.sigma[:t] of
+// the path to cover it: the signature's id and, for an interior node, the
+// bound of its subtree.
+func (e *bnbEngine) cover(t int) error {
+	s := &e.path[t]
+	if s.id >= 0 || s.prod < e.p {
+		return nil
 	}
 	// The kernels read only the covering prefix of e.sigma.
 	sig := metrics.SearchSignature{CommPairs: e.pairs}
@@ -612,27 +698,35 @@ func (e *bnbEngine) cover(t int, used uint32, prod int, fc firstComm) (firstComm
 		sig.CommCross = e.cross
 		metrics.CrossingsPerLevelInto(e.cross, e.ar, e.sigma, e.p)
 	}
-	fc.key = sig.AppendKey(e.key[:0])
-	if e.isLeaf(t, prod) {
-		return fc, nil
-	}
-	pr, ok := e.fcMemo[string(fc.key)]
+	e.key = sig.AppendKey(e.key[:0])
+	id, ok := e.ids[string(e.key)]
 	if !ok {
-		var err error
-		if pr, err = e.fcPd.predict(e.complete(t, used)); err != nil {
-			return fc, err
+		id = int32(len(e.ids))
+		e.ids[string(e.key)] = id
+		if e.fcPd != nil {
+			e.fcPred = append(e.fcPred, Prediction{})
 		}
-		e.fcMemo[string(fc.key)] = pr
 	}
-	fc.lb = pr.Time - pr.Latency + e.latFloor[metrics.BestCompletionCrossLevel(e.ar, e.sigma[:t], e.p)]
-	return fc, nil
+	s.id = id
+	if e.isLeaf(t) {
+		return nil
+	}
+	pr := &e.fcPred[id]
+	if pr.Time == 0 {
+		var err error
+		if *pr, err = e.fcPd.predict(e.complete(t, s.used)); err != nil {
+			return err
+		}
+	}
+	s.lb = pr.Time - pr.Latency + e.latFloor[metrics.BestCompletionCrossLevel(e.ar, e.sigma[:t], e.p)]
+	return nil
 }
 
 // bound returns an admissible lower bound on the predicted time of every
 // completion of the interior node e.sigma[:t].
-func (e *bnbEngine) bound(t int, fc firstComm) float64 {
-	if len(fc.key) > 0 {
-		return fc.lb
+func (e *bnbEngine) bound(t int) float64 {
+	if s := &e.path[t]; s.id >= 0 {
+		return s.lb
 	}
 	return e.latFloor[metrics.BestCompletionCrossLevel(e.ar, e.sigma[:t], e.p)]
 }
@@ -641,11 +735,9 @@ func (e *bnbEngine) bound(t int, fc firstComm) float64 {
 // ascending — the canonical completion, lexicographically smallest of the
 // orders below the node — and returns the full order.
 func (e *bnbEngine) complete(t int, used uint32) []int {
-	for l := 0; t < e.k; l++ {
-		if used&(1<<uint(l)) == 0 {
-			e.sigma[t] = l
-			t++
-		}
+	for free := e.all &^ used; free != 0; free &= free - 1 {
+		e.sigma[t] = bits.TrailingZeros32(free)
+		t++
 	}
 	return e.sigma
 }
@@ -653,23 +745,19 @@ func (e *bnbEngine) complete(t int, used uint32) []int {
 // evalLeaf predicts the (shared) cost of all completions of the leaf
 // e.sigma[:t], memoized by placement signature, and feeds the incumbents
 // and the worst-evaluated tracker.
-func (e *bnbEngine) evalLeaf(t int, used uint32, fc firstComm) error {
-	sigma := e.complete(t, used)
-	key := fc.key
-	if e.sc.Simultaneous {
-		// A full order: the first communicator's part of the signature
-		// came down the path; only the world tiling is the leaf's own.
-		metrics.CrossingsPerLevelInto(e.cross, e.ar, sigma, e.n)
-		key = metrics.SearchSignature{WorldCross: e.cross}.AppendKey(key)
-	}
-	pr, ok := e.memo[string(key)]
-	if !ok {
+func (e *bnbEngine) evalLeaf(t int) error {
+	sigma := e.complete(t, e.path[t].used)
+	fp, key := e.leafKey(t)
+	var pr Prediction
+	if j := e.memo.find(fp, key); j >= 0 {
+		pr = e.memo.preds[j]
+	} else {
 		var err error
 		if pr, err = e.pd.predict(sigma); err != nil {
 			return err
 		}
 		e.evals++
-		e.memo[string(key)] = pr
+		e.memo.add(fp, key, pr)
 	}
 	size := perm.Factorial(e.k - t)
 	e.covered += size
@@ -689,56 +777,59 @@ func (e *bnbEngine) evalLeaf(t int, used uint32, fc firstComm) error {
 	return nil
 }
 
+// leafKey returns the fingerprint and memo key of the leaf e.sigma[:t].
+func (e *bnbEngine) leafKey(t int) (uint64, []int) {
+	s := &e.path[t]
+	e.prof[e.k] = int(s.id)
+	fp := uint64(s.id) * fpMul[e.k]
+	if !e.sc.Simultaneous {
+		return fp, e.prof[e.k:]
+	}
+	return fp + s.fp, e.prof
+}
+
 // beam is the budget-exhausted fallback: a level-synchronous search that
 // keeps the width most promising prefixes per depth (ranked by lower
 // bound, deterministic lexicographic tie-break) and folds every dropped
 // candidate's bound into the optimality gap.
 func (e *bnbEngine) beam(width int) (float64, error) {
+	// A candidate carries its prefix, then its world profile, and its state.
 	type cand struct {
-		prefix []int
-		used   uint32
-		prod   int
-		lb     float64
-		fc     firstComm
+		node []int
+		st   pathState
+		lb   float64
 	}
-	frontier := []cand{{prefix: []int{}, prod: 1}}
+	frontier := []cand{{node: make([]int, e.k), st: e.path[0]}}
 	globalLB := math.Inf(1)
-	for len(frontier) > 0 {
+	for t := 0; len(frontier) > 0; t++ {
 		var next []cand
 		for _, c := range frontier {
-			t := len(c.prefix) + 1
-			copy(e.sigma, c.prefix)
-			for l := 0; l < e.k; l++ {
-				if c.used&(1<<uint(l)) != 0 {
-					continue
-				}
+			copy(e.sigma, c.node[:t])
+			copy(e.prof[:e.k], c.node[t:])
+			e.path[t] = c.st
+			for free := e.all &^ c.st.used; free != 0; free &= free - 1 {
 				if err := e.visit(); err != nil {
 					return 0, err
 				}
-				e.sigma[t-1] = l
-				used, prod := c.used|1<<uint(l), c.prod*e.ar[l]
-				fc, err := e.cover(t, used, prod, c.fc)
+				e.descend(t, bits.TrailingZeros32(free))
+				err := e.cover(t + 1)
+				if err == nil && e.isLeaf(t+1) {
+					err = e.evalLeaf(t + 1)
+				} else if err == nil {
+					node := append(append(make([]int, 0, t+1+e.k), e.sigma[:t+1]...), e.prof[:e.k]...)
+					next = append(next, cand{node: node, st: e.path[t+1], lb: e.bound(t + 1)})
+				}
+				e.ascend(t)
 				if err != nil {
 					return 0, err
 				}
-				if e.isLeaf(t, prod) {
-					if err := e.evalLeaf(t, used, fc); err != nil {
-						return 0, err
-					}
-					continue
-				}
-				if len(c.fc.key) == 0 {
-					// Candidates outlive e.key, which the next sibling reuses.
-					fc.key = slices.Clone(fc.key)
-				}
-				next = append(next, cand{prefix: slices.Clone(e.sigma[:t]), used: used, prod: prod, lb: e.bound(t, fc), fc: fc})
 			}
 		}
 		sort.Slice(next, func(i, j int) bool {
 			if next[i].lb != next[j].lb {
 				return next[i].lb < next[j].lb
 			}
-			return perm.Less(next[i].prefix, next[j].prefix)
+			return perm.Less(next[i].node[:t+1], next[j].node[:t+1])
 		})
 		if len(next) > width {
 			for _, d := range next[width:] {

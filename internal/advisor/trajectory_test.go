@@ -119,3 +119,21 @@ func TestSearchDeepTrajectoryPinned(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSearchDeep times one bounded search per deepShapes entry, the
+// request shapes of the search_deep workload.
+func BenchmarkSearchDeep(b *testing.B) {
+	for _, s := range deepShapes {
+		spec := cluster.Cloud(s.depth)
+		sc := Scenario{Spec: spec, Hierarchy: spec.Hierarchy(), Coll: s.coll, CommSize: 16,
+			Simultaneous: s.sim, Bytes: 256 << 20}
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := SearchOrders(context.Background(), sc, SearchOptions{Top: 5}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -250,7 +250,10 @@ func (r *AdviseRequest) parse() (Query, error) {
 	default:
 		return nil, badf("unknown collective %q (want alltoall, allgather, or allreduce)", r.Collective)
 	}
-	if q.comm <= 0 || h.Size()%q.comm != 0 {
+	if q.comm < 2 || q.comm > h.Size() {
+		return nil, badf("comm_size %d outside [2, %d]", q.comm, h.Size())
+	}
+	if h.Size()%q.comm != 0 {
 		return nil, badf("comm_size %d does not divide %d", q.comm, h.Size())
 	}
 	if q.bytes == 0 {

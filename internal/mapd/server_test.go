@@ -160,6 +160,15 @@ var MalformedRequests = []struct {
 	{"unknown machine", "/v1/advise", `{"machine":"summit","collective":"alltoall","comm_size":16}`, "bad_request"},
 	{"unknown collective", "/v1/advise", `{"machine":"hydra","collective":"bcast","comm_size":16}`, "bad_request"},
 	{"comm does not divide", "/v1/advise", `{"machine":"hydra","collective":"alltoall","comm_size":7}`, "bad_request"},
+	// A one-rank communicator has no collective to advise on: the model
+	// once answered 400 "degenerate prediction" (ring collectives) or 200
+	// with an invented bottleneck (alltoall).
+	{"comm one hydra alltoall", "/v1/advise", `{"machine":"hydra","collective":"alltoall","comm_size":1}`, "bad_request"},
+	{"comm one hydra allgather", "/v1/advise", `{"machine":"hydra","collective":"allgather","comm_size":1}`, "bad_request"},
+	{"comm one hydra allreduce", "/v1/advise", `{"machine":"hydra","collective":"allreduce","comm_size":1}`, "bad_request"},
+	{"comm one cloud alltoall", "/v1/advise", `{"machine":"cloud","collective":"alltoall","comm_size":1}`, "bad_request"},
+	{"comm one cloud allgather", "/v1/advise", `{"machine":"cloud","collective":"allgather","comm_size":1}`, "bad_request"},
+	{"comm one cloud allreduce", "/v1/advise", `{"machine":"cloud","collective":"allreduce","comm_size":1}`, "bad_request"},
 	{"select too many", "/v1/select", `{"hierarchy":"2,2,4","order":"0-1-2","n":17}`, "bad_request"},
 	{"select zero", "/v1/select", `{"hierarchy":"2,2,4","order":"0-1-2","n":0}`, "bad_request"},
 	{"metrics comm too large", "/v1/metrics/order", `{"hierarchy":"2,2,4","order":"0-1-2","comm_size":64}`, "bad_request"},
@@ -186,6 +195,26 @@ func TestMalformedRequests(t *testing.T) {
 				t.Errorf("error envelope %+v, want status %q with a message", eb.Error, tc.WantStatus)
 			}
 		})
+	}
+}
+
+// TestAdviseCommSizeRange: advise bounds comm_size with the message
+// /v1/metrics/order uses, on every machine and collective.
+func TestAdviseCommSizeRange(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, machine := range []struct{ name, want string }{
+		{"hydra", "comm_size 1 outside [2, 512]"},
+		{"cloud", "comm_size 1 outside [2, 2048]"},
+	} {
+		for _, coll := range []string{"alltoall", "allgather", "allreduce"} {
+			code, body := post(t, ts, "/v1/advise",
+				fmt.Sprintf(`{"machine":%q,"collective":%q,"comm_size":1}`, machine.name, coll))
+			var eb errorBody
+			if err := json.Unmarshal([]byte(body), &eb); err != nil || code != http.StatusBadRequest ||
+				!strings.Contains(eb.Error.Message, machine.want) {
+				t.Errorf("%s %s: status %d, body %s; want 400 naming %q", machine.name, coll, code, body, machine.want)
+			}
+		}
 	}
 }
 

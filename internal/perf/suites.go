@@ -162,17 +162,20 @@ func OrderSearchSuite() Suite {
 	// Deep hierarchies: the bounded branch-and-bound engine over
 	// cluster.Cloud at the depths mapd serves beyond the exact
 	// threshold. Non-simultaneous scenarios prune to an exact bnb run
-	// through depth 12; the simultaneous depth-12 case exhausts the
-	// node budget and degrades to beam, covering the fallback's cost.
+	// through depth 12; the simultaneous cases exhaust the node budget
+	// and degrade to beam, covering the fallback's cost. The c=16 ones
+	// are the simultaneous shapes of the benchmark's search_deep.
 	deep := []struct {
-		depth int
-		sim   bool
-		mode  string
+		depth, comm int
+		sim         bool
+		mode        string
 	}{
-		{8, false, advisor.ModeBnB},
-		{10, false, advisor.ModeBnB},
-		{12, false, advisor.ModeBnB},
-		{12, true, advisor.ModeBeam},
+		{8, 64, false, advisor.ModeBnB},
+		{10, 64, false, advisor.ModeBnB},
+		{12, 64, false, advisor.ModeBnB},
+		{12, 64, true, advisor.ModeBeam},
+		{10, 16, true, advisor.ModeBeam},
+		{12, 16, true, advisor.ModeBeam},
 	}
 	for _, dc := range deep {
 		dc := dc
@@ -181,13 +184,13 @@ func OrderSearchSuite() Suite {
 			Spec:         spec,
 			Hierarchy:    spec.Hierarchy(),
 			Coll:         advisor.Alltoall,
-			CommSize:     64,
+			CommSize:     dc.comm,
 			Simultaneous: dc.sim,
 			Bytes:        4 << 20,
 		}
 		wantMode := dc.mode
 		s.Benches = append(s.Benches, Bench{
-			Name: fmt.Sprintf("OrderSearchDeep/machine=cloud/d=%d/alltoall/c=64/%s", dc.depth, wantMode),
+			Name: fmt.Sprintf("OrderSearchDeep/machine=cloud/d=%d/alltoall/c=%d/%s", dc.depth, dc.comm, wantMode),
 			F: func(b *B) {
 				ctx := context.Background()
 				for i := 0; i < b.N; i++ {

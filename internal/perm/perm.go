@@ -224,26 +224,6 @@ func Visit(k int, fn func(p []int) bool) {
 	}
 }
 
-// Rank returns the lexicographic rank of permutation p among all
-// permutations of its length, in [0, k!). It panics if p is invalid.
-func Rank(p []int) int64 {
-	if !IsPermutation(p) {
-		panic(ErrNotPermutation)
-	}
-	k := len(p)
-	var r int64
-	for i := 0; i < k; i++ {
-		smaller := 0
-		for j := i + 1; j < k; j++ {
-			if p[j] < p[i] {
-				smaller++
-			}
-		}
-		r += int64(smaller) * Factorial(k-1-i)
-	}
-	return r
-}
-
 // Unrank returns the permutation of [0, k) with lexicographic rank r.
 // It panics unless 0 ≤ r < k!.
 func Unrank(k int, r int64) []int {

@@ -269,3 +269,24 @@ func BenchmarkVisit6(b *testing.B) {
 		}
 	}
 }
+
+// Rank returns the lexicographic rank of permutation p among all
+// permutations of its length, in [0, k!), the inverse of Unrank that the
+// tests check it against. It panics if p is invalid.
+func Rank(p []int) int64 {
+	if !IsPermutation(p) {
+		panic(ErrNotPermutation)
+	}
+	k := len(p)
+	var r int64
+	for i := 0; i < k; i++ {
+		smaller := 0
+		for j := i + 1; j < k; j++ {
+			if p[j] < p[i] {
+				smaller++
+			}
+		}
+		r += int64(smaller) * Factorial(k-1-i)
+	}
+	return r
+}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -164,4 +165,44 @@ func TestResetSpansMeasurements(t *testing.T) {
 	if got := r.TimeIn("Allreduce", 2); got != 5 {
 		t.Errorf("second measurement mean = %v, want 5 (stale records survived Reset)", got)
 	}
+}
+
+// PercentileTime returns the q-th percentile (0 ≤ q ≤ 1, linearly
+// interpolated) over ranks of the total time spent in the given operation
+// on communicators of the given size (0/"" match any). An empty selection
+// returns 0, never NaN, so an unpopulated recorder is safe to query.
+func (r *Recorder) PercentileTime(op string, commSize int, q float64) float64 {
+	r.mu.Lock()
+	perRank := map[int]float64{}
+	for _, rec := range r.recs {
+		if op != "" && rec.Op != op {
+			continue
+		}
+		if commSize != 0 && rec.CommSize != commSize {
+			continue
+		}
+		perRank[rec.Rank] += rec.End - rec.Start
+	}
+	r.mu.Unlock()
+	if len(perRank) == 0 {
+		return 0
+	}
+	vals := make([]float64, 0, len(perRank))
+	for _, v := range perRank {
+		vals = append(vals, v)
+	}
+	sort.Float64s(vals)
+	if q <= 0 {
+		return vals[0]
+	}
+	if q >= 1 {
+		return vals[len(vals)-1]
+	}
+	pos := q * float64(len(vals)-1)
+	lo := int(pos)
+	frac := pos - float64(lo)
+	if lo+1 >= len(vals) {
+		return vals[len(vals)-1]
+	}
+	return vals[lo] + frac*(vals[lo+1]-vals[lo])
 }
