@@ -8,12 +8,9 @@
 package repro
 
 import (
-	"context"
 	"fmt"
-
 	"testing"
 
-	"repro/internal/advisor"
 	"repro/internal/bench"
 	"repro/internal/cg"
 	"repro/internal/cluster"
@@ -23,7 +20,6 @@ import (
 	"repro/internal/perm"
 	"repro/internal/splatt"
 	"repro/internal/tensor"
-	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -37,18 +33,6 @@ func BenchmarkTable1(b *testing.B) {
 			_ = mixedradix.Compose(h, c, sigma)
 			_ = mixedradix.PermutedCoordinates(c, sigma)
 			_ = mixedradix.PermutedHierarchy(h, sigma)
-		}
-	}
-}
-
-// BenchmarkFigure2 regenerates every order's full rank layout of Figure 2.
-func BenchmarkFigure2(b *testing.B) {
-	h := []int{2, 2, 4}
-	for i := 0; i < b.N; i++ {
-		for _, sigma := range perm.All(3) {
-			if _, err := mixedradix.ReorderAll(h, sigma); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }
@@ -334,46 +318,6 @@ func BenchmarkAblationNICs(b *testing.B) {
 	b.ReportMetric(bw1/1e6, "one-nic-MB/s")
 	b.ReportMetric(bw2/1e6, "two-nic-MB/s")
 }
-
-// orderSearchScenario is the depth-6 search of the order-search fast-path
-// benchmarks: ⟦4,2,4,2,4,2⟧ enumerates 512 cores under 6! = 720 candidate
-// orders, but the alltoall signature (pairs-only) collapses them to a few
-// dozen §3.3 equivalence classes.
-func orderSearchScenario() advisor.Scenario {
-	return advisor.Scenario{
-		Spec:      cluster.Hydra(16, 1),
-		Hierarchy: topology.MustNew(4, 2, 4, 2, 4, 2),
-		Coll:      advisor.Alltoall,
-		CommSize:  64,
-		Bytes:     4 << 20,
-	}
-}
-
-// benchmarkOrderSearch ranks all 720 orders single-threaded, so the
-// Full/Pruned ratio is the algorithmic speedup of the equivalence-class
-// fast path, not a parallelism artifact.
-func benchmarkOrderSearch(b *testing.B, noPrune bool) {
-	sc := orderSearchScenario()
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ranked, err := advisor.Rank(ctx, sc, nil, advisor.RankOptions{Workers: 1, NoPrune: noPrune})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(ranked) != 720 {
-			b.Fatalf("ranked %d orders, want 720", len(ranked))
-		}
-	}
-}
-
-// BenchmarkOrderSearchFull evaluates the analytic model on every order —
-// the pre-fast-path behaviour (NoPrune).
-func BenchmarkOrderSearchFull(b *testing.B) { benchmarkOrderSearch(b, true) }
-
-// BenchmarkOrderSearchPruned groups the orders by placement signature and
-// evaluates one representative per class.
-func BenchmarkOrderSearchPruned(b *testing.B) { benchmarkOrderSearch(b, false) }
 
 // BenchmarkLegendMetrics regenerates every figure legend characterization.
 func BenchmarkLegendMetrics(b *testing.B) {

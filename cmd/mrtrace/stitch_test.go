@@ -7,6 +7,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -67,18 +69,36 @@ func TestStitchTracesFiles(t *testing.T) {
 		t.Fatalf("summary line missing:\n%s", out)
 	}
 
-	stitched, err := obs.ReadTraceFile(filepath.Join(dir, "out", "stitched.json"))
+	stitchedPath := filepath.Join(dir, "out", "stitched.json")
+	stitched, err := obs.ReadTraceFile(stitchedPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := len(stitched.Spans()); got != 3 {
 		t.Fatalf("stitched.json has %d spans, want 3", got)
 	}
-	if got := stitched.ProcessName(1); got != "mrgate-trace" {
-		t.Fatalf("pid 1 = %q", got)
+	raw, err := os.ReadFile(stitchedPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := stitched.ProcessName(2); got != "mrserved-0-trace" {
-		t.Fatalf("pid 2 = %q", got)
+	var trace struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			PID  int            `json:"pid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &trace); err != nil {
+		t.Fatal(err)
+	}
+	procs := map[int]any{}
+	for _, ev := range trace.TraceEvents {
+		if ev.Name == "process_name" {
+			procs[ev.PID] = ev.Args["name"]
+		}
+	}
+	if procs[1] != "mrgate-trace" || procs[2] != "mrserved-0-trace" {
+		t.Fatalf("process names %v, want pid 1 mrgate-trace and pid 2 mrserved-0-trace", procs)
 	}
 }
 

@@ -17,9 +17,9 @@ func collectProgress(t *testing.T, depth int, opts SearchOptions) (*SearchResult
 	t.Helper()
 	sc := Scenario{
 		Spec:      cluster.Cloud(depth),
-		Hierarchy: cluster.CloudHierarchy(depth),
+		Hierarchy: cluster.Cloud(depth).Hierarchy(),
 		Coll:      Allgather,
-		CommSize:  cluster.CloudHierarchy(depth).Size(),
+		CommSize:  cluster.Cloud(depth).Hierarchy().Size(),
 		Bytes:     1 << 20,
 	}
 	var events []SearchProgress
@@ -97,9 +97,9 @@ func TestSearchProgressMonotone(t *testing.T) {
 func TestSearchProgressPublishes(t *testing.T) {
 	sc := Scenario{
 		Spec:      cluster.Cloud(7),
-		Hierarchy: cluster.CloudHierarchy(7),
+		Hierarchy: cluster.Cloud(7).Hierarchy(),
 		Coll:      Alltoall,
-		CommSize:  cluster.CloudHierarchy(7).Size(),
+		CommSize:  cluster.Cloud(7).Hierarchy().Size(),
 		Bytes:     1 << 18,
 	}
 	reg := obs.NewRegistry()

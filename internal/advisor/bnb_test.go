@@ -170,8 +170,8 @@ func TestSearchOrdersFrontDoor(t *testing.T) {
 		scenario(hydra, topology.MustNew(2, 2, 8)),
 		scenario(hydra, hydra.Hierarchy()),
 		scenario(cluster.LUMI(16), cluster.LUMIHierarchy(16)),
-		scenario(cluster.Cloud(6), cluster.CloudHierarchy(6)),
-		scenario(cluster.Cloud(7), cluster.CloudHierarchy(7)),
+		scenario(cluster.Cloud(6), cluster.Cloud(6).Hierarchy()),
+		scenario(cluster.Cloud(7), cluster.Cloud(7).Hierarchy()),
 	}
 	for _, sc := range shallow {
 		k := sc.Hierarchy.Depth()
@@ -202,7 +202,7 @@ func TestSearchOrdersFrontDoor(t *testing.T) {
 	}
 	for depth := ExactDepth + 1; depth <= 12; depth++ {
 		calls = 0
-		res, err := SearchOrders(ctx, scenario(cluster.Cloud(depth), cluster.CloudHierarchy(depth)), opts)
+		res, err := SearchOrders(ctx, scenario(cluster.Cloud(depth), cluster.Cloud(depth).Hierarchy()), opts)
 		if err != nil {
 			t.Fatalf("depth %d: search: %v", depth, err)
 		}

@@ -140,36 +140,6 @@ type Result struct {
 	Residual float64 // final ‖r‖ of the last CG solve
 }
 
-// Sequential runs the benchmark without MPI (the verification reference).
-func Sequential(prob Problem) Result {
-	m := prob.Generate()
-	n := m.N
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = 1
-	}
-	var zeta, res float64
-	z := make([]float64, n)
-	r := make([]float64, n)
-	p := make([]float64, n)
-	q := make([]float64, n)
-	for outer := 0; outer < prob.OuterIters; outer++ {
-		res = cgSolve(m, 0, n, x, z, r, p, q, prob.InnerIters, nil, nil)
-		// ζ = λ + 1/(xᵀz); then x = z/‖z‖.
-		var xz, zz float64
-		for i := 0; i < n; i++ {
-			xz += x[i] * z[i]
-			zz += z[i] * z[i]
-		}
-		zeta = prob.Lambda + 1/xz
-		norm := math.Sqrt(zz)
-		for i := 0; i < n; i++ {
-			x[i] = z[i] / norm
-		}
-	}
-	return Result{Zeta: zeta, Residual: res}
-}
-
 // cgSolve performs InnerIters CG iterations solving A·z = x, writing z and
 // returning the final residual norm. When comm is non-nil the caller is a
 // distributed rank owning rows [lo, hi), exchanging via allgather/allreduce

@@ -43,6 +43,36 @@ func TestGenerateSPD(t *testing.T) {
 	}
 }
 
+// Sequential runs the benchmark without MPI (the verification reference).
+func Sequential(prob Problem) Result {
+	m := prob.Generate()
+	n := m.N
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = 1
+	}
+	var zeta, res float64
+	z := make([]float64, n)
+	r := make([]float64, n)
+	p := make([]float64, n)
+	q := make([]float64, n)
+	for outer := 0; outer < prob.OuterIters; outer++ {
+		res = cgSolve(m, 0, n, x, z, r, p, q, prob.InnerIters, nil, nil)
+		// ζ = λ + 1/(xᵀz); then x = z/‖z‖.
+		var xz, zz float64
+		for i := 0; i < n; i++ {
+			xz += x[i] * z[i]
+			zz += z[i] * z[i]
+		}
+		zeta = prob.Lambda + 1/xz
+		norm := math.Sqrt(zz)
+		for i := 0; i < n; i++ {
+			x[i] = z[i] / norm
+		}
+	}
+	return Result{Zeta: zeta, Residual: res}
+}
+
 func TestSequentialConverges(t *testing.T) {
 	res := Sequential(ClassS())
 	if res.Residual > 1e-6 {

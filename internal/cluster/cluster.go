@@ -98,35 +98,6 @@ func LUMINode() netmodel.Spec {
 	}
 }
 
-// HydraFatTree folds a network level into the hierarchy as §3.2 sketches
-// ("the hierarchy can also include levels outside of nodes, like cabinets
-// or the topology of the network"): switches × nodes-per-switch × the
-// Hydra node. Each switch's uplink to the core carries a quarter of the
-// aggregate NIC bandwidth of its nodes (4:1 oversubscription, a common
-// cost-reduced fat-tree taper), so orders that spread communicators across
-// switches contend on a resource that plain Hydra does not model. The
-// §3.2 constraint applies: the job must exactly fill the selected switches
-// (ValidateNetworkPrefix).
-func HydraFatTree(switches, nodesPerSwitch, nics int) netmodel.Spec {
-	if nics <= 0 {
-		nics = 1
-	}
-	uplink := float64(nodesPerSwitch) * 12.5e9 * float64(nics) / 4
-	return netmodel.Spec{
-		Name: "hydra-fattree",
-		Levels: []netmodel.LevelSpec{
-			{Name: "switch", Arity: switches, UpBandwidth: uplink, Latency: 2.6e-6},
-			{Name: "node", Arity: nodesPerSwitch, UpBandwidth: 12.5e9 * float64(nics), BusBandwidth: 38e9, Latency: 1.9e-6},
-			{Name: "socket", Arity: 2, UpBandwidth: 20e9, BusBandwidth: 55e9, Latency: 0.9e-6, MemBandwidth: 80e9},
-			{Name: "group", Arity: 2, UpBandwidth: 30e9, BusBandwidth: 42e9, Latency: 0.5e-6, MemBandwidth: 42e9},
-			{Name: "core", Arity: 8, Latency: 0.3e-6},
-		},
-		// NICsPerNode multiplies level 0 — here the switch uplink — so the
-		// NIC factor is baked into the level bandwidths instead.
-		CoreFlops: 33.6e9,
-	}
-}
-
 // Cloud depth bounds: the synthetic cloud machine is the deep-hierarchy
 // scenario family (following Cloud Collectives, Luo et al.), served only
 // through the bounded branch-and-bound / beam search.
@@ -175,11 +146,6 @@ func Cloud(depth int) netmodel.Spec {
 	}
 }
 
-// CloudHierarchy returns the hierarchy of Cloud(depth).
-func CloudHierarchy(depth int) topology.Hierarchy {
-	return Cloud(depth).Hierarchy()
-}
-
 // HydraHierarchy returns the ⟦nodes, 2, 2, 8⟧ hierarchy used throughout
 // the Hydra experiments.
 func HydraHierarchy(nodes int) topology.Hierarchy {
@@ -199,7 +165,3 @@ func LUMINodeHierarchy() topology.Hierarchy {
 // HydraSlurmDefaultOrder is the order equivalent to the default Slurm
 // mapping on Hydra (block:cyclic — §4.2 names [1, 3, 2, 0]).
 func HydraSlurmDefaultOrder() []int { return []int{1, 3, 2, 0} }
-
-// LUMISlurmDefaultOrder is the order of LUMI's default mapping
-// (block:block, the initial enumeration — [4, 3, 2, 1, 0], Figure 5).
-func LUMISlurmDefaultOrder() []int { return []int{4, 3, 2, 1, 0} }

@@ -24,13 +24,8 @@ func TestCollectorRecordsP2P(t *testing.T) {
 	col := NewCollector(4)
 	binding := []int{0, 1, 2, 3}
 	_, err := mpi.Run(testSpec(), binding, mpi.Config{P2P: col}, func(r *mpi.Rank) {
-		w := r.World()
-		if r.ID() == 0 {
-			w.Send(r, 1, 0, mpi.BytesBuf(1000))
-		}
-		if r.ID() == 1 {
-			w.Recv(r, 0, 0)
-		}
+		// A binomial-tree broadcast from rank 0: 0→2, then 0→1 and 2→3.
+		r.World().Bcast(r, 0, mpi.BytesBuf(1000))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,8 +34,8 @@ func TestCollectorRecordsP2P(t *testing.T) {
 	if m.At(0, 1) != 1000 {
 		t.Errorf("At(0,1) = %v, want 1000", m.At(0, 1))
 	}
-	if m.Total() != 1000 {
-		t.Errorf("Total = %v", m.Total())
+	if m.At(0, 2) != 1000 || m.At(2, 3) != 1000 || m.Total() != 3000 {
+		t.Errorf("At(0,2) = %v, At(2,3) = %v, Total = %v; want 1000, 1000, 3000", m.At(0, 2), m.At(2, 3), m.Total())
 	}
 }
 

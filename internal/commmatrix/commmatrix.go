@@ -14,8 +14,6 @@
 // greedy construction and its refinement — is internal/procmap.
 package commmatrix
 
-import "fmt"
-
 // Matrix is a symmetric process-communication matrix: entry (i, j) is the
 // traffic volume in bytes between ranks i and j.
 type Matrix struct {
@@ -55,23 +53,4 @@ func (m *Matrix) Total() float64 {
 		}
 	}
 	return s
-}
-
-// FromSubcommunicators builds the all-pairs-uniform matrix of an
-// application running collectives in blocks of commSize consecutive ranks
-// (the micro-benchmark workload): bytes between every pair inside each
-// block.
-func FromSubcommunicators(n, commSize int, bytes float64) (*Matrix, error) {
-	if commSize <= 0 || n%commSize != 0 {
-		return nil, fmt.Errorf("commmatrix: block size %d does not divide %d", commSize, n)
-	}
-	m := New(n)
-	for base := 0; base < n; base += commSize {
-		for i := base; i < base+commSize; i++ {
-			for j := i + 1; j < base+commSize; j++ {
-				m.Add(i, j, bytes)
-			}
-		}
-	}
-	return m, nil
 }

@@ -28,26 +28,6 @@ func TestMatrixBasics(t *testing.T) {
 	}
 }
 
-func TestFromSubcommunicators(t *testing.T) {
-	m, err := FromSubcommunicators(8, 4, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(0, 3) != 10 || m.At(4, 7) != 10 {
-		t.Error("intra-block volume missing")
-	}
-	if m.At(3, 4) != 0 {
-		t.Error("cross-block volume present")
-	}
-	// 2 blocks × C(4,2) pairs × 10 bytes.
-	if m.Total() != 2*6*10 {
-		t.Errorf("Total = %v", m.Total())
-	}
-	if _, err := FromSubcommunicators(8, 3, 1); err == nil {
-		t.Error("non-dividing block accepted")
-	}
-}
-
 func TestCost(t *testing.T) {
 	h := topology.MustNew(2, 2, 4)
 	m := New(16)
@@ -99,9 +79,13 @@ func bestOrder(t *testing.T, m *Matrix, h topology.Hierarchy) ([]int, float64) {
 // The best order must be a packed one for block-communicating workloads.
 func TestBestOrderBlockWorkload(t *testing.T) {
 	h := topology.MustNew(2, 2, 4)
-	m, err := FromSubcommunicators(16, 4, 100)
-	if err != nil {
-		t.Fatal(err)
+	m := New(16)
+	for k := 0; k < 4; k++ {
+		for a := 0; a < 4; a++ {
+			for b := a + 1; b < 4; b++ {
+				m.Add(4*k+a, 4*k+b, 100)
+			}
+		}
 	}
 	sigma, cost := bestOrder(t, m, h)
 	// Blocks of 4 consecutive ranks fit one socket under the identity

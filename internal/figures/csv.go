@@ -52,62 +52,3 @@ func SeriesCSV(mb MicroBench, series []bench.Series) (string, error) {
 	w.Flush()
 	return sb.String(), w.Error()
 }
-
-// Figure8CSV renders the Splatt bars as CSV.
-func Figure8CSV(cfg Figure8Config, results []Figure8Result) (string, error) {
-	var sb strings.Builder
-	w := csv.NewWriter(&sb)
-	if err := w.Write([]string{"nics", "order", "duration_s", "alltoallv16_s"}); err != nil {
-		return "", err
-	}
-	for _, r := range results {
-		rec := []string{
-			fmt.Sprint(cfg.NICs),
-			perm.Format(r.Order),
-			fmt.Sprintf("%.6g", r.Duration),
-			fmt.Sprintf("%.6g", r.Alltoall16),
-		}
-		if err := w.Write(rec); err != nil {
-			return "", err
-		}
-	}
-	w.Flush()
-	return sb.String(), w.Error()
-}
-
-// Figure9CSV renders the CG bars as CSV.
-func Figure9CSV(results map[int][]Figure9Selection) (string, error) {
-	var sb strings.Builder
-	w := csv.NewWriter(&sb)
-	if err := w.Write([]string{"procs", "order", "cores", "duration_s"}); err != nil {
-		return "", err
-	}
-	procs := make([]int, 0, len(results))
-	for p := range results {
-		procs = append(procs, p)
-	}
-	sortInts(procs)
-	for _, p := range procs {
-		for _, s := range results[p] {
-			rec := []string{
-				fmt.Sprint(p),
-				perm.Format(s.Order),
-				compactCores(s.Cores),
-				fmt.Sprintf("%.6g", s.Duration),
-			}
-			if err := w.Write(rec); err != nil {
-				return "", err
-			}
-		}
-	}
-	w.Flush()
-	return sb.String(), w.Error()
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}

@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/cg"
 	"repro/internal/metrics"
-	"repro/internal/tensor"
 )
 
 func TestSeriesCSV(t *testing.T) {
@@ -38,40 +36,5 @@ func TestSeriesCSV(t *testing.T) {
 	}
 	if !strings.Contains(lines[2], "figure3,all,") {
 		t.Errorf("row = %q", lines[2])
-	}
-}
-
-func TestFigure8CSV(t *testing.T) {
-	cfg := Figure8Config{NICs: 2, Grid: tensor.Grid{4, 4, 4}}
-	out, err := Figure8CSV(cfg, []Figure8Result{
-		{Order: []int{1, 3, 2, 0}, Duration: 0.0325, Alltoall16: 0.01},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "2,1-3-2-0,0.0325,0.01") {
-		t.Errorf("csv = %q", out)
-	}
-}
-
-func TestFigure9CSV(t *testing.T) {
-	_ = cg.Problem{}
-	out, err := Figure9CSV(map[int][]Figure9Selection{
-		8: {{Order: []int{2, 1, 0, 3}, Cores: []int{0, 8, 16, 24}, Duration: 0.005}},
-		2: {{Order: []int{0, 1, 2, 3}, Cores: []int{0, 64}, Duration: 0.01}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("%d lines", len(lines))
-	}
-	// Sorted by process count.
-	if !strings.HasPrefix(lines[1], "2,0-1-2-3,") || !strings.HasPrefix(lines[2], "8,2-1-0-3,") {
-		t.Errorf("rows out of order: %v", lines)
-	}
-	if !strings.Contains(lines[2], "\"0,8,16,24\"") && !strings.Contains(lines[2], "0,8,16,24") {
-		t.Errorf("core list missing: %q", lines[2])
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/mixedradix"
 	"repro/internal/perm"
 	"repro/internal/plot"
-	"repro/internal/reorder"
 	"repro/internal/slurm"
 	"repro/internal/tensor"
 	"repro/internal/topology"
@@ -48,36 +47,6 @@ func Table1() string {
 		nr := mixedradix.Compose(h, c, sigma)
 		fmt.Fprintf(&b, "%-10s %-22s %-20s %d\n",
 			perm.Format(sigma), fmt.Sprint(pc), fmt.Sprint(ph), nr)
-	}
-	return b.String()
-}
-
-// Figure2 regenerates Figure 2: the reordered rank layout of every order
-// of ⟦2,2,4⟧ with the Slurm --distribution caption.
-func Figure2() string {
-	h := topology.MustNew(2, 2, 4)
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 2 — all orders of %s, 4 subcommunicators of 4\n", h)
-	for _, sigma := range perm.All(3) {
-		ro, err := reorder.New(h, sigma)
-		if err != nil {
-			panic(err)
-		}
-		caption := "Not possible"
-		if d, ok := slurm.DistributionForOrder(h, sigma); ok {
-			caption = d.String()
-		}
-		fmt.Fprintf(&b, "order %s (%s):\n", perm.Format(sigma), caption)
-		for node := 0; node < 2; node++ {
-			for socket := 0; socket < 2; socket++ {
-				row := make([]string, 4)
-				for core := 0; core < 4; core++ {
-					old := node*8 + socket*4 + core
-					row[core] = fmt.Sprintf("%2d", ro.NewRank(old))
-				}
-				fmt.Fprintf(&b, "  node%d socket%d: %s\n", node, socket, strings.Join(row, " "))
-			}
-		}
 	}
 	return b.String()
 }
@@ -258,21 +227,6 @@ type Figure8Config struct {
 	Tensor *tensor.Tensor
 	Grid   tensor.Grid
 	Iters  int
-}
-
-// Figure8Default returns the paper-scale setup (32 Hydra nodes, 1024
-// ranks, all 24 orders) with a synthetic nell-1 stand-in sized for the
-// 64×4×4 grid; the hot mode-0 band gives the layers nell-1's dominant-
-// layer imbalance.
-func Figure8Default(nics int) Figure8Config {
-	return Figure8Config{
-		Nodes:  32,
-		NICs:   nics,
-		Orders: perm.All(4),
-		Tensor: tensor.SyntheticNell([3]int{1_600_000, 8_000, 8_000}, 4_000_000, 1001),
-		Grid:   tensor.Grid{64, 4, 4},
-		Iters:  2,
-	}
 }
 
 // Figure8Result is one order's bar.

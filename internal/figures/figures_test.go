@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,7 +10,10 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/mpi"
 	"repro/internal/perm"
+	"repro/internal/reorder"
+	"repro/internal/slurm"
 	"repro/internal/tensor"
+	"repro/internal/topology"
 )
 
 func TestTable1Render(t *testing.T) {
@@ -40,6 +44,36 @@ func TestFigure2Render(t *testing.T) {
 			t.Errorf("Figure2 output missing %q", want)
 		}
 	}
+}
+
+// Figure2 regenerates Figure 2: the reordered rank layout of every order
+// of ⟦2,2,4⟧ with the Slurm --distribution caption.
+func Figure2() string {
+	h := topology.MustNew(2, 2, 4)
+	var b strings.Builder
+	fmt.Fprintf(&b, "Figure 2 — all orders of %s, 4 subcommunicators of 4\n", h)
+	for _, sigma := range perm.All(3) {
+		ro, err := reorder.New(h, sigma)
+		if err != nil {
+			panic(err)
+		}
+		caption := "Not possible"
+		if d, ok := slurm.DistributionForOrder(h, sigma); ok {
+			caption = d.String()
+		}
+		fmt.Fprintf(&b, "order %s (%s):\n", perm.Format(sigma), caption)
+		for node := 0; node < 2; node++ {
+			for socket := 0; socket < 2; socket++ {
+				row := make([]string, 4)
+				for core := 0; core < 4; core++ {
+					old := node*8 + socket*4 + core
+					row[core] = fmt.Sprintf("%2d", ro.NewRank(old))
+				}
+				fmt.Fprintf(&b, "  node%d socket%d: %s\n", node, socket, strings.Join(row, " "))
+			}
+		}
+	}
+	return b.String()
 }
 
 func TestMicroBenchConfigs(t *testing.T) {
@@ -110,7 +144,7 @@ func TestRunFigure8Small(t *testing.T) {
 		Nodes:  8,
 		NICs:   1,
 		Orders: [][]int{{1, 3, 2, 0}, {3, 2, 1, 0}},
-		Tensor: tensor.Synthetic([3]int{100000, 1000, 1000}, 300000, 3),
+		Tensor: tensor.SyntheticNell([3]int{100000, 1000, 1000}, 300000, 3),
 		Grid:   tensor.Grid{16, 4, 4},
 		Iters:  1,
 	}

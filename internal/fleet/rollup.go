@@ -287,7 +287,8 @@ func (g *Router) publishNote(i int, n rollupNote) {
 }
 
 // mergeSLO sums the replicas' raw window counts per endpoint×window and
-// recomputes availability and burn rates against the (shared) targets.
+// derives availability, burn rates and the fast-burn page condition from
+// the sums as each replica's tracker does.
 func mergeSLO(reports []rt.SLOReport) FleetSLO {
 	out := FleetSLO{}
 	if len(reports) == 0 {
@@ -327,45 +328,12 @@ func mergeSLO(reports []rt.SLOReport) FleetSLO {
 		merged := rt.EndpointSLO{Endpoint: ep}
 		for _, win := range winOrder[ep] {
 			c := sums[ep][win]
-			ws := rt.WindowSLO{
-				Window:           win,
-				Requests:         c.requests,
-				Errors:           c.errors,
-				Slow:             c.slow,
-				Availability:     1,
-				AvailabilityBurn: burn(c.errors, c.requests, out.AvailabilityTarget),
-				LatencyBurn:      burn(c.slow, c.requests, out.LatencyObjective),
-			}
-			if c.requests > 0 {
-				ws.Availability = float64(c.requests-c.errors) / float64(c.requests)
-			}
-			merged.Windows = append(merged.Windows, ws)
+			merged.Windows = append(merged.Windows, rt.NewWindowSLO(win, c.requests, c.errors, c.slow))
 		}
 		out.Endpoints = append(out.Endpoints, merged)
-		// The merged fast-burn page condition mirrors the replicas' own:
-		// both of the two shortest windows at or above the factor.
-		if len(merged.Windows) >= 2 && out.FastBurnFactor > 0 {
-			w0, w1 := merged.Windows[0], merged.Windows[1]
-			availFast := w0.AvailabilityBurn >= out.FastBurnFactor && w1.AvailabilityBurn >= out.FastBurnFactor
-			latFast := w0.LatencyBurn >= out.FastBurnFactor && w1.LatencyBurn >= out.FastBurnFactor
-			if availFast || latFast {
-				out.FastBurning = true
-			}
-		}
+		out.FastBurning = out.FastBurning || merged.FastBurning()
 	}
 	return out
-}
-
-// burn is the SRE burn rate: (bad fraction) / (error budget).
-func burn(bad, total uint64, objective float64) float64 {
-	if total == 0 {
-		return 0
-	}
-	budget := 1 - objective
-	if budget <= 0 {
-		return 0
-	}
-	return (float64(bad) / float64(total)) / budget
 }
 
 // worstShortBurn is the worst availability/latency burn across the

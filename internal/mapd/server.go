@@ -69,8 +69,8 @@ type Config struct {
 	// Logger receives one structured line per request plus error-path
 	// diagnostics, trace-correlated when Tracer is set (default: discard).
 	Logger *slog.Logger
-	// SLO tracks rolling burn rates per endpoint (default: a tracker with
-	// rt.SLOOptions defaults). Fast-burning SLOs degrade /healthz.
+	// SLO tracks rolling burn rates per endpoint (default: a tracker on
+	// the wall clock). Fast-burning SLOs degrade /healthz.
 	SLO *rt.SLOTracker
 	// StatsClasses is the Space-Saving capacity K of the workload
 	// analytics behind GET /v1/stats: at most this many shape classes are

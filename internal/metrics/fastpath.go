@@ -22,11 +22,11 @@
 // still clamped to the digits of m-1, giving O(k) per level and O(k²)
 // overall — independent of the hierarchy size.
 //
-// The table-based path (FirstComm + RingCost + PairsPerLevel, which the
-// tests' CharacterizeTable combines) remains the reference implementation:
-// differential tests prove the two agree on randomized hierarchies, and
-// degraded or masked placements — which are not a clean mixed-radix space —
-// must still use the tables.
+// The table-based path (the tests' FirstComm + RingCost + PairsPerLevel,
+// which their CharacterizeTable combines) remains the reference
+// implementation: differential tests prove the two agree on randomized
+// hierarchies, and degraded or masked placements — which are not a clean
+// mixed-radix space — must still use the tables.
 
 package metrics
 
@@ -51,9 +51,9 @@ func scratch(buf *[16]int64, k int) []int64 {
 // CrossingsPerLevelInto writes into out (length k, overwritten), for each
 // hierarchy level l (outermost = 0), how many consecutive reordered-rank
 // pairs (r, r+1) with r ∈ [0, m-1) first differ at level l. The ring cost
-// follows as Σ_l out[l] · (k - l). Only the prefix of sigma that covers m
-// is read (PrefixCoverLen), so a covering prefix may stand in for the
-// order. The inputs are not validated: OrderSignature and Characterize do.
+// follows as Σ_l out[l] · (k - l). Only the shortest prefix of sigma whose
+// radix product reaches m is read, so a covering prefix may stand in for
+// the order. The inputs are not validated: OrderSignature and Characterize do.
 func CrossingsPerLevelInto(out []int64, ar, sigma []int, m int) {
 	k := len(ar)
 	clear(out[:k])

@@ -24,22 +24,6 @@ type Placement struct {
 	Cores []int
 }
 
-// FirstComm returns the placement of the first subcommunicator (the one
-// containing reordered ranks 0 … commSize-1) when hierarchy h is reordered
-// with order sigma: the blue communicator of Figure 2.
-func FirstComm(h topology.Hierarchy, sigma []int, commSize int) (Placement, error) {
-	ro, err := mixedradix.NewReorderer(h.Arities(), sigma)
-	if err != nil {
-		return Placement{}, err
-	}
-	if commSize <= 0 || commSize > h.Size() {
-		return Placement{}, fmt.Errorf("metrics: communicator size %d out of range (0, %d]", commSize, h.Size())
-	}
-	cores := make([]int, commSize)
-	ro.InverseRangeInto(cores, 0)
-	return Placement{H: h, Cores: cores}, nil
-}
-
 // Comm returns the placement of the idx-th subcommunicator (block
 // colouring: reordered ranks idx·commSize … (idx+1)·commSize-1).
 func Comm(h topology.Hierarchy, sigma []int, commSize, idx int) (Placement, error) {

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -9,6 +10,22 @@ import (
 	"repro/internal/perm"
 	"repro/internal/topology"
 )
+
+// FirstComm returns the placement of the first subcommunicator (the one
+// containing reordered ranks 0 … commSize-1) when hierarchy h is reordered
+// with order sigma: the blue communicator of Figure 2.
+func FirstComm(h topology.Hierarchy, sigma []int, commSize int) (Placement, error) {
+	ro, err := mixedradix.NewReorderer(h.Arities(), sigma)
+	if err != nil {
+		return Placement{}, err
+	}
+	if commSize <= 0 || commSize > h.Size() {
+		return Placement{}, fmt.Errorf("metrics: communicator size %d out of range (0, %d]", commSize, h.Size())
+	}
+	cores := make([]int, commSize)
+	ro.InverseRangeInto(cores, 0)
+	return Placement{H: h, Cores: cores}, nil
+}
 
 func mustChar(t *testing.T, h topology.Hierarchy, order string, commSize int) Characterization {
 	t.Helper()

@@ -14,35 +14,6 @@
 
 package metrics
 
-// PrefixProduct returns the radix product of the prefix's levels — the
-// number of reordered ranks the prefix enumerates before any deeper
-// digit varies. Level indices outside [0, len(ar)) are rejected by
-// construction at the call sites; the product is not overflow-checked
-// (callers validate hierarchy size first, as mapd's parse limits do).
-func PrefixProduct(ar, prefix []int) int {
-	prod := 1
-	for _, l := range prefix {
-		prod *= ar[l]
-	}
-	return prod
-}
-
-// PrefixCoverLen returns the length of the shortest prefix of sigma
-// whose radix product reaches m — the number of leading positions that
-// fully determine the first subcommunicator of size m. It returns
-// len(sigma) when even the whole order falls short (only possible when
-// m exceeds the hierarchy size).
-func PrefixCoverLen(ar, sigma []int, m int) int {
-	prod := 1
-	for t, l := range sigma {
-		if prod >= m {
-			return t
-		}
-		prod *= ar[l]
-	}
-	return len(sigma)
-}
-
 // BestCompletionCrossLevel returns the deepest (largest-index, i.e.
 // cheapest) outermost-crossing level that any completion of the given
 // prefix can achieve for the first subcommunicator of size m.

@@ -395,29 +395,3 @@ func PermutedCoordinates(c, sigma []int) []int {
 // IdentityOrder returns the order that leaves the enumeration unchanged,
 // [k-1, …, 0] (Figure 2f): Algorithm 2 with this order inverts Algorithm 1.
 func IdentityOrder(k int) []int { return perm.Reversed(k) }
-
-// ReorderedHierarchy returns the hierarchy of the new enumeration produced
-// by sigma, listed outermost (most significant) level first like h itself:
-// element j is h[sigma[k-1-j]]. Decomposing a reordered rank against this
-// hierarchy yields its coordinates in the new enumeration.
-func ReorderedHierarchy(h, sigma []int) []int {
-	k := len(h)
-	out := make([]int, k)
-	for j := 0; j < k; j++ {
-		out[j] = h[sigma[k-1-j]]
-	}
-	return out
-}
-
-// UndoOrder returns the order τ that inverts a reordering: reordering h by
-// sigma and then reordering ReorderedHierarchy(h, sigma) by τ restores every
-// original rank. τ(i) = k-1-σ⁻¹(k-1-i).
-func UndoOrder(sigma []int) []int {
-	k := len(sigma)
-	inv := perm.Inverse(sigma)
-	tau := make([]int, k)
-	for i := 0; i < k; i++ {
-		tau[i] = k - 1 - inv[k-1-i]
-	}
-	return tau
-}

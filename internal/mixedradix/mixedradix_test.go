@@ -237,6 +237,35 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// ReorderedHierarchy returns the hierarchy of the new enumeration produced
+// by sigma, listed outermost (most significant) level first like h itself:
+// element j is h[sigma[k-1-j]]. Decomposing a reordered rank against this
+// hierarchy yields its coordinates in the new enumeration.
+func ReorderedHierarchy(h, sigma []int) []int {
+	k := len(h)
+	out := make([]int, k)
+	for j := 0; j < k; j++ {
+		out[j] = h[sigma[k-1-j]]
+	}
+	return out
+}
+
+// UndoOrder returns the order τ that inverts a reordering: reordering h by
+// sigma and then reordering ReorderedHierarchy(h, sigma) by τ restores every
+// original rank. τ(i) = k-1-σ⁻¹(k-1-i).
+func UndoOrder(sigma []int) []int {
+	k := len(sigma)
+	inv := make([]int, k)
+	for i, v := range sigma {
+		inv[v] = i
+	}
+	tau := make([]int, k)
+	for i := 0; i < k; i++ {
+		tau[i] = k - 1 - inv[k-1-i]
+	}
+	return tau
+}
+
 // Property: UndoOrder inverts a reordering — reordering by sigma, then
 // reordering the new enumeration's hierarchy by UndoOrder(sigma), restores
 // every rank.

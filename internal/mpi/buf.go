@@ -27,9 +27,6 @@ func F64Buf(data []float64) Buf {
 	return Buf{Bytes: int64(len(data)) * 8, Data: data}
 }
 
-// IsData reports whether the buffer carries real payload.
-func (b Buf) IsData() bool { return b.Data != nil }
-
 // check panics on an internally inconsistent buffer.
 func (b Buf) check() {
 	if b.Data != nil && b.Bytes != int64(len(b.Data))*8 {

@@ -146,7 +146,7 @@ func TestCartReorderImprovesLocality(t *testing.T) {
 func gridWalkCost(r *Rank, cc *CartComm) int {
 	h := r.w.platform.Hierarchy()
 	cores := make([]int, cc.Size())
-	for i, w := range cc.Group() {
+	for i, w := range cc.group {
 		cores[i] = r.w.binding[w]
 	}
 	total := 0

@@ -34,9 +34,6 @@ func (c *Comm) Rank() int { return c.rank }
 // ID returns the communicator's id (0 for the world communicator).
 func (c *Comm) ID() int { return c.id }
 
-// Group returns a copy of the comm-rank → world-rank mapping.
-func (c *Comm) Group() []int { return append([]int(nil), c.group...) }
-
 // tag builds a matching tag private to this communicator and operation
 // sequence number; user point-to-point tags live in the non-negative space.
 func (c *Comm) tag(seq int64, phase int64) int64 {
@@ -47,63 +44,6 @@ func (c *Comm) tag(seq int64, phase int64) int64 {
 func (c *Comm) nextSeq() int64 {
 	c.seq++
 	return c.seq
-}
-
-// Send sends buf to dst (comm rank) with a user tag and blocks until the
-// send completes (eager: immediately; rendezvous: when received).
-func (c *Comm) Send(r *Rank, dst int, tag int64, buf Buf) {
-	c.Isend(r, dst, tag, buf).Wait(r)
-}
-
-// Recv blocks until a matching message from src (comm rank) arrives and
-// returns its payload.
-func (c *Comm) Recv(r *Rank, src int, tag int64) Buf {
-	return c.Irecv(r, src, tag).Wait(r)
-}
-
-// Isend starts a non-blocking send to dst (comm rank).
-func (c *Comm) Isend(r *Rank, dst int, tag int64, buf Buf) *Request {
-	if tag < 0 {
-		panic("mpi: negative user tags are reserved")
-	}
-	c.checkRank(r, dst)
-	c.guard("Send", c.group[dst])
-	return c.w.isend(c.group[c.rank], c.group[dst], userTag(c.id, tag), buf)
-}
-
-// Irecv starts a non-blocking receive from src (comm rank).
-func (c *Comm) Irecv(r *Rank, src int, tag int64) *Request {
-	if tag < 0 {
-		panic("mpi: negative user tags are reserved")
-	}
-	c.checkRank(r, src)
-	c.guard("Recv", c.group[src])
-	return c.w.irecv(c.group[c.rank], c.group[src], userTag(c.id, tag))
-}
-
-// Sendrecv exchanges messages with two peers simultaneously: sends buf to
-// dst while receiving from src, returning the received payload.
-func (c *Comm) Sendrecv(r *Rank, dst int, sendBuf Buf, src int, tag int64) Buf {
-	rr := c.Irecv(r, src, tag)
-	sr := c.Isend(r, dst, tag, sendBuf)
-	got := rr.Wait(r)
-	sr.Wait(r)
-	return got
-}
-
-// userTag namespaces user tags per communicator.
-func userTag(commID int, tag int64) int64 {
-	return int64(commID)<<40 | tag
-}
-
-func (c *Comm) checkRank(r *Rank, peer int) {
-	if c.group[c.rank] != r.id {
-		panic(fmt.Sprintf("mpi: rank %d used a communicator handle belonging to world rank %d",
-			r.id, c.group[c.rank]))
-	}
-	if peer < 0 || peer >= len(c.group) {
-		panic(fmt.Sprintf("mpi: peer %d out of range for communicator of size %d", peer, len(c.group)))
-	}
 }
 
 // internal isend/irecv with collective-private tags. The guard makes every

@@ -179,7 +179,7 @@ func TestSplitEvenSynthetic(t *testing.T) {
 
 func TestConcatMixedBecomesSynthetic(t *testing.T) {
 	out := Concat(F64Buf([]float64{1, 2}), BytesBuf(8))
-	if out.IsData() {
+	if out.Data != nil {
 		t.Error("mixing data and synthetic should drop the data")
 	}
 	if out.Bytes != 24 {

@@ -8,9 +8,11 @@
 //
 // A World is created over a netmodel platform with a binding (rank → core).
 // Each rank's body receives a *Rank handle giving MPI-style operations:
-// Send/Recv/Isend/Irecv/Sendrecv, communicator Split, and the collectives
-// used in the paper's evaluation (§4): Alltoall(v), Allreduce, Allgather,
-// Bcast, Reduce, Gather, Scan, Barrier.
+// communicator Split and the collectives used in the paper's evaluation
+// (§4): Alltoall(v), Allreduce, Allgather, Bcast, Reduce, Gather, Scan,
+// Barrier. The collectives exchange messages through the runtime's internal
+// isend/irecv path; the user point-to-point calls (Isend, Irecv) exist only
+// in the package's tests.
 package mpi
 
 import (
@@ -162,9 +164,6 @@ func NewWorld(engine *sim.Engine, platform *netmodel.Platform, binding []int, cf
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.binding) }
 
-// Core returns the core a world rank is bound to.
-func (w *World) Core(rank int) int { return w.binding[rank] }
-
 // Spawn launches every rank's body as a simulation process. Call before
 // engine.Run.
 func (w *World) Spawn(body func(r *Rank)) {
@@ -225,9 +224,6 @@ func (r *Rank) World() *Comm { return r.world }
 
 // Now returns the rank's current virtual time in seconds.
 func (r *Rank) Now() float64 { return r.proc.Now() }
-
-// Core returns the core this rank is bound to.
-func (r *Rank) Core() int { return r.w.binding[r.id] }
 
 // Wait advances the rank's virtual time by d seconds (pure local work).
 // A straggling rank's local work is stretched by its slowdown factor.

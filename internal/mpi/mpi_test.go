@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -27,6 +28,53 @@ func identityBinding(n int) []int {
 		b[i] = i
 	}
 	return b
+}
+
+// Send sends buf to dst (comm rank) with a user tag and blocks until the
+// send completes (eager: immediately; rendezvous: when received).
+func (c *Comm) Send(r *Rank, dst int, tag int64, buf Buf) {
+	c.Isend(r, dst, tag, buf).Wait(r)
+}
+
+// Recv blocks until a matching message from src (comm rank) arrives and
+// returns its payload.
+func (c *Comm) Recv(r *Rank, src int, tag int64) Buf {
+	return c.Irecv(r, src, tag).Wait(r)
+}
+
+// Isend starts a non-blocking send to dst (comm rank).
+func (c *Comm) Isend(r *Rank, dst int, tag int64, buf Buf) *Request {
+	if tag < 0 {
+		panic("mpi: negative user tags are reserved")
+	}
+	c.checkRank(r, dst)
+	c.guard("Send", c.group[dst])
+	return c.w.isend(c.group[c.rank], c.group[dst], userTag(c.id, tag), buf)
+}
+
+// Irecv starts a non-blocking receive from src (comm rank).
+func (c *Comm) Irecv(r *Rank, src int, tag int64) *Request {
+	if tag < 0 {
+		panic("mpi: negative user tags are reserved")
+	}
+	c.checkRank(r, src)
+	c.guard("Recv", c.group[src])
+	return c.w.irecv(c.group[c.rank], c.group[src], userTag(c.id, tag))
+}
+
+// userTag namespaces user tags per communicator.
+func userTag(commID int, tag int64) int64 {
+	return int64(commID)<<40 | tag
+}
+
+func (c *Comm) checkRank(r *Rank, peer int) {
+	if c.group[c.rank] != r.id {
+		panic(fmt.Sprintf("mpi: rank %d used a communicator handle belonging to world rank %d",
+			r.id, c.group[c.rank]))
+	}
+	if peer < 0 || peer >= len(c.group) {
+		panic(fmt.Sprintf("mpi: peer %d out of range for communicator of size %d", peer, len(c.group)))
+	}
 }
 
 // runWorld executes body on n ranks with identity binding and returns the
@@ -107,11 +155,16 @@ func TestMessageOrderingFIFO(t *testing.T) {
 	})
 }
 
+// TestSendrecvExchange: two ranks post their receives before their sends
+// and both exchanges complete with the peer's payload.
 func TestSendrecvExchange(t *testing.T) {
 	runWorld(t, 2, Config{}, func(r *Rank) {
 		w := r.World()
 		peer := 1 - r.ID()
-		got := w.Sendrecv(r, peer, F64Buf([]float64{float64(r.ID())}), peer, 3)
+		rr := w.Irecv(r, peer, 3)
+		sr := w.Isend(r, peer, 3, F64Buf([]float64{float64(r.ID())}))
+		got := rr.Wait(r)
+		sr.Wait(r)
 		if got.Data[0] != float64(peer) {
 			t.Errorf("rank %d received %v", r.ID(), got.Data)
 		}

@@ -212,16 +212,6 @@ func (s *Scope) SetThreadName(pid, tid int, name string) {
 	s.threadNames[[2]int{pid, tid}] = name
 }
 
-// ProcessName returns the name set for a Perfetto process, or "".
-func (s *Scope) ProcessName(pid int) string {
-	if s == nil {
-		return ""
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.procNames[pid]
-}
-
 // ThreadName returns the name set for a Perfetto thread, or "".
 func (s *Scope) ThreadName(pid, tid int) string {
 	if s == nil {

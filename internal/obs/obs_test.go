@@ -7,6 +7,13 @@ import (
 	"testing"
 )
 
+// ProcessName returns the name set for a Perfetto process, or "".
+func (s *Scope) ProcessName(pid int) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.procNames[pid]
+}
+
 func TestNilScopeIsNoOp(t *testing.T) {
 	var s *Scope
 	// None of these may panic, allocate state, or return non-zero data.

@@ -27,46 +27,29 @@ import (
 	"repro/internal/obs"
 )
 
-// SLOOptions tunes an SLOTracker. The zero value picks the serving
-// defaults.
+// The serving objectives every tracker holds endpoints to.
+const (
+	// sloAvailability is the target success fraction.
+	sloAvailability = 0.999
+	// sloLatencyThreshold is the per-request latency objective.
+	sloLatencyThreshold = 250 * time.Millisecond
+	// sloLatencyObjective is the target fraction of requests under the
+	// threshold.
+	sloLatencyObjective = 0.99
+	// fastBurnFactor is the burn rate that, sustained in both of the two
+	// shortest windows, flags the tracker as fast-burning: 14, the
+	// SRE-workbook page threshold.
+	fastBurnFactor = 14
+)
+
+// sloWindows are the rolling windows, ascending. The first two drive the
+// fast-burn condition.
+var sloWindows = [...]time.Duration{time.Minute, 5 * time.Minute, 30 * time.Minute}
+
+// SLOOptions tunes an SLOTracker. The zero value is the serving tracker.
 type SLOOptions struct {
-	// Availability is the target success fraction (default 0.999).
-	Availability float64
-	// LatencyThreshold is the per-request latency objective (default
-	// 250ms).
-	LatencyThreshold time.Duration
-	// LatencyObjective is the target fraction of requests under the
-	// threshold (default 0.99).
-	LatencyObjective float64
-	// Windows are the rolling windows, ascending (default 1m, 5m, 30m).
-	// The first two drive the fast-burn condition.
-	Windows []time.Duration
 	// Now is the clock (default time.Now). Tests inject a fake.
 	Now func() time.Time
-}
-
-// fastBurnFactor is the burn rate that, sustained in both of the two
-// shortest windows, flags the tracker as fast-burning: 14, the
-// SRE-workbook page threshold.
-const fastBurnFactor = 14
-
-func (o SLOOptions) withDefaults() SLOOptions {
-	if o.Availability == 0 {
-		o.Availability = 0.999
-	}
-	if o.LatencyThreshold == 0 {
-		o.LatencyThreshold = 250 * time.Millisecond
-	}
-	if o.LatencyObjective == 0 {
-		o.LatencyObjective = 0.99
-	}
-	if len(o.Windows) == 0 {
-		o.Windows = []time.Duration{time.Minute, 5 * time.Minute, 30 * time.Minute}
-	}
-	if o.Now == nil {
-		o.Now = time.Now
-	}
-	return o
 }
 
 // sloCell is one second of one endpoint's traffic.
@@ -89,15 +72,12 @@ type SLOTracker struct {
 
 // NewSLOTracker returns a tracker with the given options.
 func NewSLOTracker(opts SLOOptions) *SLOTracker {
-	opts = opts.withDefaults()
-	longest := opts.Windows[len(opts.Windows)-1]
-	ringLen := int64(longest / time.Second)
-	if ringLen < 1 {
-		ringLen = 1
+	if opts.Now == nil {
+		opts.Now = time.Now
 	}
 	return &SLOTracker{
 		opts:    opts,
-		ringLen: ringLen,
+		ringLen: int64(sloWindows[len(sloWindows)-1] / time.Second),
 		series:  map[string]*[]sloCell{},
 	}
 }
@@ -137,7 +117,7 @@ func (t *SLOTracker) Record(endpoint string, code int, latency time.Duration) {
 	if code >= 500 {
 		cell.errors++
 	}
-	if latency > t.opts.LatencyThreshold {
+	if latency > sloLatencyThreshold {
 		cell.slow++
 	}
 }
@@ -174,7 +154,7 @@ type SLOReport struct {
 }
 
 // windowStats sums the ring cells inside (now-window, now].
-func (t *SLOTracker) windowStatsLocked(ring []sloCell, nowSec, windowSec int64) (total, errors, slow uint64) {
+func windowStats(ring []sloCell, nowSec, windowSec int64) (total, errors, slow uint64) {
 	lo := nowSec - windowSec // exclusive
 	for i := range ring {
 		c := &ring[i]
@@ -188,24 +168,63 @@ func (t *SLOTracker) windowStatsLocked(ring []sloCell, nowSec, windowSec int64) 
 	return total, errors, slow
 }
 
+// NewWindowSLO derives a window's snapshot from its raw counts: the
+// observed availability and the burn rates against the serving
+// objectives. A fleet merging replicas' windows derives the merged one
+// from the summed counts.
+func NewWindowSLO(window string, requests, errors, slow uint64) WindowSLO {
+	ws := WindowSLO{
+		Window:           window,
+		Requests:         requests,
+		Errors:           errors,
+		Slow:             slow,
+		Availability:     1,
+		AvailabilityBurn: burnRate(errors, requests, sloAvailability),
+		LatencyBurn:      burnRate(slow, requests, sloLatencyObjective),
+	}
+	if requests > 0 {
+		ws.Availability = float64(requests-errors) / float64(requests)
+	}
+	return ws
+}
+
 func burnRate(bad, total uint64, objective float64) float64 {
 	if total == 0 {
 		return 0
 	}
-	budget := 1 - objective
-	if budget <= 0 {
-		return 0
+	return (float64(bad) / float64(total)) / (1 - objective)
+}
+
+// FastBurning reports the multi-window page condition on one endpoint:
+// its availability or latency burn rate is at or above the fast-burn
+// factor in both of its two shortest windows.
+func (e EndpointSLO) FastBurning() bool {
+	if len(e.Windows) < 2 {
+		return false
 	}
-	return (float64(bad) / float64(total)) / budget
+	w0, w1 := e.Windows[0], e.Windows[1]
+	return w0.AvailabilityBurn >= fastBurnFactor && w1.AvailabilityBurn >= fastBurnFactor ||
+		w0.LatencyBurn >= fastBurnFactor && w1.LatencyBurn >= fastBurnFactor
+}
+
+// endpointLocked snapshots one endpoint across the given windows.
+func (t *SLOTracker) endpointLocked(name string, nowSec int64, windows []time.Duration) EndpointSLO {
+	ring := *t.series[name]
+	ep := EndpointSLO{Endpoint: name, Windows: make([]WindowSLO, 0, len(windows))}
+	for _, w := range windows {
+		total, errors, slow := windowStats(ring, nowSec, int64(w/time.Second))
+		ep.Windows = append(ep.Windows, NewWindowSLO(w.String(), total, errors, slow))
+	}
+	return ep
 }
 
 // Report snapshots every endpoint across every window, endpoints sorted
 // by name.
 func (t *SLOTracker) Report() SLOReport {
 	rep := SLOReport{
-		AvailabilityTarget: t.opts.Availability,
-		LatencyThreshold:   t.opts.LatencyThreshold.String(),
-		LatencyObjective:   t.opts.LatencyObjective,
+		AvailabilityTarget: sloAvailability,
+		LatencyThreshold:   sloLatencyThreshold.String(),
+		LatencyObjective:   sloLatencyObjective,
 		FastBurnFactor:     fastBurnFactor,
 	}
 	t.mu.Lock()
@@ -217,56 +236,25 @@ func (t *SLOTracker) Report() SLOReport {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		ring := *t.series[name]
-		ep := EndpointSLO{Endpoint: name}
-		for _, w := range t.opts.Windows {
-			total, errors, slow := t.windowStatsLocked(ring, nowSec, int64(w/time.Second))
-			ws := WindowSLO{
-				Window:           w.String(),
-				Requests:         total,
-				Errors:           errors,
-				Slow:             slow,
-				Availability:     1,
-				AvailabilityBurn: burnRate(errors, total, t.opts.Availability),
-				LatencyBurn:      burnRate(slow, total, t.opts.LatencyObjective),
-			}
-			if total > 0 {
-				ws.Availability = float64(total-errors) / float64(total)
-			}
-			ep.Windows = append(ep.Windows, ws)
-		}
+		ep := t.endpointLocked(name, nowSec, sloWindows[:])
 		rep.Endpoints = append(rep.Endpoints, ep)
+		rep.FastBurning = rep.FastBurning || ep.FastBurning()
 	}
-	rep.FastBurning = t.fastBurningLocked(nowSec)
 	return rep
 }
 
-// FastBurning reports the multi-window page condition: some endpoint's
-// availability or latency burn rate is at or above the fast-burn factor
-// in both of the two shortest windows. A nil tracker never burns.
+// FastBurning reports whether some endpoint is fast-burning
+// (EndpointSLO.FastBurning). A nil tracker never burns.
 func (t *SLOTracker) FastBurning() bool {
 	if t == nil {
 		return false
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.fastBurningLocked(t.nowSecLocked())
-}
-
-func (t *SLOTracker) fastBurningLocked(nowSec int64) bool {
-	short := int64(t.opts.Windows[0] / time.Second)
-	mid := short
-	if len(t.opts.Windows) > 1 {
-		mid = int64(t.opts.Windows[1] / time.Second)
-	}
-	for _, ring := range t.series {
-		st, se, ss := t.windowStatsLocked(*ring, nowSec, short)
-		mt, me, ms := t.windowStatsLocked(*ring, nowSec, mid)
-		availFast := burnRate(se, st, t.opts.Availability) >= fastBurnFactor &&
-			burnRate(me, mt, t.opts.Availability) >= fastBurnFactor
-		latFast := burnRate(ss, st, t.opts.LatencyObjective) >= fastBurnFactor &&
-			burnRate(ms, mt, t.opts.LatencyObjective) >= fastBurnFactor
-		if availFast || latFast {
+	nowSec := t.nowSecLocked()
+	for name := range t.series {
+		// The page condition reads only the two shortest windows.
+		if t.endpointLocked(name, nowSec, sloWindows[:2]).FastBurning() {
 			return true
 		}
 	}

@@ -279,14 +279,6 @@ func (s *Span) SpanID() string {
 	return s.id.String()
 }
 
-// Sampled reports the trace's head-sampling decision.
-func (s *Span) Sampled() bool {
-	if s == nil {
-		return false
-	}
-	return s.buf.sampled
-}
-
 // Traceparent renders the header value propagating this span downstream.
 func (s *Span) Traceparent() string {
 	if s == nil {

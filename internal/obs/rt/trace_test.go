@@ -76,7 +76,7 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 func TestSpanNestingAndCommit(t *testing.T) {
 	tr := testTracer(1)
 	ctx, root := tr.StartRequest(context.Background(), "http /v1/x", "")
-	if root.TraceID() == "" || !root.Sampled() {
+	if root.TraceID() == "" || !root.buf.sampled {
 		t.Fatalf("root not sampled: id=%q", root.TraceID())
 	}
 	cctx, child := StartSpan(ctx, "cache.lookup")
@@ -115,7 +115,7 @@ func TestSpanNestingAndCommit(t *testing.T) {
 func TestUnsampledTraceDropped(t *testing.T) {
 	tr := testTracer(-1) // never head-sample
 	ctx, root := tr.StartRequest(context.Background(), "http /v1/x", "")
-	if root.Sampled() {
+	if root.buf.sampled {
 		t.Fatal("ratio<0 sampled a trace")
 	}
 	_, child := StartSpan(ctx, "cache.lookup")
@@ -157,7 +157,7 @@ func TestUpstreamTraceparentHonoured(t *testing.T) {
 	if got := root.TraceID(); got != "4bf92f3577b34da6a3ce929d0e0e4736" {
 		t.Fatalf("trace id %q does not continue the upstream trace", got)
 	}
-	if !root.Sampled() {
+	if !root.buf.sampled {
 		t.Fatal("upstream sampled flag ignored")
 	}
 	// The span injected downstream carries the same trace id, a new span id.
@@ -176,7 +176,7 @@ func TestUpstreamTraceparentHonoured(t *testing.T) {
 	tr2 := testTracer(1) // would sample on its own — upstream says drop
 	_, root2 := tr2.StartRequest(context.Background(), "http /v1/x",
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00")
-	if root2.Sampled() {
+	if root2.buf.sampled {
 		t.Fatal("upstream unsampled flag ignored")
 	}
 	root2.End()
@@ -207,7 +207,7 @@ func TestNilSafety(t *testing.T) {
 	sp2.SetAttr("k", 1)
 	sp2.SetError()
 	sp2.End()
-	if sp2.TraceID() != "" || sp2.SpanID() != "" || sp2.Traceparent() != "" || sp2.Sampled() {
+	if sp2.TraceID() != "" || sp2.SpanID() != "" || sp2.Traceparent() != "" {
 		t.Fatal("nil span leaked state")
 	}
 	var st *SLOTracker

@@ -75,10 +75,15 @@ func (d *DiffResult) Regressions() []Comparison {
 	return out
 }
 
-// Diff compares two records of the same suite.
+// Diff compares two records of the same suite taken on the same number
+// of CPUs.
 func Diff(old, new_ *Record, opts DiffOptions) (*DiffResult, error) {
 	if old.Suite != new_.Suite {
 		return nil, fmt.Errorf("perf: comparing suite %q against %q", old.Suite, new_.Suite)
+	}
+	if old.NumCPU != new_.NumCPU {
+		return nil, fmt.Errorf("perf: comparing a %d-CPU record against a %d-CPU one: timings from different machines are not comparable, re-record the baseline here",
+			old.NumCPU, new_.NumCPU)
 	}
 	opts = opts.withDefaults()
 	d := &DiffResult{Suite: old.Suite, Threshold: opts.Threshold}

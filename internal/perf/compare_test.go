@@ -142,6 +142,14 @@ func TestDiffRejectsSuiteMismatch(t *testing.T) {
 	}
 }
 
+func TestDiffRejectsCPUCountMismatch(t *testing.T) {
+	old, new_ := record("a"), record("a")
+	new_.NumCPU = old.NumCPU + 1
+	if _, err := Diff(old, new_, DiffOptions{}); err == nil {
+		t.Fatal("expected num_cpu-mismatch error")
+	}
+}
+
 func TestDiffFormatNamesMovedSymbol(t *testing.T) {
 	old := record("s", result("K/a", 100, 101, 99, 100, 102))
 	new_ := record("s", result("K/a", 200, 201, 199, 200, 202))

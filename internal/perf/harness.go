@@ -57,17 +57,6 @@ func (b *B) StopTimer() {
 	}
 }
 
-// StartTimer resumes measurement after StopTimer.
-func (b *B) StartTimer() {
-	if !b.timerOn {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		b.mallocs0, b.bytes0 = ms.Mallocs, ms.TotalAlloc
-		b.start = time.Now()
-		b.timerOn = true
-	}
-}
-
 // ReportMetric records a custom unit (req/s, MB/s, p99_ms …); the last
 // call per unit wins, matching testing.B semantics.
 func (b *B) ReportMetric(v float64, unit string) {

@@ -73,19 +73,6 @@ func Check(p []int) error {
 	return nil
 }
 
-// Inverse returns q with q[p[i]] = i. Applying p then Inverse(p) as index
-// maps yields the identity. Inverse panics if p is not a permutation.
-func Inverse(p []int) []int {
-	if !IsPermutation(p) {
-		panic(ErrNotPermutation)
-	}
-	q := make([]int, len(p))
-	for i, v := range p {
-		q[v] = i
-	}
-	return q
-}
-
 // Compose returns the permutation r with r[i] = p[q[i]] — that is, applying
 // q first and then p when permutations are read as index maps.
 // It panics if the lengths differ or either argument is not a permutation.

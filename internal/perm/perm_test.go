@@ -7,6 +7,19 @@ import (
 	"testing/quick"
 )
 
+// Inverse returns q with q[p[i]] = i. Applying p then Inverse(p) as index
+// maps yields the identity. Inverse panics if p is not a permutation.
+func Inverse(p []int) []int {
+	if !IsPermutation(p) {
+		panic(ErrNotPermutation)
+	}
+	q := make([]int, len(p))
+	for i, v := range p {
+		q[v] = i
+	}
+	return q
+}
+
 func TestIdentity(t *testing.T) {
 	got := Identity(4)
 	want := []int{0, 1, 2, 3}

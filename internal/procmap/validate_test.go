@@ -126,7 +126,7 @@ func TestUniformCollectivesTieWithBestOrder(t *testing.T) {
 	// pack optimally; the matrix-aware mapping must not lose more than 1%.
 	h := topology.MustNew(2, 4, 2, 8)
 	for _, block := range []int{8, 16, 32} {
-		m, err := commmatrix.FromSubcommunicators(h.Size(), block, 4096)
+		m, err := GridLayers([3]int{h.Size() / block, block, 1}, [3]float64{4096, 0, 0})
 		if err != nil {
 			t.Fatal(err)
 		}

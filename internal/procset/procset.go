@@ -141,35 +141,3 @@ func (r *Registry) Lookup(uri string) (*Set, error) {
 	}
 	return nil, fmt.Errorf("%w: %q", ErrUnknownSet, uri)
 }
-
-// ByRingCost returns the explicit-order URIs sorted by the ring cost of
-// their first subcommunicator of the given size (ascending): the most
-// locality-preserving numberings first.
-func (r *Registry) ByRingCost(commSize int) ([]string, error) {
-	type entry struct {
-		uri  string
-		cost int
-	}
-	var entries []entry
-	for uri, s := range r.sets {
-		if !strings.HasPrefix(uri, "mrr://order/") {
-			continue
-		}
-		ch, err := s.Characterize(commSize)
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, entry{uri: uri, cost: ch.RingCost})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].cost != entries[j].cost {
-			return entries[i].cost < entries[j].cost
-		}
-		return entries[i].uri < entries[j].uri
-	})
-	out := make([]string, len(entries))
-	for i, e := range entries {
-		out[i] = e.uri
-	}
-	return out, nil
-}

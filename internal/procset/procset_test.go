@@ -137,28 +137,6 @@ func TestCharacterize(t *testing.T) {
 	}
 }
 
-func TestByRingCost(t *testing.T) {
-	r := testRegistry(t)
-	uris, err := r.ByRingCost(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(uris) != 6 {
-		t.Fatalf("%d uris", len(uris))
-	}
-	// Packed orders (ring cost 3) first, spread (9) last.
-	first, _ := r.Lookup(uris[0])
-	last, _ := r.Lookup(uris[len(uris)-1])
-	cf, _ := first.Characterize(4)
-	cl, _ := last.Characterize(4)
-	if cf.RingCost > cl.RingCost {
-		t.Errorf("ring-cost ordering violated: %d … %d", cf.RingCost, cl.RingCost)
-	}
-	if cf.RingCost != 3 || cl.RingCost != 9 {
-		t.Errorf("ring cost extremes %d, %d; want 3, 9", cf.RingCost, cl.RingCost)
-	}
-}
-
 func TestRegistryDepthLimit(t *testing.T) {
 	if _, err := NewRegistry(topology.MustNew(2, 2, 2, 2, 2, 2, 2)); err == nil {
 		t.Error("depth-7 registry accepted")

@@ -1,9 +1,8 @@
 // Fuzz harness for the reorder tables: random hierarchies × random orders
 // × a random range of reordered ranks, checking that the block odometer
 // behind TableInto, InverseTableInto and InverseRangeInto agrees with the
-// stateless mixedradix.NewRank rank by rank, that the table is a
-// permutation, and that UndoOrder really inverts the reordering. Under
-// plain `go test` only the seed corpus runs;
+// stateless mixedradix.NewRank rank by rank, and that the table is a
+// permutation. Under plain `go test` only the seed corpus runs;
 // `go test -fuzz=FuzzReorderBijection ./internal/reorder` explores further.
 
 package reorder
@@ -109,16 +108,5 @@ func FuzzReorderBijection(f *testing.F) {
 			}
 		}
 
-		// UndoOrder inverts the reordering: composing the new rank against
-		// the reordered hierarchy with τ = UndoOrder(σ) restores the
-		// original rank.
-		rh := mixedradix.ReorderedHierarchy(ar, sigma)
-		tau := mixedradix.UndoOrder(sigma)
-		for old := 0; old < n; old++ {
-			back := mixedradix.NewRank(rh, table[old], tau)
-			if back != old {
-				t.Fatalf("h=%v σ=%v τ=%v: rank %d round-trips to %d", ar, sigma, tau, old, back)
-			}
-		}
 	})
 }

@@ -6,18 +6,15 @@
 //
 //   - CommSplit-style: every rank computes its reordered rank and passes it
 //     as the key of an MPI_Comm_split with a single colour (SplitKey), then
-//     derives subcommunicators from the reordered rank (SubcommColor).
+//     derives subcommunicators as blocks of consecutive reordered ranks.
 //   - Rankfile-style: a rank→core placement file is generated so the
-//     launcher binds the already-reordered ranks (Rankfile / ParseRankfile);
+//     launcher binds the already-reordered ranks (Rankfile);
 //     this is transparent to the application.
 package reorder
 
 import (
-	"bufio"
-	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"repro/internal/mixedradix"
 	"repro/internal/topology"
@@ -79,34 +76,6 @@ func (ro *Reordering) Binding() []int {
 	return append([]int(nil), ro.inverse...)
 }
 
-// SubcommColor returns the colour used to split the reordered communicator
-// into blocks of commSize consecutive reordered ranks (the quotient
-// colouring of §3.2).
-func (ro *Reordering) SubcommColor(newRank, commSize int) int {
-	if commSize <= 0 {
-		panic("reorder: non-positive communicator size")
-	}
-	return newRank / commSize
-}
-
-// SubcommRank returns the rank within the subcommunicator under the
-// quotient colouring.
-func (ro *Reordering) SubcommRank(newRank, commSize int) int {
-	if commSize <= 0 {
-		panic("reorder: non-positive communicator size")
-	}
-	return newRank % commSize
-}
-
-// NumSubcomms returns the number of subcommunicators of the given size;
-// commSize must divide the world size.
-func (ro *Reordering) NumSubcomms(commSize int) (int, error) {
-	if commSize <= 0 || ro.Size()%commSize != 0 {
-		return 0, fmt.Errorf("reorder: communicator size %d does not divide world size %d", commSize, ro.Size())
-	}
-	return ro.Size() / commSize, nil
-}
-
 // Rankfile writes an Open MPI-style rankfile describing the reordered
 // placement: line i binds (reordered) rank i to the core holding original
 // rank i's slot.
@@ -136,68 +105,3 @@ func (ro *Reordering) Rankfile(w io.Writer) error {
 }
 
 const rankfileChunk = 32 << 10
-
-// ParseRankfile reads a rankfile in the format emitted by Rankfile and
-// returns the rank→core binding for a machine with coresPerNode cores per
-// node.
-func ParseRankfile(r io.Reader, coresPerNode int) ([]int, error) {
-	if coresPerNode <= 0 {
-		return nil, fmt.Errorf("reorder: non-positive cores per node")
-	}
-	type entry struct{ rank, core int }
-	var entries []entry
-	maxRank := -1
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		var rank, node, slot int
-		if _, err := fmt.Sscanf(line, "rank %d=node%d slot=%d", &rank, &node, &slot); err != nil {
-			return nil, fmt.Errorf("reorder: rankfile line %d %q: %w", lineNo, line, err)
-		}
-		if rank < 0 || node < 0 || slot < 0 || slot >= coresPerNode {
-			return nil, fmt.Errorf("reorder: rankfile line %d out of range", lineNo)
-		}
-		entries = append(entries, entry{rank: rank, core: node*coresPerNode + slot})
-		if rank > maxRank {
-			maxRank = rank
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("reorder: empty rankfile")
-	}
-	binding := make([]int, maxRank+1)
-	seen := make([]bool, maxRank+1)
-	for _, e := range entries {
-		if e.rank > maxRank {
-			continue
-		}
-		if seen[e.rank] {
-			return nil, fmt.Errorf("reorder: duplicate rank %d in rankfile", e.rank)
-		}
-		seen[e.rank] = true
-		binding[e.rank] = e.core
-	}
-	for rank, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("reorder: rank %d missing from rankfile", rank)
-		}
-	}
-	return binding, nil
-}
-
-// OrderName formats σ in the paper's hyphenated notation for labels.
-func OrderName(sigma []int) string {
-	parts := make([]string, len(sigma))
-	for i, v := range sigma {
-		parts[i] = strconv.Itoa(v)
-	}
-	return strings.Join(parts, "-")
-}

@@ -1,6 +1,7 @@
 package reorder
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -45,30 +46,6 @@ func TestBindingIsInverse(t *testing.T) {
 					sigma, newRank, core, core, ro.NewRank(core))
 			}
 		}
-	}
-}
-
-func TestSubcommColoring(t *testing.T) {
-	h := topology.MustNew(2, 2, 4)
-	ro, err := New(h, []int{2, 1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := ro.NumSubcomms(4)
-	if err != nil || n != 4 {
-		t.Fatalf("NumSubcomms = %d, %v", n, err)
-	}
-	// Quotient colouring: reordered ranks 0..3 share colour 0.
-	for newRank := 0; newRank < 16; newRank++ {
-		if got := ro.SubcommColor(newRank, 4); got != newRank/4 {
-			t.Errorf("color(%d) = %d", newRank, got)
-		}
-		if got := ro.SubcommRank(newRank, 4); got != newRank%4 {
-			t.Errorf("subrank(%d) = %d", newRank, got)
-		}
-	}
-	if _, err := ro.NumSubcomms(3); err == nil {
-		t.Error("non-dividing communicator size accepted")
 	}
 }
 
@@ -236,8 +213,58 @@ func TestParseRankfileComments(t *testing.T) {
 	}
 }
 
-func TestOrderName(t *testing.T) {
-	if got := OrderName([]int{2, 1, 0, 3}); got != "2-1-0-3" {
-		t.Errorf("OrderName = %q", got)
+// ParseRankfile reads a rankfile in the format emitted by Rankfile and
+// returns the rank→core binding for a machine with coresPerNode cores per
+// node.
+func ParseRankfile(r io.Reader, coresPerNode int) ([]int, error) {
+	if coresPerNode <= 0 {
+		return nil, fmt.Errorf("reorder: non-positive cores per node")
 	}
+	type entry struct{ rank, core int }
+	var entries []entry
+	maxRank := -1
+	sc := bufio.NewScanner(r)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		var rank, node, slot int
+		if _, err := fmt.Sscanf(line, "rank %d=node%d slot=%d", &rank, &node, &slot); err != nil {
+			return nil, fmt.Errorf("reorder: rankfile line %d %q: %w", lineNo, line, err)
+		}
+		if rank < 0 || node < 0 || slot < 0 || slot >= coresPerNode {
+			return nil, fmt.Errorf("reorder: rankfile line %d out of range", lineNo)
+		}
+		entries = append(entries, entry{rank: rank, core: node*coresPerNode + slot})
+		if rank > maxRank {
+			maxRank = rank
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if len(entries) == 0 {
+		return nil, fmt.Errorf("reorder: empty rankfile")
+	}
+	binding := make([]int, maxRank+1)
+	seen := make([]bool, maxRank+1)
+	for _, e := range entries {
+		if e.rank > maxRank {
+			continue
+		}
+		if seen[e.rank] {
+			return nil, fmt.Errorf("reorder: duplicate rank %d in rankfile", e.rank)
+		}
+		seen[e.rank] = true
+		binding[e.rank] = e.core
+	}
+	for rank, ok := range seen {
+		if !ok {
+			return nil, fmt.Errorf("reorder: rank %d missing from rankfile", rank)
+		}
+	}
+	return binding, nil
 }

@@ -147,7 +147,7 @@ type Observer interface {
 	// instant: the new virtual time, how many events fired at it, and the
 	// queue depth remaining afterwards.
 	OnAdvance(now float64, fired, queueDepth int)
-	// OnBlock is called when a process parks (Wait, WaitUntil, Await).
+	// OnBlock is called when a process parks (Wait, Await).
 	OnBlock(proc string, now float64)
 	// OnWake is called when a parked process resumes. wallLatency is the
 	// wall-clock delay between the waking event and the process actually
@@ -409,16 +409,6 @@ func (p *Process) Wait(d float64) {
 	p.block()
 }
 
-// WaitUntil blocks the process until the given virtual time (no-op if in
-// the past).
-func (p *Process) WaitUntil(t float64) {
-	if t <= p.engine.now {
-		return
-	}
-	p.engine.Schedule(t, p.wake)
-	p.block()
-}
-
 // Condition is a simulated one-shot condition: processes block on it with
 // Await, and it is fired exactly once by an event callback or another
 // process. Fire may precede Await; Await then returns immediately.
@@ -472,9 +462,6 @@ func (c *Condition) Handle() { c.Fire() }
 // normally (or has not fired yet).
 func (c *Condition) Err() error { return c.err }
 
-// Fired reports whether the condition has fired.
-func (c *Condition) Fired() bool { return c.fired }
-
 // Await blocks the process until the condition fires.
 func (c *Condition) Await(p *Process) {
 	c.AwaitOp(p, "", -1, 0)
@@ -498,13 +485,6 @@ func (c *Condition) AwaitOp(p *Process, op string, peer int, tag int64) {
 	c.waitTail = p
 	p.block()
 	p.blockOp = ""
-}
-
-// AwaitAll blocks the process until every condition has fired.
-func AwaitAll(p *Process, conds ...*Condition) {
-	for _, c := range conds {
-		c.Await(p)
-	}
 }
 
 // Run executes the simulation until every spawned process has finished and

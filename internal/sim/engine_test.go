@@ -92,7 +92,7 @@ func TestConditionFireBeforeAwait(t *testing.T) {
 	if at != 5 {
 		t.Errorf("await returned at %v, want 5", at)
 	}
-	if !c.Fired() {
+	if !c.fired {
 		t.Error("condition not fired")
 	}
 }
@@ -111,25 +111,6 @@ func TestConditionAwaitThenFire(t *testing.T) {
 	}
 	if at != 7 {
 		t.Errorf("await returned at %v, want 7", at)
-	}
-}
-
-func TestAwaitAll(t *testing.T) {
-	e := NewEngine()
-	c1, c2, c3 := e.NewCondition(), e.NewCondition(), e.NewCondition()
-	e.At(1, func() { c2.Fire() })
-	e.At(4, func() { c1.Fire() })
-	e.At(2, func() { c3.Fire() })
-	var at float64
-	e.Spawn("p", func(p *Process) {
-		AwaitAll(p, c1, c2, c3)
-		at = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 4 {
-		t.Errorf("AwaitAll returned at %v, want 4", at)
 	}
 }
 
@@ -154,23 +135,6 @@ func TestProcessPanicBecomesError(t *testing.T) {
 	err := e.Run()
 	if err == nil {
 		t.Fatal("Run should report the panic")
-	}
-}
-
-func TestWaitUntil(t *testing.T) {
-	e := NewEngine()
-	var times []float64
-	e.Spawn("p", func(p *Process) {
-		p.WaitUntil(3)
-		times = append(times, p.Now())
-		p.WaitUntil(1) // in the past: no-op
-		times = append(times, p.Now())
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if times[0] != 3 || times[1] != 3 {
-		t.Errorf("times = %v, want [3 3]", times)
 	}
 }
 

@@ -233,8 +233,8 @@ func ExampleHandlerFunc() {
 	e := NewEngine()
 	c := e.NewCondition()
 	e.Schedule(2, c) // a condition is its own handler: it fires at t=2
-	e.Schedule(1, HandlerFunc(func() { fmt.Println("t=1, fired:", c.Fired()) }))
-	e.At(3, func() { fmt.Println("t=3, fired:", c.Fired()) })
+	e.Schedule(1, HandlerFunc(func() { fmt.Println("t=1, fired:", c.fired) }))
+	e.At(3, func() { fmt.Println("t=3, fired:", c.fired) })
 	if err := e.Run(); err != nil {
 		fmt.Println(err)
 	}

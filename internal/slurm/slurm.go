@@ -47,46 +47,9 @@ type Distribution struct {
 	PlaneSize int // used when Node == Plane
 }
 
-// ErrBadDistribution reports an unparsable --distribution value.
+// ErrBadDistribution reports a --distribution value the binding cannot
+// realize.
 var ErrBadDistribution = errors.New("slurm: invalid --distribution value")
-
-// ParseDistribution reads values like "block:cyclic", "cyclic", or
-// "plane=4". A missing socket policy defaults to cyclic (Slurm's default
-// second-level distribution is cyclic on most sites; the paper's Hydra
-// default is block:cyclic).
-func ParseDistribution(s string) (Distribution, error) {
-	t := strings.TrimSpace(strings.ToLower(s))
-	if strings.HasPrefix(t, "plane=") {
-		n, err := strconv.Atoi(strings.TrimPrefix(t, "plane="))
-		if err != nil || n <= 0 {
-			return Distribution{}, fmt.Errorf("%w: %q", ErrBadDistribution, s)
-		}
-		return Distribution{Node: Plane, PlaneSize: n}, nil
-	}
-	parts := strings.SplitN(t, ":", 2)
-	pol := func(x string) (Policy, error) {
-		switch x {
-		case "block":
-			return Block, nil
-		case "cyclic":
-			return Cyclic, nil
-		default:
-			return 0, fmt.Errorf("%w: %q", ErrBadDistribution, s)
-		}
-	}
-	node, err := pol(parts[0])
-	if err != nil {
-		return Distribution{}, err
-	}
-	socket := Cyclic
-	if len(parts) == 2 {
-		socket, err = pol(parts[1])
-		if err != nil {
-			return Distribution{}, err
-		}
-	}
-	return Distribution{Node: node, Socket: socket}, nil
-}
 
 // String renders the value as passed to --distribution.
 func (d Distribution) String() string {

@@ -9,35 +9,6 @@ import (
 	"repro/internal/topology"
 )
 
-func TestParseDistribution(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Distribution
-	}{
-		{"block:block", Distribution{Node: Block, Socket: Block}},
-		{"block:cyclic", Distribution{Node: Block, Socket: Cyclic}},
-		{"cyclic:cyclic", Distribution{Node: Cyclic, Socket: Cyclic}},
-		{"cyclic", Distribution{Node: Cyclic, Socket: Cyclic}},
-		{"plane=4", Distribution{Node: Plane, PlaneSize: 4}},
-		{"  BLOCK:Block ", Distribution{Node: Block, Socket: Block}},
-	}
-	for _, c := range cases {
-		got, err := ParseDistribution(c.in)
-		if err != nil {
-			t.Errorf("ParseDistribution(%q): %v", c.in, err)
-			continue
-		}
-		if got != c.want {
-			t.Errorf("ParseDistribution(%q) = %+v, want %+v", c.in, got, c.want)
-		}
-	}
-	for _, bad := range []string{"", "foo", "block:foo", "plane=", "plane=0", "plane=x"} {
-		if _, err := ParseDistribution(bad); err == nil {
-			t.Errorf("ParseDistribution(%q) should fail", bad)
-		}
-	}
-}
-
 func TestDistributionString(t *testing.T) {
 	d := Distribution{Node: Plane, PlaneSize: 8}
 	if d.String() != "plane=8" {

@@ -162,7 +162,7 @@ func TestAllOrdersDistinctGroups(t *testing.T) {
 			Hierarchy: cluster.HydraHierarchy(2),
 			Order:     sigma,
 			Grid:      tensor.Grid{4, 4, 4},
-			Tensor:    tensor.Synthetic([3]int{400, 400, 400}, 5000, 3),
+			Tensor:    tensor.SyntheticNell([3]int{400, 400, 400}, 5000, 3),
 			Rank:      8,
 			Iters:     1,
 		}

@@ -52,9 +52,6 @@ func (g Grid) LayerIndex(rank, mode int) (layer, inLayer int) {
 	return layer, inLayer
 }
 
-// LayerSize returns the number of processes per layer of a mode.
-func (g Grid) LayerSize(mode int) int { return g.Size() / g[mode] }
-
 // Partition holds the per-process nonzero counts of a blocked tensor.
 type Partition struct {
 	Grid Grid
@@ -135,17 +132,6 @@ func PartitionTensor(t *Tensor, g Grid) (*Partition, error) {
 		}
 	}
 	return p, nil
-}
-
-// MaxNNZ returns the heaviest block (load imbalance diagnostic).
-func (p *Partition) MaxNNZ() int {
-	mx := 0
-	for _, n := range p.NNZ {
-		if n > mx {
-			mx = n
-		}
-	}
-	return mx
 }
 
 // TotalNNZ returns the sum of all blocks.

@@ -1,15 +1,14 @@
 // Package tensor implements the sparse-tensor toolkit standing in for
 // Splatt (Smith et al., §4.2): three-mode sparse tensors in coordinate
 // format, a synthetic skewed generator replacing the proprietary-scale
-// FROSTT nell-1 input, the MTTKRP kernel, and a complete sequential
-// CP-ALS (Canonical Polyadic Decomposition) whose numerics are verified in
-// the tests. The distributed medium-grained decomposition over a 3D
-// process grid lives in package splatt.
+// FROSTT nell-1 input, the cost model of the MTTKRP kernel, and the 3D
+// process grid and its block partition. The distributed medium-grained
+// decomposition over that grid lives in package splatt; the sequential
+// CP-ALS that verifies its numerics lives in this package's tests.
 package tensor
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 )
@@ -50,15 +49,6 @@ func (t *Tensor) Check() error {
 	return nil
 }
 
-// NormSquared returns the squared Frobenius norm.
-func (t *Tensor) NormSquared() float64 {
-	var s float64
-	for _, v := range t.Vals {
-		s += v * v
-	}
-	return s
-}
-
 // sortable packages indices and values for joint sorting.
 type sortable struct {
 	t    *Tensor
@@ -82,57 +72,6 @@ func (s sortable) Swap(a, b int) {
 
 // Sort sorts nonzeros lexicographically starting at the given mode.
 func (t *Tensor) Sort(mode int) { sort.Sort(sortable{t: t, mode: mode}) }
-
-// Synthetic generates a random sparse tensor with the skewed, hub-heavy
-// index distribution typical of FROSTT web/NLP tensors like nell-1: along
-// each mode, indices are drawn from a power-law-ish mixture so a few slices
-// are dense and most are sparse. Duplicate coordinates are merged by
-// summation. The result has at most nnz nonzeros.
-func Synthetic(dims [Order]int, nnz int, seed int64) *Tensor {
-	rng := rand.New(rand.NewSource(seed))
-	seen := make(map[Coord]float64, nnz)
-	// Hubs: a random 5% of each mode's slices carries 30% of the mass.
-	// Scattering the hubs (instead of using a hot prefix) mirrors real
-	// web/NLP tensors, where hub entities are spread over the index space,
-	// and keeps blocked partitions reasonably balanced.
-	var hubs [Order][]int32
-	for m := 0; m < Order; m++ {
-		nh := dims[m] / 20
-		if nh < 1 {
-			nh = 1
-		}
-		seenHub := map[int32]bool{}
-		for len(hubs[m]) < nh {
-			h := int32(rng.Intn(dims[m]))
-			if !seenHub[h] {
-				seenHub[h] = true
-				hubs[m] = append(hubs[m], h)
-			}
-		}
-	}
-	draw := func(m int) int32 {
-		if rng.Float64() < 0.3 {
-			return hubs[m][rng.Intn(len(hubs[m]))]
-		}
-		return int32(rng.Intn(dims[m]))
-	}
-	for len(seen) < nnz {
-		var c Coord
-		for m := 0; m < Order; m++ {
-			c[m] = draw(m)
-		}
-		seen[c] += rng.Float64()*2 - 0.5
-	}
-	t := &Tensor{Dims: dims}
-	t.Inds = make([]Coord, 0, len(seen))
-	t.Vals = make([]float64, 0, len(seen))
-	for c, v := range seen {
-		t.Inds = append(t.Inds, c)
-		t.Vals = append(t.Vals, v)
-	}
-	t.Sort(0)
-	return t
-}
 
 // SyntheticNell mimics the FROSTT nell-1 tensor's defining trait for the
 // paper's Figure 8: besides scattered per-mode hubs, its huge first mode
@@ -197,192 +136,15 @@ func SyntheticNell(dims [Order]int, nnz int, seed int64) *Tensor {
 	return t
 }
 
-// FromRankOne builds a dense-as-sparse tensor that is exactly a sum of
-// rank-one terms (for CP-ALS convergence tests): entries are
-// Σ_r λ_r a[r][i]·b[r][j]·c[r][k] over all (i,j,k).
-func FromRankOne(dims [Order]int, lambda []float64, a, b, c [][]float64) *Tensor {
-	t := &Tensor{Dims: dims}
-	for i := 0; i < dims[0]; i++ {
-		for j := 0; j < dims[1]; j++ {
-			for k := 0; k < dims[2]; k++ {
-				var v float64
-				for r := range lambda {
-					v += lambda[r] * a[r][i] * b[r][j] * c[r][k]
-				}
-				if v != 0 {
-					t.Inds = append(t.Inds, Coord{int32(i), int32(j), int32(k)})
-					t.Vals = append(t.Vals, v)
-				}
-			}
-		}
-	}
-	return t
+// FlopsPerMTTKRP estimates the floating-point work of one MTTKRP sweep:
+// 3R multiplies/adds per nonzero.
+func FlopsPerMTTKRP(nnz, rank int) float64 {
+	return 3 * float64(nnz) * float64(rank)
 }
 
-// Matrix is a dense row-major matrix (rows × cols).
-type Matrix struct {
-	Rows, Cols int
-	Data       []float64
-}
-
-// NewMatrix allocates a zero matrix.
-func NewMatrix(rows, cols int) *Matrix {
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// RandomMatrix returns a matrix with entries uniform in [0, 1) — the usual
-// CP-ALS initialization.
-func RandomMatrix(rows, cols int, rng *rand.Rand) *Matrix {
-	m := NewMatrix(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = rng.Float64()
-	}
-	return m
-}
-
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set writes element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Row returns a view of row i.
-func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Clone deep-copies the matrix.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
-// Gram returns mᵀ·m (Cols × Cols).
-func (m *Matrix) Gram() *Matrix {
-	g := NewMatrix(m.Cols, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for a := 0; a < m.Cols; a++ {
-			va := row[a]
-			if va == 0 {
-				continue
-			}
-			ga := g.Row(a)
-			for b := 0; b < m.Cols; b++ {
-				ga[b] += va * row[b]
-			}
-		}
-	}
-	return g
-}
-
-// Hadamard multiplies element-wise in place and returns m.
-func (m *Matrix) Hadamard(o *Matrix) *Matrix {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		panic("tensor: Hadamard shape mismatch")
-	}
-	for i := range m.Data {
-		m.Data[i] *= o.Data[i]
-	}
-	return m
-}
-
-// MTTKRP computes the matricized-tensor times Khatri-Rao product for the
-// given mode: out[i] += val · (f₁[j] ∘ f₂[k]) for every nonzero (i,j,k)
-// (indices permuted per mode). out must be Dims[mode] × R; f1, f2 are the
-// factor matrices of the other two modes in increasing mode order.
-func MTTKRP(t *Tensor, mode int, factors [Order]*Matrix, out *Matrix) {
-	if out.Rows != t.Dims[mode] {
-		panic(fmt.Sprintf("tensor: MTTKRP out has %d rows, want %d", out.Rows, t.Dims[mode]))
-	}
-	r := out.Cols
-	m1 := (mode + 1) % Order
-	m2 := (mode + 2) % Order
-	f1, f2 := factors[m1], factors[m2]
-	for i := range out.Data {
-		out.Data[i] = 0
-	}
-	for n, c := range t.Inds {
-		v := t.Vals[n]
-		row := out.Row(int(c[mode]))
-		r1 := f1.Row(int(c[m1]))
-		r2 := f2.Row(int(c[m2]))
-		for q := 0; q < r; q++ {
-			row[q] += v * r1[q] * r2[q]
-		}
-	}
-}
-
-// SolveSPD solves G·Xᵀ = Bᵀ for every row of B in place (B ← B·G⁻¹), with
-// G an R×R symmetric positive (semi-)definite matrix. Gaussian elimination
-// with partial pivoting and Tikhonov fallback for singular G.
-func SolveSPD(g *Matrix, b *Matrix) {
-	r := g.Rows
-	if g.Cols != r || b.Cols != r {
-		panic("tensor: SolveSPD shape mismatch")
-	}
-	// Copy G and factor once; apply to every row of B.
-	lu := g.Clone()
-	// Small diagonal regularization guards rank-deficient Grams.
-	var trace float64
-	for i := 0; i < r; i++ {
-		trace += lu.At(i, i)
-	}
-	eps := 1e-12 * (trace + 1)
-	for i := 0; i < r; i++ {
-		lu.Set(i, i, lu.At(i, i)+eps)
-	}
-	perm := make([]int, r)
-	for i := range perm {
-		perm[i] = i
-	}
-	for col := 0; col < r; col++ {
-		// Pivot.
-		best, bestAbs := col, math.Abs(lu.At(col, col))
-		for row := col + 1; row < r; row++ {
-			if a := math.Abs(lu.At(row, col)); a > bestAbs {
-				best, bestAbs = row, a
-			}
-		}
-		if best != col {
-			for j := 0; j < r; j++ {
-				v1, v2 := lu.At(col, j), lu.At(best, j)
-				lu.Set(col, j, v2)
-				lu.Set(best, j, v1)
-			}
-			perm[col], perm[best] = perm[best], perm[col]
-		}
-		piv := lu.At(col, col)
-		if piv == 0 {
-			continue
-		}
-		for row := col + 1; row < r; row++ {
-			f := lu.At(row, col) / piv
-			lu.Set(row, col, f)
-			for j := col + 1; j < r; j++ {
-				lu.Set(row, j, lu.At(row, j)-f*lu.At(col, j))
-			}
-		}
-	}
-	// Solve for each row of B: y = L⁻¹ P x, z = U⁻¹ y.
-	tmp := make([]float64, r)
-	for i := 0; i < b.Rows; i++ {
-		row := b.Row(i)
-		for j := 0; j < r; j++ {
-			tmp[j] = row[perm[j]]
-		}
-		for j := 0; j < r; j++ {
-			for k := 0; k < j; k++ {
-				tmp[j] -= lu.At(j, k) * tmp[k]
-			}
-		}
-		for j := r - 1; j >= 0; j-- {
-			for k := j + 1; k < r; k++ {
-				tmp[j] -= lu.At(j, k) * tmp[k]
-			}
-			if piv := lu.At(j, j); piv != 0 {
-				tmp[j] /= piv
-			}
-		}
-		copy(row, tmp)
-	}
+// BytesPerMTTKRP estimates the memory traffic of one MTTKRP sweep: the
+// nonzero stream (coords + value) plus two factor-row reads and one
+// accumulator update per nonzero.
+func BytesPerMTTKRP(nnz, rank int) float64 {
+	return float64(nnz) * (float64(Order*4+8) + 3*8*float64(rank))
 }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -292,7 +293,7 @@ func TestLayerIndex(t *testing.T) {
 	g := Grid{4, 3, 2}
 	for mode := 0; mode < Order; mode++ {
 		// Ranks sharing a layer have equal mode coordinate; inLayer values
-		// within one layer are a bijection onto [0, LayerSize).
+		// within one layer are a bijection onto [0, Size/g[mode]).
 		seen := map[int]map[int]bool{}
 		for rank := 0; rank < g.Size(); rank++ {
 			layer, inLayer := g.LayerIndex(rank, mode)
@@ -305,7 +306,7 @@ func TestLayerIndex(t *testing.T) {
 			if seen[layer][inLayer] {
 				t.Fatalf("mode %d: duplicate inLayer %d in layer %d", mode, inLayer, layer)
 			}
-			if inLayer < 0 || inLayer >= g.LayerSize(mode) {
+			if inLayer < 0 || inLayer >= g.Size()/g[mode] {
 				t.Fatalf("mode %d: inLayer %d out of range", mode, inLayer)
 			}
 			seen[layer][inLayer] = true
@@ -326,8 +327,8 @@ func TestPartitionTensor(t *testing.T) {
 	if p.TotalNNZ() != ts.NNZ() {
 		t.Errorf("partition loses nonzeros: %d != %d", p.TotalNNZ(), ts.NNZ())
 	}
-	if p.MaxNNZ() <= 0 || p.MaxNNZ() > ts.NNZ() {
-		t.Errorf("MaxNNZ = %d", p.MaxNNZ())
+	if mx := slices.Max(p.NNZ); mx <= 0 || mx > ts.NNZ() {
+		t.Errorf("heaviest block = %d", mx)
 	}
 	for m := 0; m < Order; m++ {
 		total := 0

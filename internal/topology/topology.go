@@ -314,44 +314,6 @@ func (o *LevelOracle) FirstDiffLevel(a, b int) int {
 	return int(o.LevelOfLen[bits.Len64(o.Label[a]^o.Label[b])])
 }
 
-// SplitLevel returns a new hierarchy where level i of arity n is replaced by
-// two levels of arities parts and n/parts — the paper's "fake level"
-// construction. The new outer sub-level keeps the original name with a
-// "-group" suffix; the inner one keeps the original name.
-func (h Hierarchy) SplitLevel(i, parts int) (Hierarchy, error) {
-	if i < 0 || i >= len(h.levels) {
-		return Hierarchy{}, fmt.Errorf("%w: no level %d in %s", ErrBadLevel, i, h)
-	}
-	n := h.levels[i].Arity
-	if parts <= 1 || n%parts != 0 || n/parts <= 1 {
-		return Hierarchy{}, fmt.Errorf("%w: cannot split arity %d into %d parts", ErrBadLevel, n, parts)
-	}
-	levels := make([]Level, 0, len(h.levels)+1)
-	levels = append(levels, h.levels[:i]...)
-	levels = append(levels,
-		Level{Name: h.levels[i].Name + "-group", Arity: parts},
-		Level{Name: h.levels[i].Name, Arity: n / parts})
-	levels = append(levels, h.levels[i+1:]...)
-	return NewNamed(levels...)
-}
-
-// MergeLevels returns a new hierarchy where adjacent levels i and i+1 are
-// merged into one of arity Arity(i)*Arity(i+1), named after level i+1 (the
-// inner, more specific level).
-func (h Hierarchy) MergeLevels(i int) (Hierarchy, error) {
-	if i < 0 || i+1 >= len(h.levels) {
-		return Hierarchy{}, fmt.Errorf("%w: cannot merge at %d in %s", ErrBadLevel, i, h)
-	}
-	levels := make([]Level, 0, len(h.levels)-1)
-	levels = append(levels, h.levels[:i]...)
-	levels = append(levels, Level{
-		Name:  h.levels[i+1].Name,
-		Arity: h.levels[i].Arity * h.levels[i+1].Arity,
-	})
-	levels = append(levels, h.levels[i+2:]...)
-	return NewNamed(levels...)
-}
-
 // Prepend returns the hierarchy with an extra outermost level, e.g. adding
 // the compute-node count above a per-node hierarchy, or network levels
 // above the node level.
@@ -366,36 +328,4 @@ func (h Hierarchy) Sub(from, to int) (Hierarchy, error) {
 		return Hierarchy{}, fmt.Errorf("%w: Sub(%d, %d) of depth %d", ErrBadLevel, from, to, len(h.levels))
 	}
 	return NewNamed(h.levels[from:to]...)
-}
-
-// ValidateProcessCount checks the paper's constraint (1) of §3.2: the
-// product of all hierarchy arities must equal the number of MPI processes.
-func (h Hierarchy) ValidateProcessCount(nprocs int) error {
-	if h.Size() != nprocs {
-		return fmt.Errorf("topology: hierarchy %s enumerates %d cores but the job has %d processes",
-			h, h.Size(), nprocs)
-	}
-	return nil
-}
-
-// ValidateNetworkPrefix checks the paper's network-hierarchy constraint
-// (§3.2): if the first netLevels levels describe the network, the number of
-// compute nodes must equal the product of those levels times the next level
-// removed — i.e. the nodes must exactly fill the selected switches. Here
-// nodes is the allocated compute-node count and the level at index
-// netLevels is the per-switch node count folded into the description, so
-// the product of levels [0, netLevels] must equal nodes.
-func (h Hierarchy) ValidateNetworkPrefix(netLevels, nodes int) error {
-	if netLevels <= 0 || netLevels >= h.Depth() {
-		return fmt.Errorf("%w: network prefix of %d levels in depth-%d hierarchy", ErrBadLevel, netLevels, h.Depth())
-	}
-	p := 1
-	for i := 0; i <= netLevels-1; i++ {
-		p *= h.levels[i].Arity
-	}
-	if p != nodes {
-		return fmt.Errorf("topology: network prefix %v of %s covers %d nodes, job has %d (nodes must entirely fill the selected switches)",
-			h.Arities()[:netLevels], h, p, nodes)
-	}
-	return nil
 }

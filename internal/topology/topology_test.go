@@ -246,70 +246,6 @@ func TestLevelOracleMatchesFirstDiffLevel(t *testing.T) {
 	}
 }
 
-func TestSplitLevel(t *testing.T) {
-	// Hydra: each 16-core socket faked as 2 groups of 8 (§4, machine descr.)
-	h := MustNew(16, 2, 16)
-	split, err := h.SplitLevel(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(split.Arities(), []int{16, 2, 2, 8}) {
-		t.Errorf("split arities = %v", split.Arities())
-	}
-	if split.Size() != h.Size() {
-		t.Errorf("split changed size: %d != %d", split.Size(), h.Size())
-	}
-	names := split.Names()
-	if names[2] != "core-group" || names[3] != "core" {
-		t.Errorf("split names = %v", names)
-	}
-}
-
-func TestSplitLevelErrors(t *testing.T) {
-	h := MustNew(2, 2, 16)
-	if _, err := h.SplitLevel(5, 2); err == nil {
-		t.Error("split of missing level accepted")
-	}
-	if _, err := h.SplitLevel(2, 3); err == nil {
-		t.Error("non-divisible split accepted")
-	}
-	if _, err := h.SplitLevel(2, 16); err == nil {
-		t.Error("split leaving arity 1 accepted")
-	}
-	if _, err := h.SplitLevel(2, 1); err == nil {
-		t.Error("split into 1 part accepted")
-	}
-}
-
-func TestMergeLevels(t *testing.T) {
-	h := MustNew(16, 2, 2, 8)
-	m, err := h.MergeLevels(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m.Arities(), []int{16, 2, 16}) {
-		t.Errorf("merged arities = %v", m.Arities())
-	}
-	if _, err := h.MergeLevels(3); err == nil {
-		t.Error("merge at last level accepted")
-	}
-}
-
-func TestSplitMergeInverse(t *testing.T) {
-	h := MustNew(4, 2, 16)
-	s, err := h.SplitLevel(2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := s.MergeLevels(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m.Arities(), h.Arities()) {
-		t.Errorf("split+merge != original: %v", m.Arities())
-	}
-}
-
 func TestPrepend(t *testing.T) {
 	node := MustNew(2, 4, 2, 8)
 	full, err := node.Prepend(Level{Name: "node", Arity: 16})
@@ -341,34 +277,6 @@ func TestSub(t *testing.T) {
 	}
 }
 
-func TestValidateProcessCount(t *testing.T) {
-	h := MustNew(2, 2, 4)
-	if err := h.ValidateProcessCount(16); err != nil {
-		t.Errorf("valid count rejected: %v", err)
-	}
-	if err := h.ValidateProcessCount(15); err == nil {
-		t.Error("wrong count accepted")
-	}
-}
-
-func TestValidateNetworkPrefix(t *testing.T) {
-	// §3.2 example: ⟦2, 3, 16, 2, 2, 8⟧ with the first three numbers
-	// describing the network needs 2×3×16 = 96 compute nodes.
-	h := MustNew(2, 3, 16, 2, 2, 8)
-	if err := h.ValidateNetworkPrefix(3, 96); err != nil {
-		t.Errorf("valid network prefix rejected: %v", err)
-	}
-	if err := h.ValidateNetworkPrefix(3, 64); err == nil {
-		t.Error("wrong node count accepted")
-	}
-	if err := h.ValidateNetworkPrefix(0, 96); err == nil {
-		t.Error("zero prefix accepted")
-	}
-	if err := h.ValidateNetworkPrefix(6, 96); err == nil {
-		t.Error("full-depth prefix accepted")
-	}
-}
-
 func BenchmarkFirstDiffLevel(b *testing.B) {
 	h := MustNew(16, 2, 4, 2, 8)
 	n := h.Size()
@@ -384,14 +292,12 @@ func BenchmarkFirstDiffLevel(b *testing.B) {
 func TestSizeCachedByEveryConstructor(t *testing.T) {
 	lumi := MustNew(16, 2, 4, 2, 8)
 	build := map[string]func() (Hierarchy, error){
-		"New":         func() (Hierarchy, error) { return New(3, 5, 7, 2) },
-		"NewNamed":    func() (Hierarchy, error) { return NewNamed(Level{"node", 6}, Level{"core", 9}) },
-		"Parse":       func() (Hierarchy, error) { return Parse("2x2x4") },
-		"ParseNamed":  func() (Hierarchy, error) { return Parse("node:4,socket:2,core:8") },
-		"SplitLevel":  func() (Hierarchy, error) { return lumi.SplitLevel(0, 4) },
-		"MergeLevels": func() (Hierarchy, error) { return lumi.MergeLevels(2) },
-		"Prepend":     func() (Hierarchy, error) { return lumi.Prepend(Level{"group", 3}) },
-		"Sub":         func() (Hierarchy, error) { return lumi.Sub(1, 4) },
+		"New":        func() (Hierarchy, error) { return New(3, 5, 7, 2) },
+		"NewNamed":   func() (Hierarchy, error) { return NewNamed(Level{"node", 6}, Level{"core", 9}) },
+		"Parse":      func() (Hierarchy, error) { return Parse("2x2x4") },
+		"ParseNamed": func() (Hierarchy, error) { return Parse("node:4,socket:2,core:8") },
+		"Prepend":    func() (Hierarchy, error) { return lumi.Prepend(Level{"group", 3}) },
+		"Sub":        func() (Hierarchy, error) { return lumi.Sub(1, 4) },
 	}
 	for name, f := range build {
 		h, err := f()

@@ -44,13 +44,6 @@ func (r *Recorder) Collective(commID, commSize int, op string, bytes int64, rank
 	})
 }
 
-// Records returns a copy of all records.
-func (r *Recorder) Records() []Record {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Record(nil), r.recs...)
-}
-
 // Len returns the number of records.
 func (r *Recorder) Len() int {
 	r.mu.Lock()

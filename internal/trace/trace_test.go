@@ -48,11 +48,11 @@ func TestOpTimesAndReport(t *testing.T) {
 func TestRecordsAndReset(t *testing.T) {
 	r := NewRecorder()
 	r.Collective(1, 2, "Scan", 8, 0, 0, 1)
-	if len(r.Records()) != 1 {
+	if r.Len() != 1 {
 		t.Error("record not stored")
 	}
 	r.Reset()
-	if len(r.Records()) != 0 {
+	if r.Len() != 0 {
 		t.Error("Reset did not clear records")
 	}
 }
