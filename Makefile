@@ -9,7 +9,7 @@ SMOKE_DEBUG ?= 127.0.0.1:18078
 # LOC_BUDGET is the ceiling on non-test Go lines under cmd/ + internal/,
 # as `make loc` counts them; `make check` fails above it. It is a ratchet:
 # lower it when a PR removes code.
-LOC_BUDGET = 23698
+LOC_BUDGET = 23506
 
 .PHONY: all build test check race smoke smoke-fleet bench bench-gate loc loc-budget clean
 
@@ -226,7 +226,7 @@ smoke-fleet:
 # BENCH_SUITES are the committed trajectory baselines the regression gate
 # compares against; BENCH_GIT/BENCH_TS stamp fresh records so trajectory
 # points are attributable (CI passes the workflow's SHA explicitly).
-BENCH_SUITES ?= kernels mixedradix order_search procmap fleet sim
+BENCH_SUITES ?= kernels mixedradix order_search procmap fleet sim serving
 BENCH_GIT    ?= $(shell git rev-parse --short HEAD 2>/dev/null)
 BENCH_TS     ?= $(shell date -u +%Y-%m-%dT%H:%M:%SZ)
 

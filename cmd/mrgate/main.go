@@ -3,16 +3,21 @@
 // pinned to a home replica (keeping each replica's cache warm for its
 // slice of the key space), replica health is tracked actively and
 // passively, failures fail over along the hash ring under a global retry
-// budget with Retry-After-aware backoff, optional hedging covers the
-// tail, and when every replica is down the gate answers from the local
-// σ-order fallback with degraded:true instead of going dark.
+// budget with Retry-After-aware backoff, and when every replica is down
+// the gate answers from the local σ-order fallback with degraded:true
+// instead of going dark.
 //
 // Usage:
 //
 //	mrgate -addr 127.0.0.1:8070 \
 //	       -replicas http://127.0.0.1:8081,http://127.0.0.1:8082,http://127.0.0.1:8083
-//	mrgate -replicas ... -hedge 20ms -retries 3 -retry-budget 0.1
+//	mrgate -replicas ... -backoff 2ms -max-backoff 250ms -check-interval 1s
 //	mrgate -replicas ... -trace gate-trace.json -sample 1
+//
+// The ring's 128 virtual nodes per replica, three failover retries, the
+// retry budget (0.1 token per request, 64 at most), the 1 MiB body cap,
+// the 500 ms health-probe timeout and the two failures that eject a
+// replica are constants of internal/fleet, not flags.
 //
 // Endpoints: POST /v1/map, /v1/advise, /v1/select, /v1/metrics/order,
 // /v1/map/matrix (proxied); GET /metrics (fleet_* Prometheus metrics),
@@ -53,22 +58,14 @@ import (
 )
 
 type options struct {
-	addr        string
-	replicas    string
-	names       string
-	vnodes      int
-	retries     int
-	retryBudget float64
-	retryBurst  float64
-	backoff     time.Duration
-	maxBackoff  time.Duration
-	hedge       time.Duration
-	maxBody     int64
-	noFallback  bool
-	interval    time.Duration
-	probeTO     time.Duration
-	announce    time.Duration
-	drain       time.Duration
+	addr       string
+	replicas   string
+	names      string
+	backoff    time.Duration
+	maxBackoff time.Duration
+	interval   time.Duration
+	announce   time.Duration
+	drain      time.Duration
 
 	traceFile string
 	sample    float64
@@ -96,23 +93,13 @@ func buildRouter(o options, tracer *rt.Tracer) (*fleet.Router, error) {
 		names = splitList(o.names)
 	}
 	return fleet.New(fleet.Config{
-		Tracer:           tracer,
-		Replicas:         splitList(o.replicas),
-		Names:            names,
-		VNodes:           o.vnodes,
-		Retries:          o.retries,
-		RetryBudgetRatio: o.retryBudget,
-		RetryBudgetBurst: o.retryBurst,
-		Backoff:          o.backoff,
-		MaxBackoff:       o.maxBackoff,
-		Hedge:            o.hedge,
-		MaxBody:          o.maxBody,
-		DisableFallback:  o.noFallback,
-		Health: fleet.HealthConfig{
-			Interval: o.interval,
-			Timeout:  o.probeTO,
-		},
-		Logger: logger,
+		Tracer:     tracer,
+		Replicas:   splitList(o.replicas),
+		Names:      names,
+		Backoff:    o.backoff,
+		MaxBackoff: o.maxBackoff,
+		Health:     fleet.HealthConfig{Interval: o.interval},
+		Logger:     logger,
 	})
 }
 
@@ -182,17 +169,9 @@ func main() {
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:8070", "listen address")
 	flag.StringVar(&o.replicas, "replicas", "", "comma-separated mrserved base URLs (required)")
 	flag.StringVar(&o.names, "names", "", "comma-separated replica names (default r0..rN)")
-	flag.IntVar(&o.vnodes, "vnodes", fleet.DefaultVNodes, "virtual nodes per replica on the hash ring")
-	flag.IntVar(&o.retries, "retries", 3, "failover attempts after the first try")
-	flag.Float64Var(&o.retryBudget, "retry-budget", 0.1, "retry-budget deposit per request (caps retry amplification)")
-	flag.Float64Var(&o.retryBurst, "retry-burst", 64, "retry-budget bucket size")
 	flag.DurationVar(&o.backoff, "backoff", 2*time.Millisecond, "base retry backoff (doubled per attempt, full jitter)")
 	flag.DurationVar(&o.maxBackoff, "max-backoff", 250*time.Millisecond, "retry backoff cap")
-	flag.DurationVar(&o.hedge, "hedge", 0, "hedge delay: race the second replica after this wait (0 = off)")
-	flag.Int64Var(&o.maxBody, "max-body", 1<<20, "maximum request body in bytes")
-	flag.BoolVar(&o.noFallback, "no-fallback", false, "disable the local degraded fallback when the whole fleet is down")
 	flag.DurationVar(&o.interval, "check-interval", time.Second, "active health-check interval")
-	flag.DurationVar(&o.probeTO, "check-timeout", 500*time.Millisecond, "health probe timeout")
 	flag.DurationVar(&o.announce, "announce", 500*time.Millisecond, "drain announcement window before the listener closes")
 	flag.DurationVar(&o.drain, "drain", 5*time.Second, "graceful-shutdown drain budget")
 	flag.StringVar(&o.traceFile, "trace", "", "write the gate-side request-trace Perfetto JSON here on shutdown")

@@ -9,9 +9,14 @@
 //	mrserved -addr 127.0.0.1:8077 -cache 4096 -timeout 10s
 //	mrserved -debug-addr 127.0.0.1:8078 -trace server-trace.json
 //
-// Endpoints: POST /v1/map, /v1/advise, /v1/select, /v1/metrics/order;
-// GET /metrics (Prometheus), /v1/slo (burn rates), /healthz (healthy |
-// degraded | draining). With -debug-addr a second listener serves
+// The 1 MiB body cap, the cache's 16 shards, the breaker's five-failure
+// threshold and 10 s cooldown, and the 32 shape classes of /v1/stats are
+// constants of internal/mapd, not flags.
+//
+// Endpoints: POST /v1/map, /v1/advise, /v1/select, /v1/metrics/order,
+// /v1/map/matrix; GET /metrics (Prometheus), /v1/stats (workload
+// analytics), /v1/slo (burn rates), /healthz (healthy | degraded |
+// draining). With -debug-addr a second listener serves
 // net/http/pprof under /debug/pprof/ — separate from the API address so
 // profiling is never exposed where the service is.
 //
@@ -48,20 +53,16 @@ import (
 )
 
 type options struct {
-	addr         string
-	name         string
-	debugAddr    string
-	traceFile    string
-	sample       float64
-	cache        int
-	shards       int
-	timeout      time.Duration
-	matrixBudget time.Duration
-	maxBody      int64
-	maxInflight  int
-	statClasses  int
-	announce     time.Duration
-	drain        time.Duration
+	addr        string
+	name        string
+	debugAddr   string
+	traceFile   string
+	sample      float64
+	cache       int
+	timeout     time.Duration
+	maxInflight int
+	announce    time.Duration
+	drain       time.Duration
 }
 
 // logger is the process-wide trace-correlated structured logger; main
@@ -73,12 +74,8 @@ func buildServers(o options) (*mapd.Server, *http.Server, *rt.Tracer) {
 	srv := mapd.New(mapd.Config{
 		Name:         o.name,
 		CacheEntries: o.cache,
-		CacheShards:  o.shards,
-		MaxBody:      o.maxBody,
 		Timeout:      o.timeout,
-		MatrixBudget: o.matrixBudget,
 		MaxInflight:  o.maxInflight,
-		StatsClasses: o.statClasses,
 		Tracer:       tracer,
 		Logger:       logger,
 	})
@@ -166,12 +163,8 @@ func main() {
 	flag.StringVar(&o.traceFile, "trace", "", "write the request-trace Perfetto JSON here on shutdown")
 	flag.Float64Var(&o.sample, "sample", 1, "trace head-sampling ratio (1 = all; negative = errors only)")
 	flag.IntVar(&o.cache, "cache", 4096, "result-cache capacity in entries (negative disables)")
-	flag.IntVar(&o.shards, "shards", 16, "result-cache shard count")
 	flag.DurationVar(&o.timeout, "timeout", 10*time.Second, "per-evaluation budget")
-	flag.DurationVar(&o.matrixBudget, "matrix-budget", 0, "matrix-aware search budget before degrading to the \u03c3-order fallback (0 = -timeout)")
-	flag.Int64Var(&o.maxBody, "max-body", 1<<20, "maximum request body in bytes")
 	flag.IntVar(&o.maxInflight, "max-inflight", 512, "in-flight request cap before shedding (negative disables)")
-	flag.IntVar(&o.statClasses, "stats-classes", mapd.DefaultStatsClasses, "shape classes tracked by /v1/stats (Space-Saving top-K)")
 	flag.DurationVar(&o.announce, "announce", 500*time.Millisecond, "drain announcement window before the listener closes")
 	flag.DurationVar(&o.drain, "drain", 5*time.Second, "graceful-shutdown drain budget")
 	flag.Parse()

@@ -25,7 +25,7 @@ func TestServeBindErrorNamesAddress(t *testing.T) {
 	}
 	defer ln.Close()
 
-	o := options{addr: ln.Addr().String(), timeout: time.Second, maxBody: 1 << 20}
+	o := options{addr: ln.Addr().String(), timeout: time.Second}
 	srv, httpSrv, _ := buildServers(o)
 	err = serve(context.Background(), srv, httpSrv, o, nil)
 	if err == nil {
@@ -45,7 +45,6 @@ func TestGracefulDrainOnSIGTERM(t *testing.T) {
 		addr:     "127.0.0.1:0",
 		cache:    -1, // every advise request reaches the (parked) evaluator
 		timeout:  10 * time.Second,
-		maxBody:  1 << 20,
 		announce: 2 * time.Second,
 		drain:    10 * time.Second,
 	}

@@ -48,7 +48,7 @@ func TestPredictorAllocationFree(t *testing.T) {
 // at its root are walked without a single allocation, and walking them
 // again changes neither the evaluations nor the incumbents.
 func TestSearchNodesAllocationFree(t *testing.T) {
-	e, err := newBnbEngine(context.Background(), cloudScenario(10, Alltoall, true), 5, DefaultNodeBudget)
+	e, err := newBnbEngine(context.Background(), cloudScenario(10, Alltoall, true), 5, nodeBudget)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,10 +78,14 @@ const (
 // 10 and 161 290 at depth 12, still exact. A communicator no proper prefix
 // covers (all the cores), or every communicator running at once, makes
 // every full order a leaf: depth 10 is already a tree of 9.9 M prefixes,
-// spends the budget and is answered by the beam.
+// spends the budget and is answered by the beam. nodeBudget caps the
+// prefix-tree nodes the branch-and-bound visits before degrading to the
+// beam, beamWidth is the beam's frontier width, and progressEvery is the
+// node interval between coverage events.
 const (
-	DefaultNodeBudget = 400_000
-	DefaultBeamWidth  = 32
+	nodeBudget    = 400_000
+	beamWidth     = 32
+	progressEvery = 10_000
 )
 
 // Progress event kinds.
@@ -90,13 +94,10 @@ const (
 	// improved. Within one search phase (mode) the IncumbentTime sequence
 	// of these events is strictly decreasing.
 	ProgressIncumbent = "incumbent"
-	// ProgressCoverage: a periodic heartbeat every ProgressEvery visited
+	// ProgressCoverage: a periodic heartbeat every progressEvery visited
 	// nodes, carrying the covered/pruned/evaluated tallies.
 	ProgressCoverage = "coverage"
 )
-
-// DefaultProgressEvery is the node interval between coverage events.
-const DefaultProgressEvery = 10_000
 
 // SearchProgress is one live progress event of a bounded search,
 // delivered synchronously from the search goroutine.
@@ -120,15 +121,9 @@ type SearchProgress struct {
 	BoundGap float64
 }
 
-// SearchOptions bounds SearchOrders. NodeBudget, BeamWidth and the
-// progress stream apply to the bounded engine only.
+// SearchOptions shapes SearchOrders' answer and its observability. The
+// progress stream applies to the bounded engine only.
 type SearchOptions struct {
-	// NodeBudget caps the prefix-tree nodes the branch-and-bound may
-	// visit before degrading to the beam; 0 means DefaultNodeBudget.
-	NodeBudget int64
-	// BeamWidth is the fallback beam's frontier width; 0 means
-	// DefaultBeamWidth.
-	BeamWidth int
 	// Top is how many best orders the result carries; 0 means 1.
 	Top int
 	// Registry and OnStats are the same observability hooks as
@@ -137,13 +132,10 @@ type SearchOptions struct {
 	OnStats  func(RankStats)
 	// Progress, when set, receives live search progress: one event per
 	// strict incumbent improvement plus a coverage heartbeat every
-	// ProgressEvery nodes. Events also feed the advisor_search_* gauges
+	// progressEvery nodes. Events also feed the advisor_search_* gauges
 	// (when Registry is set) and the advisor.search span's
 	// search_progress instant-event stream.
 	Progress func(SearchProgress)
-	// ProgressEvery overrides the coverage heartbeat interval in visited
-	// nodes; 0 means DefaultProgressEvery.
-	ProgressEvery int64
 }
 
 // SearchResult is the outcome of one search.
@@ -193,26 +185,21 @@ func SearchOrders(ctx context.Context, sc Scenario, opts SearchOptions) (*Search
 		opts.Top = 1
 	}
 	if sc.Hierarchy.Depth() > ExactDepth {
-		return searchBounded(ctx, sc, opts)
+		return searchBounded(ctx, sc, opts, nodeBudget, beamWidth, progressEvery)
 	}
 	return searchExact(ctx, sc, opts)
 }
 
 // searchBounded is the branch-and-bound / beam engine; opts.Top is at
-// least 1. It is intentionally sequential: the incumbent set makes
-// pruning inherently stateful, and even the depth-12 beam path is cheap
-// enough that determinism (and triviality under the race detector) wins
-// over parallel speedup.
-func searchBounded(ctx context.Context, sc Scenario, opts SearchOptions) (*SearchResult, error) {
+// least 1. The branch-and-bound visits at most budget nodes, the beam
+// keeps width orders per level, and a coverage event fires every every
+// nodes; SearchOrders passes nodeBudget, beamWidth and progressEvery. It
+// is intentionally sequential: the incumbent set makes pruning inherently
+// stateful, and even the depth-12 beam path is cheap enough that
+// determinism (and triviality under the race detector) wins over parallel
+// speedup.
+func searchBounded(ctx context.Context, sc Scenario, opts SearchOptions, budget int64, width int, every int64) (*SearchResult, error) {
 	start := time.Now()
-	budget := opts.NodeBudget
-	if budget <= 0 {
-		budget = DefaultNodeBudget
-	}
-	width := opts.BeamWidth
-	if width <= 0 {
-		width = DefaultBeamWidth
-	}
 	top := opts.Top
 	k := sc.Hierarchy.Depth()
 
@@ -226,9 +213,7 @@ func searchBounded(ctx context.Context, sc Scenario, opts SearchOptions) (*Searc
 		return nil, err
 	}
 	e.start = start
-	if opts.ProgressEvery > 0 {
-		e.every, e.tick = opts.ProgressEvery, opts.ProgressEvery
-	}
+	e.every, e.tick = every, every
 	if opts.Progress != nil || opts.Registry != nil || span != nil {
 		e.progress = progressSink(span, opts)
 	}
@@ -569,8 +554,6 @@ func newBnbEngine(ctx context.Context, sc Scenario, top int, budget int64) (*bnb
 		cross:    make([]int64, k),
 		key:      make([]byte, 0, 3+2*k*binary.MaxVarintLen64),
 		budget:   budget,
-		every:    DefaultProgressEvery,
-		tick:     DefaultProgressEvery,
 		start:    time.Now(),
 		mode:     ModeBnB,
 		best:     math.Inf(1),

@@ -11,9 +11,10 @@ import (
 	"repro/internal/obs/rt"
 )
 
-// collectProgress runs a bounded search with a recording sink and returns
-// the result with the events.
-func collectProgress(t *testing.T, depth int, opts SearchOptions) (*SearchResult, []SearchProgress) {
+// collectProgress runs a bounded search within budget nodes, with a
+// coverage event every 500, into a recording sink and returns the result
+// with the events.
+func collectProgress(t *testing.T, depth int, budget int64) (*SearchResult, []SearchProgress) {
 	t.Helper()
 	sc := Scenario{
 		Spec:      cluster.Cloud(depth),
@@ -23,9 +24,8 @@ func collectProgress(t *testing.T, depth int, opts SearchOptions) (*SearchResult
 		Bytes:     1 << 20,
 	}
 	var events []SearchProgress
-	opts.Top = 1
-	opts.Progress = func(p SearchProgress) { events = append(events, p) }
-	res, err := searchBounded(context.Background(), sc, opts)
+	opts := SearchOptions{Top: 1, Progress: func(p SearchProgress) { events = append(events, p) }}
+	res, err := searchBounded(context.Background(), sc, opts, budget, beamWidth, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,16 +38,16 @@ func collectProgress(t *testing.T, depth int, opts SearchOptions) (*SearchResult
 // answering phase equals the returned best time.
 func TestSearchProgressMonotone(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		depth int
-		opts  SearchOptions
-		mode  string
+		name   string
+		depth  int
+		budget int64
+		mode   string
 	}{
-		{name: "bnb", depth: 7, opts: SearchOptions{ProgressEvery: 1000}, mode: ModeBnB},
-		{name: "beam", depth: 8, opts: SearchOptions{NodeBudget: 2000, ProgressEvery: 500}, mode: ModeBeam},
+		{name: "bnb", depth: 7, budget: nodeBudget, mode: ModeBnB},
+		{name: "beam", depth: 8, budget: 2000, mode: ModeBeam},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, events := collectProgress(t, tc.depth, tc.opts)
+			res, events := collectProgress(t, tc.depth, tc.budget)
 			if res.Mode != tc.mode {
 				t.Fatalf("mode %q, want %q", res.Mode, tc.mode)
 			}
@@ -105,7 +105,7 @@ func TestSearchProgressPublishes(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := rt.NewTracer(rt.Options{Service: "test"})
 	ctx, root := tracer.StartRequest(context.Background(), "test advise", "")
-	res, err := searchBounded(ctx, sc, SearchOptions{Top: 1, Registry: reg, ProgressEvery: 1000})
+	res, err := searchBounded(ctx, sc, SearchOptions{Top: 1, Registry: reg}, nodeBudget, beamWidth, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

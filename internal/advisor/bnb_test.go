@@ -64,7 +64,7 @@ func TestBnBEqualsFull(t *testing.T) {
 					if err != nil {
 						t.Fatalf("rank (%v, %s, p=%d, sim=%v): %v", ar, coll, p, sim, err)
 					}
-					res, err := searchBounded(context.Background(), sc, SearchOptions{Top: top})
+					res, err := searchBounded(context.Background(), sc, SearchOptions{Top: top}, nodeBudget, beamWidth, progressEvery)
 					if err != nil {
 						t.Fatalf("search (%v, %s, p=%d, sim=%v): %v", ar, coll, p, sim, err)
 					}
@@ -129,7 +129,7 @@ func TestBoundedMatchesExactOnMachines(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s sim=%v: exact: %v", spec.Name, coll, sim, err)
 				}
-				bounded, err := searchBounded(ctx, sc, SearchOptions{Top: 3})
+				bounded, err := searchBounded(ctx, sc, SearchOptions{Top: 3}, nodeBudget, beamWidth, progressEvery)
 				if err != nil {
 					t.Fatalf("%s %s sim=%v: bounded: %v", spec.Name, coll, sim, err)
 				}
@@ -237,11 +237,9 @@ func TestBeamGapUpperBound(t *testing.T) {
 				if err != nil {
 					t.Fatalf("rank (%s, p=%d, sim=%v): %v", coll, p, sim, err)
 				}
-				res, err := searchBounded(context.Background(), sc, SearchOptions{
-					Top:        3,
-					NodeBudget: 1, // exhausted immediately: beam must answer
-					BeamWidth:  2,
-				})
+				// A budget of one node is exhausted immediately: the beam
+				// must answer.
+				res, err := searchBounded(context.Background(), sc, SearchOptions{Top: 3}, 1, 2, progressEvery)
 				if err != nil {
 					t.Fatalf("search (%s, p=%d, sim=%v): %v", coll, p, sim, err)
 				}
@@ -278,12 +276,12 @@ func TestSearchOrdersDeterministic(t *testing.T) {
 		CommSize:  8,
 		Bytes:     4 << 20,
 	}
-	for _, budget := range []int64{0, 5} {
-		a, err := searchBounded(context.Background(), sc, SearchOptions{Top: 5, NodeBudget: budget, BeamWidth: 4})
+	for _, budget := range []int64{nodeBudget, 5} {
+		a, err := searchBounded(context.Background(), sc, SearchOptions{Top: 5}, budget, 4, progressEvery)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := searchBounded(context.Background(), sc, SearchOptions{Top: 5, NodeBudget: budget, BeamWidth: 4})
+		b, err := searchBounded(context.Background(), sc, SearchOptions{Top: 5}, budget, 4, progressEvery)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +308,7 @@ func TestSearchOrdersMetrics(t *testing.T) {
 		Top:      3,
 		Registry: reg,
 		OnStats:  func(s RankStats) { stats = s },
-	})
+	}, nodeBudget, beamWidth, progressEvery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +336,7 @@ func TestSearchOrdersCancel(t *testing.T) {
 		CommSize:  128,
 		Bytes:     1 << 20,
 	}
-	if _, err := searchBounded(ctx, sc, SearchOptions{Top: 1}); err == nil {
+	if _, err := searchBounded(ctx, sc, SearchOptions{Top: 1}, nodeBudget, beamWidth, progressEvery); err == nil {
 		t.Fatal("expected context error from cancelled search")
 	}
 }

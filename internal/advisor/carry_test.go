@@ -34,7 +34,7 @@ func carryHierarchy(rng *rand.Rand, depth int) topology.Hierarchy {
 func carryEngine(t testing.TB, h topology.Hierarchy, p int, coll Collective, sim bool) *bnbEngine {
 	t.Helper()
 	sc := Scenario{Spec: cluster.Cloud(cluster.CloudMaxDepth), Hierarchy: h, Coll: coll, CommSize: p, Simultaneous: sim, Bytes: 1 << 20}
-	e, err := newBnbEngine(context.Background(), sc, 3, DefaultNodeBudget)
+	e, err := newBnbEngine(context.Background(), sc, 3, nodeBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,20 +265,20 @@ func TestSearchUnchangedUnderFingerprintCollisions(t *testing.T) {
 	for _, ar := range [][]int{{2, 3, 2, 2, 2}, {2, 2, 2, 2, 2, 4}, {3, 2, 5, 2}} {
 		h := topology.MustNew(ar...)
 		for _, p := range []int{4, h.Size() / 2} {
-			for _, budget := range []int64{0, 40} {
+			for _, budget := range []int64{nodeBudget, 40} {
 				sc := Scenario{Spec: specFor(h), Hierarchy: h, Coll: Allreduce, CommSize: p, Simultaneous: true, Bytes: 8 << 20}
-				opts := SearchOptions{Top: 4, NodeBudget: budget, BeamWidth: 3}
+				opts := SearchOptions{Top: 4}
 				fpMul = orig
-				want, err := searchBounded(context.Background(), sc, opts)
+				want, err := searchBounded(context.Background(), sc, opts, budget, 3, progressEvery)
 				if err != nil {
 					t.Fatal(err)
 				}
 				fpMul = [33]uint64{}
-				got, err := searchBounded(context.Background(), sc, opts)
+				got, err := searchBounded(context.Background(), sc, opts, budget, 3, progressEvery)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if mode := map[bool]string{true: ModeBnB, false: ModeBeam}[budget == 0]; got.Mode != mode {
+				if mode := map[bool]string{true: ModeBnB, false: ModeBeam}[budget == nodeBudget]; got.Mode != mode {
 					t.Fatalf("%v p=%d budget %d: mode %s, want %s", ar, p, budget, got.Mode, mode)
 				}
 				if !reflect.DeepEqual(got, want) {

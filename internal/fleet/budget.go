@@ -1,8 +1,8 @@
 // The global retry budget: a token bucket deposited by live traffic and
-// withdrawn by retries (and hedges). With a deposit ratio r, sustained
-// failure can amplify fleet traffic by at most a factor of 1+r — the
-// router degrades to fallback answers instead of melting the surviving
-// replicas under a retry storm.
+// withdrawn by retries. With a deposit ratio r, sustained failure can
+// amplify fleet traffic by at most a factor of 1+r — the router degrades
+// to fallback answers instead of melting the surviving replicas under a
+// retry storm.
 
 package fleet
 
@@ -17,15 +17,9 @@ type Budget struct {
 }
 
 // NewBudget returns a budget depositing ratio tokens per request, capped
-// at max tokens (<= 0 select the defaults: ratio 0.1, max 64). The bucket
-// starts full so short bursts right after boot can still retry.
+// at max tokens. The bucket starts full so short bursts right after boot
+// can still retry.
 func NewBudget(ratio, max float64) *Budget {
-	if ratio <= 0 {
-		ratio = 0.1
-	}
-	if max <= 0 {
-		max = 64
-	}
 	return &Budget{tokens: max, max: max, ratio: ratio}
 }
 

@@ -103,7 +103,7 @@ func TestChaosKillGoodputRecovers(t *testing.T) {
 		Names:      names,
 		Backoff:    500 * time.Microsecond,
 		MaxBackoff: 5 * time.Millisecond,
-		Health:     HealthConfig{Interval: 50 * time.Millisecond, Timeout: 200 * time.Millisecond},
+		Health:     HealthConfig{Interval: 50 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

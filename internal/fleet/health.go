@@ -55,22 +55,19 @@ func (s ReplicaState) String() string {
 type HealthConfig struct {
 	// Interval between active sweeps (default 1s).
 	Interval time.Duration
-	// Timeout bounds one /healthz probe (default 500ms).
-	Timeout time.Duration
-	// FailThreshold is how many consecutive probe/transport failures eject
-	// a replica (default 2).
-	FailThreshold int
 }
+
+const (
+	// probeTimeout bounds one /healthz probe.
+	probeTimeout = 500 * time.Millisecond
+	// failThreshold is how many consecutive probe/transport failures eject
+	// a replica.
+	failThreshold = 2
+)
 
 func (c HealthConfig) withDefaults() HealthConfig {
 	if c.Interval <= 0 {
 		c.Interval = time.Second
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 500 * time.Millisecond
-	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 2
 	}
 	return c
 }
@@ -161,7 +158,7 @@ func (c *Checker) CheckNow(ctx context.Context) {
 func (c *Checker) probe(ctx context.Context, i int) {
 	ctx, span := c.tracer.StartRequest(ctx, "gate.healthprobe "+c.names[i], "")
 	defer span.End()
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.urls[i]+"/healthz", nil)
 	if err != nil {
@@ -207,7 +204,7 @@ func (c *Checker) succeed(i int, s ReplicaState) {
 
 func (c *Checker) fail(i int) {
 	c.probes[i].Add(1)
-	if int(c.fails[i].Add(1)) >= c.cfg.FailThreshold {
+	if int(c.fails[i].Add(1)) >= failThreshold {
 		c.setState(i, StateDead)
 	}
 }
@@ -235,7 +232,7 @@ func (c *Checker) States() []ReplicaState {
 // so a killed replica is usually ejected by the first request that hits
 // the dead socket instead of waiting for the next sweep.
 func (c *Checker) ReportFailure(i int) {
-	if int(c.fails[i].Add(1)) >= c.cfg.FailThreshold {
+	if int(c.fails[i].Add(1)) >= failThreshold {
 		c.setState(i, StateDead)
 	}
 }

@@ -50,7 +50,7 @@ func newHealthFixture(t *testing.T, statuses ...string) (*Checker, []*healthStub
 		urls = append(urls, ts.URL)
 		names = append(names, "r"+string(rune('0'+i)))
 	}
-	return NewChecker(urls, names, HealthConfig{FailThreshold: 2}, obs.NewRegistry()), stubs
+	return NewChecker(urls, names, HealthConfig{}, obs.NewRegistry()), stubs
 }
 
 func TestCheckerMapsTriStateHealth(t *testing.T) {
@@ -123,7 +123,7 @@ func TestCheckerStateChangeHook(t *testing.T) {
 func TestCheckerUnreachableReplica(t *testing.T) {
 	// A URL nobody listens on: probes fail at the transport layer.
 	c := NewChecker([]string{"http://127.0.0.1:1"}, []string{"r0"},
-		HealthConfig{FailThreshold: 2}, obs.NewRegistry())
+		HealthConfig{}, obs.NewRegistry())
 	ctx := context.Background()
 	c.CheckNow(ctx)
 	c.CheckNow(ctx)

@@ -1,8 +1,7 @@
 // The routing tier itself: parse the request far enough to recover the
 // canonical key, walk the consistent-hash ring in health-aware preference
 // order, and proxy. Failures fail over along the ring under a global
-// retry budget with capped jittered backoff honoring Retry-After; an
-// optional hedge cuts the tail by racing the second-choice replica; and
+// retry budget with capped jittered backoff honoring Retry-After; and
 // when every replica is gone the router answers from the local σ-order
 // fallback instead of going dark.
 
@@ -35,33 +34,15 @@ type Config struct {
 	Replicas []string
 	// Names label the replicas in metrics and /v1/fleet (default r0..rN).
 	Names []string
-	// VNodes per replica on the hash ring (default DefaultVNodes).
-	VNodes int
-	// Retries bounds failover attempts after the first try (default 3).
-	Retries int
-	// RetryBudgetRatio is the retry-budget deposit per incoming request
-	// (default 0.1: sustained retry amplification is capped at 10%).
-	RetryBudgetRatio float64
-	// RetryBudgetBurst caps the retry-budget bucket (default 64).
-	RetryBudgetBurst float64
 	// Backoff is the base retry delay, doubled per attempt with full
 	// jitter (default 2ms); MaxBackoff caps it (default 250ms). A replica
 	// Retry-After hint raises the delay when larger.
 	Backoff    time.Duration
 	MaxBackoff time.Duration
-	// Hedge, when positive, races the second-choice replica if the first
-	// hasn't answered within this delay (tail-latency insurance; hedges
-	// draw from the retry budget). 0 disables hedging.
-	Hedge time.Duration
-	// MaxBody caps an incoming request body (default 1 MiB, matching
-	// mapd).
-	MaxBody int64
-	// DisableFallback turns off the last-resort local σ-order answers.
-	DisableFallback bool
 	// Health tunes the active checker.
 	Health HealthConfig
 	// Tracer records gate-side spans — the route root, one proxy span per
-	// failover/hedge attempt, backoff waits, health probes, and the local
+	// failover attempt, backoff waits, health probes, and the local
 	// fallback — on the same trace id the gate forwards to the replica
 	// (nil disables tracing; every instrumentation point is nil-safe).
 	Tracer *rt.Tracer
@@ -70,6 +51,13 @@ type Config struct {
 }
 
 const (
+	// maxRetries bounds failover attempts after the first try.
+	maxRetries = 3
+	// retryBudgetRatio is the retry-budget deposit per incoming request
+	// (sustained retry amplification is capped at 10%); retryBudgetBurst
+	// caps the bucket.
+	retryBudgetRatio = 0.1
+	retryBudgetBurst = 64
 	// maxRespBody caps a proxied response.
 	maxRespBody = 64 << 20
 	// scrapeTimeout bounds one replica /v1/stats or /v1/slo scrape when
@@ -83,20 +71,11 @@ func (c Config) withDefaults() Config {
 			c.Names = append(c.Names, "r"+strconv.Itoa(i))
 		}
 	}
-	if c.Retries == 0 {
-		c.Retries = 3
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	}
 	if c.Backoff <= 0 {
 		c.Backoff = 2 * time.Millisecond
 	}
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 250 * time.Millisecond
-	}
-	if c.MaxBody <= 0 {
-		c.MaxBody = 1 << 20
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -123,8 +102,6 @@ type Router struct {
 
 	retries      *obs.Counter
 	failovers    *obs.Counter
-	hedges       *obs.Counter
-	hedgeWins    *obs.Counter
 	budgetDenied *obs.Counter
 	budgetGauge  *obs.Gauge
 
@@ -148,8 +125,8 @@ func New(cfg Config) (*Router, error) {
 	g := &Router{
 		cfg:    cfg,
 		notes:  make([]rollupNote, len(cfg.Replicas)),
-		ring:   NewRing(len(cfg.Replicas), cfg.VNodes),
-		budget: NewBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst),
+		ring:   NewRing(len(cfg.Replicas), DefaultVNodes),
+		budget: NewBudget(retryBudgetRatio, retryBudgetBurst),
 		client: &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        256,
 			MaxIdleConnsPerHost: 64,
@@ -158,8 +135,6 @@ func New(cfg Config) (*Router, error) {
 		logger:       cfg.Logger,
 		retries:      reg.Counter("fleet_retries_total"),
 		failovers:    reg.Counter("fleet_failovers_total"),
-		hedges:       reg.Counter("fleet_hedges_total"),
-		hedgeWins:    reg.Counter("fleet_hedge_wins_total"),
 		budgetDenied: reg.Counter("fleet_retry_budget_exhausted_total"),
 		budgetGauge:  reg.Gauge("fleet_retry_budget_tokens"),
 		sleep:        time.Sleep,
@@ -169,8 +144,6 @@ func New(cfg Config) (*Router, error) {
 		"fleet_request_seconds":              "End-to-end routed request latency, by endpoint.",
 		"fleet_retries_total":                "Failover retry attempts issued by the router.",
 		"fleet_failovers_total":              "Requests served by a replica other than the key's home replica.",
-		"fleet_hedges_total":                 "Hedged (speculative second) requests issued for the tail.",
-		"fleet_hedge_wins_total":             "Hedged requests that beat the primary.",
 		"fleet_retry_budget_tokens":          "Retry-budget tokens currently available.",
 		"fleet_retry_budget_exhausted_total": "Retries denied because the global retry budget was empty.",
 		"fleet_fallback_total":               "Answers served by the router's local degraded fallback, by endpoint.",
@@ -268,16 +241,13 @@ func (g *Router) Handler() http.Handler {
 
 // health resolves the router's own tri-state /healthz: draining beats
 // degraded (whole fleet dead but the local fallback still answers) beats
-// healthy. With the fleet dead and the fallback disabled the router is
-// truly down and says so with a 503.
+// healthy.
 func (g *Router) health() (string, int) {
 	switch {
 	case g.draining.Load():
 		return "draining", http.StatusServiceUnavailable
-	case g.aliveReplicas() == 0 && !g.cfg.DisableFallback:
-		return "degraded", http.StatusOK
 	case g.aliveReplicas() == 0:
-		return "dead", http.StatusServiceUnavailable
+		return "degraded", http.StatusOK
 	default:
 		return "healthy", http.StatusOK
 	}
@@ -293,12 +263,12 @@ func (g *Router) aliveReplicas() int {
 	return n
 }
 
-// fleetStatus is the GET /v1/fleet answer.
+// fleetStatus is the GET /v1/fleet answer. Fallback is always true: the
+// router answers locally whenever the fleet cannot.
 type fleetStatus struct {
 	Replicas          []replicaStatus `json:"replicas"`
 	RetryBudgetTokens float64         `json:"retry_budget_tokens"`
 	Fallback          bool            `json:"fallback"`
-	Hedge             string          `json:"hedge,omitempty"`
 }
 
 type replicaStatus struct {
@@ -315,10 +285,7 @@ type replicaStatus struct {
 func (g *Router) serveFleetStatus(ctx context.Context, w http.ResponseWriter) {
 	st := fleetStatus{
 		RetryBudgetTokens: g.budget.Tokens(),
-		Fallback:          !g.cfg.DisableFallback,
-	}
-	if g.cfg.Hedge > 0 {
-		st.Hedge = g.cfg.Hedge.String()
+		Fallback:          true,
 	}
 	g.rollupMu.Lock()
 	notes := append([]rollupNote(nil), g.notes...)
@@ -364,7 +331,6 @@ type upstream struct {
 	body       []byte
 	err        error
 	retryAfter time.Duration
-	hedge      bool
 }
 
 // retryable reports whether the attempt may be retried on another
@@ -388,12 +354,12 @@ func (g *Router) route(w http.ResponseWriter, r *http.Request, ep mapd.Endpoint)
 		mapd.WriteError(ctx, w, http.StatusServiceUnavailable, "router is draining")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, mapd.MaxBody))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			mapd.WriteError(ctx, w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", g.cfg.MaxBody))
+				fmt.Sprintf("request body exceeds %d bytes", mapd.MaxBody))
 		} else {
 			mapd.WriteError(ctx, w, http.StatusBadRequest, "reading request body: "+err.Error())
 		}
@@ -415,10 +381,8 @@ func (g *Router) route(w http.ResponseWriter, r *http.Request, ep mapd.Endpoint)
 
 	cands := g.candidates(seq)
 	span.SetAttr("candidates", int64(len(cands)))
-	var last upstream
-	haveLast := false
 	var retryAfter time.Duration
-	for attempt := 0; attempt <= g.cfg.Retries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
 			if !g.budget.Withdraw() {
 				g.budgetDenied.Add(1)
@@ -437,13 +401,7 @@ func (g *Router) route(w http.ResponseWriter, r *http.Request, ep mapd.Endpoint)
 		if len(cands) == 0 {
 			break
 		}
-		var u upstream
-		if attempt == 0 && g.cfg.Hedge > 0 && len(cands) > 1 {
-			u = g.sendHedged(ctx, cands, path, body, r.Header)
-		} else {
-			u = g.send(ctx, cands[attempt%len(cands)], path, body, r.Header, false)
-		}
-		last, haveLast = u, true
+		u := g.send(ctx, cands[attempt%len(cands)], path, body, r.Header)
 		if !u.retryable() {
 			span.SetAttr("attempts", int64(attempt+1))
 			span.SetAttr("failover", obs.Bool(u.idx != seq[0]))
@@ -452,29 +410,17 @@ func (g *Router) route(w http.ResponseWriter, r *http.Request, ep mapd.Endpoint)
 		}
 		retryAfter = u.retryAfter
 	}
-
-	if !g.cfg.DisableFallback {
-		g.serveFallback(ctx, w, ep.Name, q, perr)
-		return
-	}
-	if haveLast && last.err == nil {
-		// Relay the fleet's own last word (e.g. every replica shedding).
-		g.writeUpstream(w, last, seq[0])
-		return
-	}
-	span.SetError()
-	mapd.WriteError(ctx, w, http.StatusBadGateway, "no replica reachable")
+	g.serveFallback(ctx, w, ep.Name, q, perr)
 }
 
 // send proxies one attempt to replica idx and reads the full response.
 // Each attempt is its own child span named after the replica, and the
 // outgoing traceparent is that span's — the replica's spans parent under
 // this exact attempt, not under the route root.
-func (g *Router) send(ctx context.Context, idx int, path string, body []byte, inHdr http.Header, hedge bool) upstream {
-	u := upstream{idx: idx, hedge: hedge}
+func (g *Router) send(ctx context.Context, idx int, path string, body []byte, inHdr http.Header) upstream {
+	u := upstream{idx: idx}
 	sctx, sp := rt.StartSpan(ctx, "proxy "+g.cfg.Names[idx])
 	defer sp.End()
-	sp.SetAttr("hedge", obs.Bool(hedge))
 	req, err := http.NewRequestWithContext(sctx, http.MethodPost, g.cfg.Replicas[idx]+path, bytes.NewReader(body))
 	if err != nil {
 		u.err = err
@@ -493,7 +439,7 @@ func (g *Router) send(ctx context.Context, idx int, path string, body []byte, in
 	if err != nil {
 		u.err = err
 		sp.SetError()
-		// A cancelled context is the hedge race settling, not evidence
+		// A cancelled context is the client hanging up, not evidence
 		// against the replica.
 		if ctx.Err() == nil {
 			g.checker.ReportFailure(idx)
@@ -528,41 +474,6 @@ func (g *Router) send(ctx context.Context, idx int, path string, body []byte, in
 	g.reg.Counter("fleet_requests_total",
 		obs.L("replica", g.cfg.Names[idx]), obs.L("code", strconv.Itoa(u.status))).Add(1)
 	return u
-}
-
-// sendHedged races the key's first two candidates: the primary is sent
-// immediately; if it hasn't answered within the hedge delay (and the
-// retry budget allows), the secondary is launched and the first
-// non-retryable answer wins. The loser is cancelled.
-func (g *Router) sendHedged(ctx context.Context, cands []int, path string, body []byte, inHdr http.Header) upstream {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan upstream, 2)
-	go func() { ch <- g.send(hctx, cands[0], path, body, inHdr, false) }()
-	timer := time.NewTimer(g.cfg.Hedge)
-	defer timer.Stop()
-	inflight := 1
-	var last upstream
-	for received := 0; received < inflight; {
-		select {
-		case u := <-ch:
-			received++
-			if !u.retryable() {
-				if u.hedge {
-					g.hedgeWins.Add(1)
-				}
-				return u
-			}
-			last = u
-		case <-timer.C:
-			if g.budget.Withdraw() {
-				g.hedges.Add(1)
-				inflight++
-				go func() { ch <- g.send(hctx, cands[1], path, body, inHdr, true) }()
-			}
-		}
-	}
-	return last
 }
 
 // writeUpstream relays a replica answer to the client.

@@ -177,21 +177,6 @@ func TestAllDeadServesDegradedFallback(t *testing.T) {
 	}
 }
 
-// With the fallback disabled, a dead fleet is an honest 502.
-func TestAllDeadWithoutFallback(t *testing.T) {
-	_, gate, reps := newFleet(t, 2, Config{DisableFallback: true})
-	for _, r := range reps {
-		r.Close()
-	}
-	code, resp, _ := gatePost(t, gate, "/v1/map", `{"hierarchy":"2,2,4","order":"2-1-0","rank":5}`)
-	if code != http.StatusBadGateway {
-		t.Errorf("status %d body %s, want 502", code, resp)
-	}
-	if !strings.Contains(resp, `"error"`) {
-		t.Errorf("502 body lacks the error envelope: %s", resp)
-	}
-}
-
 // Client errors are authoritative: a 400 from a replica must pass through
 // unretried, and a parse-rejected body must still route (deterministically)
 // so the replica produces that 400.
@@ -277,77 +262,6 @@ func TestBackoffHonorsRetryAfter(t *testing.T) {
 	}
 }
 
-// A slow home replica triggers a hedge to the second choice; the hedge's
-// answer wins and the client never waits out the stall.
-func TestHedgedRequestWins(t *testing.T) {
-	slowRelease := make(chan struct{})
-	defer close(slowRelease)
-	mkStub := func(name string, slow bool) *httptest.Server {
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if slow {
-				<-slowRelease
-			}
-			w.Header().Set("x-mr-replica", name)
-			_, _ = w.Write([]byte(`{"ok":true}`))
-		}))
-	}
-	slow := mkStub("slow", true)
-	fast := mkStub("fast", false)
-	t.Cleanup(slow.Close)
-	t.Cleanup(fast.Close)
-
-	g, err := New(Config{
-		Replicas: []string{slow.URL, fast.URL},
-		Names:    []string{"slow", "fast"},
-		Hedge:    5 * time.Millisecond,
-		Health:   HealthConfig{Interval: time.Hour},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gate := httptest.NewServer(g.Handler())
-	t.Cleanup(gate.Close)
-
-	// Find a body whose home is the slow replica. The body is junk: the
-	// router falls back to raw-byte keying and the stubs answer anyway.
-	body := ""
-	for i := 0; i < 10000; i++ {
-		candidate := "junk-" + strconv.Itoa(i)
-		key := "raw|/v1/map|" + strconv.FormatUint(hashKey(candidate), 16)
-		if g.ring.Home(key) == 0 {
-			body = candidate
-			break
-		}
-	}
-	if body == "" {
-		t.Fatal("no raw key homed on the slow replica in 10000 tries")
-	}
-	done := make(chan struct{})
-	var code int
-	var hdr http.Header
-	go func() {
-		defer close(done)
-		code, _, hdr = gatePost(t, gate, "/v1/map", body)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("hedged request never completed")
-	}
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if got := hdr.Get("x-mr-replica"); got != "fast" {
-		t.Fatalf("answer came from %q, want the hedge winner \"fast\"", got)
-	}
-	if g.Registry().FindCounter("fleet_hedges_total") < 1 {
-		t.Error("fleet_hedges_total not incremented")
-	}
-	if g.Registry().FindCounter("fleet_hedge_wins_total") < 1 {
-		t.Error("fleet_hedge_wins_total not incremented")
-	}
-}
-
 // An exhausted retry budget stops the retry storm: the router degrades to
 // the fallback instead of amplifying load onto a failing fleet.
 func TestRetryBudgetExhaustionDegrades(t *testing.T) {
@@ -359,14 +273,13 @@ func TestRetryBudgetExhaustionDegrades(t *testing.T) {
 	}))
 	t.Cleanup(stub.Close)
 	g, err := New(Config{
-		Replicas:         []string{stub.URL},
-		RetryBudgetRatio: 0.001,
-		RetryBudgetBurst: 2,
-		Health:           HealthConfig{Interval: time.Hour},
+		Replicas: []string{stub.URL},
+		Health:   HealthConfig{Interval: time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g.budget = NewBudget(0.001, 2)
 	g.sleep = func(time.Duration) {}
 	gate := httptest.NewServer(g.Handler())
 	t.Cleanup(gate.Close)

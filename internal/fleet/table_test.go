@@ -69,18 +69,24 @@ func TestEndpointTableParity(t *testing.T) {
 	t.Cleanup(liveGate.Close)
 
 	// A gate whose fleet is gone.
-	_, deadGate, reps := newFleet(t, 1, Config{Health: HealthConfig{Interval: time.Hour, FailThreshold: 1}})
+	_, deadGate, reps := newFleet(t, 1, Config{})
 	reps[0].Close()
 
-	// A replica with its breaker open: one advise evaluation overruns its
-	// budget, and from then on both search endpoints serve the σ fallback.
-	tripped := mapd.New(mapd.Config{CacheEntries: -1, Timeout: 5 * time.Millisecond,
-		BreakerThreshold: 1, BreakerCooldown: time.Hour})
+	// A replica with its breaker open: advise evaluations overrun their
+	// budget until the breaker opens, and from then on both search
+	// endpoints serve the σ fallback.
+	tripped := mapd.New(mapd.Config{CacheEntries: -1, Timeout: 5 * time.Millisecond})
 	tripped.AdviseHook = func() { time.Sleep(30 * time.Millisecond) }
 	open := httptest.NewServer(tripped.Handler())
 	t.Cleanup(open.Close)
-	if code, body, _ := gatePost(t, open, "/v1/advise", tableSamples["advise"][0]); code != http.StatusGatewayTimeout {
-		t.Fatalf("tripping the breaker: status %d body %s, want 504", code, body)
+	for i := 0; ; i++ {
+		code, body, _ := gatePost(t, open, "/v1/advise", tableSamples["advise"][0])
+		if code == http.StatusOK && strings.Contains(body, `"degraded":true`) {
+			break
+		}
+		if code != http.StatusGatewayTimeout || i == 10 {
+			t.Fatalf("tripping the breaker, request %d: status %d body %s, want 504 until it opens", i, code, body)
+		}
 	}
 
 	for _, ep := range table {

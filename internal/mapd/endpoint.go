@@ -41,8 +41,8 @@ type Query interface {
 }
 
 // searchQuery is a Query answered by an order search (advise, map/matrix).
-// A Server runs those behind its circuit breaker with its hooks, budgets
-// and search metrics, and serves the fallback while the breaker is open.
+// A Server runs those behind its circuit breaker with its hooks and
+// search metrics, and serves the fallback while the breaker is open.
 type searchQuery interface {
 	Query
 	search(ctx context.Context, s *Server) (any, error)

@@ -267,9 +267,9 @@ func evalMatrixMap(ctx context.Context, q *parsedMatrixMap) (*MatrixMapResponse,
 	return resp, nil
 }
 
-// evalMatrixMapFallback is the degraded matrix-map answer (breaker open or
-// over budget): just the best mixed-radix order's placement — a bounded
-// k!·edges scan with no refinement. Flagged Degraded and never cached.
+// evalMatrixMapFallback is the degraded matrix-map answer (breaker open):
+// just the best mixed-radix order's placement — a bounded k!·edges scan
+// with no refinement. Flagged Degraded and never cached.
 func evalMatrixMapFallback(q *parsedMatrixMap) (*MatrixMapResponse, error) {
 	sigma, placement, cost, evaluated, err := procmap.NewGraph(q.matrix).BestOrder(q.h, nil)
 	if err != nil {

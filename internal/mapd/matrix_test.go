@@ -1,8 +1,6 @@
 // End-to-end tests for /v1/map/matrix: the healthy matrix-aware search,
-// digest-keyed caching, request validation, and the two degraded paths —
-// over-budget inside the compute and breaker-open before it — both of
-// which must serve the σ-order baseline labeled "fallback" and never
-// poison the cache with a degraded answer.
+// digest-keyed caching, request validation, and the breaker-open degraded
+// path, which must serve the σ-order baseline labeled "fallback".
 
 package mapd
 
@@ -149,76 +147,23 @@ func TestMatrixMapValidation(t *testing.T) {
 	}
 }
 
-// TestMatrixMapBudgetFallback drives the over-budget path: a search that
-// exceeds MatrixBudget degrades to the σ-order baseline inside the same
-// request — HTTP 200, labeled fallback — and the degraded answer must not
-// be cached, so the next identical request gets a fresh full search.
-func TestMatrixMapBudgetFallback(t *testing.T) {
-	reg := obs.NewRegistry()
-	s, ts := newTestServer(t, Config{
-		Registry:         reg,
-		MatrixBudget:     time.Millisecond,
-		BreakerThreshold: 100, // keep the breaker out of this test
-	})
-	s.MatrixHook = func() { time.Sleep(20 * time.Millisecond) }
-
-	code, body := post(t, ts, "/v1/map/matrix", hubMatrixBody(0))
-	if code != http.StatusOK {
-		t.Fatalf("over-budget status %d, want 200 (body %s)", code, body)
-	}
-	resp := decodeMatrixResp(t, body)
-	if !resp.Degraded || resp.SearchMode != "fallback" {
-		t.Fatalf("degraded=%v search_mode=%q, want a labeled fallback", resp.Degraded, resp.SearchMode)
-	}
-	if resp.Cost != resp.BestOrderCost {
-		t.Errorf("fallback cost %g != best-order cost %g", resp.Cost, resp.BestOrderCost)
-	}
-	if v := reg.FindCounter("mapd_matrix_fallback_total"); v != 1 {
-		t.Errorf("mapd_matrix_fallback_total = %v, want 1", v)
-	}
-
-	// With the fault cleared, the same request must be recomputed in full:
-	// the degraded answer was never cached.
-	s.MatrixHook = nil
-	code, body = post(t, ts, "/v1/map/matrix", hubMatrixBody(0))
-	if code != http.StatusOK {
-		t.Fatalf("recovered status %d (body %s)", code, body)
-	}
-	resp = decodeMatrixResp(t, body)
-	if resp.Degraded || resp.SearchMode != ModeMatrix {
-		t.Fatalf("recovered answer degraded=%v mode=%q, want a fresh full search", resp.Degraded, resp.SearchMode)
-	}
-	if v := reg.FindCounter("mapd_cache_hits_total", obs.L("endpoint", "map_matrix")); v != 0 {
-		t.Errorf("map_matrix cache hits = %v, want 0 — the degraded answer leaked into the cache", v)
-	}
-}
-
 // TestMatrixMapBreakerFallback trips the shared circuit breaker with
-// over-budget matrix searches, then verifies that a breaker-open request
-// is served straight from the σ-order fallback and that both degraded
-// paths are visible on /metrics.
+// timed-out matrix searches, then verifies that a breaker-open request is
+// served straight from the σ-order fallback and that the degraded path is
+// visible on /metrics.
 func TestMatrixMapBreakerFallback(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, ts := newTestServer(t, Config{
-		Registry:         reg,
-		CacheEntries:     -1,
-		MatrixBudget:     time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour,
+		Registry:     reg,
+		CacheEntries: -1,
+		Timeout:      time.Millisecond,
 	})
+	stopBreakerClock(s)
 	s.MatrixHook = func() { time.Sleep(20 * time.Millisecond) }
 
-	// Two over-budget searches: each answers 200 degraded and records a
-	// breaker failure, opening the breaker.
-	for i := 0; i < 2; i++ {
-		code, body := post(t, ts, "/v1/map/matrix", hubMatrixBody(0))
-		if code != http.StatusOK {
-			t.Fatalf("warm-up %d: status %d (body %s)", i, code, body)
-		}
-		if resp := decodeMatrixResp(t, body); !resp.Degraded {
-			t.Fatalf("warm-up %d not degraded", i)
-		}
-	}
+	// Every search overruns the evaluation timeout: each answers 504 and
+	// records a breaker failure, until the breaker opens.
+	tripBreaker(t, s, ts, "/v1/map/matrix", hubMatrixBody(0))
 
 	// Breaker open: even a healthy request is served from the fallback.
 	s.MatrixHook = nil
@@ -230,20 +175,20 @@ func TestMatrixMapBreakerFallback(t *testing.T) {
 	if !resp.Degraded || resp.SearchMode != "fallback" {
 		t.Fatalf("breaker-open answer degraded=%v mode=%q, want labeled fallback", resp.Degraded, resp.SearchMode)
 	}
-	if v := reg.FindCounter("mapd_matrix_fallback_total"); v != 3 {
-		t.Errorf("mapd_matrix_fallback_total = %v, want 3", v)
+	if v := reg.FindCounter("mapd_matrix_fallback_total"); v != 1 {
+		t.Errorf("mapd_matrix_fallback_total = %v, want 1", v)
 	}
-	// Each fallback charges the k! heuristic evaluations to mode=fallback.
+	// The fallback charges the k! heuristic evaluations to mode=fallback.
 	ml := obs.L("mode", "fallback")
-	if v := reg.FindCounter("advisor_class_misses_total", ml); v != 18 {
-		t.Errorf("fallback class misses = %v, want 3 fallbacks × 3! orders = 18", v)
+	if v := reg.FindCounter("advisor_class_misses_total", ml); v != 6 {
+		t.Errorf("fallback class misses = %v, want 3! orders = 6", v)
 	}
 
 	// Both families are on the exposition, labeled.
 	_, mb := post0(t, ts, "/metrics")
 	for _, want := range []string{
-		"mapd_matrix_fallback_total 3",
-		`advisor_search_seconds_count{mode="fallback"} 3`,
+		"mapd_matrix_fallback_total 1",
+		`advisor_search_seconds_count{mode="fallback"} 1`,
 	} {
 		if !strings.Contains(mb, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -257,7 +202,7 @@ func TestMatrixMapBreakerFallback(t *testing.T) {
 	} else if err := json.Unmarshal([]byte(sb), &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.SearchModes["fallback"] != 3 {
-		t.Errorf("search modes %v, want 3 fallbacks", rep.SearchModes)
+	if rep.SearchModes["fallback"] != 1 {
+		t.Errorf("search modes %v, want 1 fallback", rep.SearchModes)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -114,24 +115,60 @@ func TestOverloadSheds503WithRetryAfter(t *testing.T) {
 	}
 }
 
+// breakerClock is a settable clock for a server's breaker, so a test
+// decides when the cooldown has elapsed instead of sleeping past it.
+type breakerClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+// stopBreakerClock swaps s's breaker onto a clock that moves only when
+// advanced. Call it before the first request.
+func stopBreakerClock(s *Server) *breakerClock {
+	c := &breakerClock{t: time.Unix(0, 0)}
+	s.breaker.now = c.now
+	return c
+}
+
+func (c *breakerClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *breakerClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
+// tripBreaker sends breakerThreshold requests whose evaluations all fail
+// with 504, which opens s's breaker.
+func tripBreaker(t *testing.T, s *Server, ts *httptest.Server, path, body string) {
+	t.Helper()
+	for i := 0; i < breakerThreshold; i++ {
+		if code, b := post(t, ts, path, body); code != http.StatusGatewayTimeout {
+			t.Fatalf("tripping request %d: status %d, want 504 (body %s)", i, code, b)
+		}
+	}
+	if st := s.breaker.State(); st != breakerOpen {
+		t.Fatalf("breaker state = %v after %d consecutive timeouts", st, breakerThreshold)
+	}
+}
+
 func TestBreakerOpensAndServesHeuristicFallback(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, ts := newTestServer(t, Config{
-		Registry:         reg,
-		CacheEntries:     -1,
-		Timeout:          5 * time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour,
+		Registry:     reg,
+		CacheEntries: -1,
+		Timeout:      5 * time.Millisecond,
 	})
+	stopBreakerClock(s)
 	// Every real evaluation overruns its budget and fails.
 	s.AdviseHook = func() { time.Sleep(30 * time.Millisecond) }
 
 	req := `{"machine":"hydra","nodes":4,"collective":"alltoall","comm_size":16}`
-	for i := 0; i < 2; i++ {
-		if code, _ := post(t, ts, "/v1/advise", req); code != http.StatusGatewayTimeout {
-			t.Fatalf("warm-up request %d: status %d, want 504", i, code)
-		}
-	}
+	tripBreaker(t, s, ts, "/v1/advise", req)
 	if s.breaker.State() != breakerOpen {
 		t.Fatalf("breaker state = %v after consecutive timeouts", s.breaker.State())
 	}
@@ -178,11 +215,10 @@ func TestBreakerOpensAndServesHeuristicFallback(t *testing.T) {
 
 func TestBreakerRecoversThroughProbe(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		CacheEntries:     -1,
-		Timeout:          5 * time.Millisecond,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Millisecond,
+		CacheEntries: -1,
+		Timeout:      5 * time.Millisecond,
 	})
+	clock := stopBreakerClock(s)
 	var fail atomic.Bool
 	fail.Store(true)
 	s.AdviseHook = func() {
@@ -191,20 +227,21 @@ func TestBreakerRecoversThroughProbe(t *testing.T) {
 		}
 	}
 	req := `{"machine":"hydra","nodes":4,"collective":"alltoall","comm_size":16}`
-	if code, _ := post(t, ts, "/v1/advise", req); code != http.StatusGatewayTimeout {
-		t.Fatal("warm-up did not time out")
-	}
-	if s.breaker.State() != breakerOpen {
-		t.Fatal("breaker did not open")
-	}
+	tripBreaker(t, s, ts, "/v1/advise", req)
 	fail.Store(false)
-	time.Sleep(5 * time.Millisecond) // past the cooldown: next request probes
-	deadline := time.Now().Add(2 * time.Second)
-	for s.breaker.State() != breakerClosed {
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker never closed; state %v", s.breaker.State())
-		}
-		post(t, ts, "/v1/advise", req)
+	// Inside the cooldown the breaker stays open and answers degraded.
+	clock.advance(breakerCooldown - time.Nanosecond)
+	if code, body := post(t, ts, "/v1/advise", req); code != http.StatusOK || !strings.Contains(body, `"degraded":true`) {
+		t.Fatalf("inside the cooldown: %d %s, want a degraded answer", code, body)
+	}
+	// Past it, the next request is the half-open probe; its success closes
+	// the breaker.
+	clock.advance(time.Nanosecond)
+	if code, body := post(t, ts, "/v1/advise", req); code != http.StatusOK || strings.Contains(body, `"degraded":true`) {
+		t.Fatalf("probe answered %d %s, want a real search", code, body)
+	}
+	if st := s.breaker.State(); st != breakerClosed {
+		t.Fatalf("breaker state %v after a successful probe, want closed", st)
 	}
 	code, body := post(t, ts, "/v1/advise", req)
 	var ar AdviseResponse

@@ -37,11 +37,6 @@ type Config struct {
 	// CacheEntries bounds the result cache (default 4096; negative
 	// disables caching).
 	CacheEntries int
-	// CacheShards is the shard count of the cache (default 16, rounded up
-	// to a power of two).
-	CacheShards int
-	// MaxBody caps the request body in bytes (default 1 MiB).
-	MaxBody int64
 	// Timeout bounds one evaluation (default 10 s). Evaluations run on a
 	// context detached from the client connection so a singleflight result
 	// survives its first requester hanging up.
@@ -50,17 +45,6 @@ type Config struct {
 	// shed with 503 + Retry-After instead of queueing without bound
 	// (default 512; negative disables shedding).
 	MaxInflight int
-	// BreakerThreshold opens the advisor circuit breaker after this many
-	// consecutive evaluation failures (default 5; negative disables the
-	// breaker).
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before letting a
-	// probe evaluation through (default 10 s).
-	BreakerCooldown time.Duration
-	// MatrixBudget bounds one matrix-aware placement search. A search that
-	// exceeds it degrades to the σ-order fallback (answered 200, flagged
-	// degraded, uncached) instead of failing with 504 (default: Timeout).
-	MatrixBudget time.Duration
 	// Registry receives the service metrics (default: a fresh registry).
 	Registry *obs.Registry
 	// Tracer records request-scoped spans (nil disables tracing; every
@@ -72,40 +56,33 @@ type Config struct {
 	// SLO tracks rolling burn rates per endpoint (default: a tracker on
 	// the wall clock). Fast-burning SLOs degrade /healthz.
 	SLO *rt.SLOTracker
-	// StatsClasses is the Space-Saving capacity K of the workload
-	// analytics behind GET /v1/stats: at most this many shape classes are
-	// tracked individually (default DefaultStatsClasses).
-	StatsClasses int
 	// Name identifies this replica in a fleet: when set, every response
 	// carries it in the x-mr-replica header so routers and load generators
 	// can attribute latency to the replica that actually served.
 	Name string
 }
 
+const (
+	// MaxBody caps a request body in bytes, here and at the routing tier.
+	MaxBody = 1 << 20
+	// cacheShards is the shard count of the result cache.
+	cacheShards = 16
+	// breakerThreshold is how many consecutive evaluation failures open
+	// the advisor circuit breaker; breakerCooldown is how long it stays
+	// open before letting a probe evaluation through.
+	breakerThreshold = 5
+	breakerCooldown  = 10 * time.Second
+)
+
 func (c Config) withDefaults() Config {
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 4096
-	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = 16
-	}
-	if c.MaxBody <= 0 {
-		c.MaxBody = 1 << 20
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 10 * time.Second
 	}
 	if c.MaxInflight == 0 {
 		c.MaxInflight = 512
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 10 * time.Second
-	}
-	if c.MatrixBudget <= 0 {
-		c.MatrixBudget = c.Timeout
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -125,7 +102,7 @@ type Server struct {
 	cache   *Cache
 	flight  flightGroup
 	reg     *obs.Registry
-	breaker *breaker // nil when disabled
+	breaker *breaker
 	slo     *rt.SLOTracker
 	logger  *slog.Logger
 	stats   *workloadStats
@@ -146,7 +123,7 @@ type Server struct {
 	// as a fault injector for the circuit breaker.
 	AdviseHook func()
 	// MatrixHook is AdviseHook's matrix-map counterpart; it runs inside the
-	// evaluation, already under the MatrixBudget deadline.
+	// evaluation, already under the Timeout deadline.
 	MatrixHook func()
 }
 
@@ -155,12 +132,13 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:             cfg,
-		cache:           NewCache(cfg.CacheEntries, cfg.CacheShards),
+		cache:           NewCache(cfg.CacheEntries, cacheShards),
 		reg:             cfg.Registry,
 		slo:             cfg.SLO,
 		logger:          cfg.Logger,
-		stats:           newWorkloadStats(cfg.StatsClasses),
+		stats:           newWorkloadStats(DefaultStatsClasses),
 		search:          newProgressTable(defaultProgressRecent),
+		breaker:         newBreaker(breakerThreshold, breakerCooldown, nil),
 		inflight:        cfg.Registry.Gauge("mapd_inflight_requests"),
 		shared:          cfg.Registry.Counter("mapd_singleflight_shared_total"),
 		evals:           cfg.Registry.Counter("mapd_advise_evals_total"),
@@ -178,7 +156,7 @@ func New(cfg Config) *Server {
 		"mapd_advise_evals_total":                     "Full advisor order-search evaluations started.",
 		"mapd_shed_total":                             "Requests shed by the in-flight cap.",
 		"mapd_advise_fallback_total":                  "Answers served by the breaker-open fallback, any guarded endpoint.",
-		"mapd_matrix_fallback_total":                  "Matrix-map answers degraded to the σ-order baseline (breaker open or over budget).",
+		"mapd_matrix_fallback_total":                  "Matrix-map answers degraded to the σ-order baseline (breaker open).",
 		"mapd_breaker_state":                          "Advisor circuit breaker state (0 closed, 1 open, 2 half-open).",
 		"advisor_search_seconds":                      "Order-search latency, by search mode (exact/pruned/bnb/beam/matrix/fallback).",
 		"advisor_search_nodes":                        "Live search progress: nodes expanded by the in-flight bounded search, by mode.",
@@ -204,12 +182,9 @@ func New(cfg Config) *Server {
 		cfg.Registry.SetHelp(name, help)
 	}
 	s.flight.onShared = func() { s.shared.Add(1) }
-	if cfg.BreakerThreshold > 0 {
-		s.breaker = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, nil)
-		state := cfg.Registry.Gauge("mapd_breaker_state")
-		state.Set(float64(breakerClosed))
-		s.breaker.onState = func(st breakerState) { state.Set(float64(st)) }
-	}
+	state := cfg.Registry.Gauge("mapd_breaker_state")
+	state.Set(float64(breakerClosed))
+	s.breaker.onState = func(st breakerState) { state.Set(float64(st)) }
 	return s
 }
 
@@ -311,28 +286,13 @@ func (q *parsedAdvise) fallback(s *Server, start time.Time) (any, error) {
 	return resp, nil
 }
 
-// search is the served matrix-map evaluation, bounded by MatrixBudget.
+// search is the served matrix-map evaluation, recorded into the breaker.
 func (q *parsedMatrixMap) search(ctx context.Context, s *Server) (any, error) {
 	start := time.Now()
-	mctx, cancel := context.WithTimeout(ctx, s.cfg.MatrixBudget)
-	defer cancel()
 	if s.MatrixHook != nil {
 		s.MatrixHook()
 	}
-	resp, err := evalMatrixMap(mctx, q)
-	if err != nil && mctx.Err() != nil && ctx.Err() == nil {
-		// Over budget: degrade to the σ-order baseline instead of
-		// failing. Counted as a breaker failure — a stream of
-		// over-budget searches should open the breaker and route
-		// straight to the cheap path.
-		if s.breaker != nil {
-			s.breaker.Record(false)
-		}
-		if fresp, ferr := q.fallback(s, start); ferr == nil {
-			return fresp, nil
-		}
-		return nil, err
-	}
+	resp, err := evalMatrixMap(ctx, q)
 	s.recordOutcome(err)
 	if err != nil {
 		return nil, err
@@ -357,9 +317,7 @@ func (q *parsedMatrixMap) fallback(s *Server, start time.Time) (any, error) {
 // recordOutcome feeds one search result to the breaker. Client errors say
 // nothing about the service's health.
 func (s *Server) recordOutcome(err error) {
-	if s.breaker != nil {
-		s.breaker.Record(err == nil || errors.Is(err, ErrBadRequest))
-	}
+	s.breaker.Record(err == nil || errors.Is(err, ErrBadRequest))
 }
 
 // recordSearch labels one order search the advisor did not run itself — a
@@ -383,7 +341,7 @@ func (s *Server) health() (string, int) {
 	switch {
 	case s.draining.Load():
 		return "draining", http.StatusServiceUnavailable
-	case s.breaker != nil && s.breaker.State() != breakerClosed:
+	case s.breaker.State() != breakerClosed:
 		return "degraded", http.StatusOK
 	case s.slo.FastBurning():
 		return "degraded", http.StatusOK
@@ -503,12 +461,12 @@ func (s *Server) serve(e Endpoint) http.HandlerFunc {
 			code = WriteError(ctx, w, http.StatusMethodNotAllowed, "use POST with a JSON body")
 			return
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBody))
 		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
 				code = WriteError(ctx, w, http.StatusRequestEntityTooLarge,
-					fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBody))
+					fmt.Sprintf("request body exceeds %d bytes", MaxBody))
 			} else {
 				code = WriteError(ctx, w, http.StatusBadRequest, "reading request body: "+err.Error())
 			}
@@ -531,7 +489,7 @@ func (s *Server) serve(e Endpoint) http.HandlerFunc {
 		}
 		misses.Add(1)
 		sq, guarded := q.(searchQuery)
-		if guarded && s.breaker != nil && !s.breaker.Allow() {
+		if guarded && !s.breaker.Allow() {
 			// Breaker open: answer from the cheap heuristic, uncached so a
 			// recovered breaker re-evaluates the real search.
 			s.fallbacks.Add(1)
@@ -579,12 +537,7 @@ func (s *Server) serve(e Endpoint) http.HandlerFunc {
 				return nil, err
 			}
 			b = append(b, '\n')
-			// Degraded answers (e.g. an over-budget matrix map served from
-			// the σ fallback) opt out of caching so a healthy service
-			// re-runs the real search.
-			if c, ok := resp.(interface{ cacheable() bool }); !ok || c.cacheable() {
-				s.cache.Put(key, b)
-			}
+			s.cache.Put(key, b)
 			return b, nil
 		})
 		flightSpan.SetAttr("shared", obs.Bool(shared))

@@ -219,8 +219,8 @@ func TestAdviseCommSizeRange(t *testing.T) {
 }
 
 func TestOversizedBody(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBody: 256})
-	big := fmt.Sprintf(`{"hierarchy":"2,2,4","rank":1,"order":"%s"}`, strings.Repeat(" ", 512))
+	_, ts := newTestServer(t, Config{})
+	big := fmt.Sprintf(`{"hierarchy":"2,2,4","rank":1,"order":"%s"}`, strings.Repeat(" ", MaxBody))
 	for _, path := range []string{"/v1/map", "/v1/advise", "/v1/select", "/v1/metrics/order"} {
 		code, body := post(t, ts, path, big)
 		if code != http.StatusRequestEntityTooLarge {

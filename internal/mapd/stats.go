@@ -31,8 +31,9 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultStatsClasses is the default Space-Saving capacity K: the
-// maximum number of shape classes tracked individually.
+// DefaultStatsClasses is the Space-Saving capacity K of a server's
+// workload analytics: the maximum number of shape classes tracked
+// individually.
 const DefaultStatsClasses = 32
 
 // statInfo is the per-request attribution a parsed Query hands to the
@@ -128,9 +129,6 @@ type workloadStats struct {
 }
 
 func newWorkloadStats(k int) *workloadStats {
-	if k <= 0 {
-		k = DefaultStatsClasses
-	}
 	return &workloadStats{
 		k:         k,
 		classes:   make(map[string]*classStat, k),

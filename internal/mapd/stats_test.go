@@ -91,7 +91,8 @@ func TestWorkloadStatsDistinctEstimate(t *testing.T) {
 func TestStatsEndpointBoundedCardinality(t *testing.T) {
 	const k = 4
 	reg := obs.NewRegistry()
-	_, ts := newTestServer(t, Config{Registry: reg, StatsClasses: k})
+	s, ts := newTestServer(t, Config{Registry: reg})
+	s.stats = newWorkloadStats(k)
 
 	shapes := []string{"2,2", "2,3", "2,4", "2,5", "2,6", "2,7", "2,8", "3,3", "3,4", "3,5"}
 	for pass := 0; pass < 2; pass++ {
@@ -172,12 +173,11 @@ func TestStatsEndpointBoundedCardinality(t *testing.T) {
 func TestStatsSearchModeSplit(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, ts := newTestServer(t, Config{
-		Registry:         reg,
-		CacheEntries:     -1,
-		Timeout:          5 * time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour,
+		Registry:     reg,
+		CacheEntries: -1,
+		Timeout:      5 * time.Millisecond,
 	})
+	stopBreakerClock(s)
 
 	req := `{"machine":"hydra","nodes":4,"collective":"alltoall","comm_size":16}`
 	// One healthy evaluation first: hydra's symmetric hierarchy prunes.
@@ -188,11 +188,7 @@ func TestStatsSearchModeSplit(t *testing.T) {
 	// Now trip the breaker and collect a fallback answer.
 	s.AdviseHook = func() { time.Sleep(30 * time.Millisecond) }
 	req2 := `{"machine":"hydra","nodes":4,"collective":"allreduce","comm_size":16}`
-	for i := 0; i < 2; i++ {
-		if code, _ := post(t, ts, "/v1/advise", req2); code != http.StatusGatewayTimeout {
-			t.Fatalf("warm-up %d: want 504", i)
-		}
-	}
+	tripBreaker(t, s, ts, "/v1/advise", req2)
 	code, b := post(t, ts, "/v1/advise", req)
 	if code != http.StatusOK {
 		t.Fatalf("fallback status %d, body %s", code, b)

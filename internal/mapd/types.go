@@ -207,15 +207,11 @@ type MatrixMapResponse struct {
 	Swaps           int     `json:"swaps,omitempty"`
 	Seed            int64   `json:"seed"`
 	// SearchMode is "matrix" for the full search or "fallback" when the
-	// answer is the bare σ-order baseline (breaker open or over budget);
-	// fallback answers are additionally flagged Degraded and never cached.
+	// answer is the bare σ-order baseline (breaker open); fallback answers
+	// are additionally flagged Degraded and never cached.
 	SearchMode string `json:"search_mode"`
 	Degraded   bool   `json:"degraded,omitempty"`
 }
-
-// cacheable keeps degraded fallback answers out of the result cache, so a
-// recovered service re-runs the real search.
-func (r *MatrixMapResponse) cacheable() bool { return !r.Degraded }
 
 // errorBody is the structured error envelope of every non-2xx response.
 type errorBody struct {

@@ -19,20 +19,22 @@ import (
 
 // SamplerOptions tunes a Sampler.
 type SamplerOptions struct {
-	// Interval between samples (default 5s).
-	Interval time.Duration
 	// Registry receives the rt_* metrics (required; a nil registry makes
 	// every sample a no-op).
 	Registry *obs.Registry
-	// FDDir is the directory whose entries are counted as open file
-	// descriptors (default /proc/self/fd; counting is skipped when the
-	// directory is unreadable, e.g. off-Linux).
-	FDDir string
 }
+
+const (
+	// sampleInterval is the time between samples.
+	sampleInterval = 5 * time.Second
+	// procFDDir is the directory whose entries are counted as open file
+	// descriptors; counting is skipped when it is unreadable (off-Linux).
+	procFDDir = "/proc/self/fd"
+)
 
 // Sampler periodically publishes runtime metrics until stopped.
 type Sampler struct {
-	opts SamplerOptions
+	fdDir string // procFDDir; tests point it elsewhere
 
 	goroutines *obs.Gauge
 	heapAlloc  *obs.Gauge
@@ -54,15 +56,9 @@ type Sampler struct {
 // synchronously before it returns, so metrics exist immediately). Call
 // Stop to halt it.
 func StartSampler(opts SamplerOptions) *Sampler {
-	if opts.Interval <= 0 {
-		opts.Interval = 5 * time.Second
-	}
-	if opts.FDDir == "" {
-		opts.FDDir = "/proc/self/fd"
-	}
 	reg := opts.Registry
 	s := &Sampler{
-		opts:       opts,
+		fdDir:      procFDDir,
 		goroutines: reg.Gauge("rt_goroutines"),
 		heapAlloc:  reg.Gauge("rt_heap_alloc_bytes"),
 		heapSys:    reg.Gauge("rt_heap_sys_bytes"),
@@ -81,7 +77,7 @@ func StartSampler(opts SamplerOptions) *Sampler {
 
 func (s *Sampler) loop() {
 	defer close(s.done)
-	tick := time.NewTicker(s.opts.Interval)
+	tick := time.NewTicker(sampleInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -134,7 +130,7 @@ func (s *Sampler) SampleOnce() {
 	s.lastNumGC = cur
 	s.mu.Unlock()
 
-	if ents, err := os.ReadDir(s.opts.FDDir); err == nil {
+	if ents, err := os.ReadDir(s.fdDir); err == nil {
 		s.openFDs.Set(float64(len(ents)))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -13,7 +12,7 @@ import (
 // gauges; forced GC cycles land in the pause histogram.
 func TestSamplerPublishesRuntimeMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := StartSampler(SamplerOptions{Interval: time.Hour, Registry: reg})
+	s := StartSampler(SamplerOptions{Registry: reg})
 	defer s.Stop()
 
 	runtime.GC()
@@ -40,11 +39,12 @@ func TestSamplerPublishesRuntimeMetrics(t *testing.T) {
 	}
 }
 
-// TestSamplerConcurrent hammers SampleOnce from many goroutines while the
-// background loop runs — the -race gate for the sampler.
+// TestSamplerConcurrent hammers SampleOnce from many goroutines — the
+// -race gate for the sampler, whose background loop is one more such
+// caller.
 func TestSamplerConcurrent(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := StartSampler(SamplerOptions{Interval: time.Millisecond, Registry: reg})
+	s := StartSampler(SamplerOptions{Registry: reg})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -68,19 +68,22 @@ func TestSamplerConcurrent(t *testing.T) {
 	}
 }
 
-// TestSamplerFDCount: on Linux the fd gauge reflects /proc/self/fd; a
-// bogus directory silently skips the gauge instead of failing.
+// TestSamplerFDCount: the fd gauge counts the entries of the fd
+// directory; a bogus directory silently skips the gauge instead of
+// failing.
 func TestSamplerFDCount(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := StartSampler(SamplerOptions{Interval: time.Hour, Registry: reg, FDDir: t.TempDir()})
+	s := StartSampler(SamplerOptions{Registry: reg})
 	defer s.Stop()
+	s.fdDir = t.TempDir()
 	s.SampleOnce()
 	if g := reg.FindGauge("rt_open_fds"); g != 0 {
 		t.Fatalf("empty fd dir counted %g fds", g)
 	}
 
 	reg2 := obs.NewRegistry()
-	s2 := StartSampler(SamplerOptions{Interval: time.Hour, Registry: reg2, FDDir: "/nonexistent-fd-dir"})
+	s2 := StartSampler(SamplerOptions{Registry: reg2})
 	defer s2.Stop()
+	s2.fdDir = "/nonexistent-fd-dir"
 	s2.SampleOnce() // must not panic or set the gauge
 }

@@ -59,62 +59,73 @@ func (d Distribution) String() string {
 	return d.Node.String() + ":" + d.Socket.String()
 }
 
+// layout is the node-level shape a distribution fills: level 0 of the
+// hierarchy is the node and level 1 the socket.
+type layout struct {
+	nodes, coresPerNode, sockets int
+}
+
+func nodeLayout(h topology.Hierarchy) (layout, error) {
+	if h.Depth() < 2 {
+		return layout{}, fmt.Errorf("slurm: need at least node and core levels, got %s", h)
+	}
+	ar := h.Arities()
+	g := layout{nodes: ar[0], coresPerNode: h.Size() / ar[0], sockets: 1}
+	if h.Depth() >= 3 {
+		g.sockets = ar[1]
+	}
+	return g, nil
+}
+
+// check reports whether the binding can realize d.
+func (d Distribution) check() error {
+	switch {
+	case d.Node != Block && d.Node != Cyclic && d.Node != Plane:
+		return fmt.Errorf("%w: node policy %v", ErrBadDistribution, d.Node)
+	case d.Node == Plane && d.PlaneSize <= 0:
+		return fmt.Errorf("%w: plane size %d", ErrBadDistribution, d.PlaneSize)
+	case d.Socket != Block && d.Socket != Cyclic:
+		return fmt.Errorf("%w: socket policy %v", ErrBadDistribution, d.Socket)
+	}
+	return nil
+}
+
+// core returns the core rank r is bound to under d on layout g; d must
+// pass check. The node policy picks the node and the index of r among the
+// ranks that node receives; the socket policy maps that index to a core
+// of the node. Under plane=p a node receives p consecutive ranks per
+// round of the nodes.
+func (d Distribution) core(g layout, r int) int {
+	var node, idx int
+	switch d.Node {
+	case Block:
+		node, idx = r/g.coresPerNode, r%g.coresPerNode
+	case Cyclic:
+		node, idx = r%g.nodes, r/g.nodes
+	default: // Plane
+		block := r / d.PlaneSize
+		node, idx = block%g.nodes, block/g.nodes*d.PlaneSize+r%d.PlaneSize
+	}
+	if d.Socket == Cyclic {
+		idx = idx%g.sockets*(g.coresPerNode/g.sockets) + idx/g.sockets
+	}
+	return node*g.coresPerNode + idx
+}
+
 // Binding computes the rank→core binding the distribution produces on a
 // hierarchy whose level 0 is the node and level 1 the socket (deeper levels
 // are filled in their initial order, as Slurm does). One rank per core.
 func (d Distribution) Binding(h topology.Hierarchy) ([]int, error) {
-	if h.Depth() < 2 {
-		return nil, fmt.Errorf("slurm: need at least node and core levels, got %s", h)
+	g, err := nodeLayout(h)
+	if err != nil {
+		return nil, err
 	}
-	ar := h.Arities()
-	nodes := ar[0]
-	coresPerNode := h.Size() / nodes
-	sockets := 1
-	if h.Depth() >= 3 {
-		sockets = ar[1]
+	if err := d.check(); err != nil {
+		return nil, err
 	}
-	coresPerSocket := coresPerNode / sockets
-	n := h.Size()
-	binding := make([]int, n)
-
-	inNode := func(idx int) int {
-		// Map the idx-th rank assigned to a node to a core offset using the
-		// socket policy.
-		switch d.Socket {
-		case Block:
-			return idx
-		case Cyclic:
-			s := idx % sockets
-			return s*coresPerSocket + idx/sockets
-		default:
-			panic("slurm: bad socket policy")
-		}
-	}
-
-	switch d.Node {
-	case Block:
-		for r := 0; r < n; r++ {
-			node := r / coresPerNode
-			binding[r] = node*coresPerNode + inNode(r%coresPerNode)
-		}
-	case Cyclic:
-		for r := 0; r < n; r++ {
-			node := r % nodes
-			binding[r] = node*coresPerNode + inNode(r/nodes)
-		}
-	case Plane:
-		if d.PlaneSize <= 0 {
-			return nil, fmt.Errorf("%w: plane size %d", ErrBadDistribution, d.PlaneSize)
-		}
-		next := make([]int, nodes) // next free in-node slot per node
-		for r := 0; r < n; r++ {
-			blockIdx := r / d.PlaneSize
-			node := blockIdx % nodes
-			binding[r] = node*coresPerNode + inNode(next[node])
-			next[node]++
-		}
-	default:
-		return nil, fmt.Errorf("%w: node policy %v", ErrBadDistribution, d.Node)
+	binding := make([]int, h.Size())
+	for r := range binding {
+		binding[r] = d.core(g, r)
 	}
 	return binding, nil
 }
@@ -122,49 +133,46 @@ func (d Distribution) Binding(h topology.Hierarchy) ([]int, error) {
 // DistributionForOrder searches the --distribution values able to reproduce
 // the mapping of order sigma on hierarchy h (as in the Figure 2 captions).
 // It returns the matching value and true, or zero and false when the order
-// cannot be expressed with --distribution (e.g. order [1,0,2]).
+// cannot be expressed with --distribution (e.g. order [1,0,2]). Candidates
+// are tried in a fixed order — node:socket block/cyclic, then plane=p for
+// every p dividing a node's cores — and each is compared rank by rank
+// with the reordered world's binding, dropped at its first mismatch.
 func DistributionForOrder(h topology.Hierarchy, sigma []int) (Distribution, bool) {
+	g, err := nodeLayout(h)
+	if err != nil {
+		return Distribution{}, false
+	}
 	ro, err := mixedradix.NewReorderer(h.Arities(), sigma)
 	if err != nil {
 		return Distribution{}, false
 	}
 	want := ro.InverseTable() // binding of the reordered world
-	var candidates []Distribution
+	matches := func(d Distribution) bool {
+		for r, c := range want {
+			if d.core(g, r) != c {
+				return false
+			}
+		}
+		return true
+	}
 	for _, np := range []Policy{Block, Cyclic} {
 		for _, sp := range []Policy{Block, Cyclic} {
-			candidates = append(candidates, Distribution{Node: np, Socket: sp})
+			if d := (Distribution{Node: np, Socket: sp}); matches(d) {
+				return d, true
+			}
 		}
 	}
-	coresPerNode := h.Size() / h.Arities()[0]
 	// Slurm's plane distribution fills within a node in block order; there
 	// is no plane×cyclic combination.
-	for plane := 1; plane <= coresPerNode; plane++ {
-		if coresPerNode%plane == 0 {
-			candidates = append(candidates, Distribution{Node: Plane, Socket: Block, PlaneSize: plane})
-		}
-	}
-	for _, d := range candidates {
-		got, err := d.Binding(h)
-		if err != nil {
+	for plane := 1; plane <= g.coresPerNode; plane++ {
+		if g.coresPerNode%plane != 0 {
 			continue
 		}
-		if equalInts(got, want) {
+		if d := (Distribution{Node: Plane, Socket: Block, PlaneSize: plane}); matches(d) {
 			return d, true
 		}
 	}
 	return Distribution{}, false
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // MapCPU implements the paper's Algorithm 3: given the hierarchy of one

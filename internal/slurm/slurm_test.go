@@ -1,6 +1,7 @@
 package slurm
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -263,4 +264,121 @@ func rangeInts(n int) []int {
 		out[i] = i
 	}
 	return out
+}
+
+// eagerDistributionForOrder builds every candidate's full binding, then
+// compares it with the reordered world's: the oracle of the rank-by-rank
+// search.
+func eagerDistributionForOrder(h topology.Hierarchy, sigma []int) (Distribution, bool) {
+	ro, err := mixedradix.NewReorderer(h.Arities(), sigma)
+	if err != nil {
+		return Distribution{}, false
+	}
+	want := ro.InverseTable()
+	var candidates []Distribution
+	for _, np := range []Policy{Block, Cyclic} {
+		for _, sp := range []Policy{Block, Cyclic} {
+			candidates = append(candidates, Distribution{Node: np, Socket: sp})
+		}
+	}
+	coresPerNode := h.Size() / h.Arities()[0]
+	for plane := 1; plane <= coresPerNode; plane++ {
+		if coresPerNode%plane == 0 {
+			candidates = append(candidates, Distribution{Node: Plane, Socket: Block, PlaneSize: plane})
+		}
+	}
+	for _, d := range candidates {
+		if got, err := d.Binding(h); err == nil && reflect.DeepEqual(got, want) {
+			return d, true
+		}
+	}
+	return Distribution{}, false
+}
+
+// eagerPlaneBinding is plane=p as Slurm describes it: blocks of p ranks
+// dealt to the nodes in turn, each node filling its next free core.
+func eagerPlaneBinding(h topology.Hierarchy, p int) []int {
+	nodes := h.Arities()[0]
+	coresPerNode := h.Size() / nodes
+	next := make([]int, nodes)
+	binding := make([]int, h.Size())
+	for r := range binding {
+		node := r / p % nodes
+		binding[r] = node*coresPerNode + next[node]
+		next[node]++
+	}
+	return binding
+}
+
+// TestDistributionForOrderMatchesEager runs the rank-by-rank search and
+// the eager oracle on every order of the Hydra and LUMI hierarchies (two
+// nodes each), of one LUMI node, and of random depth 2–6 hierarchies:
+// both must give the same answer.
+func TestDistributionForOrderMatchesEager(t *testing.T) {
+	hs := []topology.Hierarchy{
+		topology.MustNew(2, 2, 2, 8),    // Hydra: node, socket, NUMA, core
+		topology.MustNew(2, 2, 4, 2, 8), // LUMI: node, socket, NUMA, CCD, core
+		topology.MustNew(2, 4, 2, 8),    // one LUMI node: socket, NUMA, CCD, core
+	}
+	rng := rand.New(rand.NewSource(1))
+	for len(hs) < 40 {
+		ar := make([]int, 2+rng.Intn(5))
+		size := 1
+		for i := range ar {
+			ar[i] = 2 + rng.Intn(4)
+			size *= ar[i]
+		}
+		if size <= 1024 {
+			hs = append(hs, topology.MustNew(ar...))
+		}
+	}
+	found := 0
+	for _, h := range hs {
+		for _, sigma := range perm.All(h.Depth()) {
+			got, gok := DistributionForOrder(h, sigma)
+			want, wok := eagerDistributionForOrder(h, sigma)
+			if got != want || gok != wok {
+				t.Fatalf("%s order %v: search %v %v, eager oracle %v %v", h, sigma, got, gok, want, wok)
+			}
+			if gok {
+				found++
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no order expressible: the comparison checked nothing")
+	}
+}
+
+// TestPlaneBindingMatchesSlurm checks the closed-form plane=p binding
+// against Slurm's deal-and-fill description, for plane sizes that divide
+// a node's cores and ones that do not.
+func TestPlaneBindingMatchesSlurm(t *testing.T) {
+	h := topology.MustNew(3, 2, 6)
+	for p := 1; p <= 13; p++ {
+		got, err := Distribution{Node: Plane, Socket: Block, PlaneSize: p}.Binding(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := eagerPlaneBinding(h, p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("plane=%d: binding %v, want %v", p, got, want)
+		}
+	}
+}
+
+// TestDistributionForOrderAllocs bounds the search's allocations on a
+// ~1 M-core hierarchy whose node has 160 plane-size divisors: the reordered
+// world's table and the reorderer are allocated once, and no candidate
+// allocates, so the count does not grow with the divisors.
+func TestDistributionForOrderAllocs(t *testing.T) {
+	h := topology.MustNew(2, 4, 3, 5, 7, 8, 9, 16) // 967 680 cores, 483 840 per node
+	for _, sigma := range [][]int{
+		{1, 0, 2, 3, 4, 5, 6, 7}, // no --distribution value: every candidate tried
+		{7, 6, 5, 4, 3, 2, 1, 0}, // block:block
+	} {
+		allocs := testing.AllocsPerRun(1, func() { DistributionForOrder(h, sigma) })
+		if allocs > 8 {
+			t.Errorf("order %v: %v allocations, want at most 8 whatever the divisor count", sigma, allocs)
+		}
+	}
 }
