@@ -132,8 +132,7 @@ type SearchOptions struct {
 	OnStats  func(RankStats)
 	// Progress, when set, receives live search progress: one event per
 	// strict incumbent improvement plus a coverage heartbeat every
-	// progressEvery nodes. Events also feed the advisor_search_* gauges
-	// (when Registry is set) and the advisor.search span's
+	// progressEvery nodes. Events also feed the advisor.search span's
 	// search_progress instant-event stream.
 	Progress func(SearchProgress)
 }
@@ -214,7 +213,7 @@ func searchBounded(ctx context.Context, sc Scenario, opts SearchOptions, budget 
 	}
 	e.start = start
 	e.every, e.tick = every, every
-	if opts.Progress != nil || opts.Registry != nil || span != nil {
+	if opts.Progress != nil || span != nil {
 		e.progress = progressSink(span, opts)
 	}
 	mode := ModeBnB
@@ -276,21 +275,11 @@ func searchBounded(ctx context.Context, sc Scenario, opts SearchOptions, budget 
 	return res, nil
 }
 
-// progressSink fans one progress event out to the three consumers: the
-// advisor_search_* gauges (per-mode series, so each stays monotone within
-// a run), the advisor.search span's search_progress instant-event stream,
-// and the caller's sink.
+// progressSink fans one progress event out to the two consumers: the
+// advisor.search span's search_progress instant-event stream, and the
+// caller's sink (the served /v1/advise/progress table).
 func progressSink(span *rt.Span, opts SearchOptions) func(SearchProgress) {
 	return func(p SearchProgress) {
-		if opts.Registry != nil {
-			ml := obs.L("mode", p.Mode)
-			opts.Registry.Gauge("advisor_search_nodes", ml).Set(float64(p.Nodes))
-			opts.Registry.Gauge("advisor_search_incumbent_seconds", ml).Set(p.IncumbentTime)
-			opts.Registry.Gauge("advisor_search_bound_gap", ml).Set(p.BoundGap)
-			if p.Kind == ProgressIncumbent {
-				opts.Registry.Counter("advisor_search_incumbent_improvements_total", ml).Add(1)
-			}
-		}
 		span.Event("search_progress",
 			obs.Arg{Key: "improvement", Val: obs.Bool(p.Kind == ProgressIncumbent)},
 			obs.Arg{Key: "nodes", Val: p.Nodes},

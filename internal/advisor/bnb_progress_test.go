@@ -91,9 +91,10 @@ func TestSearchProgressMonotone(t *testing.T) {
 	}
 }
 
-// TestSearchProgressPublishes checks the other two fan-outs of the sink:
-// the advisor_search_* registry series and the search_progress instant
-// events on the advisor.search span.
+// TestSearchProgressPublishes checks the other fan-out of the sink: the
+// search_progress instant events on the advisor.search span. Progress
+// reaches no registry series: concurrent searches would overwrite one
+// another's gauges, and /v1/advise/progress reports each search.
 func TestSearchProgressPublishes(t *testing.T) {
 	sc := Scenario{
 		Spec:      cluster.Cloud(7),
@@ -105,8 +106,7 @@ func TestSearchProgressPublishes(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := rt.NewTracer(rt.Options{Service: "test"})
 	ctx, root := tracer.StartRequest(context.Background(), "test advise", "")
-	res, err := searchBounded(ctx, sc, SearchOptions{Top: 1, Registry: reg}, nodeBudget, beamWidth, 1000)
-	if err != nil {
+	if _, err := searchBounded(ctx, sc, SearchOptions{Top: 1, Registry: reg}, nodeBudget, beamWidth, 1000); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -115,16 +115,8 @@ func TestSearchProgressPublishes(t *testing.T) {
 	if err := obs.WritePrometheus(&buf, reg); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{
-		"advisor_search_incumbent_improvements_total{mode=\"" + res.Mode + "\"}",
-		"advisor_search_incumbent_seconds{mode=\"" + res.Mode + "\"}",
-		"advisor_search_nodes{mode=\"" + res.Mode + "\"}",
-		"advisor_search_bound_gap{mode=\"" + res.Mode + "\"}",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %s:\n%s", want, out)
-		}
+	if out := buf.String(); strings.Contains(out, "advisor_search_nodes") {
+		t.Errorf("exposition carries a search-progress series:\n%s", out)
 	}
 
 	progressEvents := 0

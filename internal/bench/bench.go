@@ -15,7 +15,6 @@ package bench
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/mixedradix"
@@ -129,15 +128,11 @@ func Measure(cfg Config, sigma []int, size int64, simultaneous bool) (Point, err
 	n := cfg.Hierarchy.Size()
 	p := cfg.CommSize
 	nComms := n / p
-	reorderStart := time.Now()
 	ro, err := mixedradix.NewReorderer(cfg.Hierarchy.Arities(), sigma)
 	if err != nil {
 		return Point{}, err
 	}
 	table := ro.Table() // old rank -> reordered rank
-	// The reorder phase runs before the simulation starts, so it has no
-	// extent in virtual time; record its wall cost as a gauge instead.
-	cfg.MPI.Obs.Registry().Gauge("bench_reorder_wall_seconds").SetMax(time.Since(reorderStart).Seconds())
 	perRank := size / int64(p)
 	if perRank <= 0 {
 		return Point{}, fmt.Errorf("bench: size %d too small for %d ranks", size, p)

@@ -45,8 +45,7 @@ func (b *Budget) Withdraw() bool {
 	return true
 }
 
-// Tokens returns the current balance (for the fleet_retry_budget_tokens
-// gauge and /v1/fleet).
+// Tokens returns the current balance (for /v1/fleet).
 func (b *Budget) Tokens() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()

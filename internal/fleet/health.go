@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/rt"
 )
 
@@ -81,14 +80,12 @@ type Checker struct {
 	states []atomic.Int32
 	fails  []atomic.Int32
 
-	// onState observes every state change (wired to the fleet_replica_state
-	// gauge); called concurrently.
+	// onState observes every state change (wired to the router's log);
+	// called concurrently.
 	onState func(i int, s ReplicaState)
 	// tracer records each probe as its own head-sampled root span (nil
 	// disables).
 	tracer *rt.Tracer
-	checks []*obs.Counter // per-replica probe counter, ok results
-	probes []*obs.Counter // per-replica probe counter, failed results
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -98,7 +95,7 @@ type Checker struct {
 // NewChecker builds a checker for the replica base URLs. Replicas start
 // healthy so a cold router routes immediately; call CheckNow to settle
 // real states before serving.
-func NewChecker(urls, names []string, cfg HealthConfig, reg *obs.Registry) *Checker {
+func NewChecker(urls, names []string, cfg HealthConfig) *Checker {
 	c := &Checker{
 		urls:   urls,
 		names:  names,
@@ -107,11 +104,6 @@ func NewChecker(urls, names []string, cfg HealthConfig, reg *obs.Registry) *Chec
 		fails:  make([]atomic.Int32, len(urls)),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
-	}
-	for i := range urls {
-		l := obs.L("replica", names[i])
-		c.checks = append(c.checks, reg.Counter("fleet_health_checks_total", l, obs.L("result", "ok")))
-		c.probes = append(c.probes, reg.Counter("fleet_health_checks_total", l, obs.L("result", "fail")))
 	}
 	return c
 }
@@ -197,13 +189,11 @@ func (c *Checker) probe(ctx context.Context, i int) {
 }
 
 func (c *Checker) succeed(i int, s ReplicaState) {
-	c.checks[i].Add(1)
 	c.fails[i].Store(0)
 	c.setState(i, s)
 }
 
 func (c *Checker) fail(i int) {
-	c.probes[i].Add(1)
 	if int(c.fails[i].Add(1)) >= failThreshold {
 		c.setState(i, StateDead)
 	}

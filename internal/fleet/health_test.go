@@ -6,8 +6,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 // healthStub is a /healthz endpoint whose answer the test can switch.
@@ -50,7 +48,7 @@ func newHealthFixture(t *testing.T, statuses ...string) (*Checker, []*healthStub
 		urls = append(urls, ts.URL)
 		names = append(names, "r"+string(rune('0'+i)))
 	}
-	return NewChecker(urls, names, HealthConfig{}, obs.NewRegistry()), stubs
+	return NewChecker(urls, names, HealthConfig{}), stubs
 }
 
 func TestCheckerMapsTriStateHealth(t *testing.T) {
@@ -122,8 +120,7 @@ func TestCheckerStateChangeHook(t *testing.T) {
 
 func TestCheckerUnreachableReplica(t *testing.T) {
 	// A URL nobody listens on: probes fail at the transport layer.
-	c := NewChecker([]string{"http://127.0.0.1:1"}, []string{"r0"},
-		HealthConfig{}, obs.NewRegistry())
+	c := NewChecker([]string{"http://127.0.0.1:1"}, []string{"r0"}, HealthConfig{})
 	ctx := context.Background()
 	c.CheckNow(ctx)
 	c.CheckNow(ctx)

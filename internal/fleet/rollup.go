@@ -19,7 +19,6 @@ import (
 	"sync"
 
 	"repro/internal/mapd"
-	"repro/internal/obs"
 	"repro/internal/obs/rt"
 )
 
@@ -136,7 +135,6 @@ func (g *Router) scrapeAll(ctx context.Context, fn func(ctx context.Context, idx
 			defer wg.Done()
 			if err := fn(ctx, i); err != nil {
 				errs[i] = err.Error()
-				g.reg.Counter("fleet_scrape_errors_total").Add(1)
 			}
 		}(i)
 	}
@@ -262,28 +260,14 @@ func (g *Router) noteShape(i int, div float64, outlier bool) {
 	g.rollupMu.Lock()
 	g.notes[i].shapeDivergence = div
 	g.notes[i].shapeOutlier = outlier
-	n := g.notes[i]
 	g.rollupMu.Unlock()
-	g.publishNote(i, n)
 }
 
 func (g *Router) noteBurn(i int, rate float64, outlier bool) {
 	g.rollupMu.Lock()
 	g.notes[i].burnRate = rate
 	g.notes[i].burnOutlier = outlier
-	n := g.notes[i]
 	g.rollupMu.Unlock()
-	g.publishNote(i, n)
-}
-
-// publishNote mirrors a replica's rollup score into the fleet gauges.
-// The outlier gauge is the OR of the shape and burn flags — either kind
-// of divergence marks the replica.
-func (g *Router) publishNote(i int, n rollupNote) {
-	l := obs.L("replica", g.cfg.Names[i])
-	g.reg.Gauge("fleet_replica_shape_divergence", l).Set(n.shapeDivergence)
-	g.reg.Gauge("fleet_replica_burn_rate", l).Set(n.burnRate)
-	g.reg.Gauge("fleet_replica_outlier", l).Set(float64(obs.Bool(n.shapeOutlier || n.burnOutlier)))
 }
 
 // mergeSLO sums the replicas' raw window counts per endpoint×window and
@@ -338,7 +322,7 @@ func mergeSLO(reports []rt.SLOReport) FleetSLO {
 
 // worstShortBurn is the worst availability/latency burn across the
 // endpoints' shortest windows — the number the outlier comparison and
-// the fleet_replica_burn_rate gauge use.
+// /v1/fleet use.
 func worstShortBurn(eps []rt.EndpointSLO) float64 {
 	var worst float64
 	for _, ep := range eps {

@@ -230,7 +230,7 @@ func TestFleetSLORollup(t *testing.T) {
 }
 
 // TestFleetRollupScrapeFailure: a replica that fails its scrape is
-// excluded from the merge, reported with the error, and counted.
+// excluded from the merge and reported with the error.
 func TestFleetRollupScrapeFailure(t *testing.T) {
 	r0 := stubStats(100, mapd.ClassReport{Shape: "2,2", Requests: 100})
 	g, gate := newStubFleet(t, []mapd.StatsReport{r0}, nil)
@@ -269,8 +269,9 @@ func TestFleetRollupScrapeFailure(t *testing.T) {
 }
 
 // TestFleetExpositionLint: the gate's /metrics passes the promtool-style
-// lint and every fleet_* metric with samples carries a HELP line —
-// including the rollup gauges, which only appear after a rollup ran.
+// lint and every fleet_* metric with samples carries a HELP line, also
+// after a rollup ran. The rollup's per-replica scores are served on
+// /v1/fleet only, never as series.
 func TestFleetExpositionLint(t *testing.T) {
 	r0 := stubStats(100, mapd.ClassReport{Shape: "2,2", Requests: 100})
 	_, gate := newStubFleet(t, []mapd.StatsReport{r0}, []rt.SLOReport{stubSLO(100, 1)})
@@ -283,10 +284,11 @@ func TestFleetExpositionLint(t *testing.T) {
 	if _, err := obs.LintPrometheus(out); err != nil {
 		t.Fatalf("fleet exposition fails lint: %v", err)
 	}
-	for _, name := range []string{"fleet_replica_shape_divergence", "fleet_replica_burn_rate", "fleet_replica_outlier"} {
-		if !strings.Contains(out, name) {
-			t.Fatalf("exposition missing rollup gauge %s", name)
-		}
+	if strings.Contains(out, "fleet_replica_") {
+		t.Fatalf("exposition carries per-replica rollup series:\n%s", out)
+	}
+	if _, status := gateGet(t, gate, "/v1/fleet"); !strings.Contains(status, `"burn_rate"`) {
+		t.Fatalf("/v1/fleet missing the rollup's burn rate: %s", status)
 	}
 	if missing := obs.MissingHelp(out, "fleet_"); len(missing) != 0 {
 		t.Fatalf("fleet_* metrics missing HELP: %v", missing)

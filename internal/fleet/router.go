@@ -96,14 +96,13 @@ type Router struct {
 	draining atomic.Bool
 
 	// rollup notes: the last /v1/fleet/stats + /v1/fleet/slo scores per
-	// replica, surfaced on /v1/fleet and the fleet_replica_outlier gauge.
+	// replica, surfaced on /v1/fleet.
 	rollupMu sync.Mutex
 	notes    []rollupNote
 
 	retries      *obs.Counter
 	failovers    *obs.Counter
 	budgetDenied *obs.Counter
-	budgetGauge  *obs.Gauge
 
 	// sleep is the retry backoff sleeper; tests replace it.
 	sleep func(time.Duration)
@@ -136,7 +135,6 @@ func New(cfg Config) (*Router, error) {
 		retries:      reg.Counter("fleet_retries_total"),
 		failovers:    reg.Counter("fleet_failovers_total"),
 		budgetDenied: reg.Counter("fleet_retry_budget_exhausted_total"),
-		budgetGauge:  reg.Gauge("fleet_retry_budget_tokens"),
 		sleep:        time.Sleep,
 	}
 	for name, help := range map[string]string{
@@ -144,25 +142,14 @@ func New(cfg Config) (*Router, error) {
 		"fleet_request_seconds":              "End-to-end routed request latency, by endpoint.",
 		"fleet_retries_total":                "Failover retry attempts issued by the router.",
 		"fleet_failovers_total":              "Requests served by a replica other than the key's home replica.",
-		"fleet_retry_budget_tokens":          "Retry-budget tokens currently available.",
 		"fleet_retry_budget_exhausted_total": "Retries denied because the global retry budget was empty.",
 		"fleet_fallback_total":               "Answers served by the router's local degraded fallback, by endpoint.",
-		"fleet_replica_state":                "Replica routing state (0 healthy, 1 degraded, 2 draining, 3 dead).",
-		"fleet_health_checks_total":          "Active health probes, by replica and result.",
-		"fleet_replica_shape_divergence":     "Total-variation distance between a replica's shape-class mix and the fleet's (last rollup).",
-		"fleet_replica_outlier":              "1 when the replica's shape mix or burn rate was flagged an outlier in the last rollup.",
-		"fleet_replica_burn_rate":            "Worst availability/latency burn rate across the replica's endpoints, shortest window (last rollup).",
-		"fleet_scrape_errors_total":          "Replica stats/SLO scrapes that failed during a fleet rollup.",
 	} {
 		reg.SetHelp(name, help)
 	}
-	g.checker = NewChecker(cfg.Replicas, cfg.Names, cfg.Health, reg)
+	g.checker = NewChecker(cfg.Replicas, cfg.Names, cfg.Health)
 	g.checker.tracer = cfg.Tracer
-	for _, n := range cfg.Names {
-		reg.Gauge("fleet_replica_state", obs.L("replica", n)).Set(float64(StateHealthy))
-	}
 	g.checker.onState = func(i int, s ReplicaState) {
-		reg.Gauge("fleet_replica_state", obs.L("replica", cfg.Names[i])).Set(float64(s))
 		g.logger.Info("replica state", "replica", cfg.Names[i], "url", cfg.Replicas[i], "state", s.String())
 	}
 	return g, nil
@@ -215,7 +202,6 @@ func (g *Router) Handler() http.Handler {
 		_, _ = w.Write([]byte(`{"status":"` + status + `"}` + "\n"))
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		g.budgetGauge.Set(g.budget.Tokens())
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		_ = obs.WritePrometheus(w, g.reg)
 	})

@@ -108,6 +108,10 @@ func TestOverloadSheds503WithRetryAfter(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error.Status != "unavailable" {
 		t.Errorf("shed envelope: %+v, err %v", eb, err)
 	}
+	// The shed request left again; the two parked ones are still served.
+	if got := reg.FindGauge("mapd_inflight_requests"); got != 2 {
+		t.Errorf("mapd_inflight_requests = %v while two requests are parked, want 2", got)
+	}
 	close(release)
 	wg.Wait()
 	if got := reg.FindCounter("mapd_shed_total"); got < 1 {

@@ -147,37 +147,21 @@ func New(cfg Config) *Server {
 		matrixFallbacks: cfg.Registry.Counter("mapd_matrix_fallback_total"),
 	}
 	for name, help := range map[string]string{
-		"mapd_requests_total":                         "Requests served, by endpoint and HTTP status code.",
-		"mapd_request_seconds":                        "End-to-end request latency, by endpoint.",
-		"mapd_cache_hits_total":                       "Result-cache hits, by endpoint.",
-		"mapd_cache_misses_total":                     "Result-cache misses, by endpoint.",
-		"mapd_inflight_requests":                      "Requests currently being served.",
-		"mapd_singleflight_shared_total":              "Evaluations shared between concurrent identical requests.",
-		"mapd_advise_evals_total":                     "Full advisor order-search evaluations started.",
-		"mapd_shed_total":                             "Requests shed by the in-flight cap.",
-		"mapd_advise_fallback_total":                  "Answers served by the breaker-open fallback, any guarded endpoint.",
-		"mapd_matrix_fallback_total":                  "Matrix-map answers degraded to the σ-order baseline (breaker open).",
-		"mapd_breaker_state":                          "Advisor circuit breaker state (0 closed, 1 open, 2 half-open).",
-		"advisor_search_seconds":                      "Order-search latency, by search mode (exact/pruned/bnb/beam/matrix/fallback).",
-		"advisor_search_nodes":                        "Live search progress: nodes expanded by the in-flight bounded search, by mode.",
-		"advisor_search_incumbent_seconds":            "Live search progress: best completion time found so far, by mode.",
-		"advisor_search_bound_gap":                    "Live search progress: (incumbent − root bound)/incumbent, by mode.",
-		"advisor_search_incumbent_improvements_total": "Live search progress: incumbent-improvement events, by mode.",
-		"procmap_map_seconds":                         "Matrix-aware placement latency (σ baseline + greedy + refinement).",
-		"procmap_refine_swaps_total":                  "Pairwise swaps applied by matrix-aware refinement.",
-		"procmap_improvement_pct":                     "Matrix-aware win over the best σ order, percent (last request).",
-		"advisor_class_hits_total":                    "Orders served from an equivalence-class representative, by search mode.",
-		"advisor_class_misses_total":                  "Order evaluations actually performed, by search mode.",
-		"mapd_stats_class_requests":                   "Workload analytics: requests by canonical shape class (Space-Saving top-K).",
-		"mapd_stats_class_hit_rate":                   "Workload analytics: cache hit rate by canonical shape class.",
-		"mapd_stats_depth_requests":                   "Workload analytics: requests by hierarchy depth.",
-		"mapd_stats_collective_requests":              "Workload analytics: advise requests by collective.",
-		"mapd_stats_search_requests":                  "Workload analytics: order searches by mode (exact/pruned/bnb/beam/matrix/fallback).",
-		"mapd_stats_endpoint_requests":                "Workload analytics: requests by API endpoint.",
-		"mapd_stats_tracked_classes":                  "Workload analytics: shape classes currently tracked (≤ K).",
-		"mapd_stats_distinct_classes_estimate":        "Workload analytics: sketch estimate of distinct shape classes seen.",
-		"mapd_stats_class_evictions":                  "Workload analytics: top-K evictions (count-error churn indicator).",
-		"mapd_stats_cache_hit_rate":                   "Workload analytics: overall cache hit rate.",
+		"mapd_requests_total":            "Requests served, by endpoint and HTTP status code.",
+		"mapd_request_seconds":           "End-to-end request latency, by endpoint.",
+		"mapd_cache_hits_total":          "Result-cache hits, by endpoint.",
+		"mapd_cache_misses_total":        "Result-cache misses, by endpoint.",
+		"mapd_inflight_requests":         "Requests currently being served.",
+		"mapd_singleflight_shared_total": "Evaluations shared between concurrent identical requests.",
+		"mapd_advise_evals_total":        "Full advisor order-search evaluations started.",
+		"mapd_shed_total":                "Requests shed by the in-flight cap.",
+		"mapd_advise_fallback_total":     "Answers served by the breaker-open fallback, any guarded endpoint.",
+		"mapd_matrix_fallback_total":     "Matrix-map answers degraded to the σ-order baseline (breaker open).",
+		"mapd_breaker_state":             "Advisor circuit breaker state (0 closed, 1 open, 2 half-open).",
+		"advisor_search_seconds":         "Order-search latency, by search mode (exact/pruned/bnb/beam/matrix/fallback).",
+		"procmap_map_seconds":            "Matrix-aware placement latency (σ baseline + greedy + refinement).",
+		"advisor_class_hits_total":       "Orders served from an equivalence-class representative, by search mode.",
+		"advisor_class_misses_total":     "Order evaluations actually performed, by search mode.",
 	} {
 		cfg.Registry.SetHelp(name, help)
 	}
@@ -237,7 +221,6 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		s.slo.Publish(s.reg)
-		s.stats.publish(s.reg)
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		_ = obs.WritePrometheus(w, s.reg)
 	})
@@ -298,8 +281,6 @@ func (q *parsedMatrixMap) search(ctx context.Context, s *Server) (any, error) {
 		return nil, err
 	}
 	s.reg.Histogram("procmap_map_seconds", obs.SearchBuckets()).Observe(time.Since(start).Seconds())
-	s.reg.Counter("procmap_refine_swaps_total").AddInt(int64(resp.Swaps))
-	s.reg.Gauge("procmap_improvement_pct").Set(resp.ImprovementPct)
 	s.recordSearch(ModeMatrix, resp.OrdersEvaluated, time.Since(start))
 	return resp, nil
 }

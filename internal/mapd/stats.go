@@ -16,19 +16,16 @@
 //     search mode (exact/pruned/bnb/beam/fallback).
 //
 // Everything is O(K) memory regardless of workload, which is what lets
-// GET /v1/stats and the /metrics publication stay safe against a hostile
-// client inventing a new hierarchy per request.
+// GET /v1/stats stay safe against a hostile client inventing a new
+// hierarchy per request.
 
 package mapd
 
 import (
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // DefaultStatsClasses is the Space-Saving capacity K of a server's
@@ -122,10 +119,6 @@ type workloadStats struct {
 	hits      uint64
 	evictions uint64
 	sketch    [sketchRegisters]uint8
-	// published remembers the shape labels ever written to the registry,
-	// so publish can zero series whose class was evicted instead of
-	// leaving a stale count on /metrics.
-	published map[string]bool
 }
 
 func newWorkloadStats(k int) *workloadStats {
@@ -135,7 +128,6 @@ func newWorkloadStats(k int) *workloadStats {
 		colls:     make(map[string]uint64, 4),
 		modes:     make(map[string]uint64, 4),
 		endpoints: make(map[string]uint64, 8),
-		published: make(map[string]bool),
 	}
 }
 
@@ -365,51 +357,4 @@ func (st *workloadStats) report() StatsReport {
 		return rep.Classes[i].Shape < rep.Classes[j].Shape
 	})
 	return rep
-}
-
-// publish mirrors the bounded aggregates onto the registry for /metrics.
-// Series whose class fell out of the top-K are zeroed, not removed, so
-// the exposition never reports a stale count; live non-zero class series
-// therefore stay ≤ K.
-func (st *workloadStats) publish(reg *obs.Registry) {
-	if st == nil || reg == nil {
-		return
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	reg.Gauge("mapd_stats_tracked_classes").Set(float64(len(st.classes)))
-	reg.Gauge("mapd_stats_distinct_classes_estimate").Set(float64(st.distinctEstimate()))
-	reg.Gauge("mapd_stats_class_evictions").Set(float64(st.evictions))
-	if st.total > 0 {
-		reg.Gauge("mapd_stats_cache_hit_rate").Set(float64(st.hits) / float64(st.total))
-	}
-	for key := range st.published {
-		if _, ok := st.classes[key]; !ok {
-			reg.Gauge("mapd_stats_class_requests", obs.L("shape", key)).Set(0)
-			reg.Gauge("mapd_stats_class_hit_rate", obs.L("shape", key)).Set(0)
-		}
-	}
-	for key, c := range st.classes {
-		st.published[key] = true
-		reg.Gauge("mapd_stats_class_requests", obs.L("shape", key)).Set(float64(c.requests))
-		hr := 0.0
-		if c.requests > 0 {
-			hr = float64(c.hits) / float64(c.requests)
-		}
-		reg.Gauge("mapd_stats_class_hit_rate", obs.L("shape", key)).Set(hr)
-	}
-	for d, n := range st.depth {
-		if n > 0 {
-			reg.Gauge("mapd_stats_depth_requests", obs.L("depth", strconv.Itoa(d))).Set(float64(n))
-		}
-	}
-	for coll, n := range st.colls {
-		reg.Gauge("mapd_stats_collective_requests", obs.L("collective", coll)).Set(float64(n))
-	}
-	for mode, n := range st.modes {
-		reg.Gauge("mapd_stats_search_requests", obs.L("mode", mode)).Set(float64(n))
-	}
-	for ep, n := range st.endpoints {
-		reg.Gauge("mapd_stats_endpoint_requests", obs.L("endpoint", ep)).Set(float64(n))
-	}
 }

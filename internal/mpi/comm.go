@@ -6,7 +6,6 @@
 package mpi
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/obs"
@@ -135,18 +134,6 @@ func (c *Comm) Split(r *Rank, color, key int) *Comm {
 			for i, e := range es {
 				st.result[e.worldRank] = &commSpec{id: id, group: group, rank: i, epoch: w.epoch}
 			}
-			if sc := w.cfg.Obs; sc != nil {
-				// Ring cost of the new communicator's placement (§3.3):
-				// crossing cost between the cores of consecutive ranks.
-				hier := w.platform.Hierarchy()
-				rc := 0
-				for i := 0; i+1 < len(group); i++ {
-					rc += hier.CrossCost(w.binding[group[i]], w.binding[group[i+1]])
-				}
-				reg := sc.Registry()
-				reg.Gauge("mpi_comm_ring_cost", obs.L("comm", fmt.Sprintf("%d", id))).Set(float64(rc))
-				reg.Counter("mpi_comms_created_total", obs.L("size", fmt.Sprintf("%d", len(group)))).AddInt(1)
-			}
 		}
 		delete(w.splits, sk)
 		st.done.Fire()
@@ -193,9 +180,9 @@ func (c *Comm) Barrier(r *Rank) {
 }
 
 // trace reports a finished collective to the world's tracer and the
-// observability scope (one span per op on the rank's track, plus latency
-// and byte metrics). Both hooks are nil-checked; disabled they cost two
-// predictable branches.
+// observability scope (one span per op on the rank's track, carrying its
+// communicator, size and bytes). Both hooks are nil-checked; disabled
+// they cost two predictable branches.
 func (c *Comm) trace(r *Rank, op string, bytes int64, start float64) {
 	tr := c.w.cfg.Tracer
 	sc := c.w.cfg.Obs
@@ -212,10 +199,5 @@ func (c *Comm) trace(r *Rank, op string, bytes int64, start float64) {
 			obs.Arg{Key: "comm", Val: int64(c.id)},
 			obs.Arg{Key: "comm_size", Val: int64(len(c.group))},
 			obs.Arg{Key: "bytes", Val: bytes})
-		reg := sc.Registry()
-		opL := obs.L("op", op)
-		reg.Histogram("mpi_coll_seconds", obs.TimeBuckets(), opL).Observe(end - start)
-		reg.Counter("mpi_coll_total", opL).AddInt(1)
-		reg.Counter("mpi_coll_bytes_total", opL).AddInt(bytes)
 	}
 }

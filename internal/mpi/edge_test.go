@@ -5,27 +5,36 @@ import (
 	"testing"
 )
 
-func TestEagerThresholdConfigurable(t *testing.T) {
-	// With a 1-byte threshold, a 512-byte send must behave as rendezvous:
-	// the sender blocks until the receiver posts.
-	var sendDone, recvPosted float64
-	_, err := Run(testSpec16(), identityBinding(2), Config{EagerThreshold: 1}, func(r *Rank) {
-		w := r.World()
-		if r.ID() == 0 {
-			w.Send(r, 1, 0, BytesBuf(512))
-			sendDone = r.Now()
-		} else {
-			r.Wait(0.25)
-			recvPosted = r.Now()
-			w.Recv(r, 0, 0)
+// TestEagerThresholdBoundary: a send of exactly the eager threshold
+// completes before the receiver posts; one byte more is a rendezvous and
+// waits for the receiver.
+func TestEagerThresholdBoundary(t *testing.T) {
+	const recvAt = 0.25
+	for _, tc := range []struct {
+		bytes   int64
+		waits   bool
+		comment string
+	}{
+		{eagerThreshold, false, "eager"},
+		{eagerThreshold + 1, true, "rendezvous"},
+	} {
+		var sendDone float64
+		_, err := Run(testSpec16(), identityBinding(2), Config{}, func(r *Rank) {
+			w := r.World()
+			if r.ID() == 0 {
+				w.Send(r, 1, 0, BytesBuf(tc.bytes))
+				sendDone = r.Now()
+			} else {
+				r.Wait(recvAt)
+				w.Recv(r, 0, 0)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sendDone < recvPosted {
-		t.Errorf("send with tiny eager threshold completed at %v before recv at %v",
-			sendDone, recvPosted)
+		if waited := sendDone >= recvAt; waited != tc.waits {
+			t.Errorf("%d B send (%s) completed at %v, receiver posted at %v", tc.bytes, tc.comment, sendDone, recvAt)
+		}
 	}
 }
 

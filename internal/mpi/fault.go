@@ -172,8 +172,6 @@ func (w *World) killRank(rank int) {
 		sc.Instant(w.nodeOf(core), rank, "fault:crash", "fault", now,
 			obs.Arg{Key: "rank", Val: int64(rank)},
 			obs.Arg{Key: "core", Val: int64(core)})
-		sc.Registry().Counter("mpi_faults_total", obs.L("kind", "crash")).AddInt(1)
-		sc.Registry().Gauge("mpi_ranks_lost").Add(1)
 	}
 
 	for _, c := range failed {
@@ -190,7 +188,6 @@ func (w *World) straggleRank(rank int, factor float64) {
 		sc.Instant(w.nodeOf(core), rank, "fault:straggle", "fault", w.engine.Now(),
 			obs.Arg{Key: "rank", Val: int64(rank)},
 			obs.Arg{Key: "factor_x1000", Val: int64(factor * 1000)})
-		sc.Registry().Counter("mpi_faults_total", obs.L("kind", "straggle")).AddInt(1)
 	}
 }
 
@@ -202,7 +199,6 @@ func (w *World) degradeLevel(level int, factor float64) {
 		sc.Instant(0, 0, "fault:link", "fault", w.engine.Now(),
 			obs.Arg{Key: "level", Val: int64(level)},
 			obs.Arg{Key: "factor_x1000", Val: int64(factor * 1000)})
-		sc.Registry().Counter("mpi_faults_total", obs.L("kind", "link")).AddInt(1)
 	}
 }
 

@@ -24,10 +24,10 @@ import (
 	"repro/internal/sim"
 )
 
-// EagerThreshold is the message size (bytes) up to which sends complete
+// eagerThreshold is the message size (bytes) up to which sends complete
 // immediately (eager protocol); larger messages use a rendezvous handshake
 // costing one extra round trip of path latency.
-const defaultEagerThreshold = 16 * 1024
+const eagerThreshold = 16 * 1024
 
 // Tracer observes completed operations for profiling (the mpisee-style
 // per-communicator accounting of §4.2). Ranks call it from their own
@@ -50,16 +50,13 @@ type P2PTracer interface {
 
 // Config tunes the runtime.
 type Config struct {
-	// EagerThreshold in bytes; 0 uses the default (16 KiB).
-	EagerThreshold int64
 	// Tracer receives per-operation records; nil disables tracing.
 	Tracer Tracer
 	// P2P receives every point-to-point message; nil disables it.
 	P2P P2PTracer
-	// Obs is the unified observability scope: collective spans, per-level
-	// byte counters, per-communicator ring costs, and (via Run) engine
-	// health metrics. nil disables all of it at the cost of one nil check
-	// per operation.
+	// Obs is the unified observability scope: collective spans, message
+	// and per-level byte counters, and (via Run) engine event counts. nil
+	// disables all of it at the cost of one nil check per operation.
 	Obs *obs.Scope
 	// Force* pin a collective to one algorithm ("" = size-based decision).
 	ForceAlltoall  string
@@ -127,9 +124,6 @@ func NewWorld(engine *sim.Engine, platform *netmodel.Platform, binding []int, cf
 		if c < 0 || c >= platform.NumCores() {
 			return nil, fmt.Errorf("mpi: rank %d bound to invalid core %d (machine has %d)", r, c, platform.NumCores())
 		}
-	}
-	if cfg.EagerThreshold == 0 {
-		cfg.EagerThreshold = defaultEagerThreshold
 	}
 	w := &World{
 		engine:   engine,
@@ -199,19 +193,15 @@ func Run(spec netmodel.Spec, binding []int, cfg Config, body func(r *Rank)) (flo
 	if err != nil {
 		return 0, err
 	}
-	var eo *obs.EngineObserver
 	if cfg.Obs != nil {
-		eo = obs.NewEngineObserver(cfg.Obs)
-		engine.SetObserver(eo)
+		engine.SetObserver(obs.NewEngineObserver(cfg.Obs))
 	}
 	w.Spawn(body)
 	if err := w.ApplyFaults(cfg.Faults); err != nil {
 		return 0, err
 	}
-	runErr := engine.Run()
-	eo.Finish()
-	if runErr != nil {
-		return 0, runErr
+	if err := engine.Run(); err != nil {
+		return 0, err
 	}
 	return engine.Now(), nil
 }
@@ -330,7 +320,7 @@ func (w *World) isend(src, dst int, tag int64, buf Buf) *Request {
 				obs.Arg{Key: "dst", Val: int64(dst)}, obs.Arg{Key: "bytes", Val: buf.Bytes})
 		}
 	}
-	eager := buf.Bytes <= w.cfg.EagerThreshold
+	eager := buf.Bytes <= eagerThreshold
 	k := chanKey{dst: dst, src: src, tag: tag}
 	if rv := w.mail.take(k, true); rv != nil {
 		// A receive is already posted: start the transfer now, completing

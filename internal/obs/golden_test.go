@@ -1,7 +1,7 @@
 // Golden-path validation of the exporters against a real simulated run: a
 // 2-node, 4-rank Alltoall must produce Chrome trace JSON that parses, has
 // sane event shapes and the documented pid/tid mapping, and identical
-// metrics across two runs once wall-clock metrics are filtered out.
+// metrics across two runs.
 
 package obs_test
 
@@ -136,28 +136,17 @@ func TestGoldenTraceJSON(t *testing.T) {
 	}
 }
 
-// stripWall drops every metric line whose name mentions wall clock, which
-// is the documented convention for non-deterministic quantities.
-func stripWall(prom []byte) string {
-	var keep []string
-	for _, line := range strings.Split(string(prom), "\n") {
-		if strings.Contains(line, "wall") {
-			continue
-		}
-		keep = append(keep, line)
-	}
-	return strings.Join(keep, "\n")
-}
-
+// TestGoldenDeterminism: a simulated run records nothing measured on the
+// wall clock, so two identical runs export identical bytes, trace and
+// Prometheus exposition alike.
 func TestGoldenDeterminism(t *testing.T) {
 	_, trace1, prom1 := runAlltoall(t)
 	_, trace2, prom2 := runAlltoall(t)
 	if !bytes.Equal(trace1, trace2) {
 		t.Error("trace.json differs across two identical runs")
 	}
-	if stripWall(prom1) != stripWall(prom2) {
-		t.Errorf("virtual-time metrics differ across two identical runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s",
-			stripWall(prom1), stripWall(prom2))
+	if !bytes.Equal(prom1, prom2) {
+		t.Errorf("metrics differ across two identical runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", prom1, prom2)
 	}
 }
 

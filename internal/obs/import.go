@@ -12,14 +12,15 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 )
 
 // ReadTraceJSON reconstructs a Scope from Chrome trace-event JSON as
 // produced by WriteTraceJSON: metadata ("M") events become track names,
 // complete ("X") events spans, instant ("i") events instants, and the
-// otherData block run metadata. Numeric args are kept (truncated to
-// int64, the only arg type the Scope model holds); other arg types are
-// dropped. Unknown phases are skipped rather than rejected, so traces
+// otherData block run metadata, except spans_dropped, which restores
+// DroppedSpans. Numeric args are kept (truncated to int64, the only arg
+// type the Scope model holds); other arg types are dropped. Unknown phases are skipped rather than rejected, so traces
 // from other tools that follow the format mostly load too.
 func ReadTraceJSON(r io.Reader) (*Scope, error) {
 	var tf traceFile
@@ -49,15 +50,16 @@ func ReadTraceJSON(r io.Reader) (*Scope, error) {
 			sc.Instant(ev.PID, ev.TID, ev.Name, ev.Cat, usToSec(ev.TS), intArgs(ev.Args)...)
 		}
 	}
-	// SetMeta in sorted order so the mirrored obs_run_info gauges list
-	// deterministically.
-	keys := make([]string, 0, len(tf.OtherData))
-	for k := range tf.OtherData {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		sc.SetMeta(k, tf.OtherData[k])
+	for k, v := range tf.OtherData {
+		if k != spansDroppedKey {
+			sc.SetMeta(k, v)
+			continue
+		}
+		dropped, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("parsing trace JSON: otherData %s: %w", k, err)
+		}
+		sc.dropped = dropped
 	}
 	return sc, nil
 }

@@ -67,6 +67,35 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTraceRoundTripKeepsDropCount: spans the cap discarded are counted
+// in the export, and the imported scope's summary still reports them.
+func TestTraceRoundTripKeepsDropCount(t *testing.T) {
+	src := New(Options{MaxSpans: 2})
+	for i := 0; i < 3; i++ {
+		src.Span(0, 0, "op", "c", float64(i), float64(i+1))
+	}
+	var buf strings.Builder
+	if err := WriteTraceJSON(&buf, src); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"spans_dropped":"1"`) {
+		t.Fatalf("export lost the drop count:\n%s", buf.String())
+	}
+	got, err := ReadTraceJSON(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := got.DroppedSpans(); d != 1 {
+		t.Fatalf("imported scope dropped %d spans, want 1", d)
+	}
+	if _, ok := got.Meta()["spans_dropped"]; ok {
+		t.Fatalf("drop count imported as run metadata: %v", got.Meta())
+	}
+	if s := Summary(got, 5); !strings.Contains(s, "(1 spans dropped") {
+		t.Fatalf("summary of imported scope lost the drop count:\n%s", s)
+	}
+}
+
 func TestReadTraceJSONRejectsGarbage(t *testing.T) {
 	if _, err := ReadTraceJSON(strings.NewReader("not json")); err == nil {
 		t.Fatal("garbage accepted")

@@ -4,12 +4,10 @@
 // trace-event JSON (loadable in Perfetto / chrome://tracing), Prometheus
 // text exposition, and CSV.
 //
-// The dual-clock design: spans and most metrics are measured against the
-// discrete-event engine's virtual clock (collective latency, bytes moved
-// per hierarchy level, phase durations), while a small set of engine
-// health metrics (events per wall second, process wake latency) use the
-// wall clock — their names carry a "wall" component so deterministic
-// consumers can filter them out.
+// Spans and the metrics of a simulated run are measured against the
+// discrete-event engine's virtual clock (phase durations, messages and
+// bytes moved per hierarchy level, events fired), so two identical runs
+// export identical bytes.
 //
 // Every entry point is nil-safe: a nil *Scope, *Counter, *Gauge or
 // *Histogram is a no-op, so instrumented code needs no "if enabled" guard
@@ -22,6 +20,9 @@ import (
 	"sort"
 	"sync"
 )
+
+// defaultMaxSpans is Options.MaxSpans when it is 0.
+const defaultMaxSpans = 1 << 20
 
 // DriverPID is the Perfetto "process" id reserved for driver-level phase
 // spans (reorder, split, warmup, timed iterations) that do not belong to
@@ -66,9 +67,10 @@ type Instant struct {
 
 // Options tunes a Scope.
 type Options struct {
-	// MaxSpans caps the span buffer; further spans are counted (exported
-	// as the obs_spans_dropped_total counter) but not stored. 0 means the
-	// default of 1<<20.
+	// MaxSpans caps the span buffer and, separately, the instant buffer;
+	// further events are counted but not stored, and the count is
+	// exported as spans_dropped in the trace's otherData. 0 means the
+	// default of 1<<20, the fixed cap every command runs with.
 	MaxSpans int
 	// P2PEvents records one instant event per point-to-point message
 	// (including the messages collective algorithms issue). High volume;
@@ -99,7 +101,7 @@ type Scope struct {
 // New returns an enabled Scope.
 func New(opts Options) *Scope {
 	if opts.MaxSpans <= 0 {
-		opts.MaxSpans = 1 << 20
+		opts.MaxSpans = defaultMaxSpans
 	}
 	return &Scope{
 		opts:        opts,
@@ -113,8 +115,7 @@ func New(opts Options) *Scope {
 
 // SetMeta records one key/value of run metadata (e.g. the fault-plan seed
 // and hash). Metadata is embedded in the Perfetto export's otherData block
-// and mirrored as an obs_run_info gauge so both trace and metric consumers
-// can attribute a run to its exact configuration.
+// so a trace can be attributed to its run's exact configuration.
 func (s *Scope) SetMeta(key, value string) {
 	if s == nil {
 		return
@@ -122,7 +123,6 @@ func (s *Scope) SetMeta(key, value string) {
 	s.mu.Lock()
 	s.meta[key] = value
 	s.mu.Unlock()
-	s.reg.Gauge("obs_run_info", L(key, value)).Set(1)
 }
 
 // Meta returns a copy of the run metadata.

@@ -38,7 +38,7 @@ func TestNilScopeIsNoOp(t *testing.T) {
 	// Nil registry chains stay nil-safe too.
 	s.Registry().Counter("c").Add(1)
 	s.Registry().Gauge("g").SetMax(2)
-	s.Registry().Histogram("h", TimeBuckets()).Observe(3)
+	s.Registry().Histogram("h", WallBuckets()).Observe(3)
 	if v := s.Registry().FindCounter("c"); v != 0 {
 		t.Errorf("nil registry counter = %v", v)
 	}

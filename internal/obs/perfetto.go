@@ -10,7 +10,11 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
+	"strconv"
 )
+
+// spansDroppedKey is the otherData key of Scope.DroppedSpans.
+const spansDroppedKey = "spans_dropped"
 
 type traceEvent struct {
 	Name string         `json:"name,omitempty"`
@@ -46,7 +50,10 @@ func argMap(args []Arg) map[string]any {
 
 // WriteTraceJSON writes the scope's spans and instants as Chrome
 // trace-event JSON. The output is deterministic: events are sorted by
-// (ts, pid, tid, name) after the metadata header.
+// (ts, pid, tid, name) after the metadata header. The otherData block
+// carries the run metadata and, when the span cap (Options.MaxSpans,
+// 1<<20 in every command) discarded events, their count as
+// spans_dropped.
 func WriteTraceJSON(w io.Writer, s *Scope) error {
 	if s == nil {
 		_, err := w.Write([]byte(`{"traceEvents":[],"displayTimeUnit":"ms"}`))
@@ -104,6 +111,10 @@ func WriteTraceJSON(w io.Writer, s *Scope) error {
 		return body[i].Name < body[j].Name
 	})
 
+	other := s.Meta()
+	if dropped := s.DroppedSpans(); dropped > 0 {
+		other[spansDroppedKey] = strconv.FormatInt(dropped, 10)
+	}
 	enc := json.NewEncoder(w)
-	return enc.Encode(traceFile{TraceEvents: events, DisplayTimeUnit: "ms", OtherData: s.Meta()})
+	return enc.Encode(traceFile{TraceEvents: events, DisplayTimeUnit: "ms", OtherData: other})
 }

@@ -262,10 +262,6 @@ func pow(base float64, exp int) float64 {
 	return v
 }
 
-// TimeBuckets returns the default latency layout: decades from 100 ns to
-// 100 s of virtual time.
-func TimeBuckets() []float64 { return LogBuckets(10, -7, 10) }
-
 // SearchBuckets returns the bucket layout for order-search latencies:
 // power-of-two buckets from ~1 µs to ~8 s, fine enough to separate the
 // equivalence-class fast path from a full k! evaluation.

@@ -1,5 +1,5 @@
 // Background runtime-metrics sampler: publishes Go runtime health
-// (goroutines, heap, GC cycles and pause distribution, open file
+// (goroutines, live heap, GC cycles and pause distribution, open file
 // descriptors) into an obs.Registry so the serving /metrics endpoint
 // exposes process vitals next to the request metrics. GC pauses come from
 // the MemStats pause ring — each completed cycle since the previous
@@ -38,9 +38,6 @@ type Sampler struct {
 
 	goroutines *obs.Gauge
 	heapAlloc  *obs.Gauge
-	heapSys    *obs.Gauge
-	heapObj    *obs.Gauge
-	nextGC     *obs.Gauge
 	openFDs    *obs.Gauge
 	gcRuns     *obs.Counter
 	gcPause    *obs.Histogram
@@ -61,9 +58,6 @@ func StartSampler(opts SamplerOptions) *Sampler {
 		fdDir:      procFDDir,
 		goroutines: reg.Gauge("rt_goroutines"),
 		heapAlloc:  reg.Gauge("rt_heap_alloc_bytes"),
-		heapSys:    reg.Gauge("rt_heap_sys_bytes"),
-		heapObj:    reg.Gauge("rt_heap_objects"),
-		nextGC:     reg.Gauge("rt_next_gc_bytes"),
 		openFDs:    reg.Gauge("rt_open_fds"),
 		gcRuns:     reg.Counter("rt_gc_runs_total"),
 		gcPause:    reg.Histogram("rt_gc_pause_seconds", obs.WallBuckets()),
@@ -109,9 +103,6 @@ func (s *Sampler) SampleOnce() {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	s.heapAlloc.Set(float64(ms.HeapAlloc))
-	s.heapSys.Set(float64(ms.HeapSys))
-	s.heapObj.Set(float64(ms.HeapObjects))
-	s.nextGC.Set(float64(ms.NextGC))
 
 	s.mu.Lock()
 	prev := s.lastNumGC

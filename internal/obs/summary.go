@@ -77,7 +77,7 @@ func Summary(s *Scope, topK int) string {
 			st.name, st.total, st.count, st.max, bar)
 	}
 	if dropped := s.DroppedSpans(); dropped > 0 {
-		fmt.Fprintf(&b, "  (%d spans dropped — raise Options.MaxSpans for full traces)\n", dropped)
+		fmt.Fprintf(&b, "  (%d spans dropped past the span cap, which is %d in every command)\n", dropped, defaultMaxSpans)
 	}
 
 	reg := s.Registry()

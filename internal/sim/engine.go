@@ -29,7 +29,6 @@ import (
 	"iter"
 	"runtime/debug"
 	"strings"
-	"time"
 )
 
 // ErrDeadlock is returned by Run when processes are blocked but no event is
@@ -149,10 +148,8 @@ type Observer interface {
 	OnAdvance(now float64, fired, queueDepth int)
 	// OnBlock is called when a process parks (Wait, Await).
 	OnBlock(proc string, now float64)
-	// OnWake is called when a parked process resumes. wallLatency is the
-	// wall-clock delay between the waking event and the process actually
-	// resuming (0 when unknown, e.g. the initial release at time 0).
-	OnWake(proc string, now float64, wallLatency float64)
+	// OnWake is called when a parked process resumes.
+	OnWake(proc string, now float64)
 }
 
 // Engine is a discrete-event simulation. Create with NewEngine, add
@@ -233,7 +230,6 @@ type Process struct {
 	blockOp   string
 	blockPeer int
 	blockTag  int64
-	wakeWall  time.Time // wall time of unblock, for wake-latency metrics
 }
 
 // blockDesc renders what the process is blocked on ("" when unknown).
@@ -376,12 +372,7 @@ func (p *Process) block() {
 		panic(killedPanic{})
 	}
 	if e.obs != nil {
-		var lat float64
-		if !p.wakeWall.IsZero() {
-			lat = time.Since(p.wakeWall).Seconds()
-			p.wakeWall = time.Time{}
-		}
-		e.obs.OnWake(p.name, e.now, lat)
+		e.obs.OnWake(p.name, e.now)
 	}
 }
 
@@ -394,9 +385,6 @@ func (p *Process) unblock() {
 	}
 	p.parked = false
 	e := p.engine
-	if e.obs != nil {
-		p.wakeWall = time.Now()
-	}
 	e.ready = append(e.ready, p)
 }
 

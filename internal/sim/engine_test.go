@@ -281,12 +281,7 @@ func (o *countingObserver) OnAdvance(now float64, fired, queueDepth int) {
 	}
 }
 func (o *countingObserver) OnBlock(proc string, now float64) { o.blocks++ }
-func (o *countingObserver) OnWake(proc string, now float64, wallLatency float64) {
-	o.wakes++
-	if wallLatency < 0 {
-		panic("negative wake latency")
-	}
-}
+func (o *countingObserver) OnWake(proc string, now float64)  { o.wakes++ }
 
 func TestObserverSeesAdvancesAndBlocks(t *testing.T) {
 	e := NewEngine()

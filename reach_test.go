@@ -35,7 +35,7 @@ var reachAllowlist = map[string]string{
 	"commmatrix.NewCollector": "internal/procmap/validate_test.go",
 	// How a surviving rank observes a lost peer.
 	"fault.Catch": "internal/mpi/fault_test.go",
-	// Lint the gate's /metrics exposition, fleet gauges included.
+	// Lint the gate's /metrics exposition.
 	"obs.LintPrometheus": "internal/fleet/rollup_test.go",
 	"obs.MissingHelp":    "internal/fleet/rollup_test.go",
 }
