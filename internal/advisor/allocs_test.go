@@ -3,6 +3,7 @@ package advisor
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -104,5 +105,27 @@ func TestSearchNodesAllocationFree(t *testing.T) {
 	if e.evals != evals || !reflect.DeepEqual(e.inc.leaves, held) || !e.inc.full {
 		t.Errorf("re-walking the subtrees changed the search: %d more orders evaluated, incumbents %v → %v",
 			e.evals-evals, held, e.inc.leaves)
+	}
+}
+
+// TestSearchExactAllocs: the exact search of a depth-7 machine pays per
+// class, not per order — a few allocations per class and a handful per
+// search, where building and sorting the k! ranking cost over 20 000.
+// Each evaluation worker builds its own predictor, so the worker count is
+// pinned to keep the ceiling independent of the machine's cores.
+func TestSearchExactAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, sc := range []Scenario{
+		cloudScenario(7, Alltoall, false), cloudScenario(7, Alltoall, true), cloudScenario(7, Allreduce, false),
+	} {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := SearchOrders(context.Background(), sc, SearchOptions{Top: 5}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s sim=%v: %.0f allocations per search", sc.Coll, sc.Simultaneous, allocs)
+		if allocs >= 2000 {
+			t.Errorf("%s sim=%v: a search allocates %.0f times, want fewer than 2000", sc.Coll, sc.Simultaneous, allocs)
+		}
 	}
 }

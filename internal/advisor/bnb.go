@@ -186,7 +186,7 @@ func SearchOrders(ctx context.Context, sc Scenario, opts SearchOptions) (*Search
 	if sc.Hierarchy.Depth() > ExactDepth {
 		return searchBounded(ctx, sc, opts, nodeBudget, beamWidth, progressEvery)
 	}
-	return searchExact(ctx, sc, opts)
+	return rank(ctx, sc, perm.All(sc.Hierarchy.Depth()), RankOptions{Registry: opts.Registry, OnStats: opts.OnStats}, opts.Top)
 }
 
 // searchBounded is the branch-and-bound / beam engine; opts.Top is at
@@ -399,32 +399,36 @@ var fpMul = func() (m [33]uint64) {
 	return m
 }()
 
-// leafMemo holds the leaf evaluations — the placement-signature
-// classes — by key: the world profile (under Simultaneous only) followed
-// by the first communicator's id, found through the key's fingerprint
-// Σ key[l]·fpMul[l] and verified, so colliding keys only share a chain.
-type leafMemo struct {
-	byFP  map[uint64]int32 // 1 + the last entry added with the fingerprint
-	next  []int32          // 1 + the entry added before it with the same one
-	keys  []int            // entry j's key at [j·len(key), (j+1)·len(key))
-	preds []Prediction
+// fpIndex numbers keys of one length 0, 1, … as they are added. A key is
+// found through its fingerprint, a sum of its entries times fpMul, and
+// verified, so colliding keys only share a chain.
+type fpIndex[T int | int64] struct {
+	byFP map[uint64]int32 // 1 + the last id added with the fingerprint
+	next []int32          // 1 + the id added before it with the same one
+	keys []T              // id j's key at [j·len(key), (j+1)·len(key))
 }
 
-// find returns the index of the entry stored under the key, or −1.
-func (m *leafMemo) find(fp uint64, key []int) int {
+// id returns the key's id and whether it was there already, numbering it
+// next when it was not.
+func (m *fpIndex[T]) id(fp uint64, key []T) (int, bool) {
 	for j := int(m.byFP[fp]) - 1; j >= 0; j = int(m.next[j]) - 1 {
 		if slices.Equal(m.keys[j*len(key):(j+1)*len(key)], key) {
-			return j
+			return j, true
 		}
 	}
-	return -1
+	j := len(m.next)
+	m.next = append(m.next, m.byFP[fp])
+	m.byFP[fp] = int32(j + 1)
+	m.keys = append(m.keys, key...)
+	return j, false
 }
 
-func (m *leafMemo) add(fp uint64, key []int, pr Prediction) {
-	m.next = append(m.next, m.byFP[fp])
-	m.byFP[fp] = int32(len(m.preds) + 1)
-	m.keys = append(m.keys, key...)
-	m.preds = append(m.preds, pr)
+// fingerprint is Σ key[i]·fpMul[i mod 33].
+func fingerprint(key []int64) (fp uint64) {
+	for i, v := range key {
+		fp += uint64(v) * fpMul[i%len(fpMul)]
+	}
+	return fp
 }
 
 type bnbEngine struct {
@@ -451,7 +455,10 @@ type bnbEngine struct {
 	// an interior node needs it for the bound).
 	ids    map[string]int32
 	fcPred []Prediction
-	memo   leafMemo
+	// memo numbers the leaf evaluations (signature classes) by leafKey's
+	// key; preds[j] is entry j's prediction.
+	memo  fpIndex[int]
+	preds []Prediction
 
 	inc       incumbents
 	worst     Prediction
@@ -534,7 +541,7 @@ func newBnbEngine(ctx context.Context, sc Scenario, top int, budget int64) (*bnb
 		pd:       pd,
 		latFloor: latFloor,
 		ids:      make(map[string]int32),
-		memo:     leafMemo{byFP: make(map[uint64]int32)},
+		memo:     fpIndex[int]{byFP: make(map[uint64]int32)},
 		inc:      incumbents{top: top},
 		sigma:    make([]int, k),
 		path:     make([]pathState, k+1),
@@ -721,15 +728,15 @@ func (e *bnbEngine) evalLeaf(t int) error {
 	sigma := e.complete(t, e.path[t].used)
 	fp, key := e.leafKey(t)
 	var pr Prediction
-	if j := e.memo.find(fp, key); j >= 0 {
-		pr = e.memo.preds[j]
+	if j, seen := e.memo.id(fp, key); seen {
+		pr = e.preds[j]
 	} else {
 		var err error
 		if pr, err = e.pd.predict(sigma); err != nil {
 			return err
 		}
 		e.evals++
-		e.memo.add(fp, key, pr)
+		e.preds = append(e.preds, pr)
 	}
 	size := perm.Factorial(e.k - t)
 	e.covered += size
@@ -826,49 +833,27 @@ func (e *bnbEngine) beam(width int) (float64, error) {
 
 // results expands the retained class leaves into the final top-N full
 // orders. Within a bandwidth-tie group the members of several classes
-// interleave lexicographically, so each class streams its completions
-// (next-permutation over the suffix) through a k-way merge.
+// interleave lexicographically, so each class lists as many of its first
+// completions (next-permutation over the suffix) as the answer can still
+// take, and the group is sorted by perm.Less.
 func (e *bnbEngine) results(topN int) []Prediction {
-	type stream struct {
-		cur     []int
-		split   int
-		pr      Prediction
-		emitted int64
-		size    int64
-	}
 	out := make([]Prediction, 0, topN)
 	leaves := e.inc.leaves
-	for i := 0; i < len(leaves) && len(out) < topN; {
-		j := i
-		for j < len(leaves) && leaves[j].pr.Bandwidth == leaves[i].pr.Bandwidth {
-			j++
-		}
-		streams := make([]*stream, 0, j-i)
-		for _, l := range leaves[i:j] {
-			streams = append(streams, &stream{
-				cur:   append([]int(nil), l.order...),
-				split: l.split,
-				pr:    l.pr,
-				size:  l.size,
-			})
-		}
-		for len(streams) > 0 && len(out) < topN {
-			m := 0
-			for s := 1; s < len(streams); s++ {
-				if perm.Less(streams[s].cur, streams[m].cur) {
-					m = s
-				}
-			}
-			st := streams[m]
-			pr := st.pr
-			pr.Order = append([]int(nil), st.cur...)
-			out = append(out, pr)
-			st.emitted++
-			if st.emitted >= st.size || !nextPermutation(st.cur[st.split:]) {
-				streams = append(streams[:m], streams[m+1:]...)
+	for i, j := 0, 0; i < len(leaves) && len(out) < topN; i = j {
+		var group []Prediction
+		var orders []int // backs the group's orders, each a capped sub-slice
+		for j = i; j < len(leaves) && leaves[j].pr.Bandwidth == leaves[i].pr.Bandwidth; j++ {
+			cur := slices.Clone(leaves[j].order)
+			for m, more := len(out), true; m < topN && more; m++ {
+				orders = append(orders, cur...)
+				pr := leaves[j].pr
+				pr.Order = slices.Clip(orders[len(orders)-len(cur):])
+				group = append(group, pr)
+				more = nextPermutation(cur[leaves[j].split:])
 			}
 		}
-		i = j
+		slices.SortFunc(group, func(a, b Prediction) int { return slices.Compare(a.Order, b.Order) })
+		out = append(out, group[:min(len(group), topN-len(out))]...)
 	}
 	return out
 }

@@ -166,16 +166,16 @@ func TestBeamCarriesProfile(t *testing.T) {
 			for key, id := range e.ids {
 				keyOf[id] = key
 			}
-			for j := range e.memo.preds {
+			for j := range e.preds {
 				key := e.memo.keys[j*(e.k+1) : (j+1)*(e.k+1)]
 				for l, c := range key[:e.k] {
 					world[l] = int64(c)
 				}
 				got[string(metrics.SearchSignature{WorldCross: world}.AppendKey([]byte(keyOf[int32(key[e.k])])))] = true
 			}
-			if len(got) != len(e.memo.preds) || !reflect.DeepEqual(got, want) || e.evals != int64(len(want)) {
+			if len(got) != len(e.preds) || !reflect.DeepEqual(got, want) || e.evals != int64(len(want)) {
 				t.Fatalf("%v p=%d: beam memo holds %d entries (%d distinct), %d evaluated; the orders have %d classes",
-					e.ar, p, len(e.memo.preds), len(got), e.evals, len(want))
+					e.ar, p, len(e.preds), len(got), e.evals, len(want))
 			}
 			if e.covered != perm.Factorial(depth) {
 				t.Fatalf("%v p=%d: beam covered %d orders, want %d", e.ar, p, e.covered, perm.Factorial(depth))
@@ -236,19 +236,15 @@ func TestLeafMemoClassesMatchSignatureKeys(t *testing.T) {
 					}
 					walkLeaves(t, e, 0, func() {
 						fp, key := e.leafKey(e.k)
-						j := e.memo.find(fp, key)
-						if j < 0 {
-							j = len(e.memo.preds)
-							e.memo.add(fp, key, Prediction{})
-						}
+						j, _ := e.memo.id(fp, key)
 						k := oldKey()
 						if prev, ok := class[k]; ok && prev != j {
 							t.Fatalf("%v p=%d sim=%v: key of %v found entry %d, earlier %d", e.ar, p, sim, e.sigma, j, prev)
 						}
 						class[k] = j
 					})
-					if len(class) != len(e.memo.preds) {
-						t.Fatalf("%v p=%d sim=%v: %d signature classes, %d memo entries", e.ar, p, sim, len(class), len(e.memo.preds))
+					if len(class) != len(e.memo.next) {
+						t.Fatalf("%v p=%d sim=%v: %d signature classes, %d memo entries", e.ar, p, sim, len(class), len(e.memo.next))
 					}
 				}
 			}

@@ -1,22 +1,24 @@
-// Chunked, cancellable order ranking with §3.3 equivalence-class pruning:
-// candidate orders are first grouped by their integer placement signature
-// (metrics.OrderSignature, O(k²) per order), the expensive analytic
-// Predict runs once per class representative on a bounded worker pool,
-// and the result fans out to every member of the class. Orders in the
-// same class place the communicator identically, so they receive the same
-// prediction; the lexicographic tie-break keeps the final ranking exactly
-// equal to evaluating every order (proven by differential test).
+// Chunked, cancellable order ranking with §3.3 equivalence-class pruning,
+// the one exact pipeline of Rank and SearchOrders: classify the orders by
+// integer placement signature (the communicator's part once per covering
+// prefix), Predict one representative per class on a bounded worker pool,
+// and emit from the classes sorted by bandwidth, sorting orders only within
+// the tie groups emitted — no k! ranking is built. Class members share the
+// prediction, so the lexicographic tie-break keeps the answer exactly that
+// of evaluating and sorting every order (proven by differential test).
 
 package advisor
 
 import (
+	"cmp"
 	"context"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/mixedradix"
 	"repro/internal/obs"
 	"repro/internal/obs/rt"
 	"repro/internal/perm"
@@ -69,13 +71,7 @@ func (o RankOptions) workers(n int) int {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(min(w, n), 1)
 }
 
 // Rank evaluates the given orders (all k! of the hierarchy when nil) with a
@@ -89,136 +85,121 @@ func (o RankOptions) workers(n int) int {
 // share one Predict evaluation. On symmetric hierarchies this collapses
 // the k! candidates to a handful of classes.
 func Rank(ctx context.Context, sc Scenario, orders [][]int, opts RankOptions) ([]Prediction, error) {
-	out, _, err := rank(ctx, sc, orders, opts)
-	return out, err
-}
-
-// searchExact is SearchOrders up to ExactDepth: the head and the true
-// last entry of the exhaustive ranking, accounted as all k! orders
-// covered by one evaluation per class.
-func searchExact(ctx context.Context, sc Scenario, opts SearchOptions) (*SearchResult, error) {
-	ranked, st, err := rank(ctx, sc, nil, RankOptions{Registry: opts.Registry, OnStats: opts.OnStats})
-	if err != nil {
-		return nil, err
-	}
-	return &SearchResult{
-		Best:      ranked[:min(opts.Top, len(ranked))],
-		Worst:     ranked[len(ranked)-1],
-		Mode:      st.Mode,
-		Evaluated: int64(st.Classes),
-		Covered:   int64(st.Orders),
-	}, nil
-}
-
-// rank is Rank, also returning the stats it reports through OnStats.
-func rank(ctx context.Context, sc Scenario, orders [][]int, opts RankOptions) ([]Prediction, RankStats, error) {
-	start := time.Now()
 	if orders == nil {
 		orders = perm.All(sc.Hierarchy.Depth())
 	}
+	res, err := rank(ctx, sc, orders, opts, len(orders))
+	if err != nil {
+		return nil, err
+	}
+	return res.Best, nil
+}
+
+// rank is the exact search — classify, evaluate one representative per
+// class, emit — answering with the first top entries of the ranking of the
+// orders and its last entry, all of them covered by one evaluation per
+// class. SearchOrders runs it on all k! orders up to ExactDepth.
+func rank(ctx context.Context, sc Scenario, orders [][]int, opts RankOptions, top int) (*SearchResult, error) {
+	start := time.Now()
 	n := len(orders)
 	if n == 0 {
-		return nil, RankStats{}, nil
+		return &SearchResult{}, nil
 	}
 	ctx, span := rt.StartSpan(ctx, "advisor.rank")
 	span.SetAttr("orders", int64(n))
 	defer span.End()
 
-	// groups[g] lists the indices of orders sharing one signature; the
-	// first member is the class representative. A nil grouping (pruning
-	// disabled, or a signature error to be re-reported by Predict) makes
-	// every order its own class.
-	var groups [][]int
-	if !opts.NoPrune && n > 1 {
-		groups = classGroups(sc, orders)
-	}
-	if groups == nil {
-		groups = make([][]int, n)
-		for i := range groups {
-			groups[i] = []int{i}
-		}
-	}
-
-	span.SetAttr("classes", int64(len(groups)))
-	reps := make([]Prediction, len(groups))
-	if err := evalRepresentatives(ctx, sc, orders, groups, reps, opts); err != nil {
+	class, first := classify(sc, orders, !opts.NoPrune && n > 1)
+	classes := len(first)
+	span.SetAttr("classes", int64(classes))
+	reps := make([]Prediction, classes)
+	if err := evalRepresentatives(ctx, sc, orders, first, reps, opts); err != nil {
 		span.SetError()
-		return nil, RankStats{}, err
-	}
-
-	out := make([]Prediction, n)
-	for g, members := range groups {
-		pr := reps[g]
-		for _, idx := range members {
-			out[idx] = Prediction{
-				Order:           append([]int(nil), orders[idx]...),
-				Time:            pr.Time,
-				Bandwidth:       pr.Bandwidth,
-				BottleneckLevel: pr.BottleneckLevel,
-				Latency:         pr.Latency,
-			}
-		}
+		return nil, err
 	}
 	mode := ModeExact
-	if len(groups) < n {
+	if classes < n {
 		mode = ModePruned
 	}
 	if opts.Registry != nil {
 		ml := obs.L("mode", mode)
-		opts.Registry.Counter("advisor_class_misses_total", ml).AddInt(int64(len(groups)))
-		opts.Registry.Counter("advisor_class_hits_total", ml).AddInt(int64(n - len(groups)))
+		opts.Registry.Counter("advisor_class_misses_total", ml).AddInt(int64(classes))
+		opts.Registry.Counter("advisor_class_hits_total", ml).AddInt(int64(n - classes))
 		opts.Registry.Histogram("advisor_search_seconds", obs.SearchBuckets(), ml).
 			Observe(time.Since(start).Seconds())
 	}
-	st := RankStats{Mode: mode, Orders: n, Classes: len(groups), Elapsed: time.Since(start)}
 	if opts.OnStats != nil {
-		opts.OnStats(st)
+		opts.OnStats(RankStats{Mode: mode, Orders: n, Classes: classes, Elapsed: time.Since(start)})
 	}
-	sortPredictions(out)
-	return out, st, nil
+	best, worst := emit(orders, class, reps, top)
+	return &SearchResult{Best: best, Worst: worst, Mode: mode, Evaluated: int64(classes), Covered: int64(n)}, nil
 }
 
-// classGroups partitions the order indices into §3.3 equivalence classes
-// by integer placement signature, preserving first-appearance order. It
-// returns nil when any signature fails to compute, so Rank falls back to
-// the unpruned path and Predict reports the underlying problem.
-func classGroups(sc Scenario, orders [][]int) [][]int {
-	// The signature only needs the components the model actually reads:
-	// alltoall traffic depends on domain occupancy alone, so the ring
-	// traversal is dropped and occupancy-equivalent orders merge. The
+// classify partitions the orders into §3.3 equivalence classes by integer
+// placement signature (metrics.OrderSignature's, with the components the
+// model reads): class[i] is order i's class, numbered by first appearance,
+// and first[g] class g's first member, its representative. The
+// communicator's components read only its covering prefix, so a prefix tree
+// walk computes them once per prefix. Signatures are found by a verified
+// fingerprint. Without pruning, or with an input Predict rejects, every
+// order is its own class.
+func classify(sc Scenario, orders [][]int, prune bool) (class []int32, first []int) {
+	// Alltoall traffic depends on domain occupancy alone, so the ring
+	// traversal is left out and occupancy-equivalent orders merge. The
 	// world tiling is required whenever every subcommunicator runs at
 	// once — even for alltoall, because distinct tilings aggregate
 	// different per-domain traffic (the exhaustive differential test
 	// catches the collision if this is weakened).
-	sigOpts := metrics.SignatureOpts{
-		Ring:  sc.Coll != Alltoall,
-		World: sc.Simultaneous,
-	}
-	byKey := make(map[string]int, len(orders))
-	var groups [][]int
-	var key []byte // reused: only a new class pays for its key string
+	ar := sc.Hierarchy.Arities()
+	k, n, p := len(ar), sc.Hierarchy.Size(), sc.CommSize
+	prune = prune && p > 0 && p <= n &&
+		!slices.ContainsFunc(orders, func(sigma []int) bool { return mixedradix.CheckOrder(ar, sigma) != nil })
+	// tree[j·k+l] is prefix node j's child through level l (0: none; node 0
+	// is the empty prefix), commOf[j] a covering node's signature id.
+	tree, commOf := make([]int32, k), []int32{-1}
+	comms, classes := fpIndex[int64]{byFP: map[uint64]int32{}}, fpIndex[int64]{byFP: map[uint64]int32{}}
+	comm := make([]int64, 2*k) // pair counts, then crossings (0 unless ring)
+	key := make([]int64, k+1)  // world crossings, then the communicator's id
+	class = make([]int32, len(orders))
 	for i, sigma := range orders {
-		sig, err := metrics.OrderSignature(sc.Hierarchy, sigma, sc.CommSize, sigOpts)
-		if err != nil {
-			return nil
+		g := i
+		if prune {
+			j := 0
+			for t, prod := 0, 1; prod < p; t, prod = t+1, prod*ar[sigma[t]] {
+				if tree[j*k+sigma[t]] == 0 {
+					tree[j*k+sigma[t]] = int32(len(commOf))
+					tree, commOf = append(tree, make([]int32, k)...), append(commOf, -1)
+				}
+				j = int(tree[j*k+sigma[t]])
+			}
+			if commOf[j] < 0 {
+				metrics.PairCountsPerLevelInto(comm[:k], ar, sigma, p)
+				if sc.Coll != Alltoall {
+					metrics.CrossingsPerLevelInto(comm[k:], ar, sigma, p)
+				}
+				id, _ := comms.id(fingerprint(comm), comm)
+				commOf[j] = int32(id)
+			}
+			g = int(commOf[j]) // without the world tiling, the class
+			if sc.Simultaneous {
+				metrics.CrossingsPerLevelInto(key[:k], ar, sigma, n)
+				key[k] = int64(g)
+				g, _ = classes.id(fingerprint(key), key)
+			}
 		}
-		key = sig.AppendKey(key[:0])
-		g, ok := byKey[string(key)]
-		if !ok {
-			byKey[string(key)] = len(groups)
-			groups = append(groups, []int{i})
-			continue
+		if g == len(first) {
+			first = append(first, i)
 		}
-		groups[g] = append(groups[g], i)
+		class[i] = int32(g)
 	}
-	return groups
+	return class, first
 }
 
-// evalRepresentatives predicts each class representative on the bounded
-// worker pool, one predictor per worker, writing into reps (Order unset:
-// Rank fills in each member's own).
-func evalRepresentatives(ctx context.Context, sc Scenario, orders [][]int, groups [][]int, reps []Prediction, opts RankOptions) error {
-	n := len(groups)
+// evalRepresentatives predicts each class representative, orders[first[g]],
+// on the bounded worker pool, one predictor per worker, writing into reps
+// (Order unset: emit fills in each entry's own).
+func evalRepresentatives(ctx context.Context, sc Scenario, orders [][]int, first []int, reps []Prediction, opts RankOptions) error {
+	n := len(first)
 	workers := opts.workers(n)
 	// ~4 chunks per worker, so stragglers rebalance and cancellation is
 	// noticed between chunks.
@@ -258,7 +239,7 @@ func evalRepresentatives(ctx context.Context, sc Scenario, orders [][]int, group
 						span.End()
 						return
 					}
-					pr, err := pd.predict(orders[groups[g][0]])
+					pr, err := pd.predict(orders[first[g]])
 					if err != nil {
 						span.SetError()
 						span.End()
@@ -273,10 +254,7 @@ func evalRepresentatives(ctx context.Context, sc Scenario, orders [][]int, group
 	}
 feed:
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		select {
 		case units <- unit{lo, hi}:
 		case <-ctx.Done():
@@ -291,13 +269,50 @@ feed:
 	return ctx.Err()
 }
 
-// sortPredictions orders predictions by bandwidth (best first), breaking
-// ties by lexicographic order permutation.
-func sortPredictions(ps []Prediction) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Bandwidth != ps[j].Bandwidth {
-			return ps[i].Bandwidth > ps[j].Bandwidth
+// emit returns the first top entries of the ranking of the orders and its
+// last entry from the class predictions: the classes sorted by bandwidth,
+// best first, and within each tie group (classes of equal bandwidth) the
+// members by perm.Less, sorting only the groups it emits. The last entry is
+// the perm.Less-largest member of the lowest tie group.
+func emit(orders [][]int, class []int32, reps []Prediction, top int) ([]Prediction, Prediction) {
+	byBW := make([]int32, len(reps))
+	for g := range byBW {
+		byBW[g] = int32(g)
+	}
+	slices.SortFunc(byBW, func(a, b int32) int { return cmp.Compare(reps[b].Bandwidth, reps[a].Bandwidth) })
+	// tie[g] is class g's tie group, numbered best first, and the members
+	// are bucketed by it (CSR): group t's are members[start[t]:start[t+1]].
+	tie, start := make([]int32, len(reps)), []int32{0}
+	for j, g := range byBW {
+		if j == 0 || reps[g].Bandwidth != reps[byBW[j-1]].Bandwidth {
+			start = append(start, 0)
 		}
-		return perm.Less(ps[i].Order, ps[j].Order)
-	})
+		tie[g] = int32(len(start) - 2)
+	}
+	for _, g := range class {
+		start[tie[g]+1]++
+	}
+	for t := 1; t < len(start); t++ {
+		start[t] += start[t-1]
+	}
+	members, next := make([]int32, len(class)), slices.Clone(start)
+	for i, g := range class {
+		members[next[tie[g]]] = int32(i)
+		next[tie[g]]++
+	}
+	entry := func(i int32) Prediction {
+		pr := reps[class[i]]
+		pr.Order = slices.Clone(orders[i])
+		return pr
+	}
+	byOrder := func(a, b int32) int { return slices.Compare(orders[a], orders[b]) } // perm.Less's order
+	best := make([]Prediction, 0, min(top, len(class)))
+	for t := 0; len(best) < cap(best); t++ {
+		group := members[start[t]:start[t+1]]
+		slices.SortFunc(group, byOrder)
+		for _, i := range group[:min(len(group), cap(best)-len(best))] {
+			best = append(best, entry(i))
+		}
+	}
+	return best, entry(slices.MaxFunc(members[start[len(start)-2]:], byOrder))
 }

@@ -2,9 +2,14 @@ package advisor
 
 import (
 	"context"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/metrics"
 	"repro/internal/netmodel"
 	"repro/internal/perm"
 	"repro/internal/topology"
@@ -86,6 +91,145 @@ func TestRankTiesAreLexicographic(t *testing.T) {
 			!perm.Less(ranked[i].Order, ranked[i+1].Order) {
 			t.Fatalf("tied orders out of lexicographic order at %d: %v before %v",
 				i, ranked[i].Order, ranked[i+1].Order)
+		}
+	}
+}
+
+// classGroups is classify's oracle: the order indices partitioned into
+// §3.3 equivalence classes by metrics.OrderSignature, keyed by its string,
+// in first-appearance order; nil when any signature fails to compute.
+func classGroups(sc Scenario, orders [][]int) [][]int {
+	sigOpts := metrics.SignatureOpts{
+		Ring:  sc.Coll != Alltoall,
+		World: sc.Simultaneous,
+	}
+	byKey := make(map[string]int, len(orders))
+	var groups [][]int
+	for i, sigma := range orders {
+		sig, err := metrics.OrderSignature(sc.Hierarchy, sigma, sc.CommSize, sigOpts)
+		if err != nil {
+			return nil
+		}
+		g, ok := byKey[sig.Key()]
+		if !ok {
+			byKey[sig.Key()] = len(groups)
+			groups = append(groups, []int{i})
+			continue
+		}
+		groups[g] = append(groups[g], i)
+	}
+	return groups
+}
+
+// rankOracle builds the exhaustive ranking directly: one prediction per
+// classGroups class, fanned out to every order, and all k! sorted by
+// bandwidth with the perm.Less tie-break.
+func rankOracle(t *testing.T, sc Scenario) ([]Prediction, [][]int) {
+	t.Helper()
+	orders := perm.All(sc.Hierarchy.Depth())
+	groups := classGroups(sc, orders)
+	var ranked []Prediction
+	for _, members := range groups {
+		pr, err := Predict(sc, orders[members[0]])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range members {
+			pr.Order = slices.Clone(orders[i])
+			ranked = append(ranked, pr)
+		}
+	}
+	sort.Slice(ranked, func(i, j int) bool {
+		if ranked[i].Bandwidth != ranked[j].Bandwidth {
+			return ranked[i].Bandwidth > ranked[j].Bandwidth
+		}
+		return perm.Less(ranked[i].Order, ranked[j].Order)
+	})
+	return ranked, groups
+}
+
+// TestSearchExactEqualsRank: the class-first exact search answers exactly
+// what the exhaustive ranking does — the head of the full ranking, its
+// last entry, the mode and the evaluated and covered counts — for every
+// shape of TestRankPrunedEqualsFull, the cloud machine at depth 6 and 7
+// and ⟦4,2,4,2,8⟧ on LUMI, under every collective, one and all
+// communicators and every divisor, with Top 1, 5 and k!+1. classify's
+// partition and representatives are classGroups', with the real
+// fingerprint multipliers and with all-zero ones, under which every key
+// collides.
+func TestSearchExactEqualsRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	type machine struct {
+		spec netmodel.Spec
+		h    topology.Hierarchy
+	}
+	var machines []machine
+	for _, ar := range [][]int{{2, 2, 4}, {2, 2, 2, 2}, {4, 2, 2, 2}, {2, 3, 2, 2}, {2, 2, 2, 2, 2}, {16, 2, 2, 8}} {
+		spec := cluster.Hydra(16, 1)
+		if len(ar) == 5 {
+			spec = cluster.LUMI(16)
+		}
+		machines = append(machines, machine{spec, topology.MustNew(ar...)})
+	}
+	for _, depth := range []int{6, 7} {
+		spec := cluster.Cloud(depth)
+		machines = append(machines, machine{spec, spec.Hierarchy()})
+	}
+	machines = append(machines, machine{cluster.LUMI(4), topology.MustNew(4, 2, 4, 2, 8)})
+	orig := fpMul
+	defer func() { fpMul = orig }()
+	for _, m := range machines {
+		k := m.h.Depth()
+		orders := perm.All(k)
+		for _, coll := range []Collective{Alltoall, Allgather, Allreduce} {
+			for _, sim := range []bool{false, true} {
+				for _, p := range divisorsOf(m.h.Size()) {
+					sc := Scenario{Spec: m.spec, Hierarchy: m.h, Coll: coll, CommSize: p, Simultaneous: sim,
+						Bytes: int64(1+rng.Intn(64)) << 16}
+					ranked, groups := rankOracle(t, sc)
+					for _, mul := range [][33]uint64{orig, {}} {
+						fpMul = mul
+						class, first := classify(sc, orders, true)
+						if len(first) != len(groups) {
+							t.Fatalf("%v %s p=%d sim=%v: %d classes, oracle %d", m.h.Arities(), coll, p, sim, len(first), len(groups))
+						}
+						for g, members := range groups {
+							if first[g] != members[0] {
+								t.Fatalf("%v %s p=%d sim=%v: class %d represented by order %d, oracle %d",
+									m.h.Arities(), coll, p, sim, g, first[g], members[0])
+							}
+							for _, i := range members {
+								if class[i] != int32(g) {
+									t.Fatalf("%v %s p=%d sim=%v: order %v in class %d, oracle %d",
+										m.h.Arities(), coll, p, sim, orders[i], class[i], g)
+								}
+							}
+						}
+					}
+					fpMul = orig
+					mode := ModeExact
+					if len(groups) < len(orders) {
+						mode = ModePruned
+					}
+					for _, top := range []int{1, 5, len(orders) + 1} {
+						res, err := SearchOrders(context.Background(), sc, SearchOptions{Top: top})
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := &SearchResult{
+							Best:      ranked[:min(top, len(ranked))],
+							Worst:     ranked[len(ranked)-1],
+							Mode:      mode,
+							Evaluated: int64(len(groups)),
+							Covered:   int64(len(orders)),
+						}
+						if !reflect.DeepEqual(res, want) {
+							t.Fatalf("%v %s p=%d sim=%v top=%d: search %+v, exhaustive ranking %+v",
+								m.h.Arities(), coll, p, sim, top, res, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/mixedradix"
+	"repro/internal/netmodel"
 	"repro/internal/perm"
 	"repro/internal/reorder"
 	"repro/internal/topology"
@@ -164,33 +165,43 @@ func OrderSearchSuite() Suite {
 	// threshold. Non-simultaneous scenarios prune to an exact bnb run
 	// through depth 12; the simultaneous cases exhaust the node budget
 	// and degrade to beam, covering the fallback's cost. The c=16 ones
-	// are the simultaneous shapes of the benchmark's search_deep.
+	// are the simultaneous shapes of the benchmark's search_deep. The
+	// OrderSearchExact rows are the class-first exact search on the
+	// depth-7 and LUMI advise shapes of the benchmark's serve_cold.
 	deep := []struct {
-		depth, comm int
-		sim         bool
-		mode        string
+		spec netmodel.Spec
+		coll advisor.Collective
+		comm int
+		sim  bool
+		mode string
 	}{
-		{8, 64, false, advisor.ModeBnB},
-		{10, 64, false, advisor.ModeBnB},
-		{12, 64, false, advisor.ModeBnB},
-		{12, 64, true, advisor.ModeBeam},
-		{10, 16, true, advisor.ModeBeam},
-		{12, 16, true, advisor.ModeBeam},
+		{cluster.Cloud(8), advisor.Alltoall, 64, false, advisor.ModeBnB},
+		{cluster.Cloud(10), advisor.Alltoall, 64, false, advisor.ModeBnB},
+		{cluster.Cloud(12), advisor.Alltoall, 64, false, advisor.ModeBnB},
+		{cluster.Cloud(12), advisor.Alltoall, 64, true, advisor.ModeBeam},
+		{cluster.Cloud(10), advisor.Alltoall, 16, true, advisor.ModeBeam},
+		{cluster.Cloud(12), advisor.Alltoall, 16, true, advisor.ModeBeam},
+		{cluster.Cloud(7), advisor.Alltoall, 16, false, advisor.ModePruned},
+		{cluster.Cloud(7), advisor.Alltoall, 16, true, advisor.ModePruned},
+		{cluster.Cloud(7), advisor.Allgather, 64, false, advisor.ModePruned},
+		{cluster.LUMI(16), advisor.Allgather, 256, true, advisor.ModePruned},
 	}
 	for _, dc := range deep {
 		dc := dc
-		spec := cluster.Cloud(dc.depth)
 		adv := advisor.Scenario{
-			Spec:         spec,
-			Hierarchy:    spec.Hierarchy(),
-			Coll:         advisor.Alltoall,
+			Spec:         dc.spec,
+			Hierarchy:    dc.spec.Hierarchy(),
+			Coll:         dc.coll,
 			CommSize:     dc.comm,
 			Simultaneous: dc.sim,
 			Bytes:        4 << 20,
 		}
-		wantMode := dc.mode
+		name := fmt.Sprintf("OrderSearchDeep/machine=%s/d=%d/%s/c=%d/%s", dc.spec.Name, adv.Hierarchy.Depth(), dc.coll, dc.comm, dc.mode)
+		if adv.Hierarchy.Depth() <= advisor.ExactDepth {
+			name = fmt.Sprintf("OrderSearchExact/machine=%s/d=%d/%s/c=%d/sim=%v", dc.spec.Name, adv.Hierarchy.Depth(), dc.coll, dc.comm, dc.sim)
+		}
 		s.Benches = append(s.Benches, Bench{
-			Name: fmt.Sprintf("OrderSearchDeep/machine=cloud/d=%d/alltoall/c=%d/%s", dc.depth, dc.comm, wantMode),
+			Name: name,
 			F: func(b *B) {
 				ctx := context.Background()
 				for i := 0; i < b.N; i++ {
@@ -198,8 +209,8 @@ func OrderSearchSuite() Suite {
 					if err != nil {
 						b.Fatalf("%v", err)
 					}
-					if res.Mode != wantMode {
-						b.Fatalf("search mode %s, want %s", res.Mode, wantMode)
+					if res.Mode != dc.mode {
+						b.Fatalf("search mode %s, want %s", res.Mode, dc.mode)
 					}
 				}
 			},

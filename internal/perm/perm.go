@@ -151,9 +151,9 @@ func Factorial(k int) int64 {
 }
 
 // All returns all k! permutations of [0, k) generated with Heap's algorithm
-// [Heap 1963], the generator cited by the paper (§4). The returned slices
-// are freshly allocated and independent. All panics for k < 0 or when k! is
-// unreasonably large (k > 12).
+// [Heap 1963], the generator cited by the paper (§4), as capped sub-slices
+// of one k!·k array: appending to one reallocates it. All panics for k < 0
+// or when k! is unreasonably large (k > 12).
 func All(k int) [][]int {
 	if k < 0 {
 		panic("perm: All of negative number")
@@ -164,9 +164,10 @@ func All(k int) [][]int {
 	if k == 0 {
 		return [][]int{{}}
 	}
-	var out [][]int
+	out := make([][]int, 0, Factorial(k))
+	flat := make([]int, cap(out)*k)
 	Visit(k, func(p []int) bool {
-		cp := make([]int, k)
+		cp := flat[len(out)*k : (len(out)+1)*k : (len(out)+1)*k]
 		copy(cp, p)
 		out = append(out, cp)
 		return true

@@ -3,6 +3,7 @@ package perm
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -145,6 +146,32 @@ func TestAllCountsAndDistinct(t *testing.T) {
 				t.Fatalf("All(%d) produced duplicate %v", k, p)
 			}
 			seen[key] = true
+		}
+	}
+}
+
+// TestAll: All hands out Visit's permutations in Heap order, each capped
+// at k, so an append to one cannot clobber the next.
+func TestAll(t *testing.T) {
+	for k := 1; k <= 6; k++ {
+		orders := All(k)
+		i := 0
+		Visit(k, func(p []int) bool {
+			if !Equal(orders[i], p) || cap(orders[i]) != k {
+				t.Fatalf("All(%d)[%d] = %v with cap %d, want Visit's %v with cap %d", k, i, orders[i], cap(orders[i]), p, k)
+			}
+			i++
+			return true
+		})
+		if i != len(orders) {
+			t.Fatalf("All(%d) has %d orders, Visit %d", k, len(orders), i)
+		}
+		last := slices.Clone(orders[len(orders)-1])
+		for _, o := range orders[:len(orders)-1] {
+			_ = append(o, k)
+		}
+		if !Equal(orders[len(orders)-1], last) {
+			t.Fatalf("All(%d): appending to the orders changed the last to %v", k, orders[len(orders)-1])
 		}
 	}
 }
