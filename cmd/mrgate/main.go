@@ -21,9 +21,8 @@
 //
 // Endpoints: POST /v1/map, /v1/advise, /v1/select, /v1/metrics/order,
 // /v1/map/matrix (proxied); GET /metrics (fleet_* Prometheus metrics),
-// /v1/fleet (replica states + retry budget + outlier flags),
-// /v1/fleet/stats and /v1/fleet/slo (merged replica rollups), /healthz
-// (healthy | degraded | draining).
+// /v1/fleet (replica states + retry budget), /healthz (healthy |
+// degraded | draining).
 //
 // With -trace the gate joins the tracing plane: every routed request
 // commits a gate-side span tree (route root, per-attempt proxy spans,

@@ -49,7 +49,7 @@ func TestPredictorAllocationFree(t *testing.T) {
 // at its root are walked without a single allocation, and walking them
 // again changes neither the evaluations nor the incumbents.
 func TestSearchNodesAllocationFree(t *testing.T) {
-	e, err := newBnbEngine(context.Background(), cloudScenario(10, Alltoall, true), 5, nodeBudget)
+	e, err := newBnbEngine(context.Background(), cloudScenario(10, Alltoall, true), 5, nodeBudget, progressEvery)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,25 +90,24 @@ const (
 
 // Progress event kinds.
 const (
-	// ProgressIncumbent: the best evaluated completion time strictly
+	// progressIncumbent: the best evaluated completion time strictly
 	// improved. Within one search phase (mode) the IncumbentTime sequence
 	// of these events is strictly decreasing.
-	ProgressIncumbent = "incumbent"
-	// ProgressCoverage: a periodic heartbeat every progressEvery visited
+	progressIncumbent = "incumbent"
+	// progressCoverage: a periodic heartbeat every progressEvery visited
 	// nodes, carrying the covered/pruned/evaluated tallies.
-	ProgressCoverage = "coverage"
+	progressCoverage = "coverage"
 )
 
-// SearchProgress is one live progress event of a bounded search,
-// delivered synchronously from the search goroutine.
-type SearchProgress struct {
-	// Kind is ProgressIncumbent or ProgressCoverage.
+// searchProgress is one live progress event of a bounded search,
+// delivered synchronously from the search goroutine to the
+// advisor.search span.
+type searchProgress struct {
+	// Kind is progressIncumbent or progressCoverage.
 	Kind string
 	// Mode is the phase emitting the event (ModeBnB, or ModeBeam after
 	// the node budget forced the fallback).
 	Mode string
-	// Elapsed is wall time since the search started.
-	Elapsed time.Duration
 	// Nodes/Evaluated/Covered/Pruned mirror the SearchResult tallies at
 	// the instant of the event.
 	Nodes, Evaluated, Covered, Pruned int64
@@ -121,8 +120,7 @@ type SearchProgress struct {
 	BoundGap float64
 }
 
-// SearchOptions shapes SearchOrders' answer and its observability. The
-// progress stream applies to the bounded engine only.
+// SearchOptions shapes SearchOrders' answer and its observability.
 type SearchOptions struct {
 	// Top is how many best orders the result carries; 0 means 1.
 	Top int
@@ -130,11 +128,6 @@ type SearchOptions struct {
 	// RankOptions, labeled/reported with the mode of the engine that ran.
 	Registry *obs.Registry
 	OnStats  func(RankStats)
-	// Progress, when set, receives live search progress: one event per
-	// strict incumbent improvement plus a coverage heartbeat every
-	// progressEvery nodes. Events also feed the advisor.search span's
-	// search_progress instant-event stream.
-	Progress func(SearchProgress)
 }
 
 // SearchResult is the outcome of one search.
@@ -199,26 +192,53 @@ func SearchOrders(ctx context.Context, sc Scenario, opts SearchOptions) (*Search
 // speedup.
 func searchBounded(ctx context.Context, sc Scenario, opts SearchOptions, budget int64, width int, every int64) (*SearchResult, error) {
 	start := time.Now()
-	top := opts.Top
-	k := sc.Hierarchy.Depth()
-
 	ctx, span := rt.StartSpan(ctx, "advisor.search")
-	span.SetAttr("depth", int64(k))
+	span.SetAttr("depth", int64(sc.Hierarchy.Depth()))
 	defer span.End()
 
-	e, err := newBnbEngine(ctx, sc, top, budget)
+	e, err := newBnbEngine(ctx, sc, opts.Top, budget, every)
 	if err != nil {
 		span.SetError()
 		return nil, err
 	}
-	e.start = start
-	e.every, e.tick = every, every
-	if opts.Progress != nil || span != nil {
-		e.progress = progressSink(span, opts)
+	if span != nil {
+		e.progress = progressSink(span)
 	}
+	res, err := e.run(width)
+	if err != nil {
+		span.SetError()
+		return nil, err
+	}
+	span.SetAttr("nodes", res.Nodes)
+	span.SetAttr("evaluated", res.Evaluated)
+
+	elapsed := time.Since(start)
+	if opts.Registry != nil {
+		ml := obs.L("mode", res.Mode)
+		opts.Registry.Counter("advisor_class_misses_total", ml).AddInt(res.Evaluated)
+		if hits := res.Covered - res.Evaluated; hits > 0 {
+			opts.Registry.Counter("advisor_class_hits_total", ml).AddInt(hits)
+		}
+		opts.Registry.Histogram("advisor_search_seconds", obs.SearchBuckets(), ml).
+			Observe(elapsed.Seconds())
+	}
+	if opts.OnStats != nil {
+		opts.OnStats(RankStats{
+			Mode:    res.Mode,
+			Orders:  int(res.Covered + res.Pruned),
+			Classes: int(res.Evaluated),
+			Elapsed: elapsed,
+		})
+	}
+	return res, nil
+}
+
+// run searches with the branch-and-bound and, once the node budget is
+// spent, answers from a beam of width orders per level.
+func (e *bnbEngine) run(width int) (*SearchResult, error) {
 	mode := ModeBnB
 	gap := 0.0
-	err = e.dfs(0)
+	err := e.dfs(0)
 	if errors.Is(err, errNodeBudget) {
 		// Budget spent: discard the partial branch-and-bound incumbents
 		// (their pruning accounting is no longer meaningful) and answer
@@ -233,16 +253,13 @@ func searchBounded(ctx context.Context, sc Scenario, opts SearchOptions, budget 
 		gap, err = e.beam(width)
 	}
 	if err != nil {
-		span.SetError()
 		return nil, err
 	}
 	if len(e.inc.leaves) == 0 {
-		span.SetError()
-		return nil, fmt.Errorf("advisor: search found no orders for depth %d", k)
+		return nil, fmt.Errorf("advisor: search found no orders for depth %d", e.k)
 	}
-
-	res := &SearchResult{
-		Best:          e.results(top),
+	return &SearchResult{
+		Best:          e.results(e.inc.top),
 		Worst:         e.worst,
 		Mode:          mode,
 		Evaluated:     e.evals,
@@ -250,47 +267,21 @@ func searchBounded(ctx context.Context, sc Scenario, opts SearchOptions, budget 
 		Pruned:        e.pruned,
 		Nodes:         e.nodes,
 		OptimalityGap: gap,
-	}
-	span.SetAttr("nodes", e.nodes)
-	span.SetAttr("evaluated", e.evals)
-
-	elapsed := time.Since(start)
-	if opts.Registry != nil {
-		ml := obs.L("mode", mode)
-		opts.Registry.Counter("advisor_class_misses_total", ml).AddInt(e.evals)
-		if hits := e.covered - e.evals; hits > 0 {
-			opts.Registry.Counter("advisor_class_hits_total", ml).AddInt(hits)
-		}
-		opts.Registry.Histogram("advisor_search_seconds", obs.SearchBuckets(), ml).
-			Observe(elapsed.Seconds())
-	}
-	if opts.OnStats != nil {
-		opts.OnStats(RankStats{
-			Mode:    mode,
-			Orders:  int(e.covered + e.pruned),
-			Classes: int(e.evals),
-			Elapsed: elapsed,
-		})
-	}
-	return res, nil
+	}, nil
 }
 
-// progressSink fans one progress event out to the two consumers: the
-// advisor.search span's search_progress instant-event stream, and the
-// caller's sink (the served /v1/advise/progress table).
-func progressSink(span *rt.Span, opts SearchOptions) func(SearchProgress) {
-	return func(p SearchProgress) {
+// progressSink records each progress event as a search_progress instant
+// event on the advisor.search span.
+func progressSink(span *rt.Span) func(searchProgress) {
+	return func(p searchProgress) {
 		span.Event("search_progress",
-			obs.Arg{Key: "improvement", Val: obs.Bool(p.Kind == ProgressIncumbent)},
+			obs.Arg{Key: "improvement", Val: obs.Bool(p.Kind == progressIncumbent)},
 			obs.Arg{Key: "nodes", Val: p.Nodes},
 			obs.Arg{Key: "covered", Val: p.Covered},
 			obs.Arg{Key: "pruned", Val: p.Pruned},
 			obs.Arg{Key: "incumbent_us", Val: int64(p.IncumbentTime * 1e6)},
 			obs.Arg{Key: "gap_bp", Val: int64(p.BoundGap * 1e4)},
 		)
-		if opts.Progress != nil {
-			opts.Progress(p)
-		}
 	}
 }
 
@@ -481,12 +472,10 @@ type bnbEngine struct {
 
 	// Progress stream state: the sink (nil when nobody listens), the
 	// coverage heartbeat interval and the nodes left to the next beat, the
-	// wall start, the phase label, the best incumbent time seen this
-	// phase, and the root admissible lower bound the gap is measured
-	// against.
-	progress    func(SearchProgress)
+	// phase label, the best incumbent time seen this phase, and the root
+	// admissible lower bound the gap is measured against.
+	progress    func(searchProgress)
 	every, tick int64
-	start       time.Time
 	mode        string
 	best        float64
 	rootLB      float64
@@ -509,7 +498,7 @@ type pathState struct {
 	lb                      float64
 }
 
-func newBnbEngine(ctx context.Context, sc Scenario, top int, budget int64) (*bnbEngine, error) {
+func newBnbEngine(ctx context.Context, sc Scenario, top int, budget, every int64) (*bnbEngine, error) {
 	pd, err := newPredictor(sc)
 	if err != nil {
 		return nil, err
@@ -550,7 +539,8 @@ func newBnbEngine(ctx context.Context, sc Scenario, top int, budget int64) (*bnb
 		cross:    make([]int64, k),
 		key:      make([]byte, 0, 3+2*k*binary.MaxVarintLen64),
 		budget:   budget,
-		start:    time.Now(),
+		every:    every,
+		tick:     every,
 		mode:     ModeBnB,
 		best:     math.Inf(1),
 		rootLB:   latFloor[metrics.BestCompletionCrossLevel(ar, nil, sc.CommSize)],
@@ -571,10 +561,9 @@ func (e *bnbEngine) emit(kind string) {
 	if e.progress == nil {
 		return
 	}
-	p := SearchProgress{
+	p := searchProgress{
 		Kind:      kind,
 		Mode:      e.mode,
-		Elapsed:   time.Since(e.start),
 		Nodes:     e.nodes,
 		Evaluated: e.evals,
 		Covered:   e.covered,
@@ -600,7 +589,7 @@ func (e *bnbEngine) visit() error {
 	}
 	if e.tick--; e.tick == 0 {
 		e.tick = e.every
-		e.emit(ProgressCoverage)
+		e.emit(progressCoverage)
 	}
 	if e.mode == ModeBnB && e.nodes > e.budget {
 		return errNodeBudget
@@ -743,7 +732,7 @@ func (e *bnbEngine) evalLeaf(t int) error {
 	e.inc.insert(classLeaf{order: sigma, split: t, pr: pr, size: size})
 	if best := e.inc.leaves[0].pr.Time; best < e.best {
 		e.best = best
-		e.emit(ProgressIncumbent)
+		e.emit(progressIncumbent)
 	}
 	if !e.haveWorst || pr.Time > e.worst.Time {
 		e.worst = pr

@@ -11,10 +11,27 @@ import (
 	"repro/internal/obs/rt"
 )
 
+// recordSearch runs the bounded engine as searchBounded does, with a
+// progress sink that records every event, and returns the result with
+// the events.
+func recordSearch(t *testing.T, sc Scenario, top int, budget int64, width int, every int64) (*SearchResult, []searchProgress) {
+	t.Helper()
+	e, err := newBnbEngine(context.Background(), sc, top, budget, every)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []searchProgress
+	e.progress = func(p searchProgress) { events = append(events, p) }
+	res, err := e.run(width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, events
+}
+
 // collectProgress runs a bounded search within budget nodes, with a
-// coverage event every 500, into a recording sink and returns the result
-// with the events.
-func collectProgress(t *testing.T, depth int, budget int64) (*SearchResult, []SearchProgress) {
+// coverage event every 500, and returns the result with the events.
+func collectProgress(t *testing.T, depth int, budget int64) (*SearchResult, []searchProgress) {
 	t.Helper()
 	sc := Scenario{
 		Spec:      cluster.Cloud(depth),
@@ -23,13 +40,7 @@ func collectProgress(t *testing.T, depth int, budget int64) (*SearchResult, []Se
 		CommSize:  cluster.Cloud(depth).Hierarchy().Size(),
 		Bytes:     1 << 20,
 	}
-	var events []SearchProgress
-	opts := SearchOptions{Top: 1, Progress: func(p SearchProgress) { events = append(events, p) }}
-	res, err := searchBounded(context.Background(), sc, opts, budget, beamWidth, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, events
+	return recordSearch(t, sc, 1, budget, beamWidth, 500)
 }
 
 // TestSearchProgressMonotone is the live-progress contract: incumbent
@@ -57,7 +68,7 @@ func TestSearchProgressMonotone(t *testing.T) {
 			var finalIncumbent float64
 			for _, p := range events {
 				switch p.Kind {
-				case ProgressIncumbent:
+				case progressIncumbent:
 					incumbents++
 					if prev, ok := lastByMode[p.Mode]; ok && p.IncumbentTime >= prev {
 						t.Fatalf("%s incumbent did not improve: %v after %v", p.Mode, p.IncumbentTime, prev)
@@ -69,7 +80,7 @@ func TestSearchProgressMonotone(t *testing.T) {
 					if p.BoundGap < 0 || p.BoundGap >= 1 {
 						t.Fatalf("bound gap %v outside [0, 1)", p.BoundGap)
 					}
-				case ProgressCoverage:
+				case progressCoverage:
 					if p.Nodes < lastNodes {
 						t.Fatalf("coverage nodes went backwards: %d after %d", p.Nodes, lastNodes)
 					}
@@ -91,10 +102,10 @@ func TestSearchProgressMonotone(t *testing.T) {
 	}
 }
 
-// TestSearchProgressPublishes checks the other fan-out of the sink: the
-// search_progress instant events on the advisor.search span. Progress
-// reaches no registry series: concurrent searches would overwrite one
-// another's gauges, and /v1/advise/progress reports each search.
+// TestSearchProgressPublishes checks where a served search's progress
+// goes: the search_progress instant events on the advisor.search span.
+// Progress reaches no registry series: concurrent searches would
+// overwrite one another's gauges.
 func TestSearchProgressPublishes(t *testing.T) {
 	sc := Scenario{
 		Spec:      cluster.Cloud(7),

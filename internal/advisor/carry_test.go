@@ -34,7 +34,7 @@ func carryHierarchy(rng *rand.Rand, depth int) topology.Hierarchy {
 func carryEngine(t testing.TB, h topology.Hierarchy, p int, coll Collective, sim bool) *bnbEngine {
 	t.Helper()
 	sc := Scenario{Spec: cluster.Cloud(cluster.CloudMaxDepth), Hierarchy: h, Coll: coll, CommSize: p, Simultaneous: sim, Bytes: 1 << 20}
-	e, err := newBnbEngine(context.Background(), sc, 3, nodeBudget)
+	e, err := newBnbEngine(context.Background(), sc, 3, nodeBudget, progressEvery)
 	if err != nil {
 		t.Fatal(err)
 	}

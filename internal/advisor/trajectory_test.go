@@ -13,14 +13,14 @@ import (
 )
 
 var updateTrajectory = flag.Bool("update-trajectory", false,
-	"rewrite testdata/search_deep_trajectory.jsonl from this build's SearchOrders")
+	"rewrite testdata/search_deep_trajectory.jsonl from this build's bounded search")
 
 // deepTrajectory is everything a caller can observe of one bounded search
 // apart from wall time: the result and the ordered progress stream.
 type deepTrajectory struct {
 	Name     string
 	Result   SearchResult
-	Progress []SearchProgress
+	Progress []searchProgress
 }
 
 // deepShapes are the six request shapes of the benchmark's search_deep
@@ -55,22 +55,14 @@ func TestSearchDeepTrajectoryPinned(t *testing.T) {
 		spec := cluster.Cloud(s.depth)
 		sc := Scenario{Spec: spec, Hierarchy: spec.Hierarchy(), Coll: s.coll, CommSize: 16,
 			Simultaneous: s.sim, Bytes: 256 << 20}
-		tr := deepTrajectory{Name: s.name}
-		res, err := SearchOrders(context.Background(), sc, SearchOptions{Top: 5, Progress: func(p SearchProgress) {
-			p.Elapsed = 0 // wall time is the one thing allowed to change
-			tr.Progress = append(tr.Progress, p)
-		}})
-		if err != nil {
-			t.Fatalf("%s: %v", s.name, err)
-		}
+		res, progress := recordSearch(t, sc, 5, nodeBudget, beamWidth, progressEvery)
 		if res.Mode != s.mode || res.Nodes != s.nodes || res.Evaluated != s.evaluated ||
 			res.Covered != s.covered || res.Pruned != s.prune {
 			t.Errorf("%s: mode/nodes/evaluated/covered/pruned = %s/%d/%d/%d/%d, want %s/%d/%d/%d/%d", s.name,
 				res.Mode, res.Nodes, res.Evaluated, res.Covered, res.Pruned,
 				s.mode, s.nodes, s.evaluated, s.covered, s.prune)
 		}
-		tr.Result = *res
-		got = append(got, tr)
+		got = append(got, deepTrajectory{Name: s.name, Result: *res, Progress: progress})
 	}
 	if *updateTrajectory {
 		// One shape per line keeps the file small and its diffs per shape.

@@ -18,7 +18,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -60,9 +59,6 @@ const (
 	retryBudgetBurst = 64
 	// maxRespBody caps a proxied response.
 	maxRespBody = 64 << 20
-	// scrapeTimeout bounds one replica /v1/stats or /v1/slo scrape when
-	// serving the fleet rollup endpoints.
-	scrapeTimeout = 2 * time.Second
 )
 
 func (c Config) withDefaults() Config {
@@ -89,16 +85,11 @@ type Router struct {
 	ring    *Ring
 	checker *Checker
 	budget  *Budget
-	client  *http.Client  // proxies and scrapes; pooled per replica
+	client  *http.Client  // proxies; pooled per replica
 	reg     *obs.Registry // receives the fleet_* metrics
 	logger  *slog.Logger
 
 	draining atomic.Bool
-
-	// rollup notes: the last /v1/fleet/stats + /v1/fleet/slo scores per
-	// replica, surfaced on /v1/fleet.
-	rollupMu sync.Mutex
-	notes    []rollupNote
 
 	retries      *obs.Counter
 	failovers    *obs.Counter
@@ -123,7 +114,6 @@ func New(cfg Config) (*Router, error) {
 	reg := obs.NewRegistry()
 	g := &Router{
 		cfg:    cfg,
-		notes:  make([]rollupNote, len(cfg.Replicas)),
 		ring:   NewRing(len(cfg.Replicas), DefaultVNodes),
 		budget: NewBudget(retryBudgetRatio, retryBudgetBurst),
 		client: &http.Client{Transport: &http.Transport{
@@ -205,23 +195,7 @@ func (g *Router) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		_ = obs.WritePrometheus(w, g.reg)
 	})
-	mux.HandleFunc("/v1/fleet", func(w http.ResponseWriter, r *http.Request) {
-		g.serveFleetStatus(r.Context(), w)
-	})
-	mux.HandleFunc("/v1/fleet/stats", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			mapd.WriteError(r.Context(), w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		g.serveFleetStats(r.Context(), w)
-	})
-	mux.HandleFunc("/v1/fleet/slo", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			mapd.WriteError(r.Context(), w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		g.serveFleetSLO(r.Context(), w)
-	})
+	mux.HandleFunc("/v1/fleet", mapd.GetJSON(func() any { return g.status() }))
 	return mux
 }
 
@@ -261,32 +235,21 @@ type replicaStatus struct {
 	Name  string `json:"name"`
 	URL   string `json:"url"`
 	State string `json:"state"`
-	// Rollup scores from the last /v1/fleet/stats and /v1/fleet/slo
-	// serves; absent until a rollup has run.
-	ShapeDivergence float64 `json:"shape_divergence,omitempty"`
-	BurnRate        float64 `json:"burn_rate,omitempty"`
-	Outlier         bool    `json:"outlier,omitempty"`
 }
 
-func (g *Router) serveFleetStatus(ctx context.Context, w http.ResponseWriter) {
+func (g *Router) status() fleetStatus {
 	st := fleetStatus{
 		RetryBudgetTokens: g.budget.Tokens(),
 		Fallback:          true,
 	}
-	g.rollupMu.Lock()
-	notes := append([]rollupNote(nil), g.notes...)
-	g.rollupMu.Unlock()
 	for i, u := range g.cfg.Replicas {
 		st.Replicas = append(st.Replicas, replicaStatus{
-			Name:            g.cfg.Names[i],
-			URL:             u,
-			State:           g.checker.State(i).String(),
-			ShapeDivergence: notes[i].shapeDivergence,
-			BurnRate:        notes[i].burnRate,
-			Outlier:         notes[i].shapeOutlier || notes[i].burnOutlier,
+			Name:  g.cfg.Names[i],
+			URL:   u,
+			State: g.checker.State(i).String(),
 		})
 	}
-	writeFleetJSON(ctx, w, st)
+	return st
 }
 
 // candidates orders the key's ring sequence by health class: healthy

@@ -51,6 +51,20 @@ func newFleet(t *testing.T, n int, cfg Config) (*Router, *httptest.Server, []*ht
 	return g, gate, reps
 }
 
+func gateGet(t *testing.T, gate *httptest.Server, path string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(gate.URL + path)
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(b)
+}
+
 func gatePost(t *testing.T, gate *httptest.Server, path, body string) (int, string, http.Header) {
 	t.Helper()
 	resp, err := http.Post(gate.URL+path, "application/json", strings.NewReader(body))
@@ -328,5 +342,29 @@ func TestFleetStatusEndpoint(t *testing.T) {
 	}
 	if !st.Fallback {
 		t.Error("fallback not reported enabled")
+	}
+	// A report route: any other method is a 405 envelope, as on a replica.
+	if code, body, _ := gatePost(t, gate, "/v1/fleet", `{}`); code != http.StatusMethodNotAllowed ||
+		!strings.Contains(body, `"method_not_allowed"`) {
+		t.Errorf("POST /v1/fleet: %d %s, want 405 method_not_allowed", code, body)
+	}
+}
+
+// TestFleetExpositionLint: the gate's /metrics passes the promtool-style
+// lint and every fleet_* metric with samples carries a HELP line.
+func TestFleetExpositionLint(t *testing.T) {
+	_, gate, _ := newFleet(t, 1, Config{})
+	if code, _, _ := gatePost(t, gate, "/v1/map", `{"hierarchy":"2,2,4","rank":5}`); code != http.StatusOK {
+		t.Fatalf("POST /v1/map: %d", code)
+	}
+	code, out := gateGet(t, gate, "/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("GET /metrics: %d", code)
+	}
+	if _, err := obs.LintPrometheus(out); err != nil {
+		t.Fatalf("fleet exposition fails lint: %v", err)
+	}
+	if missing := obs.MissingHelp(out, "fleet_"); len(missing) != 0 {
+		t.Fatalf("fleet_* metrics missing HELP: %v", missing)
 	}
 }

@@ -147,7 +147,7 @@ func TestEndpointTableParity(t *testing.T) {
 	}
 
 	// Exactly the table's paths: the replica-only reports are not proxied.
-	for _, path := range []string{"/v1/stats", "/v1/slo", "/v1/advise/progress", "/v1/nope"} {
+	for _, path := range []string{"/v1/stats", "/v1/slo", "/v1/nope"} {
 		if code, _, _ := gatePost(t, liveGate, path, `{}`); code != http.StatusNotFound {
 			t.Errorf("gate serves %s (status %d), which is not in mapd's endpoint table", path, code)
 		}

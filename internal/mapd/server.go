@@ -106,7 +106,6 @@ type Server struct {
 	slo     *rt.SLOTracker
 	logger  *slog.Logger
 	stats   *workloadStats
-	search  *progressTable
 
 	inflightN atomic.Int64 // shedding decision
 	draining  atomic.Bool
@@ -137,7 +136,6 @@ func New(cfg Config) *Server {
 		slo:             cfg.SLO,
 		logger:          cfg.Logger,
 		stats:           newWorkloadStats(DefaultStatsClasses),
-		search:          newProgressTable(defaultProgressRecent),
 		breaker:         newBreaker(breakerThreshold, breakerCooldown, nil),
 		inflight:        cfg.Registry.Gauge("mapd_inflight_requests"),
 		shared:          cfg.Registry.Counter("mapd_singleflight_shared_total"),
@@ -183,11 +181,10 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // Handler returns the service's HTTP handler: the query endpoints of the
 // table in endpoint.go, each served with POST, plus
 //
-//	GET  /metrics           Prometheus exposition of the registry
-//	GET  /v1/stats          cardinality-bounded workload analytics
-//	GET  /v1/advise/progress  live progress of in-flight deep searches
-//	GET  /v1/slo            rolling SLO burn rates per endpoint
-//	GET  /healthz           liveness probe
+//	GET  /metrics   Prometheus exposition of the registry
+//	GET  /v1/stats  cardinality-bounded workload analytics
+//	GET  /v1/slo    rolling SLO burn rates per endpoint
+//	GET  /healthz   liveness probe
 //
 // The returned handler is wrapped in the telemetry middleware: W3C
 // traceparent extraction/injection, per-request structured logging, and
@@ -197,24 +194,8 @@ func (s *Server) Handler() http.Handler {
 	for _, e := range endpoints {
 		mux.HandleFunc(e.Path, s.serve(e))
 	}
-	// getJSON serves a GET-only JSON report.
-	getJSON := func(report func() any) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodGet {
-				WriteError(r.Context(), w, http.StatusMethodNotAllowed, "use GET")
-				return
-			}
-			b, err := json.Marshal(report())
-			if err != nil {
-				WriteError(r.Context(), w, http.StatusInternalServerError, err.Error())
-				return
-			}
-			writeJSON(w, append(b, '\n'))
-		}
-	}
-	mux.HandleFunc("/v1/stats", getJSON(func() any { return s.stats.report() }))
-	mux.HandleFunc("/v1/advise/progress", getJSON(func() any { return s.search.report() }))
-	mux.HandleFunc("/v1/slo", getJSON(func() any { return s.slo.Report() }))
+	mux.HandleFunc("/v1/stats", GetJSON(func() any { return s.stats.report() }))
+	mux.HandleFunc("/v1/slo", GetJSON(func() any { return s.slo.Report() }))
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			WriteError(r.Context(), w, http.StatusMethodNotAllowed, "use GET")
@@ -237,22 +218,13 @@ func (s *Server) Handler() http.Handler {
 }
 
 // search is the served advise evaluation: the order search with the
-// server's metrics and live progress, recorded into the breaker.
+// server's metrics, recorded into the breaker.
 func (q *parsedAdvise) search(ctx context.Context, s *Server) (any, error) {
 	if s.AdviseHook != nil {
 		s.AdviseHook()
 	}
 	s.evals.Add(1)
-	opts := advisor.SearchOptions{Registry: s.reg}
-	if q.spec.Hierarchy().Depth() > advisor.ExactDepth {
-		// Deep advise: the bounded search can run for seconds, so
-		// register it with the live-progress table surfaced on
-		// GET /v1/advise/progress.
-		h := s.search.start(q.Key())
-		defer h.finish()
-		opts.Progress = h.update
-	}
-	resp, err := evalAdvise(ctx, q, opts)
+	resp, err := evalAdvise(ctx, q, advisor.SearchOptions{Registry: s.reg})
 	if err == nil {
 		s.stats.observeSearch(resp.SearchMode)
 	}
@@ -559,6 +531,23 @@ func shedRetryAfter(inflight, limit int64) int {
 		s = maxShedRetryAfter
 	}
 	return s
+}
+
+// GetJSON serves a GET-only JSON report, here and at the routing tier:
+// any other method is a 405 envelope.
+func GetJSON(report func() any) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			WriteError(r.Context(), w, http.StatusMethodNotAllowed, "use GET")
+			return
+		}
+		b, err := json.Marshal(report())
+		if err != nil {
+			WriteError(r.Context(), w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		writeJSON(w, append(b, '\n'))
+	}
 }
 
 func writeJSON(w http.ResponseWriter, body []byte) {

@@ -100,11 +100,6 @@ func (c *classStat) percentile(q float64) float64 {
 // ±~13% standard error, plenty for "hundreds vs. tens" answers.
 const sketchRegisters = 64
 
-// sketchMaxRank is the largest value a register can hold: the six
-// register-selecting bits leave 58 hash bits, whose leading zeros plus one
-// is the rank.
-const sketchMaxRank = 59
-
 // workloadStats is the request-stream aggregator. All methods are
 // safe for concurrent use.
 type workloadStats struct {
@@ -222,18 +217,10 @@ func (st *workloadStats) observeSearch(mode string) {
 // distinctEstimate is the HyperLogLog estimator with the small-range
 // linear-counting correction.
 func (st *workloadStats) distinctEstimate() int {
-	return estimateDistinct(st.sketch[:])
-}
-
-// estimateDistinct runs the HyperLogLog estimate over a 64-register
-// sketch (raw registers, as workloadStats keeps them and StatsReport
-// exports them). Registers from several replicas merge losslessly by
-// per-register max before estimating — see MergeStats.
-func estimateDistinct(sketch []uint8) int {
 	const m = float64(sketchRegisters)
 	var sum float64
 	zeros := 0
-	for _, r := range sketch {
+	for _, r := range st.sketch {
 		sum += math.Pow(2, -float64(r))
 		if r == 0 {
 			zeros++
@@ -243,9 +230,7 @@ func estimateDistinct(sketch []uint8) int {
 	if e <= 2.5*m && zeros > 0 {
 		e = m * math.Log(m/float64(zeros))
 	}
-	// Registers all near sketchMaxRank — a scraped report can say so, a
-	// request stream cannot — put e past the int range.
-	return int(math.Min(math.Round(e), 1<<62))
+	return int(math.Round(e))
 }
 
 // ClassReport is one tracked shape class of a StatsReport.
@@ -257,7 +242,7 @@ type ClassReport struct {
 	Requests uint64 `json:"requests"`
 	CountErr uint64 `json:"count_err,omitempty"`
 	// CacheHits and CacheHitRate cover the requests observed since the
-	// class entered the top-K.
+	// class entered the top-K: Requests − CountErr of them.
 	CacheHits    uint64  `json:"cache_hits"`
 	CacheHitRate float64 `json:"cache_hit_rate"`
 	// P50Ms / P99Ms are served-latency percentiles (log-bucket upper
@@ -282,11 +267,6 @@ type StatsReport struct {
 	MaxClasses              int    `json:"max_classes"`
 	DistinctClassesEstimate int    `json:"distinct_classes_estimate"`
 	Evictions               uint64 `json:"evictions"`
-	// DistinctSketch is the raw 64-register distinct-class sketch (the
-	// max leading-zero rank seen per register), exported so a fleet-level
-	// rollup can merge replicas' sketches losslessly (per-register max)
-	// instead of summing their estimates.
-	DistinctSketch []int `json:"distinct_sketch,omitempty"`
 	// Classes is the top-K by request count, descending.
 	Classes     []ClassReport     `json:"classes"`
 	Depths      []DepthCount      `json:"depth_histogram"`
@@ -316,12 +296,6 @@ func (st *workloadStats) report() StatsReport {
 	if st.total > 0 {
 		rep.CacheHitRate = float64(st.hits) / float64(st.total)
 	}
-	if st.total > 0 {
-		rep.DistinctSketch = make([]int, sketchRegisters)
-		for i, r := range st.sketch {
-			rep.DistinctSketch[i] = int(r)
-		}
-	}
 	for k, v := range st.colls {
 		rep.Collectives[k] = v
 	}
@@ -345,8 +319,8 @@ func (st *workloadStats) report() StatsReport {
 			P50Ms:     c.percentile(0.50),
 			P99Ms:     c.percentile(0.99),
 		}
-		if c.requests > 0 {
-			cr.CacheHitRate = float64(c.hits) / float64(c.requests)
+		if seen := c.requests - c.overErr; seen > 0 {
+			cr.CacheHitRate = float64(c.hits) / float64(seen)
 		}
 		rep.Classes = append(rep.Classes, cr)
 	}

@@ -27,7 +27,7 @@ func TestWorkloadStatsSpaceSaving(t *testing.T) {
 	}
 	// A third class must evict the minimum (2,4) and inherit its count as
 	// the overestimation bound.
-	st.observe("map", &statInfo{shape: []int{4, 4}}, false, time.Millisecond)
+	st.observe("map", &statInfo{shape: []int{4, 4}}, true, time.Millisecond)
 
 	rep := st.report()
 	if rep.TrackedClasses != 2 || len(rep.Classes) != 2 {
@@ -45,6 +45,11 @@ func TestWorkloadStatsSpaceSaving(t *testing.T) {
 	// Space-Saving: the newcomer's count is min+1 with err = min.
 	if rep.Classes[1].Shape != "4,4" || rep.Classes[1].Requests != 4 || rep.Classes[1].CountErr != 3 {
 		t.Fatalf("evicting class %+v, want 4,4 requests=4 err=3", rep.Classes[1])
+	}
+	// Its one observed request was a hit: the inherited count is not
+	// traffic the class saw.
+	if rep.Classes[1].CacheHits != 1 || rep.Classes[1].CacheHitRate != 1 {
+		t.Fatalf("evicting class hit rate %+v, want 1 hit at rate 1", rep.Classes[1])
 	}
 }
 

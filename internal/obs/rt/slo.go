@@ -168,11 +168,10 @@ func windowStats(ring []sloCell, nowSec, windowSec int64) (total, errors, slow u
 	return total, errors, slow
 }
 
-// NewWindowSLO derives a window's snapshot from its raw counts: the
+// newWindowSLO derives a window's snapshot from its raw counts: the
 // observed availability and the burn rates against the serving
-// objectives. A fleet merging replicas' windows derives the merged one
-// from the summed counts.
-func NewWindowSLO(window string, requests, errors, slow uint64) WindowSLO {
+// objectives.
+func newWindowSLO(window string, requests, errors, slow uint64) WindowSLO {
 	ws := WindowSLO{
 		Window:           window,
 		Requests:         requests,
@@ -213,7 +212,7 @@ func (t *SLOTracker) endpointLocked(name string, nowSec int64, windows []time.Du
 	ep := EndpointSLO{Endpoint: name, Windows: make([]WindowSLO, 0, len(windows))}
 	for _, w := range windows {
 		total, errors, slow := windowStats(ring, nowSec, int64(w/time.Second))
-		ep.Windows = append(ep.Windows, NewWindowSLO(w.String(), total, errors, slow))
+		ep.Windows = append(ep.Windows, newWindowSLO(w.String(), total, errors, slow))
 	}
 	return ep
 }

@@ -3,12 +3,9 @@ package repro
 import (
 	"bufio"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -38,37 +35,15 @@ var flagDefiners = map[string]int{
 func TestKnobLedger(t *testing.T) {
 	got := map[string]bool{}
 	fset := token.NewFileSet()
-	for _, root := range []string{"cmd", "internal"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				if d.Name() == "testdata" {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			dir := filepath.ToSlash(filepath.Dir(path))
-			if root == "cmd" {
-				command := strings.SplitN(strings.TrimPrefix(dir, "cmd/"), "/", 2)[0]
-				flagKnobs(t, fset, f, command, got)
-			} else {
-				fieldKnobs(f, strings.TrimPrefix(dir, "internal/"), got)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+	parseProgram(t, fset, func(path string, f *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if strings.HasPrefix(dir, "cmd/") {
+			command := strings.SplitN(strings.TrimPrefix(dir, "cmd/"), "/", 2)[0]
+			flagKnobs(t, fset, f, command, got)
+		} else {
+			fieldKnobs(f, strings.TrimPrefix(dir, "internal/"), got)
 		}
-	}
+	})
 
 	want := map[string]bool{}
 	file, err := os.Open(knobsFile)
@@ -86,19 +61,7 @@ func TestKnobLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var added, removed []string
-	for k := range got {
-		if !want[k] {
-			added = append(added, k)
-		}
-	}
-	for k := range want {
-		if !got[k] {
-			removed = append(removed, k)
-		}
-	}
-	sort.Strings(added)
-	sort.Strings(removed)
+	added, removed := ledgerDiff(got, want)
 	if len(added) > 0 {
 		t.Errorf("%d knobs in the code are missing from %s; add them:\n%s", len(added), knobsFile, strings.Join(added, "\n"))
 	}

@@ -3,13 +3,9 @@ package repro
 import (
 	"bufio"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
 	"os"
-	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -36,51 +32,29 @@ var seriesMakers = map[string]bool{"Counter": true, "Gauge": true, "Histogram": 
 func TestMetricLedger(t *testing.T) {
 	producers := map[string]map[string]bool{} // series → files that register it
 	fset := token.NewFileSet()
-	for _, root := range []string{"cmd", "internal"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				if d.Name() == "testdata" {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok || len(call.Args) == 0 {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || !seriesMakers[sel.Sel.Name] {
-					return true
-				}
-				lit, ok := call.Args[0].(*ast.BasicLit)
-				name, err := strconv.Unquote(litValue(lit, ok))
-				if err != nil {
-					t.Errorf("%s: series name is not a string literal", fset.Position(call.Pos()))
-					return true
-				}
-				if producers[name] == nil {
-					producers[name] = map[string]bool{}
-				}
-				producers[name][filepath.ToSlash(path)] = true
+	parseProgram(t, fset, func(path string, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
 				return true
-			})
-			return nil
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !seriesMakers[sel.Sel.Name] {
+				return true
+			}
+			lit, ok := call.Args[0].(*ast.BasicLit)
+			name, err := strconv.Unquote(litValue(lit, ok))
+			if err != nil {
+				t.Errorf("%s: series name is not a string literal", fset.Position(call.Pos()))
+				return true
+			}
+			if producers[name] == nil {
+				producers[name] = map[string]bool{}
+			}
+			producers[name][path] = true
+			return true
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	})
 
 	readers := map[string]string{} // series → reader file
 	file, err := os.Open(metricsFile)
@@ -108,19 +82,7 @@ func TestMetricLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var added, removed []string
-	for name := range producers {
-		if _, ok := readers[name]; !ok {
-			added = append(added, name)
-		}
-	}
-	for name := range readers {
-		if producers[name] == nil {
-			removed = append(removed, name)
-		}
-	}
-	sort.Strings(added)
-	sort.Strings(removed)
+	added, removed := ledgerDiff(producers, readers)
 	if len(added) > 0 {
 		t.Errorf("%d series in the code are missing from %s; add each with its reader, or delete the series:\n%s",
 			len(added), metricsFile, strings.Join(added, "\n"))

@@ -36,8 +36,8 @@ var reachAllowlist = map[string]string{
 	// How a surviving rank observes a lost peer.
 	"fault.Catch": "internal/mpi/fault_test.go",
 	// Lint the gate's /metrics exposition.
-	"obs.LintPrometheus": "internal/fleet/rollup_test.go",
-	"obs.MissingHelp":    "internal/fleet/rollup_test.go",
+	"obs.LintPrometheus": "internal/fleet/router_test.go",
+	"obs.MissingHelp":    "internal/fleet/router_test.go",
 }
 
 // TestProductionCodeIsReached fails on any exported top-level function or
