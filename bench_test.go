@@ -1,9 +1,10 @@
 // Package repro's benchmark harness: one benchmark per table and figure of
 // the paper (see DESIGN.md §4 for the experiment index), plus the ablation
-// benchmarks of DESIGN.md §5. Each benchmark regenerates the corresponding
-// result on the simulated clusters and reports the headline quantities as
-// custom metrics; `go test -bench=.` therefore reproduces the paper's
-// evaluation end to end. The cmd/mrbench, cmd/mrsplatt and cmd/mrcg tools
+// benchmarks of DESIGN.md §5 (the collective-algorithm one calls
+// unexported schedules, so it is in internal/mpi). Each benchmark
+// regenerates the corresponding result on the simulated clusters and
+// reports the headline quantities as custom metrics; `go test -bench=.`
+// therefore reproduces the paper's evaluation end to end. The cmd/mrbench, cmd/mrsplatt and cmd/mrcg tools
 // print the full tables.
 package repro
 
@@ -205,27 +206,6 @@ func isIdentity(cores []int) bool {
 		}
 	}
 	return true
-}
-
-// BenchmarkAblationCollAlgorithms forces each Alltoall algorithm on the
-// same communicator and size ("results with a fixed algorithm show similar
-// trends", §4.1.1).
-func BenchmarkAblationCollAlgorithms(b *testing.B) {
-	for _, alg := range []string{"pairwise", "bruck", "linear"} {
-		b.Run(alg, func(b *testing.B) {
-			cfg := figures.Figure3(nil).Config
-			cfg.Iters = 1
-			cfg.MPI.ForceAlltoall = alg
-			var pt bench.Point
-			var err error
-			for i := 0; i < b.N; i++ {
-				if pt, err = bench.Measure(cfg, []int{3, 2, 1, 0}, 1<<20, true); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(pt.Bandwidth/1e6, "MB/s")
-		})
-	}
 }
 
 // BenchmarkAblationFakeLevel contrasts Hydra with its fake half-socket

@@ -1,12 +1,10 @@
 // Allgather: ring (neighbour exchanges, whose cost tracks the paper's ring
-// cost metric directly), recursive doubling for power-of-two groups, and a
-// linear fallback. Figure 7 of the paper shows Allgather's sensitivity to
+// cost metric directly) and recursive doubling for small totals on
+// power-of-two groups. Figure 7 of the paper shows Allgather's sensitivity to
 // the rank order inside communicators — that sensitivity comes from these
 // neighbour-structured schedules.
 
 package mpi
-
-import "fmt"
 
 // allgatherRDThreshold is the total gathered size (communicator size ×
 // per-rank contribution) up to which recursive doubling is preferred on
@@ -27,24 +25,11 @@ func (c *Comm) allgather(r *Rank, mine Buf) slots {
 	p := len(c.group)
 	seq := c.nextSeq()
 	start := r.Now()
-	alg := c.w.cfg.ForceAllgather
-	if alg == "" {
-		if p&(p-1) == 0 && p > 1 && int64(p)*mine.Bytes <= allgatherRDThreshold {
-			alg = "rdoubling"
-		} else {
-			alg = "ring"
-		}
-	}
 	var recv slots
-	switch alg {
-	case "ring":
-		recv = c.allgatherRing(r, seq, mine)
-	case "rdoubling":
+	if p&(p-1) == 0 && p > 1 && int64(p)*mine.Bytes <= allgatherRDThreshold {
 		recv = c.allgatherRecDoubling(r, seq, mine)
-	case "linear":
-		recv = c.allgatherLinear(r, seq, mine)
-	default:
-		panic(fmt.Sprintf("mpi: unknown allgather algorithm %q", alg))
+	} else {
+		recv = c.allgatherRing(r, seq, mine)
 	}
 	c.trace(r, "Allgather", mine.Bytes, start)
 	return recv
@@ -97,27 +82,5 @@ func (c *Comm) allgatherRecDoubling(r *Rank, seq int64, mine Buf) slots {
 		recv.spread(in, lo^k, (lo^k)+k, 0, k)
 		round++
 	}
-	return recv
-}
-
-// allgatherLinear has every rank send its block directly to every other.
-func (c *Comm) allgatherLinear(r *Rank, seq int64, mine Buf) slots {
-	p := len(c.group)
-	me := c.rank
-	recv := newSlots(p)
-	recv.set(me, mine.Clone())
-	rreqs := make([]*Request, 0, p-1)
-	for k := 1; k < p; k++ {
-		rreqs = append(rreqs, c.irecvTag((me-k+p)%p, c.tag(seq, 0)))
-	}
-	sreqs := make([]*Request, 0, p-1)
-	for k := 1; k < p; k++ {
-		dst := (me + k) % p
-		sreqs = append(sreqs, c.isendTag(dst, c.tag(seq, 0), mine))
-	}
-	for i, rq := range rreqs {
-		recv.set((me-1-i+p)%p, rq.Wait(r))
-	}
-	WaitAll(r, sreqs...)
 	return recv
 }

@@ -5,8 +5,6 @@
 
 package mpi
 
-import "fmt"
-
 // allreduceRDThreshold is the buffer size (bytes) up to which recursive
 // doubling is preferred on power-of-two communicators.
 const allreduceRDThreshold = 64 * 1024
@@ -21,22 +19,11 @@ func (c *Comm) Allreduce(r *Rank, mine Buf, op ReduceOp) Buf {
 	}
 	seq := c.nextSeq()
 	start := r.Now()
-	alg := c.w.cfg.ForceAllreduce
-	if alg == "" {
-		if p&(p-1) == 0 && mine.Bytes <= allreduceRDThreshold {
-			alg = "rdoubling"
-		} else {
-			alg = "ring"
-		}
-	}
 	var out Buf
-	switch alg {
-	case "rdoubling":
+	if p&(p-1) == 0 && mine.Bytes <= allreduceRDThreshold {
 		out = c.allreduceRecDoubling(r, seq, mine, op)
-	case "ring":
+	} else {
 		out = c.allreduceRing(r, seq, mine, op)
-	default:
-		panic(fmt.Sprintf("mpi: unknown allreduce algorithm %q", alg))
 	}
 	c.trace(r, "Allreduce", mine.Bytes, start)
 	return out

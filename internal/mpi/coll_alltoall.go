@@ -1,8 +1,7 @@
 // Alltoall and Alltoallv: pairwise exchange for large messages, Bruck's
-// algorithm for small ones, and a linear (all-posted) variant, mirroring
-// the decision rules of production MPI implementations. The paper's
-// micro-benchmarks (Figures 3–5) and Splatt's dominant operation
-// (MPI_Alltoallv, §4.2) run on these schedules.
+// algorithm for small equal ones, as production MPI implementations decide.
+// The paper's micro-benchmarks (Figures 3–5) and Splatt's dominant
+// operation (MPI_Alltoallv, §4.2) run on these schedules.
 
 package mpi
 
@@ -35,27 +34,11 @@ func (c *Comm) alltoall(r *Rank, send slots) slots {
 	}
 	seq := c.nextSeq()
 	start := r.Now()
-	alg := c.w.cfg.ForceAlltoall
-	if alg == "" {
-		if even && p > 2 && send.bytes[0] <= alltoallBruckThreshold {
-			alg = "bruck"
-		} else {
-			alg = "pairwise"
-		}
-	}
 	var recv slots
-	switch alg {
-	case "pairwise":
-		recv = c.alltoallPairwise(r, seq, send)
-	case "bruck":
-		if !even {
-			panic("mpi: Bruck alltoall requires equal block sizes")
-		}
+	if even && p > 2 && send.bytes[0] <= alltoallBruckThreshold {
 		recv = c.alltoallBruck(r, seq, send)
-	case "linear":
-		recv = c.alltoallLinear(r, seq, send)
-	default:
-		panic(fmt.Sprintf("mpi: unknown alltoall algorithm %q", alg))
+	} else {
+		recv = c.alltoallPairwise(r, seq, send)
 	}
 	c.trace(r, "Alltoall", total, start)
 	return recv
@@ -88,32 +71,10 @@ func (c *Comm) alltoallPairwise(r *Rank, seq int64, send slots) slots {
 	return recv
 }
 
-// alltoallLinear posts every receive and send at once and waits for all —
-// maximum overlap, maximum instantaneous contention.
-func (c *Comm) alltoallLinear(r *Rank, seq int64, send slots) slots {
-	p := len(c.group)
-	me := c.rank
-	recv := newSlots(p)
-	recv.set(me, send.get(me).Clone())
-	rreqs := make([]*Request, 0, p-1)
-	sreqs := make([]*Request, 0, p-1)
-	for k := 1; k < p; k++ {
-		rreqs = append(rreqs, c.irecvTag((me-k+p)%p, c.tag(seq, 0)))
-	}
-	for k := 1; k < p; k++ {
-		dst := (me + k) % p
-		sreqs = append(sreqs, c.isendTag(dst, c.tag(seq, 0), send.get(dst)))
-	}
-	for i, rq := range rreqs {
-		recv.set((me-1-i+p)%p, rq.Wait(r))
-	}
-	WaitAll(r, sreqs...)
-	return recv
-}
-
-// alltoallBruck implements Bruck's log-round algorithm for equal blocks.
-// Invariant: after the rounds, local block i holds the data sent by rank
-// (me-i+p)%p to the caller.
+// alltoallBruck implements Bruck's log-round algorithm. Every block of
+// send must have the same size (its caller checks): the rounds re-split
+// what arrives evenly. Invariant: after the rounds, local block i holds
+// the data sent by rank (me-i+p)%p to the caller.
 func (c *Comm) alltoallBruck(r *Rank, seq int64, send slots) slots {
 	p := len(c.group)
 	me := c.rank

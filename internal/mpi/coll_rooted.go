@@ -5,8 +5,6 @@
 
 package mpi
 
-import "fmt"
-
 // bcastChainThreshold is the buffer size (bytes) above which the pipelined
 // chain broadcast replaces the binomial tree.
 const bcastChainThreshold = 64 * 1024
@@ -25,22 +23,11 @@ func (c *Comm) Bcast(r *Rank, root int, buf Buf) Buf {
 	}
 	seq := c.nextSeq()
 	start := r.Now()
-	alg := c.w.cfg.ForceBcast
-	if alg == "" {
-		if buf.Bytes <= bcastChainThreshold {
-			alg = "binomial"
-		} else {
-			alg = "chain"
-		}
-	}
 	var out Buf
-	switch alg {
-	case "binomial":
+	if buf.Bytes <= bcastChainThreshold {
 		out = c.bcastBinomial(r, seq, root, buf)
-	case "chain":
+	} else {
 		out = c.bcastChain(r, seq, root, buf)
-	default:
-		panic(fmt.Sprintf("mpi: unknown bcast algorithm %q", alg))
 	}
 	c.trace(r, "Bcast", buf.Bytes, start)
 	return out

@@ -24,10 +24,10 @@ type collRun struct {
 }
 
 // runColl runs coll on p ranks of testSpec32 and returns every rank's view.
-func runColl(t *testing.T, p int, cfg Config, coll func(r *Rank) []Buf) []collRun {
+func runColl(t *testing.T, p int, coll func(r *Rank) []Buf) []collRun {
 	t.Helper()
 	out := make([]collRun, p)
-	_, err := Run(testSpec32(), identityBinding(p), cfg, func(r *Rank) {
+	_, err := Run(testSpec32(), identityBinding(p), Config{}, func(r *Rank) {
 		got := coll(r)
 		me := &out[r.ID()]
 		me.done = r.Now()
@@ -61,9 +61,11 @@ func sameRuns(t *testing.T, what string, synthetic, payload []collRun) {
 // same virtual time and hand back the same block sizes as the same
 // collective moving real data. The blocks are equal within a rank and
 // differ between ranks (Alltoallv reaches Bruck that way), which is what a
-// single per-collective size would get wrong. Element counts are multiples
-// of 8⁴ so that every re-split of Bruck's and recursive doubling's rounds
-// is exact both in elements and in bytes.
+// single per-collective size would get wrong. The test calls the schedules
+// directly: at these sizes the size rules would run pairwise alltoall and
+// ring allgather. Element counts are multiples of 8⁴ so that every
+// re-split of Bruck's and recursive doubling's rounds is exact both in
+// elements and in bytes.
 func TestSyntheticMatchesPayloadCollectives(t *testing.T) {
 	elems := func(rank int) int { return 4096 * (1 + rank%3) }
 	block := func(rank int, data bool) Buf {
@@ -79,27 +81,31 @@ func TestSyntheticMatchesPayloadCollectives(t *testing.T) {
 				for i := range send {
 					send[i] = block(r.ID(), data)
 				}
-				return r.World().Alltoall(r, send)
+				w := r.World()
+				return w.alltoallBruck(r, w.nextSeq(), slotsOf(send)).bufs()
 			}
 		}
-		cfg := Config{ForceAlltoall: "bruck"}
 		sameRuns(t, fmt.Sprintf("bruck alltoall p=%d", p),
-			runColl(t, p, cfg, alltoall(false)), runColl(t, p, cfg, alltoall(true)))
+			runColl(t, p, alltoall(false)), runColl(t, p, alltoall(true)))
 		if p&(p-1) != 0 {
 			continue // recursive doubling needs a power of two
 		}
 		allgather := func(data bool) func(r *Rank) []Buf {
-			return func(r *Rank) []Buf { return r.World().Allgather(r, block(r.ID(), data)) }
+			return func(r *Rank) []Buf {
+				w := r.World()
+				return w.allgatherRecDoubling(r, w.nextSeq(), block(r.ID(), data)).bufs()
+			}
 		}
-		cfg = Config{ForceAllgather: "rdoubling"}
 		sameRuns(t, fmt.Sprintf("rdoubling allgather p=%d", p),
-			runColl(t, p, cfg, allgather(false)), runColl(t, p, cfg, allgather(true)))
+			runColl(t, p, allgather(false)), runColl(t, p, allgather(true)))
 		allreduce := func(data bool) func(r *Rank) []Buf {
-			return func(r *Rank) []Buf { return []Buf{r.World().Allreduce(r, block(0, data), OpSum)} }
+			return func(r *Rank) []Buf {
+				w := r.World()
+				return []Buf{w.allreduceRecDoubling(r, w.nextSeq(), block(0, data), OpSum)}
+			}
 		}
-		cfg = Config{ForceAllreduce: "rdoubling"}
 		sameRuns(t, fmt.Sprintf("rdoubling allreduce p=%d", p),
-			runColl(t, p, cfg, allreduce(false)), runColl(t, p, cfg, allreduce(true)))
+			runColl(t, p, allreduce(false)), runColl(t, p, allreduce(true)))
 	}
 }
 

@@ -11,8 +11,8 @@
 // communicator Split and the collectives used in the paper's evaluation
 // (§4): Alltoall(v), Allreduce, Allgather, Bcast, Reduce, Gather, Scan,
 // Barrier. The collectives exchange messages through the runtime's internal
-// isend/irecv path; the user point-to-point calls (Isend, Irecv) exist only
-// in the package's tests.
+// isend/irecv path; the user point-to-point calls (Isend, Irecv, WaitAll)
+// exist only in the package's tests.
 package mpi
 
 import (
@@ -58,11 +58,6 @@ type Config struct {
 	// and per-level byte counters, and (via Run) engine event counts. nil
 	// disables all of it at the cost of one nil check per operation.
 	Obs *obs.Scope
-	// Force* pin a collective to one algorithm ("" = size-based decision).
-	ForceAlltoall  string
-	ForceAllgather string
-	ForceAllreduce string
-	ForceBcast     string
 	// Faults is a deterministic fault plan injected into the world (node
 	// crashes, stragglers, link degradation); nil runs a perfect machine.
 	Faults *fault.Plan
@@ -285,13 +280,6 @@ func (req *Request) Wait(r *Rank) Buf {
 // completedSend is the request of every eager send, which is over when
 // isend returns; nothing ever writes to it.
 var completedSend = &Request{}
-
-// WaitAll completes all requests.
-func WaitAll(r *Rank, reqs ...*Request) {
-	for _, q := range reqs {
-		q.Wait(r)
-	}
-}
 
 // newRequest cuts a zeroed request record from the world's slab.
 func (w *World) newRequest(peer int, tag int64, recv bool) *Request {

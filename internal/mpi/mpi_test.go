@@ -62,6 +62,13 @@ func (c *Comm) Irecv(r *Rank, src int, tag int64) *Request {
 	return c.w.irecv(c.group[c.rank], c.group[src], userTag(c.id, tag))
 }
 
+// WaitAll completes all requests.
+func WaitAll(r *Rank, reqs ...*Request) {
+	for _, q := range reqs {
+		q.Wait(r)
+	}
+}
+
 // userTag namespaces user tags per communicator.
 func userTag(commID int, tag int64) int64 {
 	return int64(commID)<<40 | tag
@@ -240,10 +247,11 @@ func TestSplitDisjointTags(t *testing.T) {
 	})
 }
 
-// checkAlltoall verifies payload correctness for a forced algorithm.
-func checkAlltoall(t *testing.T, n int, alg string, blockElems int) {
+// checkAlltoall verifies payload correctness for one alltoall schedule,
+// called directly, or for the public Alltoall when sched is nil.
+func checkAlltoall(t *testing.T, n int, sched func(*Comm, *Rank, int64, slots) slots, blockElems int) {
 	t.Helper()
-	runWorld(t, n, Config{ForceAlltoall: alg}, func(r *Rank) {
+	runWorld(t, n, Config{}, func(r *Rank) {
 		w := r.World()
 		send := make([]Buf, n)
 		for d := 0; d < n; d++ {
@@ -253,24 +261,28 @@ func checkAlltoall(t *testing.T, n int, alg string, blockElems int) {
 			}
 			send[d] = F64Buf(data)
 		}
-		recv := w.Alltoall(r, send)
+		var recv []Buf
+		if sched == nil {
+			recv = w.Alltoall(r, send)
+		} else {
+			recv = sched(w, r, w.nextSeq(), slotsOf(send)).bufs()
+		}
 		for s := 0; s < n; s++ {
 			want := float64(s*1000 + r.ID())
 			if len(recv[s].Data) != blockElems || recv[s].Data[0] != want {
-				t.Errorf("alg=%s rank %d from %d: got %v elems first=%v, want first=%v",
-					alg, r.ID(), s, len(recv[s].Data), recv[s].Data[0], want)
+				t.Errorf("rank %d from %d: got %v elems first=%v, want first=%v",
+					r.ID(), s, len(recv[s].Data), recv[s].Data[0], want)
 				return
 			}
 		}
 	})
 }
 
-func TestAlltoallPairwise(t *testing.T)        { checkAlltoall(t, 8, "pairwise", 4) }
-func TestAlltoallPairwiseNonPow2(t *testing.T) { checkAlltoall(t, 6, "pairwise", 4) }
-func TestAlltoallBruck(t *testing.T)           { checkAlltoall(t, 8, "bruck", 4) }
-func TestAlltoallBruckNonPow2(t *testing.T)    { checkAlltoall(t, 7, "bruck", 4) }
-func TestAlltoallLinear(t *testing.T)          { checkAlltoall(t, 8, "linear", 4) }
-func TestAlltoallAuto(t *testing.T)            { checkAlltoall(t, 8, "", 4) }
+func TestAlltoallPairwise(t *testing.T)        { checkAlltoall(t, 8, (*Comm).alltoallPairwise, 4) }
+func TestAlltoallPairwiseNonPow2(t *testing.T) { checkAlltoall(t, 6, (*Comm).alltoallPairwise, 4) }
+func TestAlltoallBruck(t *testing.T)           { checkAlltoall(t, 8, (*Comm).alltoallBruck, 4) }
+func TestAlltoallBruckNonPow2(t *testing.T)    { checkAlltoall(t, 7, (*Comm).alltoallBruck, 4) }
+func TestAlltoallAuto(t *testing.T)            { checkAlltoall(t, 8, nil, 4) }
 
 func TestAlltoallvUneven(t *testing.T) {
 	n := 4
@@ -294,50 +306,63 @@ func TestAlltoallvUneven(t *testing.T) {
 	})
 }
 
-func checkAllgather(t *testing.T, n int, alg string) {
+// checkAllgather verifies one allgather schedule, or the public Allgather
+// when sched is nil.
+func checkAllgather(t *testing.T, n int, sched func(*Comm, *Rank, int64, Buf) slots) {
 	t.Helper()
-	runWorld(t, n, Config{ForceAllgather: alg}, func(r *Rank) {
+	runWorld(t, n, Config{}, func(r *Rank) {
 		w := r.World()
 		mine := F64Buf([]float64{float64(r.ID()), float64(r.ID() * 2)})
-		recv := w.Allgather(r, mine)
+		var recv []Buf
+		if sched == nil {
+			recv = w.Allgather(r, mine)
+		} else {
+			recv = sched(w, r, w.nextSeq(), mine).bufs()
+		}
 		for s := 0; s < n; s++ {
 			if len(recv[s].Data) != 2 || recv[s].Data[0] != float64(s) || recv[s].Data[1] != float64(2*s) {
-				t.Errorf("alg=%s rank %d block %d = %v", alg, r.ID(), s, recv[s].Data)
+				t.Errorf("rank %d block %d = %v", r.ID(), s, recv[s].Data)
 				return
 			}
 		}
 	})
 }
 
-func TestAllgatherRing(t *testing.T)        { checkAllgather(t, 8, "ring") }
-func TestAllgatherRingNonPow2(t *testing.T) { checkAllgather(t, 5, "ring") }
-func TestAllgatherRecDoubling(t *testing.T) { checkAllgather(t, 8, "rdoubling") }
-func TestAllgatherLinear(t *testing.T)      { checkAllgather(t, 8, "linear") }
-func TestAllgatherAuto(t *testing.T)        { checkAllgather(t, 8, "") }
+func TestAllgatherRing(t *testing.T)        { checkAllgather(t, 8, (*Comm).allgatherRing) }
+func TestAllgatherRingNonPow2(t *testing.T) { checkAllgather(t, 5, (*Comm).allgatherRing) }
+func TestAllgatherRecDoubling(t *testing.T) { checkAllgather(t, 8, (*Comm).allgatherRecDoubling) }
+func TestAllgatherAuto(t *testing.T)        { checkAllgather(t, 8, nil) }
 
-func checkAllreduce(t *testing.T, n int, alg string, elems int) {
+// checkAllreduce verifies one allreduce schedule, or the public Allreduce
+// when sched is nil.
+func checkAllreduce(t *testing.T, n int, sched func(*Comm, *Rank, int64, Buf, ReduceOp) Buf, elems int) {
 	t.Helper()
-	runWorld(t, n, Config{ForceAllreduce: alg}, func(r *Rank) {
+	runWorld(t, n, Config{}, func(r *Rank) {
 		w := r.World()
 		data := make([]float64, elems)
 		for j := range data {
 			data[j] = float64(r.ID() + j)
 		}
-		out := w.Allreduce(r, F64Buf(data), OpSum)
+		var out Buf
+		if sched == nil {
+			out = w.Allreduce(r, F64Buf(data), OpSum)
+		} else {
+			out = sched(w, r, w.nextSeq(), F64Buf(data), OpSum)
+		}
 		for j := 0; j < elems; j++ {
 			want := float64(n*(n-1)/2 + n*j)
 			if math.Abs(out.Data[j]-want) > 1e-9 {
-				t.Errorf("alg=%s rank %d elem %d = %v, want %v", alg, r.ID(), j, out.Data[j], want)
+				t.Errorf("rank %d elem %d = %v, want %v", r.ID(), j, out.Data[j], want)
 				return
 			}
 		}
 	})
 }
 
-func TestAllreduceRecDoubling(t *testing.T) { checkAllreduce(t, 8, "rdoubling", 16) }
-func TestAllreduceRing(t *testing.T)        { checkAllreduce(t, 8, "ring", 16) }
-func TestAllreduceRingNonPow2(t *testing.T) { checkAllreduce(t, 6, "ring", 12) }
-func TestAllreduceAuto(t *testing.T)        { checkAllreduce(t, 8, "", 16) }
+func TestAllreduceRecDoubling(t *testing.T) { checkAllreduce(t, 8, (*Comm).allreduceRecDoubling, 16) }
+func TestAllreduceRing(t *testing.T)        { checkAllreduce(t, 8, (*Comm).allreduceRing, 16) }
+func TestAllreduceRingNonPow2(t *testing.T) { checkAllreduce(t, 6, (*Comm).allreduceRing, 12) }
+func TestAllreduceAuto(t *testing.T)        { checkAllreduce(t, 8, nil, 16) }
 
 func TestAllreduceMaxMin(t *testing.T) {
 	runWorld(t, 8, Config{}, func(r *Rank) {
@@ -351,9 +376,11 @@ func TestAllreduceMaxMin(t *testing.T) {
 	})
 }
 
-func checkBcast(t *testing.T, n int, alg string, elems int, root int) {
+// checkBcast verifies one broadcast schedule, or the public Bcast when
+// sched is nil.
+func checkBcast(t *testing.T, n int, sched func(*Comm, *Rank, int64, int, Buf) Buf, elems int, root int) {
 	t.Helper()
-	runWorld(t, n, Config{ForceBcast: alg}, func(r *Rank) {
+	runWorld(t, n, Config{}, func(r *Rank) {
 		w := r.World()
 		data := make([]float64, elems)
 		if r.ID() == root {
@@ -361,22 +388,91 @@ func checkBcast(t *testing.T, n int, alg string, elems int, root int) {
 				data[j] = 100 + float64(j)
 			}
 		}
-		out := w.Bcast(r, root, F64Buf(data))
+		var out Buf
+		if sched == nil {
+			out = w.Bcast(r, root, F64Buf(data))
+		} else {
+			out = sched(w, r, w.nextSeq(), root, F64Buf(data))
+		}
 		for j := 0; j < elems; j++ {
 			if out.Data[j] != 100+float64(j) {
-				t.Errorf("alg=%s rank %d elem %d = %v", alg, r.ID(), j, out.Data[j])
+				t.Errorf("rank %d elem %d = %v", r.ID(), j, out.Data[j])
 				return
 			}
 		}
 	})
 }
 
-func TestBcastBinomial(t *testing.T)        { checkBcast(t, 8, "binomial", 8, 0) }
-func TestBcastBinomialRoot3(t *testing.T)   { checkBcast(t, 8, "binomial", 8, 3) }
-func TestBcastBinomialNonPow2(t *testing.T) { checkBcast(t, 7, "binomial", 8, 2) }
-func TestBcastChain(t *testing.T)           { checkBcast(t, 8, "chain", 40000, 0) }
-func TestBcastChainRoot5(t *testing.T)      { checkBcast(t, 8, "chain", 40000, 5) }
-func TestBcastAuto(t *testing.T)            { checkBcast(t, 8, "", 8, 0) }
+func TestBcastBinomial(t *testing.T)        { checkBcast(t, 8, (*Comm).bcastBinomial, 8, 0) }
+func TestBcastBinomialRoot3(t *testing.T)   { checkBcast(t, 8, (*Comm).bcastBinomial, 8, 3) }
+func TestBcastBinomialNonPow2(t *testing.T) { checkBcast(t, 7, (*Comm).bcastBinomial, 8, 2) }
+func TestBcastChain(t *testing.T)           { checkBcast(t, 8, (*Comm).bcastChain, 40000, 0) }
+func TestBcastChainRoot5(t *testing.T)      { checkBcast(t, 8, (*Comm).bcastChain, 40000, 5) }
+func TestBcastAuto(t *testing.T)            { checkBcast(t, 8, nil, 8, 0) }
+
+// p2pCount counts the point-to-point messages each world rank sends.
+type p2pCount []int
+
+func (c p2pCount) P2P(src, _ int, _ int64) { c[src]++ }
+
+// The public collectives pick their schedule from the call alone; the
+// messages the world sends, and the most any one rank sends, tell which
+// schedule ran. Each size rule is pinned at its limit and one byte past it.
+func TestDefaultScheduleAtThresholds(t *testing.T) {
+	allgather := func(bytes int64) func(*Rank) {
+		return func(r *Rank) { r.World().Allgather(r, BytesBuf(bytes)) }
+	}
+	allreduce := func(bytes int64) func(*Rank) {
+		return func(r *Rank) { r.World().Allreduce(r, BytesBuf(bytes), OpSum) }
+	}
+	bcast := func(bytes int64) func(*Rank) {
+		return func(r *Rank) { r.World().Bcast(r, 0, BytesBuf(bytes)) }
+	}
+	alltoall := func(block func(dst int) int64) func(*Rank) {
+		return func(r *Rank) {
+			w := r.World()
+			send := make([]Buf, w.Size())
+			for d := range send {
+				send[d] = BytesBuf(block(d))
+			}
+			w.Alltoall(r, send)
+		}
+	}
+	blocks := func(n int64) func(int) int64 { return func(int) int64 { return n } }
+	for _, tc := range []struct {
+		name          string
+		p             int
+		coll          func(*Rank)
+		msgs, busiest int
+	}{
+		{"allgather total at limit: recursive doubling", 8, allgather(allgatherRDThreshold / 8), 24, 3},
+		{"allgather total past limit: ring", 8, allgather(allgatherRDThreshold/8 + 1), 56, 7},
+		{"allgather p=6: ring", 6, allgather(8), 30, 5},
+		{"allreduce at limit: recursive doubling", 8, allreduce(allreduceRDThreshold), 24, 3},
+		{"allreduce past limit: ring", 8, allreduce(allreduceRDThreshold + 1), 112, 14},
+		{"allreduce p=6: ring", 6, allreduce(8), 60, 10},
+		{"alltoall blocks at limit: Bruck", 8, alltoall(blocks(alltoallBruckThreshold)), 24, 3},
+		{"alltoall blocks past limit: pairwise", 8, alltoall(blocks(alltoallBruckThreshold + 1)), 56, 7},
+		// Bruck would send the same one message per rank at p = 2.
+		{"alltoall p=2: pairwise", 2, alltoall(blocks(8)), 2, 1},
+		{"alltoall uneven on every rank: pairwise", 8, alltoall(func(d int) int64 { return int64(64 + d) }), 56, 7},
+		{"bcast at limit: binomial", 8, bcast(bcastChainThreshold), 7, 3},
+		{"bcast past limit: chain of one segment", 8, bcast(bcastChainThreshold + 1), 7, 1},
+		{"bcast 1 MiB: chain of eight segments", 8, bcast(8 * bcastSegment), 56, 8},
+	} {
+		sent := make(p2pCount, tc.p)
+		runWorld(t, tc.p, Config{P2P: sent}, tc.coll)
+		msgs, busiest := 0, 0
+		for _, n := range sent {
+			msgs += n
+			busiest = max(busiest, n)
+		}
+		if msgs != tc.msgs || busiest != tc.busiest {
+			t.Errorf("%s: %d messages, at most %d from one rank; want %d, %d",
+				tc.name, msgs, busiest, tc.msgs, tc.busiest)
+		}
+	}
+}
 
 func TestReduceBinomial(t *testing.T) {
 	for _, root := range []int{0, 3} {

@@ -62,16 +62,12 @@ func SimSuite() Suite {
 		},
 	})
 	size := []int64{256 << 10}
-	// Linear all-to-all: 255 outstanding channels per rank, the mailbox's widest case.
-	linear := bench.Config{Spec: cluster.Hydra(8, 1), Hierarchy: cluster.HydraHierarchy(8), CommSize: 256,
-		Coll: bench.Alltoall, Orders: [][]int{{0, 1, 2, 3}}, MPI: mpi.Config{ForceAlltoall: "linear"}}
 	for _, pt := range []struct {
 		name string
 		cfg  bench.Config
 	}{
 		{"Allreduce/ranks=512/c=64/256KB", figures.Figure6(size).Config},
 		{"Alltoall/ranks=2048/c=16/256KB", figures.Figure5(size).Config},
-		{"AlltoallLinear/ranks=256/256KB", linear},
 	} {
 		pt := pt
 		s.Benches = append(s.Benches, Bench{
