@@ -76,19 +76,21 @@ func Predict(sc Scenario, sigma []int) (Prediction, error) {
 }
 
 // predictor evaluates the model for many orders of one scenario without
-// allocating per order. A rank's place in the hierarchy is a point
-// computation (Algorithms 1–2), so a prediction touches only the cores of
-// the communicators it models — Reorderer.InverseRangeInto — and finds
-// each level's domains, occupancies and ring out-edges in one pass over
-// them, accumulating into dense per-level tables that are reset through
-// the list of entries touched. Not safe for concurrent use: every search
-// worker owns one.
+// allocating per order. Under an order a communicator is a range of
+// reordered ranks, in the usual case a box in digit space (§3.3), whose
+// occupancies, domains, ring out-edges and crossing level are products of
+// its extents: it is answered in closed form, O(k). Only a communicator
+// that is no box is walked, core by core (Reorderer.InverseRangeInto),
+// into dense per-level tables reset through the list of entries touched.
+// Not safe for concurrent use: every search worker owns one.
 type predictor struct {
-	sc     Scenario
-	ro     *mixedradix.Reorderer
-	k, p   int
-	levels []levelLoad // levels [0, k-1): the innermost level has no uplink
-	bus    levelLoad   // memory buses of the innermost domains (level k-2)
+	sc      Scenario
+	ro      *mixedradix.Reorderer
+	ar      []int       // the hierarchy's arities
+	n, k, p int         // its cores and levels; the communicator size
+	levels  []levelLoad // levels [0, k-1): the innermost level has no uplink
+	bus     levelLoad   // memory buses of the innermost domains (level k-2)
+	ext     []int       // the box's extent on each level, as box last set it
 
 	perEdge float64 // bytes one ring edge carries during an operation
 	perRank float64 // bytes one rank moves through its memory domain
@@ -151,8 +153,9 @@ func newPredictor(sc Scenario) (*predictor, error) {
 	}
 	B := float64(sc.Bytes)
 	pd := &predictor{
-		sc: sc, ro: ro, k: k, p: p,
+		sc: sc, ro: ro, ar: ar, n: n, k: k, p: p,
 		levels:  make([]levelLoad, max(k-1, 0)),
+		ext:     make([]int, k),
 		perRank: perRankBytes(sc.Coll, p, B),
 		rounds:  float64(p - 1),
 		cores:   make([]int, modelled),
@@ -203,6 +206,83 @@ func newPredictor(sc Scenario) (*predictor, error) {
 // predict estimates the collective duration under order sigma. The
 // returned Order is nil: the caller knows which order it asked about.
 func (pd *predictor) predict(sigma []int) (Prediction, error) {
+	if err := mixedradix.CheckOrder(pd.ar, sigma); err != nil {
+		return Prediction{}, err
+	}
+	if !pd.box(sigma) {
+		return pd.walk(sigma)
+	}
+	k, p := pd.k, pd.p
+	spans := k // the outermost level the box varies on
+	for l, r := range pd.ext {
+		if r > 1 {
+			spans = l
+			break
+		}
+	}
+	a := 1 // the box's cores in each domain of level l it touches
+	for l := k - 2; l >= 0; l-- {
+		a *= pd.ext[l+1]
+		ll := &pd.levels[l]
+		uplinks := ll.capacity > 0 && l >= spans
+		buses := l == k-2 && pd.bus.capacity > 0
+		if !uplinks && !buses {
+			continue
+		}
+		// Every domain touched is touched by as many communicators, each
+		// loading it alike. The walk's peak is their sum, added in turn:
+		// times·x can round differently.
+		times, x := 1, 0.0
+		if pd.sc.Simultaneous {
+			times = pd.n / p * (p / a) / (pd.n / ll.size)
+		}
+		if uplinks {
+			// A ring edge leaves the domain after each run of ranks that
+			// vary only levels faster than the fastest of 0..l varying.
+			run := 1
+			for _, j := range sigma {
+				if j <= l && pd.ext[j] > 1 {
+					break
+				}
+				run *= pd.ext[j]
+			}
+			x = pd.crossingBytes(a, a/run)
+		}
+		for range times {
+			if uplinks {
+				ll.peak += x
+			}
+			if buses {
+				pd.bus.peak += float64(a) * pd.perRank
+			}
+		}
+	}
+	return pd.finish(spans)
+}
+
+// box reports whether the first communicator under sigma, and with it
+// every other, is a box in digit space: the levels of sigma's shortest
+// covering prefix run over their full radix but the last, which runs
+// over an aligned part of it, and all other levels are fixed. It sets ext
+// to the box's extents. Every sigma passes when the arities are powers of two.
+func (pd *predictor) box(sigma []int) bool {
+	rest := pd.p // ranks still to lay out over the slower levels
+	for _, l := range sigma {
+		switch r := pd.ar[l]; {
+		case rest%r == 0:
+			pd.ext[l], rest = r, rest/r
+		case r%rest == 0:
+			pd.ext[l], rest = rest, 1
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// walk is predict for any communicator: one pass over the modelled cores
+// finds each level's domains, occupancies and ring out-edges.
+func (pd *predictor) walk(sigma []int) (Prediction, error) {
 	if err := pd.ro.Reset(sigma); err != nil {
 		return Prediction{}, err
 	}
@@ -266,6 +346,12 @@ func (pd *predictor) predict(sigma []int) (Prediction, error) {
 		}
 	}
 
+	return pd.finish(crossLevel)
+}
+
+// finish turns the peaks into the prediction, crossLevel being the
+// outermost level any communicator crosses, and clears them.
+func (pd *predictor) finish(crossLevel int) (Prediction, error) {
 	// Bottleneck: the most loaded link.
 	worst := 0.0
 	level := -1
@@ -283,7 +369,7 @@ func (pd *predictor) predict(sigma []int) (Prediction, error) {
 	if pd.bus.capacity > 0 {
 		if t := pd.bus.peak / pd.bus.capacity; t > worst {
 			worst = t
-			level = inner
+			level = pd.k - 2
 		}
 		pd.bus.reset()
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/perm"
+	"repro/internal/topology"
 )
 
 func cloudScenario(depth int, coll Collective, sim bool) Scenario {
@@ -17,26 +18,39 @@ func cloudScenario(depth int, coll Collective, sim bool) Scenario {
 }
 
 // TestPredictorAllocationFree: once built, a predictor evaluates an order
-// without touching the heap — one communicator or all 512 of them.
+// without touching the heap — one communicator or all 512 of them, in
+// closed form (the cloud boxes) or walked (⟦2,3,2⟧ at p=3, no box).
 func TestPredictorAllocationFree(t *testing.T) {
-	sigma := []int{11, 3, 7, 0, 1, 2, 4, 5, 6, 8, 9, 10}
-	for _, sc := range []Scenario{
-		cloudScenario(12, Alltoall, false), cloudScenario(12, Allreduce, false), cloudScenario(12, Allgather, true),
+	cloud := []int{11, 3, 7, 0, 1, 2, 4, 5, 6, 8, 9, 10}
+	walked := Scenario{Spec: cluster.Cloud(6), Hierarchy: topology.MustNew(2, 3, 2), Coll: Allgather, CommSize: 3,
+		Simultaneous: true, Bytes: 256 << 20}
+	for _, tc := range []struct {
+		sc    Scenario
+		sigma []int
+		box   bool
+	}{
+		{cloudScenario(12, Alltoall, false), cloud, true}, {cloudScenario(12, Allreduce, false), cloud, true},
+		{cloudScenario(12, Allgather, true), cloud, true}, {walked, []int{0, 1, 2}, false},
 	} {
+		sc := tc.sc
 		pd, err := newPredictor(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pd.predict(sigma); err != nil { // warm the touched lists
+		if pd.box(tc.sigma) != tc.box {
+			t.Fatalf("%v p=%d: box = %v, want %v", sc.Hierarchy.Arities(), sc.CommSize, !tc.box, tc.box)
+		}
+		if _, err := pd.predict(tc.sigma); err != nil { // warm the touched lists
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := pd.predict(sigma); err != nil {
+			if _, err := pd.predict(tc.sigma); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%s sim=%v: a warmed prediction allocates %.1f times, want 0", sc.Coll, sc.Simultaneous, allocs)
+			t.Errorf("%v %s sim=%v: a warmed prediction allocates %.1f times, want 0",
+				sc.Hierarchy.Arities(), sc.Coll, sc.Simultaneous, allocs)
 		}
 	}
 }

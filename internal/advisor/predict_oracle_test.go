@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/mixedradix"
 	"repro/internal/netmodel"
+	"repro/internal/perm"
 	"repro/internal/topology"
 )
 
@@ -236,7 +237,7 @@ func TestPredictEqualsOracle(t *testing.T) {
 			for _, sim := range []bool{false, true} {
 				for _, p := range divisorsOf(n) {
 					sc := Scenario{Spec: spec, Hierarchy: h, Coll: coll, CommSize: p, Simultaneous: sim,
-						Bytes: int64(1+rng.Intn(1<<20)) << 8}
+						Bytes: 1 + rng.Int63n(1<<28-1)}
 					pd, err := newPredictor(sc)
 					if err != nil {
 						t.Fatal(err)
@@ -268,6 +269,100 @@ func TestPredictEqualsOracleOnMachines(t *testing.T) {
 						t.Fatal(err)
 					}
 					checkAgainstOracle(t, pd, sc, rng.Perm(h.Depth()))
+				}
+			}
+		}
+	}
+}
+
+// TestPredictBoxEqualsLoop holds the closed form to the walk it replaces
+// on boxes, bit for bit: every order of cloud depth 6–8, Hydra ⟦16,2,2,8⟧,
+// LUMI ⟦4,2,4,2,8⟧ and the mixed radices ⟦3,3,3,2,2,2⟧, every
+// communicator size from 1 up, the three collectives, one and all
+// communicators, byte counts that are no multiple of 256. Every scenario
+// of the served, power-of-two machines must take the box path, so a
+// silent fall-back to the walk fails here instead of only slowing the
+// search; their float sums are exact, so the mixed radices are the ones
+// that hold the closed form to the walk's order of additions. The shapes
+// after them are no boxes and must take the walk. Where the order spaces
+// are large, each order is tried under a share of the scenarios, every
+// scenario under hundreds of orders.
+func TestPredictBoxEqualsLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	// check compares predict with the walk and reports whether it took
+	// the box path.
+	check := func(pd *predictor, sigma []int) bool {
+		t.Helper()
+		sc := pd.sc
+		box := pd.box(sigma)
+		got, gerr := pd.predict(sigma)
+		want, werr := pd.walk(sigma)
+		if (gerr != nil) != (werr != nil) || gerr != nil && gerr.Error() != werr.Error() {
+			t.Fatalf("%v %s p=%d sim=%v σ=%v: error %v, walk %v",
+				sc.Hierarchy.Arities(), sc.Coll, sc.CommSize, sc.Simultaneous, sigma, gerr, werr)
+		}
+		if got.Time != want.Time || got.Bandwidth != want.Bandwidth || got.Latency != want.Latency ||
+			got.BottleneckLevel != want.BottleneckLevel {
+			t.Fatalf("%v %s p=%d sim=%v σ=%v box=%v:\n got %+v\nwalk %+v",
+				sc.Hierarchy.Arities(), sc.Coll, sc.CommSize, sc.Simultaneous, sigma, box, got, want)
+		}
+		return box
+	}
+	// machine runs every order under every scenario when stride is 1,
+	// else order i under scenario s only where i+s is a multiple of it.
+	machine := func(spec netmodel.Spec, h topology.Hierarchy, stride int, served bool) {
+		orders := perm.All(h.Depth())
+		s, boxes := 0, 0
+		for _, coll := range []Collective{Alltoall, Allgather, Allreduce} {
+			for _, sim := range []bool{false, true} {
+				for _, p := range append([]int{1}, divisorsOf(h.Size())...) {
+					sc := Scenario{Spec: spec, Hierarchy: h, Coll: coll, CommSize: p, Simultaneous: sim,
+						Bytes: 1 + rng.Int63n(1<<28-1)}
+					pd, err := newPredictor(sc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := (stride - s%stride) % stride; i < len(orders); i += stride {
+						if check(pd, orders[i]) {
+							boxes++
+						} else if served {
+							t.Fatalf("%v %s p=%d sim=%v σ=%v: walked, want the box path",
+								h.Arities(), coll, p, sim, orders[i])
+						}
+					}
+					s++
+				}
+			}
+		}
+		if boxes == 0 {
+			t.Fatalf("%v: no scenario took the box path", h.Arities())
+		}
+	}
+	for _, m := range []struct {
+		spec   netmodel.Spec
+		stride int
+	}{{cluster.Cloud(6), 1}, {cluster.Cloud(7), 8}, {cluster.Cloud(8), 48}, {cluster.Hydra(16, 1), 1}, {cluster.LUMI(4), 1}} {
+		machine(m.spec, m.spec.Hierarchy(), m.stride, true)
+	}
+	machine(cluster.Cloud(6), topology.MustNew(3, 3, 3, 2, 2, 2), 4, false)
+	for _, tc := range []struct {
+		ar    []int
+		p     int
+		sigma []int
+	}{
+		{[]int{3, 2}, 2, []int{0, 1}},
+		{[]int{2, 3}, 3, []int{0, 1}},
+		{[]int{2, 3, 2}, 3, []int{0, 1, 2}},
+	} {
+		for _, coll := range []Collective{Alltoall, Allgather, Allreduce} {
+			for _, sim := range []bool{false, true} {
+				pd, err := newPredictor(Scenario{Spec: cluster.Cloud(6), Hierarchy: topology.MustNew(tc.ar...),
+					Coll: coll, CommSize: tc.p, Simultaneous: sim, Bytes: 1 + rng.Int63n(1<<28-1)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if check(pd, tc.sigma) {
+					t.Fatalf("%v p=%d σ=%v: took the box path, want the walk", tc.ar, tc.p, tc.sigma)
 				}
 			}
 		}
