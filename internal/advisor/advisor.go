@@ -96,10 +96,13 @@ type predictor struct {
 	perRank float64 // bytes one rank moves through its memory domain
 	rounds  float64 // latency-bound steps of the schedule
 
-	cores []int // old ranks of the modelled communicators' reordered ranks
-	// occ and out count, by domain of the level in hand, the communicator's
-	// ranks inside and its ring edges leaving; seen lists the domains met.
-	// All three are clean between levels.
+	// The walk's tables, built by its first call: a predictor that only
+	// answers boxes never holds them. cores are the old ranks of the
+	// modelled communicators' reordered ranks; occ and out count, by domain
+	// of the level in hand, the communicator's ranks inside and its ring
+	// edges leaving; seen lists the domains met. occ, out and seen are
+	// clean between levels.
+	cores    []int
 	occ, out []int
 	seen     []int
 }
@@ -147,10 +150,6 @@ func newPredictor(sc Scenario) (*predictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	modelled := p // only the first communicator, unless all run at once
-	if sc.Simultaneous {
-		modelled = n
-	}
 	B := float64(sc.Bytes)
 	pd := &predictor{
 		sc: sc, ro: ro, ar: ar, n: n, k: k, p: p,
@@ -158,8 +157,6 @@ func newPredictor(sc Scenario) (*predictor, error) {
 		ext:     make([]int, k),
 		perRank: perRankBytes(sc.Coll, p, B),
 		rounds:  float64(p - 1),
-		cores:   make([]int, modelled),
-		seen:    make([]int, 0, p),
 	}
 	switch sc.Coll {
 	case Alltoall:
@@ -185,22 +182,34 @@ func newPredictor(sc Scenario) (*predictor, error) {
 				ll.capacity *= float64(sc.Spec.NICsPerNode)
 			}
 		}
-		if ll.capacity > 0 {
-			ll.bytes = make([]float64, n/size)
-		}
 		pd.levels[l] = ll
 	}
-	if inner := k - 2; inner >= 0 {
-		domains := n / pd.levels[inner].size // no level has more
-		if inner < len(sc.Spec.Levels) {
-			pd.bus.capacity = sc.Spec.Levels[inner].BusBandwidth
+	if inner := k - 2; inner >= 0 && inner < len(sc.Spec.Levels) {
+		pd.bus.capacity = sc.Spec.Levels[inner].BusBandwidth
+	}
+	return pd, nil
+}
+
+// tables builds the walk's tables: the modelled cores, one communicator's
+// or all of them, and the per-domain counters and byte loads.
+func (pd *predictor) tables() {
+	modelled := pd.p // only the first communicator, unless all run at once
+	if pd.sc.Simultaneous {
+		modelled = pd.n
+	}
+	pd.cores, pd.seen = make([]int, modelled), make([]int, 0, pd.p)
+	for l := range pd.levels {
+		if ll := &pd.levels[l]; ll.capacity > 0 {
+			ll.bytes = make([]float64, pd.n/ll.size)
 		}
+	}
+	if inner := pd.k - 2; inner >= 0 {
+		domains := pd.n / pd.levels[inner].size // no level has more
 		if pd.bus.capacity > 0 {
 			pd.bus.bytes = make([]float64, domains)
 		}
 		pd.occ, pd.out = make([]int, domains), make([]int, domains)
 	}
-	return pd, nil
 }
 
 // predict estimates the collective duration under order sigma. The
@@ -285,6 +294,9 @@ func (pd *predictor) box(sigma []int) bool {
 func (pd *predictor) walk(sigma []int) (Prediction, error) {
 	if err := pd.ro.Reset(sigma); err != nil {
 		return Prediction{}, err
+	}
+	if pd.cores == nil {
+		pd.tables()
 	}
 	pd.ro.InverseRangeInto(pd.cores, 0)
 	k, p := pd.k, pd.p

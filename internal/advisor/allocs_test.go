@@ -19,7 +19,8 @@ func cloudScenario(depth int, coll Collective, sim bool) Scenario {
 
 // TestPredictorAllocationFree: once built, a predictor evaluates an order
 // without touching the heap — one communicator or all 512 of them, in
-// closed form (the cloud boxes) or walked (⟦2,3,2⟧ at p=3, no box).
+// closed form (the cloud boxes) or walked (⟦2,3,2⟧ at p=3, no box) — and
+// one that has only answered boxes holds none of the walk's tables.
 func TestPredictorAllocationFree(t *testing.T) {
 	cloud := []int{11, 3, 7, 0, 1, 2, 4, 5, 6, 8, 9, 10}
 	walked := Scenario{Spec: cluster.Cloud(6), Hierarchy: topology.MustNew(2, 3, 2), Coll: Allgather, CommSize: 3,
@@ -52,26 +53,44 @@ func TestPredictorAllocationFree(t *testing.T) {
 			t.Errorf("%v %s sim=%v: a warmed prediction allocates %.1f times, want 0",
 				sc.Hierarchy.Arities(), sc.Coll, sc.Simultaneous, allocs)
 		}
+		if held := walkTables(pd); held == tc.box {
+			t.Errorf("%v %s sim=%v: walk tables held = %v, want %v", sc.Hierarchy.Arities(), sc.Coll, sc.Simultaneous, held, !tc.box)
+		}
 	}
 }
 
+// walkTables reports whether the predictor holds any of the walk's tables.
+func walkTables(pd *predictor) bool {
+	held := pd.cores != nil || pd.occ != nil || pd.out != nil || pd.seen != nil || pd.bus.bytes != nil
+	for _, ll := range pd.levels {
+		held = held || ll.bytes != nil
+	}
+	return held
+}
+
 // TestSearchNodesAllocationFree pins the per-node cost of the bounded
-// search where the node budget is burnt: with every communicator running
-// at once, a subtree below a covering prefix — interior nodes that only
+// search where the node budget is burnt, with every communicator running
+// at once. Below a covering prefix that has used a level outer to every
+// free one, the subtree is settled (fact 3) and collapsed: its canonical
+// completion walked and evaluated, its next completions filed with the
+// shared prediction and the rest counted in closed form. Below one that
+// has not, the subtree is walked node by node — interior nodes that only
 // compare the carried-down bound, full-order leaves that hit the memo and
-// tie the incumbents without reaching the answer — and a subtree pruned
-// at its root are walked without a single allocation, and walking them
-// again changes neither the evaluations nor the incumbents.
+// tie the incumbents without reaching the answer — until its nodes settle
+// too. Both, and a subtree pruned at its root, are searched without a
+// single allocation, and searching them again changes neither the
+// evaluations nor the incumbents.
 func TestSearchNodesAllocationFree(t *testing.T) {
 	e, err := newBnbEngine(context.Background(), cloudScenario(10, Alltoall, true), 5, nodeBudget, progressEvery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// subtree walks the search below the given path, reached by hand
-	// through the search's own step: the first communicator is picked up
-	// where the path covers it, and the way back up undoes the world
-	// profile, so the next walk starts from the root again.
-	subtree := func(path []int) {
+	// subtree searches below the given path, reached by hand through the
+	// search's own step, and reports whether the path's node is settled:
+	// the first communicator is picked up where the path covers it, and the
+	// way back up undoes the world profile, so the next search starts from
+	// the root again.
+	subtree := func(path []int) bool {
 		for depth, l := range path {
 			if err := e.cover(depth); err != nil {
 				t.Fatal(err)
@@ -81,21 +100,29 @@ func TestSearchNodesAllocationFree(t *testing.T) {
 		if e.path[len(path)].id < 0 {
 			t.Fatal("no proper prefix of the path covers the communicator: nothing was carried down")
 		}
+		settled := e.settled(len(path))
 		if err := e.dfs(len(path)); err != nil {
 			t.Fatal(err)
 		}
 		for depth := len(path) - 1; depth >= 0; depth-- {
 			e.ascend(depth)
 		}
+		return settled
 	}
 	// The best orders of this scenario start 6-7-8-9-0-1-2 and the worst
 	// 0-1-2-3-4-5-6: once the incumbents hold the former, the latter's
 	// subtree is pruned at its root, and each leaf below the sibling
 	// 6-7-8-9-0-1-3 ties the last incumbent's bandwidth but sorts after it.
-	subtree([]int{6, 7, 8, 9, 0, 1, 2})
-	tie, worst := []int{6, 7, 8, 9, 0, 1, 3}, []int{0, 1, 2, 3, 4, 5, 6}
-	subtree(tie) // its memo misses
+	// 6-7-8-9-1-2-3 has not used level 0, which is still free.
+	if !subtree([]int{6, 7, 8, 9, 0, 1, 2}) {
+		t.Fatal("the subtree below 6-7-8-9-0-1-2 is not settled")
+	}
+	tie, worst, walked := []int{6, 7, 8, 9, 0, 1, 3}, []int{0, 1, 2, 3, 4, 5, 6}, []int{6, 7, 8, 9, 1, 2, 3}
+	subtree(tie) // its memo misses, as do some below walked
 	subtree(worst)
+	if subtree(walked) {
+		t.Fatal("the subtree below 6-7-8-9-1-2-3 is settled")
+	}
 	last := e.inc.leaves[len(e.inc.leaves)-1]
 	leaf := append(slices.Clone(tie), 2, 4, 5)
 	for more := true; more; more = nextPermutation(leaf[len(tie):]) {
@@ -109,15 +136,15 @@ func TestSearchNodesAllocationFree(t *testing.T) {
 	}
 	nodes, evals, covered := e.nodes, e.evals, e.covered
 	held := slices.Clone(e.inc.leaves)
-	allocs := testing.AllocsPerRun(10, func() { subtree(tie); subtree(worst) })
+	allocs := testing.AllocsPerRun(10, func() { subtree(tie); subtree(worst); subtree(walked) })
 	if allocs != 0 {
 		t.Errorf("warmed subtrees of %d nodes allocate %.1f times, want 0", (e.nodes-nodes)/11, allocs)
 	}
 	if e.covered == covered {
-		t.Error("re-walking reached no leaf")
+		t.Error("searching again reached no leaf")
 	}
 	if e.evals != evals || !reflect.DeepEqual(e.inc.leaves, held) || !e.inc.full {
-		t.Errorf("re-walking the subtrees changed the search: %d more orders evaluated, incumbents %v → %v",
+		t.Errorf("searching the subtrees again changed the search: %d more orders evaluated, incumbents %v → %v",
 			e.evals-evals, held, e.inc.leaves)
 	}
 }

@@ -38,6 +38,18 @@
 // DFS and the beam share that step. A leaf finds its class by the
 // fingerprint and verifies it; one that cannot enter the incumbents is
 // rejected before their sort.
+//
+// Fact 3 joins the two: a settled subtree is one class. Under
+// Simultaneous, once a covered prefix has used a level outer to every
+// level still free, each step below it adds its crossings to that level's
+// profile entry, and they telescope to the prefix's carries (a full order
+// carries none), so all (k−t)! completions share one memo key and one
+// prediction, and none of them can be pruned. The DFS walks and evaluates
+// the canonical completion, files the next completions the incumbents can
+// still take, and counts the subtree's other nodes and leaves in closed
+// form (treeSize, leavesBefore), firing the heartbeats they cross and
+// stopping where the node budget does: O(top + k + heartbeats) instead of
+// O(subtree), with every count and event the node-by-node walk produces.
 
 package advisor
 
@@ -236,9 +248,14 @@ func searchBounded(ctx context.Context, sc Scenario, opts SearchOptions, budget 
 // run searches with the branch-and-bound and, once the node budget is
 // spent, answers from a beam of width orders per level.
 func (e *bnbEngine) run(width int) (*SearchResult, error) {
+	return e.answer(e.dfs(0), width)
+}
+
+// answer turns the branch-and-bound's outcome err into the result,
+// running the beam of width orders per level when the budget was spent.
+func (e *bnbEngine) answer(err error, width int) (*SearchResult, error) {
 	mode := ModeBnB
 	gap := 0.0
-	err := e.dfs(0)
 	if errors.Is(err, errNodeBudget) {
 		// Budget spent: discard the partial branch-and-bound incumbents
 		// (their pruning accounting is no longer meaningful) and answer
@@ -619,7 +636,7 @@ func (e *bnbEngine) ascend(t int) {
 
 // dfs walks the prefix tree depth-first from the node e.sigma[:t],
 // children in ascending level order so leaves arrive in canonical
-// (lexicographic) order.
+// (lexicographic) order; a settled subtree is collapsed.
 func (e *bnbEngine) dfs(t int) error {
 	if err := e.visit(); err != nil {
 		return err
@@ -628,11 +645,15 @@ func (e *bnbEngine) dfs(t int) error {
 		return err
 	}
 	if e.isLeaf(t) {
-		return e.evalLeaf(t)
+		_, err := e.evalLeaf(t)
+		return err
 	}
 	if t > 0 && e.inc.full && e.bound(t) > e.inc.thr {
 		e.pruned += perm.Factorial(e.k - t)
 		return nil
+	}
+	if e.settled(t) {
+		return e.collapse(t)
 	}
 	for free := e.all &^ e.path[t].used; free != 0; free &= free - 1 {
 		e.descend(t, bits.TrailingZeros32(free))
@@ -643,6 +664,96 @@ func (e *bnbEngine) dfs(t int) error {
 		}
 	}
 	return nil
+}
+
+// settled reports whether the interior node e.sigma[:t], not pruned, is
+// one class (fact 3): every world communicator runs at once, a prefix
+// covers the first, and the outermost level used is outer to every free
+// level, so every step below adds its crossings to the same profile entry.
+func (e *bnbEngine) settled(t int) bool {
+	s := &e.path[t]
+	return e.sc.Simultaneous && s.id >= 0 && bits.TrailingZeros32(e.all&^s.used) > s.minLevel
+}
+
+// collapse searches the settled node e.sigma[:t]'s subtree as the DFS
+// would, in O(top + k + heartbeats): it walks and evaluates the canonical
+// completion, files the next completions the incumbents can still take
+// with the shared prediction, and counts the other nodes and leaves in
+// closed form, firing every heartbeat they cross and stopping where the
+// node budget does. Nothing below the node is pruned: a retained leaf
+// keeps thr at or above its Time, which the admissible lb bounds, and a
+// rejected one leaves the incumbents as they were.
+func (e *bnbEngine) collapse(t int) error {
+	r := e.k - t
+	base, covered := e.nodes-1, e.covered // before the node and its leaves
+	u := t
+	var err error
+	for ; u < e.k && err == nil; u++ {
+		e.descend(u, bits.TrailingZeros32(e.all&^e.path[u].used))
+		err = e.visit()
+	}
+	var pr Prediction
+	if err == nil {
+		pr, err = e.evalLeaf(e.k)
+	}
+	for u--; u >= t; u-- {
+		e.ascend(u)
+	}
+	if err != nil {
+		return err
+	}
+	for m := 1; m < e.inc.top && nextPermutation(e.sigma[t:]); m++ {
+		e.inc.insert(classLeaf{order: e.sigma, split: e.k, pr: pr, size: 1})
+	}
+	size := treeSize(r)
+	stop := e.budget + 1
+	if size <= e.budget-base {
+		stop = base + size
+	}
+	for e.tick <= stop-e.nodes {
+		e.nodes += e.tick
+		e.tick = e.every
+		e.covered = covered + leavesBefore(r, e.nodes-base-1)
+		e.emit(progressCoverage)
+	}
+	e.tick -= stop - e.nodes
+	e.nodes = stop
+	if stop > e.budget {
+		return errNodeBudget
+	}
+	e.covered = covered + perm.Factorial(r)
+	return e.ctx.Err()
+}
+
+// treeSize is the node count of a prefix subtree with r free levels,
+// Σ_{j=0..r} r!/(r−j)! = 1 + r·treeSize(r−1), saturating at MaxInt64.
+func treeSize(r int) int64 {
+	n := int64(1)
+	for j := int64(1); j <= int64(r); j++ {
+		if n > (math.MaxInt64-1)/j {
+			return math.MaxInt64
+		}
+		n = 1 + j*n
+	}
+	return n
+}
+
+// leavesBefore counts the leaves at preorder indices below i in a prefix
+// subtree with r free levels, its root at index 0.
+func leavesBefore(r int, i int64) int64 {
+	var n int64
+	for ; r > 0 && i > 0; r-- {
+		i-- // the root
+		sub := treeSize(r - 1)
+		if q := i / sub; q > 0 {
+			n += q * perm.Factorial(r-1)
+		}
+		i %= sub
+	}
+	if r == 0 && i > 0 {
+		n++
+	}
+	return n
 }
 
 // isLeaf: a covering prefix is a leaf unless every world communicator
@@ -711,9 +822,9 @@ func (e *bnbEngine) complete(t int, used uint32) []int {
 }
 
 // evalLeaf predicts the (shared) cost of all completions of the leaf
-// e.sigma[:t], memoized by placement signature, and feeds the incumbents
-// and the worst-evaluated tracker.
-func (e *bnbEngine) evalLeaf(t int) error {
+// e.sigma[:t], memoized by placement signature, feeds the incumbents and
+// the worst-evaluated tracker, and returns the prediction.
+func (e *bnbEngine) evalLeaf(t int) (Prediction, error) {
 	sigma := e.complete(t, e.path[t].used)
 	fp, key := e.leafKey(t)
 	var pr Prediction
@@ -722,7 +833,7 @@ func (e *bnbEngine) evalLeaf(t int) error {
 	} else {
 		var err error
 		if pr, err = e.pd.predict(sigma); err != nil {
-			return err
+			return Prediction{}, err
 		}
 		e.evals++
 		e.preds = append(e.preds, pr)
@@ -742,7 +853,7 @@ func (e *bnbEngine) evalLeaf(t int) error {
 		slices.Reverse(e.worst.Order[t:])
 		e.haveWorst = true
 	}
-	return nil
+	return pr, nil
 }
 
 // leafKey returns the fingerprint and memo key of the leaf e.sigma[:t].
@@ -782,7 +893,7 @@ func (e *bnbEngine) beam(width int) (float64, error) {
 				e.descend(t, bits.TrailingZeros32(free))
 				err := e.cover(t + 1)
 				if err == nil && e.isLeaf(t+1) {
-					err = e.evalLeaf(t + 1)
+					_, err = e.evalLeaf(t + 1)
 				} else if err == nil {
 					node := append(append(make([]int, 0, t+1+e.k), e.sigma[:t+1]...), e.prof[:e.k]...)
 					next = append(next, cand{node: node, st: e.path[t+1], lb: e.bound(t + 1)})
