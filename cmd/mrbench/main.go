@@ -10,12 +10,10 @@
 //	mrbench -fig 0 -maxsize 8MB     # all figures, truncated size sweep
 //	mrbench -legend                 # only print the legend metrics
 //	mrbench -classes                # order-search equivalence-class stats
-//	mrbench -fig 3 -maxsize 1MB -faults "straggle:rank=3,factor=4"
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -26,7 +24,6 @@ import (
 
 	"repro/internal/advisor"
 	"repro/internal/bench"
-	"repro/internal/fault"
 	"repro/internal/figures"
 	"repro/internal/obs"
 	"repro/internal/study"
@@ -43,23 +40,7 @@ func main() {
 	studySize := flag.String("studysize", "16MB", "total collective size for -study")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
 	metricsOut := flag.String("metrics", "", "write Prometheus text metrics of the run to this file")
-	faults := flag.String("faults", "", "deterministic fault plan (DSL or JSON, see internal/fault) injected into every run")
-	faultSeed := flag.Int64("faultseed", 0, "override the fault plan's seed (for chaos events)")
 	flag.Parse()
-
-	var plan *fault.Plan
-	if *faults != "" {
-		var err error
-		plan, err = fault.Parse(*faults)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mrbench:", err)
-			os.Exit(2)
-		}
-		if *faultSeed != 0 {
-			plan.Seed = *faultSeed
-		}
-		fmt.Printf("fault plan %q (hash %s)\n", plan.String(), plan.Hash())
-	}
 
 	var sc *obs.Scope
 	if *traceOut != "" || *metricsOut != "" {
@@ -102,10 +83,10 @@ func main() {
 		cfg := figures.Figure3(nil).Config
 		cfg.Iters = *iters
 		cfg.MPI.Obs = sc
-		cfg.MPI.Faults = plan
 		res, err := study.Run(cfg, size)
 		if err != nil {
-			reportRunError(err)
+			fmt.Fprintln(os.Stderr, "mrbench:", err)
+			os.Exit(1)
 		}
 		fmt.Print(res.Render())
 		writeArtifacts()
@@ -144,10 +125,10 @@ func main() {
 		mb := all[f]
 		mb.Config.Iters = *iters
 		mb.Config.MPI.Obs = sc
-		mb.Config.MPI.Faults = plan
 		series, err := bench.Run(mb.Config)
 		if err != nil {
-			reportRunError(err)
+			fmt.Fprintln(os.Stderr, "mrbench:", err)
+			os.Exit(1)
 		}
 		fmt.Println(figures.RenderSeries(mb, series))
 		if *csvDir != "" {
@@ -165,18 +146,6 @@ func main() {
 		}
 	}
 	writeArtifacts()
-}
-
-// reportRunError distinguishes a benchmark aborted by an injected kill
-// (the typed rank-lost error, expected under crash plans) from genuine
-// failures, then exits nonzero.
-func reportRunError(err error) {
-	if errors.Is(err, fault.ErrRankLost) {
-		fmt.Fprintln(os.Stderr, "mrbench: benchmark aborted by injected fault:", err)
-	} else {
-		fmt.Fprintln(os.Stderr, "mrbench:", err)
-	}
-	os.Exit(1)
 }
 
 func parseSize(s string) (int64, error) {

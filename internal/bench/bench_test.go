@@ -1,12 +1,9 @@
 package bench
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/fault"
-	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -142,44 +139,6 @@ func TestAllgatherAndAllreduceRun(t *testing.T) {
 		if pt.Bandwidth <= 0 {
 			t.Errorf("%s: bandwidth %v", coll, pt.Bandwidth)
 		}
-	}
-}
-
-// mrbench -faults is the one production consumer of the fault plans: a
-// kill clause must abort the measurement with the typed error, never hang
-// it, and a straggler must cost bandwidth.
-func TestMeasureUnderFaults(t *testing.T) {
-	cfg, _ := smallHydra()
-	packed := []int{3, 2, 1, 0}
-	clean, err := Measure(cfg, packed, 1<<20, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg.MPI.Faults, err = fault.Parse("node:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Measure(cfg, packed, 1<<20, true)
-	if !errors.Is(err, fault.ErrRankLost) || errors.Is(err, sim.ErrDeadlock) {
-		t.Fatalf("Measure with node 0 killed: %v, want an error wrapping fault.ErrRankLost", err)
-	}
-	var lost *fault.RankLostError
-	// Ranks are bound to cores in order, 32 to a Hydra node.
-	if !errors.As(err, &lost) || lost.Node != 0 || lost.Rank < 0 || lost.Rank >= 32 {
-		t.Errorf("error names %+v, want a rank of node 0", lost)
-	}
-
-	cfg.MPI.Faults, err = fault.Parse("straggle:rank=3,factor=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := Measure(cfg, packed, 1<<20, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slow.Bandwidth >= clean.Bandwidth {
-		t.Errorf("straggler did not cost bandwidth: %.3g with, %.3g clean", slow.Bandwidth, clean.Bandwidth)
 	}
 }
 

@@ -2,31 +2,33 @@ package fault
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
-// FuzzParsePlan drives the fault-plan parser with arbitrary inputs in both
-// the DSL and JSON forms. The parser must never panic, every error must
-// wrap ErrBadPlan, and anything it accepts must survive the canonical
-// round trip (Parse → String → Parse → same canonical form) and
-// materialize deterministically within the documented limits.
+// FuzzParsePlan drives the fault-plan parser with arbitrary inputs. The
+// parser must never panic, every error must wrap ErrBadPlan, and anything
+// it accepts must stay within MaxEvents and expand deterministically into
+// in-range replica kills and restarts.
 func FuzzParsePlan(f *testing.F) {
+	f.Add("seed=42;replica-chaos:kills=1,by=1.6s,restart=2s@t=1.1s") // make smoke-fleet
+	f.Add("seed=42;replica-chaos:kills=1,by=450ms@t=350ms")          // the fleet chaos test
+	f.Add("replica-chaos:1@t=-1")                                    // negative time
+	f.Add("replica-chaos:1@t=1e308s")
+	f.Add("replica-chaos:kills=100000")
+	f.Add("replica-chaos:kills=2,by=nan")
+	f.Add("seed=9223372036854775807")
+	f.Add("{")
+	f.Add(";;;")
+	// One clause of each kind the grammar no longer has.
 	f.Add("seed=7;node:3@t=50ms")
+	f.Add("rank:0;rank:1;rank:2")
 	f.Add("straggle:rank=17,factor=4,level=2")
 	f.Add("link:level=2,degrade=0.5@t=1ms")
 	f.Add("chaos:ranks=2,by=100ms")
-	f.Add("replica:1@t=2s;restart:replica=1@t=6s")
-	f.Add("replica-chaos:kills=2,by=3s,restart=2s")
-	f.Add("rank:0;rank:1;rank:2")
-	f.Add("node:3@t=-1")            // negative time
-	f.Add("link:level=1,degrade=2") // degrade > 1
-	f.Add("seed=9223372036854775807")
+	f.Add("replica:1@t=2s")
+	f.Add("restart:replica=1@t=6s")
 	f.Add(`{"seed": 1, "events": [{"kind": "rank", "target": 2}]}`)
-	f.Add(`{"events": [{"kind": "chaos", "target": 100000}]}`)
-	f.Add("{")
-	f.Add(";;;")
-	f.Add("node:1@t=1e308s")
-	f.Add("straggle:rank=1,factor=nan")
 
 	f.Fuzz(func(t *testing.T, s string) {
 		p, err := Parse(s)
@@ -39,28 +41,17 @@ func FuzzParsePlan(f *testing.F) {
 		if len(p.Events) > MaxEvents {
 			t.Fatalf("accepted %d events (limit %d)", len(p.Events), MaxEvents)
 		}
-		canon := p.String()
-		p2, err := Parse(canon)
-		if err != nil {
-			t.Fatalf("canonical form %q does not re-parse: %v", canon, err)
+		const fleet = 5
+		a := p.FleetEvents(fleet)
+		if !reflect.DeepEqual(a, p.FleetEvents(fleet)) {
+			t.Fatalf("FleetEvents not deterministic for %q", s)
 		}
-		if p2.String() != canon {
-			t.Fatalf("canonical form unstable: %q → %q", canon, p2.String())
-		}
-		if p.Hash() != p2.Hash() {
-			t.Fatalf("hash differs across round trip for %q", s)
-		}
-		a := p.Materialize(32, 4)
-		b := p.Materialize(32, 4)
-		if len(a) != len(b) {
-			t.Fatalf("Materialize not deterministic for %q", s)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("Materialize not deterministic for %q at %d", s, i)
+		for _, ev := range a {
+			if ev.Kind != KindReplicaKill && ev.Kind != KindReplicaRestart {
+				t.Fatalf("%q: %s event survived expansion: %+v", s, ev.Kind, ev)
 			}
-			if a[i].Kind == KindChaos {
-				t.Fatalf("chaos event survived materialization: %+v", a[i])
+			if ev.Target < 0 || ev.Target >= fleet || !(ev.At >= 0 && ev.At <= 2*MaxTime) {
+				t.Fatalf("%q: event out of range: %+v", s, ev)
 			}
 		}
 	})

@@ -1,10 +1,13 @@
+// Package fault holds the seeded chaos schedule of the serving tier: a
+// fault plan, parsed from a small DSL, whose replica-chaos clauses expand
+// into replica kills and restarts at times that depend only on the seed
+// and the fleet size. mrgate -print-plan prints the schedule and the
+// fleet's chaos drills follow it.
 package fault
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -24,76 +27,48 @@ func badf(format string, args ...any) error {
 type Kind string
 
 const (
-	// KindNode crashes every rank on one node at time At.
-	KindNode Kind = "node"
-	// KindRank crashes a single world rank at time At.
-	KindRank Kind = "rank"
-	// KindStraggle slows one rank down by Factor from time At on: its
-	// compute and communication take Factor times longer.
-	KindStraggle Kind = "straggle"
-	// KindLink multiplies the capacity of every link at hierarchy level
-	// Level by Factor (0 < Factor <= 1) at time At.
-	KindLink Kind = "link"
-	// KindChaos expands (via Materialize) into Target rank crashes at
-	// seed-deterministic times drawn uniformly from [0, By].
-	KindChaos Kind = "chaos"
-
-	// The fleet-scoped kinds below target serving replicas instead of MPI
-	// ranks: they are expanded by FleetEvents and skipped by Materialize,
-	// so one plan can describe both a degraded simulation and the chaos
-	// schedule of the serving tier that advises it.
-
 	// KindReplicaKill crashes serving replica Target at time At.
 	KindReplicaKill Kind = "replica"
 	// KindReplicaRestart restarts serving replica Target at time At.
 	KindReplicaRestart Kind = "restart"
 	// KindReplicaChaos expands (via FleetEvents) into Target replica kills
 	// at seed-deterministic times drawn uniformly from [At, By], each
-	// followed by a restart Restart seconds later when Restart > 0.
+	// followed by a restart Restart seconds later when Restart > 0. It is
+	// the one kind a plan states; FleetEvents emits the other two.
 	KindReplicaChaos Kind = "replica-chaos"
 )
 
 // Plan limits; plans are tiny configuration, not bulk data.
 const (
-	MaxEvents       = 256
-	MaxChaosKills   = 4096
-	MaxStraggleFact = 1e6
-	MaxTime         = 1e9 // seconds of virtual time
+	MaxEvents     = 256
+	MaxChaosKills = 4096
+	MaxTime       = 1e9 // seconds
 )
 
 // Event is one fault in a plan. Which fields are meaningful depends on
 // Kind; see the Kind constants.
 type Event struct {
-	Kind    Kind    `json:"kind"`
-	Target  int     `json:"target,omitempty"`  // node, rank, replica, or chaos kill count
-	Level   int     `json:"level,omitempty"`   // link: hierarchy level
-	Factor  float64 `json:"factor,omitempty"`  // straggle slowdown or link capacity multiplier
-	At      float64 `json:"at,omitempty"`      // virtual time, seconds
-	By      float64 `json:"by,omitempty"`      // chaos: upper bound for kill times
-	Restart float64 `json:"restart,omitempty"` // replica-chaos: restart delay after each kill
+	Kind    Kind
+	Target  int     // replica, or the replica-chaos kill count
+	At      float64 // seconds from the start of the run
+	By      float64 // replica-chaos: upper bound for kill times
+	Restart float64 // replica-chaos: restart delay after each kill
 }
 
 // Plan is a deterministic fault schedule. The zero Plan injects nothing.
 type Plan struct {
-	Seed   int64   `json:"seed"`
-	Events []Event `json:"events"`
+	Seed   int64
+	Events []Event
 }
 
 // Empty reports whether the plan injects no faults.
 func (p *Plan) Empty() bool { return p == nil || len(p.Events) == 0 }
 
-// Parse reads a fault plan from either the compact DSL or (when the input
-// starts with '{') the JSON form. The DSL is semicolon-separated clauses:
+// Parse reads a fault plan from the compact DSL: semicolon-separated
+// clauses, such as
 //
 //	seed=7
-//	node:3@t=50ms
-//	rank:17@t=50ms
-//	straggle:rank=17,factor=4@t=2ms
-//	link:level=2,degrade=0.5@t=1ms
-//	chaos:ranks=2,by=100ms
-//	replica:1@t=2s
-//	restart:replica=1@t=6s
-//	replica-chaos:kills=1,by=3s,restart=2s
+//	replica-chaos:kills=1,by=3s,restart=2s@t=1s
 //
 // Times accept time.ParseDuration syntax ("50ms", "1.5s") or a bare number
 // of seconds. "@t=..." is optional and defaults to t=0. All errors wrap
@@ -102,9 +77,6 @@ func Parse(s string) (*Plan, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return nil, badf("empty plan")
-	}
-	if strings.HasPrefix(s, "{") {
-		return parseJSON(s)
 	}
 	p := &Plan{}
 	for _, clause := range strings.Split(s, ";") {
@@ -115,19 +87,6 @@ func Parse(s string) (*Plan, error) {
 		if err := p.parseClause(clause); err != nil {
 			return nil, err
 		}
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-func parseJSON(s string) (*Plan, error) {
-	dec := json.NewDecoder(strings.NewReader(s))
-	dec.DisallowUnknownFields()
-	p := &Plan{}
-	if err := dec.Decode(p); err != nil {
-		return nil, badf("json: %v", err)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -151,6 +110,9 @@ func (p *Plan) parseClause(clause string) error {
 		p.Seed = seed
 		return nil
 	}
+	if Kind(head) != KindReplicaChaos {
+		return badf("clause %q: unknown fault kind %q", clause, head)
+	}
 
 	// Split off the optional "@t=<dur>" suffix.
 	body, at := rest, 0.0
@@ -169,7 +131,7 @@ func (p *Plan) parseClause(clause string) error {
 	}
 	body = strings.TrimSpace(body)
 
-	ev := Event{At: at}
+	ev := Event{Kind: KindReplicaChaos, At: at}
 	kv := map[string]string{}
 	for _, f := range strings.Split(body, ",") {
 		f = strings.TrimSpace(f)
@@ -183,175 +145,34 @@ func (p *Plan) parseClause(clause string) error {
 			}
 			kv[k] = strings.TrimSpace(v)
 		} else if _, bare := kv[""]; !bare {
-			kv[""] = f // positional value, e.g. node:3
+			kv[""] = f // positional value, e.g. replica-chaos:2
 		} else {
 			return badf("clause %q: more than one positional value", clause)
 		}
 	}
 
-	intKey := func(key string) (int, bool, error) {
-		v, ok := kv[key]
-		if !ok {
-			return 0, false, nil
-		}
-		delete(kv, key)
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return 0, false, badf("clause %q: %s=%q: %v", clause, key, v, err)
-		}
-		return n, true, nil
+	kills, ok := kv["kills"]
+	if ok {
+		delete(kv, "kills")
+	} else if kills, ok = kv[""]; ok {
+		delete(kv, "")
+	} else {
+		return badf("clause %q: missing kills=", clause)
 	}
-	floatKey := func(key string) (float64, bool, error) {
-		v, ok := kv[key]
-		if !ok {
-			return 0, false, nil
-		}
-		delete(kv, key)
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return 0, false, badf("clause %q: %s=%q: %v", clause, key, v, err)
-		}
-		return f, true, nil
+	n, err := strconv.Atoi(kills)
+	if err != nil {
+		return badf("clause %q: kills=%q: %v", clause, kills, err)
 	}
-
-	switch Kind(head) {
-	case KindNode, KindRank:
-		ev.Kind = Kind(head)
-		n, ok, err := intKey("")
-		if err != nil {
-			return err
-		}
-		if !ok {
-			key := "node"
-			if ev.Kind == KindRank {
-				key = "rank"
-			}
-			if n, ok, err = intKey(key); err != nil {
-				return err
-			}
-		}
-		if !ok {
-			return badf("clause %q: missing %s index", clause, head)
-		}
-		ev.Target = n
-	case KindStraggle:
-		ev.Kind = KindStraggle
-		n, ok, err := intKey("rank")
-		if err != nil {
-			return err
-		}
-		if !ok {
-			if n, ok, err = intKey(""); err != nil {
-				return err
-			}
-		}
-		if !ok {
-			return badf("clause %q: missing rank=", clause)
-		}
-		ev.Target = n
-		f, ok, err := floatKey("factor")
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return badf("clause %q: missing factor=", clause)
-		}
-		ev.Factor = f
-		// level= is accepted (scope hint in the issue's example) but the
-		// runtime straggles the whole rank; keep it for round-tripping.
-		if lvl, ok, err := intKey("level"); err != nil {
-			return err
-		} else if ok {
-			ev.Level = lvl
-		}
-	case KindLink:
-		ev.Kind = KindLink
-		lvl, ok, err := intKey("level")
-		if err != nil {
-			return err
-		}
-		if !ok {
-			if lvl, ok, err = intKey(""); err != nil {
-				return err
-			}
-		}
-		if !ok {
-			return badf("clause %q: missing level=", clause)
-		}
-		ev.Level = lvl
-		f, ok, err := floatKey("degrade")
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return badf("clause %q: missing degrade=", clause)
-		}
-		ev.Factor = f
-	case KindChaos:
-		ev.Kind = KindChaos
-		n, ok, err := intKey("ranks")
-		if err != nil {
-			return err
-		}
-		if !ok {
-			if n, ok, err = intKey(""); err != nil {
-				return err
-			}
-		}
-		if !ok {
-			return badf("clause %q: missing ranks=", clause)
-		}
-		ev.Target = n
-		if v, ok := kv["by"]; ok {
-			delete(kv, "by")
+	ev.Target = n
+	for key, dst := range map[string]*float64{"by": &ev.By, "restart": &ev.Restart} {
+		if v, ok := kv[key]; ok {
+			delete(kv, key)
 			d, err := parseSeconds(v)
 			if err != nil {
-				return badf("clause %q: by=%q: %v", clause, v, err)
+				return badf("clause %q: %s=%q: %v", clause, key, v, err)
 			}
-			ev.By = d
+			*dst = d
 		}
-	case KindReplicaKill, KindReplicaRestart:
-		ev.Kind = Kind(head)
-		n, ok, err := intKey("")
-		if err != nil {
-			return err
-		}
-		if !ok {
-			if n, ok, err = intKey("replica"); err != nil {
-				return err
-			}
-		}
-		if !ok {
-			return badf("clause %q: missing replica index", clause)
-		}
-		ev.Target = n
-	case KindReplicaChaos:
-		ev.Kind = KindReplicaChaos
-		n, ok, err := intKey("kills")
-		if err != nil {
-			return err
-		}
-		if !ok {
-			if n, ok, err = intKey(""); err != nil {
-				return err
-			}
-		}
-		if !ok {
-			return badf("clause %q: missing kills=", clause)
-		}
-		ev.Target = n
-		for key, dst := range map[string]*float64{"by": &ev.By, "restart": &ev.Restart} {
-			if v, ok := kv[key]; ok {
-				delete(kv, key)
-				d, err := parseSeconds(v)
-				if err != nil {
-					return badf("clause %q: %s=%q: %v", clause, key, v, err)
-				}
-				*dst = d
-			}
-		}
-	default:
-		return badf("clause %q: unknown fault kind %q", clause, head)
 	}
 
 	for k := range kv {
@@ -399,175 +220,52 @@ func (ev Event) validate() error {
 	bad := func(format string, args ...any) error {
 		return badf("%s: %s", ev.Kind, fmt.Sprintf(format, args...))
 	}
+	if ev.Kind != KindReplicaChaos {
+		return badf("unknown kind %q", ev.Kind)
+	}
 	if !(ev.At >= 0 && ev.At <= MaxTime) {
 		return bad("time %v out of range", ev.At)
 	}
-	switch ev.Kind {
-	case KindNode, KindRank:
-		if ev.Target < 0 {
-			return bad("negative index %d", ev.Target)
-		}
-	case KindStraggle:
-		if ev.Target < 0 {
-			return bad("negative rank %d", ev.Target)
-		}
-		if !(ev.Factor >= 1 && ev.Factor <= MaxStraggleFact) {
-			return bad("factor %v outside [1, %v]", ev.Factor, float64(MaxStraggleFact))
-		}
-		if ev.Level < 0 {
-			return bad("negative level %d", ev.Level)
-		}
-	case KindLink:
-		if ev.Level < 0 {
-			return bad("negative level %d", ev.Level)
-		}
-		if !(ev.Factor > 0 && ev.Factor <= 1) {
-			return bad("degrade %v outside (0, 1]", ev.Factor)
-		}
-	case KindChaos:
-		if ev.Target < 1 || ev.Target > MaxChaosKills {
-			return bad("ranks %d outside [1, %d]", ev.Target, MaxChaosKills)
-		}
-		if !(ev.By >= 0 && ev.By <= MaxTime) {
-			return bad("by %v out of range", ev.By)
-		}
-	case KindReplicaKill, KindReplicaRestart:
-		if ev.Target < 0 {
-			return bad("negative replica %d", ev.Target)
-		}
-	case KindReplicaChaos:
-		if ev.Target < 1 || ev.Target > MaxChaosKills {
-			return bad("kills %d outside [1, %d]", ev.Target, MaxChaosKills)
-		}
-		if !(ev.By >= 0 && ev.By <= MaxTime) {
-			return bad("by %v out of range", ev.By)
-		}
-		if !(ev.Restart >= 0 && ev.Restart <= MaxTime) {
-			return bad("restart %v out of range", ev.Restart)
-		}
-	default:
-		return badf("unknown kind %q", ev.Kind)
+	if ev.Target < 1 || ev.Target > MaxChaosKills {
+		return bad("kills %d outside [1, %d]", ev.Target, MaxChaosKills)
+	}
+	if !(ev.By >= 0 && ev.By <= MaxTime) {
+		return bad("by %v out of range", ev.By)
+	}
+	if !(ev.Restart >= 0 && ev.Restart <= MaxTime) {
+		return bad("restart %v out of range", ev.Restart)
 	}
 	return nil
 }
 
-// String renders the plan in canonical DSL form: seed first, then events
-// in their stored order. Parse(p.String()) reproduces the plan, and Hash
-// is computed over this form.
-func (p *Plan) String() string {
-	var parts []string
-	if p.Seed != 0 {
-		parts = append(parts, fmt.Sprintf("seed=%d", p.Seed))
-	}
-	for _, ev := range p.Events {
-		parts = append(parts, ev.String())
-	}
-	if len(parts) == 0 {
-		return "seed=0"
-	}
-	return strings.Join(parts, ";")
-}
-
-func (ev Event) String() string {
-	at := ""
-	if ev.At != 0 {
-		at = fmt.Sprintf("@t=%s", formatSeconds(ev.At))
-	}
-	switch ev.Kind {
-	case KindNode, KindRank:
-		return fmt.Sprintf("%s:%d%s", ev.Kind, ev.Target, at)
-	case KindStraggle:
-		lvl := ""
-		if ev.Level != 0 {
-			lvl = fmt.Sprintf(",level=%d", ev.Level)
-		}
-		return fmt.Sprintf("straggle:rank=%d,factor=%s%s%s", ev.Target, formatFloat(ev.Factor), lvl, at)
-	case KindLink:
-		return fmt.Sprintf("link:level=%d,degrade=%s%s", ev.Level, formatFloat(ev.Factor), at)
-	case KindChaos:
-		by := ""
-		if ev.By != 0 {
-			by = fmt.Sprintf(",by=%s", formatSeconds(ev.By))
-		}
-		return fmt.Sprintf("chaos:ranks=%d%s%s", ev.Target, by, at)
-	case KindReplicaKill, KindReplicaRestart:
-		return fmt.Sprintf("%s:%d%s", ev.Kind, ev.Target, at)
-	case KindReplicaChaos:
-		by := ""
-		if ev.By != 0 {
-			by = fmt.Sprintf(",by=%s", formatSeconds(ev.By))
-		}
-		restart := ""
-		if ev.Restart != 0 {
-			restart = fmt.Sprintf(",restart=%s", formatSeconds(ev.Restart))
-		}
-		return fmt.Sprintf("replica-chaos:kills=%d%s%s%s", ev.Target, by, restart, at)
-	}
-	return fmt.Sprintf("?%s", ev.Kind)
-}
-
-func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-
-func formatSeconds(sec float64) string { return formatFloat(sec) + "s" }
-
-// Hash returns the FNV-1a 64-bit hash of the canonical plan string as hex.
-// Two plans with the same hash inject identical faults, so recording the
-// hash in run metadata makes degraded traces attributable and comparable.
-func (p *Plan) Hash() string {
-	h := fnv.New64a()
-	h.Write([]byte(p.String()))
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// Materialize expands the plan against a concrete world of nranks ranks:
-// chaos events become seed-deterministic rank crashes, and events whose
-// targets fall outside the world are dropped. The result is sorted by
-// (time, kind, target) so injection order — and therefore the simulated
-// outcome — is a pure function of (plan, world shape).
-func (p *Plan) Materialize(nranks, coresPerNode int) []Event {
-	if p.Empty() || nranks <= 0 {
+// FleetEvents expands the plan against a fleet of nreplicas replicas,
+// turning each replica-chaos clause into seed-deterministic kill (and
+// optional restart) events on distinct replicas, at most one per replica
+// and clause. The result is sorted by (time, kind, target), so a chaos
+// run's kill schedule is a pure function of (plan, fleet size) — reruns
+// with the same seed kill the same replicas at the same times.
+func (p *Plan) FleetEvents(nreplicas int) []Event {
+	if p.Empty() || nreplicas <= 0 {
 		return nil
 	}
-	if coresPerNode <= 0 {
-		coresPerNode = 1
-	}
-	nnodes := (nranks + coresPerNode - 1) / coresPerNode
 	rng := rand.New(rand.NewSource(p.Seed))
 	var out []Event
 	for _, ev := range p.Events {
-		switch ev.Kind {
-		case KindChaos:
-			n := ev.Target
-			if n > nranks {
-				n = nranks
+		if ev.Kind != KindReplicaChaos {
+			continue
+		}
+		n := min(ev.Target, nreplicas)
+		for _, r := range rng.Perm(nreplicas)[:n] {
+			at := ev.At
+			if ev.By > at {
+				at += rng.Float64() * (ev.By - at)
 			}
-			for _, r := range rng.Perm(nranks)[:n] {
-				at := ev.At
-				if ev.By > at {
-					at += rng.Float64() * (ev.By - at)
-				}
-				out = append(out, Event{Kind: KindRank, Target: r, At: at})
+			out = append(out, Event{Kind: KindReplicaKill, Target: r, At: at})
+			if ev.Restart > 0 {
+				out = append(out, Event{Kind: KindReplicaRestart, Target: r, At: at + ev.Restart})
 			}
-		case KindNode:
-			if ev.Target < nnodes {
-				out = append(out, ev)
-			}
-		case KindRank, KindStraggle:
-			if ev.Target < nranks {
-				out = append(out, ev)
-			}
-		case KindReplicaKill, KindReplicaRestart, KindReplicaChaos:
-			// Fleet-scoped: replicas are serving processes, not ranks.
-			// FleetEvents expands these against the replica world.
-		default:
-			out = append(out, ev)
 		}
 	}
-	sortEvents(out)
-	return out
-}
-
-func sortEvents(out []Event) {
 	sort.SliceStable(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.At != b.At {
@@ -578,45 +276,5 @@ func sortEvents(out []Event) {
 		}
 		return a.Target < b.Target
 	})
-}
-
-// FleetEvents is Materialize's counterpart for the serving tier: it
-// expands the plan against a fleet of nreplicas replicas, turning
-// replica-chaos clauses into seed-deterministic kill (and optional
-// restart) events on distinct replicas and dropping events whose targets
-// fall outside the fleet. The result is sorted by (time, kind, target),
-// so a chaos run's kill schedule is a pure function of (plan, fleet
-// size) — reruns with the same seed kill the same replicas at the same
-// times.
-func (p *Plan) FleetEvents(nreplicas int) []Event {
-	if p.Empty() || nreplicas <= 0 {
-		return nil
-	}
-	rng := rand.New(rand.NewSource(p.Seed))
-	var out []Event
-	for _, ev := range p.Events {
-		switch ev.Kind {
-		case KindReplicaChaos:
-			n := ev.Target
-			if n > nreplicas {
-				n = nreplicas
-			}
-			for _, r := range rng.Perm(nreplicas)[:n] {
-				at := ev.At
-				if ev.By > at {
-					at += rng.Float64() * (ev.By - at)
-				}
-				out = append(out, Event{Kind: KindReplicaKill, Target: r, At: at})
-				if ev.Restart > 0 {
-					out = append(out, Event{Kind: KindReplicaRestart, Target: r, At: at + ev.Restart})
-				}
-			}
-		case KindReplicaKill, KindReplicaRestart:
-			if ev.Target < nreplicas {
-				out = append(out, ev)
-			}
-		}
-	}
-	sortEvents(out)
 	return out
 }

@@ -2,12 +2,8 @@ package fault
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
-	"strings"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 func mustParse(t *testing.T, s string) *Plan {
@@ -20,15 +16,13 @@ func mustParse(t *testing.T, s string) *Plan {
 }
 
 func TestParseDSL(t *testing.T) {
-	p := mustParse(t, "seed=7; node:3@t=50ms; straggle:rank=17,factor=4,level=2; link:level=2,degrade=0.5@t=1ms; chaos:ranks=2,by=100ms")
+	p := mustParse(t, " seed=7; replica-chaos:kills=1,by=1.6s,restart=2s@t=1.1s ;; replica-chaos:kills=2,by=3s ")
 	if p.Seed != 7 {
 		t.Fatalf("seed = %d, want 7", p.Seed)
 	}
 	want := []Event{
-		{Kind: KindNode, Target: 3, At: 0.05},
-		{Kind: KindStraggle, Target: 17, Factor: 4, Level: 2},
-		{Kind: KindLink, Level: 2, Factor: 0.5, At: 0.001},
-		{Kind: KindChaos, Target: 2, By: 0.1},
+		{Kind: KindReplicaChaos, Target: 1, At: 1.1, By: 1.6, Restart: 2},
+		{Kind: KindReplicaChaos, Target: 2, By: 3},
 	}
 	if !reflect.DeepEqual(p.Events, want) {
 		t.Fatalf("events = %+v, want %+v", p.Events, want)
@@ -36,19 +30,9 @@ func TestParseDSL(t *testing.T) {
 }
 
 func TestParseBareSecondsAndPositional(t *testing.T) {
-	p := mustParse(t, "rank:5@t=0.25;link:2,degrade=1")
-	if p.Events[0].At != 0.25 || p.Events[0].Target != 5 {
-		t.Fatalf("rank event = %+v", p.Events[0])
-	}
-	if p.Events[1].Level != 2 || p.Events[1].Factor != 1 {
-		t.Fatalf("link event = %+v", p.Events[1])
-	}
-}
-
-func TestParseJSON(t *testing.T) {
-	p := mustParse(t, `{"seed": 3, "events": [{"kind": "rank", "target": 1, "at": 0.5}]}`)
-	if p.Seed != 3 || len(p.Events) != 1 || p.Events[0] != (Event{Kind: KindRank, Target: 1, At: 0.5}) {
-		t.Fatalf("plan = %+v", p)
+	p := mustParse(t, "replica-chaos:2,by=0.75@t=0.25")
+	if want := (Event{Kind: KindReplicaChaos, Target: 2, At: 0.25, By: 0.75}); p.Events[0] != want {
+		t.Fatalf("event = %+v, want %+v", p.Events[0], want)
 	}
 }
 
@@ -56,23 +40,21 @@ func TestParseErrors(t *testing.T) {
 	for _, s := range []string{
 		"",
 		"bogus:1",
-		"node:x",
-		"node:-1",
-		"rank:1@t=",
-		"rank:1@x=5",
-		"straggle:rank=1",            // missing factor
-		"straggle:rank=1,factor=0.5", // factor < 1
-		"link:level=1,degrade=0",     // degrade out of (0,1]
-		"link:level=1,degrade=1.5",   // degrade out of (0,1]
-		"link:degrade=0.5",           // missing level
-		"chaos:ranks=0",              // out of range
-		"chaos:ranks=99999999",       // out of range
-		"node:1,extra=2",             // unknown key
-		"node:1,2",                   // double positional
 		"seed=abc",
-		"node:1@t=-5",
-		`{"seed": 1, "bogus": true}`, // unknown JSON field
-		`{"events": [{"kind": "nah"}]}`,
+		"replica-chaos:1@t=",
+		"replica-chaos:1@x=5",
+		"replica-chaos:1@t=-5",
+		"replica-chaos:kills=1,kills=2", // duplicate key
+		"replica-chaos:1,extra=2",       // unknown key
+		"replica-chaos:1,2",             // double positional
+		// The simulator's kinds and the JSON form are gone: each is
+		// rejected, never silently ignored.
+		"node:3",
+		"rank:1",
+		"straggle:rank=1,factor=2",
+		"link:level=1,degrade=0.5",
+		"chaos:ranks=2",
+		`{"seed":1}`,
 	} {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q): expected error", s)
@@ -82,135 +64,26 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestStringRoundTripAndHash(t *testing.T) {
-	src := "seed=7;node:3@t=0.05s;straggle:rank=17,factor=4,level=2;link:level=2,degrade=0.5@t=0.001s;chaos:ranks=2,by=0.1s"
-	p := mustParse(t, src)
-	if got := p.String(); got != src {
-		t.Fatalf("String() = %q, want %q", got, src)
-	}
-	p2 := mustParse(t, p.String())
-	if !reflect.DeepEqual(p, p2) {
-		t.Fatalf("round trip changed plan: %+v vs %+v", p, p2)
-	}
-	if p.Hash() != p2.Hash() {
-		t.Fatalf("hash not stable: %s vs %s", p.Hash(), p2.Hash())
-	}
-	if mustParse(t, "seed=8;node:3").Hash() == mustParse(t, "seed=7;node:3").Hash() {
-		t.Fatal("different seeds produced the same hash")
-	}
-}
-
-func TestMaterializeDeterministic(t *testing.T) {
-	p := mustParse(t, "seed=42;chaos:ranks=3,by=1s;link:level=1,degrade=0.5@t=0.2")
-	a := p.Materialize(16, 4)
-	b := p.Materialize(16, 4)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("Materialize not deterministic:\n%+v\n%+v", a, b)
-	}
-	kills := 0
-	seen := map[int]bool{}
-	for _, ev := range a {
-		if ev.Kind == KindRank {
-			kills++
-			if seen[ev.Target] {
-				t.Fatalf("rank %d killed twice", ev.Target)
-			}
-			seen[ev.Target] = true
-			if ev.Target < 0 || ev.Target >= 16 {
-				t.Fatalf("kill target %d outside world", ev.Target)
-			}
-			if ev.At < 0 || ev.At > 1 {
-				t.Fatalf("kill time %v outside [0, 1]", ev.At)
-			}
-		}
-	}
-	if kills != 3 {
-		t.Fatalf("materialized %d kills, want 3", kills)
-	}
-	// Different seed, different outcome (with overwhelming probability).
-	q := mustParse(t, "seed=43;chaos:ranks=3,by=1s;link:level=1,degrade=0.5@t=0.2")
-	if reflect.DeepEqual(a, q.Materialize(16, 4)) {
-		t.Fatal("different seeds materialized identically")
-	}
-	// Sorted by time.
-	for i := 1; i < len(a); i++ {
-		if a[i].At < a[i-1].At {
-			t.Fatalf("events not time-sorted: %+v", a)
-		}
-	}
-}
-
-func TestMaterializeDropsOutOfRange(t *testing.T) {
-	p := mustParse(t, "node:99;rank:99;straggle:rank=99,factor=2;rank:1")
-	got := p.Materialize(4, 2)
-	if len(got) != 1 || got[0].Target != 1 {
-		t.Fatalf("Materialize = %+v, want just rank:1", got)
-	}
-}
-
-func TestRankLostError(t *testing.T) {
-	err := &RankLostError{Rank: 17, Node: 4, At: 0.05, Op: "Allreduce", Ranks: []int{3, 17}}
-	if !errors.Is(err, ErrRankLost) {
-		t.Fatal("RankLostError does not unwrap to ErrRankLost")
-	}
-	msg := err.Error()
-	for _, want := range []string{"rank 17", "node 4", "Allreduce"} {
-		if !strings.Contains(msg, want) {
-			t.Fatalf("error %q missing %q", msg, want)
-		}
-	}
-}
-
-func TestCatch(t *testing.T) {
-	lost := &RankLostError{Rank: 2, Node: -1, At: 1}
-	err := Catch(func() { panic(sim.Abort{Err: fmt.Errorf("op: %w", lost)}) })
-	if !errors.Is(err, ErrRankLost) {
-		t.Fatalf("Catch returned %v, want ErrRankLost", err)
-	}
-	var rle *RankLostError
-	if !errors.As(err, &rle) || rle.Rank != 2 {
-		t.Fatalf("Catch lost the RankLostError: %v", err)
-	}
-	if err := Catch(func() {}); err != nil {
-		t.Fatalf("Catch of clean body returned %v", err)
-	}
-	// Unrelated panics propagate.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Catch swallowed an unrelated panic")
-			}
-		}()
-		Catch(func() { panic("boom") })
-	}()
-}
-
 func TestParseReplicaClauses(t *testing.T) {
-	p := mustParse(t, "seed=9; replica:1@t=2s; restart:replica=1@t=6s; replica-chaos:kills=2,by=3s,restart=2s")
-	if p.Seed != 9 {
-		t.Fatalf("seed = %d, want 9", p.Seed)
-	}
-	want := []Event{
-		{Kind: KindReplicaKill, Target: 1, At: 2},
-		{Kind: KindReplicaRestart, Target: 1, At: 6},
-		{Kind: KindReplicaChaos, Target: 2, By: 3, Restart: 2},
-	}
-	if !reflect.DeepEqual(p.Events, want) {
+	// by and restart default to 0: every kill at At, and no restart.
+	p := mustParse(t, "replica-chaos:kills=3@t=2s")
+	if want := []Event{{Kind: KindReplicaChaos, Target: 3, At: 2}}; !reflect.DeepEqual(p.Events, want) {
 		t.Fatalf("events = %+v, want %+v", p.Events, want)
 	}
-	// Canonical round trip, as for the rank-scoped kinds.
-	q := mustParse(t, p.String())
-	if q.String() != p.String() || q.Hash() != p.Hash() {
-		t.Fatalf("round trip changed the plan: %q → %q", p.String(), q.String())
+	for _, ev := range p.FleetEvents(5) {
+		if ev.Kind != KindReplicaKill || ev.At != 2 {
+			t.Fatalf("event %+v, want a kill at t=2s and no restart", ev)
+		}
 	}
 }
 
 func TestParseReplicaErrors(t *testing.T) {
 	for _, s := range []string{
-		"replica:-1",
-		"replica:x",
-		"restart:",
+		"replica:1", // explicit kills and restarts are not plan clauses
+		"restart:replica=1@t=6s",
 		"replica-chaos:kills=0",
+		"replica-chaos:kills=x",
+		"replica-chaos:by=1s",
 		"replica-chaos:kills=1,by=-1s",
 		"replica-chaos:kills=1,restart=-2s",
 		"replica-chaos:kills=1,bogus=3",
@@ -222,7 +95,7 @@ func TestParseReplicaErrors(t *testing.T) {
 }
 
 func TestFleetEventsDeterministic(t *testing.T) {
-	p := mustParse(t, "seed=42;replica-chaos:kills=2,by=1s,restart=500ms;replica:0@t=2s")
+	p := mustParse(t, "seed=42;replica-chaos:kills=2,by=1s,restart=500ms")
 	a := p.FleetEvents(3)
 	if !reflect.DeepEqual(a, p.FleetEvents(3)) {
 		t.Fatalf("FleetEvents not deterministic: %+v", a)
@@ -245,9 +118,9 @@ func TestFleetEventsDeterministic(t *testing.T) {
 			t.Fatalf("unexpected kind %q in fleet events", ev.Kind)
 		}
 	}
-	// 2 chaos kills on distinct replicas + the explicit replica:0 kill.
-	if kills != 3 {
-		t.Fatalf("%d kills, want 3", kills)
+	// 2 chaos kills on distinct replicas.
+	if kills != 2 || len(killAt) != 2 {
+		t.Fatalf("%d kills on %d replicas, want 2 on 2", kills, len(killAt))
 	}
 	// Each chaos kill restarts exactly Restart later.
 	if restarts != 2 {
@@ -271,24 +144,28 @@ func TestFleetEventsDeterministic(t *testing.T) {
 	}
 	// A different seed picks different victims (kills=2 of 3: 3 possible
 	// pairs, so seeds 42 and 1 differing is seed-specific but stable).
-	q := mustParse(t, "seed=1;replica-chaos:kills=2,by=1s,restart=500ms;replica:0@t=2s")
+	q := mustParse(t, "seed=1;replica-chaos:kills=2,by=1s,restart=500ms")
 	if reflect.DeepEqual(a, q.FleetEvents(3)) {
 		t.Fatal("different seeds produced identical fleet events")
 	}
 }
 
 func TestFleetEventsScoping(t *testing.T) {
-	p := mustParse(t, "replica:7;restart:7;replica:1;chaos:ranks=2,by=1s;rank:3")
-	// Out-of-fleet targets are dropped; rank-scoped events never leak in.
+	// More kills than replicas: every replica dies once, none twice, and
+	// no target falls outside the fleet.
+	p := mustParse(t, "replica-chaos:kills=7")
 	got := p.FleetEvents(2)
-	if len(got) != 1 || got[0] != (Event{Kind: KindReplicaKill, Target: 1}) {
-		t.Fatalf("FleetEvents = %+v, want just replica:1", got)
-	}
-	// Symmetrically, Materialize never leaks fleet-scoped events.
-	for _, ev := range p.Materialize(16, 4) {
-		switch ev.Kind {
-		case KindReplicaKill, KindReplicaRestart, KindReplicaChaos:
-			t.Fatalf("fleet event %+v leaked into Materialize", ev)
+	seen := map[int]bool{}
+	for _, ev := range got {
+		if ev.Kind != KindReplicaKill || ev.Target < 0 || ev.Target >= 2 || seen[ev.Target] {
+			t.Fatalf("FleetEvents(2) = %+v, want one kill of each of replicas 0 and 1", got)
 		}
+		seen[ev.Target] = true
+	}
+	if len(seen) != 2 {
+		t.Fatalf("FleetEvents(2) = %+v, want one kill of each of replicas 0 and 1", got)
+	}
+	if ev := p.FleetEvents(0); ev != nil {
+		t.Fatalf("FleetEvents(0) = %+v, want none", ev)
 	}
 }

@@ -21,7 +21,6 @@ type Comm struct {
 	group []int // comm rank -> world rank
 	rank  int   // calling rank's position in group
 	seq   int64 // per-member collective sequence (identical across members)
-	epoch int   // world failure epoch at creation; a later crash revokes the comm
 }
 
 // Size returns the number of ranks in the communicator.
@@ -45,17 +44,12 @@ func (c *Comm) nextSeq() int64 {
 	return c.seq
 }
 
-// internal isend/irecv with collective-private tags. The guard makes every
-// collective message round abort promptly when the communicator was
-// revoked or the round's peer is dead — this is what turns a crash inside
-// a collective into a typed error on every survivor instead of a hang.
+// internal isend/irecv with collective-private tags.
 func (c *Comm) isendTag(dst int, t int64, buf Buf) *Request {
-	c.guard("Send", c.group[dst])
 	return c.w.isend(c.group[c.rank], c.group[dst], t, buf)
 }
 
 func (c *Comm) irecvTag(src int, t int64) *Request {
-	c.guard("Recv", c.group[src])
 	return c.w.irecv(c.group[c.rank], c.group[src], t)
 }
 
@@ -83,7 +77,6 @@ type commSpec struct {
 	id    int
 	group []int
 	rank  int
-	epoch int
 }
 
 // Split partitions the communicator like MPI_Comm_split: ranks passing the
@@ -91,7 +84,6 @@ type commSpec struct {
 // returns nil for colour < 0 (MPI_UNDEFINED). Split itself is free in
 // virtual time (its handshake cost is negligible in every experiment).
 func (c *Comm) Split(r *Rank, color, key int) *Comm {
-	c.guard("Split", -1)
 	seq := c.nextSeq()
 	w := c.w
 	me := c.group[c.rank]
@@ -132,24 +124,20 @@ func (c *Comm) Split(r *Rank, color, key int) *Comm {
 				group[i] = e.worldRank
 			}
 			for i, e := range es {
-				st.result[e.worldRank] = &commSpec{id: id, group: group, rank: i, epoch: w.epoch}
+				st.result[e.worldRank] = &commSpec{id: id, group: group, rank: i}
 			}
 		}
 		delete(w.splits, sk)
 		st.done.Fire()
 	} else {
 		st.done.AwaitOp(r.proc, "Split", -1, 0)
-		if err := st.done.Err(); err != nil {
-			// A member crashed while the split was collecting entries.
-			panic(sim.Abort{Err: err})
-		}
 	}
 	// All members observe the computed result.
 	spec := st.result[me]
 	if spec == nil {
 		return nil
 	}
-	return &Comm{w: w, id: spec.id, group: spec.group, rank: spec.rank, epoch: spec.epoch}
+	return &Comm{w: w, id: spec.id, group: spec.group, rank: spec.rank}
 }
 
 // Dup returns a communicator with the same group and a fresh id.

@@ -2,11 +2,6 @@
 
 package mpi
 
-import (
-	"cmp"
-	"slices"
-)
-
 // chanKey names a channel: the messages from src to dst with one tag.
 type chanKey struct {
 	dst, src int
@@ -97,14 +92,4 @@ func (m *mailbox) remove(i int) {
 		}
 	}
 	m.slots[i] = channel{}
-}
-
-// drain empties the mailbox and returns its channels by (dst, src, tag).
-func (m *mailbox) drain() []channel {
-	out := slices.DeleteFunc(m.slots, func(c channel) bool { return c.head == nil })
-	slices.SortFunc(out, func(a, b channel) int {
-		return cmp.Or(a.key.dst-b.key.dst, a.key.src-b.key.src, cmp.Compare(a.key.tag, b.key.tag))
-	})
-	*m = mailbox{}
-	return out
 }

@@ -18,7 +18,6 @@ package mpi
 import (
 	"fmt"
 
-	"repro/internal/fault"
 	"repro/internal/netmodel"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -58,9 +57,6 @@ type Config struct {
 	// and per-level byte counters, and (via Run) engine event counts. nil
 	// disables all of it at the cost of one nil check per operation.
 	Obs *obs.Scope
-	// Faults is a deterministic fault plan injected into the world (node
-	// crashes, stragglers, link degradation); nil runs a perfect machine.
-	Faults *fault.Plan
 }
 
 // World is one simulated MPI job.
@@ -76,17 +72,6 @@ type World struct {
 	reqs    []Request // request records not yet handed out
 	commSeq int
 	splits  map[callSite]*splitState
-
-	// Fault-injection state (see fault.go). faulty is set once by
-	// ApplyFaults before the engine runs, so the hot paths skip every
-	// fault check on a perfect machine with one predictable branch.
-	faulty   bool
-	procs    []*sim.Process // by world rank, recorded at Spawn
-	lost     []bool         // by world rank
-	lostList []int          // world ranks lost, in crash order
-	lastLoss fault.RankLostError
-	epoch    int // bumped on every crash; revokes pre-crash communicators
-	straggle []float64
 
 	// Observability state, pre-resolved at NewWorld so the hot paths pay
 	// one nil check when disabled and no registry lookups when enabled.
@@ -111,8 +96,7 @@ type Rank struct {
 // binding. Every core index must be valid; ranks may share cores
 // (oversubscription) although the experiments never do.
 func NewWorld(engine *sim.Engine, platform *netmodel.Platform, binding []int, cfg Config) (*World, error) {
-	n := len(binding)
-	if n == 0 {
+	if len(binding) == 0 {
 		return nil, fmt.Errorf("mpi: empty binding")
 	}
 	for r, c := range binding {
@@ -128,12 +112,6 @@ func NewWorld(engine *sim.Engine, platform *netmodel.Platform, binding []int, cf
 		splits:   make(map[callSite]*splitState),
 	}
 	w.commSeq = 1 // id 0 is the world communicator
-	w.procs = make([]*sim.Process, n)
-	w.lost = make([]bool, n)
-	w.straggle = make([]float64, n)
-	for i := range w.straggle {
-		w.straggle[i] = 1
-	}
 	hier := platform.Hierarchy()
 	w.coresPerNode = platform.NumCores() / hier.Level(0).Arity
 	if sc := cfg.Obs; sc != nil {
@@ -170,7 +148,7 @@ func (w *World) Spawn(body func(r *Rank)) {
 			sc.SetThreadName(node, rank, fmt.Sprintf("rank%d@core%d", rank, core))
 			sc.BindProc(name, node, rank)
 		}
-		w.procs[rank] = w.engine.Spawn(name, func(p *sim.Process) {
+		w.engine.Spawn(name, func(p *sim.Process) {
 			r := &Rank{w: w, proc: p, id: rank}
 			r.world = &Comm{w: w, id: 0, group: group, rank: rank}
 			body(r)
@@ -192,9 +170,6 @@ func Run(spec netmodel.Spec, binding []int, cfg Config, body func(r *Rank)) (flo
 		engine.SetObserver(obs.NewEngineObserver(cfg.Obs))
 	}
 	w.Spawn(body)
-	if err := w.ApplyFaults(cfg.Faults); err != nil {
-		return 0, err
-	}
 	if err := engine.Run(); err != nil {
 		return 0, err
 	}
@@ -211,23 +186,11 @@ func (r *Rank) World() *Comm { return r.world }
 func (r *Rank) Now() float64 { return r.proc.Now() }
 
 // Wait advances the rank's virtual time by d seconds (pure local work).
-// A straggling rank's local work is stretched by its slowdown factor.
-func (r *Rank) Wait(d float64) {
-	if r.w.faulty {
-		d *= r.w.straggle[r.id]
-	}
-	r.proc.Wait(d)
-}
+func (r *Rank) Wait(d float64) { r.proc.Wait(d) }
 
 // Compute models a roofline kernel on the rank's core: flops of arithmetic
 // and bytes of memory traffic through the core's shared memory domains.
-// A straggling rank's kernel does the same work at 1/factor speed.
 func (r *Rank) Compute(flops, bytes float64) {
-	if r.w.faulty {
-		f := r.w.straggle[r.id]
-		flops *= f
-		bytes *= f
-	}
 	r.w.platform.Compute(r.proc, r.w.binding[r.id], flops, bytes)
 }
 
@@ -238,9 +201,8 @@ func (r *Rank) Compute(flops, bytes float64) {
 // and tag describe it for deadlock diagnostics. Records come from a slab.
 type Request struct {
 	// fin is what Wait awaits: nil when the operation completed at once
-	// (eager send), &cond for an operation completed by its own transfer or
-	// by a failure, or the matched peer's cond when one transfer completes
-	// both sides.
+	// (eager send), &cond for an operation completed by its own transfer,
+	// or the matched peer's cond when one transfer completes both sides.
 	fin  *sim.Condition
 	cond sim.Condition
 	next *Request // mailbox queue link while unmatched
@@ -251,13 +213,10 @@ type Request struct {
 	tag     int64
 	recv    bool // a receive, not a send
 	started bool // queued send: transfer already launched (eager)
-	chk     bool // fault injection active: Wait must check for a failed condition
 }
 
 // Wait blocks the rank until the operation completes; for receives it
-// returns the received payload. If the operation failed because the peer
-// crashed, Wait aborts the rank with an error wrapping fault.ErrRankLost
-// (recoverable on survivors via fault.Catch).
+// returns the received payload.
 func (req *Request) Wait(r *Rank) Buf {
 	if req.fin != nil {
 		op := "Send"
@@ -265,11 +224,6 @@ func (req *Request) Wait(r *Rank) Buf {
 			op = "Recv"
 		}
 		req.fin.AwaitOp(r.proc, op, req.peer, req.tag)
-		if req.chk {
-			if err := req.fin.Err(); err != nil {
-				panic(sim.Abort{Err: err})
-			}
-		}
 	}
 	if req.recv {
 		return req.buf
@@ -288,7 +242,7 @@ func (w *World) newRequest(peer int, tag int64, recv bool) *Request {
 	}
 	req := &w.reqs[0]
 	w.reqs = w.reqs[1:]
-	req.peer, req.tag, req.recv, req.chk = peer, tag, recv, w.faulty
+	req.peer, req.tag, req.recv = peer, tag, recv
 	return req
 }
 
@@ -316,7 +270,7 @@ func (w *World) isend(src, dst int, tag int64, buf Buf) *Request {
 		// pays no extra handshake because the receiver was ready, and
 		// completes with the same transfer.
 		rv.buf = buf.Clone()
-		w.platform.StartTransferStretched(&rv.cond, srcCore, dstCore, float64(buf.Bytes), 0, w.stretch(src, dst))
+		w.platform.StartTransfer(&rv.cond, srcCore, dstCore, float64(buf.Bytes), 0)
 		if eager {
 			return completedSend
 		}
@@ -336,7 +290,7 @@ func (w *World) isend(src, dst int, tag int64, buf Buf) *Request {
 	// tells the eventual receiver when the data has arrived. The record is
 	// the receiver's from now on: irecv turns it into the receive.
 	snd.started = true
-	w.platform.StartTransferStretched(&snd.cond, srcCore, dstCore, float64(buf.Bytes), 0, w.stretch(src, dst))
+	w.platform.StartTransfer(&snd.cond, srcCore, dstCore, float64(buf.Bytes), 0)
 	return completedSend
 }
 
@@ -360,6 +314,6 @@ func (w *World) irecv(dst, src int, tag int64) *Request {
 	// round trip on top of the path latency; the send's condition completes
 	// the receive and the sender, which awaits it too.
 	rv.buf, rv.fin = snd.buf, &snd.cond
-	w.platform.StartTransferStretched(&snd.cond, w.binding[src], w.binding[dst], float64(snd.buf.Bytes), 1, w.stretch(src, dst))
+	w.platform.StartTransfer(&snd.cond, w.binding[src], w.binding[dst], float64(snd.buf.Bytes), 1)
 	return rv
 }

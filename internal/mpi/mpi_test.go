@@ -48,7 +48,6 @@ func (c *Comm) Isend(r *Rank, dst int, tag int64, buf Buf) *Request {
 		panic("mpi: negative user tags are reserved")
 	}
 	c.checkRank(r, dst)
-	c.guard("Send", c.group[dst])
 	return c.w.isend(c.group[c.rank], c.group[dst], userTag(c.id, tag), buf)
 }
 
@@ -58,7 +57,6 @@ func (c *Comm) Irecv(r *Rank, src int, tag int64) *Request {
 		panic("mpi: negative user tags are reserved")
 	}
 	c.checkRank(r, src)
-	c.guard("Recv", c.group[src])
 	return c.w.irecv(c.group[c.rank], c.group[src], userTag(c.id, tag))
 }
 

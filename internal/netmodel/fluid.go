@@ -146,8 +146,8 @@ func (f *Fluid) StartTransfer(path []*Link, bytes, latency float64) *sim.Conditi
 
 // StartTransferTo is StartTransfer completing a condition the caller
 // already has — the one inside a message record — instead of a new one. A
-// transfer no finite link constrains (DegradeLevel only scales finite
-// ones) fires done on arrival; any other arrives as a flow record.
+// transfer no finite link constrains fires done on arrival; any other
+// arrives as a flow record.
 func (f *Fluid) StartTransferTo(done *sim.Condition, path []*Link, bytes, latency float64) {
 	if bytes < 0 || latency < 0 {
 		panic("netmodel: negative transfer")
@@ -402,9 +402,3 @@ func (f *Fluid) scheduleNext() {
 		f.requestRecompute()
 	})
 }
-
-// Rebalance requests a fair-share recomputation after link capacities
-// changed out-of-band (fault injection degrading a level). In-flight flows
-// are settled at their old rates up to the current instant first, so the
-// degradation takes effect exactly now. Call from an event callback.
-func (f *Fluid) Rebalance() { f.markDirty() }

@@ -251,44 +251,12 @@ func (p *Platform) buildPath(a, b, d int) []*Link {
 	return path
 }
 
-// StartTransferStretched begins an a→b message that fires done on arrival.
-// The path latency is multiplied by 1+2·extraRTT — the MPI layer charges a
-// rendezvous handshake as one extra round trip — and by stretch (>= 1):
-// fault injection models a straggling endpoint by leaving the wire at full
-// bandwidth while every message touching the straggler pays its slowdown
-// in latency.
-func (p *Platform) StartTransferStretched(done *sim.Condition, a, b int, bytes float64, extraRTT int, stretch float64) {
+// StartTransfer begins an a→b message that fires done on arrival. The
+// path latency is multiplied by 1+2·extraRTT: the MPI layer charges a
+// rendezvous handshake as one extra round trip.
+func (p *Platform) StartTransfer(done *sim.Condition, a, b int, bytes float64, extraRTT int) {
 	path, lat := p.CommPath(a, b)
-	if stretch < 1 {
-		stretch = 1
-	}
-	p.fluid.StartTransferTo(done, path, bytes, lat*float64(1+2*extraRTT)*stretch)
-}
-
-// DegradeLevel multiplies the capacity of every finite link at the given
-// hierarchy level — uplinks, buses, memory, and (for level 0) the fabric —
-// by factor in (0, 1], then rebalances in-flight flows so the degradation
-// takes effect at the current virtual instant. Call from an event
-// callback.
-func (p *Platform) DegradeLevel(level int, factor float64) {
-	if level < 0 || level >= p.hier.Depth() || factor <= 0 || factor > 1 {
-		return
-	}
-	scale := func(links []*Link) {
-		for _, l := range links {
-			if l != nil && l.Capacity > 0 {
-				l.Capacity *= factor
-			}
-		}
-	}
-	scale(p.out[level])
-	scale(p.in[level])
-	scale(p.bus[level])
-	scale(p.mem[level])
-	if level == 0 && p.fabric != nil {
-		p.fabric.Capacity *= factor
-	}
-	p.fluid.Rebalance()
+	p.fluid.StartTransferTo(done, path, bytes, lat*float64(1+2*extraRTT))
 }
 
 // Transfer performs a blocking a→b message from the calling process.

@@ -113,9 +113,9 @@ func New(opts Options) *Scope {
 	}
 }
 
-// SetMeta records one key/value of run metadata (e.g. the fault-plan seed
-// and hash). Metadata is embedded in the Perfetto export's otherData block
-// so a trace can be attributed to its run's exact configuration.
+// SetMeta records one key/value of run metadata. Metadata is embedded in
+// the Perfetto export's otherData block so a trace can be attributed to its
+// run's exact configuration.
 func (s *Scope) SetMeta(key, value string) {
 	if s == nil {
 		return

@@ -35,17 +35,9 @@ import (
 // pending — e.g. a Recv whose matching Send never arrives.
 var ErrDeadlock = errors.New("sim: deadlock — processes blocked with no pending event")
 
-// Abort is the panic value a process body (or a library underneath it, such
-// as the MPI runtime) throws to terminate the whole simulation with a typed
-// error instead of a generic "process panicked" failure: Run wraps Err with
-// %w, so callers can errors.Is/As against it. Recover-and-inspect
-// wrappers (fault.Catch) may intercept an Abort before it reaches the
-// engine and let the process continue.
-type Abort struct{ Err error }
-
-// killedPanic unwinds the body of a process killed by fault injection, or
-// still unfinished when Run returns. It is never visible to user code: the
-// process wrapper treats it as a clean process exit.
+// killedPanic unwinds the body of a process still unfinished when Run
+// returns. It is never visible to user code: the process wrapper treats it
+// as a clean process exit.
 type killedPanic struct{}
 
 // Handler is what the engine runs when a scheduled instant comes. It runs
@@ -170,15 +162,7 @@ type Engine struct {
 	stopped bool
 	failure error
 	obs     Observer
-
-	// deadlockNote is extra context (e.g. which ranks were lost to fault
-	// injection) appended to a deadlock report.
-	deadlockNote string
 }
-
-// SetDeadlockNote records a note appended to any subsequent deadlock
-// report, so that e.g. a hang after fault injection names the lost ranks.
-func (e *Engine) SetDeadlockNote(note string) { e.deadlockNote = note }
 
 // SetObserver installs the engine observer. Call before Run; a nil
 // observer (the default) disables all callbacks.
@@ -219,10 +203,8 @@ type Process struct {
 	wake   Handler // p.unblock, bound once so that Wait allocates nothing
 	done   bool
 	parked bool // true while blocked in block(); guards double-unblock
-	killed bool // set by Kill; the process dies at its next wake
-	// nextWaiter links the processes awaiting one Condition. A killed
-	// process stays linked until the condition fires; waking it again is a
-	// no-op.
+	killed bool // set by Run when it is over; the body unwinds at its next wake
+	// nextWaiter links the processes awaiting one Condition.
 	nextWaiter *Process
 
 	// blocked-on description for deadlock diagnostics; written by AwaitOp
@@ -272,11 +254,7 @@ func (p *Process) run(yield func(struct{}) bool) {
 		case nil:
 			// normal return
 		case killedPanic:
-			// fault-injected crash, or Run is over: a clean exit, not a failure
-		case Abort:
-			if e.failure == nil {
-				e.failure = fmt.Errorf("sim: process %q aborted: %w", p.name, v.Err)
-			}
+			// Run is over: a clean exit, not a failure
 		default:
 			if e.failure == nil {
 				e.failure = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, v, debug.Stack())
@@ -339,18 +317,6 @@ func (e *Engine) fireBatch() {
 	}
 }
 
-// Kill marks the process as crashed. If it is parked on a simulated
-// operation it is made runnable and its body unwinds when it is resumed
-// (via an internal panic that counts as a clean exit);
-// otherwise it dies the next time it blocks. Call from an event callback.
-func (p *Process) Kill() {
-	if p.done || p.killed {
-		return
-	}
-	p.killed = true
-	p.unblock()
-}
-
 // block parks the calling process until unblock makes it runnable and its
 // turn comes. It picks the successor: when that is p itself — its own
 // wake-up was the next thing to happen — it returns without a switch,
@@ -378,7 +344,7 @@ func (p *Process) block() {
 
 // unblock makes a parked process runnable at the current virtual time,
 // behind every process woken before it. Idempotent: a process already
-// woken (e.g. by Kill racing a condition failure) is not woken twice.
+// woken is not woken twice.
 func (p *Process) unblock() {
 	if !p.parked {
 		return
@@ -404,7 +370,6 @@ func (p *Process) Wait(d float64) {
 // to use, so a condition can be a field of the record it completes.
 type Condition struct {
 	fired bool
-	err   error // non-nil when the condition was failed, not fired
 	// The awaiting processes in arrival order, linked through
 	// Process.nextWaiter: a process awaits one condition at a time, so
 	// waiting allocates nothing.
@@ -431,24 +396,8 @@ func (c *Condition) Fire() {
 	c.waitHead, c.waitTail = nil, nil
 }
 
-// Fail fires the condition with an error: waiters wake as usual but Err
-// reports err afterwards, letting the operation that was awaiting the
-// condition surface a typed failure (e.g. a lost rank) instead of hanging.
-// No-op if the condition already fired or failed.
-func (c *Condition) Fail(err error) {
-	if c.fired {
-		return
-	}
-	c.err = err
-	c.Fire()
-}
-
 // Handle fires the condition, which is thus its own completion handler.
 func (c *Condition) Handle() { c.Fire() }
-
-// Err returns the error the condition was failed with, or nil if it fired
-// normally (or has not fired yet).
-func (c *Condition) Err() error { return c.err }
 
 // Await blocks the process until the condition fires.
 func (c *Condition) Await(p *Process) {
@@ -479,7 +428,7 @@ func (c *Condition) AwaitOp(p *Process, op string, peer int, tag int64) {
 // the event queue is empty. It returns ErrDeadlock (naming the blocked
 // operations) if processes remain blocked with no pending events. A panic
 // in a process body or in an event callback does not propagate: the first
-// one is converted to the error Run returns — an Abort wrapped with %w.
+// one is converted to the error Run returns.
 // Before Run returns early it unwinds every unfinished process body, which
 // executes no further simulated operation, so no coroutine outlives it.
 func (e *Engine) Run() error {
@@ -533,9 +482,5 @@ func (e *Engine) deadlockError() error {
 	if total > len(blocked) {
 		suffix = fmt.Sprintf(" … and %d more", total-len(blocked))
 	}
-	note := ""
-	if e.deadlockNote != "" {
-		note = "; " + e.deadlockNote
-	}
-	return fmt.Errorf("%w (%d blocked: %s%s%s)", ErrDeadlock, total, strings.Join(blocked, "; "), suffix, note)
+	return fmt.Errorf("%w (%d blocked: %s%s)", ErrDeadlock, total, strings.Join(blocked, "; "), suffix)
 }

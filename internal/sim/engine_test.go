@@ -375,31 +375,6 @@ func TestSameInstantWakesRunInWakeOrder(t *testing.T) {
 	}
 }
 
-// A process killed while it awaits a condition stays on that condition's
-// waiter list; firing it later must wake the others and only them.
-func TestKillWhileAwaitingLeavesOtherWaiters(t *testing.T) {
-	e := NewEngine()
-	c := e.NewCondition()
-	var victim *Process
-	woke := 0
-	victim = e.Spawn("victim", func(p *Process) {
-		c.Await(p)
-		t.Error("killed process resumed")
-	})
-	e.Spawn("survivor", func(p *Process) {
-		c.Await(p)
-		woke++
-	})
-	e.At(1, victim.Kill)
-	e.At(2, c.Fire)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if woke != 1 {
-		t.Errorf("%d survivors woke, want 1", woke)
-	}
-}
-
 // checkNoLeak fails the test when more goroutines exist than at the
 // baseline. No waiting is needed: a coroutine's goroutine is gone by the
 // time the stop or the last next that ended it returns.
@@ -469,21 +444,6 @@ func TestRunLeaksNoGoroutine(t *testing.T) {
 		}
 		if err := e.Run(); err == nil || !strings.Contains(err.Error(), "model bug") {
 			t.Errorf("Run = %v, want the callback panic", err)
-		}
-		checkNoLeak(t, baseline)
-	})
-	t.Run("killed process", func(t *testing.T) {
-		baseline := runtime.NumGoroutine()
-		e := NewEngine()
-		c := e.NewCondition() // only the victim awaits it
-		victim := e.Spawn("victim", func(p *Process) {
-			c.Await(p)
-			t.Error("killed process resumed")
-		})
-		e.Spawn("survivor", func(p *Process) { p.Wait(3) })
-		e.At(1, victim.Kill)
-		if err := e.Run(); err != nil {
-			t.Errorf("Run = %v, want nil: a killed process is a clean exit", err)
 		}
 		checkNoLeak(t, baseline)
 	})

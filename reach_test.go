@@ -33,8 +33,6 @@ var reachAllowlist = map[string]string{
 	"procmap.SpecWeights": "internal/procmap/procmap_test.go",
 	// Records the simulator's traffic that the procmap validation maps.
 	"commmatrix.NewCollector": "internal/procmap/validate_test.go",
-	// How a surviving rank observes a lost peer.
-	"fault.Catch": "internal/mpi/fault_test.go",
 	// Lint the gate's /metrics exposition.
 	"obs.LintPrometheus": "internal/fleet/router_test.go",
 	"obs.MissingHelp":    "internal/fleet/router_test.go",
