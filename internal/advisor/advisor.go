@@ -82,7 +82,7 @@ func Predict(sc Scenario, sigma []int) (Prediction, error) {
 // its extents: it is answered in closed form, O(k). Only a communicator
 // that is no box is walked, core by core (Reorderer.InverseRangeInto),
 // into dense per-level tables reset through the list of entries touched.
-// Not safe for concurrent use: every search worker owns one.
+// Not safe for concurrent use: every search owns one.
 type predictor struct {
 	sc      Scenario
 	ro      *mixedradix.Reorderer

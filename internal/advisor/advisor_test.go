@@ -83,7 +83,7 @@ func TestPredictFigure3Shape(t *testing.T) {
 
 func TestRecommendOrdersAll(t *testing.T) {
 	sc := hydraScenario(true)
-	ranked, err := Rank(context.Background(), sc, nil, RankOptions{Workers: 1})
+	ranked, err := Rank(context.Background(), sc, nil, RankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package advisor
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -151,22 +152,42 @@ func TestSearchNodesAllocationFree(t *testing.T) {
 
 // TestSearchExactAllocs: the exact search of a depth-7 machine pays per
 // class, not per order — a few allocations per class and a handful per
-// search, where building and sorting the k! ranking cost over 20 000.
-// Each evaluation worker builds its own predictor, so the worker count is
-// pinned to keep the ceiling independent of the machine's cores.
+// search, where building and sorting the k! ranking cost over 20 000. It
+// runs on its caller's goroutine with one predictor, so it allocates the
+// same at any GOMAXPROCS.
 func TestSearchExactAllocs(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, sc := range []Scenario{
 		cloudScenario(7, Alltoall, false), cloudScenario(7, Alltoall, true), cloudScenario(7, Allreduce, false),
 	} {
-		allocs := testing.AllocsPerRun(5, func() {
+		search := func() {
 			if _, err := SearchOrders(context.Background(), sc, SearchOptions{Top: 5}); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		allocs := testing.AllocsPerRun(5, search)
 		t.Logf("%s sim=%v: %.0f allocations per search", sc.Coll, sc.Simultaneous, allocs)
 		if allocs >= 2000 {
 			t.Errorf("%s sim=%v: a search allocates %.0f times, want fewer than 2000", sc.Coll, sc.Simultaneous, allocs)
 		}
+		if one, four := mallocsAt(1, search), mallocsAt(4, search); one != four {
+			t.Errorf("%s sim=%v: a search allocates %d times at GOMAXPROCS 1, %d at 4", sc.Coll, sc.Simultaneous, one, four)
+		}
 	}
+}
+
+// mallocsAt reports the fewest heap allocations of five calls of f at the
+// given GOMAXPROCS, read from the runtime's statistics, since
+// testing.AllocsPerRun pins GOMAXPROCS to 1. A stray allocation elsewhere
+// only raises a call's count, so the fewest is f's own.
+func mallocsAt(procs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fewest := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return fewest
 }

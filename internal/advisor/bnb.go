@@ -136,10 +136,9 @@ type searchProgress struct {
 type SearchOptions struct {
 	// Top is how many best orders the result carries; 0 means 1.
 	Top int
-	// Registry and OnStats are the same observability hooks as
-	// RankOptions, labeled/reported with the mode of the engine that ran.
+	// Registry is RankOptions' observability hook, labeled with the mode
+	// of the engine that ran.
 	Registry *obs.Registry
-	OnStats  func(RankStats)
 }
 
 // SearchResult is the outcome of one search.
@@ -191,7 +190,7 @@ func SearchOrders(ctx context.Context, sc Scenario, opts SearchOptions) (*Search
 	if sc.Hierarchy.Depth() > ExactDepth {
 		return searchBounded(ctx, sc, opts, nodeBudget, beamWidth, progressEvery)
 	}
-	return rank(ctx, sc, perm.All(sc.Hierarchy.Depth()), RankOptions{Registry: opts.Registry, OnStats: opts.OnStats}, opts.Top)
+	return rank(ctx, sc, perm.All(sc.Hierarchy.Depth()), opts.Registry, opts.Top)
 }
 
 // searchBounded is the branch-and-bound / beam engine; opts.Top is at
@@ -224,24 +223,7 @@ func searchBounded(ctx context.Context, sc Scenario, opts SearchOptions, budget 
 	span.SetAttr("nodes", res.Nodes)
 	span.SetAttr("evaluated", res.Evaluated)
 
-	elapsed := time.Since(start)
-	if opts.Registry != nil {
-		ml := obs.L("mode", res.Mode)
-		opts.Registry.Counter("advisor_class_misses_total", ml).AddInt(res.Evaluated)
-		if hits := res.Covered - res.Evaluated; hits > 0 {
-			opts.Registry.Counter("advisor_class_hits_total", ml).AddInt(hits)
-		}
-		opts.Registry.Histogram("advisor_search_seconds", obs.SearchBuckets(), ml).
-			Observe(elapsed.Seconds())
-	}
-	if opts.OnStats != nil {
-		opts.OnStats(RankStats{
-			Mode:    res.Mode,
-			Orders:  int(res.Covered + res.Pruned),
-			Classes: int(res.Evaluated),
-			Elapsed: elapsed,
-		})
-	}
+	writeSeries(opts.Registry, res, start)
 	return res, nil
 }
 

@@ -60,7 +60,7 @@ func TestBnBEqualsFull(t *testing.T) {
 						Simultaneous: sim,
 						Bytes:        int64(1+rng.Intn(64)) << 16,
 					}
-					ranked, err := Rank(context.Background(), sc, nil, RankOptions{Workers: 2})
+					ranked, err := Rank(context.Background(), sc, nil, RankOptions{})
 					if err != nil {
 						t.Fatalf("rank (%v, %s, p=%d, sim=%v): %v", ar, coll, p, sim, err)
 					}
@@ -155,12 +155,25 @@ func TestBoundedMatchesExactOnMachines(t *testing.T) {
 // TestSearchOrdersFrontDoor pins the engine choice to the depth alone: up
 // to ExactDepth the answer is the exhaustive ranking's head and true last
 // entry, field for field; deeper, the bounded engine answers. Either way
-// OnStats fires once.
+// the search's series are written once, under the mode of its result.
 func TestSearchOrdersFrontDoor(t *testing.T) {
 	ctx := context.Background()
 	const top = 4
-	var calls int
-	opts := SearchOptions{Top: top, OnStats: func(RankStats) { calls++ }}
+	// search runs SearchOrders and checks that its evaluations reached the
+	// registry once, labeled with the result's mode.
+	search := func(sc Scenario) *SearchResult {
+		t.Helper()
+		reg := obs.NewRegistry()
+		res, err := SearchOrders(ctx, sc, SearchOptions{Top: top, Registry: reg})
+		if err != nil {
+			t.Fatalf("depth %d: search: %v", sc.Hierarchy.Depth(), err)
+		}
+		if misses := reg.SumCounters("advisor_class_misses_total"); misses != float64(res.Evaluated) ||
+			reg.FindCounter("advisor_class_misses_total", obs.L("mode", res.Mode)) != misses {
+			t.Errorf("depth %d: %v class misses, want %d under mode %q", sc.Hierarchy.Depth(), misses, res.Evaluated, res.Mode)
+		}
+		return res
+	}
 	hydra := cluster.Hydra(16, 1)
 	scenario := func(spec netmodel.Spec, h topology.Hierarchy) Scenario {
 		return Scenario{Spec: spec, Hierarchy: h, Coll: Allgather, CommSize: 16, Bytes: 8 << 20}
@@ -179,14 +192,7 @@ func TestSearchOrdersFrontDoor(t *testing.T) {
 		if err != nil {
 			t.Fatalf("depth %d: rank: %v", k, err)
 		}
-		calls = 0
-		res, err := SearchOrders(ctx, sc, opts)
-		if err != nil {
-			t.Fatalf("depth %d: search: %v", k, err)
-		}
-		if calls != 1 {
-			t.Errorf("depth %d: OnStats fired %d times, want 1", k, calls)
-		}
+		res := search(sc)
 		if res.Mode != ModeExact && res.Mode != ModePruned {
 			t.Errorf("depth %d: mode %q, want exact or pruned", k, res.Mode)
 		}
@@ -201,14 +207,7 @@ func TestSearchOrdersFrontDoor(t *testing.T) {
 		}
 	}
 	for depth := ExactDepth + 1; depth <= 12; depth++ {
-		calls = 0
-		res, err := SearchOrders(ctx, scenario(cluster.Cloud(depth), cluster.Cloud(depth).Hierarchy()), opts)
-		if err != nil {
-			t.Fatalf("depth %d: search: %v", depth, err)
-		}
-		if calls != 1 {
-			t.Errorf("depth %d: OnStats fired %d times, want 1", depth, calls)
-		}
+		res := search(scenario(cluster.Cloud(depth), cluster.Cloud(depth).Hierarchy()))
 		if res.Mode != ModeBnB && res.Mode != ModeBeam {
 			t.Errorf("depth %d: mode %q, want bnb or beam", depth, res.Mode)
 		}
@@ -233,7 +232,7 @@ func TestBeamGapUpperBound(t *testing.T) {
 					Simultaneous: sim,
 					Bytes:        8 << 20,
 				}
-				ranked, err := Rank(context.Background(), sc, nil, RankOptions{Workers: 2})
+				ranked, err := Rank(context.Background(), sc, nil, RankOptions{})
 				if err != nil {
 					t.Fatalf("rank (%s, p=%d, sim=%v): %v", coll, p, sim, err)
 				}
@@ -303,24 +302,19 @@ func TestSearchOrdersMetrics(t *testing.T) {
 		CommSize:  4,
 		Bytes:     1 << 20,
 	}
-	var stats RankStats
-	res, err := searchBounded(context.Background(), sc, SearchOptions{
-		Top:      3,
-		Registry: reg,
-		OnStats:  func(s RankStats) { stats = s },
-	}, nodeBudget, beamWidth, progressEvery)
+	res, err := searchBounded(context.Background(), sc, SearchOptions{Top: 3, Registry: reg}, nodeBudget, beamWidth, progressEvery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Mode != ModeBnB {
-		t.Fatalf("stats mode %q, want %q", stats.Mode, ModeBnB)
-	}
-	if int64(stats.Classes) != res.Evaluated {
-		t.Fatalf("stats classes %d != evaluated %d", stats.Classes, res.Evaluated)
+	if res.Mode != ModeBnB {
+		t.Fatalf("search mode %q, want %q", res.Mode, ModeBnB)
 	}
 	ml := obs.L("mode", ModeBnB)
 	if misses := reg.FindCounter("advisor_class_misses_total", ml); misses != float64(res.Evaluated) {
 		t.Fatalf("class misses %v, want %d", misses, res.Evaluated)
+	}
+	if hits := reg.FindCounter("advisor_class_hits_total", ml); hits != float64(res.Covered-res.Evaluated) {
+		t.Fatalf("class hits %v, want %d covered − %d evaluated", hits, res.Covered, res.Evaluated)
 	}
 }
 

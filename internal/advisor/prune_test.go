@@ -3,6 +3,7 @@ package advisor
 import (
 	"context"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/cluster"
@@ -14,10 +15,10 @@ import (
 // TestRankPrunedEqualsFull is the exactness proof of the equivalence-class
 // fast path: for every combination of hierarchy shape × collective ×
 // communicator size (every divisor) × one-vs-all-comms, the pruned ranking
-// must be identical — order by order, value by value — to evaluating every
-// candidate. The coarse collective-aware signature (pairs-only for
-// alltoall, no world component) relies on this test, so it is exhaustive
-// rather than sampled.
+// must be identical — order by order, value by value — to everyOrder's,
+// which predicts every candidate. The coarse collective-aware signature
+// (pairs-only for alltoall, no world component) relies on this test, so it
+// is exhaustive rather than sampled.
 func TestRankPrunedEqualsFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	colls := []Collective{Alltoall, Allgather, Allreduce}
@@ -49,11 +50,8 @@ func TestRankPrunedEqualsFull(t *testing.T) {
 						Simultaneous: sim,
 						Bytes:        int64(1+rng.Intn(64)) << 16,
 					}
-					full, err := Rank(context.Background(), sc, nil, RankOptions{Workers: 2, NoPrune: true})
-					if err != nil {
-						t.Fatalf("full rank (%v, %s, p=%d): %v", ar, coll, p, err)
-					}
-					pruned, err := Rank(context.Background(), sc, nil, RankOptions{Workers: 2})
+					full := everyOrder(t, sc)
+					pruned, err := Rank(context.Background(), sc, nil, RankOptions{})
 					if err != nil {
 						t.Fatalf("pruned rank (%v, %s, p=%d): %v", ar, coll, p, err)
 					}
@@ -77,6 +75,27 @@ func TestRankPrunedEqualsFull(t *testing.T) {
 	}
 }
 
+// everyOrder is the ranking without classes: Predict on each of the k!
+// orders, sorted by bandwidth, best first, and then by perm.Less.
+func everyOrder(t *testing.T, sc Scenario) []Prediction {
+	t.Helper()
+	var ranked []Prediction
+	for _, sigma := range perm.All(sc.Hierarchy.Depth()) {
+		pr, err := Predict(sc, sigma)
+		if err != nil {
+			t.Fatalf("predict %v (%v, %s, p=%d): %v", sigma, sc.Hierarchy.Arities(), sc.Coll, sc.CommSize, err)
+		}
+		ranked = append(ranked, pr)
+	}
+	sort.Slice(ranked, func(i, j int) bool {
+		if ranked[i].Bandwidth != ranked[j].Bandwidth {
+			return ranked[i].Bandwidth > ranked[j].Bandwidth
+		}
+		return perm.Less(ranked[i].Order, ranked[j].Order)
+	})
+	return ranked
+}
+
 func divisorsOf(n int) []int {
 	var out []int
 	for d := 2; d <= n; d++ {
@@ -89,7 +108,8 @@ func divisorsOf(n int) []int {
 
 // TestRankRecordsSearchMetrics checks the obs wiring: a pruned search on a
 // symmetric hierarchy must report far fewer class misses (evaluations)
-// than candidates, and observe one search latency sample.
+// than candidates, and observe one search latency sample; the exact search
+// of SearchOrders reports the same mode and counts in its result.
 func TestRankRecordsSearchMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	h := topology.MustNew(2, 2, 2, 2)
@@ -100,11 +120,7 @@ func TestRankRecordsSearchMetrics(t *testing.T) {
 		CommSize:  4,
 		Bytes:     1 << 20,
 	}
-	var stats RankStats
-	ranked, err := Rank(context.Background(), sc, nil, RankOptions{
-		Registry: reg,
-		OnStats:  func(s RankStats) { stats = s },
-	})
+	ranked, err := Rank(context.Background(), sc, nil, RankOptions{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,14 +156,12 @@ func TestRankRecordsSearchMetrics(t *testing.T) {
 	if !found {
 		t.Fatalf("advisor_search_seconds histogram not observed: %+v", reg.Snapshot())
 	}
-	if stats.Mode != ModePruned {
-		t.Fatalf("OnStats mode = %q, want pruned", stats.Mode)
+	res, err := SearchOrders(context.Background(), sc, SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stats.Orders != 24 || stats.Classes != int(misses) {
-		t.Fatalf("OnStats = %+v, want Orders=24 Classes=%v", stats, misses)
-	}
-	if stats.Elapsed <= 0 {
-		t.Fatalf("OnStats elapsed = %v", stats.Elapsed)
+	if res.Mode != ModePruned || res.Covered != 24 || float64(res.Evaluated) != misses {
+		t.Fatalf("search mode %q covered %d evaluated %d, want pruned, 24 and %v", res.Mode, res.Covered, res.Evaluated, misses)
 	}
 }
 
@@ -160,8 +174,8 @@ func hasModeLabel(labels []obs.Label, mode string) bool {
 	return false
 }
 
-// TestRankExactModeWhenNoSharing verifies the mode semantics: disabling
-// pruning — or a grid where every order is its own class — reports
+// TestRankExactModeWhenNoSharing verifies the mode semantics: orders that
+// are each their own class — one representative of every class — report
 // mode="exact", never "pruned".
 func TestRankExactModeWhenNoSharing(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -172,23 +186,25 @@ func TestRankExactModeWhenNoSharing(t *testing.T) {
 		CommSize:  4,
 		Bytes:     1 << 20,
 	}
-	var stats RankStats
-	if _, err := Rank(context.Background(), sc, nil, RankOptions{
-		Registry: reg,
-		NoPrune:  true,
-		OnStats:  func(s RankStats) { stats = s },
-	}); err != nil {
+	all := perm.All(4)
+	var reps [][]int
+	for _, members := range classGroups(sc, all) {
+		reps = append(reps, all[members[0]])
+	}
+	if len(reps) < 2 || len(reps) == len(all) {
+		t.Fatalf("%d classes of %d orders, want a scenario whose orders share classes", len(reps), len(all))
+	}
+	res, err := rank(context.Background(), sc, reps, reg, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Mode != ModeExact {
-		t.Fatalf("OnStats mode = %q, want exact", stats.Mode)
-	}
-	if stats.Orders != 24 || stats.Classes != 24 {
-		t.Fatalf("OnStats = %+v, want Orders=Classes=24", stats)
+	n := int64(len(reps))
+	if res.Mode != ModeExact || res.Evaluated != n || res.Covered != n {
+		t.Fatalf("search mode %q evaluated %d covered %d, want exact and %d of each", res.Mode, res.Evaluated, res.Covered, n)
 	}
 	ml := obs.L("mode", ModeExact)
-	if misses := reg.FindCounter("advisor_class_misses_total", ml); misses != 24 {
-		t.Fatalf("exact-mode misses = %v, want 24", misses)
+	if misses := reg.FindCounter("advisor_class_misses_total", ml); misses != float64(n) {
+		t.Fatalf("exact-mode misses = %v, want %d", misses, n)
 	}
 	if hits := reg.FindCounter("advisor_class_hits_total", ml); hits != 0 {
 		t.Fatalf("exact-mode hits = %v, want 0", hits)

@@ -1,9 +1,9 @@
-// Chunked, cancellable order ranking with §3.3 equivalence-class pruning,
-// the one exact pipeline of Rank and SearchOrders: classify the orders by
-// integer placement signature (the communicator's part once per covering
-// prefix), Predict one representative per class on a bounded worker pool,
-// and emit from the classes sorted by bandwidth, sorting orders only within
-// the tie groups emitted — no k! ranking is built. Class members share the
+// Cancellable order ranking with §3.3 equivalence-class pruning, the one
+// exact pipeline of Rank and SearchOrders: classify the orders by integer
+// placement signature (the communicator's part once per covering prefix),
+// Predict one representative per class on the caller's goroutine, and emit
+// from the classes sorted by bandwidth, sorting orders only within the tie
+// groups emitted — no k! ranking is built. Class members share the
 // prediction, so the lexicographic tie-break keeps the answer exactly that
 // of evaluating and sorting every order (proven by differential test).
 
@@ -12,9 +12,7 @@ package advisor
 import (
 	"cmp"
 	"context"
-	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/metrics"
@@ -24,14 +22,8 @@ import (
 	"repro/internal/perm"
 )
 
-// RankOptions bounds the parallel evaluation of Rank.
+// RankOptions carries Rank's observability.
 type RankOptions struct {
-	// Workers is the number of evaluation goroutines; 0 means GOMAXPROCS.
-	Workers int
-	// NoPrune disables the equivalence-class fast path and evaluates every
-	// order. The ranking is identical either way; the flag exists for
-	// benchmarks and differential tests.
-	NoPrune bool
 	// Registry, when non-nil, receives search observability: the
 	// advisor_class_hits_total / advisor_class_misses_total counters (orders
 	// served from a class representative vs. representatives evaluated) and
@@ -39,14 +31,12 @@ type RankOptions struct {
 	// mode label ("exact" or "pruned"; the service adds "fallback" for
 	// breaker-open heuristic answers it serves itself).
 	Registry *obs.Registry
-	// OnStats, when non-nil, receives one RankStats per completed search.
-	OnStats func(RankStats)
 }
 
-// Search modes, as labeled on the advisor metrics and reported through
-// RankStats. A search is "pruned" only when equivalence-class grouping
-// actually shared evaluations; a grouping that degenerates to one class
-// per order did exact work and is labeled accordingly. "fallback" is
+// Search modes, as labeled on the advisor metrics and reported in
+// SearchResult.Mode. A search is "pruned" only when equivalence-class
+// grouping actually shared evaluations; a grouping that degenerates to one
+// class per order did exact work and is labeled accordingly. "fallback" is
 // never produced by Rank itself: it marks the service's breaker-open
 // heuristic ranking.
 const (
@@ -55,40 +45,21 @@ const (
 	ModeFallback = "fallback"
 )
 
-// RankStats summarizes one completed search.
-type RankStats struct {
-	// Mode is ModeExact or ModePruned from Rank; SearchOrders reports
-	// ModeBnB or ModeBeam too.
-	Mode string
-	// Orders is the candidate count, Classes the evaluations performed.
-	Orders, Classes int
-	// Elapsed is the wall-clock search duration.
-	Elapsed time.Duration
-}
-
-func (o RankOptions) workers(n int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return max(min(w, n), 1)
-}
-
-// Rank evaluates the given orders (all k! of the hierarchy when nil) with a
-// bounded worker pool and returns them ranked by predicted bandwidth, best
-// first. Equal-bandwidth orders sort by lexicographic order permutation, so
-// the ranking is deterministic across runs and safe to cache. Rank stops
-// early and returns ctx.Err() when the context is cancelled.
+// Rank evaluates the given orders (all k! of the hierarchy when nil) and
+// returns them ranked by predicted bandwidth, best first. Equal-bandwidth
+// orders sort by lexicographic order permutation, so the ranking is
+// deterministic across runs and safe to cache. Rank stops early and
+// returns ctx.Err() when the context is cancelled.
 //
-// Unless opts.NoPrune is set, Rank prunes the search by §3.3 equivalence
-// class: orders whose placement signature matches an already-grouped order
-// share one Predict evaluation. On symmetric hierarchies this collapses
-// the k! candidates to a handful of classes.
+// Rank prunes the search by §3.3 equivalence class: orders whose placement
+// signature matches an already-grouped order share one Predict evaluation.
+// On symmetric hierarchies this collapses the k! candidates to a handful
+// of classes.
 func Rank(ctx context.Context, sc Scenario, orders [][]int, opts RankOptions) ([]Prediction, error) {
 	if orders == nil {
 		orders = perm.All(sc.Hierarchy.Depth())
 	}
-	res, err := rank(ctx, sc, orders, opts, len(orders))
+	res, err := rank(ctx, sc, orders, opts.Registry, len(orders))
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +70,7 @@ func Rank(ctx context.Context, sc Scenario, orders [][]int, opts RankOptions) ([
 // class, emit — answering with the first top entries of the ranking of the
 // orders and its last entry, all of them covered by one evaluation per
 // class. SearchOrders runs it on all k! orders up to ExactDepth.
-func rank(ctx context.Context, sc Scenario, orders [][]int, opts RankOptions, top int) (*SearchResult, error) {
+func rank(ctx context.Context, sc Scenario, orders [][]int, reg *obs.Registry, top int) (*SearchResult, error) {
 	start := time.Now()
 	n := len(orders)
 	if n == 0 {
@@ -109,30 +80,33 @@ func rank(ctx context.Context, sc Scenario, orders [][]int, opts RankOptions, to
 	span.SetAttr("orders", int64(n))
 	defer span.End()
 
-	class, first := classify(sc, orders, !opts.NoPrune && n > 1)
-	classes := len(first)
-	span.SetAttr("classes", int64(classes))
-	reps := make([]Prediction, classes)
-	if err := evalRepresentatives(ctx, sc, orders, first, reps, opts); err != nil {
+	class, first := classify(sc, orders)
+	span.SetAttr("classes", int64(len(first)))
+	reps, err := evalRepresentatives(ctx, sc, orders, first)
+	if err != nil {
 		span.SetError()
 		return nil, err
 	}
-	mode := ModeExact
-	if classes < n {
-		mode = ModePruned
+	res := &SearchResult{Mode: ModeExact, Evaluated: int64(len(first)), Covered: int64(n)}
+	if len(first) < n {
+		res.Mode = ModePruned
 	}
-	if opts.Registry != nil {
-		ml := obs.L("mode", mode)
-		opts.Registry.Counter("advisor_class_misses_total", ml).AddInt(int64(classes))
-		opts.Registry.Counter("advisor_class_hits_total", ml).AddInt(int64(n - classes))
-		opts.Registry.Histogram("advisor_search_seconds", obs.SearchBuckets(), ml).
-			Observe(time.Since(start).Seconds())
+	writeSeries(reg, res, start)
+	res.Best, res.Worst = emit(orders, class, reps, top)
+	return res, nil
+}
+
+// writeSeries writes one search's advisor_* series under its mode: the
+// evaluations as class misses, the other orders it covered as class hits,
+// and the time since start.
+func writeSeries(reg *obs.Registry, res *SearchResult, start time.Time) {
+	if reg == nil {
+		return
 	}
-	if opts.OnStats != nil {
-		opts.OnStats(RankStats{Mode: mode, Orders: n, Classes: classes, Elapsed: time.Since(start)})
-	}
-	best, worst := emit(orders, class, reps, top)
-	return &SearchResult{Best: best, Worst: worst, Mode: mode, Evaluated: int64(classes), Covered: int64(n)}, nil
+	ml := obs.L("mode", res.Mode)
+	reg.Counter("advisor_class_misses_total", ml).AddInt(res.Evaluated)
+	reg.Counter("advisor_class_hits_total", ml).AddInt(max(res.Covered-res.Evaluated, 0))
+	reg.Histogram("advisor_search_seconds", obs.SearchBuckets(), ml).Observe(time.Since(start).Seconds())
 }
 
 // classify partitions the orders into §3.3 equivalence classes by integer
@@ -141,9 +115,8 @@ func rank(ctx context.Context, sc Scenario, orders [][]int, opts RankOptions, to
 // and first[g] class g's first member, its representative. The
 // communicator's components read only its covering prefix, so a prefix tree
 // walk computes them once per prefix. Signatures are found by a verified
-// fingerprint. Without pruning, or with an input Predict rejects, every
-// order is its own class.
-func classify(sc Scenario, orders [][]int, prune bool) (class []int32, first []int) {
+// fingerprint. With an input Predict rejects, every order is its own class.
+func classify(sc Scenario, orders [][]int) (class []int32, first []int) {
 	// Alltoall traffic depends on domain occupancy alone, so the ring
 	// traversal is left out and occupancy-equivalent orders merge. The
 	// world tiling is required whenever every subcommunicator runs at
@@ -152,7 +125,7 @@ func classify(sc Scenario, orders [][]int, prune bool) (class []int32, first []i
 	// catches the collision if this is weakened).
 	ar := sc.Hierarchy.Arities()
 	k, n, p := len(ar), sc.Hierarchy.Size(), sc.CommSize
-	prune = prune && p > 0 && p <= n &&
+	prune := p > 0 && p <= n &&
 		!slices.ContainsFunc(orders, func(sigma []int) bool { return mixedradix.CheckOrder(ar, sigma) != nil })
 	// tree[j·k+l] is prefix node j's child through level l (0: none; node 0
 	// is the empty prefix), commOf[j] a covering node's signature id.
@@ -196,77 +169,23 @@ func classify(sc Scenario, orders [][]int, prune bool) (class []int32, first []i
 }
 
 // evalRepresentatives predicts each class representative, orders[first[g]],
-// on the bounded worker pool, one predictor per worker, writing into reps
-// (Order unset: emit fills in each entry's own).
-func evalRepresentatives(ctx context.Context, sc Scenario, orders [][]int, first []int, reps []Prediction, opts RankOptions) error {
-	n := len(first)
-	workers := opts.workers(n)
-	// ~4 chunks per worker, so stragglers rebalance and cancellation is
-	// noticed between chunks.
-	chunk := max(n/(4*workers), 1)
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type unit struct{ lo, hi int }
-	units := make(chan unit)
-	var (
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		firstEr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstEr = err })
-		cancel()
+// with one predictor, checking ctx between classes (Order unset: emit fills
+// in each entry's own).
+func evalRepresentatives(ctx context.Context, sc Scenario, orders [][]int, first []int) ([]Prediction, error) {
+	pd, err := newPredictor(sc)
+	if err != nil {
+		return nil, err
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pd, err := newPredictor(sc)
-			if err != nil {
-				fail(err)
-				return
-			}
-			for u := range units {
-				// One span per chunk keeps trace volume proportional to the
-				// work units, not the k! candidate orders.
-				_, span := rt.StartSpan(ctx, "advisor.chunk")
-				span.SetAttr("lo", int64(u.lo))
-				span.SetAttr("classes", int64(u.hi-u.lo))
-				for g := u.lo; g < u.hi; g++ {
-					if ctx.Err() != nil {
-						span.End()
-						return
-					}
-					pr, err := pd.predict(orders[first[g]])
-					if err != nil {
-						span.SetError()
-						span.End()
-						fail(err)
-						return
-					}
-					reps[g] = pr
-				}
-				span.End()
-			}
-		}()
-	}
-feed:
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		select {
-		case units <- unit{lo, hi}:
-		case <-ctx.Done():
-			break feed
+	reps := make([]Prediction, len(first))
+	for g, i := range first {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if reps[g], err = pd.predict(orders[i]); err != nil {
+			return nil, err
 		}
 	}
-	close(units)
-	wg.Wait()
-	if firstEr != nil {
-		return firstEr
-	}
-	return ctx.Err()
+	return reps, nil
 }
 
 // emit returns the first top entries of the ranking of the orders and its

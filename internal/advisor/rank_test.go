@@ -27,30 +27,6 @@ func rankScenario() Scenario {
 	}
 }
 
-// Rank with a worker pool must agree exactly with the one-worker ranking.
-func TestRankMatchesSequential(t *testing.T) {
-	sc := rankScenario()
-	seq, err := Rank(context.Background(), sc, nil, RankOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 7} {
-		par, err := Rank(context.Background(), sc, nil, RankOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(par) != len(seq) {
-			t.Fatalf("workers=%d: %d predictions, want %d", workers, len(par), len(seq))
-		}
-		for i := range par {
-			if !perm.Equal(par[i].Order, seq[i].Order) || par[i].Time != seq[i].Time {
-				t.Fatalf("workers=%d: rank %d is %v (%.3g), want %v (%.3g)",
-					workers, i, par[i].Order, par[i].Time, seq[i].Order, seq[i].Time)
-			}
-		}
-	}
-}
-
 // A cancelled context aborts the evaluation with the context's error.
 func TestRankCancelled(t *testing.T) {
 	sc := rankScenario()
@@ -82,7 +58,7 @@ func TestRankTiesAreLexicographic(t *testing.T) {
 		CommSize:  h.Size(),
 		Bytes:     1 << 20,
 	}
-	ranked, err := Rank(context.Background(), sc, nil, RankOptions{Workers: 4})
+	ranked, err := Rank(context.Background(), sc, nil, RankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +165,7 @@ func TestSearchExactEqualsRank(t *testing.T) {
 					ranked, groups := rankOracle(t, sc)
 					for _, mul := range [][33]uint64{orig, {}} {
 						fpMul = mul
-						class, first := classify(sc, orders, true)
+						class, first := classify(sc, orders)
 						if len(first) != len(groups) {
 							t.Fatalf("%v %s p=%d sim=%v: %d classes, oracle %d", m.h.Arities(), coll, p, sim, len(first), len(groups))
 						}

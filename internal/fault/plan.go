@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -164,22 +165,31 @@ func (p *Plan) parseClause(clause string) error {
 		return badf("clause %q: kills=%q: %v", clause, kills, err)
 	}
 	ev.Target = n
-	for key, dst := range map[string]*float64{"by": &ev.By, "restart": &ev.Restart} {
-		if v, ok := kv[key]; ok {
-			delete(kv, key)
+	// by before restart, then the lexically first leftover key: one bad
+	// clause reports one error, whatever the map's iteration order.
+	for _, f := range []struct {
+		key string
+		dst *float64
+	}{{"by", &ev.By}, {"restart", &ev.Restart}} {
+		if v, ok := kv[f.key]; ok {
+			delete(kv, f.key)
 			d, err := parseSeconds(v)
 			if err != nil {
-				return badf("clause %q: %s=%q: %v", clause, key, v, err)
+				return badf("clause %q: %s=%q: %v", clause, f.key, v, err)
 			}
-			*dst = d
+			*f.dst = d
 		}
 	}
 
-	for k := range kv {
-		if k == "" {
-			return badf("clause %q: unexpected positional value", clause)
+	if len(kv) > 0 {
+		keys := make([]string, 0, len(kv))
+		for k := range kv {
+			keys = append(keys, k)
 		}
-		return badf("clause %q: unknown key %q", clause, k)
+		if k := slices.Min(keys); k != "" {
+			return badf("clause %q: unknown key %q", clause, k)
+		}
+		return badf("clause %q: unexpected positional value", clause)
 	}
 	p.Events = append(p.Events, ev)
 	return nil

@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -90,6 +91,27 @@ func TestParseReplicaErrors(t *testing.T) {
 	} {
 		if _, err := Parse(s); !errors.Is(err, ErrBadPlan) {
 			t.Errorf("Parse(%q): err = %v, want ErrBadPlan", s, err)
+		}
+	}
+}
+
+// A clause with more than one bad value reports the same one every time:
+// by before restart, and the lexically first unknown key.
+func TestParseErrorDeterministic(t *testing.T) {
+	for s, want := range map[string]string{
+		"replica-chaos:1,by=x,restart=y":    `by="x"`,
+		"replica-chaos:1,zeta=1,alpha=2":    `unknown key "alpha"`,
+		"replica-chaos:kills=1,2,bogus=3":   "unexpected positional value",
+		"replica-chaos:1,restart=y,omega=1": `restart="y"`,
+	} {
+		_, first := Parse(s)
+		if first == nil || !strings.Contains(first.Error(), want) {
+			t.Fatalf("Parse(%q) = %v, want an error naming %s", s, first, want)
+		}
+		for i := 0; i < 200; i++ {
+			if _, err := Parse(s); err == nil || err.Error() != first.Error() {
+				t.Fatalf("Parse(%q) call %d: %v, first call: %v", s, i, err, first)
+			}
 		}
 	}
 }

@@ -84,8 +84,8 @@ func TestSpanNestingAndCommit(t *testing.T) {
 	child.End()
 	_, grand := StartSpan(cctx, "never-used")
 	_ = grand
-	_, worker := StartSpan(ctx, "advisor.chunk")
-	worker.End()
+	_, sibling := StartSpan(ctx, "advisor.rank")
+	sibling.End()
 	// Nothing committed until the root ends.
 	if n := len(tr.Scope().Spans()); n != 0 {
 		t.Fatalf("%d spans committed before root end", n)
@@ -105,7 +105,7 @@ func TestSpanNestingAndCommit(t *testing.T) {
 			t.Fatalf("span %q ends before it starts", sp.Name)
 		}
 	}
-	for _, want := range []string{"http /v1/x", "cache.lookup", "advisor.chunk"} {
+	for _, want := range []string{"http /v1/x", "cache.lookup", "advisor.rank"} {
 		if !names[want] {
 			t.Fatalf("committed spans missing %q (have %v)", want, names)
 		}

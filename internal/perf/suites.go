@@ -41,19 +41,6 @@ type Suite struct {
 	Benches   []Bench
 }
 
-// scenario is one point of the sweep grid.
-type scenario struct {
-	shape    []int
-	coll     advisor.Collective
-	commSize int
-	mode     string // "full" or "pruned"
-}
-
-func (s scenario) name(prefix string) string {
-	return fmt.Sprintf("%s/h=%s/%s/c=%d/%s",
-		prefix, intsDash(s.shape), s.coll, s.commSize, s.mode)
-}
-
 func intsDash(v []int) string {
 	parts := make([]string, len(v))
 	for i, x := range v {
@@ -111,54 +98,44 @@ func KernelSuite() Suite {
 	return s
 }
 
-// OrderSearchSuite sweeps advisor.Rank over the scenario grid in both
-// search modes, single-threaded so the full/pruned ratio measures the
-// algorithm rather than the worker pool.
+// OrderSearchSuite sweeps advisor.Rank over the scenario grid.
 func OrderSearchSuite() Suite {
 	s := Suite{
 		Name:        "order_search",
-		Description: "advisor.Rank over shape × collective × comm size × search mode",
+		Description: "advisor.Rank over shape × collective × comm size",
 		Threshold:   0.25,
 	}
-	grid := []scenario{}
 	for _, shape := range searchShapes {
 		for _, coll := range []advisor.Collective{advisor.Alltoall, advisor.Allreduce} {
 			comm := 64
 			if mixedradix.Size(shape)%comm != 0 || mixedradix.Size(shape) < comm {
 				comm = 16
 			}
-			for _, mode := range []string{"full", "pruned"} {
-				grid = append(grid, scenario{shape, coll, comm, mode})
+			adv := advisor.Scenario{
+				Spec:      cluster.Hydra(16, 1),
+				Hierarchy: topology.MustNew(shape...),
+				Coll:      coll,
+				CommSize:  comm,
+				Bytes:     4 << 20,
 			}
-		}
-	}
-	for _, sc := range grid {
-		sc := sc
-		spec := cluster.Hydra(16, 1)
-		adv := advisor.Scenario{
-			Spec:      spec,
-			Hierarchy: topology.MustNew(sc.shape...),
-			Coll:      sc.coll,
-			CommSize:  sc.commSize,
-			Bytes:     4 << 20,
-		}
-		want := factorial(len(sc.shape))
-		noPrune := sc.mode == "full"
-		s.Benches = append(s.Benches, Bench{
-			Name: sc.name("OrderSearch"),
-			F: func(b *B) {
-				ctx := context.Background()
-				for i := 0; i < b.N; i++ {
-					ranked, err := advisor.Rank(ctx, adv, nil, advisor.RankOptions{Workers: 1, NoPrune: noPrune})
-					if err != nil {
-						b.Fatalf("%v", err)
+			want := factorial(len(shape))
+			s.Benches = append(s.Benches, Bench{
+				// The /pruned suffix keeps the names BENCH_order_search.json records.
+				Name: fmt.Sprintf("OrderSearch/h=%s/%s/c=%d/pruned", intsDash(shape), coll, comm),
+				F: func(b *B) {
+					ctx := context.Background()
+					for i := 0; i < b.N; i++ {
+						ranked, err := advisor.Rank(ctx, adv, nil, advisor.RankOptions{})
+						if err != nil {
+							b.Fatalf("%v", err)
+						}
+						if len(ranked) != want {
+							b.Fatalf("ranked %d orders, want %d", len(ranked), want)
+						}
 					}
-					if len(ranked) != want {
-						b.Fatalf("ranked %d orders, want %d", len(ranked), want)
-					}
-				}
-			},
-		})
+				},
+			})
+		}
 	}
 	// Deep hierarchies: the bounded branch-and-bound engine over
 	// cluster.Cloud at the depths mapd serves beyond the exact

@@ -35,10 +35,8 @@ import (
 // Options tunes Map and Refine.
 type Options struct {
 	// Seed drives the refinement's candidate sampling. Two runs with the
-	// same seed (and any worker counts) produce identical placements.
+	// same seed (at any GOMAXPROCS) produce identical placements.
 	Seed int64
-	// Workers bounds the refinement goroutines (0 = GOMAXPROCS).
-	Workers int
 	// MaxRounds bounds refinement sweeps over the levels (0 = 16).
 	MaxRounds int
 	// NoRefine stops after the greedy construction.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -114,20 +115,23 @@ func TestRefineDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Map(context.Background(), m, h, Options{Seed: 42, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 7, 16} {
-		got, err := Map(context.Background(), m, h, Options{Seed: 42, Workers: workers})
+	// mapAt maps at the given GOMAXPROCS, which sizes refine's workers.
+	mapAt := func(procs int) *Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := Map(context.Background(), m, h, Options{Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
+		return res
+	}
+	base := mapAt(1)
+	for _, procs := range []int{2, 7, 16} {
+		got := mapAt(procs)
 		if !reflect.DeepEqual(got.Placement, base.Placement) {
-			t.Fatalf("placement differs between 1 and %d workers", workers)
+			t.Fatalf("placement differs between GOMAXPROCS 1 and %d", procs)
 		}
 		if got.Cost != base.Cost || got.Swaps != base.Swaps || got.Rounds != base.Rounds {
-			t.Fatalf("stats differ between 1 and %d workers: %+v vs %+v", workers, got, base)
+			t.Fatalf("stats differ between GOMAXPROCS 1 and %d: %+v vs %+v", procs, got, base)
 		}
 	}
 	// A different seed may sample differently but must stay a valid,

@@ -26,10 +26,10 @@
 // with them the placement, are bit for bit those of the full rescan that
 // refine_oracle_test.go keeps as the reference.
 //
-// Determinism does not depend on the worker count: candidate sampling is
-// driven by one RNG per (seed, round, level, domain), KL pair rotation by
-// (round, domain), and the commit order is the domain order — so a
-// 1-worker and a 16-worker run produce the same placement. Races cannot
+// Determinism does not depend on the worker count, one per GOMAXPROCS:
+// candidate sampling is driven by one RNG per (seed, round, level, domain),
+// KL pair rotation by (round, domain), and the commit order is the domain
+// order — so a 1-worker and a 16-worker run produce the same placement. Races cannot
 // occur by construction: the propose phase only reads shared state and
 // writes its own worker's overlays and disjoint proposal slots.
 
@@ -73,12 +73,8 @@ func refine(ctx context.Context, adj [][]neighbor, cm *costModel, placement []in
 		owner[c] = r
 	}
 	k := len(cm.suffix) - 1
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	maxDomains := n / cm.suffix[k-1]
-	searchers := make([]*searcher, min(workers, maxDomains))
+	searchers := make([]*searcher, min(runtime.GOMAXPROCS(0), maxDomains))
 	for w := range searchers {
 		searchers[w] = newSearcher(adj, cm, placement, owner)
 	}

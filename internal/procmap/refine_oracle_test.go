@@ -315,10 +315,7 @@ func oracleRefine(ctx context.Context, m *commmatrix.Matrix, cm *oracleCostModel
 	for r, c := range placement {
 		owner[c] = r
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	k := len(cm.w)
 	for round := 0; round < opts.MaxRounds; round++ {
 		if err := ctx.Err(); err != nil {
@@ -627,8 +624,9 @@ func TestRefineMatchesOracle(t *testing.T) {
 			t.Fatalf("%s: oracle: %v", name, err)
 		}
 		for _, workers := range []int{1, 3} {
-			opts.Workers = workers
+			prev := runtime.GOMAXPROCS(workers)
 			got, err := Map(context.Background(), m, h, opts)
+			runtime.GOMAXPROCS(prev)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -662,21 +660,41 @@ func TestRefineMatchesOracle(t *testing.T) {
 
 // TestMapAllocs bounds what one Map allocates on the perf suite's
 // halo-8x16 row (1 171 allocations at commit 7843a36): the overlays, the
-// KL scratch and the sampling generator are per worker, not per domain.
+// KL scratch and the sampling generator are per worker, not per domain, at
+// every worker count refine takes from GOMAXPROCS.
 func TestMapAllocs(t *testing.T) {
 	h := topology.MustNew(4, 2, 2, 8)
 	m, err := Halo(8, 16, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Seed: 1, NoOrderInit: true, Workers: 2}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := Map(context.Background(), m, h, opts); err != nil {
-			t.Fatal(err)
+	opts := Options{Seed: 1, NoOrderInit: true}
+	for _, procs := range []int{1, 2, 7, 16} {
+		allocs := mallocsAt(procs, func() {
+			if _, err := Map(context.Background(), m, h, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1171/2 {
+			t.Fatalf("GOMAXPROCS %d: Map on halo-8x16 allocates %d times, want ≤ %d", procs, allocs, 1171/2)
 		}
-	})
-	if allocs > 1171/2 {
-		t.Fatalf("Map on halo-8x16 allocates %.0f times, want ≤ %d", allocs, 1171/2)
+		t.Logf("GOMAXPROCS %d: %d allocs/op", procs, allocs)
 	}
-	t.Logf("%.0f allocs/op", allocs)
+}
+
+// mallocsAt reports the fewest heap allocations of five calls of f at the
+// given GOMAXPROCS, read from the runtime's statistics, since
+// testing.AllocsPerRun pins GOMAXPROCS to 1. A stray allocation elsewhere
+// only raises a call's count, so the fewest is f's own.
+func mallocsAt(procs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fewest := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return fewest
 }
