@@ -16,12 +16,12 @@ import (
 	"repro/internal/cg"
 	"repro/internal/cluster"
 	"repro/internal/figures"
+	"repro/internal/metrics"
 	"repro/internal/mixedradix"
 	"repro/internal/mpi"
 	"repro/internal/perm"
 	"repro/internal/splatt"
 	"repro/internal/tensor"
-	"repro/internal/trace"
 )
 
 // BenchmarkTable1 regenerates Table 1 (rank 10 on ⟦2,2,4⟧ under all six
@@ -164,9 +164,9 @@ func BenchmarkFigure8Correlation(b *testing.B) {
 		for _, o := range orders {
 			res := splattBench(b, o, 1)
 			durations = append(durations, res.Duration)
-			a16 = append(a16, res.Trace.MaxTimeIn("Alltoall", 16))
+			a16 = append(a16, res.Alltoall[16])
 		}
-		r = trace.Pearson(durations, a16)
+		r = metrics.Pearson(durations, a16)
 	}
 	b.ReportMetric(r, "pearson")
 }

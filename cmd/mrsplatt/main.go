@@ -1,7 +1,7 @@
 // Command mrsplatt regenerates Figure 8: the Splatt CPD duration on the
 // simulated Hydra cluster under every rank-reordering order, with one or
-// two NICs per node, plus the mpisee-style per-communicator profile and
-// the CPD↔Alltoallv correlation of §4.2.
+// two NICs per node, with each order's Alltoallv time in the 16-rank layer
+// communicators and the CPD↔Alltoallv correlation of §4.2.
 //
 // Usage:
 //
@@ -16,9 +16,9 @@ import (
 	"os"
 
 	"repro/internal/figures"
+	"repro/internal/metrics"
 	"repro/internal/perm"
 	"repro/internal/tensor"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -61,6 +61,6 @@ func main() {
 			a16 = append(a16, r.Alltoall16)
 		}
 		fmt.Printf("Pearson correlation CPD duration vs Alltoallv@16: %.2f\n\n",
-			trace.Pearson(durations, a16))
+			metrics.Pearson(durations, a16))
 	}
 }

@@ -1,7 +1,8 @@
 // Splatt reordering: run the simulated distributed CPD on a small Hydra
 // cluster under the Slurm default order and under a packed order, report
-// the improvement, and print the mpisee-style per-communicator profile
-// that attributes it to the 16-rank Alltoallv communicators (§4.2).
+// the improvement, the time each run spends in the Alltoallv of its
+// 16-rank layer communicators (§4.2's attribution), and the observability
+// summary of the default order's run.
 package main
 
 import (
@@ -9,6 +10,8 @@ import (
 	"log"
 
 	"repro/internal/cluster"
+	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/perm"
 	"repro/internal/splatt"
 	"repro/internal/tensor"
@@ -24,6 +27,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		var sc *obs.Scope
+		if name == "1-3-2-0" {
+			sc = obs.New(obs.Options{})
+		}
 		res, err := splatt.Run(splatt.Config{
 			Spec:      cluster.Hydra(nodes, 1),
 			Hierarchy: cluster.HydraHierarchy(nodes),
@@ -32,15 +39,16 @@ func main() {
 			Tensor:    ten,
 			Rank:      16,
 			Iters:     2,
+			MPI:       mpi.Config{Obs: sc},
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("order %s: CPD %.3f ms (Alltoallv in 16-rank comms: %.3f ms)\n",
-			name, res.Duration*1e3, res.Trace.MaxTimeIn("Alltoall", 16)*1e3)
-		if name == "1-3-2-0" {
-			fmt.Println("\nmpisee-style profile for the Slurm default order:")
-			fmt.Print(res.Trace.Report())
+			name, res.Duration*1e3, res.Alltoall[16]*1e3)
+		if sc != nil {
+			fmt.Println("\nprofile of the Slurm default order:")
+			fmt.Print(obs.Summary(sc, 8))
 			fmt.Println()
 		}
 		return res.Duration

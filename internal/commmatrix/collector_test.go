@@ -1,3 +1,8 @@
+// Building the communication matrix at runtime from the simulated MPI's
+// point-to-point stream (the introspection-monitoring approach of the
+// paper's §2 reference [11]): the obs scope's p2p instants carry each
+// message's sender, receiver and bytes.
+
 package commmatrix
 
 import (
@@ -5,9 +10,41 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
+	"repro/internal/obs"
 	"repro/internal/perm"
 	"repro/internal/topology"
 )
+
+// p2pScope returns a scope that records one instant per message.
+func p2pScope() *obs.Scope { return obs.New(obs.Options{P2PEvents: true}) }
+
+// p2pMatrix accumulates sc's p2p instants into a matrix of n ranks,
+// skipping self-messages and empty ones.
+func p2pMatrix(t *testing.T, sc *obs.Scope, n int) *Matrix {
+	t.Helper()
+	if d := sc.DroppedSpans(); d > 0 {
+		t.Fatalf("scope dropped %d events past its cap", d)
+	}
+	m := New(n)
+	for _, in := range sc.Instants() {
+		if in.Name != "p2p" {
+			continue
+		}
+		var dst, bytes int64
+		for _, a := range in.Args {
+			switch a.Key {
+			case "dst":
+				dst = a.Val
+			case "bytes":
+				bytes = a.Val
+			}
+		}
+		if int64(in.TID) != dst && bytes > 0 {
+			m.Add(in.TID, int(dst), float64(bytes))
+		}
+	}
+	return m
+}
 
 func testSpec() netmodel.Spec {
 	return netmodel.Spec{
@@ -21,16 +58,16 @@ func testSpec() netmodel.Spec {
 }
 
 func TestCollectorRecordsP2P(t *testing.T) {
-	col := NewCollector(4)
+	sc := p2pScope()
 	binding := []int{0, 1, 2, 3}
-	_, err := mpi.Run(testSpec(), binding, mpi.Config{P2P: col}, func(r *mpi.Rank) {
+	_, err := mpi.Run(testSpec(), binding, mpi.Config{Obs: sc}, func(r *mpi.Rank) {
 		// A binomial-tree broadcast from rank 0: 0→2, then 0→1 and 2→3.
 		r.World().Bcast(r, 0, mpi.BytesBuf(1000))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := col.Matrix()
+	m := p2pMatrix(t, sc, 4)
 	if m.At(0, 1) != 1000 {
 		t.Errorf("At(0,1) = %v, want 1000", m.At(0, 1))
 	}
@@ -39,17 +76,17 @@ func TestCollectorRecordsP2P(t *testing.T) {
 	}
 }
 
-// Run a block-subcommunicator workload under the collector, then ask
+// Run a block-subcommunicator workload under a p2p scope, then ask
 // bestOrder which mixed-radix order the observed matrix recommends: the
 // end-to-end introspect-then-reorder loop of §2.
 func TestCollectorDrivesBestOrder(t *testing.T) {
 	h := topology.MustNew(2, 2, 4)
-	col := NewCollector(16)
+	sc := p2pScope()
 	binding := make([]int, 16)
 	for i := range binding {
 		binding[i] = i
 	}
-	_, err := mpi.Run(testSpec(), binding, mpi.Config{P2P: col}, func(r *mpi.Rank) {
+	_, err := mpi.Run(testSpec(), binding, mpi.Config{Obs: sc}, func(r *mpi.Rank) {
 		w := r.World()
 		sub := w.Split(r, r.ID()/4, r.ID()%4) // 4 blocks of 4 consecutive ranks
 		sub.AlltoallBytes(r, 4096)
@@ -57,9 +94,9 @@ func TestCollectorDrivesBestOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := col.Matrix()
+	m := p2pMatrix(t, sc, 16)
 	if m.Total() <= 0 {
-		t.Fatal("collector saw no traffic")
+		t.Fatal("scope saw no traffic")
 	}
 	sigma, _ := bestOrder(t, m, h)
 	// Consecutive 4-rank blocks → packed orders are optimal.
@@ -71,18 +108,18 @@ func TestCollectorDrivesBestOrder(t *testing.T) {
 
 // Collective algorithms' internal messages must show up too.
 func TestCollectorSeesCollectiveTraffic(t *testing.T) {
-	col := NewCollector(8)
+	sc := p2pScope()
 	binding := make([]int, 8)
 	for i := range binding {
 		binding[i] = i
 	}
-	_, err := mpi.Run(testSpec(), binding[:8], mpi.Config{P2P: col}, func(r *mpi.Rank) {
+	_, err := mpi.Run(testSpec(), binding[:8], mpi.Config{Obs: sc}, func(r *mpi.Rank) {
 		r.World().AllreduceBytes(r, 1<<20)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if col.Matrix().Total() < 1<<20 {
-		t.Errorf("allreduce traffic %v too small", col.Matrix().Total())
+	if total := p2pMatrix(t, sc, 8).Total(); total < 1<<20 {
+		t.Errorf("allreduce traffic %v too small", total)
 	}
 }

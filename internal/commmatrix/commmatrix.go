@@ -7,7 +7,8 @@
 //
 // The package provides:
 //   - Matrix: a symmetric communication-volume matrix with recording
-//     helpers and an mpi.Tracer-style collector;
+//     helpers (a simulated run builds one from its obs scope's p2p
+//     instants);
 //   - Sparse: its canonical, content-addressable JSON wire format.
 //
 // The mapping tool itself — the best mixed-radix order for a matrix, the

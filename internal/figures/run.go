@@ -28,7 +28,7 @@ func RunFigure8(cfg Figure8Config) ([]Figure8Result, error) {
 		out = append(out, Figure8Result{
 			Order:      append([]int(nil), sigma...),
 			Duration:   res.Duration,
-			Alltoall16: res.Trace.MaxTimeIn("Alltoall", 16),
+			Alltoall16: res.Alltoall[16],
 		})
 	}
 	return out, nil
@@ -36,7 +36,7 @@ func RunFigure8(cfg Figure8Config) ([]Figure8Result, error) {
 
 // RunFigure9 measures the CG duration for every distinct core selection of
 // every process count; mcfg is the MPI runtime configuration of every run,
-// so callers can attach tracers or an observability scope.
+// so callers can attach an observability scope.
 func RunFigure9(procs []int, prob cg.Problem, mcfg mpi.Config) (map[int][]Figure9Selection, error) {
 	spec := cluster.LUMINode()
 	out := map[int][]Figure9Selection{}

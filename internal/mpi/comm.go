@@ -167,25 +167,18 @@ func (c *Comm) Barrier(r *Rank) {
 	c.trace(r, "Barrier", 0, start)
 }
 
-// trace reports a finished collective to the world's tracer and the
-// observability scope (one span per op on the rank's track, carrying its
-// communicator, size and bytes). Both hooks are nil-checked; disabled
-// they cost two predictable branches.
+// trace reports a finished collective to the observability scope: one
+// span per op on the rank's track, carrying its communicator, size and
+// bytes (the per-communicator record mpisee keeps in §4.2). Disabled, it
+// costs one predictable branch.
 func (c *Comm) trace(r *Rank, op string, bytes int64, start float64) {
-	tr := c.w.cfg.Tracer
 	sc := c.w.cfg.Obs
-	if tr == nil && sc == nil {
+	if sc == nil {
 		return
 	}
-	end := r.Now()
-	if tr != nil {
-		tr.Collective(c.id, len(c.group), op, bytes, r.id, start, end)
-	}
-	if sc != nil {
-		w := c.w
-		sc.Span(w.nodeOf(w.binding[r.id]), r.id, op, "coll", start, end,
-			obs.Arg{Key: "comm", Val: int64(c.id)},
-			obs.Arg{Key: "comm_size", Val: int64(len(c.group))},
-			obs.Arg{Key: "bytes", Val: bytes})
-	}
+	w := c.w
+	sc.Span(w.nodeOf(w.binding[r.id]), r.id, op, "coll", start, r.Now(),
+		obs.Arg{Key: "comm", Val: int64(c.id)},
+		obs.Arg{Key: "comm_size", Val: int64(len(c.group))},
+		obs.Arg{Key: "bytes", Val: bytes})
 }

@@ -28,31 +28,8 @@ import (
 // costing one extra round trip of path latency.
 const eagerThreshold = 16 * 1024
 
-// Tracer observes completed operations for profiling (the mpisee-style
-// per-communicator accounting of §4.2). Ranks call it from their own
-// coroutines, one at a time (the simulation engine runs exactly one rank
-// at any moment), so implementations need no locking.
-type Tracer interface {
-	// Collective records one collective call: the communicator id and size,
-	// the operation name, the per-rank payload bytes, the world rank, and
-	// the operation's virtual start/end times.
-	Collective(commID, commSize int, op string, bytes int64, worldRank int, start, end float64)
-}
-
-// P2PTracer observes every point-to-point message (including the ones
-// collective algorithms issue), e.g. to build a communication matrix at
-// runtime (§2 of the paper). Like Tracer, it is called by one rank at a
-// time.
-type P2PTracer interface {
-	P2P(srcWorldRank, dstWorldRank int, bytes int64)
-}
-
 // Config tunes the runtime.
 type Config struct {
-	// Tracer receives per-operation records; nil disables tracing.
-	Tracer Tracer
-	// P2P receives every point-to-point message; nil disables it.
-	P2P P2PTracer
 	// Obs is the unified observability scope: collective spans, message
 	// and per-level byte counters, and (via Run) engine event counts. nil
 	// disables all of it at the cost of one nil check per operation.
@@ -249,9 +226,6 @@ func (w *World) newRequest(peer int, tag int64, recv bool) *Request {
 // isend posts a message from world rank src to world rank dst.
 func (w *World) isend(src, dst int, tag int64, buf Buf) *Request {
 	buf.check()
-	if w.cfg.P2P != nil {
-		w.cfg.P2P.P2P(src, dst, buf.Bytes)
-	}
 	srcCore, dstCore := w.binding[src], w.binding[dst]
 	if w.obsBytesTotal != nil {
 		w.obsBytesTotal.AddInt(buf.Bytes)

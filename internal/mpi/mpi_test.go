@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/netmodel"
+	"repro/internal/obs"
 )
 
 // testSpec16 is the ⟦2,2,4⟧ machine of the netmodel tests.
@@ -408,10 +409,21 @@ func TestBcastChain(t *testing.T)           { checkBcast(t, 8, (*Comm).bcastChai
 func TestBcastChainRoot5(t *testing.T)      { checkBcast(t, 8, (*Comm).bcastChain, 40000, 5) }
 func TestBcastAuto(t *testing.T)            { checkBcast(t, 8, nil, 8, 0) }
 
-// p2pCount counts the point-to-point messages each world rank sends.
-type p2pCount []int
-
-func (c p2pCount) P2P(src, _ int, _ int64) { c[src]++ }
+// sentPerRank counts the point-to-point messages each of p world ranks
+// sent, from sc's p2p instants (the instant's TID is the sender).
+func sentPerRank(t *testing.T, sc *obs.Scope, p int) []int {
+	t.Helper()
+	if d := sc.DroppedSpans(); d > 0 {
+		t.Fatalf("scope dropped %d events past its cap", d)
+	}
+	sent := make([]int, p)
+	for _, in := range sc.Instants() {
+		if in.Name == "p2p" {
+			sent[in.TID]++
+		}
+	}
+	return sent
+}
 
 // The public collectives pick their schedule from the call alone; the
 // messages the world sends, and the most any one rank sends, tell which
@@ -458,10 +470,10 @@ func TestDefaultScheduleAtThresholds(t *testing.T) {
 		{"bcast past limit: chain of one segment", 8, bcast(bcastChainThreshold + 1), 7, 1},
 		{"bcast 1 MiB: chain of eight segments", 8, bcast(8 * bcastSegment), 56, 8},
 	} {
-		sent := make(p2pCount, tc.p)
-		runWorld(t, tc.p, Config{P2P: sent}, tc.coll)
+		sc := obs.New(obs.Options{P2PEvents: true})
+		runWorld(t, tc.p, Config{Obs: sc}, tc.coll)
 		msgs, busiest := 0, 0
-		for _, n := range sent {
+		for _, n := range sentPerRank(t, sc, tc.p) {
 			msgs += n
 			busiest = max(busiest, n)
 		}
@@ -591,8 +603,8 @@ func TestComputeRanksContend(t *testing.T) {
 }
 
 func TestTracerReceivesCollectives(t *testing.T) {
-	tr := &recordingTracer{}
-	_, err := Run(testSpec16(), identityBinding(4), Config{Tracer: tr}, func(r *Rank) {
+	sc := obs.New(obs.Options{})
+	_, err := Run(testSpec16(), identityBinding(4), Config{Obs: sc}, func(r *Rank) {
 		w := r.World()
 		w.AllreduceBytes(r, 2048)
 		sub := w.Split(r, r.ID()/2, r.ID())
@@ -601,13 +613,21 @@ func TestTracerReceivesCollectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
+	if d := sc.DroppedSpans(); d > 0 {
+		t.Fatalf("scope dropped %d spans past its cap", d)
+	}
 	ops := map[string]int{}
-	comms := map[int]bool{}
-	for _, rec := range tr.recs {
-		ops[rec.op]++
-		comms[rec.commID] = true
+	comms := map[int64]bool{}
+	for _, sp := range sc.Spans() {
+		if sp.Cat != "coll" {
+			continue
+		}
+		ops[sp.Name]++
+		for _, a := range sp.Args {
+			if a.Key == "comm" {
+				comms[a.Val] = true
+			}
+		}
 	}
 	if ops["Allreduce"] != 4 {
 		t.Errorf("Allreduce traced %d times, want 4", ops["Allreduce"])
@@ -618,25 +638,6 @@ func TestTracerReceivesCollectives(t *testing.T) {
 	if len(comms) != 3 { // world + two subcomms
 		t.Errorf("traced %d distinct comms, want 3", len(comms))
 	}
-}
-
-type traceRec struct {
-	commID, commSize int
-	op               string
-	bytes            int64
-	rank             int
-	start, end       float64
-}
-
-type recordingTracer struct {
-	mu   sync.Mutex
-	recs []traceRec
-}
-
-func (t *recordingTracer) Collective(commID, commSize int, op string, bytes int64, rank int, start, end float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.recs = append(t.recs, traceRec{commID, commSize, op, bytes, rank, start, end})
 }
 
 func TestInvalidBindingRejected(t *testing.T) {

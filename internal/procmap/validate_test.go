@@ -2,7 +2,7 @@
 // best mixed-radix order on traffic the digit orders cannot express (halo
 // exchange, splatt hub modes) and tie — within 1% — on the uniform block
 // collectives the orders pack optimally. Matrices come from real
-// simulator runs through the commmatrix collector, not from the synthetic
+// simulator runs, summed from their obs scopes' p2p instants, not from the synthetic
 // generators, so the whole introspect → map loop is exercised.
 
 package procmap
@@ -14,23 +14,52 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/commmatrix"
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/splatt"
 	"repro/internal/tensor"
 	"repro/internal/topology"
 )
 
+// p2pMatrix accumulates sc's p2p instants into a matrix of n ranks,
+// skipping self-messages and empty ones.
+func p2pMatrix(t *testing.T, sc *obs.Scope, n int) *commmatrix.Matrix {
+	t.Helper()
+	if d := sc.DroppedSpans(); d > 0 {
+		t.Fatalf("scope dropped %d events past its cap", d)
+	}
+	m := commmatrix.New(n)
+	for _, in := range sc.Instants() {
+		if in.Name != "p2p" {
+			continue
+		}
+		var dst, bytes int64
+		for _, a := range in.Args {
+			switch a.Key {
+			case "dst":
+				dst = a.Val
+			case "bytes":
+				bytes = a.Val
+			}
+		}
+		if int64(in.TID) != dst && bytes > 0 {
+			m.Add(in.TID, int(dst), float64(bytes))
+		}
+	}
+	return m
+}
+
 // haloSimMatrix runs the examples/halo workload — a periodic 4×32 cart
-// grid on 4 Hydra nodes (128 cores) — under the traffic collector.
+// grid on 4 Hydra nodes (128 cores) — and returns its traffic matrix.
 func haloSimMatrix(t *testing.T) *commmatrix.Matrix {
 	t.Helper()
 	spec := cluster.Hydra(4, 1)
 	n := spec.Hierarchy().Size()
-	col := commmatrix.NewCollector(n)
+	sc := obs.New(obs.Options{P2PEvents: true})
 	binding := make([]int, n)
 	for i := range binding {
 		binding[i] = i
 	}
-	_, err := mpi.Run(spec, binding, mpi.Config{P2P: col}, func(r *mpi.Rank) {
+	_, err := mpi.Run(spec, binding, mpi.Config{Obs: sc}, func(r *mpi.Rank) {
 		w := r.World()
 		cart, err := w.CartCreate(r, []int{4, 32}, []bool{true, true}, false)
 		if err != nil {
@@ -44,14 +73,14 @@ func haloSimMatrix(t *testing.T) *commmatrix.Matrix {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return col.Matrix()
+	return p2pMatrix(t, sc, n)
 }
 
 func TestHaloMappingBeatsBestOrder(t *testing.T) {
 	h := cluster.HydraHierarchy(4)
 	m := haloSimMatrix(t)
 	if m.Total() <= 0 {
-		t.Fatal("collector saw no traffic")
+		t.Fatal("scope saw no traffic")
 	}
 	res, err := Map(context.Background(), m, h, Options{Seed: 1})
 	if err != nil {
@@ -71,7 +100,7 @@ func TestHaloMappingBeatsBestOrder(t *testing.T) {
 		res.GreedyCost, res.Cost, res.Swaps, orderCost, 100*(orderCost-res.Cost)/orderCost)
 }
 
-// splattSimMatrix runs a scaled-down hub-mode CPD under the collector: 2
+// splattSimMatrix returns the traffic matrix of a scaled-down hub-mode CPD: 2
 // Hydra nodes (64 cores), a 4×4×4 grid, and a nell-2-shaped tensor whose
 // huge middle mode makes the mode-1 layer Alltoallv dominate the traffic
 // (each rank's per-peer volume scales with its distinct mode-1 rows). The
@@ -80,7 +109,7 @@ func TestHaloMappingBeatsBestOrder(t *testing.T) {
 // matrix-aware mapper exploits.
 func splattSimMatrix(t *testing.T, h topology.Hierarchy) *commmatrix.Matrix {
 	t.Helper()
-	col := commmatrix.NewCollector(h.Size())
+	sc := obs.New(obs.Options{P2PEvents: true})
 	_, err := splatt.Run(splatt.Config{
 		Spec:      cluster.Hydra(2, 1),
 		Hierarchy: h,
@@ -89,12 +118,12 @@ func splattSimMatrix(t *testing.T, h topology.Hierarchy) *commmatrix.Matrix {
 		Tensor:    tensor.SyntheticNell([3]int{400, 40000, 400}, 100_000, 17),
 		Rank:      8,
 		Iters:     1,
-		MPI:       mpi.Config{P2P: col},
+		MPI:       mpi.Config{Obs: sc},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return col.Matrix()
+	return p2pMatrix(t, sc, h.Size())
 }
 
 func TestSplattHubMappingBeatsBestOrder(t *testing.T) {
@@ -104,7 +133,7 @@ func TestSplattHubMappingBeatsBestOrder(t *testing.T) {
 	h := cluster.HydraHierarchy(2)
 	m := splattSimMatrix(t, h)
 	if m.Total() <= 0 {
-		t.Fatal("collector saw no traffic")
+		t.Fatal("scope saw no traffic")
 	}
 	res, err := Map(context.Background(), m, h, Options{Seed: 1})
 	if err != nil {

@@ -20,7 +20,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/tensor"
 	"repro/internal/topology"
-	"repro/internal/trace"
 )
 
 // DefaultGrid is the process grid matching the paper's communicator census
@@ -44,8 +43,10 @@ type Config struct {
 type Result struct {
 	// Duration is the virtual time of the CPD operation (max over ranks).
 	Duration float64
-	// Trace records the per-communicator operation times.
-	Trace *trace.Recorder
+	// Alltoall maps each layer-communicator size to the most time any
+	// rank spent in that size's Alltoallv: §4.2's attribution of the CPD
+	// duration, which the paper reads off mpisee.
+	Alltoall map[int]float64
 }
 
 // Run simulates the CPD under the configured rank order.
@@ -73,32 +74,31 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	table := ro.Table()
-	rec := trace.NewRecorder()
-	mpiCfg := cfg.MPI
-	mpiCfg.Tracer = rec
 
 	binding := make([]int, n)
 	for i := range binding {
 		binding[i] = i
 	}
-	var duration float64
-	sc := mpiCfg.Obs
-	_, err = mpi.Run(cfg.Spec, binding, mpiCfg, func(r *mpi.Rank) {
-		d := cpdRank(r, sc, table, g, part, cfg.Rank, cfg.Iters)
+	res := &Result{Alltoall: map[int]float64{}}
+	sc := cfg.MPI.Obs
+	_, err = mpi.Run(cfg.Spec, binding, cfg.MPI, func(r *mpi.Rank) {
+		d := cpdRank(r, sc, table, g, part, cfg.Rank, cfg.Iters, res.Alltoall)
 		if r.ID() == 0 {
-			duration = d
+			res.Duration = d
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Duration: duration, Trace: rec}, nil
+	return res, nil
 }
 
 // cpdRank is the per-rank body of the simulated CPD. It returns the
 // duration between the post-setup barrier and the end of the ALS loop
-// (synchronized by a final barrier, so every rank reports the same value).
-func cpdRank(r *mpi.Rank, sc *obs.Scope, table []int, g tensor.Grid, part *tensor.Partition, cpRank, iters int) float64 {
+// (synchronized by a final barrier, so every rank reports the same value),
+// and raises alltoall[size] to the rank's time in the Alltoallv of each
+// layer size. The engine runs one rank at a time, so alltoall needs no lock.
+func cpdRank(r *mpi.Rank, sc *obs.Scope, table []int, g tensor.Grid, part *tensor.Partition, cpRank, iters int, alltoall map[int]float64) float64 {
 	world := r.World()
 	// The paper's black-box reordering: split with the reordered rank as
 	// key; the application then uses this communicator as its world.
@@ -115,6 +115,20 @@ func cpdRank(r *mpi.Rank, sc *obs.Scope, table []int, g tensor.Grid, part *tenso
 	for m := 0; m < tensor.Order; m++ {
 		layer, inLayer := g.LayerIndex(me, m)
 		layers[m] = comm.Split(r, layer, inLayer)
+	}
+	// Alltoallv time per layer size, summed in call order. Modes whose
+	// layers have equal sizes share the slot of the first such mode, so a
+	// sum interleaves them as the calls do.
+	var slot [tensor.Order]int
+	var spent [tensor.Order]float64
+	for m := range layers {
+		slot[m] = m
+		for j := 0; j < m; j++ {
+			if layers[j].Size() == layers[m].Size() {
+				slot[m] = j
+				break
+			}
+		}
 	}
 
 	// SPLATT balances nonzeros across processes with chunked partition
@@ -154,7 +168,9 @@ func cpdRank(r *mpi.Rank, sc *obs.Scope, table []int, g tensor.Grid, part *tenso
 			for i := range send {
 				send[i] = mpi.BytesBuf(perPeer)
 			}
+			t0 := r.Now()
 			lc.Alltoall(r, send) // MPI_Alltoallv
+			spent[slot[m]] += r.Now() - t0
 
 			// Gram matrix of the updated factor: world Allreduce of R×R.
 			commA.Allreduce(r, mpi.BytesBuf(int64(R*R)*8), mpi.OpSum)
@@ -171,6 +187,11 @@ func cpdRank(r *mpi.Rank, sc *obs.Scope, table []int, g tensor.Grid, part *tenso
 	}
 	comm.Barrier(r)
 	elapsed := r.Now() - start
+	for m, l := range layers {
+		if slot[m] == m {
+			alltoall[l.Size()] = max(alltoall[l.Size()], spent[m])
+		}
+	}
 	if phases {
 		sc.Phase("splatt.cpd", start, r.Now(), obs.Arg{Key: "iters", Val: int64(iters)})
 	}

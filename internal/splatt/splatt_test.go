@@ -1,13 +1,16 @@
 package splatt
 
 import (
+	"math"
 	"sync"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/metrics"
+	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/perm"
 	"repro/internal/tensor"
-	"repro/internal/trace"
 )
 
 // testTensor is shared across tests: a nell-1-like synthetic with one huge
@@ -40,6 +43,40 @@ func smallConfig(order []int) Config {
 	}
 }
 
+// runScoped runs cfg under an obs scope and returns its collective spans,
+// failing if the span cap dropped any.
+func runScoped(t *testing.T, cfg Config) (*Result, []obs.Span) {
+	t.Helper()
+	sc := obs.New(obs.Options{})
+	cfg.MPI = mpi.Config{Obs: sc}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := sc.DroppedSpans(); d > 0 {
+		t.Fatalf("scope dropped %d spans past its cap", d)
+	}
+	var coll []obs.Span
+	for _, sp := range sc.Spans() {
+		if sp.Cat == "coll" {
+			coll = append(coll, sp)
+		}
+	}
+	return res, coll
+}
+
+// arg returns the span's integer arg named key.
+func arg(t *testing.T, sp obs.Span, key string) int64 {
+	t.Helper()
+	for _, a := range sp.Args {
+		if a.Key == key {
+			return a.Val
+		}
+	}
+	t.Fatalf("span %s has no %q arg", sp.Name, key)
+	return 0
+}
+
 func TestRunProducesDuration(t *testing.T) {
 	res, err := Run(smallConfig([]int{3, 2, 1, 0}))
 	if err != nil {
@@ -52,12 +89,21 @@ func TestRunProducesDuration(t *testing.T) {
 
 func TestCommunicatorCensus(t *testing.T) {
 	// §4.2: on p ranks with grid (g1,4,4) the census is 3 world comms,
-	// 4+4 comms of p/4, g1 comms of 16.
-	res, err := Run(smallConfig([]int{3, 2, 1, 0}))
-	if err != nil {
-		t.Fatal(err)
+	// 4+4 comms of p/4, g1 comms of 16. The mpisee census counts the
+	// distinct communicators of each size the run's collectives used.
+	_, spans := runScoped(t, smallConfig([]int{3, 2, 1, 0}))
+	comms := map[int64]map[int64]bool{}
+	for _, sp := range spans {
+		size := arg(t, sp, "comm_size")
+		if comms[size] == nil {
+			comms[size] = map[int64]bool{}
+		}
+		comms[size][arg(t, sp, "comm")] = true
 	}
-	census := res.Trace.CommCount()
+	census := map[int64]int{}
+	for size, ids := range comms {
+		census[size] = len(ids)
+	}
 	if census[256] < 2 {
 		t.Errorf("world-sized comms in census: %d, want ≥ 2 (got %v)", census[256], census)
 	}
@@ -66,6 +112,54 @@ func TestCommunicatorCensus(t *testing.T) {
 	}
 	if census[16] != 16 {
 		t.Errorf("16-rank comms: %d, want 16 (census %v)", census[16], census)
+	}
+}
+
+// Result.Alltoall is what a per-communicator profiler reads off the
+// collective spans: for each layer size, the largest per-rank sum of that
+// rank's Alltoall span durations, summed in call order. On the 4×4×4 grid
+// all three layers have 16 ranks, and for 9 of its 24 orders a per-mode
+// sum rounds differently.
+func TestAlltoallTimeEqualsSpans(t *testing.T) {
+	cases := []Config{smallConfig([]int{1, 3, 2, 0})}
+	hub := tensor.SyntheticNell([3]int{400, 40000, 400}, 100_000, 17)
+	for _, sigma := range perm.All(4) {
+		cases = append(cases, Config{
+			Spec:      cluster.Hydra(2, 1),
+			Hierarchy: cluster.HydraHierarchy(2),
+			Order:     sigma,
+			Grid:      tensor.Grid{4, 4, 4},
+			Tensor:    hub,
+			Rank:      8,
+			Iters:     2,
+		})
+	}
+	for _, cfg := range cases {
+		res, spans := runScoped(t, cfg)
+		perRank := map[int64]map[int]float64{}
+		for _, sp := range spans {
+			if sp.Name != "Alltoall" {
+				continue
+			}
+			size := arg(t, sp, "comm_size")
+			if perRank[size] == nil {
+				perRank[size] = map[int]float64{}
+			}
+			perRank[size][sp.TID] += sp.End - sp.Start
+		}
+		if len(res.Alltoall) != len(perRank) {
+			t.Errorf("grid %v order %v: Alltoall has sizes %v, spans have %d sizes", cfg.Grid, cfg.Order, res.Alltoall, len(perRank))
+		}
+		for size, ranks := range perRank {
+			var want float64
+			for _, v := range ranks {
+				want = max(want, v)
+			}
+			got, ok := res.Alltoall[int(size)]
+			if !ok || math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("grid %v order %v: Alltoall[%d] = %v (present %v), spans give %v", cfg.Grid, cfg.Order, size, got, ok, want)
+			}
+		}
 	}
 }
 
@@ -113,9 +207,9 @@ func TestSplattCorrelation(t *testing.T) {
 			t.Fatalf("order %v: %v", sigma, err)
 		}
 		durations = append(durations, res.Duration)
-		alltoall16 = append(alltoall16, res.Trace.MaxTimeIn("Alltoall", 16))
+		alltoall16 = append(alltoall16, res.Alltoall[16])
 	}
-	r := trace.Pearson(durations, alltoall16)
+	r := metrics.Pearson(durations, alltoall16)
 	if r < 0.8 {
 		t.Errorf("Pearson(CPD, Alltoallv@16) = %v, want ≥ 0.8 (durations %v, alltoallv %v)",
 			r, durations, alltoall16)

@@ -16,8 +16,8 @@ import (
 	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/metrics"
 	"repro/internal/perm"
-	"repro/internal/trace"
 )
 
 // Row is one order's metrics and measurements.
@@ -73,10 +73,10 @@ func Run(cfg bench.Config, size int64) (*Result, error) {
 		one[i] = r.OneComm
 		all[i] = r.AllComms
 	}
-	res.SpreadVsOne = trace.Pearson(spread, one)
-	res.SpreadVsAll = trace.Pearson(spread, all)
-	res.RingVsOne = trace.Pearson(ring, one)
-	res.RingVsAll = trace.Pearson(ring, all)
+	res.SpreadVsOne = metrics.Pearson(spread, one)
+	res.SpreadVsAll = metrics.Pearson(spread, all)
+	res.RingVsOne = metrics.Pearson(ring, one)
+	res.RingVsAll = metrics.Pearson(ring, all)
 	return res, nil
 }
 

@@ -31,8 +31,6 @@ var interfaceMethods = map[string]bool{
 var reachAllowlist = map[string]string{
 	// Stays until the crossing-cost model settles on hop-count or spec weights.
 	"procmap.SpecWeights": "internal/procmap/procmap_test.go",
-	// Records the simulator's traffic that the procmap validation maps.
-	"commmatrix.NewCollector": "internal/procmap/validate_test.go",
 	// Lint the gate's /metrics exposition.
 	"obs.LintPrometheus": "internal/fleet/router_test.go",
 	"obs.MissingHelp":    "internal/fleet/router_test.go",
