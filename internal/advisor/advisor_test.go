@@ -217,3 +217,35 @@ func TestAllgatherAllreducePredictions(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchRejectsOneRankCommunicator: a communicator of fewer than two
+// ranks runs no collective, so both front doors answer it with one error,
+// at the exact depths and the bounded ones and for every collective, where
+// the model would rank alltoall by traffic that does not exist and fail
+// the ring collectives as degenerate.
+func TestSearchRejectsOneRankCommunicator(t *testing.T) {
+	for depth := 6; depth <= 8; depth++ {
+		for _, coll := range []Collective{Alltoall, Allgather, Allreduce} {
+			for _, p := range []int{1, 0, -2} {
+				spec := cluster.Cloud(depth)
+				sc := Scenario{Spec: spec, Hierarchy: spec.Hierarchy(), Coll: coll, CommSize: p, Bytes: 256 << 20}
+				want := checkCommSize(sc)
+				if want == nil {
+					t.Fatalf("communicator size %d accepted", p)
+				}
+				res, err := SearchOrders(context.Background(), sc, SearchOptions{Top: 3})
+				if err == nil || err.Error() != want.Error() || res != nil {
+					t.Errorf("depth %d %s p=%d: SearchOrders = %v, %v; want the error %q", depth, coll, p, res, err, want)
+				}
+				ranked, err := Rank(context.Background(), sc, nil, RankOptions{})
+				if err == nil || err.Error() != want.Error() || ranked != nil {
+					t.Errorf("depth %d %s p=%d: Rank = %d orders, %v; want the error %q", depth, coll, p, len(ranked), err, want)
+				}
+				sc.CommSize = 2
+				if _, err := SearchOrders(context.Background(), sc, SearchOptions{Top: 3}); err != nil {
+					t.Errorf("depth %d %s p=2: %v", depth, coll, err)
+				}
+			}
+		}
+	}
+}

@@ -175,6 +175,34 @@ func TestSearchExactAllocs(t *testing.T) {
 	}
 }
 
+// TestSearchDeepAllocs pins the allocations of the one-communicator
+// search_deep shapes exactly. The first communicator's signatures are
+// interned in one byte arena and their predictions sit in one table
+// indexed by id, so a search allocates its tables' doublings and its
+// answer, not once per signature (d12 allreduce interns 5 720). The
+// ceilings are the counts measured, read as the fewest of five searches.
+func TestSearchDeepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	ceiling := map[string]uint64{"d8-alltoall": 107, "d10-alltoall": 126, "d12-alltoall": 147, "d12-allreduce": 155}
+	for _, s := range deepShapes {
+		if s.sim {
+			continue
+		}
+		sc := cloudScenario(s.depth, s.coll, s.sim)
+		allocs := mallocsAt(1, func() {
+			if _, err := SearchOrders(context.Background(), sc, SearchOptions{Top: 5}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %d allocations per search", s.name, allocs)
+		if want, ok := ceiling[s.name]; !ok || allocs > want {
+			t.Errorf("%s: a search allocates %d times, want at most %d", s.name, allocs, want)
+		}
+	}
+}
+
 // mallocsAt reports the fewest heap allocations of five calls of f at the
 // given GOMAXPROCS, read from the runtime's statistics, since
 // testing.AllocsPerRun pins GOMAXPROCS to 1. A stray allocation elsewhere

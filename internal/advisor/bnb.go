@@ -30,7 +30,11 @@
 // A node costs O(1) amortized and no allocation: what a node needs from
 // its path is carried down it (pathState). Fact 1 settles the first
 // communicator — its signature, interned to a small id, and under
-// Simultaneous its bound — once, at the covering ancestor. The world
+// Simultaneous its bound — once, at the covering ancestor. A covering
+// prefix that is a box settles it by its level set alone when the
+// signature has no ring component, so the id of a box is memoized by the
+// levels used. With one communicator the id is the leaf's class: its
+// prediction sits in a table indexed by the id. The world
 // tiling a Simultaneous leaf adds depends at permuted position t only on
 // the prefix product P_t (the carry chain of metrics/fastpath.go), so a
 // step down adds one division's worth of crossings to a shared profile
@@ -182,8 +186,11 @@ const ExactDepth = 7
 // engine is a property of the search, not of the caller: up to ExactDepth
 // it ranks all k! orders (Rank; Mode exact or pruned, Worst the true last
 // entry), deeper it runs the branch-and-bound and, past the node budget,
-// the beam.
+// the beam. A communicator of fewer than two ranks is an error.
 func SearchOrders(ctx context.Context, sc Scenario, opts SearchOptions) (*SearchResult, error) {
+	if err := checkCommSize(sc); err != nil {
+		return nil, err
+	}
 	if opts.Top <= 0 {
 		opts.Top = 1
 	}
@@ -389,34 +396,88 @@ var fpMul = func() (m [33]uint64) {
 	return m
 }()
 
-// fpIndex numbers keys of one length 0, 1, … as they are added. A key is
-// found through its fingerprint, a sum of its entries times fpMul, and
-// verified, so colliding keys only share a chain.
-type fpIndex[T int | int64] struct {
-	byFP map[uint64]int32 // 1 + the last id added with the fingerprint
-	next []int32          // 1 + the id added before it with the same one
-	keys []T              // id j's key at [j·len(key), (j+1)·len(key))
+// fpIndex numbers keys 0, 1, … as they are added, all of them in one
+// arena; the zero value is empty. A key is found through its fingerprint
+// in an open-addressing table and verified, so colliding keys only probe
+// further.
+type fpIndex[T int | int64 | byte] struct {
+	slots []int32  // 1 + an id, 0 empty: a power of two, at most half full
+	fps   []uint64 // id j's fingerprint
+	ends  []int32  // id j's key is keys[ends[j-1]:ends[j]], from 0 for j = 0
+	keys  []T
+}
+
+// key returns id j's key.
+func (m *fpIndex[T]) key(j int) []T {
+	if j == 0 {
+		return m.keys[:m.ends[0]]
+	}
+	return m.keys[m.ends[j-1]:m.ends[j]]
 }
 
 // id returns the key's id and whether it was there already, numbering it
 // next when it was not.
 func (m *fpIndex[T]) id(fp uint64, key []T) (int, bool) {
-	for j := int(m.byFP[fp]) - 1; j >= 0; j = int(m.next[j]) - 1 {
-		if slices.Equal(m.keys[j*len(key):(j+1)*len(key)], key) {
+	if 2*(len(m.fps)+1) > len(m.slots) {
+		m.rehash(max(2*len(m.slots), 64))
+	}
+	i := m.slot(fp)
+	for ; m.slots[i] != 0; i = (i + 1) & (len(m.slots) - 1) {
+		if j := int(m.slots[i]) - 1; m.fps[j] == fp && slices.Equal(m.key(j), key) {
 			return j, true
 		}
 	}
-	j := len(m.next)
-	m.next = append(m.next, m.byFP[fp])
-	m.byFP[fp] = int32(j + 1)
-	m.keys = append(m.keys, key...)
+	j := len(m.fps)
+	m.slots[i] = int32(j + 1)
+	m.fps = push(m.fps, fp)
+	m.keys = push(m.keys, key...)
+	m.ends = push(m.ends, int32(len(m.keys)))
 	return j, false
+}
+
+// slot is the fingerprint's home slot, from its top bits spread by a
+// multiplier so that fingerprints differing only high up land apart.
+func (m *fpIndex[T]) slot(fp uint64) int {
+	return int((fp * 0x9e3779b97f4a7c15) >> (64 - bits.TrailingZeros(uint(len(m.slots)))))
+}
+
+// rehash moves every id to a table of n slots.
+func (m *fpIndex[T]) rehash(n int) {
+	m.slots = make([]int32, n)
+	for j, fp := range m.fps {
+		i := m.slot(fp)
+		for m.slots[i] != 0 {
+			i = (i + 1) & (n - 1)
+		}
+		m.slots[i] = int32(j + 1)
+	}
+}
+
+// push appends to a table that only grows, doubling its capacity when
+// full: n entries cost under 2n in all, where append's slower growth past
+// a few hundred entries allocates about 5n.
+func push[T any](s []T, v ...T) []T {
+	if len(s)+len(v) > cap(s) {
+		s = slices.Grow(s, max(len(s), len(v)))
+	}
+	return append(s, v...)
 }
 
 // fingerprint is Σ key[i]·fpMul[i mod 33].
 func fingerprint(key []int64) (fp uint64) {
 	for i, v := range key {
 		fp += uint64(v) * fpMul[i%len(fpMul)]
+	}
+	return fp
+}
+
+// keyFingerprint is fingerprint over a byte key's little-endian 8-byte
+// words, the last one zero-padded.
+func keyFingerprint(key []byte) (fp uint64) {
+	for i := 0; i < len(key); i += 8 {
+		var w [8]byte
+		copy(w[:], key[i:])
+		fp += binary.LittleEndian.Uint64(w[:]) * fpMul[i/8%len(fpMul)]
 	}
 	return fp
 }
@@ -440,13 +501,17 @@ type bnbEngine struct {
 	// v = BestCompletionCrossLevel.
 	latFloor []float64
 
-	// ids interns the first communicator's signature at covering nodes;
-	// under Simultaneous fcPred[id] is its prediction alone (Time 0 until
-	// an interior node needs it for the bound).
-	ids    map[string]int32
-	fcPred []Prediction
-	// memo numbers the leaf evaluations (signature classes) by leafKey's
-	// key; preds[j] is entry j's prediction.
+	// ids interns the first communicator's signature, rendered by
+	// AppendKey, at covering nodes; boxes memoizes the id of a box prefix
+	// by the levels it uses when the signature has no ring component.
+	// comm[id] is the communicator's prediction alone, Time 0 until a leaf
+	// (one communicator) or an interior node's bound (Simultaneous) needs
+	// it; predict never answers a Time of 0.
+	ids   fpIndex[byte]
+	boxes map[uint32]int32
+	comm  []Prediction
+	// memo numbers the Simultaneous leaf classes by leafKey's key; preds[j]
+	// is entry j's prediction, Time 0 like comm's until evaluated.
 	memo  fpIndex[int]
 	preds []Prediction
 
@@ -528,8 +593,7 @@ func newBnbEngine(ctx context.Context, sc Scenario, top int, budget, every int64
 		all:      1<<uint(k) - 1,
 		pd:       pd,
 		latFloor: latFloor,
-		ids:      make(map[string]int32),
-		memo:     fpIndex[int]{byFP: make(map[uint64]int32)},
+		boxes:    make(map[uint32]int32),
 		inc:      incumbents{top: top},
 		sigma:    make([]int, k),
 		path:     make([]pathState, k+1),
@@ -746,33 +810,29 @@ func (e *bnbEngine) isLeaf(t int) bool {
 
 // cover settles the first communicator at the first node e.sigma[:t] of
 // the path to cover it: the signature's id and, for an interior node, the
-// bound of its subtree.
+// bound of its subtree. A box prefix (its radix product is the
+// communicator size) places pairs by the levels it uses alone, so without
+// a ring component its id is memoized by them; the memo only caches what
+// interning answers, so ids keep their first-appearance numbering.
 func (e *bnbEngine) cover(t int) error {
 	s := &e.path[t]
 	if s.id >= 0 || s.prod < e.p {
 		return nil
 	}
-	// The kernels read only the covering prefix of e.sigma.
-	sig := metrics.SearchSignature{CommPairs: e.pairs}
-	metrics.PairCountsPerLevelInto(e.pairs, e.ar, e.sigma, e.p)
-	if e.ring {
-		sig.CommCross = e.cross
-		metrics.CrossingsPerLevelInto(e.cross, e.ar, e.sigma, e.p)
-	}
-	e.key = sig.AppendKey(e.key[:0])
-	id, ok := e.ids[string(e.key)]
-	if !ok {
-		id = int32(len(e.ids))
-		e.ids[string(e.key)] = id
-		if e.fcPd != nil {
-			e.fcPred = append(e.fcPred, Prediction{})
+	if !e.ring && s.prod == e.p {
+		id, ok := e.boxes[s.used]
+		if !ok {
+			id = e.intern()
+			e.boxes[s.used] = id
 		}
+		s.id = id
+	} else {
+		s.id = e.intern()
 	}
-	s.id = id
 	if e.isLeaf(t) {
 		return nil
 	}
-	pr := &e.fcPred[id]
+	pr := &e.comm[s.id]
 	if pr.Time == 0 {
 		var err error
 		if *pr, err = e.fcPd.predict(e.complete(t, s.used)); err != nil {
@@ -781,6 +841,24 @@ func (e *bnbEngine) cover(t int) error {
 	}
 	s.lb = pr.Time - pr.Latency + e.latFloor[metrics.BestCompletionCrossLevel(e.ar, e.sigma[:t], e.p)]
 	return nil
+}
+
+// intern returns the id of the first communicator's signature under the
+// covering prefix in e.sigma, which is all its kernels read, numbering a
+// new one next.
+func (e *bnbEngine) intern() int32 {
+	sig := metrics.SearchSignature{CommPairs: e.pairs}
+	metrics.PairCountsPerLevelInto(e.pairs, e.ar, e.sigma, e.p)
+	if e.ring {
+		sig.CommCross = e.cross
+		metrics.CrossingsPerLevelInto(e.cross, e.ar, e.sigma, e.p)
+	}
+	e.key = sig.AppendKey(e.key[:0])
+	id, seen := e.ids.id(keyFingerprint(e.key), e.key)
+	if !seen {
+		e.comm = push(e.comm, Prediction{})
+	}
+	return int32(id)
 }
 
 // bound returns an admissible lower bound on the predicted time of every
@@ -808,17 +886,9 @@ func (e *bnbEngine) complete(t int, used uint32) []int {
 // the worst-evaluated tracker, and returns the prediction.
 func (e *bnbEngine) evalLeaf(t int) (Prediction, error) {
 	sigma := e.complete(t, e.path[t].used)
-	fp, key := e.leafKey(t)
-	var pr Prediction
-	if j, seen := e.memo.id(fp, key); seen {
-		pr = e.preds[j]
-	} else {
-		var err error
-		if pr, err = e.pd.predict(sigma); err != nil {
-			return Prediction{}, err
-		}
-		e.evals++
-		e.preds = append(e.preds, pr)
+	pr, err := e.leafPred(t, sigma)
+	if err != nil {
+		return Prediction{}, err
 	}
 	size := perm.Factorial(e.k - t)
 	e.covered += size
@@ -838,15 +908,35 @@ func (e *bnbEngine) evalLeaf(t int) (Prediction, error) {
 	return pr, nil
 }
 
-// leafKey returns the fingerprint and memo key of the leaf e.sigma[:t].
+// leafPred returns the prediction of the leaf e.sigma[:t], completed to
+// sigma, from its class's slot: with one communicator the first
+// communicator's id is the class and comm[id] the slot, under Simultaneous
+// the memo numbers the class by leafKey.
+func (e *bnbEngine) leafPred(t int, sigma []int) (Prediction, error) {
+	pr := &e.comm[e.path[t].id]
+	if e.sc.Simultaneous {
+		j, seen := e.memo.id(e.leafKey(t))
+		if !seen {
+			e.preds = push(e.preds, Prediction{})
+		}
+		pr = &e.preds[j]
+	}
+	if pr.Time == 0 {
+		var err error
+		if *pr, err = e.pd.predict(sigma); err != nil {
+			return Prediction{}, err
+		}
+		e.evals++
+	}
+	return *pr, nil
+}
+
+// leafKey returns the fingerprint and memo key of the Simultaneous leaf
+// e.sigma[:t]: its world profile, then its first communicator's id.
 func (e *bnbEngine) leafKey(t int) (uint64, []int) {
 	s := &e.path[t]
 	e.prof[e.k] = int(s.id)
-	fp := uint64(s.id) * fpMul[e.k]
-	if !e.sc.Simultaneous {
-		return fp, e.prof[e.k:]
-	}
-	return fp + s.fp, e.prof
+	return uint64(s.id)*fpMul[e.k] + s.fp, e.prof
 }
 
 // beam is the budget-exhausted fallback: a level-synchronous search that

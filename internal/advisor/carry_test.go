@@ -112,8 +112,9 @@ func TestCarriedProfileMatchesCrossings(t *testing.T) {
 				leaf := func() {
 					checkCarriedLeaf(t, e)
 					key, id := commKey(e, e.sigma), e.path[e.k].id
-					if prev, ok := keys[key]; ok && prev != id || id < 0 || id != e.ids[key] {
-						t.Fatalf("%v p=%d under %v: carried communicator %d, signature interned as %d", e.ar, p, e.sigma, id, e.ids[key])
+					j, seen := e.ids.id(keyFingerprint([]byte(key)), []byte(key))
+					if prev, ok := keys[key]; ok && prev != id || id < 0 || !seen || int32(j) != id {
+						t.Fatalf("%v p=%d under %v: carried communicator %d, signature interned as %d (%v)", e.ar, p, e.sigma, id, j, seen)
 					}
 					keys[key] = id
 				}
@@ -163,11 +164,11 @@ func TestBeamCarriesProfile(t *testing.T) {
 			})
 			got := map[string]bool{}
 			keyOf := map[int32]string{}
-			for key, id := range e.ids {
-				keyOf[id] = key
+			for id := range e.ids.fps {
+				keyOf[int32(id)] = string(e.ids.key(id))
 			}
 			for j := range e.preds {
-				key := e.memo.keys[j*(e.k+1) : (j+1)*(e.k+1)]
+				key := e.memo.key(j)
 				for l, c := range key[:e.k] {
 					world[l] = int64(c)
 				}
@@ -209,10 +210,12 @@ func FuzzCarriedProfile(f *testing.F) {
 }
 
 // TestLeafMemoClassesMatchSignatureKeys: over every full order, the leaf
-// memo's entries are exactly the equivalence classes of the signature keys
-// the search used before fingerprints (the first communicator's key, then
-// the world profile's under Simultaneous) — with the real multipliers and
-// with all-zero ones, under which every key collides.
+// classes are exactly the equivalence classes of the signature keys the
+// search used before fingerprints (the first communicator's key, then the
+// world profile's under Simultaneous) — with the real multipliers and with
+// all-zero ones, under which every key collides. With one communicator a
+// leaf's class is its first communicator's id, under Simultaneous the
+// memo's entry.
 func TestLeafMemoClassesMatchSignatureKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	orig := fpMul
@@ -235,16 +238,22 @@ func TestLeafMemoClassesMatchSignatureKeys(t *testing.T) {
 						return k
 					}
 					walkLeaves(t, e, 0, func() {
-						fp, key := e.leafKey(e.k)
-						j, _ := e.memo.id(fp, key)
+						j := int(e.path[e.k].id)
+						if sim {
+							j, _ = e.memo.id(e.leafKey(e.k))
+						}
 						k := oldKey()
 						if prev, ok := class[k]; ok && prev != j {
 							t.Fatalf("%v p=%d sim=%v: key of %v found entry %d, earlier %d", e.ar, p, sim, e.sigma, j, prev)
 						}
 						class[k] = j
 					})
-					if len(class) != len(e.memo.next) {
-						t.Fatalf("%v p=%d sim=%v: %d signature classes, %d memo entries", e.ar, p, sim, len(class), len(e.memo.next))
+					entries := len(e.comm)
+					if sim {
+						entries = len(e.memo.fps)
+					}
+					if len(class) != entries {
+						t.Fatalf("%v p=%d sim=%v: %d signature classes, %d leaf classes", e.ar, p, sim, len(class), entries)
 					}
 				}
 			}

@@ -12,6 +12,7 @@ package advisor
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"slices"
 	"time"
 
@@ -56,6 +57,9 @@ const (
 // On symmetric hierarchies this collapses the k! candidates to a handful
 // of classes.
 func Rank(ctx context.Context, sc Scenario, orders [][]int, opts RankOptions) ([]Prediction, error) {
+	if err := checkCommSize(sc); err != nil {
+		return nil, err
+	}
 	if orders == nil {
 		orders = perm.All(sc.Hierarchy.Depth())
 	}
@@ -64,6 +68,15 @@ func Rank(ctx context.Context, sc Scenario, orders [][]int, opts RankOptions) ([
 		return nil, err
 	}
 	return res.Best, nil
+}
+
+// checkCommSize is Rank's and SearchOrders' one error for a communicator
+// of fewer than two ranks, which runs no collective to order.
+func checkCommSize(sc Scenario) error {
+	if sc.CommSize < 2 {
+		return fmt.Errorf("advisor: communicator size %d: a collective needs at least 2 ranks", sc.CommSize)
+	}
+	return nil
 }
 
 // rank is the exact search — classify, evaluate one representative per
@@ -130,7 +143,7 @@ func classify(sc Scenario, orders [][]int) (class []int32, first []int) {
 	// tree[j·k+l] is prefix node j's child through level l (0: none; node 0
 	// is the empty prefix), commOf[j] a covering node's signature id.
 	tree, commOf := make([]int32, k), []int32{-1}
-	comms, classes := fpIndex[int64]{byFP: map[uint64]int32{}}, fpIndex[int64]{byFP: map[uint64]int32{}}
+	var comms, classes fpIndex[int64]
 	comm := make([]int64, 2*k) // pair counts, then crossings (0 unless ring)
 	key := make([]int64, k+1)  // world crossings, then the communicator's id
 	class = make([]int32, len(orders))

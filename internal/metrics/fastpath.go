@@ -93,8 +93,12 @@ func ringCostClosed(ar, sigma []int, m int) int {
 // unordered process pairs of the first subcommunicator of size m ≤ n whose
 // first differing coordinate is at each level. The counts sum to
 // m·(m-1)/2. Like CrossingsPerLevelInto it reads only the covering prefix
-// of sigma and validates nothing.
+// of sigma and validates nothing. A covering prefix that is a box is
+// answered in closed form (boxPairCounts), any other by the digit DP.
 func PairCountsPerLevelInto(out []int64, ar, sigma []int, m int) {
+	if boxPairCounts(out, ar, sigma, m) {
+		return
+	}
 	k := len(ar)
 	// Permuted radices and the digits of the inclusive bound m-1, up to its
 	// leading digit: the positions past the covering prefix hold zeros and
@@ -123,6 +127,38 @@ func PairCountsPerLevelInto(out []int64, ar, sigma []int, m int) {
 		out[k-1-l] = e - next // first-diff level l
 		next = e
 	}
+}
+
+// boxPairCounts reports whether the covering prefix of sigma is a box —
+// every digit of m-1 at its maximum, so m is the prefix's radix product
+// and the communicator holds every digit combination — and if so writes
+// PairCountsPerLevelInto's out. A rank pairs with the ranks that agree
+// with it on the covering levels outer to l and differ at l: the pairs
+// first differing at covering level l are m·(a_l−1)·∏(arities of the
+// deeper covering levels)/2, in O(k), and depend on which levels the
+// prefix holds, not on their order. Otherwise out is left as it was.
+func boxPairCounts(out []int64, ar, sigma []int, m int) bool {
+	k, t, prod := len(ar), 0, 1
+	for ; prod < m && t < k; t++ {
+		prod *= ar[sigma[t]]
+	}
+	if prod != m {
+		return false
+	}
+	clear(out[:k])
+	for _, l := range sigma[:t] {
+		out[k-1-l] = 1
+	}
+	deeper := int64(1) // out[j] is level k-1-j, innermost first
+	for j, marked := range out[:k] {
+		if marked == 0 {
+			continue
+		}
+		a := int64(ar[k-1-j])
+		out[j] = int64(m) * (a - 1) * deeper / 2
+		deeper *= a
+	}
+	return true
 }
 
 // agreeingOrderedPairs counts the ordered pairs (r, s) ∈ [0, m)² whose

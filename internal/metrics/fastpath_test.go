@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/perm"
 	"repro/internal/topology"
 )
@@ -288,4 +289,96 @@ func CharacterizeTable(h topology.Hierarchy, sigma []int, commSize int) (Charact
 		RingCost: RingCost(p),
 		Pairs:    PairsPerLevel(p),
 	}, nil
+}
+
+// TestBoxPairCountsEqualDP holds the box branch of PairCountsPerLevelInto
+// to a copy of the digit DP it bypasses, on the machines the order search
+// and the paper's figures use: cloud depth 6–12, Hydra ⟦16,2,2,8⟧, LUMI
+// ⟦16,2,4,2,8⟧ and ⟦3,3,3,2,2,2⟧. Every level set, arranged ascending,
+// descending and shuffled, is a covering prefix of each m in (P_{t-1},
+// P_t]; for each, the kernel equals the DP, and boxPairCounts answers
+// exactly when m = P_t, that is, when the prefix is a box. A box's counts
+// are the same in all three arrangements: a box is settled by its level
+// set, which the order search's memo of box prefixes relies on.
+func TestBoxPairCountsEqualDP(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	machines := [][]int{{16, 2, 2, 8}, {16, 2, 4, 2, 8}, {3, 3, 3, 2, 2, 2}}
+	for d := cluster.CloudMinDepth; d <= cluster.CloudMaxDepth; d++ {
+		machines = append(machines, cluster.Cloud(d).Hierarchy().Arities())
+	}
+	for _, ar := range machines {
+		k := len(ar)
+		got, want, asc := make([]int64, k), make([]int64, k), make([]int64, k)
+		boxes := 0
+		for set := uint32(1); set < 1<<uint(k); set++ {
+			var levels, rest []int
+			for l := 0; l < k; l++ {
+				if set&(1<<uint(l)) != 0 {
+					levels = append(levels, l)
+				} else {
+					rest = append(rest, l)
+				}
+			}
+			for arrangement := 0; arrangement < 3; arrangement++ {
+				switch arrangement {
+				case 1:
+					slices.Reverse(levels)
+				case 2:
+					rng.Shuffle(len(levels), func(i, j int) { levels[i], levels[j] = levels[j], levels[i] })
+				}
+				sigma := append(slices.Clone(levels), rest...)
+				outer := 1 // P_{t-1}: the product the prefix's last level completes
+				for _, l := range levels[:len(levels)-1] {
+					outer *= ar[l]
+				}
+				prod := outer * ar[levels[len(levels)-1]]
+				for m := outer + 1; m <= prod; m++ {
+					PairCountsPerLevelInto(got, ar, sigma, m)
+					pairCountsDP(want, ar, sigma, m)
+					if !slices.Equal(got, want) {
+						t.Fatalf("ar=%v σ=%v m=%d: pairs %v, the DP %v", ar, sigma, m, got, want)
+					}
+					isBox := boxPairCounts(got, ar, sigma, m)
+					if isBox != (m == prod) {
+						t.Fatalf("ar=%v σ=%v m=%d: box %v, want %v", ar, sigma, m, isBox, m == prod)
+					}
+					if isBox {
+						boxes++
+					}
+				}
+				if arrangement == 0 {
+					copy(asc, got)
+				} else if !slices.Equal(got, asc) {
+					t.Fatalf("ar=%v σ=%v m=%d: pairs %v, the ascending arrangement %v", ar, sigma, prod, got, asc)
+				}
+			}
+		}
+		if boxes == 0 {
+			t.Fatalf("ar=%v: no box prefix was checked", ar)
+		}
+	}
+}
+
+// pairCountsDP is PairCountsPerLevelInto without its box branch: every
+// prefix runs the digit DP.
+func pairCountsDP(out []int64, ar, sigma []int, m int) {
+	k := len(ar)
+	var b, g [32]int64
+	clear(out[:k])
+	t := 0
+	for rem := m - 1; rem > 0 && t < k; t++ {
+		b[t] = int64(ar[sigma[t]])
+		g[t] = int64(rem) % b[t]
+		rem /= int(b[t])
+		out[k-1-sigma[t]] = 1
+	}
+	next := int64(0)
+	for l := k - 1; l >= 0; l-- {
+		if out[k-1-l] == 0 {
+			continue
+		}
+		e := (agreeingOrderedPairs(b[:t], g[:t], sigma, l) - int64(m)) / 2
+		out[k-1-l] = e - next
+		next = e
+	}
 }

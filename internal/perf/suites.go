@@ -142,7 +142,7 @@ func OrderSearchSuite() Suite {
 	// threshold. Non-simultaneous scenarios prune to an exact bnb run
 	// through depth 12; the simultaneous cases exhaust the node budget
 	// and degrade to beam, covering the fallback's cost. The c=16 ones
-	// are the simultaneous shapes of the benchmark's search_deep. The
+	// are the shapes of the benchmark's search_deep. The
 	// OrderSearchExact rows are the class-first exact search on the
 	// depth-7 and LUMI advise shapes of the benchmark's serve_cold.
 	deep := []struct {
@@ -156,6 +156,10 @@ func OrderSearchSuite() Suite {
 		{cluster.Cloud(10), advisor.Alltoall, 64, false, advisor.ModeBnB},
 		{cluster.Cloud(12), advisor.Alltoall, 64, false, advisor.ModeBnB},
 		{cluster.Cloud(12), advisor.Alltoall, 64, true, advisor.ModeBeam},
+		{cluster.Cloud(8), advisor.Alltoall, 16, false, advisor.ModeBnB},
+		{cluster.Cloud(10), advisor.Alltoall, 16, false, advisor.ModeBnB},
+		{cluster.Cloud(12), advisor.Alltoall, 16, false, advisor.ModeBnB},
+		{cluster.Cloud(12), advisor.Allreduce, 16, false, advisor.ModeBnB},
 		{cluster.Cloud(10), advisor.Alltoall, 16, true, advisor.ModeBeam},
 		{cluster.Cloud(12), advisor.Alltoall, 16, true, advisor.ModeBeam},
 		{cluster.Cloud(7), advisor.Alltoall, 16, false, advisor.ModePruned},
