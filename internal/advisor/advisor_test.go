@@ -2,6 +2,7 @@ package advisor
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -113,12 +114,22 @@ func TestUnknownCollectiveRejected(t *testing.T) {
 		sc.Coll = "bogus"
 		sigma := perm.Reversed(sc.Hierarchy.Depth())
 		_, perr := Predict(sc, sigma)
-		_, rerr := Rank(ctx, sc, [][]int{sigma}, RankOptions{})
+		_, rerr := Rank(ctx, sc, nil, RankOptions{})
 		_, serr := SearchOrders(ctx, sc, SearchOptions{})
 		for entry, err := range map[string]error{"Predict": perr, "Rank": rerr, "SearchOrders": serr} {
 			if err == nil || !strings.Contains(err.Error(), `unknown collective "bogus"`) {
 				t.Errorf("%s: %s with Coll bogus: err = %v, want unknown collective", name, entry, err)
 			}
+		}
+	}
+}
+
+// Rank ranks every order: a list of orders to rank is an error.
+func TestRankRejectsOrders(t *testing.T) {
+	sc := hydraScenario(true)
+	for _, orders := range [][][]int{{perm.Reversed(4)}, {}} {
+		if ranked, err := Rank(context.Background(), sc, orders, RankOptions{}); err == nil || ranked != nil {
+			t.Errorf("Rank of %v = %d orders, %v; want an error", orders, len(ranked), err)
 		}
 	}
 }
@@ -229,16 +240,13 @@ func TestSearchRejectsOneRankCommunicator(t *testing.T) {
 			for _, p := range []int{1, 0, -2} {
 				spec := cluster.Cloud(depth)
 				sc := Scenario{Spec: spec, Hierarchy: spec.Hierarchy(), Coll: coll, CommSize: p, Bytes: 256 << 20}
-				want := checkCommSize(sc)
-				if want == nil {
-					t.Fatalf("communicator size %d accepted", p)
-				}
+				want := fmt.Sprintf("advisor: communicator size %d: a collective needs at least 2 ranks", p)
 				res, err := SearchOrders(context.Background(), sc, SearchOptions{Top: 3})
-				if err == nil || err.Error() != want.Error() || res != nil {
+				if err == nil || err.Error() != want || res != nil {
 					t.Errorf("depth %d %s p=%d: SearchOrders = %v, %v; want the error %q", depth, coll, p, res, err, want)
 				}
 				ranked, err := Rank(context.Background(), sc, nil, RankOptions{})
-				if err == nil || err.Error() != want.Error() || ranked != nil {
+				if err == nil || err.Error() != want || ranked != nil {
 					t.Errorf("depth %d %s p=%d: Rank = %d orders, %v; want the error %q", depth, coll, p, len(ranked), err, want)
 				}
 				sc.CommSize = 2

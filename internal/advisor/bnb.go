@@ -1,8 +1,7 @@
-// SearchOrders, the one front door of the order search, and its engine for
-// deep hierarchies: branch-and-bound over digit-order prefixes, with a
-// bounded-width beam fallback. The exact search (Rank) enumerates all k!
-// orders; this engine walks the prefix tree instead and uses two
-// structural facts from §3.3 (internal/metrics/prefix.go):
+// SearchOrders, the one front door of the order search, and its one
+// engine: a depth-first walk of the prefix tree of digit orders, with a
+// bounded-width beam fallback. The walk uses two structural facts from
+// §3.3 (internal/metrics/prefix.go):
 //
 //  1. A prefix whose radix product covers the communicator size fully
 //     determines the first subcommunicator — placement and internal
@@ -20,12 +19,13 @@
 //     exact traffic term, which only grows as the remaining world
 //     communicators tile in.
 //
-// Subtrees whose lower bound exceeds the current top-T incumbent
-// threshold are pruned with proof, so a completed branch-and-bound run
-// returns exactly the orders Rank would (ModeBnB, gap 0). When the node
-// budget is exhausted the engine degrades to a level-synchronous beam of
-// bounded width and reports an optimality gap derived from the smallest
-// lower bound it discarded (ModeBeam).
+// Up to ExactDepth, and in Rank, the walk is exhaustive: with no pruning
+// and no node budget it visits every class (ModeExact, or ModePruned when
+// classes shared evaluations). Deeper, subtrees whose bound exceeds the
+// top-T incumbent threshold are pruned with proof, so a completed run
+// returns exactly the orders Rank would (ModeBnB, gap 0); past the node
+// budget a level-synchronous beam of bounded width answers, with an
+// optimality gap from the smallest bound it discarded (ModeBeam).
 //
 // A node costs O(1) amortized and no allocation: what a node needs from
 // its path is carried down it (pathState). Fact 1 settles the first
@@ -58,6 +58,7 @@
 package advisor
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -74,9 +75,13 @@ import (
 	"repro/internal/perm"
 )
 
-// Bounded-search modes, labeled on the advisor metrics next to
-// ModeExact/ModePruned/ModeFallback.
+// Search modes, as labeled on the advisor metrics and reported in
+// SearchResult.Mode.
 const (
+	// ModeExact and ModePruned: the exhaustive walk, "pruned" when
+	// equivalence classes shared evaluations.
+	ModeExact  = "exact"
+	ModePruned = "pruned"
 	// ModeBnB: the branch-and-bound completed within its node budget; the
 	// returned best orders are provably identical to the exhaustive
 	// ranking (OptimalityGap 0).
@@ -84,6 +89,9 @@ const (
 	// ModeBeam: the node budget ran out and the bounded-width beam
 	// answered instead, with a reported OptimalityGap.
 	ModeBeam = "beam"
+	// ModeFallback is never produced by the search: it marks the
+	// service's breaker-open heuristic ranking.
+	ModeFallback = "fallback"
 )
 
 // Bounded-search defaults. How many nodes a search visits depends on how
@@ -97,11 +105,13 @@ const (
 // spends the budget and is answered by the beam. nodeBudget caps the
 // prefix-tree nodes the branch-and-bound visits before degrading to the
 // beam, beamWidth is the beam's frontier width, and progressEvery is the
-// node interval between coverage events.
+// node interval between coverage events. unlimited is the budget of the
+// exhaustive walk, which prunes nothing either.
 const (
 	nodeBudget    = 400_000
 	beamWidth     = 32
 	progressEvery = 10_000
+	unlimited     = math.MaxInt64
 )
 
 // Progress event kinds.
@@ -115,14 +125,13 @@ const (
 	progressCoverage = "coverage"
 )
 
-// searchProgress is one live progress event of a bounded search,
-// delivered synchronously from the search goroutine to the
-// advisor.search span.
+// searchProgress is one live progress event of a search, delivered
+// synchronously from the search goroutine to the advisor.search span.
 type searchProgress struct {
 	// Kind is progressIncumbent or progressCoverage.
 	Kind string
-	// Mode is the phase emitting the event (ModeBnB, or ModeBeam after
-	// the node budget forced the fallback).
+	// Mode is the phase emitting the event (ModeExact for the exhaustive
+	// walk, ModeBnB, or ModeBeam after the node budget forced the fallback).
 	Mode string
 	// Nodes/Evaluated/Covered/Pruned mirror the SearchResult tallies at
 	// the instant of the event.
@@ -155,8 +164,8 @@ type SearchResult struct {
 	// in the exhaustive modes; under ModeBnB the true global worst can
 	// live in a pruned subtree.
 	Worst Prediction
-	// Mode is ModeExact or ModePruned up to ExactDepth, ModeBnB or
-	// ModeBeam beyond.
+	// Mode is ModeExact or ModePruned up to ExactDepth (the exhaustive
+	// walk), ModeBnB or ModeBeam beyond.
 	Mode string
 	// Evaluated counts model evaluations actually performed (distinct
 	// placement signatures predicted) — the honest "orders evaluated".
@@ -165,8 +174,8 @@ type SearchResult struct {
 	// counts orders discarded with a bound proof. Covered+Pruned equals
 	// k! in every mode but ModeBeam.
 	Covered, Pruned int64
-	// Nodes is the number of prefix-tree nodes visited (both phases of
-	// the bounded engine; 0 in the exhaustive modes).
+	// Nodes is the number of prefix-tree nodes visited, in every mode
+	// (both phases of a search that fell back to the beam).
 	Nodes int64
 	// OptimalityGap g guarantees the true optimum time is at least
 	// Best[0].Time × (1−g). In [0, 1) in ModeBeam, zero otherwise.
@@ -174,41 +183,40 @@ type SearchResult struct {
 }
 
 // errNodeBudget aborts the branch-and-bound descent when the node budget
-// is exhausted; searchBounded catches it and runs the beam.
+// is exhausted; answer catches it and runs the beam.
 var errNodeBudget = errors.New("advisor: search node budget exhausted")
 
-// ExactDepth is the deepest hierarchy SearchOrders ranks exhaustively:
-// 7! = 5040 orders is the largest space the pruned exact search answers
+// ExactDepth is the deepest hierarchy SearchOrders searches exhaustively:
+// 7! = 5040 orders is the largest space the exhaustive walk answers
 // comfortably within a request budget.
 const ExactDepth = 7
 
 // SearchOrders returns the top opts.Top orders for the scenario. The
-// engine is a property of the search, not of the caller: up to ExactDepth
-// it ranks all k! orders (Rank; Mode exact or pruned, Worst the true last
-// entry), deeper it runs the branch-and-bound and, past the node budget,
-// the beam. A communicator of fewer than two ranks is an error.
+// search is a property of the scenario, not of the caller: up to
+// ExactDepth the walk is exhaustive (Mode exact or pruned, Worst the true
+// last entry of the ranking), deeper it is the branch-and-bound and, past
+// the node budget, the beam. A communicator of fewer than two ranks is an
+// error.
 func SearchOrders(ctx context.Context, sc Scenario, opts SearchOptions) (*SearchResult, error) {
-	if err := checkCommSize(sc); err != nil {
-		return nil, err
-	}
-	if opts.Top <= 0 {
-		opts.Top = 1
-	}
+	budget := int64(unlimited)
 	if sc.Hierarchy.Depth() > ExactDepth {
-		return searchBounded(ctx, sc, opts, nodeBudget, beamWidth, progressEvery)
+		budget = nodeBudget
 	}
-	return rank(ctx, sc, perm.All(sc.Hierarchy.Depth()), opts.Registry, opts.Top)
+	return search(ctx, sc, opts, budget, beamWidth, progressEvery)
 }
 
-// searchBounded is the branch-and-bound / beam engine; opts.Top is at
-// least 1. The branch-and-bound visits at most budget nodes, the beam
-// keeps width orders per level, and a coverage event fires every every
-// nodes; SearchOrders passes nodeBudget, beamWidth and progressEvery. It
-// is intentionally sequential: the incumbent set makes pruning inherently
-// stateful, and even the depth-12 beam path is cheap enough that
-// determinism (and triviality under the race detector) wins over parallel
-// speedup.
-func searchBounded(ctx context.Context, sc Scenario, opts SearchOptions, budget int64, width int, every int64) (*SearchResult, error) {
+// search runs the walk: exhaustive with an unlimited budget, else the
+// branch-and-bound for at most budget nodes and then the beam of width
+// orders per level, with a coverage event every every nodes. A
+// communicator of fewer than two ranks runs no collective: an error. The
+// walk is sequential: the incumbent set makes pruning stateful, and
+// determinism wins over parallel speedup. The registry counts evaluations
+// as class misses and the other orders covered as hits.
+func search(ctx context.Context, sc Scenario, opts SearchOptions, budget int64, width int, every int64) (*SearchResult, error) {
+	if sc.CommSize < 2 {
+		return nil, fmt.Errorf("advisor: communicator size %d: a collective needs at least 2 ranks", sc.CommSize)
+	}
+	opts.Top = max(opts.Top, 1)
 	start := time.Now()
 	ctx, span := rt.StartSpan(ctx, "advisor.search")
 	span.SetAttr("depth", int64(sc.Hierarchy.Depth()))
@@ -230,20 +238,24 @@ func searchBounded(ctx context.Context, sc Scenario, opts SearchOptions, budget 
 	span.SetAttr("nodes", res.Nodes)
 	span.SetAttr("evaluated", res.Evaluated)
 
-	writeSeries(opts.Registry, res, start)
+	if reg := opts.Registry; reg != nil {
+		ml := obs.L("mode", res.Mode)
+		reg.Counter("advisor_class_misses_total", ml).AddInt(res.Evaluated)
+		reg.Counter("advisor_class_hits_total", ml).AddInt(max(res.Covered-res.Evaluated, 0))
+		reg.Histogram("advisor_search_seconds", obs.SearchBuckets(), ml).Observe(time.Since(start).Seconds())
+	}
 	return res, nil
 }
 
-// run searches with the branch-and-bound and, once the node budget is
-// spent, answers from a beam of width orders per level.
+// run walks the prefix tree and, once a node budget is spent, answers
+// from a beam of width orders per level.
 func (e *bnbEngine) run(width int) (*SearchResult, error) {
 	return e.answer(e.dfs(0), width)
 }
 
-// answer turns the branch-and-bound's outcome err into the result,
-// running the beam of width orders per level when the budget was spent.
+// answer turns the walk's outcome err into the result, running the beam
+// of width orders per level when the budget was spent.
 func (e *bnbEngine) answer(err error, width int) (*SearchResult, error) {
-	mode := ModeBnB
 	gap := 0.0
 	if errors.Is(err, errNodeBudget) {
 		// Budget spent: discard the partial branch-and-bound incumbents
@@ -252,7 +264,6 @@ func (e *bnbEngine) answer(err error, width int) (*SearchResult, error) {
 		// signatures stay free. The incumbent progress stream restarts
 		// with the phase: each mode's event sequence is monotone on its
 		// own.
-		mode = ModeBeam
 		e.inc.reset()
 		e.covered, e.pruned = 0, 0
 		e.mode, e.best = ModeBeam, math.Inf(1)
@@ -263,6 +274,10 @@ func (e *bnbEngine) answer(err error, width int) (*SearchResult, error) {
 	}
 	if len(e.inc.leaves) == 0 {
 		return nil, fmt.Errorf("advisor: search found no orders for depth %d", e.k)
+	}
+	mode := e.mode
+	if mode == ModeExact && e.evals < e.covered {
+		mode = ModePruned
 	}
 	return &SearchResult{
 		Best:          e.results(e.inc.top),
@@ -293,19 +308,20 @@ func progressSink(span *rt.Span) func(searchProgress) {
 
 // classLeaf is one evaluated equivalence node of the prefix tree: a
 // covering prefix (or, under Simultaneous, a full order) together with
-// the shared prediction of all (k−t)! completions it represents. order is
-// the canonical completion — the prefix followed by the remaining levels
-// ascending — which is the lexicographically smallest member.
+// the shared prediction of all (k−t)! completions it represents. pr.Order
+// is the canonical completion — the prefix followed by the remaining
+// levels ascending — which is the lexicographically smallest member.
 type classLeaf struct {
-	order []int
-	split int // prefix length; order[split:] is the ascending remainder
 	pr    Prediction
+	split int   // prefix length; pr.Order[split:] is the ascending remainder
 	size  int64 // (k-split)! orders represented
 }
 
-// incumbents keeps the running best class leaves, ordered exactly like
-// the final ranking (bandwidth descending, canonical order as tie-break),
-// trimmed to what the top-T answer can still need.
+// incumbents keeps the running best class leaves, trimmed to what the
+// top-T answer can still need: as they come until they account for top
+// orders (a full ranking costs one sort), then in ranking order. Their
+// orders live in buffers of the set — one a trim dropped, or one carved
+// from an arena — so filing a leaf rarely allocates.
 type incumbents struct {
 	top    int
 	leaves []classLeaf
@@ -316,53 +332,101 @@ type incumbents struct {
 	// per-node test reads two fields.
 	thr  float64
 	full bool
+	cum  int64 // orders the leaves account for, until full
+	head int   // the leaf the ranking puts first
+	// arena backs the orders of leaves that found no dropped buffer.
+	arena []int
 }
 
-// insert files a leaf whose order is the engine's scratch buffer; the
-// order is copied only if the leaf survives the trim, so a leaf that
-// cannot reach the answer costs no allocation. Once the set is full, a
-// leaf trim would drop at the end — below the last leaf's bandwidth, or
-// tying it behind a tail tie group of top classes — returns at once.
-func (in *incumbents) insert(l classLeaf) {
-	if n := len(in.leaves); in.full {
-		last := &in.leaves[n-1]
-		if bw := last.pr.Bandwidth; l.pr.Bandwidth < bw || l.pr.Bandwidth == bw && n >= in.top &&
-			in.leaves[n-in.top].pr.Bandwidth == bw && perm.Less(last.order, l.order) {
-			return
-		}
+// byRanking orders leaves as the final ranking does: bandwidth descending,
+// then canonical order (perm.Less).
+func byRanking(a, b *classLeaf) int {
+	if a.pr.Bandwidth != b.pr.Bandwidth {
+		return cmp.Compare(b.pr.Bandwidth, a.pr.Bandwidth)
 	}
-	i := sort.Search(len(in.leaves), func(i int) bool {
-		if in.leaves[i].pr.Bandwidth != l.pr.Bandwidth {
-			return in.leaves[i].pr.Bandwidth < l.pr.Bandwidth
+	return slices.Compare(a.pr.Order, b.pr.Order)
+}
+
+// insert files a leaf whose order is the engine's scratch buffer, copying
+// it into a buffer of the set. Once the set is full, a leaf trim would drop
+// at the end — below the last leaf's bandwidth, or tying it behind a tail
+// tie group of top classes — returns at once.
+func (in *incumbents) insert(l classLeaf) {
+	n := len(in.leaves)
+	if !in.full {
+		l.pr.Order = in.extend(l.pr.Order)
+		in.leaves[n] = l
+		if byRanking(&l, &in.leaves[in.head]) < 0 {
+			in.head = n
 		}
-		return !perm.Less(in.leaves[i].order, l.order)
-	})
-	in.leaves = append(in.leaves, classLeaf{})
-	copy(in.leaves[i+1:], in.leaves[i:])
+		if in.cum += l.size; in.cum >= int64(in.top) {
+			in.sort()
+			in.trim()
+		}
+		return
+	}
+	last := &in.leaves[n-1]
+	if bw := last.pr.Bandwidth; l.pr.Bandwidth < bw || l.pr.Bandwidth == bw && n >= in.top &&
+		in.leaves[n-in.top].pr.Bandwidth == bw && perm.Less(last.pr.Order, l.pr.Order) {
+		return
+	}
+	i := sort.Search(n, func(i int) bool { return byRanking(&in.leaves[i], &l) >= 0 })
+	l.pr.Order = in.extend(l.pr.Order)
+	copy(in.leaves[i+1:], in.leaves[i:n])
 	in.leaves[i] = l
 	in.trim()
-	if i < len(in.leaves) {
-		in.leaves[i].order = append([]int(nil), l.order...)
+}
+
+// extend lengthens the leaves by one and returns order copied into the
+// buffer a trim or reset left in the new slot, or one from the arena.
+func (in *incumbents) extend(order []int) []int {
+	n, k := len(in.leaves), len(order)
+	if n == cap(in.leaves) {
+		in.leaves = push(in.leaves, classLeaf{})
 	}
-	var cum int64
-	in.thr = 0
-	for i := range in.leaves {
-		cum += in.leaves[i].size
-		in.thr = max(in.thr, in.leaves[i].pr.Time)
+	in.leaves = in.leaves[:n+1]
+	buf, a := in.leaves[n].pr.Order, len(in.arena)
+	if cap(buf) < k {
+		if cap(in.arena)-a < k {
+			in.arena, a = make([]int, 0, max(2*cap(in.arena), min(in.top, 32)*k)), 0
+		}
+		buf, in.arena = in.arena[a:a+k:a+k], in.arena[:a+k]
 	}
-	in.full = cum >= int64(in.top)
+	return append(buf[:0], order...)
 }
 
 // reset empties the set for the next search phase.
 func (in *incumbents) reset() {
-	in.leaves, in.thr, in.full = in.leaves[:0], 0, false
+	in.leaves, in.thr, in.full, in.cum, in.head = in.leaves[:0], 0, false, 0, 0
 }
 
-// trim drops leaves that can no longer reach the top-T answer: everything
-// past the class where the cumulative order count reaches top, except
-// that within the cutoff bandwidth-tie group up to top classes are kept —
-// only the lexicographically smallest canonicals of a tie group can
-// contribute to the final merge.
+// sort puts the leaves in ranking order. A leaf is large, so it sorts their
+// indices and then moves each leaf once, along the cycles of the
+// permutation.
+func (in *incumbents) sort() {
+	idx := make([]int32, len(in.leaves))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(a, b int32) int { return byRanking(&in.leaves[a], &in.leaves[b]) })
+	for i := range idx {
+		if idx[i] < 0 {
+			continue
+		}
+		l, j := in.leaves[i], i
+		for int(idx[j]) != i {
+			next := int(idx[j])
+			in.leaves[j], idx[j], j = in.leaves[next], -1, next
+		}
+		in.leaves[j], idx[j] = l, -1
+	}
+	in.head = 0
+}
+
+// trim drops from the sorted set that accounts for top orders every leaf
+// past the class where the cumulative order count reaches top, but keeps
+// up to top classes of the cutoff bandwidth-tie group (only the smallest
+// canonicals of a tie group reach the final merge); it resets the cutoff.
 func (in *incumbents) trim() {
 	var cum int64
 	for i := range in.leaves {
@@ -380,8 +444,13 @@ func (in *incumbents) trim() {
 			end++
 		}
 		in.leaves = in.leaves[:end]
-		return
+		break
 	}
+	in.thr = 0
+	for i := range in.leaves {
+		in.thr = max(in.thr, in.leaves[i].pr.Time)
+	}
+	in.full, in.head = true, 0
 }
 
 // fpMul are the fingerprint's multipliers, one per level (a hierarchy
@@ -400,7 +469,7 @@ var fpMul = func() (m [33]uint64) {
 // arena; the zero value is empty. A key is found through its fingerprint
 // in an open-addressing table and verified, so colliding keys only probe
 // further.
-type fpIndex[T int | int64 | byte] struct {
+type fpIndex[T int | byte] struct {
 	slots []int32  // 1 + an id, 0 empty: a power of two, at most half full
 	fps   []uint64 // id j's fingerprint
 	ends  []int32  // id j's key is keys[ends[j-1]:ends[j]], from 0 for j = 0
@@ -453,26 +522,18 @@ func (m *fpIndex[T]) rehash(n int) {
 	}
 }
 
-// push appends to a table that only grows, doubling its capacity when
-// full: n entries cost under 2n in all, where append's slower growth past
-// a few hundred entries allocates about 5n.
+// push appends to a table that only grows, doubling its capacity (from
+// 32) when full: n entries cost under 2n in all, where append's slower
+// growth past a few hundred entries allocates about 5n.
 func push[T any](s []T, v ...T) []T {
 	if len(s)+len(v) > cap(s) {
-		s = slices.Grow(s, max(len(s), len(v)))
+		s = slices.Grow(s, max(len(s), len(v), 32))
 	}
 	return append(s, v...)
 }
 
-// fingerprint is Σ key[i]·fpMul[i mod 33].
-func fingerprint(key []int64) (fp uint64) {
-	for i, v := range key {
-		fp += uint64(v) * fpMul[i%len(fpMul)]
-	}
-	return fp
-}
-
-// keyFingerprint is fingerprint over a byte key's little-endian 8-byte
-// words, the last one zero-padded.
+// keyFingerprint is Σ w_i·fpMul[i mod 33] over a byte key's little-endian
+// 8-byte words w_i, the last one zero-padded.
 func keyFingerprint(key []byte) (fp uint64) {
 	for i := 0; i < len(key); i += 8 {
 		var w [8]byte
@@ -493,7 +554,7 @@ type bnbEngine struct {
 	all  uint32 // every level's bit
 
 	pd   *predictor // the scenario's model
-	fcPd *predictor // its first communicator alone (Simultaneous only)
+	fcPd *predictor // its first communicator alone (bounded Simultaneous only)
 
 	// latFloor[v] = rounds × the cheapest latency at any level in [0, v]
 	// (levels past the spec cost 0, mirroring Predict). Admissible
@@ -506,18 +567,18 @@ type bnbEngine struct {
 	// by the levels it uses when the signature has no ring component.
 	// comm[id] is the communicator's prediction alone, Time 0 until a leaf
 	// (one communicator) or an interior node's bound (Simultaneous) needs
-	// it; predict never answers a Time of 0.
+	// it; predict never answers a Time of 0. The tables grow as they are
+	// read (slot).
 	ids   fpIndex[byte]
 	boxes map[uint32]int32
-	comm  []Prediction
+	comm  []estimate
 	// memo numbers the Simultaneous leaf classes by leafKey's key; preds[j]
 	// is entry j's prediction, Time 0 like comm's until evaluated.
 	memo  fpIndex[int]
-	preds []Prediction
+	preds []estimate
 
-	inc       incumbents
-	worst     Prediction
-	haveWorst bool
+	inc   incumbents
+	worst Prediction // its Order is nil until a leaf is evaluated
 
 	// Per-node scratch, so that a node allocates nothing: sigma[:t] is the
 	// prefix of the node in hand (the DFS path; the beam copies its
@@ -582,6 +643,7 @@ func newBnbEngine(ctx context.Context, sc Scenario, top int, budget, every int64
 		}
 		latFloor[v] = pd.rounds * minLat
 	}
+	ints, counts := make([]int, 2*k+1), make([]int64, 2*k)
 	e := &bnbEngine{
 		ctx:      ctx,
 		sc:       sc,
@@ -594,12 +656,12 @@ func newBnbEngine(ctx context.Context, sc Scenario, top int, budget, every int64
 		pd:       pd,
 		latFloor: latFloor,
 		boxes:    make(map[uint32]int32),
-		inc:      incumbents{top: top},
-		sigma:    make([]int, k),
+		inc:      incumbents{top: top, leaves: make([]classLeaf, 0, min(top, 32))},
+		sigma:    ints[:k:k],
 		path:     make([]pathState, k+1),
-		prof:     make([]int, k+1),
-		pairs:    make([]int64, k),
-		cross:    make([]int64, k),
+		prof:     ints[k:],
+		pairs:    counts[:k:k],
+		cross:    counts[k:],
 		key:      make([]byte, 0, 3+2*k*binary.MaxVarintLen64),
 		budget:   budget,
 		every:    every,
@@ -609,7 +671,9 @@ func newBnbEngine(ctx context.Context, sc Scenario, top int, budget, every int64
 		rootLB:   latFloor[metrics.BestCompletionCrossLevel(ar, nil, sc.CommSize)],
 	}
 	e.path[0] = pathState{prod: 1, minLevel: k, carries: e.n - 1, id: -1}
-	if sc.Simultaneous {
+	if budget == unlimited {
+		e.mode = ModeExact
+	} else if sc.Simultaneous { // the bounds alone read the first communicator's time
 		fcSc := sc
 		fcSc.Simultaneous = false
 		if e.fcPd, err = newPredictor(fcSc); err != nil {
@@ -642,7 +706,8 @@ func (e *bnbEngine) emit(kind string) {
 }
 
 // visit counts one prefix-tree node against the context, the heartbeat
-// and (in the branch-and-bound phase) the node budget.
+// and (in the branch-and-bound phase) the node budget. The context is
+// polled every 1 024 nodes here and before every evaluation (leafPred).
 func (e *bnbEngine) visit() error {
 	e.nodes++
 	if e.nodes&1023 == 0 {
@@ -682,7 +747,8 @@ func (e *bnbEngine) ascend(t int) {
 
 // dfs walks the prefix tree depth-first from the node e.sigma[:t],
 // children in ascending level order so leaves arrive in canonical
-// (lexicographic) order; a settled subtree is collapsed.
+// (lexicographic) order; a settled subtree is collapsed. Only the
+// branch-and-bound prunes.
 func (e *bnbEngine) dfs(t int) error {
 	if err := e.visit(); err != nil {
 		return err
@@ -691,10 +757,10 @@ func (e *bnbEngine) dfs(t int) error {
 		return err
 	}
 	if e.isLeaf(t) {
-		_, err := e.evalLeaf(t)
+		_, err := e.evalLeaf(t, t)
 		return err
 	}
-	if t > 0 && e.inc.full && e.bound(t) > e.inc.thr {
+	if e.mode == ModeBnB && t > 0 && e.inc.full && e.bound(t) > e.inc.thr {
 		e.pruned += perm.Factorial(e.k - t)
 		return nil
 	}
@@ -728,7 +794,9 @@ func (e *bnbEngine) settled(t int) bool {
 // closed form, firing every heartbeat they cross and stopping where the
 // node budget does. Nothing below the node is pruned: a retained leaf
 // keeps thr at or above its Time, which the admissible lb bounds, and a
-// rejected one leaves the incumbents as they were.
+// rejected one leaves the incumbents as they were. The exhaustive walk's
+// worst candidate is the subtree's last leaf, the bounded walk's its
+// first.
 func (e *bnbEngine) collapse(t int) error {
 	r := e.k - t
 	base, covered := e.nodes-1, e.covered // before the node and its leaves
@@ -740,7 +808,11 @@ func (e *bnbEngine) collapse(t int) error {
 	}
 	var pr Prediction
 	if err == nil {
-		pr, err = e.evalLeaf(e.k)
+		from := e.k
+		if e.mode == ModeExact {
+			from = t
+		}
+		pr, err = e.evalLeaf(e.k, from)
 	}
 	for u--; u >= t; u-- {
 		e.ascend(u)
@@ -749,7 +821,7 @@ func (e *bnbEngine) collapse(t int) error {
 		return err
 	}
 	for m := 1; m < e.inc.top && nextPermutation(e.sigma[t:]); m++ {
-		e.inc.insert(classLeaf{order: e.sigma, split: e.k, pr: pr, size: 1})
+		e.inc.insert(classLeaf{pr: pr, split: e.k, size: 1})
 	}
 	size := treeSize(r)
 	stop := e.budget + 1
@@ -829,15 +901,16 @@ func (e *bnbEngine) cover(t int) error {
 	} else {
 		s.id = e.intern()
 	}
-	if e.isLeaf(t) {
+	if e.isLeaf(t) || e.mode == ModeExact { // the exhaustive walk reads no bound
 		return nil
 	}
-	pr := &e.comm[s.id]
+	pr := slot(&e.comm, int(s.id))
 	if pr.Time == 0 {
-		var err error
-		if *pr, err = e.fcPd.predict(e.complete(t, s.used)); err != nil {
+		p, err := e.fcPd.predict(e.complete(t, s.used))
+		if err != nil {
 			return err
 		}
+		*pr = estimate{p.Time, p.Bandwidth, p.Latency, p.BottleneckLevel}
 	}
 	s.lb = pr.Time - pr.Latency + e.latFloor[metrics.BestCompletionCrossLevel(e.ar, e.sigma[:t], e.p)]
 	return nil
@@ -854,11 +927,23 @@ func (e *bnbEngine) intern() int32 {
 		metrics.CrossingsPerLevelInto(e.cross, e.ar, e.sigma, e.p)
 	}
 	e.key = sig.AppendKey(e.key[:0])
-	id, seen := e.ids.id(keyFingerprint(e.key), e.key)
-	if !seen {
-		e.comm = push(e.comm, Prediction{})
-	}
+	id, _ := e.ids.id(keyFingerprint(e.key), e.key)
 	return int32(id)
+}
+
+// estimate is a Prediction without its order, as the class tables hold
+// it: with no pointer in it, the collector does not scan them.
+type estimate struct {
+	Time, Bandwidth, Latency float64
+	BottleneckLevel          int
+}
+
+// slot returns entry j of a prediction table, growing the table to hold it.
+func slot(tab *[]estimate, j int) *estimate {
+	for len(*tab) <= j {
+		*tab = push(*tab, estimate{})
+	}
+	return &(*tab)[j]
 }
 
 // bound returns an admissible lower bound on the predicted time of every
@@ -883,8 +968,9 @@ func (e *bnbEngine) complete(t int, used uint32) []int {
 
 // evalLeaf predicts the (shared) cost of all completions of the leaf
 // e.sigma[:t], memoized by placement signature, feeds the incumbents and
-// the worst-evaluated tracker, and returns the prediction.
-func (e *bnbEngine) evalLeaf(t int) (Prediction, error) {
+// the worst-evaluated tracker, and returns the prediction. The worst
+// candidate is e.sigma with e.sigma[from:] reversed.
+func (e *bnbEngine) evalLeaf(t, from int) (Prediction, error) {
 	sigma := e.complete(t, e.path[t].used)
 	pr, err := e.leafPred(t, sigma)
 	if err != nil {
@@ -892,43 +978,51 @@ func (e *bnbEngine) evalLeaf(t int) (Prediction, error) {
 	}
 	size := perm.Factorial(e.k - t)
 	e.covered += size
-	e.inc.insert(classLeaf{order: sigma, split: t, pr: pr, size: size})
-	if best := e.inc.leaves[0].pr.Time; best < e.best {
+	e.inc.insert(classLeaf{pr: pr, split: t, size: size})
+	if best := e.inc.leaves[e.inc.head].pr.Time; best < e.best {
 		e.best = best
 		e.emit(progressIncumbent)
 	}
-	if !e.haveWorst || pr.Time > e.worst.Time {
+	// The exhaustive walk keeps the ranking's last entry, on a tie the
+	// later leaf's last member (prefix + descending rest); the bounded
+	// walk keeps the first leaf of the longest Time.
+	worse := pr.Time > e.worst.Time
+	if e.mode == ModeExact {
+		worse = pr.Bandwidth <= e.worst.Bandwidth
+	}
+	if e.worst.Order == nil || worse {
+		order := e.worst.Order
 		e.worst = pr
-		// The lexicographically greatest member (prefix + descending
-		// rest) mirrors Rank's worst-entry tie-break.
-		e.worst.Order = append([]int(nil), sigma...)
-		slices.Reverse(e.worst.Order[t:])
-		e.haveWorst = true
+		e.worst.Order = append(order[:0], sigma...)
+		slices.Reverse(e.worst.Order[from:])
 	}
 	return pr, nil
 }
 
 // leafPred returns the prediction of the leaf e.sigma[:t], completed to
-// sigma, from its class's slot: with one communicator the first
-// communicator's id is the class and comm[id] the slot, under Simultaneous
-// the memo numbers the class by leafKey.
+// sigma (its Order), from its class's slot: with one communicator the
+// first communicator's id is the class and comm[id] the slot, under
+// Simultaneous the memo numbers the class by leafKey.
 func (e *bnbEngine) leafPred(t int, sigma []int) (Prediction, error) {
-	pr := &e.comm[e.path[t].id]
+	var pr *estimate
 	if e.sc.Simultaneous {
-		j, seen := e.memo.id(e.leafKey(t))
-		if !seen {
-			e.preds = push(e.preds, Prediction{})
-		}
-		pr = &e.preds[j]
+		j, _ := e.memo.id(e.leafKey(t))
+		pr = slot(&e.preds, j)
+	} else {
+		pr = slot(&e.comm, int(e.path[t].id))
 	}
 	if pr.Time == 0 {
-		var err error
-		if *pr, err = e.pd.predict(sigma); err != nil {
+		if err := e.ctx.Err(); err != nil {
 			return Prediction{}, err
 		}
+		p, err := e.pd.predict(sigma)
+		if err != nil {
+			return Prediction{}, err
+		}
+		*pr = estimate{p.Time, p.Bandwidth, p.Latency, p.BottleneckLevel}
 		e.evals++
 	}
-	return *pr, nil
+	return Prediction{Order: sigma, Time: pr.Time, Bandwidth: pr.Bandwidth, BottleneckLevel: pr.BottleneckLevel, Latency: pr.Latency}, nil
 }
 
 // leafKey returns the fingerprint and memo key of the Simultaneous leaf
@@ -944,16 +1038,19 @@ func (e *bnbEngine) leafKey(t int) (uint64, []int) {
 // bound, deterministic lexicographic tie-break) and folds every dropped
 // candidate's bound into the optimality gap.
 func (e *bnbEngine) beam(width int) (float64, error) {
-	// A candidate carries its prefix, then its world profile, and its state.
+	// A candidate carries its prefix, then its world profile, and its
+	// state. A level's candidates are carved from one arena; the next
+	// level's come from the other, so the two are swapped between levels.
 	type cand struct {
 		node []int
 		st   pathState
 		lb   float64
 	}
-	frontier := []cand{{node: make([]int, e.k), st: e.path[0]}}
+	frontier, next := []cand{{node: make([]int, e.k), st: e.path[0]}}, []cand(nil)
+	var arena, spare []int
 	globalLB := math.Inf(1)
 	for t := 0; len(frontier) > 0; t++ {
-		var next []cand
+		next, arena = next[:0], arena[:0]
 		for _, c := range frontier {
 			copy(e.sigma, c.node[:t])
 			copy(e.prof[:e.k], c.node[t:])
@@ -965,10 +1062,11 @@ func (e *bnbEngine) beam(width int) (float64, error) {
 				e.descend(t, bits.TrailingZeros32(free))
 				err := e.cover(t + 1)
 				if err == nil && e.isLeaf(t+1) {
-					_, err = e.evalLeaf(t + 1)
+					_, err = e.evalLeaf(t+1, t+1)
 				} else if err == nil {
-					node := append(append(make([]int, 0, t+1+e.k), e.sigma[:t+1]...), e.prof[:e.k]...)
-					next = append(next, cand{node: node, st: e.path[t+1], lb: e.bound(t + 1)})
+					at := len(arena)
+					arena = append(append(arena, e.sigma[:t+1]...), e.prof[:e.k]...)
+					next = append(next, cand{node: arena[at:len(arena):len(arena)], st: e.path[t+1], lb: e.bound(t + 1)})
 				}
 				e.ascend(t)
 				if err != nil {
@@ -976,11 +1074,11 @@ func (e *bnbEngine) beam(width int) (float64, error) {
 				}
 			}
 		}
-		sort.Slice(next, func(i, j int) bool {
-			if next[i].lb != next[j].lb {
-				return next[i].lb < next[j].lb
+		slices.SortFunc(next, func(a, b cand) int {
+			if a.lb != b.lb {
+				return cmp.Compare(a.lb, b.lb)
 			}
-			return perm.Less(next[i].node[:t+1], next[j].node[:t+1])
+			return slices.Compare(a.node[:t+1], b.node[:t+1])
 		})
 		if len(next) > width {
 			for _, d := range next[width:] {
@@ -990,12 +1088,13 @@ func (e *bnbEngine) beam(width int) (float64, error) {
 			}
 			next = next[:width]
 		}
-		frontier = next
+		frontier, next = next, frontier
+		arena, spare = spare, arena
 	}
 	if len(e.inc.leaves) == 0 {
 		return 0, fmt.Errorf("advisor: beam search found no orders")
 	}
-	best := e.inc.leaves[0].pr.Time
+	best := e.inc.leaves[e.inc.head].pr.Time
 	if globalLB >= best {
 		// Nothing promising was ever dropped: the beam was exhaustive.
 		return 0, nil
@@ -1003,29 +1102,34 @@ func (e *bnbEngine) beam(width int) (float64, error) {
 	return (best - globalLB) / best, nil
 }
 
-// results expands the retained class leaves into the final top-N full
-// orders. Within a bandwidth-tie group the members of several classes
-// interleave lexicographically, so each class lists as many of its first
-// completions (next-permutation over the suffix) as the answer can still
-// take, and the group is sorted by perm.Less.
+// results expands the retained class leaves, in ranking order, into the
+// final top-N full orders. Within a bandwidth-tie group the members of
+// several classes interleave lexicographically, so each class lists as
+// many of its first completions (next-permutation over the suffix) as the
+// answer can still take, and the group is sorted by perm.Less. The orders
+// share one backing array.
 func (e *bnbEngine) results(topN int) []Prediction {
+	topN = int(min(int64(topN), e.covered))
 	out := make([]Prediction, 0, topN)
+	orders := make([]int, 0, topN*e.k)
+	if !e.inc.full {
+		e.inc.sort()
+	}
 	leaves := e.inc.leaves
 	for i, j := 0, 0; i < len(leaves) && len(out) < topN; i = j {
-		var group []Prediction
-		var orders []int // backs the group's orders, each a capped sub-slice
+		g := len(out)
 		for j = i; j < len(leaves) && leaves[j].pr.Bandwidth == leaves[i].pr.Bandwidth; j++ {
-			cur := slices.Clone(leaves[j].order)
-			for m, more := len(out), true; m < topN && more; m++ {
+			cur := append(e.sigma[:0], leaves[j].pr.Order...)
+			for m, more := g, true; m < topN && more; m++ {
 				orders = append(orders, cur...)
 				pr := leaves[j].pr
-				pr.Order = slices.Clip(orders[len(orders)-len(cur):])
-				group = append(group, pr)
+				pr.Order = slices.Clip(orders[len(orders)-e.k:])
+				out = append(out, pr)
 				more = nextPermutation(cur[leaves[j].split:])
 			}
 		}
-		slices.SortFunc(group, func(a, b Prediction) int { return slices.Compare(a.Order, b.Order) })
-		out = append(out, group[:min(len(group), topN-len(out))]...)
+		slices.SortFunc(out[g:], func(a, b Prediction) int { return slices.Compare(a.Order, b.Order) })
+		out = out[:min(len(out), topN)]
 	}
 	return out
 }

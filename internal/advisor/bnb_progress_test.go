@@ -117,7 +117,7 @@ func TestSearchProgressPublishes(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := rt.NewTracer(rt.Options{Service: "test"})
 	ctx, root := tracer.StartRequest(context.Background(), "test advise", "")
-	if _, err := searchBounded(ctx, sc, SearchOptions{Top: 1, Registry: reg}, nodeBudget, beamWidth, 1000); err != nil {
+	if _, err := search(ctx, sc, SearchOptions{Top: 1, Registry: reg}, nodeBudget, beamWidth, 1000); err != nil {
 		t.Fatal(err)
 	}
 	root.End()

@@ -248,7 +248,7 @@ func TestLeafMemoClassesMatchSignatureKeys(t *testing.T) {
 						}
 						class[k] = j
 					})
-					entries := len(e.comm)
+					entries := len(e.ids.fps)
 					if sim {
 						entries = len(e.memo.fps)
 					}
@@ -274,12 +274,12 @@ func TestSearchUnchangedUnderFingerprintCollisions(t *testing.T) {
 				sc := Scenario{Spec: specFor(h), Hierarchy: h, Coll: Allreduce, CommSize: p, Simultaneous: true, Bytes: 8 << 20}
 				opts := SearchOptions{Top: 4}
 				fpMul = orig
-				want, err := searchBounded(context.Background(), sc, opts, budget, 3, progressEvery)
+				want, err := search(context.Background(), sc, opts, budget, 3, progressEvery)
 				if err != nil {
 					t.Fatal(err)
 				}
 				fpMul = [33]uint64{}
-				got, err := searchBounded(context.Background(), sc, opts, budget, 3, progressEvery)
+				got, err := search(context.Background(), sc, opts, budget, 3, progressEvery)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -297,7 +297,8 @@ func TestSearchUnchangedUnderFingerprintCollisions(t *testing.T) {
 // TestIncumbentsFastPathMatchesFullInsert: on random leaf streams with
 // many bandwidth ties, arriving in canonical order (the DFS) or shuffled
 // (the beam), insert keeps exactly the set that filing every leaf, sorting
-// and trimming keeps, with the same cutoff.
+// and trimming keeps — in ranking order and with the same cutoff once
+// full, as a multiset before, with the ranking's first leaf as its head.
 func TestIncumbentsFastPathMatchesFullInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	const k = 5
@@ -308,8 +309,8 @@ func TestIncumbentsFastPathMatchesFullInsert(t *testing.T) {
 		for _, o := range orders[:20+rng.Intn(len(orders)-20)] {
 			split := k - rng.Intn(3)
 			bw := float64(1 + rng.Intn(4))
-			stream = append(stream, classLeaf{order: o, split: split,
-				pr: Prediction{Bandwidth: bw, Time: 1 / bw}, size: perm.Factorial(k - split)})
+			stream = append(stream, classLeaf{pr: Prediction{Order: o, Bandwidth: bw, Time: 1 / bw},
+				split: split, size: perm.Factorial(k - split)})
 		}
 		if rep%2 == 1 {
 			rng.Shuffle(len(stream), func(i, j int) { stream[i], stream[j] = stream[j], stream[i] })
@@ -318,9 +319,9 @@ func TestIncumbentsFastPathMatchesFullInsert(t *testing.T) {
 		scratch := make([]int, k)
 		for _, l := range stream {
 			// insert reads the order from the engine's scratch buffer.
-			copy(scratch, l.order)
+			copy(scratch, l.pr.Order)
 			fast := l
-			fast.order = scratch
+			fast.pr.Order = scratch
 			in.insert(fast)
 			clear(scratch)
 
@@ -330,7 +331,7 @@ func TestIncumbentsFastPathMatchesFullInsert(t *testing.T) {
 				if a.pr.Bandwidth != b.pr.Bandwidth {
 					return a.pr.Bandwidth > b.pr.Bandwidth
 				}
-				return perm.Less(a.order, b.order)
+				return perm.Less(a.pr.Order, b.pr.Order)
 			})
 			ref.trim()
 			var cum int64
@@ -340,9 +341,15 @@ func TestIncumbentsFastPathMatchesFullInsert(t *testing.T) {
 				ref.thr = max(ref.thr, r.pr.Time)
 			}
 			ref.full = cum >= int64(top)
-			if !reflect.DeepEqual(in.leaves, ref.leaves) || in.thr != ref.thr || in.full != ref.full {
+			kept := in.leaves
+			if !in.full {
+				kept = slices.Clone(in.leaves)
+				slices.SortFunc(kept, func(a, b classLeaf) int { return byRanking(&a, &b) })
+			}
+			if !reflect.DeepEqual(kept, ref.leaves) || in.full && in.thr != ref.thr || in.full != ref.full ||
+				!reflect.DeepEqual(in.leaves[in.head], ref.leaves[0]) {
 				t.Fatalf("rep %d top %d after %v: insert kept %v (thr %v, full %v), full insert+trim %v (thr %v, full %v)",
-					rep, top, l.order, in.leaves, in.thr, in.full, ref.leaves, ref.thr, ref.full)
+					rep, top, l.pr.Order, in.leaves, in.thr, in.full, ref.leaves, ref.thr, ref.full)
 			}
 		}
 	}

@@ -174,39 +174,36 @@ func hasModeLabel(labels []obs.Label, mode string) bool {
 	return false
 }
 
-// TestRankExactModeWhenNoSharing verifies the mode semantics: orders that
-// are each their own class — one representative of every class — report
-// mode="exact", never "pruned".
+// TestRankExactModeWhenNoSharing verifies the mode semantics: a search
+// whose orders are each their own class — Allgather over 16 ranks of
+// ⟦4,8⟧ and ⟦2,2,8⟧ — reports mode="exact", never "pruned".
 func TestRankExactModeWhenNoSharing(t *testing.T) {
-	reg := obs.NewRegistry()
-	sc := Scenario{
-		Spec:      cluster.Hydra(16, 1),
-		Hierarchy: topology.MustNew(2, 2, 2, 2),
-		Coll:      Alltoall,
-		CommSize:  4,
-		Bytes:     1 << 20,
-	}
-	all := perm.All(4)
-	var reps [][]int
-	for _, members := range classGroups(sc, all) {
-		reps = append(reps, all[members[0]])
-	}
-	if len(reps) < 2 || len(reps) == len(all) {
-		t.Fatalf("%d classes of %d orders, want a scenario whose orders share classes", len(reps), len(all))
-	}
-	res, err := rank(context.Background(), sc, reps, reg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := int64(len(reps))
-	if res.Mode != ModeExact || res.Evaluated != n || res.Covered != n {
-		t.Fatalf("search mode %q evaluated %d covered %d, want exact and %d of each", res.Mode, res.Evaluated, res.Covered, n)
-	}
-	ml := obs.L("mode", ModeExact)
-	if misses := reg.FindCounter("advisor_class_misses_total", ml); misses != float64(n) {
-		t.Fatalf("exact-mode misses = %v, want %d", misses, n)
-	}
-	if hits := reg.FindCounter("advisor_class_hits_total", ml); hits != 0 {
-		t.Fatalf("exact-mode hits = %v, want 0", hits)
+	for _, h := range []topology.Hierarchy{topology.MustNew(4, 8), topology.MustNew(2, 2, 8)} {
+		reg := obs.NewRegistry()
+		sc := Scenario{
+			Spec:      cluster.Hydra(16, 1),
+			Hierarchy: h,
+			Coll:      Allgather,
+			CommSize:  16,
+			Bytes:     8 << 20,
+		}
+		n := perm.Factorial(h.Depth())
+		if groups := classGroups(sc, perm.All(h.Depth())); int64(len(groups)) != n {
+			t.Fatalf("%v: %d classes of %d orders, want a scenario whose orders share none", h.Arities(), len(groups), n)
+		}
+		res, err := SearchOrders(context.Background(), sc, SearchOptions{Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Mode != ModeExact || res.Evaluated != n || res.Covered != n {
+			t.Fatalf("%v: search mode %q evaluated %d covered %d, want exact and %d of each", h.Arities(), res.Mode, res.Evaluated, res.Covered, n)
+		}
+		ml := obs.L("mode", ModeExact)
+		if misses := reg.FindCounter("advisor_class_misses_total", ml); misses != float64(n) {
+			t.Fatalf("%v: exact-mode misses = %v, want %d", h.Arities(), misses, n)
+		}
+		if hits := reg.FindCounter("advisor_class_hits_total", ml); hits != 0 {
+			t.Fatalf("%v: exact-mode hits = %v, want 0", h.Arities(), hits)
+		}
 	}
 }

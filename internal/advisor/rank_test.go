@@ -71,7 +71,7 @@ func TestRankTiesAreLexicographic(t *testing.T) {
 	}
 }
 
-// classGroups is classify's oracle: the order indices partitioned into
+// classGroups is the search's class oracle: the order indices partitioned into
 // §3.3 equivalence classes by metrics.OrderSignature, keyed by its string,
 // in first-appearance order; nil when any signature fails to compute.
 func classGroups(sc Scenario, orders [][]int) [][]int {
@@ -124,15 +124,14 @@ func rankOracle(t *testing.T, sc Scenario) ([]Prediction, [][]int) {
 	return ranked, groups
 }
 
-// TestSearchExactEqualsRank: the class-first exact search answers exactly
-// what the exhaustive ranking does — the head of the full ranking, its
-// last entry, the mode and the evaluated and covered counts — for every
-// shape of TestRankPrunedEqualsFull, the cloud machine at depth 6 and 7
-// and ⟦4,2,4,2,8⟧ on LUMI, under every collective, one and all
-// communicators and every divisor, with Top 1, 5 and k!+1. classify's
-// partition and representatives are classGroups', with the real
-// fingerprint multipliers and with all-zero ones, under which every key
-// collides.
+// TestSearchExactEqualsRank: the exhaustive walk answers exactly what the
+// exhaustive ranking does — the head of the full ranking, its last entry,
+// the mode and the evaluated and covered counts — for every shape of
+// TestRankPrunedEqualsFull, the cloud machine at depth 6 and 7 and
+// ⟦4,2,4,2,8⟧ on LUMI, under every collective, one and all communicators
+// and every divisor, with Top 1, 5 and k!+1, with the real fingerprint
+// multipliers and with all-zero ones, under which every key collides.
+// Nodes, which the ranking does not count, is TestSearchExactNodes'.
 func TestSearchExactEqualsRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	type machine struct {
@@ -155,54 +154,79 @@ func TestSearchExactEqualsRank(t *testing.T) {
 	orig := fpMul
 	defer func() { fpMul = orig }()
 	for _, m := range machines {
-		k := m.h.Depth()
-		orders := perm.All(k)
+		orders := perm.All(m.h.Depth())
 		for _, coll := range []Collective{Alltoall, Allgather, Allreduce} {
 			for _, sim := range []bool{false, true} {
 				for _, p := range divisorsOf(m.h.Size()) {
 					sc := Scenario{Spec: m.spec, Hierarchy: m.h, Coll: coll, CommSize: p, Simultaneous: sim,
 						Bytes: int64(1+rng.Intn(64)) << 16}
 					ranked, groups := rankOracle(t, sc)
-					for _, mul := range [][33]uint64{orig, {}} {
-						fpMul = mul
-						class, first := classify(sc, orders)
-						if len(first) != len(groups) {
-							t.Fatalf("%v %s p=%d sim=%v: %d classes, oracle %d", m.h.Arities(), coll, p, sim, len(first), len(groups))
-						}
-						for g, members := range groups {
-							if first[g] != members[0] {
-								t.Fatalf("%v %s p=%d sim=%v: class %d represented by order %d, oracle %d",
-									m.h.Arities(), coll, p, sim, g, first[g], members[0])
-							}
-							for _, i := range members {
-								if class[i] != int32(g) {
-									t.Fatalf("%v %s p=%d sim=%v: order %v in class %d, oracle %d",
-										m.h.Arities(), coll, p, sim, orders[i], class[i], g)
-								}
-							}
-						}
-					}
-					fpMul = orig
 					mode := ModeExact
 					if len(groups) < len(orders) {
 						mode = ModePruned
 					}
-					for _, top := range []int{1, 5, len(orders) + 1} {
-						res, err := SearchOrders(context.Background(), sc, SearchOptions{Top: top})
-						if err != nil {
-							t.Fatal(err)
+					for _, mul := range [][33]uint64{orig, {}} {
+						fpMul = mul
+						for _, top := range []int{1, 5, len(orders) + 1} {
+							res, err := SearchOrders(context.Background(), sc, SearchOptions{Top: top})
+							if err != nil {
+								t.Fatal(err)
+							}
+							want := &SearchResult{
+								Best:      ranked[:min(top, len(ranked))],
+								Worst:     ranked[len(ranked)-1],
+								Mode:      mode,
+								Evaluated: int64(len(groups)),
+								Covered:   int64(len(orders)),
+								Nodes:     res.Nodes,
+							}
+							if !reflect.DeepEqual(res, want) {
+								t.Fatalf("%v %s p=%d sim=%v top=%d zero-mul=%v: search %+v, exhaustive ranking %+v",
+									m.h.Arities(), coll, p, sim, top, mul == [33]uint64{}, res, want)
+							}
 						}
-						want := &SearchResult{
-							Best:      ranked[:min(top, len(ranked))],
-							Worst:     ranked[len(ranked)-1],
-							Mode:      mode,
-							Evaluated: int64(len(groups)),
-							Covered:   int64(len(orders)),
-						}
-						if !reflect.DeepEqual(res, want) {
-							t.Fatalf("%v %s p=%d sim=%v top=%d: search %+v, exhaustive ranking %+v",
-								m.h.Arities(), coll, p, sim, top, res, want)
-						}
+					}
+					fpMul = orig
+				}
+			}
+		}
+	}
+}
+
+// TestSearchExactNodes: the exhaustive walk reports the prefix-tree nodes
+// it visits. With one communicator those are the prefixes none of whose
+// proper prefixes covers it — the root, the prefixes that do not cover it
+// and the covering leaves just below them — collected here from every
+// order; with every communicator at once, all treeSize(k) prefixes, the
+// settled subtrees counted in closed form.
+func TestSearchExactNodes(t *testing.T) {
+	for _, spec := range []netmodel.Spec{cluster.Hydra(16, 1), cluster.LUMI(16), cluster.Cloud(6), cluster.Cloud(7)} {
+		h := spec.Hierarchy()
+		ar, k := h.Arities(), h.Depth()
+		for _, p := range divisorsOf(h.Size()) {
+			prefixes := map[string]bool{}
+			for _, sigma := range perm.All(k) {
+				for t, prod := 0, 1; t <= k; t++ {
+					prefixes[perm.Format(sigma[:t])] = true
+					if t == k || prod >= p {
+						break
+					}
+					prod *= ar[sigma[t]]
+				}
+			}
+			for _, coll := range []Collective{Alltoall, Allgather} {
+				for _, sim := range []bool{false, true} {
+					sc := Scenario{Spec: spec, Hierarchy: h, Coll: coll, CommSize: p, Simultaneous: sim, Bytes: 1 << 20}
+					res, err := SearchOrders(context.Background(), sc, SearchOptions{Top: 3})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := int64(len(prefixes))
+					if sim {
+						want = treeSize(k)
+					}
+					if res.Nodes != want {
+						t.Errorf("%v %s p=%d sim=%v: %d nodes, want %d", ar, coll, p, sim, res.Nodes, want)
 					}
 				}
 			}

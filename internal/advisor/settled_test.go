@@ -41,7 +41,7 @@ func (w *plainWalk) dfs(t int, class *settledClass) error {
 		return err
 	}
 	if e.isLeaf(t) {
-		pr, err := e.evalLeaf(t)
+		pr, err := e.evalLeaf(t, t)
 		if err == nil && class != nil {
 			if class.leaves == 0 {
 				class.time = pr.Time

@@ -112,7 +112,7 @@ func TestTraceCoversServingPipeline(t *testing.T) {
 	}
 
 	byName := spanNames(t, tracer,
-		"http /v1/advise", "cache.lookup", "singleflight", "evaluate", "advisor.rank")
+		"http /v1/advise", "cache.lookup", "singleflight", "evaluate", "advisor.search")
 
 	// Everything rides one thread track named after the injected trace id.
 	tid := byName["http /v1/advise"][0].TID

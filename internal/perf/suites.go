@@ -143,7 +143,7 @@ func OrderSearchSuite() Suite {
 	// through depth 12; the simultaneous cases exhaust the node budget
 	// and degrade to beam, covering the fallback's cost. The c=16 ones
 	// are the shapes of the benchmark's search_deep. The
-	// OrderSearchExact rows are the class-first exact search on the
+	// OrderSearchExact rows are the exhaustive walk on the
 	// depth-7 and LUMI advise shapes of the benchmark's serve_cold.
 	deep := []struct {
 		spec netmodel.Spec
