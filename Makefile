@@ -9,7 +9,7 @@ SMOKE_DEBUG ?= 127.0.0.1:18078
 # LOC_BUDGET is the ceiling on non-test Go lines under cmd/ + internal/,
 # as `make loc` counts them; `make check` fails above it. It is a ratchet:
 # lower it when a PR removes code.
-LOC_BUDGET = 21454
+LOC_BUDGET = 21494
 
 .PHONY: all build test check race smoke smoke-fleet bench bench-gate loc loc-budget clean
 

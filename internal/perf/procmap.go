@@ -1,8 +1,8 @@
 // The procmap suite: communication-matrix-aware placement on the
 // workloads it exists for — halo exchanges and skewed layer collectives —
-// split into the greedy construction alone and the full greedy+KL
-// refinement, so the gate watches both the cheap path mapd's fallback
-// leans on and the expensive one the matrix endpoint serves.
+// split into the greedy construction (the cheap path mapd's fallback leans
+// on), the greedy+KL refinement, and the refinement from the best σ
+// order's placement, which is how the matrix endpoint serves.
 
 package perf
 
@@ -38,6 +38,12 @@ func procmapCases() []procmapCase {
 			gen:      func() (*commmatrix.Matrix, error) { return procmap.Halo(8, 16, 1024) },
 		},
 		{
+			// Depth-5, 512 ranks: serve_cold's slowest matrix request.
+			workload: "halo-16x32",
+			shape:    []int{4, 2, 4, 2, 8},
+			gen:      func() (*commmatrix.Matrix, error) { return procmap.Halo(16, 32, 1024) },
+		},
+		{
 			// Depth-4, 64 ranks, splatt-style hub skew on the middle mode —
 			// the dense-matrix end: every layer pair communicates.
 			workload: "layers-4x4x4",
@@ -50,7 +56,7 @@ func procmapCases() []procmapCase {
 }
 
 // ProcmapSuite benchmarks the matrix-aware placement search: the σ-order
-// baseline, the greedy construction alone, and greedy plus refinement.
+// baseline, the greedy construction, and refinement from either start.
 func ProcmapSuite() Suite {
 	s := Suite{
 		Name:        "procmap",
@@ -58,16 +64,17 @@ func ProcmapSuite() Suite {
 		Threshold:   0.25,
 	}
 	for _, pc := range procmapCases() {
-		pc := pc
 		h := topology.MustNew(pc.shape...)
 		m, err := pc.gen()
 		if err != nil {
 			panic(fmt.Sprintf("perf: procmap workload %s: %v", pc.workload, err))
 		}
 		base := fmt.Sprintf("ProcmapMap/h=%s/%s", intsDash(pc.shape), pc.workload)
-		for _, mode := range []string{"greedy", "refine"} {
-			mode := mode
+		for _, mode := range []string{"greedy", "refine", "refine-order"} {
 			opts := procmap.Options{Seed: 1, NoRefine: mode == "greedy", NoOrderInit: true}
+			if mode == "refine-order" { // BestOrder fails only where Map does
+				_, opts.InitPlacement, _, _, _ = procmap.BestOrder(m, h, nil)
+			}
 			s.Benches = append(s.Benches, Bench{
 				Name: base + "/" + mode,
 				F: func(b *B) {

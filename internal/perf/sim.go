@@ -69,7 +69,6 @@ func SimSuite() Suite {
 		{"Allreduce/ranks=512/c=64/256KB", figures.Figure6(size).Config},
 		{"Alltoall/ranks=2048/c=16/256KB", figures.Figure5(size).Config},
 	} {
-		pt := pt
 		s.Benches = append(s.Benches, Bench{
 			Name: pt.name,
 			F: func(b *B) {

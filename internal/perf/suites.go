@@ -67,7 +67,6 @@ func KernelSuite() Suite {
 		Threshold:   0.20,
 	}
 	for _, shape := range searchShapes {
-		shape := shape
 		h := topology.MustNew(shape...)
 		sigma := perm.Reversed(h.Depth())
 		comm := h.Level(h.Depth()-1).Arity * h.Level(h.Depth()-2).Arity
@@ -168,7 +167,6 @@ func OrderSearchSuite() Suite {
 		{cluster.LUMI(16), advisor.Allgather, 256, true, advisor.ModePruned},
 	}
 	for _, dc := range deep {
-		dc := dc
 		adv := advisor.Scenario{
 			Spec:         dc.spec,
 			Hierarchy:    dc.spec.Hierarchy(),

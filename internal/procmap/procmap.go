@@ -18,7 +18,7 @@
 // Everything is deterministic for a fixed Options.Seed: the parallel
 // refinement seeds one RNG per (round, level, domain), so results are
 // independent of the worker count and race-clean by construction
-// (parallel propose over a read-only snapshot, sequential commit).
+// (parallel propose on private copies, sequential commit).
 package procmap
 
 import (
