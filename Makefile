@@ -5,13 +5,16 @@ GO ?= go
 SMOKE_TRACE ?= /tmp/mrserved-smoke-trace.json
 SMOKE_ADDR  ?= 127.0.0.1:18077
 SMOKE_DEBUG ?= 127.0.0.1:18078
+# SMOKE_PPROF is the daemon's net/http/pprof base URL the smoke run reads
+# with go tool pprof.
+SMOKE_PPROF = http://$(SMOKE_DEBUG)/debug/pprof/
 
 # LOC_BUDGET is the ceiling on non-test Go lines under cmd/ + internal/,
 # as `make loc` counts them; `make check` fails above it. It is a ratchet:
 # lower it when a PR removes code.
-LOC_BUDGET = 21494
+LOC_BUDGET = 21032
 
-.PHONY: all build test check race smoke smoke-fleet bench bench-gate loc loc-budget clean
+.PHONY: all build test check race smoke smoke-fleet bench bench-gate loc loc-budget
 
 all: build
 
@@ -67,7 +70,8 @@ check:
 # smoke boots a real mrserved with the pprof debug listener and trace
 # export, sends one traced request, probes every telemetry surface
 # (/metrics incl. runtime-sampler series; /v1/slo, whose shortest map
-# window must count that request with no error; /debug/pprof/heap),
+# window must count that request with no error; the live heap profile,
+# which go tool pprof must decode),
 # drives the matrix-aware mapping end to end (mrmap matrix -emit →
 # -server → /v1/map/matrix), shuts the daemon down gracefully, and
 # validates the written Perfetto trace by opening it with mrtrace. A probe
@@ -96,7 +100,9 @@ smoke:
 	curl -fsS http://$(SMOKE_ADDR)/v1/slo \
 		| grep -E '"endpoint":"map","windows":\[\{"window":"[^"]*","requests":[1-9][0-9]*,"errors":0,' >/dev/null || \
 		{ echo "smoke: /v1/slo does not count the traced /v1/map as served"; curl -fsS http://$(SMOKE_ADDR)/v1/slo; exit 1; }; \
-	curl -fsS -o /dev/null http://$(SMOKE_DEBUG)/debug/pprof/heap; \
+	PPROF_TMPDIR=/tmp/mrserved-smoke-pprof $(GO) tool pprof -top $(SMOKE_PPROF)heap \
+		| grep 'Type: inuse_space' >/dev/null || \
+		{ echo "smoke: go tool pprof cannot read the live heap profile"; exit 1; }; \
 	/tmp/mrmap.smoke matrix -gen halo:4x8 -emit > /tmp/mrmap-smoke-matrix.json; \
 	/tmp/mrmap.smoke matrix -h 2,4,4 -matrix /tmp/mrmap-smoke-matrix.json \
 		-server http://$(SMOKE_ADDR) | grep -q 'matrix-aware \[matrix\]'; \
@@ -106,7 +112,8 @@ smoke:
 	/tmp/mrtrace.smoke -open $(SMOKE_TRACE) | grep -q 'http /v1/map'; \
 	grep -q 'trace 0af7651916cd43dd8448eb211c80319c' $(SMOKE_TRACE) || \
 		{ echo "smoke: injected trace id missing from server trace"; exit 1; }; \
-	rm -f /tmp/mrserved.smoke /tmp/mrtrace.smoke /tmp/mrmap.smoke /tmp/mrmap-smoke-matrix.json; \
+	rm -rf /tmp/mrserved.smoke /tmp/mrtrace.smoke /tmp/mrmap.smoke /tmp/mrmap-smoke-matrix.json \
+		/tmp/mrserved-smoke-pprof; \
 	echo "smoke: serving telemetry OK ($(SMOKE_TRACE))"
 
 # smoke-fleet is the chaos e2e: three real mrserved replicas behind
@@ -231,7 +238,7 @@ BENCH_TS     ?= $(shell date -u +%Y-%m-%dT%H:%M:%SZ)
 
 # bench regenerates the committed BENCH_<suite>.json trajectory points via
 # the in-process observatory harness (5 reps each, with significance-ready
-# samples). The legacy go-test stream is kept as BENCH_1.json.
+# samples).
 bench:
 	@for s in $(BENCH_SUITES); do \
 		$(GO) run ./cmd/mrperf run -suite $$s -git "$(BENCH_GIT)" -ts "$(BENCH_TS)" || exit 1; \
@@ -268,6 +275,3 @@ loc-budget:
 		END { if (n > budget) { \
 			printf "loc: cmd/ + internal/ is %d non-test lines, LOC_BUDGET is %d: lower the count, or raise the budget in this same diff and say why in CHANGES.md\n", n, budget; \
 			exit 1 } }'
-
-clean:
-	rm -f BENCH_1.json

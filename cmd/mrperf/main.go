@@ -1,18 +1,24 @@
 // Command mrperf is the performance observatory's CLI: it runs the
 // registered benchmark suites, persists versioned BENCH_<suite>.json
 // records, compares records with significance testing (the regression
-// gate), and inspects live daemons — workload analytics via /v1/stats
-// and pprof profiles via the -debug-addr listener.
+// gate), and renders a live daemon's workload analytics from /v1/stats.
+// Profiles are `go tool pprof`'s: `run -profile DIR` writes each
+// benchmark's raw CPU and heap profiles, and a daemon's -debug-addr
+// listener serves its own.
 //
 // Usage:
 //
 //	mrperf list                               registered suites
-//	mrperf run -suite kernels -o BENCH_kernels.json
+//	mrperf run -suite kernels -o BENCH_kernels.json [-profile DIR]
 //	mrperf smoke [-suite NAME]                1-iteration existence check
 //	mrperf diff OLD.json NEW.json             compare; exit 1 on regression
 //	mrperf gate -suites kernels,order_search  rerun + compare vs. baselines
 //	mrperf top -addr http://127.0.0.1:8077    render /v1/stats
-//	mrperf profile -debug http://127.0.0.1:8078 -kind cpu -seconds 5
+//
+//	go tool pprof -top DIR/<name>.cpu.pprof   where a benchmark's time went
+//	go tool pprof -top -sample_index=alloc_space DIR/<name>.heap.pprof
+//	go tool pprof -top -diff_base OLD/<name>.cpu.pprof NEW/<name>.cpu.pprof
+//	go tool pprof -top 'http://127.0.0.1:8078/debug/pprof/profile?seconds=5'
 //
 // run/gate stamp records with the git SHA and timestamp passed via -git
 // and -ts (defaulting to `git rev-parse --short HEAD` and the current
@@ -55,8 +61,6 @@ func main() {
 		err = cmdGate(os.Args[2:])
 	case "top":
 		err = cmdTop(os.Args[2:])
-	case "profile":
-		err = cmdProfile(os.Args[2:])
 	case "-h", "--help", "help":
 		usage(os.Stdout)
 		return
@@ -80,7 +84,14 @@ func usage(w io.Writer) {
   diff      compare two records; exit 1 when a benchmark regressed
   gate      rerun suites and compare against committed baselines
   top       render a live daemon's /v1/stats workload analytics
-  profile   fetch a pprof profile from a daemon's -debug-addr listener
+
+run -profile DIR writes DIR/<name>.cpu.pprof and DIR/<name>.heap.pprof per
+benchmark; read them, or a daemon's -debug-addr listener, with go tool pprof:
+
+  go tool pprof -top DIR/<name>.cpu.pprof
+  go tool pprof -top -sample_index=alloc_space DIR/<name>.heap.pprof
+  go tool pprof -top -diff_base OLD/<name>.cpu.pprof NEW/<name>.cpu.pprof
+  go tool pprof -top 'http://127.0.0.1:8078/debug/pprof/profile?seconds=5'
 `)
 }
 
@@ -115,8 +126,7 @@ func cmdRun(args []string) error {
 	out := fs.String("o", "", "output record path (default BENCH_<suite>.json)")
 	reps := fs.Int("reps", 5, "independent samples per benchmark")
 	benchTime := fs.Duration("benchtime", 200*time.Millisecond, "per-sample target duration")
-	profile := fs.Bool("profile", false, "capture CPU+heap profiles and store top symbols")
-	topN := fs.Int("topn", 10, "profile symbols to store per benchmark")
+	profile := fs.String("profile", "", "write each benchmark's CPU and heap pprof profiles into this directory")
 	gitSHA := fs.String("git", "", "git SHA to stamp (default: git rev-parse --short HEAD)")
 	ts := fs.String("ts", "", "RFC3339 timestamp to stamp (default: now, UTC)")
 	quiet := fs.Bool("q", false, "suppress per-benchmark progress lines")
@@ -129,7 +139,7 @@ func cmdRun(args []string) error {
 		return err
 	}
 	sha, when := stamp(*gitSHA, *ts)
-	opts := perf.RunOptions{Reps: *reps, BenchTime: *benchTime, Profile: *profile, ProfileTopN: *topN}
+	opts := perf.RunOptions{Reps: *reps, BenchTime: *benchTime, Profile: *profile}
 	if !*quiet {
 		opts.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -197,7 +207,7 @@ func diffLoaded(w io.Writer, old, new_ *perf.Record, opts perf.DiffOptions) (boo
 	if err != nil {
 		return false, err
 	}
-	fmt.Fprint(w, d.Format(old, new_))
+	fmt.Fprint(w, d.Format())
 	return len(d.Regressions()) > 0, nil
 }
 
@@ -342,19 +352,4 @@ func joinCounts(m map[string]uint64) string {
 		parts = append(parts, fmt.Sprintf("%s %d", k, m[k]))
 	}
 	return strings.Join(parts, "  ")
-}
-
-func cmdProfile(args []string) error {
-	fs := flag.NewFlagSet("profile", flag.ExitOnError)
-	debug := fs.String("debug", "http://127.0.0.1:8078", "daemon -debug-addr base URL")
-	kind := fs.String("kind", "cpu", "profile kind: cpu or heap")
-	seconds := fs.Int("seconds", 5, "cpu profile duration")
-	n := fs.Int("n", 15, "symbols to show")
-	_ = fs.Parse(args)
-	syms, err := perf.FetchProfile(*debug, *kind, *seconds, *n)
-	if err != nil {
-		return err
-	}
-	fmt.Print(perf.FormatSymbols(syms))
-	return nil
 }

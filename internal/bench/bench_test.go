@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -93,6 +94,49 @@ func TestMeasureSingleVsSimultaneous(t *testing.T) {
 	if spreadAll.Bandwidth*2 > spreadOne.Bandwidth {
 		t.Errorf("spread mapping barely degraded: one=%.3g all=%.3g",
 			spreadOne.Bandwidth, spreadAll.Bandwidth)
+	}
+}
+
+// TestOneCommIterationHistoryPinned pins the history term of a
+// one-communicator cell (Hydra ⟦16,2,2,8⟧, 64 ranks per communicator,
+// Alltoall at 1 MiB, so Bruck on 256-byte blocks). Runs are deterministic,
+// so with T(k) = k·size/Bandwidth at Iters k, T(k) − T(k−1) is iteration
+// k's time. Order 0-2-1-3's iterations oscillate; 0-1-2-3, the same cores
+// and the same §3.3 class, takes the same time in every one. Whether the
+// oscillation is a simulator artifact is open; a change that moves these
+// sequences changes the model and must say so.
+func TestOneCommIterationHistoryPinned(t *testing.T) {
+	cfg := Config{
+		Spec:      cluster.Hydra(16, 1),
+		Hierarchy: cluster.HydraHierarchy(16),
+		CommSize:  64,
+		Coll:      Alltoall,
+	}
+	const size = 1 << 20
+	for _, tc := range []struct {
+		sigma []int
+		want  string // µs per iteration, iterations 1–4
+	}{
+		{[]int{0, 2, 1, 3}, "18.203 17.368 45.035 27.989"},
+		{[]int{0, 1, 2, 3}, "20.738 20.738 20.738 20.738"},
+	} {
+		got, prev := "", 0.0
+		for k := 1; k <= 4; k++ {
+			cfg.Iters = k
+			pt, err := Measure(cfg, tc.sigma, size, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := float64(k) * size / pt.Bandwidth
+			if k > 1 {
+				got += " "
+			}
+			got += fmt.Sprintf("%.3f", (total-prev)*1e6)
+			prev = total
+		}
+		if got != tc.want {
+			t.Errorf("order %v: iterations 1–4 take %s µs, pinned %s", tc.sigma, got, tc.want)
+		}
 	}
 }
 

@@ -189,10 +189,8 @@ func stdNormCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
 }
 
-// Format renders the comparison as an aligned human-readable table,
-// including the before/after profile symbol deltas for regressed
-// benchmarks when both records captured profiles.
-func (d *DiffResult) Format(old, new_ *Record) string {
+// Format renders the comparison as an aligned human-readable table.
+func (d *DiffResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "suite %s: %d benchmarks compared (threshold %.0f%%)\n",
 		d.Suite, len(d.Comparisons), 100*d.Threshold)
@@ -215,57 +213,6 @@ func (d *DiffResult) Format(old, new_ *Record) string {
 	}
 	for _, name := range d.OnlyNew {
 		fmt.Fprintf(&b, "%-56s only in new record\n", name)
-	}
-	for _, c := range d.Regressions() {
-		or, nr := old.Find(c.Name), new_.Find(c.Name)
-		if or == nil || nr == nil || or.Profile == nil || nr.Profile == nil {
-			continue
-		}
-		fmt.Fprintf(&b, "\n%s: CPU symbol deltas (new cum - old cum)\n", c.Name)
-		b.WriteString(formatSymbolDelta(or.Profile.CPUTop, nr.Profile.CPUTop))
-	}
-	return b.String()
-}
-
-// formatSymbolDelta lines up two top-N symbol lists and prints the
-// movers, largest absolute cumulative change first — the "which function
-// moved" answer of a regression report.
-func formatSymbolDelta(old, new_ []Symbol) string {
-	oldCum := map[string]float64{}
-	for _, s := range old {
-		oldCum[s.Func] = s.Cum
-	}
-	type mover struct {
-		name     string
-		from, to float64
-		unit     string
-	}
-	var movers []mover
-	seen := map[string]bool{}
-	for _, s := range new_ {
-		movers = append(movers, mover{s.Func, oldCum[s.Func], s.Cum, s.Unit})
-		seen[s.Func] = true
-	}
-	for _, s := range old {
-		if !seen[s.Func] {
-			movers = append(movers, mover{s.Func, s.Cum, 0, s.Unit})
-		}
-	}
-	sort.Slice(movers, func(i, j int) bool {
-		di := math.Abs(movers[i].to - movers[i].from)
-		dj := math.Abs(movers[j].to - movers[j].from)
-		if di != dj {
-			return di > dj
-		}
-		return movers[i].name < movers[j].name
-	})
-	if len(movers) > 10 {
-		movers = movers[:10]
-	}
-	var b strings.Builder
-	for _, m := range movers {
-		fmt.Fprintf(&b, "  %14.4g → %-14.4g %+14.4g %-4s %s\n",
-			m.from, m.to, m.to-m.from, m.unit, m.name)
 	}
 	return b.String()
 }

@@ -164,11 +164,11 @@ type RunOptions struct {
 	// Smoke runs every benchmark for exactly one iteration, once —
 	// existence checking for make check, not measurement.
 	Smoke bool
-	// Profile captures a CPU profile around the final rep and a heap
-	// profile after it, storing top-N symbols in the record.
-	Profile bool
-	// ProfileTopN bounds the stored symbol list (default 10).
-	ProfileTopN int
+	// Profile, when set, is a directory: each benchmark's final rep runs
+	// under a CPU profile written to Profile/<name>.cpu.pprof, followed by
+	// a heap profile in Profile/<name>.heap.pprof ("/" in the name
+	// replaced by "_"), for `go tool pprof` to read.
+	Profile string
 	// Logf, when non-nil, receives one go-bench-style line per result.
 	Logf func(format string, args ...any)
 }
@@ -179,9 +179,6 @@ func (o RunOptions) withDefaults() RunOptions {
 	}
 	if o.BenchTime <= 0 {
 		o.BenchTime = 200 * time.Millisecond
-	}
-	if o.ProfileTopN <= 0 {
-		o.ProfileTopN = 10
 	}
 	return o
 }
@@ -202,17 +199,12 @@ func runBench(bm Bench, opts RunOptions) (Result, error) {
 	}
 	var nsSamples, allocSamples, byteSamples []float64
 	for rep := 0; rep < opts.Reps; rep++ {
-		profiling := opts.Profile && rep == opts.Reps-1
-		var prof *profileCapture
-		if profiling {
-			prof = startProfile()
-		}
-		s, err := measure(bm.F, opts.BenchTime)
-		if profiling && prof != nil {
-			summary, perr := prof.stop(opts.ProfileTopN)
-			if perr == nil {
-				res.Profile = summary
-			}
+		var s sample
+		var err error
+		if opts.Profile != "" && rep == opts.Reps-1 {
+			s, err = profiledMeasure(bm, opts.BenchTime, opts.Profile)
+		} else {
+			s, err = measure(bm.F, opts.BenchTime)
 		}
 		if err != nil {
 			return res, err

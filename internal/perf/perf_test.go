@@ -1,11 +1,8 @@
 package perf
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -171,86 +168,29 @@ func TestSuitesRegisteredAndSmokeable(t *testing.T) {
 	}
 }
 
-func TestTopSymbolsFromRealCPUProfile(t *testing.T) {
-	var buf bytes.Buffer
-	if err := pprof.StartCPUProfile(&buf); err != nil {
-		t.Skipf("cpu profiling unavailable: %v", err)
-	}
-	// Burn enough CPU in a named function for the sampler to see it.
-	deadline := time.Now().Add(300 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		burnCPU(1 << 14)
-	}
-	pprof.StopCPUProfile()
-	syms, err := TopSymbols(buf.Bytes(), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(syms) == 0 {
-		t.Skip("no samples captured (loaded machine?)")
-	}
-	found := false
-	for _, s := range syms {
-		if strings.Contains(s.Func, "burnCPU") {
-			found = true
-			if s.Cum < s.Flat {
-				t.Fatalf("cum %v < flat %v for %s", s.Cum, s.Flat, s.Func)
+// TestRunSuiteWritesProfiles runs a one-benchmark suite with a profile
+// directory: the final rep leaves a CPU and a heap profile, each gzipped
+// profile.proto as `go tool pprof` reads it.
+func TestRunSuiteWritesProfiles(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "profiles")
+	s := Suite{Name: "p", Threshold: 0.2, Benches: []Bench{{Name: "Sum/n=64", F: func(b *B) {
+		xs := make([]float64, 64)
+		for i := 0; i < b.N; i++ {
+			for j := range xs {
+				xs[j] += float64(j)
 			}
 		}
-		if s.Unit != "nanoseconds" {
-			t.Fatalf("unit %q, want nanoseconds", s.Unit)
-		}
-	}
-	if !found {
-		t.Fatalf("burnCPU not in top symbols: %+v", syms)
-	}
-}
-
-//go:noinline
-func burnCPU(n int) float64 {
-	s := 0.0
-	for i := 1; i <= n; i++ {
-		s += 1 / float64(i*i)
-	}
-	return s
-}
-
-func TestTopSymbolsFromHeapProfile(t *testing.T) {
-	sink = make([][]byte, 0, 64)
-	for i := 0; i < 64; i++ {
-		sink = append(sink, allocBig())
-	}
-	// The heap profile is a snapshot as of the last completed GC cycle;
-	// without forcing one the allocations above may not be in it yet.
-	runtime.GC()
-	var buf bytes.Buffer
-	if err := pprof.Lookup("heap").WriteTo(&buf, 0); err != nil {
+	}}}}
+	if _, err := RunSuite(s, "", "", RunOptions{Reps: 2, BenchTime: time.Millisecond, Profile: dir}); err != nil {
 		t.Fatal(err)
 	}
-	syms, err := TopSymbols(buf.Bytes(), 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(syms) == 0 {
-		t.Fatal("no heap symbols decoded")
-	}
-	for _, s := range syms {
-		if s.Unit != "bytes" {
-			t.Fatalf("unit %q, want bytes", s.Unit)
+	for _, name := range []string{"Sum_n=64.cpu.pprof", "Sum_n=64.heap.pprof"} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	sink = nil
-}
-
-var sink [][]byte
-
-//go:noinline
-func allocBig() []byte { return make([]byte, 1<<16) }
-
-func TestParseProfileRejectsGarbage(t *testing.T) {
-	if _, err := TopSymbols([]byte{0x07, 0x03, 0xff}, 5); err == nil {
-		// A short garbage blob may parse as empty; it must at least not
-		// panic. Decoding succeeding with zero symbols is acceptable.
-		t.Log("garbage decoded as empty profile (acceptable)")
+		if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Fatalf("%s is not gzipped (% x…)", name, b[:min(len(b), 4)])
+		}
 	}
 }

@@ -2,7 +2,10 @@
 // workloads it exists for — halo exchanges and skewed layer collectives —
 // split into the greedy construction (the cheap path mapd's fallback leans
 // on), the greedy+KL refinement, and the refinement from the best σ
-// order's placement, which is how the matrix endpoint serves.
+// order's placement, which is how the matrix endpoint serves. Each op
+// times what /v1/map/matrix runs on a decoded request: procmap.NewGraph
+// over the sparse edge list, then Map or BestOrder; the dense matrix's
+// n² scan into that list is setup.
 
 package perf
 
@@ -69,18 +72,19 @@ func ProcmapSuite() Suite {
 		if err != nil {
 			panic(fmt.Sprintf("perf: procmap workload %s: %v", pc.workload, err))
 		}
+		sparse := m.Sparse()
 		base := fmt.Sprintf("ProcmapMap/h=%s/%s", intsDash(pc.shape), pc.workload)
 		for _, mode := range []string{"greedy", "refine", "refine-order"} {
 			opts := procmap.Options{Seed: 1, NoRefine: mode == "greedy", NoOrderInit: true}
 			if mode == "refine-order" { // BestOrder fails only where Map does
-				_, opts.InitPlacement, _, _, _ = procmap.BestOrder(m, h, nil)
+				_, opts.InitPlacement, _, _, _ = procmap.NewGraph(sparse).BestOrder(h, nil)
 			}
 			s.Benches = append(s.Benches, Bench{
 				Name: base + "/" + mode,
 				F: func(b *B) {
 					ctx := context.Background()
 					for i := 0; i < b.N; i++ {
-						res, err := procmap.Map(ctx, m, h, opts)
+						res, err := procmap.NewGraph(sparse).Map(ctx, h, opts)
 						if err != nil {
 							b.Fatalf("%v", err)
 						}
@@ -95,7 +99,7 @@ func ProcmapSuite() Suite {
 			Name: fmt.Sprintf("ProcmapBestOrder/h=%s/%s", intsDash(pc.shape), pc.workload),
 			F: func(b *B) {
 				for i := 0; i < b.N; i++ {
-					if _, _, _, _, err := procmap.BestOrder(m, h, nil); err != nil {
+					if _, _, _, _, err := procmap.NewGraph(sparse).BestOrder(h, nil); err != nil {
 						b.Fatalf("%v", err)
 					}
 				}

@@ -1,107 +1,52 @@
-// Profile capture for the observatory: in-process CPU/heap capture
-// wrapped around a benchmark's final rep, and HTTP capture against the
-// net/http/pprof listener mrserved exposes on -debug-addr. Both paths
-// funnel into the same TopSymbols decoder, so a record's symbol summary
-// is identical whether the profile came from inside the harness or from
-// a live daemon.
+// Profile capture for the observatory: the final rep of a benchmark runs
+// under a CPU profile, followed by a heap profile, both written raw for
+// `go tool pprof` to read. A live daemon needs no code here: pprof reads
+// its -debug-addr listener directly.
 
 package perf
 
 import (
-	"bytes"
 	"fmt"
-	"io"
-	"net/http"
-	"net/url"
+	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 )
 
-// profileCapture is an in-flight in-process CPU profile.
-type profileCapture struct {
-	buf bytes.Buffer
-	on  bool
-}
-
-// startProfile begins an in-process CPU profile; a nil return means a
-// profile was already running (e.g. nested suites) and capture is
-// skipped for this benchmark.
-func startProfile() *profileCapture {
-	var c profileCapture
-	if err := pprof.StartCPUProfile(&c.buf); err != nil {
-		return nil
+// profiledMeasure is measure under a CPU profile written to
+// dir/<name>.cpu.pprof, followed by the heap profile written to
+// dir/<name>.heap.pprof, with "/" in the benchmark name replaced by "_".
+func profiledMeasure(bm Bench, benchTime time.Duration, dir string) (sample, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return sample{}, err
 	}
-	c.on = true
-	return &c
-}
-
-// stop ends the CPU profile, captures a heap profile, and summarizes
-// both to their top-n symbols.
-func (c *profileCapture) stop(n int) (*ProfileSummary, error) {
-	if !c.on {
-		return nil, fmt.Errorf("perf: profile not running")
+	base := filepath.Join(dir, strings.ReplaceAll(bm.Name, "/", "_"))
+	cpu, err := os.Create(base + ".cpu.pprof")
+	if err != nil {
+		return sample{}, err
 	}
+	if err := pprof.StartCPUProfile(cpu); err != nil {
+		cpu.Close()
+		return sample{}, fmt.Errorf("cpu profile: %w", err)
+	}
+	s, err := measure(bm.F, benchTime)
 	pprof.StopCPUProfile()
-	c.on = false
-	sum := &ProfileSummary{}
-	if syms, err := TopSymbols(c.buf.Bytes(), n); err == nil {
-		sum.CPUTop = syms
+	if cerr := cpu.Close(); err == nil {
+		err = cerr
 	}
-	var heap bytes.Buffer
-	runtime.GC() // get up-to-date inuse_space statistics
-	if err := pprof.Lookup("heap").WriteTo(&heap, 0); err == nil {
-		if syms, err := TopSymbols(heap.Bytes(), n); err == nil {
-			sum.HeapTop = syms
-		}
-	}
-	if len(sum.CPUTop) == 0 && len(sum.HeapTop) == 0 {
-		return nil, fmt.Errorf("perf: no symbols decoded")
-	}
-	return sum, nil
-}
-
-// FetchProfile captures a profile from a net/http/pprof listener (the
-// daemon's -debug-addr) and returns its top-n symbols. kind is "profile"
-// (CPU, sampled for seconds) or "heap".
-func FetchProfile(debugURL, kind string, seconds int, n int) ([]Symbol, error) {
-	u, err := url.Parse(debugURL)
 	if err != nil {
-		return nil, fmt.Errorf("perf: debug url: %w", err)
+		return s, err
 	}
-	if kind == "cpu" {
-		kind = "profile" // net/http/pprof's name for the CPU profile
-	}
-	u.Path = "/debug/pprof/" + kind
-	if kind == "profile" {
-		if seconds <= 0 {
-			seconds = 5
-		}
-		q := u.Query()
-		q.Set("seconds", fmt.Sprint(seconds))
-		u.RawQuery = q.Encode()
-	}
-	client := &http.Client{Timeout: time.Duration(seconds+30) * time.Second}
-	resp, err := client.Get(u.String())
+	heap, err := os.Create(base + ".heap.pprof")
 	if err != nil {
-		return nil, fmt.Errorf("perf: fetch %s: %w", u, err)
+		return s, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("perf: fetch %s: %s", u, resp.Status)
+	runtime.GC() // the heap profile reports as of the last completed GC
+	err = pprof.Lookup("heap").WriteTo(heap, 0)
+	if cerr := heap.Close(); err == nil {
+		err = cerr
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, fmt.Errorf("perf: read %s: %w", u, err)
-	}
-	return TopSymbols(data, n)
-}
-
-// FormatSymbols renders a symbol list as an aligned table.
-func FormatSymbols(syms []Symbol) string {
-	var b bytes.Buffer
-	for _, s := range syms {
-		fmt.Fprintf(&b, "  %14.4g flat  %14.4g cum  %-4s  %s\n", s.Flat, s.Cum, s.Unit, s.Func)
-	}
-	return b.String()
+	return s, err
 }

@@ -1,10 +1,10 @@
 // Package perf is the performance observatory: a declarative benchmark
 // registry whose suites sweep the scenario space (hierarchy shape × depth
 // × collective × comm size × search mode), a versioned on-disk record
-// format for benchmark trajectories, a benchstat-style comparator with
-// significance testing that gates regressions in CI, and a minimal pprof
-// profile decoder so a regression report can name the function that
-// moved.
+// format for benchmark trajectories, and a benchstat-style comparator with
+// significance testing that gates regressions in CI. Where the time went
+// is `go tool pprof`'s to say: a run with RunOptions.Profile writes each
+// benchmark's raw CPU and heap profiles for it to read.
 //
 // The package is deliberately self-contained (no external dependencies):
 // suites run in-process through a small go-bench-compatible harness, so
@@ -67,23 +67,6 @@ type Result struct {
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	// Metrics carries custom units (req/s, goodput_req_s, p99_ms, MB/s …).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
-	// Profile, when captured, summarizes where the time/memory went.
-	Profile *ProfileSummary `json:"profile,omitempty"`
-}
-
-// ProfileSummary is the top-N symbol view of the CPU and heap profiles
-// captured alongside a benchmark.
-type ProfileSummary struct {
-	CPUTop  []Symbol `json:"cpu_top,omitempty"`
-	HeapTop []Symbol `json:"heap_top,omitempty"`
-}
-
-// Symbol is one function's flat/cumulative weight in a profile.
-type Symbol struct {
-	Func string  `json:"func"`
-	Flat float64 `json:"flat"`
-	Cum  float64 `json:"cum"`
-	Unit string  `json:"unit"`
 }
 
 // NewRecord returns a record stamped with the current environment.
@@ -113,16 +96,6 @@ func cpuModel() string {
 		}
 	}
 	return ""
-}
-
-// Find returns the result with the given benchmark name, or nil.
-func (r *Record) Find(name string) *Result {
-	for i := range r.Results {
-		if r.Results[i].Name == name {
-			return &r.Results[i]
-		}
-	}
-	return nil
 }
 
 // Sort orders the results by name for deterministic serialization.
